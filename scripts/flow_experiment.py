@@ -56,7 +56,7 @@ def main():
     print(f"minimality check: {sub.check_minimality(imm, metric, cfg.tol).max_residual:.3e}")
     print(f"boundary check:   {sub.check_free_boundary(imm, dom, cfg.boundary_tol).max_residual:.3e}")
 
-    if converged and 2 <= 2 <= n - 2:
+    if converged and 2 <= imm.k <= n - 2:
         rep = var.instability_certificate(imm, metric, dom, var.CertificateConfig(
             minimality_tol=cfg.tol, free_boundary_tol=cfg.boundary_tol,
             curvature_points=2048,

@@ -34,18 +34,28 @@ def connection_correction(field: ScalarField, x, X, Y) -> np.ndarray:
 def riemann(field: ScalarField, x, X, Y, Z) -> np.ndarray:
     """Curvature vector R(X,Y)Z of e^{2u} * Euclidean at x (flat base).
 
-    Multilinear in X, Y, Z and antisymmetric under swapping X and Y.
+    Multilinear in X, Y, Z and antisymmetric under swapping X and Y.  All
+    arguments may carry leading batch axes ``(..., n)`` that broadcast
+    together, e.g. points ``(m, 1, n)`` against frame vectors ``(m, k, n)``.
     """
     X = np.asarray(X, float)
     Y = np.asarray(Y, float)
     Z = np.asarray(Z, float)
     g = field.gradient(x)
     h = field.hessian(x)
-    xu, yu, zu = X @ g, Y @ g, Z @ g
-    xz, yz = X @ Z, Y @ Z
-    g2 = g @ g
-    hY = h @ Y
-    hX = h @ X
+
+    def dot(a, b):
+        return np.sum(a * b, axis=-1, keepdims=True)
+
+    def hess(v):
+        return (h @ v[..., None])[..., 0]
+
+    xu, yu, zu = dot(X, g), dot(Y, g), dot(Z, g)
+    xz, yz = dot(X, Z), dot(Y, Z)
+    g2 = dot(g, g)
+    hY = hess(Y)
+    hX = hess(X)
+    hZ = hess(Z)
     return (
         xu * zu * Y
         - yu * zu * X
@@ -55,8 +65,8 @@ def riemann(field: ScalarField, x, X, Y, Z) -> np.ndarray:
         + yz * hX
         - xz * g2 * Y
         + yz * g2 * X
-        - (X @ h @ Z) * Y
-        + (Y @ h @ Z) * X
+        - dot(X, hZ) * Y
+        + dot(Y, hZ) * X
     )
 
 

@@ -7,10 +7,16 @@ condition, to the ambient boundary's second fundamental form.  Q = int S +
 int T is the second variation when the immersion is minimal and meets the
 boundary orthogonally.
 
-Everything here is evaluated pointwise from ambient data (u, grad u, Hess u,
-frames, alpha); no differencing across samples.  Traces over the projected
-coordinate fields e_l^perp use the canonical basis; invariance under basis
-rotation is a test obligation, not a normalization step.
+A ``NormalField`` is a set of arrays over a whole immersion: values and
+covariant normal derivatives at the interior samples, values at the boundary
+samples.  Every form takes the immersion and a field and returns one density
+per sample, ``(m,)`` for S and ``(mb,)`` for T, evaluated from ambient data
+(u, grad u, Hess u, frames, alpha) with no differencing across samples.  The
+rescaled densities have two routes, Euclidean data plus a transformation law
+and direct evaluation with the conformal connection and curvature; their
+agreement is a test obligation.  Traces over the projected coordinate fields
+e_l^perp take an optional orthonormal basis (canonical by default);
+invariance under rotating it is tested, not assumed.
 """
 
 from __future__ import annotations
@@ -21,14 +27,11 @@ import numpy as np
 from scipy.stats import qmc
 
 from . import conformal
-from .domain import LevelSetDomain, boundary_form, outward_normal
-from .errors import DimensionError, PreconditionError
+from .domain import GRAD_FLOOR, LevelSetDomain
+from .errors import DimensionError, DomainError, PreconditionError
 from .fields import ConformalMetric
 from .submanifold import (
-    BoundarySample,
-    InteriorSample,
     SampledImmersion,
-    _batched_frames,
     boundary_defects,
     integrate_boundary,
     integrate_interior,
@@ -42,133 +45,88 @@ TANGENCY_TOL = 1e-8
 
 
 @dataclass(frozen=True)
-class SampleContext:
-    """Frame and fundamental-form data at one interior sample."""
+class NormalField:
+    """A normal field sampled over a whole immersion.
 
-    x: Array
-    tangent: Array   # (k, n)
-    normal: Array    # (q, n)
-    alpha: Array     # (k, k, q)
-
-    @property
-    def k(self) -> int:
-        return self.tangent.shape[0]
-
-    @property
-    def n(self) -> int:
-        return self.tangent.shape[1]
-
-
-@dataclass(frozen=True)
-class BoundaryContext:
-    """Frame data and conormal at one boundary sample."""
-
-    x: Array
-    tangent: Array
-    normal: Array
-    nu: Array
-
-    @property
-    def k(self) -> int:
-        return self.tangent.shape[0]
-
-    @property
-    def n(self) -> int:
-        return self.tangent.shape[1]
-
-
-@dataclass(frozen=True)
-class NormalFieldSample:
-    """Value and covariant normal derivative of a normal field at a sample.
-
-    ``dperp[i, r]`` are the components of D^perp_{v_i} X against the frame's
-    normal basis.
+    ``dperp[i, a, r]`` are the components of D^perp_{v_a} X at interior
+    sample i against that sample's normal frame.
     """
 
-    value: Array     # (n,)
-    dperp: Array     # (k, q)
-
-
-@dataclass(frozen=True)
-class NormalField:
-    """A normal field sampled over a whole immersion."""
-
-    interior: tuple[NormalFieldSample, ...]
+    values: Array            # (m, n)
+    dperp: Array             # (m, k, q)
     boundary_values: Array   # (mb, n)
 
 
-def interior_context(imm: SampledImmersion, i: int) -> SampleContext:
-    geo = imm.geometry()
-    return SampleContext(imm.xs[i], geo.tangent[i], geo.normal[i], geo.alpha[i])
+def projected_field(imm: SampledImmersion, E) -> NormalField:
+    """The projected constant field E^perp over a whole immersion, with its
+    covariant derivative D^perp_{v_i} E^perp = -alpha(v_i, E^tan).
 
-
-def boundary_context(imm: SampledImmersion, i: int) -> BoundaryContext:
-    geo = imm.geometry()
-    return BoundaryContext(imm.bxs[i], geo.b_tangent[i], geo.b_normal[i], imm.bnus[i])
-
-
-def _ctx(s) -> SampleContext:
-    if isinstance(s, SampleContext):
-        return s
-    if isinstance(s, InteriorSample):
-        J = s.J[None]
-        T, N, C = _batched_frames(J)
-        hn = np.einsum("mrx,mabx->mabr", N, s.Hchart[None])
-        alpha = np.einsum("mai,mbj,mabr->mijr", C, C, hn)[0]
-        return SampleContext(s.x, T[0], N[0], alpha)
-    raise TypeError(f"expected an interior sample or context, got {type(s)!r}")
-
-
-def _bctx(b) -> BoundaryContext:
-    if isinstance(b, BoundaryContext):
-        return b
-    if isinstance(b, BoundarySample):
-        T, N, _ = _batched_frames(b.J[None])
-        return BoundaryContext(b.x, T[0], N[0], b.nu)
-    raise TypeError(f"expected a boundary sample or context, got {type(b)!r}")
-
-
-def _check_normal(ctx, value):
-    tan = ctx.tangent @ value
-    if np.max(np.abs(tan)) > NORMALITY_TOL * (1.0 + float(np.linalg.norm(value))):
-        raise PreconditionError("field is not normal to the submanifold at this sample")
-
-
-# ---------------------------------------------------------------------------
-# pointwise quadratic forms
-# ---------------------------------------------------------------------------
-
-def projected_constant_field(E, s) -> NormalFieldSample:
-    """Normal projection of a constant ambient direction, with its covariant
-    derivative D^perp_{v_i} E^perp = -alpha(v_i, E^tan).
-
-    Boundary samples carry no chart curvature, so their field samples hold
-    the value only (zero derivative data); the boundary densities are
-    tensorial and never consume it.
+    Boundary samples carry no chart curvature, so the field holds their
+    values only; the boundary densities are tensorial and never need more.
     """
+    geo = imm.geometry()
     E = np.asarray(E, float)
-    if isinstance(s, (BoundaryContext, BoundarySample)):
-        bctx = _bctx(s)
-        value = E - bctx.tangent.T @ (bctx.tangent @ E)
-        return NormalFieldSample(value, np.zeros((bctx.k, bctx.normal.shape[0])))
-    ctx = _ctx(s)
-    Et = ctx.tangent @ E
-    value = E - ctx.tangent.T @ Et
-    dperp = -np.einsum("ijr,j->ir", ctx.alpha, Et)
-    return NormalFieldSample(value, dperp)
+    Et = np.einsum("mkn,n->mk", geo.tangent, E)
+    values = E[None, :] - np.einsum("mkn,mk->mn", geo.tangent, Et)
+    dperp = -np.einsum("mijr,mj->mir", geo.alpha, Et)
+    bEt = np.einsum("mkn,n->mk", geo.b_tangent, E)
+    bvalues = E[None, :] - np.einsum("mkn,mk->mn", geo.b_tangent, bEt)
+    return NormalField(values, dperp, bvalues)
 
 
-def s_euclid(s, X: NormalFieldSample) -> float:
+def _check_normal(imm: SampledImmersion, X: NormalField):
+    tan = np.einsum("mkn,mn->mk", imm.geometry().tangent, X.values)
+    limit = NORMALITY_TOL * (1.0 + np.linalg.norm(X.values, axis=1))
+    bad = np.max(np.abs(tan), axis=1) > limit
+    if np.any(bad):
+        raise PreconditionError(
+            f"field is not normal to the submanifold at interior sample {int(np.argmax(bad))}"
+        )
+
+
+def _boundary_form(imm: SampledImmersion, domain: LevelSetDomain):
+    """Outward unit normals, boundary forms and <eta, nu> at the boundary samples.
+
+    The forms are ``domain.boundary_form`` over all samples at once: M = P
+    (Hess phi) P / |grad phi| with P the tangential projector, ``(mb, n, n)``.
+    """
+    grad_phi = domain.phi.gradient(imm.bxs)
+    norms = np.linalg.norm(grad_phi, axis=1)
+    if np.any(norms < GRAD_FLOOR):
+        raise DomainError("level-set gradient vanishes at a boundary point")
+    nhat = grad_phi / norms[:, None]
+    P = np.eye(imm.n)[None] - nhat[:, :, None] * nhat[:, None, :]
+    M = np.einsum("mab,mbc,mcd->mad", P, domain.phi.hessian(imm.bxs), P) / norms[:, None, None]
+    eta_dot_nu = -np.sum(nhat * imm.bnus, axis=1)
+    return nhat, M, eta_dot_nu
+
+
+def _check_tangent(X: NormalField, nhat: Array, tangency_tol: float):
+    Xb = X.boundary_values
+    limit = tangency_tol * (1.0 + np.linalg.norm(Xb, axis=1))
+    bad = np.abs(np.sum(Xb * nhat, axis=1)) > limit
+    if np.any(bad):
+        raise PreconditionError(
+            f"field is not tangent to the domain boundary at boundary sample "
+            f"{int(np.argmax(bad))}"
+        )
+
+
+# ---------------------------------------------------------------------------
+# quadratic forms, one density per sample
+# ---------------------------------------------------------------------------
+
+def s_euclid(imm: SampledImmersion, X: NormalField) -> Array:
     """Interior density in the Euclidean metric: |D^perp X|^2 - <alpha, X>^2."""
-    ctx = _ctx(s)
-    _check_normal(ctx, X.value)
-    Xn = ctx.normal @ X.value
-    grad_term = float(np.sum(X.dperp**2))
-    alpha_term = float(np.sum(np.einsum("ijr,r->ij", ctx.alpha, Xn) ** 2))
-    return grad_term - alpha_term
+    _check_normal(imm, X)
+    geo = imm.geometry()
+    Xn = np.einsum("mqn,mn->mq", geo.normal, X.values)
+    alpha_X = np.einsum("mijr,mr->mij", geo.alpha, Xn)
+    return np.sum(X.dperp**2, axis=(1, 2)) - np.sum(alpha_X**2, axis=(1, 2))
 
 
-def t_euclid(b, X_value, domain: LevelSetDomain, tangency_tol: float = TANGENCY_TOL) -> float:
+def t_euclid(imm: SampledImmersion, X: NormalField, domain: LevelSetDomain,
+             tangency_tol: float = TANGENCY_TOL) -> Array:
     """Boundary density <alpha_boundary(X, X), nu> through the level set.
 
     Requires X tangent to the ambient boundary (the free boundary condition
@@ -176,126 +134,100 @@ def t_euclid(b, X_value, domain: LevelSetDomain, tangency_tol: float = TANGENCY_
     working with approximately orthogonal immersions may widen the tolerance
     to the measured boundary defect.
     """
-    bctx = _bctx(b)
-    X = np.asarray(X_value, float)
-    nhat = outward_normal(domain, bctx.x)
-    if abs(X @ nhat) > tangency_tol * (1.0 + float(np.linalg.norm(X))):
-        raise PreconditionError("field is not tangent to the domain boundary")
-    M = boundary_form(domain, bctx.x)
-    eta_dot_nu = float(-nhat @ bctx.nu)
-    return float(X @ M @ X) * eta_dot_nu
+    nhat, M, eta_dot_nu = _boundary_form(imm, domain)
+    _check_tangent(X, nhat, tangency_tol)
+    Xb = X.boundary_values
+    return np.einsum("mn,mnp,mp->m", Xb, M, Xb) * eta_dot_nu
 
 
-def s_tilde_transformed(s, X: NormalFieldSample, metric: ConformalMetric) -> float:
+def s_tilde_transformed(imm: SampledImmersion, X: NormalField,
+                        metric: ConformalMetric) -> Array:
     """Interior density of the rescaled metric from Euclidean data.
 
     S~(X,X) = S(X,X) + (grad^tan u)(|X|^2) + |X|^2 div_Sigma(grad u)
     + k |X|^2 |grad u|^2 + k Hess u(X, X); valid where the immersion is
     minimal for the rescaled metric.
     """
-    ctx = _ctx(s)
-    X2 = float(X.value @ X.value)
-    g = metric.field.gradient(ctx.x)
-    h = metric.field.hessian(ctx.x)
-    u_i = ctx.tangent @ g
-    Xn = ctx.normal @ X.value
-    deriv_term = 2.0 * float(u_i @ (X.dperp @ Xn))
-    div_term = float(np.einsum("in,np,ip->", ctx.tangent, h, ctx.tangent))
-    k = ctx.k
+    geo = imm.geometry()
+    V = X.values
+    g = metric.field.gradient(imm.xs)
+    h = metric.field.hessian(imm.xs)
+    X2 = np.sum(V * V, axis=1)
+    u_i = np.einsum("mkn,mn->mk", geo.tangent, g)
+    Xn = np.einsum("mqn,mn->mq", geo.normal, V)
+    deriv_term = 2.0 * np.einsum("mi,mir,mr->m", u_i, X.dperp, Xn)
+    div_term = np.einsum("min,mnp,mip->m", geo.tangent, h, geo.tangent)
     return (
-        s_euclid(ctx, X)
+        s_euclid(imm, X)
         + deriv_term
         + X2 * div_term
-        + k * X2 * float(g @ g)
-        + k * float(X.value @ h @ X.value)
+        + imm.k * X2 * np.sum(g * g, axis=1)
+        + imm.k * np.einsum("mn,mnp,mp->m", V, h, V)
     )
 
 
-def s_tilde_transformed_rescaled(s, X: NormalFieldSample, metric: ConformalMetric) -> float:
-    """e^{2u} S~(X~, X~) for the rescaled field X~ = e^{-u} X.
-
-    Same expansion with -|X|^2 |grad^tan u|^2 in place of the derivative term.
-    """
-    ctx = _ctx(s)
-    X2 = float(X.value @ X.value)
-    g = metric.field.gradient(ctx.x)
-    h = metric.field.hessian(ctx.x)
-    u_i = ctx.tangent @ g
-    div_term = float(np.einsum("in,np,ip->", ctx.tangent, h, ctx.tangent))
-    k = ctx.k
-    return (
-        s_euclid(ctx, X)
-        - X2 * float(u_i @ u_i)
-        + X2 * div_term
-        + k * X2 * float(g @ g)
-        + k * float(X.value @ h @ X.value)
-    )
-
-
-def s_tilde_direct(s, X: NormalFieldSample, metric: ConformalMetric) -> float:
+def s_tilde_direct(imm: SampledImmersion, X: NormalField,
+                   metric: ConformalMetric) -> Array:
     """Interior density of the rescaled metric computed from first principles.
 
     Uses only the conformal connection, curvature tensor and second
     fundamental form; no minimality assumption.  Dual route to
     ``s_tilde_transformed`` for closure testing.
     """
-    ctx = _ctx(s)
-    _check_normal(ctx, X.value)
+    _check_normal(imm, X)
+    geo = imm.geometry()
     field = metric.field
-    g = field.gradient(ctx.x)
-    u_i = ctx.tangent @ g
-    gn = ctx.normal @ g
-    Xn = ctx.normal @ X.value
-    grad_term = float(np.sum((X.dperp + np.outer(u_i, Xn)) ** 2))
-    curv = 0.0
-    for i in range(ctx.k):
-        R = conformal.riemann(field, ctx.x, X.value, ctx.tangent[i], X.value)
-        curv += float(R @ ctx.tangent[i])
-    sff = np.einsum("ijr,r->ij", ctx.alpha, Xn) - np.eye(ctx.k) * float(gn @ Xn)
-    return grad_term - curv - float(np.sum(sff**2))
+    V = X.values
+    g = field.gradient(imm.xs)
+    u_i = np.einsum("mkn,mn->mk", geo.tangent, g)
+    gn = np.einsum("mqn,mn->mq", geo.normal, g)
+    Xn = np.einsum("mqn,mn->mq", geo.normal, V)
+    grad_term = np.sum((X.dperp + u_i[:, :, None] * Xn[:, None, :]) ** 2, axis=(1, 2))
+    R = conformal.riemann(field, imm.xs[:, None], V[:, None], geo.tangent, V[:, None])
+    curv = np.einsum("min,min->m", R, geo.tangent)
+    sff = (np.einsum("mijr,mr->mij", geo.alpha, Xn)
+           - np.eye(imm.k) * np.sum(gn * Xn, axis=1)[:, None, None])
+    return grad_term - curv - np.sum(sff**2, axis=(1, 2))
 
 
-def t_tilde_transformed(b, X_value, metric: ConformalMetric, domain: LevelSetDomain,
-                  rescaled: bool = True, tangency_tol: float = TANGENCY_TOL) -> float:
+def t_tilde_transformed(imm: SampledImmersion, X: NormalField, metric: ConformalMetric,
+                        domain: LevelSetDomain, rescaled: bool = True,
+                        tangency_tol: float = TANGENCY_TOL) -> Array:
     """Boundary density of the rescaled metric from Euclidean data.
 
     For the rescaled field X~ = e^{-u} X this is e^{-u} (T(X,X) -
     |X|^2 nu(u)); without rescaling, e^{+u} (same bracket).
     """
-    bctx = _bctx(b)
-    X = np.asarray(X_value, float)
-    u = float(metric.field.value(bctx.x))
-    nu_u = float(metric.field.gradient(bctx.x) @ bctx.nu)
-    bracket = t_euclid(bctx, X, domain, tangency_tol) - float(X @ X) * nu_u
-    return float(np.exp(-u if rescaled else u) * bracket)
+    Xb = X.boundary_values
+    u = metric.field.value(imm.bxs)
+    nu_u = np.sum(metric.field.gradient(imm.bxs) * imm.bnus, axis=1)
+    bracket = t_euclid(imm, X, domain, tangency_tol) - np.sum(Xb * Xb, axis=1) * nu_u
+    return np.exp(-u if rescaled else u) * bracket
 
 
-def t_tilde_direct(b, X_value, metric: ConformalMetric, domain: LevelSetDomain,
-                   rescaled: bool = True, tangency_tol: float = TANGENCY_TOL) -> float:
+def t_tilde_direct(imm: SampledImmersion, X: NormalField, metric: ConformalMetric,
+                   domain: LevelSetDomain, rescaled: bool = True,
+                   tangency_tol: float = TANGENCY_TOL) -> Array:
     """Boundary density of the rescaled metric via the conformal boundary form.
 
     Applies the conformal transformation of the ambient boundary's second
     fundamental form and the rescaled conormal; dual route to
     ``t_tilde_transformed``.
     """
-    bctx = _bctx(b)
-    X = np.asarray(X_value, float)
-    nhat = outward_normal(domain, bctx.x)
-    if abs(X @ nhat) > tangency_tol * (1.0 + float(np.linalg.norm(X))):
-        raise PreconditionError("field is not tangent to the domain boundary")
-    u = float(metric.field.value(bctx.x))
-    eta_u = float(metric.field.gradient(bctx.x) @ -nhat)
-    M = boundary_form(domain, bctx.x)
-    eta_dot_nu = float(-nhat @ bctx.nu)
-    form = (float(X @ M @ X) - float(X @ X) * eta_u) * eta_dot_nu
-    return float(np.exp(-u if rescaled else u) * form)
+    nhat, M, eta_dot_nu = _boundary_form(imm, domain)
+    _check_tangent(X, nhat, tangency_tol)
+    Xb = X.boundary_values
+    u = metric.field.value(imm.bxs)
+    eta_u = -np.sum(metric.field.gradient(imm.bxs) * nhat, axis=1)
+    form = (np.einsum("mn,mnp,mp->m", Xb, M, Xb) - np.sum(Xb * Xb, axis=1) * eta_u) * eta_dot_nu
+    return np.exp(-u if rescaled else u) * form
 
 
 # ---------------------------------------------------------------------------
 # traces over projected constant fields
 # ---------------------------------------------------------------------------
 
-def _basis(n, basis=None) -> Array:
+def _basis(n: int, basis=None) -> Array:
     if basis is None:
         return np.eye(n)
     basis = np.asarray(basis, float)
@@ -304,108 +236,58 @@ def _basis(n, basis=None) -> Array:
     return basis
 
 
-def trace_s_euclid(s, basis=None) -> float:
-    """Sum of S(E^perp, E^perp) over an orthonormal basis; zero pointwise on
-    any immersion (tested, not assumed) -- the returned value is the achieved
-    residual for reporting."""
-    ctx = _ctx(s)
-    B = _basis(ctx.n, basis)
-    return float(sum(s_euclid(ctx, projected_constant_field(E, ctx)) for E in B))
+def _in_basis(frames: Array, basis=None) -> Array:
+    """Components ``[..., l]`` of frame vectors against the basis rows; the
+    frames themselves for the canonical basis."""
+    if basis is None:
+        return frames
+    return frames @ _basis(frames.shape[-1], basis).T
 
 
-def trace_s_euclid_pointwise(imm: SampledImmersion) -> Array:
-    """Vectorized trace of S over the canonical basis at every interior sample."""
-    geo = imm.geometry()
-    a1 = np.einsum("mijr,mjl->milr", geo.alpha, geo.tangent)
+def _s_euclid_terms(alpha: Array, TB: Array, NB: Array) -> Array:
+    """S(E_l^perp, E_l^perp) per interior sample and basis direction, (m, n).
+
+    ``TB``/``NB`` are the tangent/normal frames against the basis: E_l^tan
+    has frame components TB[:, :, l] and E_l^perp normal components NB[:, :, l].
+    """
+    a1 = np.einsum("mijr,mjl->milr", alpha, TB)
     first = np.sum(a1**2, axis=(1, 3))
-    a2 = np.einsum("mijr,mrl->mijl", geo.alpha, geo.normal)
+    a2 = np.einsum("mijr,mrl->mijl", alpha, NB)
     second = np.sum(a2**2, axis=(1, 2))
-    return np.sum(first - second, axis=1)
+    return first - second
 
 
-def trace_t_euclid(b, domain: LevelSetDomain, basis=None) -> float:
-    """Boundary trace: sum of <alpha_boundary(E^perp, E^perp), nu>."""
-    bctx = _bctx(b)
-    B = _basis(bctx.n, basis)
-    total = 0.0
-    for E in B:
-        X = projected_constant_field(E, bctx).value
-        total += t_euclid(bctx, X, domain)
-    return float(total)
-
-
-def _sectional_sum_tn(field, x, tangent, normal) -> float:
-    """Sum of rescaled-metric sectional curvatures over tangent-normal pairs."""
-    u = float(field.value(x))
-    g = field.gradient(x)
-    h = field.hessian(x)
-    g2 = float(g @ g)
-    ut = tangent @ g
-    un = normal @ g
-    ht = np.einsum("in,np,ip->i", tangent, h, tangent)
-    hn = np.einsum("rn,np,rp->r", normal, h, normal)
-    terms = ut[:, None] ** 2 + un[None, :] ** 2 - g2 - ht[:, None] - hn[None, :]
-    return float(np.exp(-2.0 * u) * np.sum(terms))
-
-
-def trace_s_tilde(s, metric: ConformalMetric, basis=None) -> tuple[float, float]:
-    """Traced rescaled interior density over projected rescaled constants.
-
-    Returns ``(value, identity_residual)`` where the residual compares
-    e^{2u} * value with k |grad^perp u|^2 - e^{2u} K~(T, N), the total
-    tangent-normal sectional curvature."""
-    ctx = _ctx(s)
-    B = _basis(ctx.n, basis)
-    u = float(metric.field.value(ctx.x))
-    value = sum(
-        s_tilde_transformed_rescaled(ctx, projected_constant_field(E, ctx), metric) for E in B
-    ) * np.exp(-2.0 * u)
-    gn = ctx.normal @ metric.field.gradient(ctx.x)
-    ksum = _sectional_sum_tn(metric.field, ctx.x, ctx.tangent, ctx.normal)
-    residual = abs(
-        np.exp(2.0 * u) * value - (ctx.k * float(gn @ gn) - np.exp(2.0 * u) * ksum)
+def trace_s_euclid(imm: SampledImmersion, basis=None) -> Array:
+    """Sum of S(E^perp, E^perp) over an orthonormal basis at every interior
+    sample; zero pointwise on any immersion (tested, not assumed) -- the
+    returned values are the achieved residuals for reporting."""
+    geo = imm.geometry()
+    terms = _s_euclid_terms(
+        geo.alpha, _in_basis(geo.tangent, basis), _in_basis(geo.normal, basis)
     )
-    return float(value), float(residual)
+    return np.sum(terms, axis=1)
 
 
-def trace_t_tilde(b, metric: ConformalMetric, domain: LevelSetDomain,
-                  basis=None) -> tuple[float, float]:
-    """Traced rescaled boundary density over projected rescaled constants.
-
-    Returns ``(value, identity_residual)``; the residual compares e^u * value
-    with -(n-k) nu(u) + sum_l <alpha_boundary(E_l^perp, E_l^perp), nu>, the
-    latter evaluated as a projector trace."""
-    bctx = _bctx(b)
-    B = _basis(bctx.n, basis)
-    value = 0.0
-    for E in B:
-        X = projected_constant_field(E, bctx).value
-        value += t_tilde_transformed(bctx, X, metric, domain, rescaled=True)
-    u = float(metric.field.value(bctx.x))
-    nu_u = float(metric.field.gradient(bctx.x) @ bctx.nu)
-    nhat = outward_normal(domain, bctx.x)
-    M = boundary_form(domain, bctx.x)
-    PN = bctx.normal.T @ bctx.normal
-    pair_sum = float(-nhat @ bctx.nu) * float(np.einsum("np,pn->", M, PN))
-    k, n = bctx.k, bctx.n
-    display = -(n - k) * nu_u + pair_sum
-    residual = abs(np.exp(u) * value - display)
-    return float(value), float(residual)
+def trace_t_euclid(imm: SampledImmersion, domain: LevelSetDomain, basis=None) -> Array:
+    """Boundary trace: sum of <alpha_boundary(E^perp, E^perp), nu> at every
+    boundary sample."""
+    B = _basis(imm.n, basis)
+    return sum(t_euclid(imm, projected_field(imm, E), domain) for E in B)
 
 
-# ---------------------------------------------------------------------------
-# vectorized traced densities over a whole immersion
-# ---------------------------------------------------------------------------
-
-def traced_interior_density(imm: SampledImmersion, metric: ConformalMetric):
+def traced_interior_density(imm: SampledImmersion, metric: ConformalMetric, basis=None):
     """Per-interior-sample traced rescaled density and identity residual.
 
-    Returns ``(values (m,), residuals (m,))``, the vectorized counterpart of
-    ``trace_s_tilde`` over the canonical basis.
+    The density is traced over the projected rescaled constants e^{-u} E^perp
+    of an orthonormal basis (canonical by default); the residual compares
+    e^{2u} * value with k |grad^perp u|^2 - e^{2u} K~(T, N), the total
+    tangent-normal sectional curvature.  Returns ``(values (m,), residuals
+    (m,))``.
     """
     geo = imm.geometry()
     k, n = imm.k, imm.n
     T, N, alpha = geo.tangent, geo.normal, geo.alpha
+    NB = _in_basis(N, basis)
     u = metric.field.value(imm.xs)
     g = metric.field.gradient(imm.xs)
     h = metric.field.hessian(imm.xs)
@@ -414,35 +296,20 @@ def traced_interior_density(imm: SampledImmersion, metric: ConformalMetric):
     un = np.einsum("mqn,mn->mq", N, g)
     div = np.einsum("mkn,mnp,mkp->m", T, h, T)
 
-    a1 = np.einsum("mijr,mjl->milr", alpha, T)
-    first = np.sum(a1**2, axis=(1, 3))
-    a2 = np.einsum("mijr,mrl->mijl", alpha, N)
-    second = np.sum(a2**2, axis=(1, 2))
-    s_g = first - second                       # (m, n) per basis direction
+    s_g = _s_euclid_terms(alpha, _in_basis(T, basis), NB)
 
-    XV = np.einsum("mqn,mql->mnl", N, N)       # E_l^perp ambient components
-    X2 = np.einsum("mql->ml", N[:, :, :] ** 2)
+    XV = np.einsum("mqn,mql->mnl", N, NB)      # E_l^perp ambient components
+    X2 = np.einsum("mql->ml", NB**2)
     hxx = np.einsum("mnl,mnp,mpl->ml", XV, h, XV)
     ut2 = np.sum(ut**2, axis=1)
 
-    display = (
-        s_g
-        - X2 * ut2[:, None]
-        + X2 * div[:, None]
-        + k * X2 * g2[:, None]
-        + k * hxx
-    )
+    display = s_g - X2 * ut2[:, None] + X2 * div[:, None] + k * X2 * g2[:, None] + k * hxx
     values = np.exp(-2.0 * u) * np.sum(display, axis=1)
 
     ht = np.einsum("mkn,mnp,mkp->mk", T, h, T)
     hn = np.einsum("mqn,mnp,mqp->mq", N, h, N)
-    terms = (
-        ut[:, :, None] ** 2
-        + un[:, None, :] ** 2
-        - g2[:, None, None]
-        - ht[:, :, None]
-        - hn[:, None, :]
-    )
+    terms = (ut[:, :, None] ** 2 + un[:, None, :] ** 2 - g2[:, None, None]
+             - ht[:, :, None] - hn[:, None, :])
     ksum = np.exp(-2.0 * u) * np.sum(terms, axis=(1, 2))
     gperp2 = np.sum(un**2, axis=1)
     residuals = np.abs(np.exp(2.0 * u) * values - (k * gperp2 - np.exp(2.0 * u) * ksum))
@@ -451,32 +318,34 @@ def traced_interior_density(imm: SampledImmersion, metric: ConformalMetric):
 
 def traced_boundary_density(imm: SampledImmersion, metric: ConformalMetric,
                             domain: LevelSetDomain,
-                            tangency_tol: float = TANGENCY_TOL):
-    """Per-boundary-sample traced rescaled density and identity residual."""
+                            tangency_tol: float = TANGENCY_TOL, basis=None):
+    """Per-boundary-sample traced rescaled density and identity residual.
+
+    The density is traced over the projected rescaled constants of an
+    orthonormal basis (canonical by default); the residual compares e^u *
+    value with -(n-k) nu(u) + sum_l <alpha_boundary(E_l^perp, E_l^perp), nu>,
+    the latter evaluated as a projector trace.  Returns ``(values (mb,),
+    residuals (mb,))``.
+    """
     geo = imm.geometry()
     k, n = imm.k, imm.n
     if imm.n_boundary == 0:
         return np.zeros(0), np.zeros(0)
     bN = geo.b_normal
+    bNB = _in_basis(bN, basis)
     u = metric.field.value(imm.bxs)
     g = metric.field.gradient(imm.bxs)
     nu_u = np.sum(g * imm.bnus, axis=1)
+    nhat, M, eta_dot_nu = _boundary_form(imm, domain)
 
-    grad_phi = domain.phi.gradient(imm.bxs)
-    norms = np.linalg.norm(grad_phi, axis=1)
-    nhat = grad_phi / norms[:, None]
-    P = np.eye(n)[None] - nhat[:, :, None] * nhat[:, None, :]
-    M = np.einsum("mab,mbc,mcd->mad", P, domain.phi.hessian(imm.bxs), P) / norms[:, None, None]
-    eta_dot_nu = -np.sum(nhat * imm.bnus, axis=1)
-
-    XV = np.einsum("mqn,mql->mnl", bN, bN)
+    XV = np.einsum("mqn,mql->mnl", bN, bNB)
     tangency = np.abs(np.einsum("mnl,mn->ml", XV, nhat))
     if np.max(tangency) > tangency_tol:
         raise PreconditionError(
             "projected fields are not tangent to the domain boundary; "
             "free boundary condition violated"
         )
-    X2 = np.sum(bN**2, axis=1)
+    X2 = np.sum(bNB**2, axis=1)
     t_g = np.einsum("mnl,mnp,mpl->ml", XV, M, XV) * eta_dot_nu[:, None]
     values = np.exp(-u) * np.sum(t_g - X2 * nu_u[:, None], axis=1)
 
@@ -519,6 +388,30 @@ def _curvature_min_on_samples(field, xs, planes: int, seed: int) -> float:
     return lo
 
 
+def _hypothesis_residuals(imm: SampledImmersion, metric: ConformalMetric,
+                          domain: LevelSetDomain | None = None):
+    """``(minimality, defect, tangency_tol)``: the maximal minimality residual,
+    the maximal free-boundary defect and the tangency tolerance it allows.
+
+    Without a domain or boundary samples the defect is inf and the tolerance
+    ``TANGENCY_TOL``.  The defect is 1 - cos(angle) while field misalignment
+    scales with sin(angle), so the tolerance widens to 2 sqrt(2 defect).
+    """
+    minimality = float(np.max(minimality_residuals(imm, metric)))
+    defects = boundary_defects(imm, domain) if domain is not None else np.zeros(0)
+    if not defects.size:
+        return minimality, np.inf, TANGENCY_TOL
+    defect = float(np.max(defects))
+    return minimality, defect, max(TANGENCY_TOL, 2.0 * np.sqrt(2.0 * defect))
+
+
+def _bound_rhs(imm: SampledImmersion, metric: ConformalMetric) -> float:
+    """Twice the boundary flux of u along the rescaled conormal, 2 int e^{-u} nu(u)."""
+    u_b = metric.field.value(imm.bxs)
+    nu_u = np.sum(metric.field.gradient(imm.bxs) * imm.bnus, axis=1)
+    return 2.0 * integrate_boundary(imm, np.exp(-u_b) * nu_u, metric)
+
+
 def interior_bound(imm: SampledImmersion, metric: ConformalMetric,
                    minimality_tol: float = 1e-6,
                    curvature_planes: int = 10, seed: int = 0) -> BoundReport:
@@ -534,38 +427,16 @@ def interior_bound(imm: SampledImmersion, metric: ConformalMetric,
     if not 2 <= k <= n - 2:
         raise DimensionError(f"interior bound needs 2 <= k <= n-2, got k={k}, n={n}")
     warnings = []
-    res = minimality_residuals(imm, metric)
-    if float(np.max(res)) > minimality_tol:
-        warnings.append(
-            f"minimality residual {float(np.max(res)):.3e} exceeds {minimality_tol:g}"
-        )
+    minimality, _, _ = _hypothesis_residuals(imm, metric)
+    if minimality > minimality_tol:
+        warnings.append(f"minimality residual {minimality:.3e} exceeds {minimality_tol:g}")
     curv_min = _curvature_min_on_samples(metric.field, imm.xs, curvature_planes, seed)
     if curv_min < -1e-9:
         warnings.append(f"curvature hypothesis unverified: sampled min {curv_min:.3e} < 0")
     values, _ = traced_interior_density(imm, metric)
     lhs = integrate_interior(imm, values, metric)
-    u_b = metric.field.value(imm.bxs)
-    nu_u = np.sum(metric.field.gradient(imm.bxs) * imm.bnus, axis=1)
-    rhs = 2.0 * integrate_boundary(imm, np.exp(-u_b) * nu_u, metric)
+    rhs = _bound_rhs(imm, metric)
     return BoundReport(lhs, rhs, rhs - lhs, curv_min, tuple(warnings))
-
-
-def projected_field(imm: SampledImmersion, E) -> NormalField:
-    """The projected constant field E^perp over a whole immersion."""
-    geo = imm.geometry()
-    E = np.asarray(E, float)
-    Et = np.einsum("mkn,n->mk", geo.tangent, E)
-    values = E[None, :] - np.einsum("mkn,mk->mn", geo.tangent, Et)
-    dperp = -np.einsum("mijr,mj->mir", geo.alpha, Et)
-    interior = tuple(
-        NormalFieldSample(values[i], dperp[i]) for i in range(imm.n_interior)
-    )
-    if imm.n_boundary:
-        bEt = np.einsum("mkn,n->mk", geo.b_tangent, E)
-        bvalues = E[None, :] - np.einsum("mkn,mk->mn", geo.b_tangent, bEt)
-    else:
-        bvalues = np.zeros((0, imm.n))
-    return NormalField(interior, bvalues)
 
 
 @dataclass(frozen=True)
@@ -587,41 +458,22 @@ def second_variation(imm: SampledImmersion, metric: ConformalMetric,
     minimal and meets the boundary orthogonally; otherwise the result is
     flagged as the bare quadratic form.
     """
+    minimality, defect, tangency = _hypothesis_residuals(imm, metric, domain)
     warnings = []
-    res = minimality_residuals(imm, metric)
-    if float(np.max(res)) > minimality_tol:
+    if minimality > minimality_tol:
         warnings.append(f"not minimal at tolerance {minimality_tol:g}")
-    defects = boundary_defects(imm, domain)
-    if defects.size and float(np.max(defects)) > free_boundary_tol:
+    if np.isfinite(defect) and defect > free_boundary_tol:
         warnings.append(f"free boundary defect exceeds {free_boundary_tol:g}")
-    zero_u = metric.field.name == "zero"
-    # the defect is 1 - cos(angle); field misalignment scales with sin(angle)
-    max_defect = float(np.max(defects)) if defects.size else 0.0
-    tangency = max(TANGENCY_TOL, 2.0 * np.sqrt(2.0 * max_defect))
-    s_vals = np.empty(imm.n_interior)
-    for i in range(imm.n_interior):
-        ctx = interior_context(imm, i)
-        xi = X.interior[i]
-        s_vals[i] = s_euclid(ctx, xi) if zero_u else s_tilde_direct(ctx, xi, metric)
-    t_vals = np.empty(imm.n_boundary)
-    for i in range(imm.n_boundary):
-        bctx = boundary_context(imm, i)
-        Xb = X.boundary_values[i]
-        t_vals[i] = (
-            t_euclid(bctx, Xb, domain, tangency)
-            if zero_u
-            else t_tilde_direct(bctx, Xb, metric, domain, rescaled=False,
-                                tangency_tol=tangency)
-        )
+    if metric.field.name == "zero":
+        s_vals = s_euclid(imm, X)
+        t_vals = t_euclid(imm, X, domain, tangency)
+    else:
+        s_vals = s_tilde_direct(imm, X, metric)
+        t_vals = t_tilde_direct(imm, X, metric, domain, rescaled=False, tangency_tol=tangency)
     interior_term = integrate_interior(imm, s_vals, metric)
     boundary_term = integrate_boundary(imm, t_vals, metric)
-    return SecondVariationResult(
-        interior_term + boundary_term,
-        interior_term,
-        boundary_term,
-        q_form_only=bool(warnings),
-        warnings=tuple(warnings),
-    )
+    return SecondVariationResult(interior_term + boundary_term, interior_term, boundary_term,
+                                 q_form_only=bool(warnings), warnings=tuple(warnings))
 
 
 @dataclass(frozen=True)
@@ -751,27 +603,18 @@ def instability_certificate(imm: SampledImmersion, metric: ConformalMetric,
     failed = []
     warnings = []
 
-    res = minimality_residuals(imm, metric)
-    minimality = float(np.max(res))
+    minimality, fb_defect, tangency = _hypothesis_residuals(imm, metric, domain)
     if minimality > cfg.minimality_tol:
         failed.append(f"minimality: residual {minimality:.3e} > {cfg.minimality_tol:g}")
-    defects = boundary_defects(imm, domain)
-    fb_defect = float(np.max(defects)) if defects.size else np.inf
     if fb_defect > cfg.free_boundary_tol:
         failed.append(f"free-boundary: defect {fb_defect:.3e} > {cfg.free_boundary_tol:g}")
 
     s_vals, s_res = traced_interior_density(imm, metric)
-    tangency = TANGENCY_TOL
-    if np.isfinite(fb_defect):
-        tangency = max(TANGENCY_TOL, 2.0 * np.sqrt(2.0 * fb_defect))
     t_vals, t_res = traced_boundary_density(imm, metric, domain, tangency)
     traced_interior = integrate_interior(imm, s_vals, metric)
     traced_boundary = integrate_boundary(imm, t_vals, metric)
     traced_total = traced_interior + traced_boundary
-
-    u_b = metric.field.value(imm.bxs)
-    nu_u = np.sum(metric.field.gradient(imm.bxs) * imm.bnus, axis=1)
-    bound_rhs = 2.0 * integrate_boundary(imm, np.exp(-u_b) * nu_u, metric)
+    bound_rhs = _bound_rhs(imm, metric)
 
     curv_min = curvature_margin(
         metric, domain, cfg.curvature_points, cfg.curvature_planes, cfg.seed

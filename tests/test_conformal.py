@@ -89,6 +89,14 @@ def test_riemann_matches_christoffel_oracle(spec, rng):
         got = conformal.riemann(field, x, X, Y, Z)
         want = riemann_oracle(field, x, X, Y, Z)
         assert np.max(np.abs(got - want)) < 5e-6
+    # a stacked batch of points and vectors, row by row
+    xs = rng.uniform(-0.45, 0.45, size=(6, 4))
+    Xs, Ys, Zs = rng.normal(size=(3, 6, 4))
+    got = conformal.riemann(field, xs, Xs, Ys, Zs)
+    assert got.shape == (6, 4)
+    for i in range(6):
+        want = riemann_oracle(field, xs[i], Xs[i], Ys[i], Zs[i])
+        assert np.max(np.abs(got[i] - want)) < 5e-6
 
 
 @pytest.mark.parametrize("name,expected", [

@@ -19,25 +19,19 @@ BALL3 = dm.make_domain("ball", 3, radius=1.0)
 
 def test_projected_field_trivials(flat_b4):
     imm = flat_b4.immersion
-    ctx = var.interior_context(imm, 4)
     # normal direction is preserved; tangent direction is annihilated
     e3 = np.eye(4)[2]
-    X = var.projected_constant_field(e3, ctx)
-    assert np.allclose(X.value, e3) and np.allclose(X.dperp, 0.0)
-    tangent = ctx.tangent[0]
-    assert np.allclose(var.projected_constant_field(tangent, ctx).value, 0.0, atol=1e-14)
+    X = var.projected_field(imm, e3)
+    assert np.allclose(X.values, e3) and np.allclose(X.dperp, 0.0)
+    assert np.allclose(X.boundary_values, e3)
+    tangent = imm.geometry().tangent[4, 0]
+    assert np.allclose(var.projected_field(imm, tangent).values, 0.0, atol=1e-14)
 
 
 def test_projected_field_norms_sum_to_codimension(rng):
     imm = sub.make_immersion("random-graph", n=6, k=3, seed=11, degree=2)
-    for i in (0, 17, 63):
-        ctx = var.interior_context(imm, i)
-        total = sum(
-            float(var.projected_constant_field(E, ctx).value @
-                  var.projected_constant_field(E, ctx).value)
-            for E in np.eye(6)
-        )
-        assert abs(total - 3.0) < 1e-12
+    total = sum(np.sum(var.projected_field(imm, E).values ** 2, axis=1) for E in np.eye(6))
+    assert np.max(np.abs(total - 3.0)) < 1e-12
 
 
 def test_projected_field_derivative_matches_chart_differentiation():
@@ -60,53 +54,62 @@ def test_projected_field_derivative_matches_chart_differentiation():
 
     geo = imm.geometry()
     h = 1e-6
-    for i in (3, 12, 20):
-        y0 = imm.xs[i, :2]
-        ctx = var.interior_context(imm, i)
-        C = geo.chart_to_frame[i]
-        for E in np.eye(3):
-            X = var.projected_constant_field(E, ctx)
+    for E in np.eye(3):
+        X = var.projected_field(imm, E)
+        for i in range(imm.n_interior):
+            y0 = imm.xs[i, :2]
+            C = geo.chart_to_frame[i]
             for a in range(2):
                 w = C[:, a]  # chart velocity of the frame vector v_a
                 d = (perp(y0 + h * w, E) - perp(y0 - h * w, E)) / (2 * h)
-                want = ctx.normal @ d  # normal components of the derivative
-                assert np.max(np.abs(X.dperp[a] - want)) < 1e-6
+                want = geo.normal[i] @ d  # normal components of the derivative
+                assert np.max(np.abs(X.dperp[i, a] - want)) < 1e-6
 
 
 def test_normal_field_precondition(flat_b4):
-    ctx = var.interior_context(flat_b4.immersion, 0)
-    bad = var.NormalFieldSample(ctx.tangent[0], np.zeros((2, 2)))
+    """One tangential row among many normal ones is rejected."""
+    imm = flat_b4.immersion
+    X = var.projected_field(imm, np.eye(4)[2])
+    var.s_euclid(imm, X)
+    values = X.values.copy()
+    values[137] = imm.geometry().tangent[137, 0]
+    bad = var.NormalField(values, X.dperp, X.boundary_values)
     with pytest.raises(PreconditionError):
-        var.s_euclid(ctx, bad)
+        var.s_euclid(imm, bad)
+    with pytest.raises(PreconditionError):
+        var.s_tilde_direct(imm, bad, flat_b4.metric)
 
 
 # ---------------------------------------------------------------------------
 # interior density S
 # ---------------------------------------------------------------------------
 
+def _zero_field(imm):
+    q = imm.n - imm.k
+    return var.NormalField(
+        np.zeros((imm.n_interior, imm.n)),
+        np.zeros((imm.n_interior, imm.k, q)),
+        np.zeros((imm.n_boundary, imm.n)),
+    )
+
+
 def test_s_euclid_trivials(flat_b4):
-    ctx = var.interior_context(flat_b4.immersion, 9)
-    zero = var.NormalFieldSample(np.zeros(4), np.zeros((2, 2)))
-    assert var.s_euclid(ctx, zero) == 0.0
-    const = var.projected_constant_field(np.eye(4)[3], ctx)
-    assert var.s_euclid(ctx, const) == 0.0
+    imm = flat_b4.immersion
+    assert np.all(var.s_euclid(imm, _zero_field(imm)) == 0.0)
+    const = var.projected_field(imm, np.eye(4)[3])
+    assert np.all(var.s_euclid(imm, const) == 0.0)
 
 
 def test_s_euclid_paraboloid_term_structure():
     imm = sub.make_immersion("paraboloid-cap", curvature=0.8, n=3, with_boundary=False)
     geo = imm.geometry()
-    for i in (5, 40, 111):
-        ctx = var.interior_context(imm, i)
-        for E in np.eye(3):
-            X = var.projected_constant_field(E, ctx)
-            Et = ctx.tangent @ E
-            Xn = ctx.normal @ X.value
-            grad_part = sum(
-                float(np.sum(np.einsum("jr,j->r", geo.alpha[i][a], Et) ** 2))
-                for a in range(2)
-            )
-            alpha_part = float(np.sum(np.einsum("ijr,r->ij", geo.alpha[i], Xn) ** 2))
-            assert abs(var.s_euclid(ctx, X) - (grad_part - alpha_part)) < 1e-12
+    for E in np.eye(3):
+        X = var.projected_field(imm, E)
+        Et = geo.tangent @ E
+        Xn = np.einsum("mrn,mn->mr", geo.normal, X.values)
+        grad_part = np.sum(np.einsum("majr,mj->mar", geo.alpha, Et) ** 2, axis=(1, 2))
+        alpha_part = np.sum(np.einsum("mijr,mr->mij", geo.alpha, Xn) ** 2, axis=(1, 2))
+        assert np.max(np.abs(var.s_euclid(imm, X) - (grad_part - alpha_part))) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -114,29 +117,43 @@ def test_s_euclid_paraboloid_term_structure():
 # ---------------------------------------------------------------------------
 
 def test_t_euclid_unit_ball(flat_b4, ball4):
-    bctx = var.boundary_context(flat_b4.immersion, 2)
-    X = var.projected_constant_field(np.eye(4)[2], bctx).value
-    got = var.t_euclid(bctx, X, ball4)
-    assert abs(got - (-(X @ X))) < 1e-12
-    assert var.t_euclid(bctx, np.zeros(4), ball4) == 0.0
+    imm = flat_b4.immersion
+    X = var.projected_field(imm, np.eye(4)[2])
+    got = var.t_euclid(imm, X, ball4)
+    Xb = X.boundary_values
+    assert np.max(np.abs(got - (-np.sum(Xb * Xb, axis=1)))) < 1e-12
+    assert np.all(var.t_euclid(imm, _zero_field(imm), ball4) == 0.0)
 
 
 def test_t_euclid_requires_tangency(flat_b4, ball4):
-    bctx = var.boundary_context(flat_b4.immersion, 0)
-    outward = dm.outward_normal(ball4, bctx.x)
+    """One row along the outward normal among many tangent ones is rejected."""
+    imm = flat_b4.immersion
+    X = var.projected_field(imm, np.eye(4)[2])
+    var.t_euclid(imm, X, ball4)
+    bvalues = X.boundary_values.copy()
+    bvalues[17] = dm.outward_normal(ball4, imm.bxs[17])
+    bad = var.NormalField(X.values, X.dperp, bvalues)
     with pytest.raises(PreconditionError):
-        var.t_euclid(bctx, outward, ball4)
+        var.t_euclid(imm, bad, ball4)
+    with pytest.raises(PreconditionError):
+        var.t_tilde_direct(imm, bad, flat_b4.metric, ball4)
 
 
 def test_t_euclid_ellipsoid_principal_direction():
     a, b = 2.0, 1.0
     ell = dm.make_domain("ellipsoid", 3, semi_axes=[a, b, b])
-    x = np.array([a, 0.0, 0.0])
-    # boundary sample of a synthetic surface whose conormal is the outward axis
+    # a synthetic surface with one boundary sample whose conormal is the
+    # outward axis
     J = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
-    bs = sub.BoundarySample(x, J, 1.0, np.array([1.0, 0.0, 0.0]))
-    X = np.array([0.0, 1.0, 0.0])
-    assert abs(var.t_euclid(bs, X, ell) - (-(a / b**2))) < 1e-12
+    imm = sub.SampledImmersion(
+        2, 3,
+        np.zeros((1, 3)), J[None], np.zeros((1, 2, 2, 3)), np.ones(1),
+        np.array([[a, 0.0, 0.0]]), J[None], np.ones(1), np.array([[1.0, 0.0, 0.0]]),
+    )
+    X = var.NormalField(np.zeros((1, 3)), np.zeros((1, 2, 1)), np.array([[0.0, 1.0, 0.0]]))
+    got = var.t_euclid(imm, X, ell)
+    assert got.shape == (1,)
+    assert abs(got[0] - (-(a / b**2))) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -144,13 +161,15 @@ def test_t_euclid_ellipsoid_principal_direction():
 # ---------------------------------------------------------------------------
 
 def test_s_tilde_transformed_reduces_and_scales(flat_b4, metric_zero4, cap_b4):
-    ctx = var.interior_context(cap_b4.immersion, 42)
-    X = var.projected_constant_field(np.eye(4)[3], ctx)
-    assert abs(var.s_tilde_transformed(ctx, X, metric_zero4) - var.s_euclid(ctx, X)) < 1e-14
+    imm = cap_b4.immersion
+    X = var.projected_field(imm, np.eye(4)[3])
+    euclid = var.s_euclid(imm, X)
+    assert np.max(np.abs(var.s_tilde_transformed(imm, X, metric_zero4) - euclid)) < 1e-14
     metric = cap_b4.metric
-    v1 = var.s_tilde_transformed(ctx, X, metric)
-    X2 = var.NormalFieldSample(2.0 * X.value, 2.0 * X.dperp)
-    assert abs(var.s_tilde_transformed(ctx, X2, metric) - 4.0 * v1) < 1e-12 * max(1, abs(v1))
+    v1 = var.s_tilde_transformed(imm, X, metric)
+    X2 = var.NormalField(2.0 * X.values, 2.0 * X.dperp, 2.0 * X.boundary_values)
+    v2 = var.s_tilde_transformed(imm, X2, metric)
+    assert np.all(np.abs(v2 - 4.0 * v1) < 1e-12 * np.maximum(1, np.abs(v1)))
 
 
 @pytest.mark.parametrize("scenario_fixture", ["cap_b4", "custom_b4", "cap_b5k3"])
@@ -159,44 +178,37 @@ def test_transformation_closure_everywhere(scenario_fixture, request):
     law vs direct evaluation with the conformal connection and curvature."""
     built = request.getfixturevalue(scenario_fixture)
     imm, metric, dom = built.immersion, built.metric, built.domain
-    n = imm.n
-    step = max(1, imm.n_interior // 40)
-    for i in range(0, imm.n_interior, step):
-        ctx = var.interior_context(imm, i)
-        for E in np.eye(n):
-            X = var.projected_constant_field(E, ctx)
-            lhs = var.s_tilde_transformed(ctx, X, metric)
-            rhs = var.s_tilde_direct(ctx, X, metric)
-            assert abs(lhs - rhs) < 1e-7
-    for i in range(0, imm.n_boundary, max(1, imm.n_boundary // 16)):
-        bctx = var.boundary_context(imm, i)
-        for E in np.eye(n):
-            Xb = var.projected_constant_field(E, bctx).value
-            lhs = var.t_tilde_transformed(bctx, Xb, metric, dom)
-            rhs = var.t_tilde_direct(bctx, Xb, metric, dom)
-            assert abs(lhs - rhs) < 1e-7
+    for E in np.eye(imm.n):
+        X = var.projected_field(imm, E)
+        lhs = var.s_tilde_transformed(imm, X, metric)
+        rhs = var.s_tilde_direct(imm, X, metric)
+        assert np.max(np.abs(lhs - rhs)) < 1e-7
+        lhs = var.t_tilde_transformed(imm, X, metric, dom)
+        rhs = var.t_tilde_direct(imm, X, metric, dom)
+        assert np.max(np.abs(lhs - rhs)) < 1e-7
 
 
 def test_t_tilde_transformed_values(cap_b4, flat_b4, metric_zero4, ball4):
     # zero exponent reduces to the Euclidean density
-    bctx = var.boundary_context(flat_b4.immersion, 1)
-    X = var.projected_constant_field(np.eye(4)[2], bctx).value
-    assert abs(
-        var.t_tilde_transformed(bctx, X, metric_zero4, ball4) - var.t_euclid(bctx, X, ball4)
-    ) < 1e-14
+    imm = flat_b4.immersion
+    X = var.projected_field(imm, np.eye(4)[2])
+    assert np.max(np.abs(
+        var.t_tilde_transformed(imm, X, metric_zero4, ball4) - var.t_euclid(imm, X, ball4)
+    )) < 1e-14
     # curvature +1 exponent on the unit ball: radial slope -1 cancels the
     # sphere's curvature term for unit normal fields
-    bctx = var.boundary_context(cap_b4.immersion, 3)
+    imm = cap_b4.immersion
     metric = cap_b4.metric
-    nu_u = float(metric.field.gradient(bctx.x) @ bctx.nu)
-    assert abs(nu_u + 1.0) < 1e-12
-    X = var.projected_constant_field(np.eye(4)[2], bctx).value
-    got = var.t_tilde_transformed(bctx, X, metric, ball4)
-    assert abs(got) < 1e-12
+    nu_u = np.sum(metric.field.gradient(imm.bxs) * imm.bnus, axis=1)
+    assert np.max(np.abs(nu_u + 1.0)) < 1e-12
+    X = var.projected_field(imm, np.eye(4)[2])
+    got = var.t_tilde_transformed(imm, X, metric, ball4)
+    assert np.max(np.abs(got)) < 1e-12
     # doubling |X|^2 doubles the slope term
-    a = var.t_tilde_transformed(bctx, X, metric, ball4, rescaled=False)
-    b = var.t_tilde_transformed(bctx, np.sqrt(2) * X, metric, ball4, rescaled=False)
-    assert abs(b - 2 * a) < 1e-12
+    a = var.t_tilde_transformed(imm, X, metric, ball4, rescaled=False)
+    X2 = var.NormalField(X.values, X.dperp, np.sqrt(2) * X.boundary_values)
+    b = var.t_tilde_transformed(imm, X2, metric, ball4, rescaled=False)
+    assert np.max(np.abs(b - 2 * a)) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -204,30 +216,22 @@ def test_t_tilde_transformed_values(cap_b4, flat_b4, metric_zero4, ball4):
 # ---------------------------------------------------------------------------
 
 def test_trace_s_euclid_zero_and_invariant(rng, flat_b4):
-    ctx = var.interior_context(flat_b4.immersion, 3)
-    assert var.trace_s_euclid(ctx) == 0.0
+    assert np.all(var.trace_s_euclid(flat_b4.immersion) == 0.0)
     imm = sub.make_immersion("random-graph", n=5, k=2, seed=5, degree=3)
-    traces = var.trace_s_euclid_pointwise(imm)
+    traces = var.trace_s_euclid(imm)
     assert np.max(np.abs(traces)) < 1e-9
-    ctx = var.interior_context(imm, 8)
     Q, _ = np.linalg.qr(rng.normal(size=(5, 5)))
-    assert abs(var.trace_s_euclid(ctx) - var.trace_s_euclid(ctx, basis=Q.T)) < 1e-12
+    assert np.max(np.abs(traces - var.trace_s_euclid(imm, basis=Q.T))) < 1e-12
 
 
 def test_trace_t_euclid_ball(flat_b4, ball4, rng):
     imm = flat_b4.immersion
-    vals = [var.trace_t_euclid(var.boundary_context(imm, i), ball4) for i in range(8)]
+    vals = var.trace_t_euclid(imm, ball4)
     assert np.allclose(vals, -2.0, atol=1e-12)
-    total = sub.integrate_boundary(
-        imm, [var.trace_t_euclid(var.boundary_context(imm, i), ball4)
-              for i in range(imm.n_boundary)],
-    )
+    total = sub.integrate_boundary(imm, vals)
     assert abs(total - (-2 * 2 * np.pi)) < 1e-9
     Q, _ = np.linalg.qr(rng.normal(size=(4, 4)))
-    bctx = var.boundary_context(imm, 0)
-    assert abs(
-        var.trace_t_euclid(bctx, ball4) - var.trace_t_euclid(bctx, ball4, basis=Q.T)
-    ) < 1e-12
+    assert np.max(np.abs(vals - var.trace_t_euclid(imm, ball4, basis=Q.T))) < 1e-12
 
 
 def test_trace_s_tilde_cap_value_and_residual(cap_b4):
@@ -240,25 +244,36 @@ def test_trace_s_tilde_cap_value_and_residual(cap_b4):
 
 
 def test_trace_s_tilde_zero_exponent(flat_b4, metric_zero4):
-    ctx = var.interior_context(flat_b4.immersion, 5)
-    value, residual = var.trace_s_tilde(ctx, metric_zero4)
-    assert abs(value) < 1e-9 and residual < 1e-9
+    values, residuals = var.traced_interior_density(flat_b4.immersion, metric_zero4)
+    assert np.max(np.abs(values)) < 1e-9 and np.max(residuals) < 1e-9
 
 
 def test_trace_t_tilde_values(cap_b4, flat_b4, metric_zero4, ball4):
     imm = flat_b4.immersion
-    v, r = var.trace_t_tilde(var.boundary_context(imm, 4), metric_zero4, ball4)
-    assert abs(v + 2.0) < 1e-12 and r < 1e-12
-    v, r = var.trace_t_tilde(
-        var.boundary_context(cap_b4.immersion, 4), cap_b4.metric, ball4
-    )
-    assert abs(v) < 1e-12 and r < 1e-12
+    v, r = var.traced_boundary_density(imm, metric_zero4, ball4)
+    assert np.max(np.abs(v + 2.0)) < 1e-12 and np.max(r) < 1e-12
+    v, r = var.traced_boundary_density(cap_b4.immersion, cap_b4.metric, ball4)
+    assert np.max(np.abs(v)) < 1e-12 and np.max(r) < 1e-12
     # outward slope +1 at the boundary: u = |x|^2 / 2
     metric_up = ConformalMetric(make_field("radial-custom", coeffs=[0.0, 0.5]), 4)
-    bctx = var.boundary_context(imm, 4)
-    v, r = var.trace_t_tilde(bctx, metric_up, ball4)
+    v, r = var.traced_boundary_density(imm, metric_up, ball4)
     want = np.exp(-0.5) * (-2.0 * (4 - 2))
-    assert abs(v - want) < 1e-12 and r < 1e-12
+    assert np.max(np.abs(v - want)) < 1e-12 and np.max(r) < 1e-12
+
+
+def test_traced_densities_basis_invariant(cap_b4, custom_b4, rng):
+    """The traces do not depend on the orthonormal basis they run over."""
+    for built in (cap_b4, custom_b4):
+        imm, metric, dom = built.immersion, built.metric, built.domain
+        Q, _ = np.linalg.qr(rng.normal(size=(4, 4)))
+        for a, b in zip(var.traced_interior_density(imm, metric),
+                        var.traced_interior_density(imm, metric, basis=Q.T)):
+            assert np.max(np.abs(a - b)) < 1e-10
+        for a, b in zip(var.traced_boundary_density(imm, metric, dom),
+                        var.traced_boundary_density(imm, metric, dom, basis=Q.T)):
+            assert np.max(np.abs(a - b)) < 1e-10
+    with pytest.raises(PreconditionError):
+        var.traced_interior_density(imm, metric, basis=2.0 * np.eye(4))
 
 
 # ---------------------------------------------------------------------------
@@ -306,12 +321,7 @@ def test_second_variation_flat_single_direction(flat_b4, metric_zero4, ball4):
     out = var.second_variation(imm, metric_zero4, X, ball4)
     assert abs(out.value + 2 * np.pi) < 1e-9
     assert not out.q_form_only
-    zero = var.NormalField(
-        tuple(var.NormalFieldSample(np.zeros(4), np.zeros((2, 2)))
-              for _ in range(imm.n_interior)),
-        np.zeros((imm.n_boundary, 4)),
-    )
-    assert var.second_variation(imm, metric_zero4, zero, ball4).value == 0.0
+    assert var.second_variation(imm, metric_zero4, _zero_field(imm), ball4).value == 0.0
 
 
 def test_second_variation_basis_sum_matches_closed_forms(flat_b4, metric_zero4, ball4):

@@ -67,12 +67,17 @@ class ConvexityReport:
         }
 
 
-def outward_normal(domain: LevelSetDomain, x) -> Array:
+def _unit_gradient(domain: LevelSetDomain, x) -> tuple[Array, Array]:
+    """grad phi / |grad phi| and |grad phi| (keeping the last axis)."""
     g = domain.phi.gradient(x)
     norm = np.linalg.norm(g, axis=-1, keepdims=True)
     if np.any(norm < GRAD_FLOOR):
         raise DomainError("level-set gradient vanishes at a boundary point")
-    return g / norm
+    return g / norm, norm
+
+
+def outward_normal(domain: LevelSetDomain, x) -> Array:
+    return _unit_gradient(domain, x)[0]
 
 
 def inward_normal(domain: LevelSetDomain, x) -> Array:
@@ -82,100 +87,94 @@ def inward_normal(domain: LevelSetDomain, x) -> Array:
 
 def project_to_boundary(domain: LevelSetDomain, x, tol: float = 1e-12,
                         max_iter: int = 50) -> Array:
-    """Newton iteration along grad phi until |phi| <= tol."""
+    """Newton iteration along grad phi until |phi| <= tol, for one point
+    ``(n,)`` or a batch ``(..., n)``; each point stops at its first iterate
+    within tol."""
     y = np.array(x, dtype=float)
+    pts = y.reshape(-1, domain.n)
+    todo = np.arange(len(pts))
     for _ in range(max_iter):
-        val = float(domain.phi.value(y))
-        if abs(val) <= tol:
+        val = domain.phi.value(pts[todo])
+        far = np.abs(val) > tol
+        todo, val = todo[far], val[far]
+        if not todo.size:
             return y
-        g = domain.phi.gradient(y)
-        g2 = float(g @ g)
-        if g2 < GRAD_FLOOR**2:
+        g = domain.phi.gradient(pts[todo])
+        g2 = np.vecdot(g, g)
+        if np.any(g2 < GRAD_FLOOR**2):
             raise ProjectionError("level-set gradient vanished during projection")
-        y = y - (val / g2) * g
+        pts[todo] -= (val / g2)[:, None] * g
     raise ProjectionError(f"projection did not reach |phi| <= {tol:g} in {max_iter} steps")
 
 
 def boundary_form(domain: LevelSetDomain, x) -> Array:
     """Ambient matrix M with X^T M Y = <alpha_boundary(X, Y), eta> for tangent X, Y.
 
-    M = P (Hess phi) P / |grad phi| with P the tangential projector; the unit
-    sphere gets +1 eigenvalues on the tangent space (inward-normal sign).
+    M = P (Hess phi) P / |grad phi| with P the tangential projector, ``(..., n, n)``;
+    the unit sphere gets +1 eigenvalues on the tangent space (inward-normal sign).
     """
-    g = domain.phi.gradient(x)
-    norm = float(np.linalg.norm(g))
-    if norm < GRAD_FLOOR:
-        raise DomainError("level-set gradient vanishes at a boundary point")
-    nhat = g / norm
-    P = np.eye(domain.n) - np.outer(nhat, nhat)
-    return P @ domain.phi.hessian(x) @ P / norm
+    nhat, norm = _unit_gradient(domain, x)
+    P = np.eye(domain.n) - nhat[..., :, None] * nhat[..., None, :]
+    return np.einsum("...ab,...bc,...cd->...ad", P, domain.phi.hessian(x), P) / norm[..., None]
 
 
 def boundary_tangent_basis(domain: LevelSetDomain, x) -> Array:
-    """Deterministic orthonormal basis of the boundary tangent space, (n-1, n)."""
+    """Deterministic orthonormal basis of the boundary tangent space, ``(..., n-1, n)``."""
     nhat = outward_normal(domain, x)
-    A = np.concatenate([nhat[:, None], np.eye(domain.n)], axis=1)
-    Q, R = np.linalg.qr(A)
-    d = np.diag(R[:, : domain.n])
-    Q = Q * np.where(d == 0.0, 1.0, np.sign(d))[None, :]
-    return Q[:, 1:].T
+    eye = np.broadcast_to(np.eye(domain.n), nhat.shape + (domain.n,))
+    Q, R = np.linalg.qr(np.concatenate([nhat[..., None], eye], axis=-1))
+    d = np.diagonal(R[..., : domain.n], axis1=-2, axis2=-1)
+    Q = Q * np.where(d == 0.0, 1.0, np.sign(d))[..., None, :]
+    return np.swapaxes(Q[..., 1:], -1, -2)
+
+
+def _conformal_terms(domain: LevelSetDomain, field: ScalarField, x) -> tuple[Array, Array]:
+    """e^{-u} and eta(u) = <grad u, eta> at boundary points, the two terms of
+    the conformal law kappa~ = e^{-u} (kappa - eta(u)), which keeps the order."""
+    eta_u = np.sum(field.gradient(x) * inward_normal(domain, x), axis=-1)
+    return np.exp(-field.value(x)), eta_u
 
 
 def shape_operator(domain: LevelSetDomain, x, metric: ConformalMetric | None = None) -> Array:
-    """Symmetric (n-1) x (n-1) shape operator in an orthonormal tangent basis.
+    """Symmetric shape operators in orthonormal tangent bases, ``(..., n-1, n-1)``.
 
     Euclidean: restriction of ``boundary_form``.  Rescaled metric: the
     eigenvalues transform as kappa~ = e^{-u} (kappa - eta(u)), which is the
     operator e^{-u} (S - eta(u) I) in the same basis.
     """
     B = boundary_tangent_basis(domain, x)
-    S = B @ boundary_form(domain, x) @ B.T
-    S = 0.5 * (S + S.T)
+    S = B @ boundary_form(domain, x) @ np.swapaxes(B, -1, -2)
+    S = 0.5 * (S + np.swapaxes(S, -1, -2))
     if metric is None:
         return S
-    u = float(metric.field.value(x))
-    eta_u = float(metric.field.gradient(x) @ inward_normal(domain, x))
-    return np.exp(-u) * (S - eta_u * np.eye(domain.n - 1))
+    scale, eta_u = _conformal_terms(domain, metric.field, x)
+    return scale[..., None, None] * (S - eta_u[..., None, None] * np.eye(domain.n - 1))
 
 
 def principal_curvatures(domain: LevelSetDomain, x, metric=None) -> Array:
-    return np.linalg.eigvalsh(shape_operator(domain, x, metric))
+    """Ascending principal curvatures, ``(..., n-1)``; the rescaled ones come
+    from the Euclidean eigenvalues through the conformal law."""
+    kappa = np.linalg.eigvalsh(shape_operator(domain, x))
+    if metric is None:
+        return kappa
+    scale, eta_u = _conformal_terms(domain, metric.field, x)
+    return scale[..., None] * (kappa - eta_u[..., None])
 
 
 # ---------------------------------------------------------------------------
 # boundary sampling
 # ---------------------------------------------------------------------------
 
-def _root_along_ray(domain: LevelSetDomain, direction: Array) -> Array:
-    """First boundary crossing of t -> phi(t * direction), then Newton polish.
-
-    Assumes the origin is interior and the domain star-shaped about it, which
-    holds for every catalog domain.
-    """
-    d = direction / np.linalg.norm(direction)
-    hi = 1.001 * domain.bounding_radius
-    for _ in range(8):
-        if float(domain.phi.value(hi * d)) > 0.0:
-            break
-        hi *= 2.0
-    else:
-        raise ProjectionError("could not bracket the boundary along a ray")
-    lo = 0.0
-    if float(domain.phi.value(np.zeros(domain.n))) >= 0.0:
-        raise DomainError("boundary sampler assumes the origin lies inside the domain")
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if float(domain.phi.value(mid * d)) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return project_to_boundary(domain, 0.5 * (lo + hi) * d)
-
-
 def sample_boundary(domain: LevelSetDomain, count: int = 2048, seed: int = 0) -> Array:
-    """Deterministic boundary sweep: axis points plus Sobol directions."""
+    """Deterministic boundary sweep: axis points plus Sobol directions.
+
+    All rays from the origin at once are bracketed by doubling from just
+    outside the bounding radius, bisected 60 times and Newton-projected; this
+    assumes the domain star-shaped about an interior origin, as every catalog
+    domain is.  Returns ``max(count, 2n)`` points.
+    """
     n = domain.n
-    dirs = [e for i in range(n) for e in (np.eye(n)[i], -np.eye(n)[i])]
+    dirs = np.stack([np.eye(n), -np.eye(n)], axis=1).reshape(2 * n, n)
     if count > len(dirs):
         need = count - len(dirs)
         sob = qmc.Sobol(d=n, scramble=True, seed=seed)
@@ -183,13 +182,60 @@ def sample_boundary(domain: LevelSetDomain, count: int = 2048, seed: int = 0) ->
         zz = ndtri(np.clip(uu, 1e-12, 1.0 - 1e-12))
         norms = np.linalg.norm(zz, axis=1)
         norms[norms == 0.0] = 1.0
-        dirs.extend(zz / norms[:, None])
-    return np.array([_root_along_ray(domain, d) for d in dirs])
+        dirs = np.concatenate([dirs, zz / norms[:, None]])
+    d = dirs / np.sqrt(np.vecdot(dirs, dirs))[:, None]
+    hi = np.full(len(d), 1.001 * domain.bounding_radius)
+    for _ in range(8):
+        outside = domain.phi.value(hi[:, None] * d) > 0.0
+        if np.all(outside):
+            break
+        hi = np.where(outside, hi, 2.0 * hi)
+    else:
+        raise ProjectionError("could not bracket the boundary along a ray")
+    if float(domain.phi.value(np.zeros(n))) >= 0.0:
+        raise DomainError("boundary sampler assumes the origin lies inside the domain")
+    lo = np.zeros(len(d))
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        inside = domain.phi.value(mid[:, None] * d) < 0.0
+        lo = np.where(inside, mid, lo)
+        hi = np.where(inside, hi, mid)
+    return project_to_boundary(domain, (0.5 * (lo + hi))[:, None] * d)
 
 
-def _eig_sum(domain, x, p, metric):
-    eigs = principal_curvatures(domain, x, metric)
-    return float(np.sum(np.sort(eigs)[:p]))
+def _check_p(domain: LevelSetDomain, p: int):
+    if not 1 <= p <= domain.n - 1:
+        raise ConfigError(f"need 1 <= p <= n-1, got p={p}")
+
+
+def _swept_margin(domain: LevelSetDomain, p: int, metric: ConformalMetric | None,
+                  pts: Array, kappa: Array, polish: bool) -> tuple[float, Array]:
+    """Minimum over the sweep of the sum of the p smallest curvatures, then a
+    Nelder-Mead polish over directions.  Each trial point is a Newton
+    projection from the worst sweep point's radius along the trial direction."""
+    sums = np.sum(kappa[:, :p], axis=1)
+    worst = int(np.argmin(sums))
+    margin, worst_point = float(sums[worst]), pts[worst]
+    if polish:
+        radius = np.linalg.norm(worst_point)
+
+        def boundary_point(v):
+            return project_to_boundary(domain, radius * (v / np.linalg.norm(v)))
+
+        def objective(v):
+            if np.linalg.norm(v) < 1e-8:
+                return margin + 1.0
+            try:
+                return float(np.sum(principal_curvatures(domain, boundary_point(v), metric)[:p]))
+            except (ProjectionError, DomainError):
+                return margin + 1.0
+
+        res = optimize.minimize(objective, worst_point / radius, method="Nelder-Mead",
+                                options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 400})
+        if res.fun < margin:
+            margin = float(res.fun)
+            worst_point = boundary_point(res.x)
+    return margin, worst_point
 
 
 def p_convexity_margin(domain: LevelSetDomain, p: int,
@@ -201,67 +247,41 @@ def p_convexity_margin(domain: LevelSetDomain, p: int,
     Returns ``(margin, worst_point)``.  ``polish`` runs a derivative-free
     local refinement from the worst sampled direction (deterministic).
     """
-    if not 1 <= p <= domain.n - 1:
-        raise ConfigError(f"need 1 <= p <= n-1, got p={p}")
+    _check_p(domain, p)
     pts = sample_boundary(domain, count, seed)
-    vals = np.array([_eig_sum(domain, x, p, metric) for x in pts])
-    worst = int(np.argmin(vals))
-    margin, worst_point = float(vals[worst]), pts[worst]
-    if polish:
-        def objective(v):
-            nv = np.linalg.norm(v)
-            if nv < 1e-8:
-                return margin + 1.0
-            try:
-                return _eig_sum(domain, _root_along_ray(domain, v / nv), p, metric)
-            except (ProjectionError, DomainError):
-                return margin + 1.0
-
-        res = optimize.minimize(
-            objective, worst_point / np.linalg.norm(worst_point),
-            method="Nelder-Mead",
-            options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 400},
-        )
-        if res.fun < margin:
-            margin = float(res.fun)
-            worst_point = _root_along_ray(domain, res.x / np.linalg.norm(res.x))
-    return margin, worst_point
+    return _swept_margin(domain, p, metric, pts, principal_curvatures(domain, pts, metric), polish)
 
 
 def convexity_report(domain: LevelSetDomain, field: ScalarField, p: int,
                      count: int = 2048, seed: int = 0, polish: bool = True) -> ConvexityReport:
     """Margins in both the Euclidean and the rescaled metric, plus the
-    exterior normal derivative range of u over the sampled boundary."""
-    metric = ConformalMetric(field, domain.n)
-    margin_g, worst_g = p_convexity_margin(domain, p, None, count, seed, polish)
-    margin_gt, worst_gt = p_convexity_margin(domain, p, metric, count, seed, polish)
+    exterior normal derivative range of u, from one boundary sweep and one
+    eigensolve per point."""
+    _check_p(domain, p)
     pts = sample_boundary(domain, count, seed)
-    grads = field.gradient(pts)
-    nu_ext = np.sum(grads * outward_normal(domain, pts), axis=1)
-    return ConvexityReport(
-        p=p,
-        margin_g=margin_g,
-        margin_gtilde=margin_gt,
-        worst_point_g=worst_g,
-        worst_point_gtilde=worst_gt,
-        nu_u_range=(float(np.min(nu_ext)), float(np.max(nu_ext))),
-        n_samples=count,
-    )
+    kappa = principal_curvatures(domain, pts)
+    scale, eta_u = _conformal_terms(domain, field, pts)
+    margin_g, worst_g = _swept_margin(domain, p, None, pts, kappa, polish)
+    margin_gt, worst_gt = _swept_margin(domain, p, ConformalMetric(field, domain.n), pts,
+                                        scale[:, None] * (kappa - eta_u[:, None]), polish)
+    return ConvexityReport(p=p, margin_g=margin_g, margin_gtilde=margin_gt,
+                           worst_point_g=worst_g, worst_point_gtilde=worst_gt,
+                           nu_u_range=(float(np.min(-eta_u)), float(np.max(-eta_u))),
+                           n_samples=len(pts))
 
 
 MARGIN_SLACK = 1e-9
 
 
-def corollary_gate(domain: LevelSetDomain, field: ScalarField, p: int,
-                   count: int = 2048, seed: int = 0) -> str:
-    """Classify the domain/exponent pair by boundary monotonicity of u.
+def corollary_gate(report: ConvexityReport) -> str:
+    """Classify the domain/exponent pair of a convexity report by boundary
+    monotonicity of u.
 
     ``case-i``: boundary p-convex in the Euclidean metric and u strictly
     increasing in the exterior direction; ``case-ii``: p-convex in the
     rescaled metric and u strictly decreasing outward; otherwise ``none``.
     Either case upgrades the other metric's p-convexity to strict.
     """
-    report = convexity_report(domain, field, p, count, seed)
     nu_min, nu_max = report.nu_u_range
     if report.margin_g >= -MARGIN_SLACK and nu_min > 0.0:
         return "case-i"
@@ -304,15 +324,14 @@ def make_domain(kind: str, n: int, **params) -> LevelSetDomain:
 
 def check_gradient_tube(domain: LevelSetDomain, count: int = 256, seed: int = 0,
                         floor: float = 1e-6, tube: float = 1e-2) -> float:
-    """Sampled minimum of |grad phi| on the tube |phi| <= tube."""
+    """Sampled minimum of |grad phi| on the tube |phi| <= tube, probed at each
+    sweep point and one tube width either side along the normal."""
     pts = sample_boundary(domain, count, seed)
-    lo = np.inf
-    for x in pts:
-        nhat = outward_normal(domain, x)
-        for t in (-1.0, 0.0, 1.0):
-            y = x + t * tube * nhat
-            if abs(float(domain.phi.value(y))) <= tube:
-                lo = min(lo, float(np.linalg.norm(domain.phi.gradient(y))))
+    offsets = (tube * np.array([-1.0, 0.0, 1.0]))[:, None, None]
+    ys = pts + offsets * outward_normal(domain, pts)
+    ys = ys[np.abs(domain.phi.value(ys)) <= tube]
+    g = domain.phi.gradient(ys)
+    lo = float(np.min(np.sqrt(np.vecdot(g, g)), initial=np.inf))
     if lo < floor:
         raise DomainError(f"|grad phi| = {lo:.2e} below {floor:g} near the boundary")
-    return float(lo)
+    return lo

@@ -278,8 +278,7 @@ def flow_step(state: FlowState, metric: ConformalMetric, domain: LevelSetDomain,
     dt = min(state.step, dt_max)
     for _ in range(cfg.max_backtracks + 1):
         trial = grid.positions + dt * direction
-        boundary = np.array([project_to_boundary(domain, x, tol=1e-12) for x in trial[grid.nr]])
-        trial[grid.nr] = boundary
+        trial[grid.nr] = project_to_boundary(domain, trial[grid.nr], tol=1e-12)
         new_grid = grid.with_positions(trial)
         _, vol, res, defect = _measurements(new_grid, metric, domain)
         if vol <= state.volume + cfg.volume_slack:

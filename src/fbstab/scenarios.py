@@ -636,7 +636,7 @@ def _suite_certificate(col: _Collector, seed: int, quadrature):
     )
     for label, f, want in gate_cases:
         with col.guard("corollary-gate", f"gate-{label}"):
-            got = domain_mod.corollary_gate(ball4, f, p=2, count=128, seed=seed)
+            got = domain_mod.corollary_gate(domain_mod.convexity_report(ball4, f, 2, 128, seed))
             col.require("corollary-gate", f"gate-{label}", got == want,
                         detail=f"got {got}, want {want}")
 

@@ -27,8 +27,8 @@ import numpy as np
 from scipy.stats import qmc
 
 from . import conformal
-from .domain import GRAD_FLOOR, LevelSetDomain
-from .errors import DimensionError, DomainError, PreconditionError
+from .domain import LevelSetDomain, boundary_form, convexity_report, outward_normal
+from .errors import DimensionError, PreconditionError
 from .fields import ConformalMetric
 from .submanifold import (
     SampledImmersion,
@@ -85,20 +85,10 @@ def _check_normal(imm: SampledImmersion, X: NormalField):
 
 
 def _boundary_form(imm: SampledImmersion, domain: LevelSetDomain):
-    """Outward unit normals, boundary forms and <eta, nu> at the boundary samples.
-
-    The forms are ``domain.boundary_form`` over all samples at once: M = P
-    (Hess phi) P / |grad phi| with P the tangential projector, ``(mb, n, n)``.
-    """
-    grad_phi = domain.phi.gradient(imm.bxs)
-    norms = np.linalg.norm(grad_phi, axis=1)
-    if np.any(norms < GRAD_FLOOR):
-        raise DomainError("level-set gradient vanishes at a boundary point")
-    nhat = grad_phi / norms[:, None]
-    P = np.eye(imm.n)[None] - nhat[:, :, None] * nhat[:, None, :]
-    M = np.einsum("mab,mbc,mcd->mad", P, domain.phi.hessian(imm.bxs), P) / norms[:, None, None]
-    eta_dot_nu = -np.sum(nhat * imm.bnus, axis=1)
-    return nhat, M, eta_dot_nu
+    """Outward unit normals, ``domain.boundary_form`` ``(mb, n, n)`` and <eta, nu>
+    at the boundary samples."""
+    nhat = outward_normal(domain, imm.bxs)
+    return nhat, boundary_form(domain, imm.bxs), -np.sum(nhat * imm.bnus, axis=1)
 
 
 def _check_tangent(X: NormalField, nhat: Array, tangency_tol: float):
@@ -590,8 +580,6 @@ def instability_certificate(imm: SampledImmersion, metric: ConformalMetric,
     in both metrics, the minimality residual and the free-boundary defect all
     pass; each failed hypothesis is listed in the report.
     """
-    from .domain import p_convexity_margin
-
     cfg = config or CertificateConfig()
     k, n = imm.k, imm.n
     p = cfg.p if cfg.p is not None else n - k
@@ -622,12 +610,8 @@ def instability_certificate(imm: SampledImmersion, metric: ConformalMetric,
     if curv_min < -cfg.hypothesis_margin:
         failed.append(f"curvature: sampled min {curv_min:.3e} < 0")
 
-    margin_g, _ = p_convexity_margin(
-        domain, p, None, cfg.convexity_samples, cfg.seed
-    )
-    margin_gt, _ = p_convexity_margin(
-        domain, p, metric, cfg.convexity_samples, cfg.seed
-    )
+    convexity = convexity_report(domain, metric.field, p, cfg.convexity_samples, cfg.seed)
+    margin_g, margin_gt = convexity.margin_g, convexity.margin_gtilde
     if margin_g < -cfg.hypothesis_margin:
         failed.append(f"convexity (euclidean): margin {margin_g:.3e} < 0")
     if margin_gt < -cfg.hypothesis_margin:

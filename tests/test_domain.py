@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
+from scipy.stats import qmc
 
 from fbstab import domain as dm
 from fbstab.errors import ConfigError, ProjectionError
@@ -36,6 +38,46 @@ def fd_shape_form(domain, x, X, Y, field=None, h=1e-6):
     return scale * float((dY + corr) @ eta)
 
 
+def per_ray_sweep(domain, count, seed):
+    """Reference sweep, one ray at a time: axis and Sobol directions, a
+    doubling bracket, 60 bisection steps and a scalar Newton projection."""
+    n = domain.n
+    dirs = [s * e for e in np.eye(n) for s in (1.0, -1.0)]
+    if count > 2 * n:
+        need = count - 2 * n
+        uu = qmc.Sobol(d=n, scramble=True, seed=seed).random(1 << int(np.ceil(np.log2(need))))
+        zz = ndtri(np.clip(uu[:need], 1e-12, 1.0 - 1e-12))
+        dirs += list(zz / np.linalg.norm(zz, axis=1)[:, None])
+    pts = []
+    for d in dirs:
+        d = d / np.linalg.norm(d)
+        hi = 1.001 * domain.bounding_radius
+        while float(domain.phi.value(hi * d)) <= 0.0:
+            hi *= 2.0
+        lo = 0.0
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if float(domain.phi.value(mid * d)) < 0.0 else (lo, mid)
+        y = 0.5 * (lo + hi) * d
+        while abs(val := float(domain.phi.value(y))) > 1e-12:
+            g = domain.phi.gradient(y)
+            y = y - (val / float(g @ g)) * g
+        pts.append(y)
+    return np.array(pts)
+
+
+@pytest.mark.parametrize("kind,n,params,count,seed", [
+    ("ball", 4, {"radius": 1.0}, 128, 0),
+    ("ellipsoid", 3, {"semi_axes": [2.0, 1.0, 1.0]}, 256, 0),
+    ("ellipsoid", 4, {"semi_axes": [2.0, 1.2, 1.0, 0.9]}, 64, 3),
+    ("superellipsoid", 3, {"exponent": 2}, 256, 1),
+])
+def test_sample_boundary_matches_per_ray_reference(kind, n, params, count, seed):
+    domain = dm.make_domain(kind, n, **params)
+    assert np.array_equal(dm.sample_boundary(domain, count, seed),
+                          per_ray_sweep(domain, count, seed))
+
+
 def test_project_to_boundary_trivials():
     ball = dm.make_domain("ball", 3, radius=1.0)
     out = dm.project_to_boundary(ball, np.array([2.0, 0.0, 0.0]))
@@ -46,11 +88,16 @@ def test_project_to_boundary_trivials():
 
 def test_project_to_boundary_ellipsoid(rng):
     ell = dm.make_domain("ellipsoid", 3, semi_axes=[2.0, 1.0, 1.0])
+    xs, ys = [], []
     for _ in range(20):
         x = rng.normal(size=3)
         x = x / np.linalg.norm(x) * rng.uniform(0.8, 1.2)
         y = dm.project_to_boundary(ell, x)
         assert abs(ell.phi.value(y)) <= 1e-12
+        xs.append(x)
+        ys.append(y)
+    # a batch takes the same Newton iterates as its rows, bit for bit
+    assert np.array_equal(dm.project_to_boundary(ell, np.array(xs)), np.array(ys))
 
 
 def test_projection_failure_raises():
@@ -139,16 +186,21 @@ def test_margins_sphere_and_ellipsoid():
     assert abs(worst[0]) < 0.3
 
 
-def test_margin_eigenvalue_sum_consistency(rng):
-    """At every sampled point the p-margin equals the sorted eigenvalue sum,
-    so it is monotone in p pointwise."""
+def test_margin_eigenvalue_sum_consistency():
+    """Over the whole sweep the p-sums of the sorted curvatures are monotone
+    in p, and the rescaled curvatures from the conformal law match the
+    eigenvalues of each point's rescaled shape operator."""
     ell = dm.make_domain("ellipsoid", 4, semi_axes=[2.0, 1.2, 1.0, 0.9])
     pts = dm.sample_boundary(ell, 64, seed=3)
-    for x in pts[::8]:
-        eigs = np.sort(dm.principal_curvatures(ell, x))
-        sums = [np.sum(eigs[:p]) for p in range(1, 4)]
-        assert sums[0] <= sums[1] <= sums[2] + 1e-15
-        assert all(s > 0 for s in sums)
+    eigs = dm.principal_curvatures(ell, pts)
+    assert eigs.shape == (64, 3)
+    sums = np.cumsum(eigs, axis=1)
+    assert np.all(sums[:, 0] <= sums[:, 1]) and np.all(sums[:, 1] <= sums[:, 2] + 1e-15)
+    assert np.all(sums > 0)
+    metric = ConformalMetric(make_field("radial-custom", coeffs=[0.1, 0.3, -0.15]), 4)
+    rescaled = dm.principal_curvatures(ell, pts, metric)
+    direct = np.array([np.linalg.eigvalsh(dm.shape_operator(ell, x, metric)) for x in pts])
+    assert np.max(np.abs(rescaled - direct)) < 1e-13
 
 
 def test_superellipsoid_margin_nonnegative():
@@ -165,16 +217,30 @@ def test_convexity_report_and_gate():
     assert abs(report.margin_gtilde) < 1e-7
     lo, hi = report.nu_u_range
     assert abs(lo + 1.0) < 1e-12 and abs(hi + 1.0) < 1e-12
-    assert dm.corollary_gate(ball, sph, p=2, count=64, seed=0) == "case-ii"
+    assert report.n_samples == 128
+    assert dm.corollary_gate(dm.convexity_report(ball, sph, p=2, count=64, seed=0)) == "case-ii"
 
     quad = make_field("radial-custom", coeffs=[0.0, 1.0])  # |x|^2, increasing outward
-    assert dm.corollary_gate(ball, quad, p=2, count=64, seed=0) == "case-i"
-    assert dm.corollary_gate(ball, make_field("zero"), p=2, count=64, seed=0) == "none"
+    assert dm.corollary_gate(dm.convexity_report(ball, quad, p=2, count=64, seed=0)) == "case-i"
+    zero = dm.convexity_report(ball, make_field("zero"), p=2, count=64, seed=0)
+    assert dm.corollary_gate(zero) == "none"
+    # below 2n the sweep still takes every axis point, and the report says so
+    assert dm.convexity_report(ball, sph, p=2, count=4, seed=0).n_samples == 8
 
 
 def test_gradient_tube_check():
     ball = dm.make_domain("ball", 3, radius=1.0)
     assert dm.check_gradient_tube(ball, count=32, seed=0) > 1.0
+    # the batched probe takes the same minimum as a point-by-point loop
+    ell = dm.make_domain("ellipsoid", 3, semi_axes=[2.0, 1.0, 1.0])
+    lo = np.inf
+    for x in dm.sample_boundary(ell, 64, seed=0):
+        nhat = dm.outward_normal(ell, x)
+        for t in (-1.0, 0.0, 1.0):
+            y = x + t * 1e-2 * nhat
+            if abs(float(ell.phi.value(y))) <= 1e-2:
+                lo = min(lo, float(np.linalg.norm(ell.phi.gradient(y))))
+    assert dm.check_gradient_tube(ell, count=64, seed=0) == lo
 
 
 def test_domain_catalog_errors():

@@ -144,6 +144,29 @@ def test_cli_convexity(tmp_path):
     assert abs(doc["margin_g"] - 0.25) < 1e-3
 
 
+def test_one_boundary_sweep_per_certificate_and_convexity_verb(monkeypatch, tmp_path):
+    """Both margins, the exterior slope range and the gate come from one sweep."""
+    from fbstab import domain as dm, variation as var
+
+    sweeps = []
+    sample_boundary = dm.sample_boundary
+
+    def counted(*args, **kwargs):
+        sweeps.append(args)
+        return sample_boundary(*args, **kwargs)
+
+    monkeypatch.setattr(dm, "sample_boundary", counted)
+    built = sc.build_scenario("cap-disk-b4k2")
+    report = var.instability_certificate(built.immersion, built.metric, built.domain)
+    assert report.verdict == "unstable-certified"
+    assert len(sweeps) == 1
+    sweeps.clear()
+    assert cli.main(["convexity", "--scenario", "cap-disk-b4k2", "--out", str(tmp_path)]) == 0
+    assert len(sweeps) == 1
+    doc = json.loads((tmp_path / "convexity-cap-disk-b4k2.json").read_text())
+    assert doc["gate"] == "case-ii" and doc["n_samples"] == 1024
+
+
 def test_cli_dump(tmp_path):
     rc = cli.main(["dump", "--scenario", "flat-disk-b4k2", "--out", str(tmp_path)])
     assert rc == 0

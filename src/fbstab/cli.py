@@ -12,6 +12,7 @@ only environment the tool reads is the command line.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -35,6 +36,21 @@ def _load_config(path: str | None) -> dict:
     if not isinstance(cfg, dict):
         raise ConfigError("config document must be a JSON object")
     return cfg
+
+
+def _section(cfg: dict, name: str) -> dict:
+    options = cfg.get(name, {})
+    if not isinstance(options, dict):
+        raise ConfigError(f"config section {name!r} must be a JSON object")
+    return options
+
+
+def _make_config(cls, section: str, options: dict):
+    """``cls(**options)``, naming any key the dataclass does not have."""
+    unknown = sorted(set(options) - {f.name for f in dataclasses.fields(cls)})
+    if unknown:
+        raise ConfigError(f"unknown {section} option(s): {', '.join(unknown)}")
+    return cls(**options)
 
 
 def _resolve_scenario(args, cfg) -> sc.Scenario:
@@ -113,11 +129,11 @@ def _cmd_stability(args) -> int:
     cfg = _load_config(args.config)
     scenario = _resolve_scenario(args, cfg)
     built = sc.build_scenario(scenario, cfg.get("quadrature"))
-    cert_cfg = cfg.get("certificate", {})
+    cert_cfg = _section(cfg, "certificate")
     if args.tol is not None:
         cert_cfg = {**cert_cfg, "certify_tol": args.tol}
     seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
-    config = var.CertificateConfig(**{"seed": seed, **cert_cfg})
+    config = _make_config(var.CertificateConfig, "certificate", {"seed": seed, **cert_cfg})
     report = var.instability_certificate(built.immersion, built.metric, built.domain, config)
     doc = report.to_dict()
     doc["scenario"] = scenario.name
@@ -162,10 +178,10 @@ def _cmd_flow(args) -> int:
     scenario = _resolve_scenario(args, cfg)
     built = sc.build_scenario(scenario, cfg.get("quadrature"))
     grid = sc.flow_grid_for(scenario)
-    flow_cfg = dict(cfg.get("flow", {}))
+    flow_cfg = dict(_section(cfg, "flow"))
     if args.tol is not None:
         flow_cfg["tol"] = args.tol
-    config = flow_mod.FlowConfig(**flow_cfg)
+    config = _make_config(flow_mod.FlowConfig, "flow", flow_cfg)
     final, converged, state = flow_mod.run_flow(grid, built.metric, built.domain, config)
     doc = {
         "schema": "fbstab-flow/1",

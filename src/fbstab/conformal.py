@@ -93,25 +93,20 @@ def sectional_curvature(field: ScalarField, x, X, Y) -> float:
     )
 
 
-def sectional_curvature_batch(field: ScalarField, xs, Xs, Ys) -> np.ndarray:
-    """Vectorized sectional curvature over batches of points and plane bases.
+def min_sectional_curvature(field: ScalarField, xs) -> np.ndarray:
+    """Minimum sectional curvature over all 2-planes at each of the points
+    ``xs`` (m, n); returns (m,).
 
-    ``xs``: (m, n); ``Xs``/``Ys``: (m, n) Euclid-orthonormal pairs per row.
-    Used by the hypothesis samplers; the scalar version performs the
-    precondition check, callers here are trusted to pass orthonormal pairs.
+    With A = grad u grad u^T - Hess u the formula above reads K(X, Y) =
+    e^{-2u} (<AX, X> + <AY, Y> - |grad u|^2), so by Ky Fan's principle the
+    minimum over orthonormal pairs is e^{-2u} (l1 + l2 - |grad u|^2), with
+    l1 <= l2 the two smallest eigenvalues of A.
     """
     xs = np.asarray(xs, float)
-    Xs = np.asarray(Xs, float)
-    Ys = np.asarray(Ys, float)
     u = field.value(xs)
     g = field.gradient(xs)
-    h = field.hessian(xs)
-    xu = np.sum(Xs * g, axis=-1)
-    yu = np.sum(Ys * g, axis=-1)
-    g2 = np.sum(g * g, axis=-1)
-    hxx = np.einsum("mi,mij,mj->m", Xs, h, Xs)
-    hyy = np.einsum("mi,mij,mj->m", Ys, h, Ys)
-    return np.exp(-2.0 * u) * (xu**2 + yu**2 - g2 - hxx - hyy)
+    lam = np.linalg.eigvalsh(g[:, :, None] * g[:, None, :] - field.hessian(xs))
+    return np.exp(-2.0 * u) * (lam[:, 0] + lam[:, 1] - np.sum(g * g, axis=1))
 
 
 def volume_factor(field: ScalarField, x, k: int) -> float:

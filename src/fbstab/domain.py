@@ -24,6 +24,10 @@ from .fields import ConformalMetric, ScalarField, make_field
 Array = np.ndarray
 
 GRAD_FLOOR = 1e-10
+# the polish replaces the sweep's worst point only when it lowers the margin
+# by more than this, relative to max(1, |margin|): a round-off gain on a
+# domain where every point ties would move the worst point arbitrarily
+POLISH_GAIN = 1e-12
 
 
 @dataclass(frozen=True)
@@ -212,7 +216,8 @@ def _swept_margin(domain: LevelSetDomain, p: int, metric: ConformalMetric | None
                   pts: Array, kappa: Array, polish: bool) -> tuple[float, Array]:
     """Minimum over the sweep of the sum of the p smallest curvatures, then a
     Nelder-Mead polish over directions.  Each trial point is a Newton
-    projection from the worst sweep point's radius along the trial direction."""
+    projection from the worst sweep point's radius along the trial direction;
+    the polished point is kept only if it beats the sweep by ``POLISH_GAIN``."""
     sums = np.sum(kappa[:, :p], axis=1)
     worst = int(np.argmin(sums))
     margin, worst_point = float(sums[worst]), pts[worst]
@@ -232,7 +237,7 @@ def _swept_margin(domain: LevelSetDomain, p: int, metric: ConformalMetric | None
 
         res = optimize.minimize(objective, worst_point / radius, method="Nelder-Mead",
                                 options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 400})
-        if res.fun < margin:
+        if res.fun < margin - POLISH_GAIN * max(1.0, abs(margin)):
             margin = float(res.fun)
             worst_point = boundary_point(res.x)
     return margin, worst_point

@@ -171,9 +171,10 @@ def _registry() -> dict[str, Scenario]:
         expected={"fb_defect": {"value": 1.0 - np.cos(np.deg2rad(10.0)), "tol": 1e-9}},
     )
 
+    # the cap's rim (unit planar radius, height c/2) lies on this ball's sphere
     reg["paraboloid-b3"] = Scenario(
         name="paraboloid-b3", n=3, k=2,
-        domain_spec={"kind": "ball", "radius": 2.0},
+        domain_spec={"kind": "ball", "radius": float(np.sqrt(1.0 + 0.5**2 / 4.0))},
         field_spec={"name": "zero"},
         immersion_spec={"kind": "paraboloid-cap", "curvature": 0.5},
     )
@@ -389,18 +390,13 @@ def _suite_identities(col: _Collector, seed: int, quadrature):
             sym = float(np.max(np.abs(geo.alpha - geo.alpha.transpose(0, 2, 1, 3))))
             col.below(name, "alpha-symmetry", sym, 1e-9)
 
-            # trace of the rescaled second fundamental form vs mean curvature law
-            worst = 0.0
-            for i in range(0, imm.n_interior, max(1, imm.n_interior // 64)):
-                s = imm.interior[i]
-                alpha, H, Hc = sub.fundamental_forms(s, metric)
-                at = sub.conformal_sff(alpha, s, metric)
-                frame = sub.adapted_frame(s)
-                tr = np.einsum("iir->r", at)
-                lhs = frame.normal.T @ tr
-                rhs = np.exp(2.0 * metric.field.value(s.x)) * Hc
-                worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-            col.below(name, "conformal-sff-trace", worst, 1e-9)
+            # trace of the rescaled second fundamental form vs the mean
+            # curvature law e^{2u} H~ = H - k grad^perp u, at every sample
+            g = metric.field.gradient(imm.xs)
+            gperp = np.einsum("mrx,mr->mx", geo.normal, np.einsum("mrx,mx->mr", geo.normal, g))
+            lhs = np.einsum("miir,mrx->mx", sub.conformal_sff(imm, metric), geo.normal)
+            col.below(name, "conformal-sff-trace",
+                      float(np.max(np.abs(lhs - (geo.H - imm.k * gperp)))), 1e-9)
 
             res = sub.check_minimality(imm, metric, 1e-8)
             if res.passed:
@@ -539,7 +535,7 @@ def _suite_bounds(col: _Collector, seed: int, quadrature):
         with col.guard(name):
             built = build_scenario(name, quadrature)
             imm, metric = built.immersion, built.metric
-            report = var.interior_bound(imm, metric, seed=seed)
+            report = var.interior_bound(imm, metric)
             col.require(
                 name, "interior-bound-slack", report.slack >= -1e-6,
                 detail=f"slack = {report.slack:.6e}", achieved=report.slack,
@@ -749,8 +745,9 @@ def emit_report(result: SuiteResult, format: str = "json") -> bytes:
 def sample_dump_csv(built: BuiltScenario) -> bytes:
     """Per-sample CSV of traced densities and residuals for plotting."""
     imm, metric, dom = built.immersion, built.metric, built.domain
+    _, _, tangency = var._hypothesis_residuals(imm, metric, dom)
     s_vals, s_res = var.traced_interior_density(imm, metric)
-    t_vals, t_res = var.traced_boundary_density(imm, metric, dom)
+    t_vals, t_res = var.traced_boundary_density(imm, metric, dom, tangency)
     euclid = var.trace_s_euclid(imm)
     minres = sub.minimality_residuals(imm, metric)
     defects = sub.boundary_defects(imm, dom)

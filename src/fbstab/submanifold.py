@@ -1,12 +1,13 @@
 """Sampled parametric k-submanifolds with boundary.
 
-An immersion is a bag of quadrature samples.  Interior samples carry the
-chart Jacobian (columns span the tangent space), the chart second
-derivatives and a chart-measure quadrature weight; boundary samples carry
-the Jacobian, a (k-1)-dimensional Euclidean measure weight and the outward
-unit conormal.  Frames, fundamental forms and mean curvature are derived
-per sample; reductions (volumes, residual maxima) run in fixed sample order
-so results are deterministic.
+An immersion holds its quadrature samples as stacked arrays.  Interior
+samples carry the chart Jacobian (columns span the tangent space), the chart
+second derivatives and a chart-measure quadrature weight; boundary samples
+carry the Jacobian, a (k-1)-dimensional Euclidean measure weight and the
+outward unit conormal.  Frames, fundamental forms and mean curvature are
+computed for all samples at once by ``SampledImmersion.geometry()`` and
+cached; reductions (volumes, residual maxima) run in fixed sample order so
+results are deterministic.
 """
 
 from __future__ import annotations
@@ -23,39 +24,6 @@ from .fields import ConformalMetric, make_field
 COND_LIMIT = 1e8
 
 Array = np.ndarray
-
-
-@dataclass(frozen=True)
-class InteriorSample:
-    """One interior quadrature sample of a k-submanifold in R^n."""
-
-    x: Array          # (n,) position
-    J: Array          # (n, k) chart Jacobian, columns span the tangent space
-    Hchart: Array     # (k, k, n) chart second derivatives
-    w: float          # chart-measure quadrature weight
-
-
-@dataclass(frozen=True)
-class BoundarySample:
-    """One boundary quadrature sample, with Euclidean (k-1)-measure weight."""
-
-    x: Array
-    J: Array
-    wb: float
-    nu: Array         # outward unit conormal: tangent to the immersion,
-                      # normal to its boundary
-
-
-@dataclass(frozen=True)
-class AdaptedFrame:
-    """Euclid-orthonormal tangent and normal frames at a sample."""
-
-    tangent: Array    # (k, n) rows
-    normal: Array     # (n - k, n) rows
-
-    def gram_defect(self) -> float:
-        basis = np.vstack([self.tangent, self.normal])
-        return float(np.max(np.abs(basis @ basis.T - np.eye(basis.shape[0]))))
 
 
 @dataclass(frozen=True)
@@ -192,22 +160,6 @@ class SampledImmersion:
             if np.max(np.linalg.norm(self.bnus - proj, axis=1)) > 1e-8:
                 raise InvalidSampleError("boundary conormal not tangent to the immersion")
 
-    # -- sample views ------------------------------------------------------
-
-    @property
-    def interior(self) -> list[InteriorSample]:
-        return [
-            InteriorSample(self.xs[i], self.Js[i], self.Hs[i], float(self.ws[i]))
-            for i in range(self.xs.shape[0])
-        ]
-
-    @property
-    def boundary(self) -> list[BoundarySample]:
-        return [
-            BoundarySample(self.bxs[i], self.bJs[i], float(self.bws[i]), self.bnus[i])
-            for i in range(self.bxs.shape[0])
-        ]
-
     @property
     def n_interior(self) -> int:
         return self.xs.shape[0]
@@ -234,53 +186,16 @@ class SampledImmersion:
         return self._geometry
 
 
-# ---------------------------------------------------------------------------
-# per-sample operations
-# ---------------------------------------------------------------------------
+def conformal_sff(imm: SampledImmersion, metric: ConformalMetric) -> Array:
+    """Second fundamental form of the rescaled metric, (m, k, k, q).
 
-def adapted_frame(sample) -> AdaptedFrame:
-    """Orthonormal tangent/normal frame at one sample (interior or boundary)."""
-    J = sample.J[None]
-    _check_conditioning(J, "frame")
-    T, N, _ = _batched_frames(J)
-    return AdaptedFrame(T[0], N[0])
-
-
-def fundamental_forms(sample: InteriorSample, metric: ConformalMetric):
-    """Second fundamental form and mean curvature vectors at a sample.
-
-    Returns ``(alpha, H, H_conformal)`` where ``alpha[i, j, r]`` are the
-    normal-frame components of alpha(v_i, v_j) in the Euclidean metric, ``H``
-    is the Euclidean mean curvature vector and ``H_conformal`` the mean
-    curvature vector of e^{2u} * Euclidean: e^{2u} H_conf = H - k grad^perp u.
+    alpha~(X, Y) = alpha(X, Y) - <X, Y> grad^perp u in normal-frame
+    components: the normal components of grad u are subtracted on the
+    diagonal.
     """
-    J = sample.J[None]
-    _check_conditioning(J, "fundamental_forms")
-    T, N, C = _batched_frames(J)
-    hn = np.einsum("mrx,mabx->mabr", N, sample.Hchart[None])
-    alpha = np.einsum("mai,mbj,mabr->mijr", C, C, hn)[0]
-    H = np.einsum("iir,rx->x", alpha, N[0])
-    k = sample.J.shape[1]
-    g = metric.field.gradient(sample.x)
-    gperp = N[0].T @ (N[0] @ g)
-    H_conf = np.exp(-2.0 * metric.field.value(sample.x)) * (H - k * gperp)
-    return alpha, H, H_conf
-
-
-def conformal_sff(alpha: Array, sample, metric: ConformalMetric) -> Array:
-    """Second fundamental form of the rescaled metric, frame components.
-
-    alpha~(X, Y) = alpha(X, Y) - <X, Y> grad^perp u, expressed against the
-    Euclid-orthonormal frame: subtract the normal components of grad u on
-    the diagonal.
-    """
-    frame = adapted_frame(sample)
-    gperp = frame.normal @ metric.field.gradient(sample.x)
-    out = np.array(alpha, dtype=float, copy=True)
-    k = alpha.shape[0]
-    for i in range(k):
-        out[i, i, :] -= gperp
-    return out
+    geo = imm.geometry()
+    gn = np.einsum("mqn,mn->mq", geo.normal, metric.field.gradient(imm.xs))
+    return geo.alpha - np.eye(imm.k)[None, :, :, None] * gn[:, None, None, :]
 
 
 def volume(imm: SampledImmersion, metric: ConformalMetric | None = None) -> float:

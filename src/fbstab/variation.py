@@ -33,6 +33,7 @@ from .fields import ConformalMetric
 from .submanifold import (
     SampledImmersion,
     boundary_defects,
+    conformal_sff,
     integrate_boundary,
     integrate_interior,
     minimality_residuals,
@@ -168,15 +169,12 @@ def s_tilde_direct(imm: SampledImmersion, X: NormalField,
     geo = imm.geometry()
     field = metric.field
     V = X.values
-    g = field.gradient(imm.xs)
-    u_i = np.einsum("mkn,mn->mk", geo.tangent, g)
-    gn = np.einsum("mqn,mn->mq", geo.normal, g)
+    u_i = np.einsum("mkn,mn->mk", geo.tangent, field.gradient(imm.xs))
     Xn = np.einsum("mqn,mn->mq", geo.normal, V)
     grad_term = np.sum((X.dperp + u_i[:, :, None] * Xn[:, None, :]) ** 2, axis=(1, 2))
     R = conformal.riemann(field, imm.xs[:, None], V[:, None], geo.tangent, V[:, None])
     curv = np.einsum("min,min->m", R, geo.tangent)
-    sff = (np.einsum("mijr,mr->mij", geo.alpha, Xn)
-           - np.eye(imm.k) * np.sum(gn * Xn, axis=1)[:, None, None])
+    sff = np.einsum("mijr,mr->mij", conformal_sff(imm, metric), Xn)
     return grad_term - curv - np.sum(sff**2, axis=(1, 2))
 
 
@@ -365,19 +363,6 @@ class BoundReport:
         return self.slack >= -1e-6
 
 
-def _curvature_min_on_samples(field, xs, planes: int, seed: int) -> float:
-    """Minimum sampled sectional curvature over given points, random planes."""
-    rng = np.random.default_rng(seed)
-    m, n = xs.shape
-    lo = np.inf
-    for _ in range(planes):
-        A = rng.normal(size=(m, n, 2))
-        Q, _ = np.linalg.qr(A)
-        vals = conformal.sectional_curvature_batch(field, xs, Q[:, :, 0], Q[:, :, 1])
-        lo = min(lo, float(np.min(vals)))
-    return lo
-
-
 def _hypothesis_residuals(imm: SampledImmersion, metric: ConformalMetric,
                           domain: LevelSetDomain | None = None):
     """``(minimality, defect, tangency_tol)``: the maximal minimality residual,
@@ -403,15 +388,16 @@ def _bound_rhs(imm: SampledImmersion, metric: ConformalMetric) -> float:
 
 
 def interior_bound(imm: SampledImmersion, metric: ConformalMetric,
-                   minimality_tol: float = 1e-6,
-                   curvature_planes: int = 10, seed: int = 0) -> BoundReport:
+                   minimality_tol: float = 1e-6) -> BoundReport:
     """Traced interior integral <= 2 * boundary flux of u along the conormal.
 
     lhs integrates the traced rescaled interior density; rhs = 2 times the
     integral over the boundary of the conormal derivative of u in the
     rescaled metric.  Valid for 2 <= k <= n-2 on immersions minimal for the
-    rescaled metric with non-negative sampled curvature; violated hypotheses
-    are attached as warnings, never silently dropped.
+    rescaled metric with non-negative curvature; the curvature check takes the
+    exact minimum over 2-planes at each interior sample, a sampled bound over
+    space.  Violated hypotheses are attached as warnings, never silently
+    dropped.
     """
     k, n = imm.k, imm.n
     if not 2 <= k <= n - 2:
@@ -420,7 +406,7 @@ def interior_bound(imm: SampledImmersion, metric: ConformalMetric,
     minimality, _, _ = _hypothesis_residuals(imm, metric)
     if minimality > minimality_tol:
         warnings.append(f"minimality residual {minimality:.3e} exceeds {minimality_tol:g}")
-    curv_min = _curvature_min_on_samples(metric.field, imm.xs, curvature_planes, seed)
+    curv_min = float(np.min(conformal.min_sectional_curvature(metric.field, imm.xs)))
     if curv_min < -1e-9:
         warnings.append(f"curvature hypothesis unverified: sampled min {curv_min:.3e} < 0")
     values, _ = traced_interior_density(imm, metric)
@@ -475,8 +461,7 @@ class CertificateConfig:
     minimality_tol: float = 1e-6
     free_boundary_tol: float = 1e-6
     hypothesis_margin: float = 1e-9
-    curvature_points: int = 10_000
-    curvature_planes: int = 10
+    curvature_points: int = 10_000       # Sobol points for the curvature minimum
     convexity_samples: int = 1024
     seed: int = 0
 
@@ -558,16 +543,6 @@ def _sample_domain_interior(domain: LevelSetDomain, count: int, seed: int) -> Ar
     return pts[:count]
 
 
-def curvature_margin(metric: ConformalMetric, domain: LevelSetDomain,
-                     points: int = 10_000, planes: int = 10, seed: int = 0) -> float:
-    """Sampled minimum sectional curvature of the rescaled metric over Omega.
-
-    A margin from sampling, reported as such; not a proof of the sign.
-    """
-    xs = _sample_domain_interior(domain, points, seed)
-    return _curvature_min_on_samples(metric.field, xs, planes, seed + 1)
-
-
 def instability_certificate(imm: SampledImmersion, metric: ConformalMetric,
                             domain: LevelSetDomain,
                             config: CertificateConfig | None = None) -> StabilityReport:
@@ -576,9 +551,11 @@ def instability_certificate(imm: SampledImmersion, metric: ConformalMetric,
     hypothesis check passes.
 
     The verdict is ``unstable-certified`` only if the traced total lies below
-    ``-certify_tol`` and the sampled curvature sign, the p-convexity margins
-    in both metrics, the minimality residual and the free-boundary defect all
-    pass; each failed hypothesis is listed in the report.
+    ``-certify_tol`` and the curvature sign, the p-convexity margins in both
+    metrics, the minimality residual and the free-boundary defect all pass;
+    each failed hypothesis is listed in the report.  The curvature minimum is
+    exact over 2-planes at each of ``curvature_points`` interior points, so it
+    is a sampled bound over space.
     """
     cfg = config or CertificateConfig()
     k, n = imm.k, imm.n
@@ -604,9 +581,8 @@ def instability_certificate(imm: SampledImmersion, metric: ConformalMetric,
     traced_total = traced_interior + traced_boundary
     bound_rhs = _bound_rhs(imm, metric)
 
-    curv_min = curvature_margin(
-        metric, domain, cfg.curvature_points, cfg.curvature_planes, cfg.seed
-    )
+    xs = _sample_domain_interior(domain, cfg.curvature_points, cfg.seed)
+    curv_min = float(np.min(conformal.min_sectional_curvature(metric.field, xs)))
     if curv_min < -cfg.hypothesis_margin:
         failed.append(f"curvature: sampled min {curv_min:.3e} < 0")
 

@@ -186,6 +186,16 @@ def test_margins_sphere_and_ellipsoid():
     assert abs(worst[0]) < 0.3
 
 
+def test_polish_keeps_sweep_point_on_ties():
+    """On the ball every boundary point ties, so a polish that gains only
+    round-off must leave the worst point at a sweep point."""
+    ball = dm.make_domain("ball", 4, radius=1.0)
+    margin, worst = dm.p_convexity_margin(ball, 1, count=256, seed=42)
+    assert abs(margin - 1.0) < 1e-9
+    pts = dm.sample_boundary(ball, 256, 42)
+    assert np.any(np.all(pts == worst, axis=1))
+
+
 def test_margin_eigenvalue_sum_consistency():
     """Over the whole sweep the p-sums of the sorted curvatures are monotone
     in p, and the rescaled curvatures from the conformal law match the

@@ -128,12 +128,23 @@ def test_cli_verify_suite(tmp_path, capsys):
     assert doc["all_passed"] is True
 
 
-def test_cli_stability_and_exit_codes(tmp_path):
+def test_cli_stability_and_exit_codes(tmp_path, capsys):
     rc = cli.main(["stability", "--scenario", "flat-disk-b4k2", "--out", str(tmp_path)])
     assert rc == 0
     doc = json.loads((tmp_path / "stability-flat-disk-b4k2.json").read_text())
     assert doc["verdict"] == "unstable-certified"
     assert abs(doc["traced_total"] + 4 * np.pi) < 1e-4
+    # unknown options are configuration errors that name the key
+    for verb, name, doc, key in (
+        ("stability", "flat-disk-b4k2", {"certificate": {"curvature_planes": 10}},
+         "curvature_planes"),
+        ("flow", "flow-bump-b3", {"flow": {"step_size": 0.1}}, "step_size"),
+    ):
+        cfg = tmp_path / f"{verb}.json"
+        cfg.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert cli.main([verb, "--scenario", name, "--config", str(cfg)]) == 2
+        assert key in capsys.readouterr().err
 
 
 def test_cli_convexity(tmp_path):
@@ -168,9 +179,10 @@ def test_one_boundary_sweep_per_certificate_and_convexity_verb(monkeypatch, tmp_
 
 
 def test_cli_dump(tmp_path):
-    rc = cli.main(["dump", "--scenario", "flat-disk-b4k2", "--out", str(tmp_path)])
-    assert rc == 0
-    assert (tmp_path / "samples-flat-disk-b4k2.csv").exists()
+    for name in ("flat-disk-b4k2", "tilted-disk-b3", "paraboloid-b3"):
+        rc = cli.main(["dump", "--scenario", name, "--out", str(tmp_path)])
+        assert rc == 0
+        assert (tmp_path / f"samples-{name}.csv").exists()
 
 
 def test_cli_config_errors(tmp_path):
@@ -179,6 +191,8 @@ def test_cli_config_errors(tmp_path):
     bad.write_text("[1, 2]")
     assert cli.main(["verify", "--config", str(bad)]) == 2
     assert cli.main(["stability"]) == 2  # no scenario given
+    bad.write_text(json.dumps({"certificate": [1, 2]}))
+    assert cli.main(["stability", "--scenario", "flat-disk-b4k2", "--config", str(bad)]) == 2
 
 
 def test_cli_inline_scenario(tmp_path):

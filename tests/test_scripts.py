@@ -1,0 +1,28 @@
+"""Smoke runs of the experiment scripts on small settings."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize("script,args,expect", [
+    ("certificate_sweep.py", ["--curvature-points", "256"], "unstable-certified"),
+    # a flat start converges at once, so the certificate branch runs too
+    ("flow_experiment.py", ["--n", "4", "--amplitude", "0", "--nr", "4", "--ntheta", "8",
+                            "--max-iter", "50"], "certificate on the converged immersion"),
+], ids=["certificate_sweep", "flow_experiment"])
+def test_script_runs(script, args, expect, tmp_path):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / script), *args, "--out", str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert expect in proc.stdout
+    assert any(tmp_path.iterdir())

@@ -11,54 +11,66 @@ from fbstab.errors import ConfigError, DegenerateSampleError, InvalidSampleError
 from fbstab.fields import ConformalMetric, make_field
 
 
-def _sample_with_J(J):
+def _frames(J):
+    """Tangent and normal frames of a one-sample immersion with Jacobian J."""
     n, k = J.shape
-    return sub.InteriorSample(np.zeros(n), J, np.zeros((k, k, n)), 1.0)
+    imm = sub.SampledImmersion(k, n, np.zeros((1, n)), J[None], np.zeros((1, k, k, n)), [1.0])
+    geo = imm.geometry()
+    return geo.tangent[0], geo.normal[0]
 
 
-def test_adapted_frame_identity_columns():
-    J = np.eye(5)[:, :2]
-    frame = sub.adapted_frame(_sample_with_J(J))
-    assert np.allclose(frame.tangent, np.eye(5)[:2])
-    assert np.allclose(frame.normal, np.eye(5)[2:])
+def _conformal_mean_curvature(imm, metric):
+    """H~ = e^{-2u} (H - k grad^perp u) at every interior sample."""
+    N = imm.geometry().normal
+    g = metric.field.gradient(imm.xs)
+    gperp = np.einsum("mrx,mr->mx", N, np.einsum("mrx,mx->mr", N, g))
+    u = metric.field.value(imm.xs)
+    return np.exp(-2.0 * u)[:, None] * (imm.geometry().H - imm.k * gperp)
 
 
-def test_adapted_frame_scale_invariant():
+def test_frames_identity_columns():
+    tangent, normal = _frames(np.eye(5)[:, :2])
+    assert np.allclose(tangent, np.eye(5)[:2])
+    assert np.allclose(normal, np.eye(5)[2:])
+
+
+def test_frames_scale_invariant():
     J = np.array([[1.0, 0.5], [0.0, 2.0], [1.0, -1.0], [0.0, 0.3]])
-    f1 = sub.adapted_frame(_sample_with_J(J))
-    f2 = sub.adapted_frame(_sample_with_J(2.0 * J))
-    assert np.allclose(f1.tangent, f2.tangent, atol=1e-14)
-    assert np.allclose(f1.normal, f2.normal, atol=1e-14)
+    t1, n1 = _frames(J)
+    t2, n2 = _frames(2.0 * J)
+    assert np.allclose(t1, t2, atol=1e-14)
+    assert np.allclose(n1, n2, atol=1e-14)
 
 
-def test_adapted_frame_rejects_degenerate():
+def test_frames_reject_degenerate():
     J = np.zeros((4, 2))
     J[:, 0] = [1, 0, 0, 0]
     J[:, 1] = [1 + 1e-13, 0, 0, 0]
     with pytest.raises(DegenerateSampleError):
-        sub.adapted_frame(_sample_with_J(J))
+        _frames(J)
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2**31 - 1))
-def test_adapted_frame_gram_identity(seed):
+def test_frames_gram_identity(seed):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(3, 7))
     k = int(rng.integers(1, n))
     J = rng.normal(size=(n, k))
-    frame = sub.adapted_frame(_sample_with_J(J))
-    assert frame.gram_defect() < 1e-10
+    tangent, normal = _frames(J)
+    basis = np.vstack([tangent, normal])
+    assert np.max(np.abs(basis @ basis.T - np.eye(n))) < 1e-10
     # tangent spans the column space
-    proj = frame.tangent.T @ frame.tangent
+    proj = tangent.T @ tangent
     assert np.allclose(proj @ J, J, atol=1e-10)
 
 
 def test_flat_disk_zero_forms(flat_b4, metric_zero4):
     imm = flat_b4.immersion
-    s = imm.interior[10]
-    alpha, H, Hc = sub.fundamental_forms(s, metric_zero4)
-    assert np.max(np.abs(alpha)) < 1e-14
-    assert np.allclose(H, 0.0) and np.allclose(Hc, 0.0)
+    geo = imm.geometry()
+    assert np.max(np.abs(geo.alpha)) < 1e-14
+    assert np.allclose(geo.H, 0.0)
+    assert np.allclose(_conformal_mean_curvature(imm, metric_zero4), 0.0)
 
 
 def test_sphere_patch_mean_curvature():
@@ -85,28 +97,26 @@ def test_paraboloid_mean_curvature_closed_form():
 
 def test_equatorial_disk_minimal_in_radial_metric(cap_b4):
     imm, metric = cap_b4.immersion, cap_b4.metric
-    s = imm.interior[7]
-    alpha, H, Hc = sub.fundamental_forms(s, metric)
-    assert np.allclose(H, 0.0, atol=1e-14)
-    assert np.allclose(Hc, 0.0, atol=1e-14)
+    assert np.allclose(imm.geometry().H, 0.0, atol=1e-14)
+    assert np.allclose(_conformal_mean_curvature(imm, metric), 0.0, atol=1e-14)
     report = sub.check_minimality(imm, metric, 1e-8)
     assert report.passed and report.max_residual < 1e-12
 
 
 def test_conformal_sff(cap_b4, metric_zero4):
     imm, metric = cap_b4.immersion, cap_b4.metric
-    s = imm.interior[3]
-    alpha, H, Hc = sub.fundamental_forms(s, metric)
+    geo = imm.geometry()
     # zero exponent: unchanged
-    at0 = sub.conformal_sff(alpha, s, metric_zero4)
-    assert np.allclose(at0, alpha)
+    at0 = sub.conformal_sff(imm, metric_zero4)
+    assert at0.shape == geo.alpha.shape
+    assert np.allclose(at0, geo.alpha)
     # radial exponent on the equatorial disk: normal gradient vanishes
-    at = sub.conformal_sff(alpha, s, metric)
+    at = sub.conformal_sff(imm, metric)
     assert np.max(np.abs(at)) < 1e-14
     # trace law against the conformal mean curvature
-    frame = sub.adapted_frame(s)
-    tr = frame.normal.T @ np.einsum("iir->r", at)
-    assert np.allclose(tr, np.exp(2 * metric.field.value(s.x)) * Hc, atol=1e-12)
+    tr = np.einsum("miir,mrx->mx", at, geo.normal)
+    want = np.exp(2 * metric.field.value(imm.xs))[:, None] * _conformal_mean_curvature(imm, metric)
+    assert np.allclose(tr, want, atol=1e-12)
 
 
 def test_conformal_sff_closure_via_connection(custom_b4):
@@ -115,21 +125,21 @@ def test_conformal_sff_closure_via_connection(custom_b4):
     imm, metric = custom_b4.immersion, custom_b4.metric
     from fbstab import conformal
 
+    sff = sub.conformal_sff(imm, metric)
+    normal = imm.geometry().normal
     for i in (0, 11, 101):
-        s = imm.interior[i]
-        frame = sub.adapted_frame(s)
-        alpha, _, _ = sub.fundamental_forms(s, metric)
-        want = sub.conformal_sff(alpha, s, metric)
+        x, J, Hchart = imm.xs[i], imm.Js[i], imm.Hs[i]
+        want = sff[i]
         k = imm.k
-        C = np.linalg.inv(np.linalg.qr(s.J)[1])
-        C = C * np.sign(np.diag(np.linalg.qr(s.J)[1]))[None, :]
+        C = np.linalg.inv(np.linalg.qr(J)[1])
+        C = C * np.sign(np.diag(np.linalg.qr(J)[1]))[None, :]
         got = np.zeros_like(want)
         for a in range(k):
             for b in range(k):
-                corr = conformal.connection_correction(metric.field, s.x, s.J[:, a], s.J[:, b])
-                vec = s.Hchart[a, b] + corr
+                corr = conformal.connection_correction(metric.field, x, J[:, a], J[:, b])
+                vec = Hchart[a, b] + corr
                 got += np.einsum(
-                    "r,i,j->ijr", frame.normal @ vec, C[a], C[b]
+                    "r,i,j->ijr", normal[i] @ vec, C[a], C[b]
                 )
         assert np.max(np.abs(got - want)) < 1e-8
 

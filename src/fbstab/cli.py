@@ -227,33 +227,35 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, scenario_flag=True):
+    def common(p, scenario_flag=True, seed=False, tol=False):
         p.add_argument("--config", help="JSON configuration document")
-        p.add_argument("--seed", type=int, default=None, help="random seed")
         p.add_argument("--out", help="output directory for reports")
-        p.add_argument("--format", choices=("json", "csv", "text"), default="json")
-        p.add_argument("--tol", type=float, default=None,
-                       help="override the command's primary tolerance")
         if scenario_flag:
             p.add_argument("--scenario", help="registry scenario name")
+        if seed:
+            p.add_argument("--seed", type=int, default=None, help="random seed")
+        if tol:
+            p.add_argument("--tol", type=float, default=None,
+                           help="override the command's primary tolerance")
 
     p_verify = sub.add_parser("verify", help="run verification suites")
-    common(p_verify, scenario_flag=False)
+    common(p_verify, scenario_flag=False, seed=True)
+    p_verify.add_argument("--format", choices=("json", "csv", "text"), default="json")
     p_verify.add_argument("--suite", choices=sc.SUITE_NAMES, default=None,
                           help="run a single suite (default: all)")
     p_verify.set_defaults(fn=_cmd_verify)
 
     p_stab = sub.add_parser("stability", help="run one instability certificate")
-    common(p_stab)
+    common(p_stab, seed=True, tol=True)
     p_stab.set_defaults(fn=_cmd_stability)
 
     p_conv = sub.add_parser("convexity", help="boundary convexity report")
-    common(p_conv)
+    common(p_conv, seed=True, tol=True)
     p_conv.add_argument("--p", type=int, default=None, help="convexity order p")
     p_conv.set_defaults(fn=_cmd_convexity)
 
     p_flow = sub.add_parser("flow", help="run the descent solver")
-    common(p_flow)
+    common(p_flow, tol=True)
     p_flow.set_defaults(fn=_cmd_flow)
 
     p_dump = sub.add_parser("dump", help="per-sample CSV trace dump")

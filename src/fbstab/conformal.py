@@ -109,11 +109,6 @@ def min_sectional_curvature(field: ScalarField, xs) -> np.ndarray:
     return np.exp(-2.0 * u) * (lam[:, 0] + lam[:, 1] - np.sum(g * g, axis=1))
 
 
-def volume_factor(field: ScalarField, x, k: int) -> float:
-    """Density e^{k u(x)} of the rescaled k-dimensional measure."""
-    return float(np.exp(k * field.value(x)))
-
-
 def christoffel(field: ScalarField, x) -> np.ndarray:
     """Christoffel symbols Gamma^c_{ab} of e^{2u} * Euclidean at x.
 

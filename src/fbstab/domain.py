@@ -213,7 +213,7 @@ def _check_p(domain: LevelSetDomain, p: int):
 
 
 def _swept_margin(domain: LevelSetDomain, p: int, metric: ConformalMetric | None,
-                  pts: Array, kappa: Array, polish: bool) -> tuple[float, Array]:
+                  pts: Array, kappa: Array) -> tuple[float, Array]:
     """Minimum over the sweep of the sum of the p smallest curvatures, then a
     Nelder-Mead polish over directions.  Each trial point is a Newton
     projection from the worst sweep point's radius along the trial direction;
@@ -221,44 +221,42 @@ def _swept_margin(domain: LevelSetDomain, p: int, metric: ConformalMetric | None
     sums = np.sum(kappa[:, :p], axis=1)
     worst = int(np.argmin(sums))
     margin, worst_point = float(sums[worst]), pts[worst]
-    if polish:
-        radius = np.linalg.norm(worst_point)
+    radius = np.linalg.norm(worst_point)
 
-        def boundary_point(v):
-            return project_to_boundary(domain, radius * (v / np.linalg.norm(v)))
+    def boundary_point(v):
+        return project_to_boundary(domain, radius * (v / np.linalg.norm(v)))
 
-        def objective(v):
-            if np.linalg.norm(v) < 1e-8:
-                return margin + 1.0
-            try:
-                return float(np.sum(principal_curvatures(domain, boundary_point(v), metric)[:p]))
-            except (ProjectionError, DomainError):
-                return margin + 1.0
+    def objective(v):
+        if np.linalg.norm(v) < 1e-8:
+            return margin + 1.0
+        try:
+            return float(np.sum(principal_curvatures(domain, boundary_point(v), metric)[:p]))
+        except (ProjectionError, DomainError):
+            return margin + 1.0
 
-        res = optimize.minimize(objective, worst_point / radius, method="Nelder-Mead",
-                                options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 400})
-        if res.fun < margin - POLISH_GAIN * max(1.0, abs(margin)):
-            margin = float(res.fun)
-            worst_point = boundary_point(res.x)
+    res = optimize.minimize(objective, worst_point / radius, method="Nelder-Mead",
+                            options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 400})
+    if res.fun < margin - POLISH_GAIN * max(1.0, abs(margin)):
+        margin = float(res.fun)
+        worst_point = boundary_point(res.x)
     return margin, worst_point
 
 
 def p_convexity_margin(domain: LevelSetDomain, p: int,
                        metric: ConformalMetric | None = None,
-                       count: int = 2048, seed: int = 0,
-                       polish: bool = True) -> tuple[float, Array]:
+                       count: int = 2048, seed: int = 0) -> tuple[float, Array]:
     """Sampled lower envelope of the sum of the p smallest principal curvatures.
 
-    Returns ``(margin, worst_point)``.  ``polish`` runs a derivative-free
-    local refinement from the worst sampled direction (deterministic).
+    Returns ``(margin, worst_point)``, refined by a derivative-free local
+    polish from the worst sampled direction (deterministic).
     """
     _check_p(domain, p)
     pts = sample_boundary(domain, count, seed)
-    return _swept_margin(domain, p, metric, pts, principal_curvatures(domain, pts, metric), polish)
+    return _swept_margin(domain, p, metric, pts, principal_curvatures(domain, pts, metric))
 
 
 def convexity_report(domain: LevelSetDomain, field: ScalarField, p: int,
-                     count: int = 2048, seed: int = 0, polish: bool = True) -> ConvexityReport:
+                     count: int = 2048, seed: int = 0) -> ConvexityReport:
     """Margins in both the Euclidean and the rescaled metric, plus the
     exterior normal derivative range of u, from one boundary sweep and one
     eigensolve per point."""
@@ -266,9 +264,9 @@ def convexity_report(domain: LevelSetDomain, field: ScalarField, p: int,
     pts = sample_boundary(domain, count, seed)
     kappa = principal_curvatures(domain, pts)
     scale, eta_u = _conformal_terms(domain, field, pts)
-    margin_g, worst_g = _swept_margin(domain, p, None, pts, kappa, polish)
+    margin_g, worst_g = _swept_margin(domain, p, None, pts, kappa)
     margin_gt, worst_gt = _swept_margin(domain, p, ConformalMetric(field, domain.n), pts,
-                                        scale[:, None] * (kappa - eta_u[:, None]), polish)
+                                        scale[:, None] * (kappa - eta_u[:, None]))
     return ConvexityReport(p=p, margin_g=margin_g, margin_gtilde=margin_gt,
                            worst_point_g=worst_g, worst_point_gtilde=worst_gt,
                            nu_u_range=(float(np.min(-eta_u)), float(np.max(-eta_u))),

@@ -18,6 +18,10 @@ fields have O(r^m) content there, so the direction field is low-pass
 filtered per ring with a cutoff proportional to the radius before stepping,
 and the grid exposes the matching explicit-Euler step limit.
 
+A ``FlowState`` carries the immersion of its grid: each step takes its
+direction from it and hands on the accepted trial's immersion, so every
+accepted grid is built and measured once.
+
 Free boundary critical points in a ball are saddle points: a disk lowers
 volume by sliding its rim toward a pole, so an untempered boundary speed
 drags the rim away before the interior has relaxed.  ``boundary_rate``
@@ -27,6 +31,7 @@ so the interior residual reaches its target first.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,7 +45,9 @@ from .submanifold import (
     boundary_defects,
     integrate_boundary,
     integrate_interior,
+    mean_curvature_bracket,
     minimality_residuals,
+    polar_conormals,
     volume,
 )
 
@@ -121,11 +128,7 @@ class PolarGrid:
         return grid
 
     def with_positions(self, positions: Array) -> "PolarGrid":
-        out = PolarGrid.__new__(PolarGrid)
-        out.n, out.nr, out.ntheta = self.n, self.nr, self.ntheta
-        out.rs, out.wr, out.theta = self.rs, self.wr, self.theta
-        out.D, out.D2 = self.D, self.D2
-        out.dt_stable = self.dt_stable
+        out = copy.copy(self)
         out.positions = np.asarray(positions, float)
         return out
 
@@ -150,17 +153,11 @@ class PolarGrid:
         Hs[:, 1, 1] = P_tt[:nr].reshape(-1, n)
         ws = np.repeat(self.wr, ntheta) * wt
 
-        bxs = self.positions[nr]
-        bt = P_t[nr]
-        t_norm = np.linalg.norm(bt, axis=1, keepdims=True)
-        t_hat = bt / t_norm
-        d = P_r[nr]
-        nu = d - np.sum(d * t_hat, axis=1, keepdims=True) * t_hat
-        nu /= np.linalg.norm(nu, axis=1, keepdims=True)
-        bJs = np.stack([P_r[nr], bt], axis=2)
-        bws = t_norm[:, 0] * wt
+        bJs = np.stack([P_r[nr], P_t[nr]], axis=2)
+        bws = np.linalg.norm(P_t[nr], axis=1) * wt
         return SampledImmersion(
-            2, n, xs, Js, Hs, ws, bxs, bJs, bws, nu, validate=validate
+            2, n, xs, Js, Hs, ws, self.positions[nr], bJs, bws, polar_conormals(bJs),
+            validate=validate,
         )
 
 
@@ -172,11 +169,8 @@ def first_variation_direction(imm: SampledImmersion, metric: ConformalMetric,
     variation is -|H~|^2 <= 0).  Boundary: minus the rescaled conormal,
     projected onto the ambient boundary's tangent space.
     """
-    geo = imm.geometry()
-    g = metric.field.gradient(imm.xs)
-    gperp = np.einsum("mrx,mr->mx", geo.normal, np.einsum("mrx,mx->mr", geo.normal, g))
-    u = metric.field.value(imm.xs)
-    interior = np.exp(-2.0 * u)[:, None] * (geo.H - imm.k * gperp)
+    u, bracket = mean_curvature_bracket(imm, metric)
+    interior = np.exp(-2.0 * u)[:, None] * bracket
     if imm.n_boundary:
         u_b = metric.field.value(imm.bxs)
         nhat = outward_normal(domain, imm.bxs)
@@ -191,11 +185,8 @@ def first_variation_value(imm: SampledImmersion, metric: ConformalMetric,
                           interior_dirs, boundary_dirs) -> float:
     """Pairing of a variation field with the first variation of volume:
     -int <X, H~> dV + int <X, nu~> dA in the rescaled metric."""
-    geo = imm.geometry()
-    g = metric.field.gradient(imm.xs)
-    gperp = np.einsum("mrx,mr->mx", geo.normal, np.einsum("mrx,mx->mr", geo.normal, g))
-    u = metric.field.value(imm.xs)
-    H_conf = np.exp(-2.0 * u)[:, None] * (geo.H - imm.k * gperp)
+    u, bracket = mean_curvature_bracket(imm, metric)
+    H_conf = np.exp(-2.0 * u)[:, None] * bracket
     fac = metric.factor(imm.xs)
     vals = -fac * np.sum(np.asarray(interior_dirs) * H_conf, axis=1)
     total = integrate_interior(imm, vals, metric)
@@ -210,7 +201,6 @@ def first_variation_value(imm: SampledImmersion, metric: ConformalMetric,
 @dataclass(frozen=True)
 class FlowConfig:
     dt: float | None = None           # None: half the grid's stability limit
-    dt_max: float | None = None       # None: the grid's stability limit
     max_iter: int = 5000
     tol: float = 1e-3                 # target max |H~|
     boundary_tol: float = 1e-2        # target max angle defect
@@ -222,6 +212,7 @@ class FlowConfig:
 @dataclass(frozen=True)
 class FlowState:
     grid: PolarGrid
+    immersion: SampledImmersion       # of ``grid``
     step: float
     iteration: int
     volume: float
@@ -260,31 +251,30 @@ def _measurements(grid: PolarGrid, metric: ConformalMetric, domain: LevelSetDoma
 
 def flow_state(grid: PolarGrid, metric: ConformalMetric, domain: LevelSetDomain,
                dt: float | None = None) -> FlowState:
-    _, vol, res, defect = _measurements(grid, metric, domain)
+    imm, vol, res, defect = _measurements(grid, metric, domain)
     if dt is None:
         dt = 0.5 * grid.dt_stable
-    return FlowState(grid, dt, 0, vol, res, defect, ((res, defect),))
+    return FlowState(grid, imm, dt, 0, vol, res, defect, ((res, defect),))
 
 
 def flow_step(state: FlowState, metric: ConformalMetric, domain: LevelSetDomain,
               config: FlowConfig | None = None) -> FlowState:
     """One explicit-Euler step with boundary re-projection and volume
-    backtracking: the accepted rescaled volume never grows beyond the slack."""
+    backtracking: the accepted rescaled volume never grows beyond the slack.
+    The step size never exceeds the grid's ``dt_stable``."""
     cfg = config or FlowConfig()
     grid = state.grid
-    dt_max = cfg.dt_max if cfg.dt_max is not None else grid.dt_stable
-    imm = grid.immersion()
-    direction = _grid_direction(grid, imm, metric, domain, cfg.boundary_rate)
-    dt = min(state.step, dt_max)
+    direction = _grid_direction(grid, state.immersion, metric, domain, cfg.boundary_rate)
+    dt = min(state.step, grid.dt_stable)
     for _ in range(cfg.max_backtracks + 1):
         trial = grid.positions + dt * direction
         trial[grid.nr] = project_to_boundary(domain, trial[grid.nr], tol=1e-12)
         new_grid = grid.with_positions(trial)
-        _, vol, res, defect = _measurements(new_grid, metric, domain)
+        imm, vol, res, defect = _measurements(new_grid, metric, domain)
         if vol <= state.volume + cfg.volume_slack:
-            next_dt = min(dt * 1.15, dt_max) if dt == state.step else dt
+            next_dt = min(dt * 1.15, grid.dt_stable) if dt == state.step else dt
             return FlowState(
-                new_grid, next_dt, state.iteration + 1, vol, res, defect,
+                new_grid, imm, next_dt, state.iteration + 1, vol, res, defect,
                 state.residual_history + ((res, defect),),
             )
         dt *= 0.5

@@ -200,9 +200,11 @@ def _registry() -> dict[str, Scenario]:
         field_spec={"name": "radial-spherical"},
         immersion_spec={"kind": "equatorial-disk"},
     )
+    # ellipsoid(2,1,1) with its long axis on x3: the equatorial unit disk is
+    # its waist and meets the boundary orthogonally
     reg["ellipsoid-211"] = Scenario(
         name="ellipsoid-211", n=3, k=2,
-        domain_spec={"kind": "ellipsoid", "semi_axes": [2.0, 1.0, 1.0]},
+        domain_spec={"kind": "ellipsoid", "semi_axes": [1.0, 1.0, 2.0]},
         field_spec={"name": "zero"},
         immersion_spec={"kind": "equatorial-disk"},
         expected={"margin_p1": {"value": 0.25, "tol": 1e-3, "kind": "derived"}},

@@ -200,44 +200,45 @@ def conformal_sff(imm: SampledImmersion, metric: ConformalMetric) -> Array:
 
 def volume(imm: SampledImmersion, metric: ConformalMetric | None = None) -> float:
     """k-volume: sum of w * sqrt(det J^T J) * e^{k u} over interior samples."""
-    geo = imm.geometry()
-    dens = imm.ws * geo.jacobian_factor
-    if metric is not None:
-        dens = dens * np.exp(imm.k * metric.field.value(imm.xs))
-    return float(np.sum(dens))
+    return integrate_interior(imm, 1.0, metric)
 
 
 def boundary_volume(imm: SampledImmersion, metric: ConformalMetric | None = None) -> float:
     """(k-1)-volume of the boundary; weights already carry Euclidean measure."""
-    dens = imm.bws
-    if metric is not None:
-        dens = dens * np.exp((imm.k - 1) * metric.field.value(imm.bxs))
-    return float(np.sum(dens))
+    return integrate_boundary(imm, 1.0, metric)
 
 
 def integrate_interior(imm, values, metric=None) -> float:
     """Integrate per-sample values against the induced k-measure."""
-    geo = imm.geometry()
-    dens = imm.ws * geo.jacobian_factor
+    dens = imm.ws * imm.geometry().jacobian_factor
     if metric is not None:
-        dens = dens * np.exp(imm.k * metric.field.value(imm.xs))
+        dens = dens * metric.volume_scale(imm.xs, imm.k)
     return float(np.sum(dens * np.asarray(values, float)))
 
 
 def integrate_boundary(imm, values, metric=None) -> float:
     dens = imm.bws
     if metric is not None:
-        dens = dens * np.exp((imm.k - 1) * metric.field.value(imm.bxs))
+        dens = dens * metric.volume_scale(imm.bxs, imm.k - 1)
     return float(np.sum(dens * np.asarray(values, float)))
+
+
+def mean_curvature_bracket(imm: SampledImmersion, metric: ConformalMetric):
+    """``(u, H - k grad^perp u)`` at the interior samples.
+
+    The rescaled mean curvature vector is e^{-2u} times the bracket, and its
+    g~-norm is e^{-u} times the bracket's Euclidean norm.
+    """
+    geo = imm.geometry()
+    g = metric.field.gradient(imm.xs)
+    gperp = np.einsum("mrx,mr->mx", geo.normal, np.einsum("mrx,mx->mr", geo.normal, g))
+    return metric.field.value(imm.xs), geo.H - imm.k * gperp
 
 
 def minimality_residuals(imm: SampledImmersion, metric: ConformalMetric) -> Array:
     """Pointwise |H~|_{g~} = e^{-u} |H - k grad^perp u| over interior samples."""
-    geo = imm.geometry()
-    g = metric.field.gradient(imm.xs)
-    gperp = np.einsum("mrx,mr->mx", geo.normal, np.einsum("mrx,mx->mr", geo.normal, g))
-    u = metric.field.value(imm.xs)
-    return np.exp(-u) * np.linalg.norm(geo.H - imm.k * gperp, axis=1)
+    u, bracket = mean_curvature_bracket(imm, metric)
+    return np.exp(-u) * np.linalg.norm(bracket, axis=1)
 
 
 def check_minimality(imm: SampledImmersion, metric: ConformalMetric, tol: float) -> ResidualReport:
@@ -284,6 +285,20 @@ def check_free_boundary(imm: SampledImmersion, domain, tol: float,
     return ResidualReport(
         "free-boundary", float(defects[worst]), float(tol), worst, imm.bxs[worst], defects
     )
+
+
+def polar_conormals(bJ: Array) -> Array:
+    """Outward unit conormals on the boundary ring of a polar chart, (mb, n).
+
+    The radial Jacobian column (column 0, increasing radius) is
+    orthogonalised against each angular column in turn and normalised; the
+    angular columns of the catalog charts are mutually orthogonal.
+    """
+    nu = bJ[:, :, 0]
+    for a in range(1, bJ.shape[2]):
+        t_hat = bJ[:, :, a] / np.linalg.norm(bJ[:, :, a], axis=1, keepdims=True)
+        nu = nu - np.sum(nu * t_hat, axis=1, keepdims=True) * t_hat
+    return nu / np.linalg.norm(nu, axis=1, keepdims=True)
 
 
 # ---------------------------------------------------------------------------
@@ -352,15 +367,8 @@ def _disk_graph(n, radius, psi, dpsi, d2psi, nr, ntheta, with_boundary=True):
 
     ones = np.ones(ntheta)
     bx, bJ, _ = chart(ones, theta)
-    # conormal from the chart: radial column orthogonalized against the
-    # boundary tangent, oriented outward (increasing r)
-    t_col = bJ[:, :, 1]
-    t_hat = t_col / np.linalg.norm(t_col, axis=1, keepdims=True)
-    d = bJ[:, :, 0]
-    nu = d - np.sum(d * t_hat, axis=1, keepdims=True) * t_hat
-    nu /= np.linalg.norm(nu, axis=1, keepdims=True)
-    bw = np.linalg.norm(t_col, axis=1) * wt
-    return SampledImmersion(2, n, xs, Js, Hs, ww, bx, bJ, bw, nu)
+    bw = np.linalg.norm(bJ[:, :, 1], axis=1) * wt
+    return SampledImmersion(2, n, xs, Js, Hs, ww, bx, bJ, bw, polar_conormals(bJ))
 
 
 def _equatorial_disk_k3(n, radius, nr, nphi, ntheta):
@@ -410,15 +418,7 @@ def _equatorial_disk_k3(n, radius, nr, nphi, ntheta):
     pb, tb = [a.ravel() for a in np.meshgrid(phi, theta, indexing="ij")]
     bx, bJ, _ = chart(np.ones(pb.shape[0]), pb, tb)
     bw = (wphi[:, None] * np.full(ntheta, wt)[None, :]).ravel() * radius**2 * np.sin(pb)
-    # conormal: radial chart direction orthogonalized against the boundary tangents
-    t1 = bJ[:, :, 1]
-    t2 = bJ[:, :, 2]
-    d = bJ[:, :, 0]
-    for tcol in (t1, t2):
-        that = tcol / np.linalg.norm(tcol, axis=1, keepdims=True)
-        d = d - np.sum(d * that, axis=1, keepdims=True) * that
-    nu = d / np.linalg.norm(d, axis=1, keepdims=True)
-    return SampledImmersion(3, n, xs, Js, Hs, ww, bx, bJ, bw, nu)
+    return SampledImmersion(3, n, xs, Js, Hs, ww, bx, bJ, bw, polar_conormals(bJ))
 
 
 def _const_graph_maps(n, height_vec):

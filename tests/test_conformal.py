@@ -8,7 +8,7 @@ from scipy.integrate import quad
 from conftest import random_orthonormal_pair, riemann_oracle
 from fbstab import conformal
 from fbstab.errors import PreconditionError
-from fbstab.fields import make_field
+from fbstab.fields import ConformalMetric, make_field
 
 
 def test_connection_correction_zero_field(rng):
@@ -150,21 +150,22 @@ def test_sectional_rejects_non_orthonormal(rng):
         conformal.sectional_curvature(field, np.zeros(3), np.eye(3)[0], np.eye(3)[0])
 
 
-def test_volume_factor():
-    zero = make_field("zero")
-    assert conformal.volume_factor(zero, np.zeros(3), 2) == 1.0
-    const = make_field("radial-custom", coeffs=[0.7])
-    assert np.isclose(conformal.volume_factor(const, np.ones(3), 2), np.exp(1.4))
+def test_volume_scale():
+    zero = ConformalMetric(make_field("zero"), 3)
+    assert zero.volume_scale(np.zeros(3), 2) == 1.0
+    const = ConformalMetric(make_field("radial-custom", coeffs=[0.7]), 3)
+    assert np.isclose(const.volume_scale(np.ones(3), 2), np.exp(1.4))
 
 
-def test_volume_factor_integrates_to_hemisphere_area():
+def test_volume_scale_integrates_to_hemisphere_area():
     # independent 1-d radial quadrature of the rescaled disk area
     integral, _ = quad(lambda r: (2.0 / (1 + r * r)) ** 2 * r, 0.0, 1.0)
     assert abs(2 * np.pi * integral - 2 * np.pi) < 1e-10
-    field = make_field("radial-spherical")
+    metric = ConformalMetric(make_field("radial-spherical"), 4)
     rs = np.linspace(0.05, 0.95, 19)
-    vals = [conformal.volume_factor(field, np.array([r, 0.0, 0.0, 0.0]), 2) for r in rs]
-    assert np.allclose(vals, (2.0 / (1 + rs**2)) ** 2)
+    xs = np.zeros((rs.size, 4))
+    xs[:, 0] = rs
+    assert np.allclose(metric.volume_scale(xs, 2), (2.0 / (1 + rs**2)) ** 2)
 
 
 _KMIN_FIELDS = [

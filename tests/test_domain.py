@@ -215,7 +215,7 @@ def test_margin_eigenvalue_sum_consistency():
 
 def test_superellipsoid_margin_nonnegative():
     se = dm.make_domain("superellipsoid", 3, exponent=2)
-    margin, _ = dm.p_convexity_margin(se, 1, count=256, seed=1, polish=False)
+    margin, _ = dm.p_convexity_margin(se, 1, count=256, seed=1)
     assert margin >= -1e-9
 
 

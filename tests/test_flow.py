@@ -77,6 +77,28 @@ def test_step_decreases_volume_and_projects_boundary():
     assert np.max(phi_vals) <= 1e-9
 
 
+def test_state_carries_the_accepted_immersion(monkeypatch):
+    """Each step builds only its trials: the state's immersion is reused as
+    the next step's starting point, and equals a fresh build bit for bit."""
+    builds = []
+    immersion = fl.PolarGrid.immersion
+
+    def counted(self, *args, **kwargs):
+        builds.append(self)
+        return immersion(self, *args, **kwargs)
+
+    monkeypatch.setattr(fl.PolarGrid, "immersion", counted)
+    state = fl.flow_state(bump_grid(), M3, DOM3)
+    for _ in range(10):
+        state = fl.flow_step(state, M3, DOM3)
+        fresh = immersion(state.grid)
+        carried = state.immersion
+        for name in ("xs", "bxs", "bnus"):
+            assert np.array_equal(getattr(carried, name), getattr(fresh, name))
+        assert np.array_equal(carried.geometry().H, fresh.geometry().H)
+    assert len(builds) == 11
+
+
 def test_backtracking_exhaustion_raises():
     grid = bump_grid()
     state = fl.flow_state(grid, M3, DOM3)

@@ -179,7 +179,7 @@ def test_one_boundary_sweep_per_certificate_and_convexity_verb(monkeypatch, tmp_
 
 
 def test_cli_dump(tmp_path):
-    for name in ("flat-disk-b4k2", "tilted-disk-b3", "paraboloid-b3"):
+    for name in ("flat-disk-b4k2", "tilted-disk-b3", "paraboloid-b3", "ellipsoid-211"):
         rc = cli.main(["dump", "--scenario", name, "--out", str(tmp_path)])
         assert rc == 0
         assert (tmp_path / f"samples-{name}.csv").exists()
@@ -193,6 +193,18 @@ def test_cli_config_errors(tmp_path):
     assert cli.main(["stability"]) == 2  # no scenario given
     bad.write_text(json.dumps({"certificate": [1, 2]}))
     assert cli.main(["stability", "--scenario", "flat-disk-b4k2", "--config", str(bad)]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["stability", "--scenario", "flat-disk-b4k2", "--format", "csv"],
+    ["dump", "--scenario", "flat-disk-b4k2", "--tol", "1"],
+    ["flow", "--scenario", "flow-bump-b3", "--seed", "1"],
+], ids=["stability-format", "dump-tol", "flow-seed"])
+def test_cli_rejects_flags_the_verb_ignores(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_cli_inline_scenario(tmp_path):

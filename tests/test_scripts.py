@@ -15,7 +15,11 @@ ROOT = Path(__file__).resolve().parent.parent
     # a flat start converges at once, so the certificate branch runs too
     ("flow_experiment.py", ["--n", "4", "--amplitude", "0", "--nr", "4", "--ntheta", "8",
                             "--max-iter", "50"], "certificate on the converged immersion"),
-], ids=["certificate_sweep", "flow_experiment"])
+    # a perturbed start that takes a few hundred steps before the certificate
+    ("flow_experiment.py", ["--n", "4", "--field", "radial-spherical", "--mode", "sin",
+                            "--amplitude", "0.05", "--nr", "4", "--ntheta", "8",
+                            "--max-iter", "400"], "verdict=unstable-certified"),
+], ids=["certificate_sweep", "flow_experiment", "flow_experiment_steps"])
 def test_script_runs(script, args, expect, tmp_path):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}

@@ -12,7 +12,7 @@ only environment the tool reads is the command line.
 from __future__ import annotations
 
 import argparse
-import dataclasses
+import inspect
 import json
 import sys
 from pathlib import Path
@@ -22,7 +22,7 @@ from . import flow as flow_mod
 from . import scenarios as sc
 from . import variation as var
 from .errors import ConfigError, GeometryError
-from .fields import ConformalMetric
+from .submanifold import immersion_to_json
 
 
 def _load_config(path: str | None) -> dict:
@@ -38,19 +38,23 @@ def _load_config(path: str | None) -> dict:
     return cfg
 
 
-def _section(cfg: dict, name: str) -> dict:
+def _section(cfg: dict, name: str, keys) -> dict:
+    """The ``name`` block of the config, naming any key outside ``keys``."""
     options = cfg.get(name, {})
     if not isinstance(options, dict):
         raise ConfigError(f"config section {name!r} must be a JSON object")
+    unknown = sorted(set(options) - set(keys))
+    if unknown:
+        raise ConfigError(f"unknown {name} option(s): {', '.join(unknown)}")
     return options
 
 
-def _make_config(cls, section: str, options: dict):
-    """``cls(**options)``, naming any key the dataclass does not have."""
-    unknown = sorted(set(options) - {f.name for f in dataclasses.fields(cls)})
-    if unknown:
-        raise ConfigError(f"unknown {section} option(s): {', '.join(unknown)}")
-    return cls(**options)
+def _load_scenario(args) -> tuple[dict, sc.Scenario, sc.BuiltScenario]:
+    """The config, the scenario it or ``--scenario`` names, and its build."""
+    cfg = _load_config(args.config)
+    scenario = _resolve_scenario(args, cfg)
+    quadrature = _section(cfg, "quadrature", sc.QUADRATURE_KEYS)
+    return cfg, scenario, sc.build_scenario(scenario, quadrature)
 
 
 def _resolve_scenario(args, cfg) -> sc.Scenario:
@@ -94,7 +98,7 @@ def _cmd_verify(args) -> int:
     cfg = _load_config(args.config)
     seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
     suites = [args.suite] if args.suite else cfg.get("suites", list(sc.SUITE_NAMES))
-    result = sc.run_suite(tuple(suites), seed=seed, quadrature=cfg.get("quadrature"))
+    result = sc.run_suite(tuple(suites), seed, _section(cfg, "quadrature", sc.QUADRATURE_KEYS))
     fmt = args.format
     data = sc.emit_report(result, fmt)
     _write(args.out, f"report.{ 'txt' if fmt == 'text' else fmt }", data)
@@ -104,11 +108,11 @@ def _cmd_verify(args) -> int:
     return 0 if result.all_passed else 1
 
 
-def _expected_failures(report_dict: dict, expected: dict, tol_override=None) -> list[str]:
+def _expected_failures(report_dict: dict, expected: dict) -> list[str]:
     failures = []
     for key, spec in expected.items():
         want = spec["value"]
-        tol = tol_override if tol_override is not None else spec.get("tol")
+        tol = spec.get("tol", 1e-9)
         have = {
             "traced_total": report_dict.get("traced_total"),
             "bound_lhs": report_dict.get("traced_interior"),
@@ -120,20 +124,18 @@ def _expected_failures(report_dict: dict, expected: dict, tol_override=None) -> 
         if isinstance(want, str):
             if have != want:
                 failures.append(f"{key}: got {have!r}, want {want!r}")
-        elif abs(have - want) > (tol if tol is not None else 1e-9):
+        elif abs(have - want) > tol:
             failures.append(f"{key}: got {have:.8e}, want {want:.8e} (tol {tol:g})")
     return failures
 
 
 def _cmd_stability(args) -> int:
-    cfg = _load_config(args.config)
-    scenario = _resolve_scenario(args, cfg)
-    built = sc.build_scenario(scenario, cfg.get("quadrature"))
-    cert_cfg = _section(cfg, "certificate")
+    cfg, scenario, built = _load_scenario(args)
+    cert_cfg = _section(cfg, "certificate", inspect.signature(var.CertificateConfig).parameters)
     if args.tol is not None:
         cert_cfg = {**cert_cfg, "certify_tol": args.tol}
     seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
-    config = _make_config(var.CertificateConfig, "certificate", {"seed": seed, **cert_cfg})
+    config = var.CertificateConfig(**{"seed": seed, **cert_cfg})
     report = var.instability_certificate(built.immersion, built.metric, built.domain, config)
     doc = report.to_dict()
     doc["scenario"] = scenario.name
@@ -149,12 +151,10 @@ def _cmd_stability(args) -> int:
 
 
 def _cmd_convexity(args) -> int:
-    cfg = _load_config(args.config)
-    scenario = _resolve_scenario(args, cfg)
-    built = sc.build_scenario(scenario, cfg.get("quadrature"))
+    cfg, scenario, built = _load_scenario(args)
     p = args.p if args.p is not None else (scenario.p or scenario.n - scenario.k)
     seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
-    count = int(cfg.get("convexity", {}).get("samples", 1024))
+    count = int(_section(cfg, "convexity", ("samples",)).get("samples", 1024))
     report = domain_mod.convexity_report(built.domain, built.metric.field, p,
                                          count=count, seed=seed)
     doc = {**report.to_dict(), "scenario": scenario.name,
@@ -162,26 +162,22 @@ def _cmd_convexity(args) -> int:
     _write(args.out, f"convexity-{scenario.name}.json", _emit_json(doc))
     print(f"scenario {scenario.name}: p={p} margin_g={report.margin_g:.6e} "
           f"margin_gtilde={report.margin_gtilde:.6e} gate={doc['gate']}")
-    failures = []
     exp = scenario.expected.get("margin_p1")
     if exp and p == 1:
         tol = args.tol if args.tol is not None else exp["tol"]
         if abs(report.margin_g - exp["value"]) > tol:
-            failures.append("margin_p1")
-    for f in failures:
-        print(f"  assertion failed: {f}")
-    return 1 if failures else 0
+            print("  assertion failed: margin_p1")
+            return 1
+    return 0
 
 
 def _cmd_flow(args) -> int:
-    cfg = _load_config(args.config)
-    scenario = _resolve_scenario(args, cfg)
-    built = sc.build_scenario(scenario, cfg.get("quadrature"))
+    cfg, scenario, built = _load_scenario(args)
     grid = sc.flow_grid_for(scenario)
-    flow_cfg = dict(_section(cfg, "flow"))
+    flow_cfg = dict(_section(cfg, "flow", inspect.signature(flow_mod.FlowConfig).parameters))
     if args.tol is not None:
         flow_cfg["tol"] = args.tol
-    config = _make_config(flow_mod.FlowConfig, "flow", flow_cfg)
+    config = flow_mod.FlowConfig(**flow_cfg)
     final, converged, state = flow_mod.run_flow(grid, built.metric, built.domain, config)
     doc = {
         "schema": "fbstab-flow/1",
@@ -198,8 +194,6 @@ def _cmd_flow(args) -> int:
             f"{i},{r!r},{d!r}" for i, (r, d) in enumerate(state.residual_history)
         ) + "\n"
         _write(args.out, f"flow-{scenario.name}-history.csv", hist.encode())
-        from .submanifold import immersion_to_json
-
         _write(args.out, f"flow-{scenario.name}-final.json",
                (immersion_to_json(final) + "\n").encode())
     print(f"scenario {scenario.name}: converged={converged} after {state.iteration} "
@@ -208,9 +202,7 @@ def _cmd_flow(args) -> int:
 
 
 def _cmd_dump(args) -> int:
-    cfg = _load_config(args.config)
-    scenario = _resolve_scenario(args, cfg)
-    built = sc.build_scenario(scenario, cfg.get("quadrature"))
+    _, scenario, built = _load_scenario(args)
     data = sc.sample_dump_csv(built)
     if args.out:
         _write(args.out, f"samples-{scenario.name}.csv", data)

@@ -32,6 +32,8 @@ from .submanifold import SampledImmersion, make_immersion
 REPORT_SCHEMA = "fbstab-report/1"
 
 SUITE_NAMES = ("identities", "traces", "bounds", "certificate", "flow")
+# immersion resolutions a ``quadrature`` override may set
+QUADRATURE_KEYS = ("nr", "ntheta", "nphi", "nodes_per_axis")
 
 
 @dataclass(frozen=True)
@@ -86,7 +88,7 @@ def build_scenario(sc: Scenario | str, quadrature: dict | None = None) -> BuiltS
     if kind == "random-graph":
         imm_spec.setdefault("seed", sc.seed)
     if quadrature:
-        for key in ("nr", "ntheta", "nphi", "nodes_per_axis"):
+        for key in QUADRATURE_KEYS:
             if key in quadrature:
                 imm_spec[key] = quadrature[key]
     imm = make_immersion(kind, **imm_spec)
@@ -567,12 +569,8 @@ def _suite_bounds(col: _Collector, seed: int, quadrature):
             col.require("flat-disk-b4k2", "interior-bound-dimension-gate", True)
 
 
-def _certificate_config(seed: int) -> var.CertificateConfig:
-    return var.CertificateConfig(seed=seed)
-
-
 def _suite_certificate(col: _Collector, seed: int, quadrature):
-    cfg = _certificate_config(seed)
+    cfg = var.CertificateConfig(seed=seed)
     for name in _CERT_SCENARIOS:
         with col.guard(name, "certificate"):
             built = build_scenario(name, quadrature)

@@ -196,6 +196,37 @@ def test_polish_keeps_sweep_point_on_ties():
     assert np.any(np.all(pts == worst, axis=1))
 
 
+def test_polish_is_resolution_independent():
+    """A coarse and a fine sweep polish to the same minimum, each at or below
+    its own sweep minimum."""
+    ell = dm.make_domain("ellipsoid", 5, semi_axes=[1.5, 1.2, 1.0, 0.9, 0.8])
+    metric = ConformalMetric(make_field("linear", a=[0.3, -0.2, 0.1, 0.05, 0.2]), 5)
+    margins = []
+    for count in (256, 1024):
+        margin, _ = dm.p_convexity_margin(ell, 3, metric, count=count, seed=0)
+        pts = dm.sample_boundary(ell, count, 0)
+        assert margin <= np.min(np.sum(dm.principal_curvatures(ell, pts, metric)[:, :3], axis=1))
+        margins.append(margin)
+    assert abs(margins[0] - margins[1]) < 1e-9
+
+
+def test_polish_calls_are_batched(monkeypatch):
+    """Every curvature evaluation and projection of a convexity report takes
+    more than one point: one for the sweep, one per polish round and metric."""
+    sizes = {"principal_curvatures": [], "project_to_boundary": []}
+    for name, calls in sizes.items():
+        def counted(domain, x, *args, _real=getattr(dm, name), _calls=calls, **kwargs):
+            _calls.append(np.shape(x))
+            return _real(domain, x, *args, **kwargs)
+        monkeypatch.setattr(dm, name, counted)
+    ell = dm.make_domain("ellipsoid", 4, semi_axes=[2.0, 1.2, 1.0, 0.9])
+    field = make_field("radial-custom", coeffs=[0.1, 0.3, -0.15])
+    dm.convexity_report(ell, field, p=1, count=256, seed=0)
+    for calls in sizes.values():
+        assert all(len(shape) == 2 and shape[0] > 1 for shape in calls)
+        assert len(calls) == 1 + 2 * dm.POLISH_ROUNDS
+
+
 def test_margin_eigenvalue_sum_consistency():
     """Over the whole sweep the p-sums of the sorted curvatures are monotone
     in p, and the rescaled curvatures from the conformal law match the

@@ -185,7 +185,7 @@ def test_cli_dump(tmp_path):
         assert (tmp_path / f"samples-{name}.csv").exists()
 
 
-def test_cli_config_errors(tmp_path):
+def test_cli_config_errors(tmp_path, capsys):
     assert cli.main(["verify", "--config", "/nonexistent.json"]) == 2
     bad = tmp_path / "bad.json"
     bad.write_text("[1, 2]")
@@ -193,6 +193,20 @@ def test_cli_config_errors(tmp_path):
     assert cli.main(["stability"]) == 2  # no scenario given
     bad.write_text(json.dumps({"certificate": [1, 2]}))
     assert cli.main(["stability", "--scenario", "flat-disk-b4k2", "--config", str(bad)]) == 2
+    # non-object blocks and unknown keys in the convexity and quadrature blocks
+    for verb, doc, key in (
+        ("convexity", {"convexity": [1]}, "'convexity' must be a JSON object"),
+        ("convexity", {"convexity": {"sample": 64}}, "sample"),
+        ("convexity", {"quadrature": {"n_r": 8}}, "n_r"),
+        ("dump", {"quadrature": [8]}, "'quadrature' must be a JSON object"),
+        ("verify", {"quadrature": {"n_r": 8}}, "n_r"),
+    ):
+        bad.write_text(json.dumps(doc))
+        capsys.readouterr()
+        argv = [verb, "--config", str(bad)] + ([] if verb == "verify" else
+                                               ["--scenario", "ellipsoid-211"])
+        assert cli.main(argv) == 2
+        assert key in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [
@@ -223,3 +237,16 @@ def test_cli_inline_scenario(tmp_path):
     assert rc == 0
     doc = json.loads((tmp_path / "stability-inline-cap.json").read_text())
     assert doc["verdict"] == "unstable-certified"
+
+
+def test_cli_expected_value_without_tol(tmp_path, capsys):
+    """An expected value with no ``tol`` is compared at 1e-9 and reported."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "scenario": {"name": "inline-flat", "n": 4, "k": 2,
+                     "immersion": {"kind": "equatorial-disk", "nr": 8, "ntheta": 16},
+                     "expected": {"traced_total": {"value": 1.0}}},
+        "certificate": {"curvature_points": 500, "convexity_samples": 64},
+    }))
+    assert cli.main(["stability", "--config", str(cfg)]) == 1
+    assert "traced_total: got" in capsys.readouterr().out

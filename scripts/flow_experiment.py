@@ -69,9 +69,9 @@ def main():
         out.mkdir(parents=True, exist_ok=True)
         with open(out / "residuals.csv", "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(["iteration", "mean_curvature_residual", "boundary_defect"])
-            for i, (r, d) in enumerate(state.residual_history):
-                writer.writerow([i, repr(float(r)), repr(float(d))])
+            writer.writerow(["iteration", "residual", "defect", "volume", "dt", "backtracks"])
+            for i, row in enumerate(state.residual_history):
+                writer.writerow([i] + [repr(v) for v in row])
         (out / "final-immersion.json").write_text(sub.immersion_to_json(imm))
         print(f"wrote {out / 'residuals.csv'} and {out / 'final-immersion.json'}")
 

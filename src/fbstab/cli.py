@@ -190,8 +190,9 @@ def _cmd_flow(args) -> int:
     }
     _write(args.out, f"flow-{scenario.name}.json", _emit_json(doc))
     if args.out:
-        hist = "iteration,residual,defect\n" + "\n".join(
-            f"{i},{r!r},{d!r}" for i, (r, d) in enumerate(state.residual_history)
+        hist = "iteration,residual,defect,volume,dt,backtracks\n" + "\n".join(
+            ",".join([str(i)] + [repr(v) for v in row])
+            for i, row in enumerate(state.residual_history)
         ) + "\n"
         _write(args.out, f"flow-{scenario.name}-history.csv", hist.encode())
         _write(args.out, f"flow-{scenario.name}-final.json",

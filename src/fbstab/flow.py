@@ -11,22 +11,29 @@ The descent direction is the rescaled mean curvature vector in the interior
 moving with the mean curvature vector shrinks volume) and, on the boundary
 ring, the part of the negative rescaled conormal tangent to the ambient
 boundary (admissible boundary variations slide along it).  Steps are
-explicit Euler with volume-backtracking, then boundary re-projection.
+linearly implicit (Dziuk, Numer. Math. 1990): the Laplace-Beltrami operator
+of the current immersion, which maps the grid positions to the mean
+curvature vector, is frozen and its interior block is solved at the new
+step, while the rim moves explicitly.  Each step is then volume-backtracked
+and its rim re-projected onto the boundary.
 
 High angular modes on small-radius rings carry (m/r)^2 stiffness; smooth
-fields have O(r^m) content there, so the direction field is low-pass
-filtered per ring with a cutoff proportional to the radius before stepping,
-and the grid exposes the matching explicit-Euler step limit.
+fields have O(r^m) content there, so the stepped direction is low-pass
+filtered per ring with a cutoff proportional to the radius.  The implicit
+solve lifts the explicit (m/r)^2 step limit; what stays is the explicit
+limit of the rim update, ``1 / (boundary_rate * |D[nr, nr]|)``.
 
 A ``FlowState`` carries the immersion of its grid: each step takes its
-direction from it and hands on the accepted trial's immersion, so every
-accepted grid is built and measured once.
+direction and operator from it and hands on the accepted trial's immersion,
+so every accepted grid is built and measured once.
 
 Free boundary critical points in a ball are saddle points: a disk lowers
 volume by sliding its rim toward a pole, so an untempered boundary speed
 drags the rim away before the interior has relaxed.  ``boundary_rate``
 scales the rim speed (scaling a descent component keeps the descent sign)
-so the interior residual reaches its target first.
+so the interior residual reaches its target first.  For the same reason the
+step starts at half the grid's explicit ``dt_stable`` and grows by 1.15 per
+accepted step, rather than starting at the rim limit.
 """
 
 from __future__ import annotations
@@ -103,6 +110,9 @@ class PolarGrid:
         self.theta = np.arange(ntheta) * (2.0 * np.pi / ntheta)
         self.D = _diff_matrix(self.rs)
         self.D2 = self.D @ self.D
+        eye = np.eye(ntheta)[None]
+        self.Dt = _theta_derivative(eye, 1)[0]
+        self.Dt2 = _theta_derivative(eye, 2)[0]
         self.positions = np.zeros((nr + 1, ntheta, n))
         mmax = ntheta // 2
         keep = np.minimum(np.maximum(1, np.floor(2.0 * mmax * self.rs).astype(int)), mmax)
@@ -161,6 +171,28 @@ class PolarGrid:
         )
 
 
+def laplace_beltrami(grid: PolarGrid, imm: SampledImmersion) -> Array:
+    """Interior Laplace-Beltrami operator of ``imm`` on grid values.
+
+    Shape (nr * ntheta, (nr + 1) * ntheta) over the ring-major flattening of
+    the grid, rim columns last, so that ``L @ positions.reshape(-1, n)`` is
+    the mean curvature vector ``imm.geometry().H``.  L = g^ij d_ij -
+    (g^ij Gamma^k_ij) d_k with g = J^T J and Gamma^k_ij = g^kl <d_ij x, d_l x>.
+    """
+    nr, nt = grid.nr, grid.ntheta
+    ginv = np.linalg.inv(np.einsum("mxa,mxb->mab", imm.Js, imm.Js))
+    gamma = np.einsum("mkl,mijx,mxl->mkij", ginv, imm.Hs, imm.Js)
+    c2 = ginv.reshape(nr, nt, 2, 2)
+    c1 = -np.einsum("mij,mkij->mk", ginv, gamma).reshape(nr, nt, 2)
+    Dr, Dr2 = grid.D[:nr], grid.D2[:nr]
+    radial = c2[..., 0, 0, None] * Dr2[:, None] + c1[..., 0, None] * Dr[:, None]
+    angular = c2[..., 1, 1, None] * grid.Dt2 + c1[..., 1, None] * grid.Dt
+    L = (radial[..., None] * np.eye(nt)[None, :, None, :]
+         + np.eye(nr, nr + 1)[:, None, :, None] * angular[:, :, None, :]
+         + 2.0 * c2[..., 0, 1, None, None] * Dr[:, None, :, None] * grid.Dt[None, :, None, :])
+    return L.reshape(nr * nt, (nr + 1) * nt)
+
+
 def first_variation_direction(imm: SampledImmersion, metric: ConformalMetric,
                               domain: LevelSetDomain):
     """Steepest-descent direction of rescaled volume.
@@ -200,7 +232,7 @@ def first_variation_value(imm: SampledImmersion, metric: ConformalMetric,
 
 @dataclass(frozen=True)
 class FlowConfig:
-    dt: float | None = None           # None: half the grid's stability limit
+    dt: float | None = None           # initial step; None: half the grid's dt_stable
     max_iter: int = 5000
     tol: float = 1e-3                 # target max |H~|
     boundary_tol: float = 1e-2        # target max angle defect
@@ -218,17 +250,8 @@ class FlowState:
     volume: float
     residual: float                   # max |H~| over interior samples
     boundary_defect: float
-    residual_history: tuple[tuple[float, float], ...]
-
-
-def _grid_direction(grid: PolarGrid, imm: SampledImmersion,
-                    metric: ConformalMetric, domain: LevelSetDomain,
-                    boundary_rate: float) -> Array:
-    interior, boundary = first_variation_direction(imm, metric, domain)
-    direction = np.zeros_like(grid.positions)
-    direction[: grid.nr] = interior.reshape(grid.nr, grid.ntheta, grid.n)
-    direction[grid.nr] = boundary_rate * boundary
-    return _filter_direction(grid, direction)
+    # per accepted grid: (residual, defect, volume, dt, backtracks)
+    residual_history: tuple[tuple[float, float, float, float, int], ...]
 
 
 def _filter_direction(grid: PolarGrid, direction: Array) -> Array:
@@ -254,28 +277,43 @@ def flow_state(grid: PolarGrid, metric: ConformalMetric, domain: LevelSetDomain,
     imm, vol, res, defect = _measurements(grid, metric, domain)
     if dt is None:
         dt = 0.5 * grid.dt_stable
-    return FlowState(grid, imm, dt, 0, vol, res, defect, ((res, defect),))
+    return FlowState(grid, imm, dt, 0, vol, res, defect, ((res, defect, vol, 0.0, 0),))
 
 
 def flow_step(state: FlowState, metric: ConformalMetric, domain: LevelSetDomain,
               config: FlowConfig | None = None) -> FlowState:
-    """One explicit-Euler step with boundary re-projection and volume
+    """One linearly implicit step with boundary re-projection and volume
     backtracking: the accepted rescaled volume never grows beyond the slack.
-    The step size never exceeds the grid's ``dt_stable``."""
+
+    With d the descent direction (the rim part scaled by ``boundary_rate``),
+    E = diag(e^{-2u}) and L the interior Laplace-Beltrami operator of the
+    current immersion, the interior velocity solves
+    (I - dt E L_II) V_I = d_I + dt E L_IB d_B and the rim keeps V_B = d_B.
+    Each backtrack re-solves at the halved step with the same L.  The step
+    size never exceeds the rim's explicit limit,
+    ``1 / (boundary_rate * |D[nr, nr]|)``."""
     cfg = config or FlowConfig()
-    grid = state.grid
-    direction = _grid_direction(grid, state.immersion, metric, domain, cfg.boundary_rate)
-    dt = min(state.step, grid.dt_stable)
-    for _ in range(cfg.max_backtracks + 1):
-        trial = grid.positions + dt * direction
+    grid, imm = state.grid, state.immersion
+    interior, boundary = first_variation_direction(imm, metric, domain)
+    rim = cfg.boundary_rate * boundary
+    EL = np.exp(-2.0 * metric.field.value(imm.xs))[:, None] * laplace_beltrami(grid, imm)
+    m = len(interior)
+    EL_II, EL_IB = EL[:, :m], EL[:, m:]
+    # explicit limit of the rim update, the one part of the step left explicit
+    cap = float(1.0 / (cfg.boundary_rate * abs(grid.D[grid.nr, grid.nr])))
+    dt = float(min(state.step, cap))
+    for backtracks in range(cfg.max_backtracks + 1):
+        V = np.linalg.solve(np.eye(m) - dt * EL_II, interior + dt * (EL_IB @ rim))
+        direction = np.concatenate([V, rim]).reshape(grid.positions.shape)
+        trial = grid.positions + dt * _filter_direction(grid, direction)
         trial[grid.nr] = project_to_boundary(domain, trial[grid.nr], tol=1e-12)
         new_grid = grid.with_positions(trial)
-        imm, vol, res, defect = _measurements(new_grid, metric, domain)
+        new_imm, vol, res, defect = _measurements(new_grid, metric, domain)
         if vol <= state.volume + cfg.volume_slack:
-            next_dt = min(dt * 1.15, grid.dt_stable) if dt == state.step else dt
+            next_dt = min(dt * 1.15, cap) if backtracks == 0 else dt
             return FlowState(
-                new_grid, imm, next_dt, state.iteration + 1, vol, res, defect,
-                state.residual_history + ((res, defect),),
+                new_grid, new_imm, next_dt, state.iteration + 1, vol, res, defect,
+                state.residual_history + ((res, defect, vol, dt, backtracks),),
             )
         dt *= 0.5
     raise StepFailureError(
@@ -289,7 +327,7 @@ def run_flow(grid: PolarGrid, metric: ConformalMetric, domain: LevelSetDomain,
     """Iterate flow steps until residual targets or the iteration budget.
 
     Returns ``(final immersion, converged, final state)``; the state carries
-    the residual history.
+    the history of residual, defect, volume, step size and backtracks.
     """
     cfg = config or FlowConfig()
     state = flow_state(grid, metric, domain, cfg.dt)
@@ -298,4 +336,8 @@ def run_flow(grid: PolarGrid, metric: ConformalMetric, domain: LevelSetDomain,
             break
         state = flow_step(state, metric, domain, cfg)
     converged = state.residual <= cfg.tol and state.boundary_defect <= cfg.boundary_tol
-    return state.grid.immersion(validate=True), converged, state
+    final = state.grid.immersion(validate=True)
+    # hand back one immersion: the validated build replaces the carried copy
+    state = FlowState(state.grid, final, state.step, state.iteration, state.volume,
+                      state.residual, state.boundary_defect, state.residual_history)
+    return final, converged, state

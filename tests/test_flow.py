@@ -5,6 +5,7 @@ import pytest
 
 from fbstab import domain as dm
 from fbstab import flow as fl
+from fbstab import scenarios as sc
 from fbstab import submanifold as sub
 from fbstab.errors import StepFailureError
 from fbstab.fields import ConformalMetric, make_field
@@ -61,10 +62,39 @@ def test_tilted_disk_boundary_direction_reduces_defect():
     assert pairing < 0
 
 
+def rotated_sin_grid(n=4, angle=0.7, amp=0.1, nr=6, ntheta=16):
+    c, s = np.cos(angle), np.sin(angle)
+
+    def height(y):
+        h = np.zeros((y.shape[0], n - 2))
+        h[:, 0] = amp * (1 - np.sum(y * y, axis=1)) * (s * y[:, 0] + c * y[:, 1])
+        return h
+
+    return fl.PolarGrid.from_graph(n, height, nr=nr, ntheta=ntheta)
+
+
+@pytest.mark.parametrize("grid", [bump_grid(), rotated_sin_grid(), flat_grid(nr=8)],
+                         ids=["radial-bump-n3", "rotated-sin-n4", "flat-n3"])
+def test_laplace_beltrami_of_positions_is_mean_curvature(grid):
+    """L x = H: the grid operator, assembled from the chart metric and
+    Christoffel symbols, reproduces the frame-based mean curvature vector.
+    The sin bump is non-radial, so it checks the angular matrices' orientation."""
+    imm = grid.immersion()
+    L = fl.laplace_beltrami(grid, imm)
+    assert L.shape == (grid.nr * grid.ntheta, (grid.nr + 1) * grid.ntheta)
+    Lx = L @ grid.positions.reshape(-1, grid.n)
+    assert np.max(np.abs(Lx - imm.geometry().H)) < 1e-10
+
+
 def test_fixed_point_step():
     grid = flat_grid()
     state = fl.flow_state(grid, M3, DOM3)
     out = fl.flow_step(state, M3, DOM3)
+    assert np.max(np.abs(out.grid.positions - grid.positions)) < 1e-12
+    # 175 times the explicit dt_stable, below the rim limit
+    big = fl.flow_state(grid, M3, DOM3, dt=0.2)
+    out = fl.flow_step(big, M3, DOM3)
+    assert out.residual_history[-1][3] == 0.2
     assert np.max(np.abs(out.grid.positions - grid.positions)) < 1e-12
 
 
@@ -151,3 +181,36 @@ def test_flow_returns_to_disk_and_feeds_certificate():
     assert rep.verdict == "unstable-certified"
     assert abs(rep.traced_total + 8 * np.pi) < 1e-3
     assert not rep.failed_hypotheses
+
+
+@pytest.mark.parametrize("name", ["flow-bump-b3", "flow-sin-cap-b4"])
+def test_registry_flows_converge_in_few_steps(name):
+    """The linearly implicit step lifts the explicit (m/r)^2 limit: both
+    registry starts converge in at most 100 steps (about 1,000 explicit)."""
+    built = sc.build_scenario(name)
+    cfg = fl.FlowConfig(max_iter=5000)
+    _, converged, state = fl.run_flow(sc.flow_grid_for(built.scenario), built.metric,
+                                      built.domain, cfg)
+    assert converged
+    assert state.iteration <= 100
+    volumes = np.array([row[2] for row in state.residual_history])
+    assert np.max(np.diff(volumes)) <= 1e-12
+
+
+def test_history_records_the_step_ramp():
+    grid = bump_grid()
+    cfg = fl.FlowConfig(max_iter=5000)
+    _, converged, state = fl.run_flow(grid, M3, DOM3, cfg)
+    assert converged
+    hist = state.residual_history
+    assert len(hist) == state.iteration + 1
+    assert hist[0][3:] == (0.0, 0)
+    assert hist[-1][:3] == (state.residual, state.boundary_defect, state.volume)
+    # the rim update stays explicit: its limit caps every accepted step
+    cap = 1.0 / (cfg.boundary_rate * abs(grid.D[grid.nr, grid.nr]))
+    dts = np.array([row[3] for row in hist[1:]])
+    assert np.all(dts > 0) and np.max(dts) <= cap
+    assert dts[0] == 0.5 * grid.dt_stable
+    # without backtracks the step grows by 1.15 until the cap
+    assert all(row[4] == 0 for row in hist)
+    assert np.allclose(dts[1:], np.minimum(1.15 * dts[:-1], cap), rtol=1e-15, atol=0)

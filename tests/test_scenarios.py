@@ -128,6 +128,18 @@ def test_cli_verify_suite(tmp_path, capsys):
     assert doc["all_passed"] is True
 
 
+def test_cli_flow_history_csv(tmp_path, capsys):
+    assert cli.main(["flow", "--scenario", "flow-bump-b3", "--out", str(tmp_path)]) == 0
+    doc = json.loads((tmp_path / "flow-flow-bump-b3.json").read_text())
+    text = (tmp_path / "flow-flow-bump-b3-history.csv").read_text()
+    rows = list(csv.DictReader(io.StringIO(text)))
+    assert text.splitlines()[0] == "iteration,residual,defect,volume,dt,backtracks"
+    assert len(rows) == doc["iterations"] + 1
+    assert (rows[0]["dt"], rows[0]["backtracks"]) == ("0.0", "0")
+    assert float(rows[-1]["volume"]) == doc["volume"]
+    assert all(float(r["dt"]) > 0 for r in rows[1:])
+
+
 def test_cli_stability_and_exit_codes(tmp_path, capsys):
     rc = cli.main(["stability", "--scenario", "flat-disk-b4k2", "--out", str(tmp_path)])
     assert rc == 0

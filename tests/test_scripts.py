@@ -15,7 +15,7 @@ ROOT = Path(__file__).resolve().parent.parent
     # a flat start converges at once, so the certificate branch runs too
     ("flow_experiment.py", ["--n", "4", "--amplitude", "0", "--nr", "4", "--ntheta", "8",
                             "--max-iter", "50"], "certificate on the converged immersion"),
-    # a perturbed start that takes a few hundred steps before the certificate
+    # a perturbed start that takes a few dozen steps before the certificate
     ("flow_experiment.py", ["--n", "4", "--field", "radial-spherical", "--mode", "sin",
                             "--amplitude", "0.05", "--nr", "4", "--ntheta", "8",
                             "--max-iter", "400"], "verdict=unstable-certified"),

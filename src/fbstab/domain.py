@@ -7,7 +7,9 @@ its shape operator is the identity, so p-convexity of the ball is positive.
 
 A margin is a minimum over sampled boundary points, so it can only
 overestimate the true minimum: a sweep refined by a deterministic local
-polish is an upper bound, not a certified global minimum.
+polish is an upper bound, not a certified global minimum.  Both metrics
+share the sweep and run one polish search each, in lockstep: every round
+makes one projection and one eigensolve for both.
 """
 
 from __future__ import annotations
@@ -136,10 +138,10 @@ def boundary_tangent_basis(domain: LevelSetDomain, x) -> Array:
     return np.swapaxes(Q[..., 1:], -1, -2)
 
 
-def _conformal_terms(domain: LevelSetDomain, field: ScalarField, x) -> tuple[Array, Array]:
-    """e^{-u} and eta(u) = <grad u, eta> at boundary points, the two terms of
-    the conformal law kappa~ = e^{-u} (kappa - eta(u)), which keeps the order."""
-    eta_u = np.sum(field.gradient(x) * inward_normal(domain, x), axis=-1)
+def _conformal_terms(field: ScalarField, x, nhat: Array) -> tuple[Array, Array]:
+    """e^{-u} and eta(u) = <grad u, -nhat> at boundary points x with outward
+    normals nhat: the conformal law kappa~ = e^{-u} (kappa - eta(u)) keeps order."""
+    eta_u = np.sum(field.gradient(x) * -nhat, axis=-1)
     return np.exp(-field.value(x)), eta_u
 
 
@@ -155,7 +157,7 @@ def shape_operator(domain: LevelSetDomain, x, metric: ConformalMetric | None = N
     S = 0.5 * (S + np.swapaxes(S, -1, -2))
     if metric is None:
         return S
-    scale, eta_u = _conformal_terms(domain, metric.field, x)
+    scale, eta_u = _conformal_terms(metric.field, x, outward_normal(domain, x))
     return scale[..., None, None] * (S - eta_u[..., None, None] * np.eye(domain.n - 1))
 
 
@@ -165,7 +167,7 @@ def principal_curvatures(domain: LevelSetDomain, x, metric=None) -> Array:
     kappa = np.linalg.eigvalsh(shape_operator(domain, x))
     if metric is None:
         return kappa
-    scale, eta_u = _conformal_terms(domain, metric.field, x)
+    scale, eta_u = _conformal_terms(metric.field, x, outward_normal(domain, x))
     return scale[..., None] * (kappa - eta_u[..., None])
 
 
@@ -211,33 +213,21 @@ def sample_boundary(domain: LevelSetDomain, count: int = 2048, seed: int = 0) ->
     return project_to_boundary(domain, (0.5 * (lo + hi))[:, None] * d)
 
 
-def _swept_margin(domain: LevelSetDomain, p: int, metric: ConformalMetric | None,
-                  pts: Array, kappa: Array) -> tuple[float, Array]:
-    """Minimum over the sweep of the sum of the p smallest curvatures, then a
-    batched pattern search (Torczon 1997) in chart coordinates y on the
-    tangent plane at the worst sweep direction.  Each round projects and
-    evaluates, one call each, a fixed Sobol pattern in a cap about y plus the
-    minimiser of a quadratic fitted to the last round.  The best trial is
-    taken only if it beats the margin by ``POLISH_GAIN``; the cap halves
-    unless a pattern trial was taken."""
-    n = domain.n
-    if not 1 <= p <= n - 1:
-        raise ConfigError(f"need 1 <= p <= n-1, got p={p}")
+def _pattern_search(p: int, pts: Array, kappa: Array, pattern: Array, fit: Array):
+    """One search of ``_swept_margins`` as a generator: it yields each round's
+    trials before projection, is sent back the projected trials and their
+    p-sums, and after the last round yields ``(margin, worst_point)``."""
+    n = pts.shape[1]
     sums = np.sum(kappa[:, :p], axis=1)
     worst = int(np.argmin(sums))
     margin, point = float(sums[worst]), pts[worst]
     origin = point / np.linalg.norm(point)
     tangent = np.linalg.qr(np.column_stack([origin, np.eye(n)]))[0][:, 1:].T
-    pattern = ndtri(qmc.Sobol(d=n - 1, scramble=True, seed=0).random(POLISH_DIRS))
-    squares = np.einsum("mi,mj->mij", pattern, pattern).reshape(POLISH_DIRS, -1)
-    fit = np.linalg.pinv(np.column_stack([np.ones(POLISH_DIRS), pattern, squares]))
     cap, y, guess = POLISH_CAP, np.zeros(n - 1), np.zeros(n - 1)
     for _ in range(POLISH_ROUNDS):
         ys = np.vstack([y + cap * pattern, guess])
         dirs = origin + ys @ tangent
-        trial = project_to_boundary(domain, np.linalg.norm(point) * dirs
-                                    / np.linalg.norm(dirs, axis=1)[:, None])
-        sums = np.sum(principal_curvatures(domain, trial, metric)[:, :p], axis=1)
+        trial, sums = yield np.linalg.norm(point) * dirs / np.linalg.norm(dirs, axis=1)[:, None]
         coef = fit @ sums[:-1]
         hess = 2.0 * coef[n:].reshape(n - 1, n - 1)
         step = np.zeros(n - 1)
@@ -251,7 +241,39 @@ def _swept_margin(domain: LevelSetDomain, p: int, metric: ConformalMetric | None
             margin, point, y = float(sums[best]), trial[best], ys[best]
         if not moved or best == POLISH_DIRS:
             cap *= 0.5
-    return margin, point
+    yield margin, point
+
+
+def _swept_margins(domain: LevelSetDomain, p: int, metrics, pts: Array,
+                   kappas) -> list[tuple[float, Array]]:
+    """``(margin, worst_point)`` for each metric (``None``: Euclidean) from its
+    curvatures ``kappas`` at the sweep ``pts``: the minimum of the sum of the
+    p smallest, then a batched pattern search (Torczon 1997) in chart
+    coordinates y on the tangent plane at the worst sweep direction.  Each
+    round a search tries a fixed Sobol pattern in a cap about y plus the
+    minimiser of a quadratic fitted to its last round; it moves to its best
+    trial only if that beats its margin by ``POLISH_GAIN``, and its cap
+    halves unless a pattern trial was taken.  The searches, one per metric,
+    run in lockstep: each round makes one projection and one eigensolve for
+    all their trials, and the conformal law rescales the rescaled shares."""
+    n = domain.n
+    if not 1 <= p <= n - 1:
+        raise ConfigError(f"need 1 <= p <= n-1, got p={p}")
+    pattern = ndtri(qmc.Sobol(d=n - 1, scramble=True, seed=0).random(POLISH_DIRS))
+    squares = np.einsum("mi,mj->mij", pattern, pattern).reshape(POLISH_DIRS, -1)
+    fit = np.linalg.pinv(np.column_stack([np.ones(POLISH_DIRS), pattern, squares]))
+    searches = [_pattern_search(p, pts, kappa, pattern, fit) for kappa in kappas]
+    batches = [next(search) for search in searches]
+    for _ in range(POLISH_ROUNDS):
+        trial = project_to_boundary(domain, np.concatenate(batches))
+        kappa = principal_curvatures(domain, trial)
+        blocks = zip(metrics, np.split(trial, len(metrics)), np.split(kappa, len(metrics)))
+        for i, (metric, x, k) in enumerate(blocks):
+            if metric is not None:
+                scale, eta_u = _conformal_terms(metric.field, x, outward_normal(domain, x))
+                k = scale[:, None] * (k - eta_u[:, None])
+            batches[i] = searches[i].send((x, np.sum(k[:, :p], axis=1)))
+    return batches
 
 
 def p_convexity_margin(domain: LevelSetDomain, p: int,
@@ -261,7 +283,7 @@ def p_convexity_margin(domain: LevelSetDomain, p: int,
     smallest principal curvatures after the polish, an upper bound on the
     true minimum."""
     pts = sample_boundary(domain, count, seed)
-    return _swept_margin(domain, p, metric, pts, principal_curvatures(domain, pts, metric))
+    return _swept_margins(domain, p, [metric], pts, [principal_curvatures(domain, pts, metric)])[0]
 
 
 def convexity_report(domain: LevelSetDomain, field: ScalarField, p: int,
@@ -271,10 +293,10 @@ def convexity_report(domain: LevelSetDomain, field: ScalarField, p: int,
     eigensolve per point."""
     pts = sample_boundary(domain, count, seed)
     kappa = principal_curvatures(domain, pts)
-    scale, eta_u = _conformal_terms(domain, field, pts)
-    margin_g, worst_g = _swept_margin(domain, p, None, pts, kappa)
-    margin_gt, worst_gt = _swept_margin(domain, p, ConformalMetric(field, domain.n), pts,
-                                        scale[:, None] * (kappa - eta_u[:, None]))
+    scale, eta_u = _conformal_terms(field, pts, outward_normal(domain, pts))
+    kappas = [kappa, scale[:, None] * (kappa - eta_u[:, None])]
+    metrics = [None, ConformalMetric(field, domain.n)]
+    (margin_g, worst_g), (margin_gt, worst_gt) = _swept_margins(domain, p, metrics, pts, kappas)
     return ConvexityReport(p=p, margin_g=margin_g, margin_gtilde=margin_gt,
                            worst_point_g=worst_g, worst_point_gtilde=worst_gt,
                            nu_u_range=(float(np.min(-eta_u)), float(np.max(-eta_u))),

@@ -211,8 +211,9 @@ def test_polish_is_resolution_independent():
 
 
 def test_polish_calls_are_batched(monkeypatch):
-    """Every curvature evaluation and projection of a convexity report takes
-    more than one point: one for the sweep, one per polish round and metric."""
+    """A convexity report makes one curvature evaluation and one projection
+    for the sweep, then one of each per polish round for both metrics: the
+    two searches' trials go through together."""
     sizes = {"principal_curvatures": [], "project_to_boundary": []}
     for name, calls in sizes.items():
         def counted(domain, x, *args, _real=getattr(dm, name), _calls=calls, **kwargs):
@@ -223,8 +224,25 @@ def test_polish_calls_are_batched(monkeypatch):
     field = make_field("radial-custom", coeffs=[0.1, 0.3, -0.15])
     dm.convexity_report(ell, field, p=1, count=256, seed=0)
     for calls in sizes.values():
-        assert all(len(shape) == 2 and shape[0] > 1 for shape in calls)
-        assert len(calls) == 1 + 2 * dm.POLISH_ROUNDS
+        assert len(calls) == 1 + dm.POLISH_ROUNDS
+        assert calls[0] == (256, 4)
+        assert all(shape == (2 * (dm.POLISH_DIRS + 1), 4) for shape in calls[1:])
+
+
+@pytest.mark.parametrize("kind,p", [("ellipsoid", 3), ("superellipsoid", 1)])
+def test_lockstep_searches_match_single_searches(kind, p):
+    """Run in lockstep, the Euclidean and the rescaled search give bit for
+    bit what each gives alone: neither search sees the other's trials."""
+    params = {"semi_axes": [1.5, 1.2, 1.0, 0.9, 0.8]} if kind == "ellipsoid" else {"exponent": 2}
+    dom = dm.make_domain(kind, 5, **params)
+    field = make_field("linear", a=[0.3, -0.2, 0.1, 0.05, 0.2])
+    report = dm.convexity_report(dom, field, p, count=256, seed=2)
+    margin_g, worst_g = dm.p_convexity_margin(dom, p, count=256, seed=2)
+    margin_gt, worst_gt = dm.p_convexity_margin(dom, p, ConformalMetric(field, 5),
+                                                count=256, seed=2)
+    assert margin_g == report.margin_g and np.array_equal(worst_g, report.worst_point_g)
+    assert margin_gt == report.margin_gtilde
+    assert np.array_equal(worst_gt, report.worst_point_gtilde)
 
 
 def test_margin_eigenvalue_sum_consistency():

@@ -5,6 +5,10 @@ the outward normal is grad phi / |grad phi| and the inward normal eta its
 negative.  Signs are calibrated on the unit sphere: with the inward normal,
 its shape operator is the identity, so p-convexity of the ball is positive.
 
+Principal curvatures come from the leading block of the Hessian reflected
+by the Householder map that takes the normal to a coordinate axis;
+``shape_operator`` keeps a QR tangent basis as an independent route.
+
 A margin is a minimum over sampled boundary points, so it can only
 overestimate the true minimum: a sweep refined by a deterministic local
 polish is an upper bound, not a certified global minimum.  Both metrics
@@ -162,12 +166,24 @@ def shape_operator(domain: LevelSetDomain, x, metric: ConformalMetric | None = N
 
 
 def principal_curvatures(domain: LevelSetDomain, x, metric=None) -> Array:
-    """Ascending principal curvatures, ``(..., n-1)``; the rescaled ones come
-    from the Euclidean eigenvalues through the conformal law."""
-    kappa = np.linalg.eigvalsh(shape_operator(domain, x))
+    """Ascending principal curvatures, ``(..., n-1)``: the eigenvalues of the
+    leading (n-1)x(n-1) block of Q H Q, H = Hess phi / |grad phi|, where the
+    Householder reflection Q = I - v v^T / |v_n|, v = nhat + sign(nhat_n) e_n,
+    sends the unit normal nhat to -sign(nhat_n) e_n.  One gradient, one
+    Hessian, no tangent basis; the rescaled curvatures follow from the
+    Euclidean ones through the conformal law at the same normals."""
+    nhat, norm = _unit_gradient(domain, x)
+    H = domain.phi.hessian(x) / norm[..., None]
+    v = nhat + np.copysign(np.eye(domain.n)[-1], nhat[..., -1:])
+    beta = 1.0 / np.abs(v[..., -1:])  # 2 / |v|^2, as |nhat| = 1
+    # Q H Q = H - v z^T - z v^T with z = beta H v - beta^2 (v.Hv) v / 2
+    w = beta * np.sum(H * v[..., None, :], axis=-1)
+    z = w - 0.5 * beta * np.sum(v * w, axis=-1, keepdims=True) * v
+    vz = v[..., :-1, None] * z[..., None, :-1]
+    kappa = np.linalg.eigvalsh(H[..., :-1, :-1] - (vz + np.swapaxes(vz, -1, -2)))
     if metric is None:
         return kappa
-    scale, eta_u = _conformal_terms(metric.field, x, outward_normal(domain, x))
+    scale, eta_u = _conformal_terms(metric.field, x, nhat)
     return scale[..., None] * (kappa - eta_u[..., None])
 
 

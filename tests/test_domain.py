@@ -245,6 +245,53 @@ def test_lockstep_searches_match_single_searches(kind, p):
     assert np.array_equal(worst_gt, report.worst_point_gtilde)
 
 
+def counting_domain(domain, calls):
+    """``domain`` with its phi's gradient and Hessian calls counted."""
+    def counted(name, fn):
+        def wrapped(x):
+            calls[name] += 1
+            return fn(x)
+        return wrapped
+
+    phi = domain.phi
+    wrapped = ScalarField.analytic(phi.value_fn, counted("gradient", phi.grad_fn),
+                                   counted("hessian", phi.hess_fn))
+    return dm.LevelSetDomain(wrapped, domain.n, domain.bounding_radius, domain.name)
+
+
+@pytest.mark.parametrize("kind,params", [
+    ("ball", {"radius": 1.0}),
+    ("ellipsoid", {"semi_axes": [2.0, 1.2, 1.0, 0.9]}),
+    ("superellipsoid", {"exponent": 3}),
+])
+def test_principal_curvatures_match_qr_route(kind, params):
+    """The Householder kernel agrees with the eigenvalues of the QR-basis
+    shape operator over a 1024-point sweep, at normals +-e_n, where the
+    reflection is exact, and at normals just either side of its sign
+    switch (nhat_n = +-0 and tiny), in both metrics; it evaluates the
+    gradient and Hessian of phi once per call."""
+    dom = dm.make_domain(kind, 4, **params)
+    pts = dm.sample_boundary(dom, 1024, seed=0)
+    poles = dm.project_to_boundary(dom, np.array([[0.0, 0.0, 0.0, 1.0], [0.0, 0.0, 0.0, -1.0]]))
+    assert np.array_equal(dm.outward_normal(dom, poles), [[0, 0, 0, 1.0], [0, 0, 0, -1.0]])
+    tiny = np.array([1e-6, 1e-12, 1e-300, 0.0])
+    near = np.tile(pts[8:20], (8, 1))
+    near[:, 3] = np.repeat(np.concatenate([tiny, -tiny]), 12)
+    near = dm.project_to_boundary(dom, near)
+    nhat_n = dm.outward_normal(dom, near)[:, 3]
+    assert np.any(np.signbit(nhat_n)) and np.any(~np.signbit(nhat_n))
+    assert np.max(np.abs(nhat_n)) < 1e-5
+    x = np.concatenate([pts, poles, near])
+    metric = ConformalMetric(make_field("radial-custom", coeffs=[0.1, 0.3, -0.15]), 4)
+    calls = {"gradient": 0, "hessian": 0}
+    counted = counting_domain(dom, calls)
+    for m in (None, metric):
+        kappa = dm.principal_curvatures(counted, x, m)
+        oracle = np.linalg.eigvalsh(dm.shape_operator(dom, x, m))
+        assert np.all(np.abs(kappa - oracle) <= 1e-13 * np.maximum(1.0, np.abs(oracle)))
+    assert calls == {"gradient": 2, "hessian": 2}
+
+
 def test_margin_eigenvalue_sum_consistency():
     """Over the whole sweep the p-sums of the sorted curvatures are monotone
     in p, and the rescaled curvatures from the conformal law match the

@@ -60,6 +60,10 @@ from .submanifold import (
 
 Array = np.ndarray
 
+# a rim whose extent falls below this fraction of its start has collapsed
+# toward a boundary point: the run has left every free boundary disk behind
+RIM_COLLAPSE = 1e-2
+
 
 def _diff_matrix(nodes: Array) -> Array:
     """Barycentric differentiation matrix on arbitrary distinct nodes."""
@@ -238,7 +242,7 @@ class FlowConfig:
     boundary_tol: float = 1e-2        # target max angle defect
     boundary_rate: float = 0.1        # rim speed relative to interior
     max_backtracks: int = 20
-    volume_slack: float = 1e-12
+    volume_slack: float = 1e-12       # times min(1, volume)
 
 
 @dataclass(frozen=True)
@@ -283,7 +287,8 @@ def flow_state(grid: PolarGrid, metric: ConformalMetric, domain: LevelSetDomain,
 def flow_step(state: FlowState, metric: ConformalMetric, domain: LevelSetDomain,
               config: FlowConfig | None = None) -> FlowState:
     """One linearly implicit step with boundary re-projection and volume
-    backtracking: the accepted rescaled volume never grows beyond the slack.
+    backtracking: the accepted rescaled volume never grows beyond the slack,
+    taken relative to volumes below 1.
 
     With d the descent direction (the rim part scaled by ``boundary_rate``),
     E = diag(e^{-2u}) and L the interior Laplace-Beltrami operator of the
@@ -309,7 +314,7 @@ def flow_step(state: FlowState, metric: ConformalMetric, domain: LevelSetDomain,
         trial[grid.nr] = project_to_boundary(domain, trial[grid.nr], tol=1e-12)
         new_grid = grid.with_positions(trial)
         new_imm, vol, res, defect = _measurements(new_grid, metric, domain)
-        if vol <= state.volume + cfg.volume_slack:
+        if vol <= state.volume + cfg.volume_slack * min(1.0, state.volume):
             next_dt = min(dt * 1.15, cap) if backtracks == 0 else dt
             return FlowState(
                 new_grid, new_imm, next_dt, state.iteration + 1, vol, res, defect,
@@ -328,13 +333,19 @@ def run_flow(grid: PolarGrid, metric: ConformalMetric, domain: LevelSetDomain,
 
     Returns ``(final immersion, converged, final state)``; the state carries
     the history of residual, defect, volume, step size and backtracks.
+    Raises ``StepFailureError`` when backtracking is exhausted or the rim's
+    extent falls below ``RIM_COLLAPSE`` times its start.
     """
     cfg = config or FlowConfig()
     state = flow_state(grid, metric, domain, cfg.dt)
+    extent = np.max(np.ptp(grid.positions[grid.nr], axis=0))
     for _ in range(cfg.max_iter):
         if state.residual <= cfg.tol and state.boundary_defect <= cfg.boundary_tol:
             break
         state = flow_step(state, metric, domain, cfg)
+        if np.max(np.ptp(state.grid.positions[grid.nr], axis=0)) < RIM_COLLAPSE * extent:
+            raise StepFailureError(f"the rim collapsed toward a boundary point at "
+                                   f"iteration {state.iteration}")
     converged = state.residual <= cfg.tol and state.boundary_defect <= cfg.boundary_tol
     final = state.grid.immersion(validate=True)
     # hand back one immersion: the validated build replaces the carried copy

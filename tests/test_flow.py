@@ -1,5 +1,7 @@
 """Descent flow: directions, stepping contracts, convergence."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -136,6 +138,47 @@ def test_backtracking_exhaustion_raises():
     cfg = fl.FlowConfig(volume_slack=-1.0, max_backtracks=3)
     with pytest.raises(StepFailureError):
         fl.flow_step(state, M3, DOM3, cfg)
+
+
+def test_volume_slack_is_relative_at_small_volumes(monkeypatch):
+    """At a volume of 1e-8 the absolute slack (1e-12) would let a trial grow
+    the volume by 1e-13 every step; taken relative to the volume it makes
+    the step backtrack."""
+    state = fl.flow_state(bump_grid(), M3, DOM3)
+    state = dataclasses.replace(state, volume=1e-8)
+    volumes = [1e-8 + 1e-13, 1e-8]
+    measurements = fl._measurements
+
+    def measured(*args):
+        imm, _, res, defect = measurements(*args)
+        return imm, volumes.pop(0), res, defect
+
+    monkeypatch.setattr(fl, "_measurements", measured)
+    out = fl.flow_step(state, M3, DOM3)
+    assert out.volume == 1e-8 and out.residual_history[-1][4] == 1
+
+
+def test_collapsed_rim_ends_the_run(monkeypatch):
+    """A start that leaves the basin of a free boundary disk shrinks its rim
+    toward a boundary point; the run ends there with a typed error instead
+    of stepping on to max_iter."""
+    steps = []
+    flow_step = fl.flow_step
+
+    def counted(*args, **kwargs):
+        steps.append(1)
+        return flow_step(*args, **kwargs)
+
+    monkeypatch.setattr(fl, "flow_step", counted)
+    s = sc.Scenario(name="radial-bump-cap-b4", n=4, k=2,
+                    field_spec={"name": "radial-spherical"},
+                    flow_spec={"initial": "radial-bump", "amplitude": 0.1,
+                               "nr": 6, "ntheta": 16})
+    built = sc.build_scenario(s)
+    with pytest.raises(StepFailureError, match="rim collapsed"):
+        fl.run_flow(sc.flow_grid_for(s), built.metric, built.domain,
+                    fl.FlowConfig(max_iter=5000))
+    assert len(steps) <= 600
 
 
 def test_flow_converges_and_volume_monotone():

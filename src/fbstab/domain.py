@@ -5,15 +5,12 @@ the outward normal is grad phi / |grad phi| and the inward normal eta its
 negative.  Signs are calibrated on the unit sphere: with the inward normal,
 its shape operator is the identity, so p-convexity of the ball is positive.
 
-Principal curvatures come from the leading block of the Hessian reflected
-by the Householder map that takes the normal to a coordinate axis;
-``shape_operator`` keeps a QR tangent basis as an independent route.
+Principal curvatures come from a Householder block, with no tangent basis.
 
 A margin is a minimum over sampled boundary points, so it can only
 overestimate the true minimum: a sweep refined by a deterministic local
 polish is an upper bound, not a certified global minimum.  Both metrics
-share the sweep and run one polish search each, in lockstep: every round
-makes one projection and one eigensolve for both.
+share the sweep and run one polish search each, in lockstep.
 """
 
 from __future__ import annotations
@@ -166,12 +163,10 @@ def shape_operator(domain: LevelSetDomain, x, metric: ConformalMetric | None = N
 
 
 def principal_curvatures(domain: LevelSetDomain, x, metric=None) -> Array:
-    """Ascending principal curvatures, ``(..., n-1)``: the eigenvalues of the
-    leading (n-1)x(n-1) block of Q H Q, H = Hess phi / |grad phi|, where the
-    Householder reflection Q = I - v v^T / |v_n|, v = nhat + sign(nhat_n) e_n,
-    sends the unit normal nhat to -sign(nhat_n) e_n.  One gradient, one
-    Hessian, no tangent basis; the rescaled curvatures follow from the
-    Euclidean ones through the conformal law at the same normals."""
+    """Ascending principal curvatures, ``(..., n-1)``: eigenvalues of the
+    leading (n-1)x(n-1) block of Q (Hess phi / |grad phi|) Q, Q the
+    Householder reflection sending the unit normal to -+e_n.  The rescaled
+    ones follow through the conformal law at the same normals."""
     nhat, norm = _unit_gradient(domain, x)
     H = domain.phi.hessian(x) / norm[..., None]
     v = nhat + np.copysign(np.eye(domain.n)[-1], nhat[..., -1:])
@@ -230,9 +225,8 @@ def sample_boundary(domain: LevelSetDomain, count: int = 2048, seed: int = 0) ->
 
 
 def _pattern_search(p: int, pts: Array, kappa: Array, pattern: Array, fit: Array):
-    """One search of ``_swept_margins`` as a generator: it yields each round's
-    trials before projection, is sent back the projected trials and their
-    p-sums, and after the last round yields ``(margin, worst_point)``."""
+    """One search of ``_swept_margins``: yields each round's trials, is sent
+    them projected with their p-sums, and lastly yields ``(margin, point)``."""
     n = pts.shape[1]
     sums = np.sum(kappa[:, :p], axis=1)
     worst = int(np.argmin(sums))
@@ -262,16 +256,15 @@ def _pattern_search(p: int, pts: Array, kappa: Array, pattern: Array, fit: Array
 
 def _swept_margins(domain: LevelSetDomain, p: int, metrics, pts: Array,
                    kappas) -> list[tuple[float, Array]]:
-    """``(margin, worst_point)`` for each metric (``None``: Euclidean) from its
+    """``(margin, worst_point)`` per metric (``None``: Euclidean) from its
     curvatures ``kappas`` at the sweep ``pts``: the minimum of the sum of the
     p smallest, then a batched pattern search (Torczon 1997) in chart
     coordinates y on the tangent plane at the worst sweep direction.  Each
     round a search tries a fixed Sobol pattern in a cap about y plus the
-    minimiser of a quadratic fitted to its last round; it moves to its best
-    trial only if that beats its margin by ``POLISH_GAIN``, and its cap
-    halves unless a pattern trial was taken.  The searches, one per metric,
-    run in lockstep: each round makes one projection and one eigensolve for
-    all their trials, and the conformal law rescales the rescaled shares."""
+    minimiser of a quadratic fitted to its last round, and moves only if its
+    best trial beats the margin by ``POLISH_GAIN``; the cap halves unless a
+    pattern trial was taken.  One search per metric, in lockstep: each round
+    makes one projection and one eigensolve for all their trials."""
     n = domain.n
     if not 1 <= p <= n - 1:
         raise ConfigError(f"need 1 <= p <= n-1, got p={p}")
@@ -289,7 +282,7 @@ def _swept_margins(domain: LevelSetDomain, p: int, metrics, pts: Array,
                 scale, eta_u = _conformal_terms(metric.field, x, outward_normal(domain, x))
                 k = scale[:, None] * (k - eta_u[:, None])
             batches[i] = searches[i].send((x, np.sum(k[:, :p], axis=1)))
-    return batches
+    return batches  # after the last round, each search's (margin, worst_point)
 
 
 def p_convexity_margin(domain: LevelSetDomain, p: int,

@@ -60,9 +60,7 @@ from .submanifold import (
 
 Array = np.ndarray
 
-# a rim whose extent falls below this fraction of its start has collapsed
-# toward a boundary point: the run has left every free boundary disk behind
-RIM_COLLAPSE = 1e-2
+RIM_COLLAPSE = 1e-2  # rim extent, relative to the start, of a collapsed disk
 
 
 def _diff_matrix(nodes: Array) -> Array:
@@ -287,8 +285,7 @@ def flow_state(grid: PolarGrid, metric: ConformalMetric, domain: LevelSetDomain,
 def flow_step(state: FlowState, metric: ConformalMetric, domain: LevelSetDomain,
               config: FlowConfig | None = None) -> FlowState:
     """One linearly implicit step with boundary re-projection and volume
-    backtracking: the accepted rescaled volume never grows beyond the slack,
-    taken relative to volumes below 1.
+    backtracking: the accepted rescaled volume never grows beyond the slack.
 
     With d the descent direction (the rim part scaled by ``boundary_rate``),
     E = diag(e^{-2u}) and L the interior Laplace-Beltrami operator of the
@@ -333,8 +330,7 @@ def run_flow(grid: PolarGrid, metric: ConformalMetric, domain: LevelSetDomain,
 
     Returns ``(final immersion, converged, final state)``; the state carries
     the history of residual, defect, volume, step size and backtracks.
-    Raises ``StepFailureError`` when backtracking is exhausted or the rim's
-    extent falls below ``RIM_COLLAPSE`` times its start.
+    Raises ``StepFailureError`` once the rim has collapsed toward a point.
     """
     cfg = config or FlowConfig()
     state = flow_state(grid, metric, domain, cfg.dt)
@@ -344,8 +340,7 @@ def run_flow(grid: PolarGrid, metric: ConformalMetric, domain: LevelSetDomain,
             break
         state = flow_step(state, metric, domain, cfg)
         if np.max(np.ptp(state.grid.positions[grid.nr], axis=0)) < RIM_COLLAPSE * extent:
-            raise StepFailureError(f"the rim collapsed toward a boundary point at "
-                                   f"iteration {state.iteration}")
+            raise StepFailureError(f"the rim collapsed at iteration {state.iteration}")
     converged = state.residual <= cfg.tol and state.boundary_defect <= cfg.boundary_tol
     final = state.grid.immersion(validate=True)
     # hand back one immersion: the validated build replaces the carried copy

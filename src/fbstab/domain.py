@@ -139,11 +139,11 @@ def boundary_tangent_basis(domain: LevelSetDomain, x) -> Array:
     return np.swapaxes(Q[..., 1:], -1, -2)
 
 
-def _conformal_terms(field: ScalarField, x, nhat: Array) -> tuple[Array, Array]:
-    """e^{-u} and eta(u) = <grad u, -nhat> at boundary points x with outward
-    normals nhat: the conformal law kappa~ = e^{-u} (kappa - eta(u)) keeps order."""
+def _rescaled(field: ScalarField, x, nhat: Array, kappa: Array) -> tuple[Array, Array]:
+    """kappa~ = e^{-u} (kappa - eta(u)), which keeps the order, and eta(u) =
+    <grad u, -nhat> at boundary points x with outward normals nhat."""
     eta_u = np.sum(field.gradient(x) * -nhat, axis=-1)
-    return np.exp(-field.value(x)), eta_u
+    return np.exp(-field.value(x))[..., None] * (kappa - eta_u[..., None]), eta_u
 
 
 def shape_operator(domain: LevelSetDomain, x, metric: ConformalMetric | None = None) -> Array:
@@ -158,15 +158,16 @@ def shape_operator(domain: LevelSetDomain, x, metric: ConformalMetric | None = N
     S = 0.5 * (S + np.swapaxes(S, -1, -2))
     if metric is None:
         return S
-    scale, eta_u = _conformal_terms(metric.field, x, outward_normal(domain, x))
+    eta_u = np.sum(metric.field.gradient(x) * -outward_normal(domain, x), axis=-1)
+    scale = np.exp(-metric.field.value(x))
     return scale[..., None, None] * (S - eta_u[..., None, None] * np.eye(domain.n - 1))
 
 
-def principal_curvatures(domain: LevelSetDomain, x, metric=None) -> Array:
-    """Ascending principal curvatures, ``(..., n-1)``: eigenvalues of the
-    leading (n-1)x(n-1) block of Q (Hess phi / |grad phi|) Q, Q the
-    Householder reflection sending the unit normal to -+e_n.  The rescaled
-    ones follow through the conformal law at the same normals."""
+def _curvatures_and_normals(domain: LevelSetDomain, x) -> tuple[Array, Array]:
+    """Ascending Euclidean principal curvatures ``(..., n-1)`` and the outward
+    unit normals ``(..., n)`` at boundary points x: the curvatures are the
+    eigenvalues of the leading (n-1)x(n-1) block of Q (Hess phi / |grad phi|) Q,
+    Q the Householder reflection sending the unit normal to -+e_n."""
     nhat, norm = _unit_gradient(domain, x)
     H = domain.phi.hessian(x) / norm[..., None]
     v = nhat + np.copysign(np.eye(domain.n)[-1], nhat[..., -1:])
@@ -175,11 +176,14 @@ def principal_curvatures(domain: LevelSetDomain, x, metric=None) -> Array:
     w = beta * np.sum(H * v[..., None, :], axis=-1)
     z = w - 0.5 * beta * np.sum(v * w, axis=-1, keepdims=True) * v
     vz = v[..., :-1, None] * z[..., None, :-1]
-    kappa = np.linalg.eigvalsh(H[..., :-1, :-1] - (vz + np.swapaxes(vz, -1, -2)))
-    if metric is None:
-        return kappa
-    scale, eta_u = _conformal_terms(metric.field, x, nhat)
-    return scale[..., None] * (kappa - eta_u[..., None])
+    return np.linalg.eigvalsh(H[..., :-1, :-1] - (vz + np.swapaxes(vz, -1, -2))), nhat
+
+
+def principal_curvatures(domain: LevelSetDomain, x, metric=None) -> Array:
+    """Ascending principal curvatures ``(..., n-1)`` from the Householder
+    kernel; the rescaled ones follow by the conformal law at its normals."""
+    kappa, nhat = _curvatures_and_normals(domain, x)
+    return kappa if metric is None else _rescaled(metric.field, x, nhat, kappa)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -275,12 +279,11 @@ def _swept_margins(domain: LevelSetDomain, p: int, metrics, pts: Array,
     batches = [next(search) for search in searches]
     for _ in range(POLISH_ROUNDS):
         trial = project_to_boundary(domain, np.concatenate(batches))
-        kappa = principal_curvatures(domain, trial)
-        blocks = zip(metrics, np.split(trial, len(metrics)), np.split(kappa, len(metrics)))
-        for i, (metric, x, k) in enumerate(blocks):
+        kappa, nhat = _curvatures_and_normals(domain, trial)
+        blocks = zip(metrics, *(np.split(a, len(metrics)) for a in (trial, kappa, nhat)))
+        for i, (metric, x, k, nh) in enumerate(blocks):
             if metric is not None:
-                scale, eta_u = _conformal_terms(metric.field, x, outward_normal(domain, x))
-                k = scale[:, None] * (k - eta_u[:, None])
+                k = _rescaled(metric.field, x, nh, k)[0]
             batches[i] = searches[i].send((x, np.sum(k[:, :p], axis=1)))
     return batches  # after the last round, each search's (margin, worst_point)
 
@@ -301,9 +304,9 @@ def convexity_report(domain: LevelSetDomain, field: ScalarField, p: int,
     exterior normal derivative range of u, from one boundary sweep and one
     eigensolve per point."""
     pts = sample_boundary(domain, count, seed)
-    kappa = principal_curvatures(domain, pts)
-    scale, eta_u = _conformal_terms(field, pts, outward_normal(domain, pts))
-    kappas = [kappa, scale[:, None] * (kappa - eta_u[:, None])]
+    kappa, nhat = _curvatures_and_normals(domain, pts)
+    kappa_gt, eta_u = _rescaled(field, pts, nhat, kappa)
+    kappas = [kappa, kappa_gt]
     metrics = [None, ConformalMetric(field, domain.n)]
     (margin_g, worst_g), (margin_gt, worst_gt) = _swept_margins(domain, p, metrics, pts, kappas)
     return ConvexityReport(p=p, margin_g=margin_g, margin_gtilde=margin_gt,

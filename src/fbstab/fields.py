@@ -3,8 +3,8 @@
 A ``ScalarField`` bundles a scalar function with its gradient and Hessian.
 All curvature and second-variation formulas downstream consume exactly these
 three evaluations, so the field is the single entry point for analytic data.
-Fields come in two modes: ``analytic`` (closed-form derivatives) and
-``finite-difference`` (central differences of the value at a declared step).
+Derivatives are either closed forms (``ScalarField.analytic``) or central
+differences of the value at a declared step (``ScalarField.finite_difference``).
 
 Evaluation is vectorized: points may be a single ``(n,)`` vector or any
 ``(..., n)`` batch; results broadcast over the leading axes.
@@ -37,14 +37,13 @@ class ScalarField:
 
     ``value_fn`` maps ``(..., n) -> (...)``; ``grad_fn`` maps
     ``(..., n) -> (..., n)``; ``hess_fn`` maps ``(..., n) -> (..., n, n)``.
-    In finite-difference mode the derivative callables are generated from
-    ``value_fn`` by central differences at ``step``.
+    ``finite_difference`` generates the derivative callables from ``value_fn``
+    by central differences at ``step``; analytic fields have ``step`` 0.
     """
 
     value_fn: Callable[[Array], Array]
     grad_fn: Callable[[Array], Array]
     hess_fn: Callable[[Array], Array]
-    mode: str = "analytic"
     step: float = 0.0
     name: str = dc_field(default="", compare=False)
 
@@ -60,7 +59,7 @@ class ScalarField:
 
     @staticmethod
     def analytic(value_fn, grad_fn, hess_fn, name="") -> "ScalarField":
-        return ScalarField(value_fn, grad_fn, hess_fn, mode="analytic", name=name)
+        return ScalarField(value_fn, grad_fn, hess_fn, name=name)
 
     @staticmethod
     def finite_difference(value_fn, step=DEFAULT_FD_STEP, name="") -> "ScalarField":
@@ -96,9 +95,7 @@ class ScalarField:
                     hess[..., j, i] = hess[..., i, j]
             return hess
 
-        return ScalarField(
-            value_fn, grad_fn, hess_fn, mode="finite-difference", step=step, name=name
-        )
+        return ScalarField(value_fn, grad_fn, hess_fn, step=step, name=name)
 
 
 @dataclass(frozen=True)

@@ -8,10 +8,14 @@ outward unit conormal.  Frames, fundamental forms and mean curvature are
 computed for all samples at once by ``SampledImmersion.geometry()`` and
 cached; reductions (volumes, residual maxima) run in fixed sample order so
 results are deterministic.
+
+Every catalog immersion is a graph x = (y, psi(y)) over a polar,
+spherical-polar or identity chart y of R^k, sampled by one chain rule.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 
@@ -315,194 +319,152 @@ def _gauss_interval(m, a, b):
     return a + (b - a) * (t + 1.0) / 2.0, w * (b - a) / 2.0
 
 
-def _disk_graph(n, radius, psi, dpsi, d2psi, nr, ntheta, with_boundary=True):
-    """Polar chart over a k=2 disk with a graph map into the last n-2 coords.
+def _tensor_grid(rules):
+    """Raveled nodes per axis and product weights of the tensor product of
+    one-dimensional ``(nodes, weights)`` rules, first axis slowest."""
+    w = rules[0][1]
+    for _, wa in rules[1:]:
+        w = np.multiply.outer(w, wa)
+    return [g.ravel() for g in np.meshgrid(*(a for a, _ in rules), indexing="ij")], w.ravel()
 
-    ``psi(y) -> (m, n-2)``, ``dpsi(y) -> (m, n-2, 2)``,
-    ``d2psi(y) -> (m, n-2, 2, 2)`` for planar points y of shape (m, 2).
-    Radial Gauss nodes avoid the chart singularity at the center.
+
+def _graph_over_chart(y, dy, d2y, graph):
+    """Samples ``(x, J, H)`` of the graph x = (y, psi(y)) over a chart y of R^k.
+
+    ``dy[:, i, a]`` is d_a y_i, (m, k, k), and ``d2y[:, a, b, i]`` is
+    d_a d_b y_i, (m, k, k, k).  ``graph(y)`` returns psi (m, q), D psi
+    (m, q, k) and D^2 psi (m, q, k, k).  The chain rule:
+    d_a psi = D psi d_a y and d_a d_b psi = D^2 psi(d_a y, d_b y) + D psi d_a d_b y.
     """
-    q = n - 2
-    r, wr = _gauss01(nr)
-    theta = np.arange(ntheta) * (2.0 * np.pi / ntheta)
-    wt = 2.0 * np.pi / ntheta
-    rr, tt = [a.ravel() for a in np.meshgrid(r, theta, indexing="ij")]
-    ww = (wr[:, None] * np.full(ntheta, wt)).ravel()
+    p, dp, d2p = graph(y)
+    m, k = y.shape
+    curv = np.einsum("mia,mqij,mjb->mabq", dy, d2p, dy, optimize="greedy")
+    tangential = (d2y.reshape(m, k * k, k) @ np.swapaxes(dp, 1, 2)).reshape(m, k, k, -1)
+    H = np.concatenate([d2y, curv + tangential], axis=3)
+    return np.concatenate([y, p], axis=1), np.concatenate([dy, dp @ dy], axis=1), H
 
-    def chart(rv, tv):
-        m = rv.shape[0]
-        c, s = np.cos(tv), np.sin(tv)
-        y = radius * rv[:, None] * np.stack([c, s], axis=1)
-        y_r = radius * np.stack([c, s], axis=1)
-        y_t = radius * rv[:, None] * np.stack([-s, c], axis=1)
-        y_rt = radius * np.stack([-s, c], axis=1)
-        y_tt = -radius * rv[:, None] * np.stack([c, s], axis=1)
-        p = psi(y)
-        dp = dpsi(y)
-        d2p = d2psi(y)
-        x = np.concatenate([y, p], axis=1)
-        J = np.zeros((m, n, 2))
-        J[:, :2, 0] = y_r
-        J[:, :2, 1] = y_t
-        J[:, 2:, 0] = np.einsum("mqa,ma->mq", dp, y_r)
-        J[:, 2:, 1] = np.einsum("mqa,ma->mq", dp, y_t)
-        H = np.zeros((m, 2, 2, n))
-        # second derivatives: chain rule through the planar chart
-        def d2(ya, yb, yab):
-            out = np.zeros((m, n))
-            out[:, :2] = yab
-            out[:, 2:] = np.einsum("mqab,ma,mb->mq", d2p, ya, yb) + np.einsum(
-                "mqa,ma->mq", dp, yab
-            )
-            return out
-        H[:, 0, 0] = d2(y_r, y_r, np.zeros((m, 2)))
-        H[:, 0, 1] = H[:, 1, 0] = d2(y_r, y_t, y_rt)
-        H[:, 1, 1] = d2(y_t, y_t, y_tt)
-        return x, J, H
 
-    xs, Js, Hs = chart(rr, tt)
+def _circle(theta):
+    """Unit directions (cos theta, sin theta) with their first and second
+    angle derivatives, in the layouts of ``_polar_chart``."""
+    om = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    return om, np.stack([-om[:, 1], om[:, 0]], axis=1)[:, :, None], -om[:, None, None, :]
 
+
+def _sphere(phi, theta):
+    """Unit directions (sin phi (cos theta, sin theta), cos phi), phi the
+    angle from the last axis, with their angle derivatives in (phi, theta)."""
+    c, dc, d2c = _circle(theta)
+    sp, cp = np.sin(phi)[:, None], np.cos(phi)[:, None]
+    zero = np.zeros_like(cp)
+    om = np.concatenate([sp * c, cp], axis=1)
+    dom = np.stack([np.concatenate([cp * c, -sp], axis=1),
+                    np.concatenate([sp * dc[:, :, 0], zero], axis=1)], axis=2)
+    d2om = np.empty((len(phi), 2, 2, 3))
+    d2om[:, 0, 0] = -om
+    d2om[:, 0, 1] = d2om[:, 1, 0] = np.concatenate([cp * dc[:, :, 0], zero], axis=1)
+    d2om[:, 1, 1] = np.concatenate([sp * d2c[:, 0, 0], zero], axis=1)
+    return om, dom, d2om
+
+
+def _polar_chart(radius, r, om, dom, d2om):
+    """The chart y = R r omega of the radius-R k-ball in coordinates (r,
+    angles), for ``_graph_over_chart``, from unit directions omega (m, k)
+    with ``dom[:, i, a]`` = d_a omega_i and ``d2om[:, a, b, i]`` = d_a d_b
+    omega_i: d_r y = R omega, d_r d_a y = R d_a omega and d_r^2 y = 0."""
+    k = om.shape[1]
+    Rr = radius * r[:, None]
+    dy = np.concatenate([radius * om[:, :, None], Rr[:, :, None] * dom], axis=2)
+    d2y = np.zeros((len(r), k, k, k))
+    d2y[:, 0, 1:] = d2y[:, 1:, 0] = radius * np.swapaxes(dom, 1, 2)
+    d2y[:, 1:, 1:] = Rr[:, None, None] * d2om
+    return Rr * om, dy, d2y
+
+
+def _ball_graph(k, radius, graph, nr, ntheta, nphi=0, with_boundary=True):
+    """A graph over the polar (k = 2) or spherical-polar (k = 3) chart of
+    the radius-R k-ball.
+
+    Radial Gauss nodes avoid the chart singularity at the center; theta
+    takes trapezoid nodes and the polar angle phi Gauss nodes.  The rim is
+    the same chart at r = 1.  Its weights are |d_theta x| w_theta for k = 2
+    and the flat sphere's R^2 sin(phi) w_phi w_theta for k = 3, whose
+    catalog graphs are flat.
+    """
+    theta = np.arange(ntheta) * (2.0 * np.pi / ntheta), np.full(ntheta, 2.0 * np.pi / ntheta)
+    if k == 2:
+        directions, angles = _circle, [theta]
+    else:
+        directions, angles = _sphere, [_gauss_interval(nphi, 0.0, np.pi), theta]
+    (rr, *aa), ws = _tensor_grid([_gauss01(nr), *angles])
+    xs, Js, Hs = _graph_over_chart(*_polar_chart(radius, rr, *directions(*aa)), graph)
+    n = xs.shape[1]
     if not with_boundary:
-        return SampledImmersion(2, n, xs, Js, Hs, ww)
-
-    ones = np.ones(ntheta)
-    bx, bJ, _ = chart(ones, theta)
-    bw = np.linalg.norm(bJ[:, :, 1], axis=1) * wt
-    return SampledImmersion(2, n, xs, Js, Hs, ww, bx, bJ, bw, polar_conormals(bJ))
-
-
-def _equatorial_disk_k3(n, radius, nr, nphi, ntheta):
-    """Spherical-polar chart of the flat 3-disk spanning the first 3 coords."""
-    r, wr = _gauss01(nr)
-    phi, wphi = _gauss_interval(nphi, 0.0, np.pi)
-    theta = np.arange(ntheta) * (2.0 * np.pi / ntheta)
-    wt = 2.0 * np.pi / ntheta
-
-    rr, pp, tt = [a.ravel() for a in np.meshgrid(r, phi, theta, indexing="ij")]
-    ww = (wr[:, None, None] * wphi[None, :, None] * np.full(ntheta, wt)[None, None, :]).ravel()
-
-    def omega(p, t):
-        return np.stack([np.sin(p) * np.cos(t), np.sin(p) * np.sin(t), np.cos(p)], axis=1)
-
-    def omega_p(p, t):
-        return np.stack([np.cos(p) * np.cos(t), np.cos(p) * np.sin(t), -np.sin(p)], axis=1)
-
-    def omega_t(p, t):
-        return np.stack([-np.sin(p) * np.sin(t), np.sin(p) * np.cos(t), np.zeros_like(p)], axis=1)
-
-    def omega_pt(p, t):
-        return np.stack([-np.cos(p) * np.sin(t), np.cos(p) * np.cos(t), np.zeros_like(p)], axis=1)
-
-    def omega_tt(p, t):
-        return np.stack([-np.sin(p) * np.cos(t), -np.sin(p) * np.sin(t), np.zeros_like(p)], axis=1)
-
-    def chart(rv, pv, tv):
-        m = rv.shape[0]
-        om, om_p, om_t = omega(pv, tv), omega_p(pv, tv), omega_t(pv, tv)
-        x = np.zeros((m, n))
-        x[:, :3] = radius * rv[:, None] * om
-        J = np.zeros((m, n, 3))
-        J[:, :3, 0] = radius * om
-        J[:, :3, 1] = radius * rv[:, None] * om_p
-        J[:, :3, 2] = radius * rv[:, None] * om_t
-        H = np.zeros((m, 3, 3, n))
-        H[:, 0, 1, :3] = H[:, 1, 0, :3] = radius * om_p
-        H[:, 0, 2, :3] = H[:, 2, 0, :3] = radius * om_t
-        H[:, 1, 1, :3] = -radius * rv[:, None] * om
-        H[:, 1, 2, :3] = H[:, 2, 1, :3] = radius * rv[:, None] * omega_pt(pv, tv)
-        H[:, 2, 2, :3] = radius * rv[:, None] * omega_tt(pv, tv)
-        return x, J, H
-
-    xs, Js, Hs = chart(rr, pp, tt)
-
-    pb, tb = [a.ravel() for a in np.meshgrid(phi, theta, indexing="ij")]
-    bx, bJ, _ = chart(np.ones(pb.shape[0]), pb, tb)
-    bw = (wphi[:, None] * np.full(ntheta, wt)[None, :]).ravel() * radius**2 * np.sin(pb)
-    return SampledImmersion(3, n, xs, Js, Hs, ww, bx, bJ, bw, polar_conormals(bJ))
+        return SampledImmersion(k, n, xs, Js, Hs, ws)
+    rim, bw = _tensor_grid(angles)
+    bx, bJ, _ = _graph_over_chart(
+        *_polar_chart(radius, np.ones(len(bw)), *directions(*rim)), graph
+    )
+    if k == 2:
+        bw = np.linalg.norm(bJ[:, :, 1], axis=1) * bw
+    else:
+        bw = bw * radius**2 * np.sin(rim[0])
+    return SampledImmersion(k, n, xs, Js, Hs, ws, bx, bJ, bw, polar_conormals(bJ))
 
 
-def _const_graph_maps(n, height_vec):
-    q = n - 2
-    h = np.zeros(q)
-    h[: len(height_vec)] = height_vec
-
-    def psi(y):
-        return np.broadcast_to(h, (y.shape[0], q)).copy()
-
-    def dpsi(y):
-        return np.zeros((y.shape[0], q, 2))
-
-    def d2psi(y):
-        return np.zeros((y.shape[0], q, 2, 2))
-
-    return psi, dpsi, d2psi
+def _codimension(n, k):
+    if not 1 <= k <= n - 1:
+        raise ConfigError(f"need 1 <= k <= n-1, got k={k}, n={n}")
+    return n - k
 
 
-def _poly_graph_maps(k, per_output_terms):
+def _const_graph(n, k, heights):
+    """Constant graph map (heights, 0, ...) into the last n - k coordinates."""
+    q = _codimension(n, k)
+    h = np.pad(np.asarray(heights, float), (0, q - len(heights)))
+
+    def graph(y):
+        m = y.shape[0]
+        return np.broadcast_to(h, (m, q)), np.zeros((m, q, k)), np.zeros((m, q, k, k))
+
+    return graph
+
+
+def _poly_graph(n, k, per_output_terms):
+    """Polynomial graph map, one term list per height coordinate."""
+    q = _codimension(n, k)
+    if len(per_output_terms) != q:
+        raise ConfigError(f"graph map must have {q} output coordinates")
     fields = [make_field("polynomial", terms=t) for t in per_output_terms]
-    q = len(fields)
 
-    def psi(y):
-        return np.stack([f.value(y) for f in fields], axis=1) if q else np.zeros((y.shape[0], 0))
+    def graph(y):
+        return (np.stack([f.value(y) for f in fields], axis=1),
+                np.stack([f.gradient(y) for f in fields], axis=1),
+                np.stack([f.hessian(y) for f in fields], axis=1))
 
-    def dpsi(y):
-        return (
-            np.stack([f.gradient(y) for f in fields], axis=1)
-            if q
-            else np.zeros((y.shape[0], 0, k))
-        )
-
-    def d2psi(y):
-        return (
-            np.stack([f.hessian(y) for f in fields], axis=1)
-            if q
-            else np.zeros((y.shape[0], 0, k, k))
-        )
-
-    return psi, dpsi, d2psi
+    return graph
 
 
 def _cube_graph(k, n, per_output_terms, halfwidth, nodes_per_axis):
-    """Tensor Gauss grid on [-h, h]^k with a polynomial graph map; no boundary."""
-    psi, dpsi, d2psi = _poly_graph_maps(k, per_output_terms)
-    y1, w1 = _gauss_interval(nodes_per_axis, -halfwidth, halfwidth)
-    grids = np.meshgrid(*([y1] * k), indexing="ij")
-    ys = np.stack([g.ravel() for g in grids], axis=1)
-    wgrids = np.meshgrid(*([w1] * k), indexing="ij")
-    ws = np.prod(np.stack([g.ravel() for g in wgrids], axis=1), axis=1)
+    """Tensor Gauss grid on [-h, h]^k under the identity chart with a
+    polynomial graph map; no boundary."""
+    graph = _poly_graph(n, k, per_output_terms)
+    ys, ws = _tensor_grid([_gauss_interval(nodes_per_axis, -halfwidth, halfwidth)] * k)
+    ys = np.stack(ys, axis=1)
     m = ys.shape[0]
-    q = n - k
-    p, dp, d2p = psi(ys), dpsi(ys), d2psi(ys)
-    if p.shape[1] != q:
-        raise ConfigError(f"graph map must have {q} output coordinates")
-    xs = np.concatenate([ys, p], axis=1)
-    Js = np.zeros((m, n, k))
-    Js[:, :k, :] = np.broadcast_to(np.eye(k), (m, k, k))
-    Js[:, k:, :] = dp
-    Hs = np.zeros((m, k, k, n))
-    Hs[:, :, :, k:] = d2p.transpose(0, 2, 3, 1)
+    xs, Js, Hs = _graph_over_chart(
+        ys, np.broadcast_to(np.eye(k), (m, k, k)), np.zeros((m, k, k, k)), graph
+    )
     return SampledImmersion(k, n, xs, Js, Hs, ws)
 
 
 def random_graph_terms(k, n, degree, seed):
     """Seeded random polynomial graph coefficients, one term list per height."""
     rng = np.random.default_rng(seed)
-    exps = []
-    for total in range(1, degree + 1):
-        def rec(prefix, remaining, slots):
-            if slots == 1:
-                exps.append(prefix + [remaining])
-                return
-            for e in range(remaining + 1):
-                rec(prefix + [e], remaining - e, slots - 1)
-        rec([], total, k)
-    per_output = []
-    for _ in range(n - k):
-        terms = [
-            [float(rng.normal(0.0, 0.35 ** sum(e))), list(e)] for e in exps
-        ]
-        per_output.append(terms)
-    return per_output
+    exps = [e for total in range(1, degree + 1)
+            for e in itertools.product(range(total + 1), repeat=k) if sum(e) == total]
+    return [[[float(rng.normal(0.0, 0.35 ** sum(e))), list(e)] for e in exps]
+            for _ in range(n - k)]
 
 
 def make_immersion(kind: str, **params) -> SampledImmersion:
@@ -510,59 +472,45 @@ def make_immersion(kind: str, **params) -> SampledImmersion:
 
     Kinds: ``equatorial-disk(n, k, radius)``, ``paraboloid-cap(curvature)``,
     ``tilted-disk(angle)``, ``graph(coeffs)`` and ``random-graph(seed,
-    degree)``.  Structured quadrature grids: polar Gauss x trapezoid for
-    disks, tensor Gauss cubes for graphs.
+    degree)``.  Each is a graph over a chart of R^k on a structured grid: the
+    polar (k = 2) or spherical-polar (k = 3) chart with radial Gauss nodes for
+    disks, the identity chart on a tensor Gauss cube for graphs.
     """
     if kind == "equatorial-disk":
         n = int(params["n"])
         k = int(params.get("k", 2))
         radius = float(params.get("radius", 1.0))
-        if k == 2:
-            psi, dpsi, d2psi = _const_graph_maps(n, [])
-            return _disk_graph(
-                n, radius, psi, dpsi, d2psi,
-                int(params.get("nr", 32)), int(params.get("ntheta", 64)),
-            )
-        if k == 3:
-            return _equatorial_disk_k3(
-                n, radius,
-                int(params.get("nr", 12)), int(params.get("nphi", 12)),
-                int(params.get("ntheta", 24)),
-            )
-        raise ConfigError("equatorial-disk supports k in {2, 3}")
+        if k not in (2, 3):
+            raise ConfigError("equatorial-disk supports k in {2, 3}")
+        return _ball_graph(
+            k, radius, _const_graph(n, k, []),
+            int(params.get("nr", 32 if k == 2 else 12)),
+            int(params.get("ntheta", 64 if k == 2 else 24)), int(params.get("nphi", 12)),
+        )
     if kind == "paraboloid-cap":
         n = int(params.get("n", 3))
         c = float(params.get("curvature", 0.5))
         radius = float(params.get("radius", 1.0))
-        terms = [[[c / 2.0, [2, 0]], [c / 2.0, [0, 2]]]] + [[] for _ in range(n - 3)]
-        psi, dpsi, d2psi = _poly_graph_maps(2, [t if t else [[0.0, [0, 0]]] for t in terms])
-        return _disk_graph(
-            n, radius, psi, dpsi, d2psi,
+        terms = [[[c / 2.0, [2, 0]], [c / 2.0, [0, 2]]]] + [[[0.0, [0, 0]]]] * (n - 3)
+        return _ball_graph(
+            2, radius, _poly_graph(n, 2, terms),
             int(params.get("nr", 16)), int(params.get("ntheta", 32)),
             with_boundary=bool(params.get("with_boundary", True)),
         )
     if kind == "tilted-disk":
         n = int(params.get("n", 3))
         angle = float(params["angle"])
-        h = np.sin(angle)
-        radius = float(np.cos(angle))
-        psi, dpsi, d2psi = _const_graph_maps(n, [h])
-        return _disk_graph(
-            n, radius, psi, dpsi, d2psi,
+        return _ball_graph(
+            2, float(np.cos(angle)), _const_graph(n, 2, [np.sin(angle)]),
             int(params.get("nr", 16)), int(params.get("ntheta", 32)),
         )
-    if kind == "graph":
+    if kind in ("graph", "random-graph"):
         k = int(params.get("k", 2))
         n = int(params["n"])
-        return _cube_graph(
-            k, n, params["coeffs"],
-            float(params.get("halfwidth", 0.5)),
-            int(params.get("nodes_per_axis", 6 if k == 2 else 5)),
-        )
-    if kind == "random-graph":
-        k = int(params.get("k", 2))
-        n = int(params["n"])
-        terms = random_graph_terms(k, n, int(params.get("degree", 2)), int(params["seed"]))
+        if kind == "graph":
+            terms = params["coeffs"]
+        else:
+            terms = random_graph_terms(k, n, int(params.get("degree", 2)), int(params["seed"]))
         return _cube_graph(
             k, n, terms,
             float(params.get("halfwidth", 0.5)),

@@ -214,7 +214,7 @@ def test_polish_calls_are_batched(monkeypatch):
     """A convexity report makes one curvature evaluation and one projection
     for the sweep, then one of each per polish round for both metrics: the
     two searches' trials go through together."""
-    sizes = {"principal_curvatures": [], "project_to_boundary": []}
+    sizes = {"_curvatures_and_normals": [], "project_to_boundary": []}
     for name, calls in sizes.items():
         def counted(domain, x, *args, _real=getattr(dm, name), _calls=calls, **kwargs):
             _calls.append(np.shape(x))
@@ -257,6 +257,20 @@ def counting_domain(domain, calls):
     wrapped = ScalarField.analytic(phi.value_fn, counted("gradient", phi.grad_fn),
                                    counted("hessian", phi.hess_fn))
     return dm.LevelSetDomain(wrapped, domain.n, domain.bounding_radius, domain.name)
+
+
+def test_convexity_report_evaluates_grad_phi_once_per_round(monkeypatch):
+    """Outside the projections a convexity report evaluates grad phi (and
+    Hess phi) once for the sweep and once per polish round: the rescaled
+    curvatures reuse the Householder kernel's normals."""
+    ell = dm.make_domain("ellipsoid", 4, semi_axes=[2.0, 1.2, 1.0, 0.9])
+    project = dm.project_to_boundary
+    monkeypatch.setattr(dm, "project_to_boundary",
+                        lambda domain, x, *args, **kwargs: project(ell, x, *args, **kwargs))
+    calls = {"gradient": 0, "hessian": 0}
+    field = make_field("radial-custom", coeffs=[0.1, 0.3, -0.15])
+    dm.convexity_report(counting_domain(ell, calls), field, p=1, count=256, seed=0)
+    assert calls == {"gradient": 1 + dm.POLISH_ROUNDS, "hessian": 1 + dm.POLISH_ROUNDS}
 
 
 @pytest.mark.parametrize("kind,params", [

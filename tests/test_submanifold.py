@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import sphere_patch
-from fbstab import domain as dm
 from fbstab import submanifold as sub
 from fbstab.errors import ConfigError, DegenerateSampleError, InvalidSampleError
 from fbstab.fields import ConformalMetric, make_field
+from fbstab.scenarios import build_scenario
 
 
 def _frames(J):
@@ -187,11 +187,11 @@ def test_check_minimality_fail_and_infinite_tol():
 def test_free_boundary_checks(flat_b4, ball4):
     rep = sub.check_free_boundary(flat_b4.immersion, ball4, 1e-9)
     assert rep.passed
-    tilt = sub.make_immersion("tilted-disk", angle=np.deg2rad(10), n=3)
-    ball3 = dm.make_domain("ball", 3, radius=1.0)
-    rep = sub.check_free_boundary(tilt, ball3, 1e-3)
+    tilt = build_scenario("tilted-disk-b3")
+    want = tilt.scenario.expected["fb_defect"]
+    rep = sub.check_free_boundary(tilt.immersion, tilt.domain, 1e-3)
     assert not rep.passed
-    assert abs(rep.max_residual - (1 - np.cos(np.deg2rad(10)))) < 1e-9
+    assert abs(rep.max_residual - want["value"]) < want["tol"]
 
 
 def test_free_boundary_conformal_invariance(cap_b4):
@@ -248,3 +248,65 @@ def test_random_graph_deterministic():
 def test_unknown_immersion_kind():
     with pytest.raises(ConfigError):
         sub.make_immersion("moebius")
+
+
+@pytest.mark.parametrize("spec", [
+    {"kind": "equatorial-disk", "n": 3, "k": 3},
+    {"kind": "paraboloid-cap", "n": 2},
+    {"kind": "tilted-disk", "angle": 0.1, "n": 2},
+    {"kind": "graph", "n": 2, "k": 2, "coeffs": []},
+    {"kind": "random-graph", "n": 3, "k": 4, "seed": 0},
+])
+def test_catalog_rejects_k_at_least_n(spec):
+    spec = dict(spec)
+    with pytest.raises(ConfigError):
+        sub.make_immersion(spec.pop("kind"), **spec)
+
+
+def _chart_samples(chart, n, k, terms):
+    """``t -> (x, J, H)`` for a polynomial graph over a catalog chart in
+    coordinates t: (r, theta) polar, (r, phi, theta) spherical-polar, or the
+    cube's identity chart."""
+    graph = sub._poly_graph(n, k, terms)
+
+    def samples(t):
+        if chart == "cube":
+            m = len(t)
+            return sub._graph_over_chart(
+                t, np.broadcast_to(np.eye(k), (m, k, k)), np.zeros((m, k, k, k)), graph)
+        directions = sub._circle if chart == "polar" else sub._sphere
+        return sub._graph_over_chart(
+            *sub._polar_chart(1.3, t[:, 0], *directions(*t[:, 1:].T)), graph)
+    return samples
+
+
+@pytest.mark.parametrize("chart,n,terms", [
+    ("polar", 4, [[[0.25, [2, 0]], [0.25, [0, 2]]], [[0.3, [1, 2]], [-0.2, [0, 1]]]]),
+    ("spherical", 5, [[[0.25, [2, 0, 0]], [0.25, [0, 2, 0]], [-0.4, [1, 1, 1]]],
+                      [[0.3, [0, 0, 3]], [0.1, [1, 0, 0]]]]),
+    ("cube", 5, sub.random_graph_terms(3, 5, 3, 4)),
+])
+def test_chart_chain_rule_matches_central_differences(chart, n, terms):
+    """J and H of the graph builder match central differences of its sample
+    positions in the chart coordinates, over the polar and spherical-polar
+    charts (paraboloid terms plus a cubic height) and a cubic random-graph
+    cube: this covers H's tangential part and the 3-ball chart's second
+    derivatives, which flat disks do not see."""
+    rng = np.random.default_rng(5)
+    k = 2 if chart == "polar" else 3
+    if chart == "cube":
+        t = rng.uniform(-0.5, 0.5, (24, k))
+    else:
+        t = np.column_stack([rng.uniform(0.2, 0.9, 24), rng.uniform(0.3, 2.8, (24, k - 1))])
+    samples = _chart_samples(chart, n, k, terms)
+    x, J, H = samples(t)
+    h, E = 1e-4, 1e-4 * np.eye(k)
+    for a in range(k):
+        xp, xm = samples(t + E[a])[0], samples(t - E[a])[0]
+        assert np.max(np.abs(J[:, :, a] - (xp - xm) / (2 * h))) < 1e-7
+        assert np.max(np.abs(H[:, a, a] - (xp - 2 * x + xm) / h**2)) < 1e-6
+        for b in range(a):
+            mixed = (samples(t + E[a] + E[b])[0] - samples(t + E[a] - E[b])[0]
+                     - samples(t - E[a] + E[b])[0] + samples(t - E[a] - E[b])[0]) / (4 * h**2)
+            assert np.max(np.abs(H[:, a, b] - mixed)) < 1e-6
+            assert np.max(np.abs(H[:, b, a] - mixed)) < 1e-6

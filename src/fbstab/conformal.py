@@ -19,18 +19,6 @@ from .fields import ScalarField
 ORTHONORMAL_TOL = 1e-10
 
 
-def connection_correction(field: ScalarField, x, X, Y) -> np.ndarray:
-    """Difference of Levi-Civita connections: corr = X(u)Y + Y(u)X - <X,Y> grad u.
-
-    For constant extensions of X, Y the rescaled-metric connection is the flat
-    directional derivative plus this vector.
-    """
-    X = np.asarray(X, float)
-    Y = np.asarray(Y, float)
-    g = field.gradient(x)
-    return (X @ g) * Y + (Y @ g) * X - (X @ Y) * g
-
-
 def riemann(field: ScalarField, x, X, Y, Z) -> np.ndarray:
     """Curvature vector R(X,Y)Z of e^{2u} * Euclidean at x (flat base).
 
@@ -108,17 +96,3 @@ def min_sectional_curvature(field: ScalarField, xs) -> np.ndarray:
     lam = np.linalg.eigvalsh(g[:, :, None] * g[:, None, :] - field.hessian(xs))
     return np.exp(-2.0 * u) * (lam[:, 0] + lam[:, 1] - np.sum(g * g, axis=1))
 
-
-def christoffel(field: ScalarField, x) -> np.ndarray:
-    """Christoffel symbols Gamma^c_{ab} of e^{2u} * Euclidean at x.
-
-    Gamma^c_{ab} = delta_a^c u_b + delta_b^c u_a - delta_{ab} u^c.
-    """
-    g = field.gradient(x)
-    n = g.shape[-1]
-    eye = np.eye(n)
-    return (
-        eye[:, None, :] * g[None, :, None]
-        + eye[None, :, :] * g[:, None, None]
-        - eye[:, :, None] * g[None, None, :]
-    ).transpose(2, 0, 1)

@@ -91,11 +91,6 @@ def outward_normal(domain: LevelSetDomain, x) -> Array:
     return _unit_gradient(domain, x)[0]
 
 
-def inward_normal(domain: LevelSetDomain, x) -> Array:
-    """Inward unit normal eta = -grad phi / |grad phi| (phi < 0 inside)."""
-    return -outward_normal(domain, x)
-
-
 def project_to_boundary(domain: LevelSetDomain, x, tol: float = 1e-12,
                         max_iter: int = 50) -> Array:
     """Newton iteration along grad phi until |phi| <= tol, for one point
@@ -129,38 +124,11 @@ def boundary_form(domain: LevelSetDomain, x) -> Array:
     return np.einsum("...ab,...bc,...cd->...ad", P, domain.phi.hessian(x), P) / norm[..., None]
 
 
-def boundary_tangent_basis(domain: LevelSetDomain, x) -> Array:
-    """Deterministic orthonormal basis of the boundary tangent space, ``(..., n-1, n)``."""
-    nhat = outward_normal(domain, x)
-    eye = np.broadcast_to(np.eye(domain.n), nhat.shape + (domain.n,))
-    Q, R = np.linalg.qr(np.concatenate([nhat[..., None], eye], axis=-1))
-    d = np.diagonal(R[..., : domain.n], axis1=-2, axis2=-1)
-    Q = Q * np.where(d == 0.0, 1.0, np.sign(d))[..., None, :]
-    return np.swapaxes(Q[..., 1:], -1, -2)
-
-
 def _rescaled(field: ScalarField, x, nhat: Array, kappa: Array) -> tuple[Array, Array]:
     """kappa~ = e^{-u} (kappa - eta(u)), which keeps the order, and eta(u) =
     <grad u, -nhat> at boundary points x with outward normals nhat."""
     eta_u = np.sum(field.gradient(x) * -nhat, axis=-1)
     return np.exp(-field.value(x))[..., None] * (kappa - eta_u[..., None]), eta_u
-
-
-def shape_operator(domain: LevelSetDomain, x, metric: ConformalMetric | None = None) -> Array:
-    """Symmetric shape operators in orthonormal tangent bases, ``(..., n-1, n-1)``.
-
-    Euclidean: restriction of ``boundary_form``.  Rescaled metric: the
-    eigenvalues transform as kappa~ = e^{-u} (kappa - eta(u)), which is the
-    operator e^{-u} (S - eta(u) I) in the same basis.
-    """
-    B = boundary_tangent_basis(domain, x)
-    S = B @ boundary_form(domain, x) @ np.swapaxes(B, -1, -2)
-    S = 0.5 * (S + np.swapaxes(S, -1, -2))
-    if metric is None:
-        return S
-    eta_u = np.sum(metric.field.gradient(x) * -outward_normal(domain, x), axis=-1)
-    scale = np.exp(-metric.field.value(x))
-    return scale[..., None, None] * (S - eta_u[..., None, None] * np.eye(domain.n - 1))
 
 
 def _curvatures_and_normals(domain: LevelSetDomain, x) -> tuple[Array, Array]:
@@ -366,17 +334,3 @@ def make_domain(kind: str, n: int, **params) -> LevelSetDomain:
         return LevelSetDomain(phi, n, bounding_radius=radius, name=f"superellipsoid({m})")
     raise ConfigError(f"unknown domain catalog name: {kind!r}")
 
-
-def check_gradient_tube(domain: LevelSetDomain, count: int = 256, seed: int = 0,
-                        floor: float = 1e-6, tube: float = 1e-2) -> float:
-    """Sampled minimum of |grad phi| on the tube |phi| <= tube, probed at each
-    sweep point and one tube width either side along the normal."""
-    pts = sample_boundary(domain, count, seed)
-    offsets = (tube * np.array([-1.0, 0.0, 1.0]))[:, None, None]
-    ys = pts + offsets * outward_normal(domain, pts)
-    ys = ys[np.abs(domain.phi.value(ys)) <= tube]
-    g = domain.phi.gradient(ys)
-    lo = float(np.min(np.sqrt(np.vecdot(g, g)), initial=np.inf))
-    if lo < floor:
-        raise DomainError(f"|grad phi| = {lo:.2e} below {floor:g} near the boundary")
-    return lo

@@ -196,58 +196,71 @@ def _radial_custom_field(coeffs) -> ScalarField:
     )
 
 
+def _monomial_sums(coef: Array, exps: Array, slots: Array, nslots: int):
+    """x -> (P, nslots) over the P points of x, with row r adding coef_r *
+    x^exps_r into slot slots_r.  All monomials evaluate as one stack of
+    factors x_j^e_rj, each power with e >= 2 taken once per point (1 and x_j
+    need none), and each slot sums its rows in row order."""
+    n = exps.shape[1]
+    coord = np.broadcast_to(np.arange(n), exps.shape)
+    high = exps >= 2
+    powers, at = np.unique(exps[high] * n + coord[high], return_inverse=True)
+    factor = np.where(exps == 0, 0, 1 + coord)      # columns of [1, x, x_j^p]
+    factor[high] = 1 + n + at
+
+    def evaluate(x):
+        X = x.reshape(-1, n)
+        table = np.concatenate(
+            [np.ones((len(X), 1)), X, X[:, powers % n] ** (powers // n)], axis=1
+        )
+        terms = coef * np.prod(table[:, factor], axis=-1)
+        out = np.zeros((len(X), nslots))
+        np.add.at(out.T, slots, terms.T)
+        return out
+
+    return evaluate
+
+
 def _polynomial_field(terms) -> ScalarField:
     """Multivariate polynomial u(x) = sum_t c_t * prod_i x_i^{e_ti}.
 
-    ``terms`` is a list of ``[coeff, [e_1, ..., e_n]]`` entries.
+    ``terms`` is a list of ``[coeff, [e_1, ..., e_n]]`` entries.  The
+    derivatives are the monomials d_i: c_t e_ti x^(e_t - delta_i) and d_i d_j:
+    c_t e_ti (e_tj - delta_ij) x^(e_t - delta_i - delta_j), j <= i, of all
+    terms at once; the Hessian mirrors its lower triangle.
     """
     coeffs = np.array([t[0] for t in terms], dtype=float)
     exps = np.array([t[1] for t in terms], dtype=int)
     if exps.ndim != 2 or np.any(exps < 0):
         raise ConfigError("polynomial terms need non-negative exponent tuples")
     n = exps.shape[1]
-
-    def monomials(x, e):
-        # prod_i x_i^{e_i} with 0^0 = 1
-        return np.prod(np.where(e > 0, x ** e, 1.0), axis=-1)
-
-    def value(x):
-        out = np.zeros(x.shape[:-1])
-        for c, e in zip(coeffs, exps):
-            out += c * monomials(x, e)
-        return out
-
-    def grad(x):
-        out = np.zeros_like(x)
-        for c, e in zip(coeffs, exps):
-            for i in range(n):
-                if e[i] == 0:
-                    continue
-                ei = e.copy()
-                ei[i] -= 1
-                out[..., i] += c * e[i] * monomials(x, ei)
-        return out
+    eye = np.eye(n, dtype=int)
+    slot = np.arange(n)
+    value = _monomial_sums(coeffs, exps, np.zeros(len(exps), int), 1)
+    d1 = exps != 0                                               # (t, i)
+    grad_sums = _monomial_sums(
+        (coeffs[:, None] * exps)[d1], (exps[:, None, :] - eye)[d1],
+        np.broadcast_to(slot, exps.shape)[d1], n,
+    )
+    fac2 = exps[:, :, None] * (exps[:, None, :] - eye)           # (t, i, j)
+    d2 = (fac2 != 0) & (slot[:, None] >= slot[None, :])
+    hess_sums = _monomial_sums(
+        (coeffs[:, None, None] * fac2)[d2],
+        (exps[:, None, None, :] - eye[:, None, :] - eye[None, :, :])[d2],
+        np.broadcast_to(slot[:, None] * n + slot[None, :], fac2.shape)[d2], n * n,
+    )
+    upper = np.triu_indices(n, 1)
 
     def hess(x):
-        out = np.zeros(x.shape[:-1] + (n, n))
-        for c, e in zip(coeffs, exps):
-            for i in range(n):
-                if e[i] == 0:
-                    continue
-                for j in range(i + 1):
-                    eij = e.copy()
-                    eij[i] -= 1
-                    if eij[j] == 0:
-                        continue
-                    fac = e[i] * eij[j]
-                    eij[j] -= 1
-                    term = c * fac * monomials(x, eij)
-                    out[..., i, j] += term
-                    if i != j:
-                        out[..., j, i] += term
+        out = hess_sums(x).reshape(x.shape[:-1] + (n, n))
+        out[..., upper[0], upper[1]] = out[..., upper[1], upper[0]]
         return out
 
-    return ScalarField.analytic(value, grad, hess, name="polynomial")
+    return ScalarField.analytic(
+        lambda x: value(x).reshape(x.shape[:-1]),
+        lambda x: grad_sums(x).reshape(x.shape),
+        hess, name="polynomial",
+    )
 
 
 def make_field(name: str, **params) -> ScalarField:

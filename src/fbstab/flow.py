@@ -50,8 +50,6 @@ from .submanifold import (
     SampledImmersion,
     _gauss01,
     boundary_defects,
-    integrate_boundary,
-    integrate_interior,
     mean_curvature_bracket,
     minimality_residuals,
     polar_conormals,
@@ -213,23 +211,6 @@ def first_variation_direction(imm: SampledImmersion, metric: ConformalMetric,
     else:
         boundary = np.zeros((0, imm.n))
     return interior, boundary
-
-
-def first_variation_value(imm: SampledImmersion, metric: ConformalMetric,
-                          interior_dirs, boundary_dirs) -> float:
-    """Pairing of a variation field with the first variation of volume:
-    -int <X, H~> dV + int <X, nu~> dA in the rescaled metric."""
-    u, bracket = mean_curvature_bracket(imm, metric)
-    H_conf = np.exp(-2.0 * u)[:, None] * bracket
-    fac = metric.factor(imm.xs)
-    vals = -fac * np.sum(np.asarray(interior_dirs) * H_conf, axis=1)
-    total = integrate_interior(imm, vals, metric)
-    if imm.n_boundary:
-        u_b = metric.field.value(imm.bxs)
-        nu_conf = np.exp(-u_b)[:, None] * imm.bnus
-        bvals = metric.factor(imm.bxs) * np.sum(np.asarray(boundary_dirs) * nu_conf, axis=1)
-        total += integrate_boundary(imm, bvals, metric)
-    return float(total)
 
 
 @dataclass(frozen=True)

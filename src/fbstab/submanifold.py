@@ -69,11 +69,14 @@ def _batched_frames(Js: Array):
 
 
 def _check_conditioning(Js: Array, where: str):
-    sv = np.linalg.svd(Js, compute_uv=False)
-    if np.any(sv[:, -1] <= 0.0):
-        bad = int(np.argmax(sv[:, -1] <= 0.0))
+    """Reject samples whose Gram J^T J is singular or has cond(J^T J) =
+    lmax / lmin above ``COND_LIMIT``.  The eigenvalues of the k x k Gram
+    carry round-off of about 1e-16 lmax, far below lmax / COND_LIMIT."""
+    lam = np.linalg.eigvalsh(np.swapaxes(Js, 1, 2) @ Js)
+    if np.any(lam[:, 0] <= 0.0):
+        bad = int(np.argmax(lam[:, 0] <= 0.0))
         raise DegenerateSampleError(f"{where} sample {bad} has rank-deficient Jacobian")
-    cond2 = (sv[:, 0] / sv[:, -1]) ** 2
+    cond2 = lam[:, -1] / lam[:, 0]
     if np.any(cond2 > COND_LIMIT):
         bad = int(np.argmax(cond2 > COND_LIMIT))
         raise DegenerateSampleError(
@@ -128,6 +131,7 @@ class SampledImmersion:
         self.bws = np.asarray(boundary_w, float)
         self.bnus = np.asarray(boundary_nu, float)
         self._geometry = None
+        self._b_frames = None
         if validate:
             self._validate()
         for a in (self.xs, self.Js, self.Hs, self.ws, self.bxs, self.bJs, self.bws, self.bnus):
@@ -159,9 +163,8 @@ class SampledImmersion:
             if np.any(np.abs(norms - 1.0) > 1e-9):
                 raise InvalidSampleError("boundary conormals must be unit vectors")
             # conormal must lie in the tangent space of the immersion
-            T, _, _ = _batched_frames(self.bJs)
-            proj = np.einsum("mkn,mk->mn", T, np.einsum("mkn,mn->mk", T, self.bnus))
-            if np.max(np.linalg.norm(self.bnus - proj, axis=1)) > 1e-8:
+            _, bN = self._boundary_frames()
+            if np.max(np.linalg.norm(bN @ self.bnus[:, :, None], axis=(1, 2))) > 1e-8:
                 raise InvalidSampleError("boundary conormal not tangent to the immersion")
 
     @property
@@ -172,21 +175,24 @@ class SampledImmersion:
     def n_boundary(self) -> int:
         return self.bxs.shape[0]
 
+    def _boundary_frames(self) -> tuple[Array, Array]:
+        """Tangent and normal frames at the boundary samples, built once for
+        validation and ``geometry()``."""
+        if self._b_frames is None:
+            self._b_frames = _batched_frames(self.bJs)[:2]
+        return self._b_frames
+
     def geometry(self) -> ImmersionGeometry:
         if self._geometry is None:
+            m, n, k = self.Js.shape
             T, N, C = _batched_frames(self.Js)
-            hn = np.einsum("mrx,mabx->mabr", N, self.Hs)
-            alpha = np.einsum("mai,mbj,mabr->mijr", C, C, hn)
-            H = np.einsum("miir,mrx->mx", alpha, N)
-            gram = np.einsum("mxa,mxb->mab", self.Js, self.Js)
-            jac = np.sqrt(np.linalg.det(gram))
-            if self.n_boundary:
-                bT, bN, _ = _batched_frames(self.bJs)
-            else:
-                q = self.n - self.k
-                bT = np.zeros((0, self.k, self.n))
-                bN = np.zeros((0, q, self.n))
-            self._geometry = ImmersionGeometry(T, N, C, alpha, H, jac, bT, bN)
+            Ct = np.swapaxes(C, 1, 2)
+            # hn[:, a, b] = <d_a d_b x, N_r> and alpha_r = C^T hn_r C
+            hn = (self.Hs.reshape(m, k * k, n) @ np.swapaxes(N, 1, 2)).reshape(m, k, k, n - k)
+            alpha = (Ct @ (Ct[:, None] @ hn).reshape(m, k, -1)).reshape(m, k, k, n - k)
+            H = (np.trace(alpha, axis1=1, axis2=2)[:, None] @ N)[:, 0]
+            jac = np.sqrt(np.linalg.det(np.swapaxes(self.Js, 1, 2) @ self.Js))
+            self._geometry = ImmersionGeometry(T, N, C, alpha, H, jac, *self._boundary_frames())
         return self._geometry
 
 
@@ -205,11 +211,6 @@ def conformal_sff(imm: SampledImmersion, metric: ConformalMetric) -> Array:
 def volume(imm: SampledImmersion, metric: ConformalMetric | None = None) -> float:
     """k-volume: sum of w * sqrt(det J^T J) * e^{k u} over interior samples."""
     return integrate_interior(imm, 1.0, metric)
-
-
-def boundary_volume(imm: SampledImmersion, metric: ConformalMetric | None = None) -> float:
-    """(k-1)-volume of the boundary; weights already carry Euclidean measure."""
-    return integrate_boundary(imm, 1.0, metric)
 
 
 def integrate_interior(imm, values, metric=None) -> float:

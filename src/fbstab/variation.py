@@ -238,11 +238,10 @@ def _s_euclid_terms(alpha: Array, TB: Array, NB: Array) -> Array:
     ``TB``/``NB`` are the tangent/normal frames against the basis: E_l^tan
     has frame components TB[:, :, l] and E_l^perp normal components NB[:, :, l].
     """
-    a1 = np.einsum("mijr,mjl->milr", alpha, TB)
-    first = np.sum(a1**2, axis=(1, 3))
-    a2 = np.einsum("mijr,mrl->mijl", alpha, NB)
-    second = np.sum(a2**2, axis=(1, 2))
-    return first - second
+    m, k, _, q = alpha.shape
+    a1 = np.swapaxes(alpha, 2, 3).reshape(m, k * q, k) @ TB   # alpha(v_i, E_l^tan)
+    a2 = alpha.reshape(m, k * k, q) @ NB                       # <alpha_ij, E_l^perp>
+    return np.sum(a1**2, axis=1) - np.sum(a2**2, axis=1)
 
 
 def trace_s_euclid(imm: SampledImmersion, basis=None) -> Array:
@@ -280,22 +279,22 @@ def traced_interior_density(imm: SampledImmersion, metric: ConformalMetric, basi
     g = metric.field.gradient(imm.xs)
     h = metric.field.hessian(imm.xs)
     g2 = np.sum(g * g, axis=1)
-    ut = np.einsum("mkn,mn->mk", T, g)
-    un = np.einsum("mqn,mn->mq", N, g)
-    div = np.einsum("mkn,mnp,mkp->m", T, h, T)
+    ut = (T @ g[:, :, None])[:, :, 0]
+    un = (N @ g[:, :, None])[:, :, 0]
+    ht = np.sum((T @ h) * T, axis=2)           # Hess u(v_i, v_i)
+    hn = np.sum((N @ h) * N, axis=2)           # Hess u(N_r, N_r)
 
     s_g = _s_euclid_terms(alpha, _in_basis(T, basis), NB)
 
-    XV = np.einsum("mqn,mql->mnl", N, NB)      # E_l^perp ambient components
-    X2 = np.einsum("mql->ml", NB**2)
-    hxx = np.einsum("mnl,mnp,mpl->ml", XV, h, XV)
+    XV = np.swapaxes(N, 1, 2) @ NB             # E_l^perp ambient components
+    X2 = np.sum(NB**2, axis=1)
+    hxx = np.sum(XV * (h @ XV), axis=1)
     ut2 = np.sum(ut**2, axis=1)
+    div = np.sum(ht, axis=1)
 
     display = s_g - X2 * ut2[:, None] + X2 * div[:, None] + k * X2 * g2[:, None] + k * hxx
     values = np.exp(-2.0 * u) * np.sum(display, axis=1)
 
-    ht = np.einsum("mkn,mnp,mkp->mk", T, h, T)
-    hn = np.einsum("mqn,mnp,mqp->mq", N, h, N)
     terms = (ut[:, :, None] ** 2 + un[:, None, :] ** 2 - g2[:, None, None]
              - ht[:, :, None] - hn[:, None, :])
     ksum = np.exp(-2.0 * u) * np.sum(terms, axis=(1, 2))
@@ -326,19 +325,18 @@ def traced_boundary_density(imm: SampledImmersion, metric: ConformalMetric,
     nu_u = np.sum(g * imm.bnus, axis=1)
     nhat, M, eta_dot_nu = _boundary_form(imm, domain)
 
-    XV = np.einsum("mqn,mql->mnl", bN, bNB)
-    tangency = np.abs(np.einsum("mnl,mn->ml", XV, nhat))
+    XV = np.swapaxes(bN, 1, 2) @ bNB
+    tangency = np.abs((nhat[:, None, :] @ XV)[:, 0])
     if np.max(tangency) > tangency_tol:
         raise PreconditionError(
             "projected fields are not tangent to the domain boundary; "
             "free boundary condition violated"
         )
     X2 = np.sum(bNB**2, axis=1)
-    t_g = np.einsum("mnl,mnp,mpl->ml", XV, M, XV) * eta_dot_nu[:, None]
+    t_g = np.sum(XV * (M @ XV), axis=1) * eta_dot_nu[:, None]
     values = np.exp(-u) * np.sum(t_g - X2 * nu_u[:, None], axis=1)
 
-    PN = np.einsum("mqn,mqp->mnp", bN, bN)
-    pair_sum = eta_dot_nu * np.einsum("mnp,mpn->m", M, PN)
+    pair_sum = eta_dot_nu * np.sum((bN @ M) * bN, axis=(1, 2))
     display = -(n - k) * nu_u + pair_sum
     residuals = np.abs(np.exp(u) * values - display)
     return values, residuals

@@ -1,0 +1,261 @@
+"""Independent references for the tests; no verb, suite or script calls them.
+
+Two kinds live here:
+
+* oracles with a route of their own: the QR shape operator and its tangent
+  basis, the Christoffel symbols and the connection correction, the inward
+  normal, the gradient-tube probe, the first-variation pairing and the
+  boundary volume;
+* the term-by-term loop that the stacked polynomial field must reproduce
+  bit for bit;
+* the ``np.einsum`` statements of the per-sample kernels that the package
+  evaluates as batched matrix products: the second fundamental form, mean
+  curvature and Jacobian factor of ``SampledImmersion.geometry()``, the
+  S-terms and the traced interior and boundary densities.  They read the
+  same geometry as the package, so a comparison isolates one kernel.
+"""
+
+import numpy as np
+
+from fbstab import domain as dm
+from fbstab.errors import DomainError
+from fbstab.fields import ConformalMetric, ScalarField
+from fbstab.submanifold import (
+    _batched_frames,
+    integrate_boundary,
+    integrate_interior,
+    mean_curvature_bracket,
+)
+from fbstab.variation import _boundary_form, _in_basis
+
+
+# ---------------------------------------------------------------------------
+# conformal connection
+# ---------------------------------------------------------------------------
+
+def connection_correction(field: ScalarField, x, X, Y) -> np.ndarray:
+    """Difference of Levi-Civita connections: corr = X(u)Y + Y(u)X - <X,Y> grad u.
+
+    For constant extensions of X, Y the rescaled-metric connection is the flat
+    directional derivative plus this vector.
+    """
+    X = np.asarray(X, float)
+    Y = np.asarray(Y, float)
+    g = field.gradient(x)
+    return (X @ g) * Y + (Y @ g) * X - (X @ Y) * g
+
+
+def christoffel(field: ScalarField, x) -> np.ndarray:
+    """Christoffel symbols Gamma^c_{ab} of e^{2u} * Euclidean at x.
+
+    Gamma^c_{ab} = delta_a^c u_b + delta_b^c u_a - delta_{ab} u^c.
+    """
+    g = field.gradient(x)
+    n = g.shape[-1]
+    eye = np.eye(n)
+    return (
+        eye[:, None, :] * g[None, :, None]
+        + eye[None, :, :] * g[:, None, None]
+        - eye[:, :, None] * g[None, None, :]
+    ).transpose(2, 0, 1)
+
+
+# ---------------------------------------------------------------------------
+# polynomial fields
+# ---------------------------------------------------------------------------
+
+def polynomial_loop(terms):
+    """``(value, gradient, hessian)`` of sum_t c_t prod_i x_i^{e_ti}, one term
+    and one coordinate at a time; ``fields._polynomial_field`` adds the same
+    products in the same order."""
+    coeffs = np.array([t[0] for t in terms], dtype=float)
+    exps = np.array([t[1] for t in terms], dtype=int)
+    n = exps.shape[1]
+
+    def monomials(x, e):
+        return np.prod(np.where(e > 0, x ** e, 1.0), axis=-1)
+
+    def value(x):
+        out = np.zeros(x.shape[:-1])
+        for c, e in zip(coeffs, exps):
+            out += c * monomials(x, e)
+        return out
+
+    def grad(x):
+        out = np.zeros_like(x)
+        for c, e in zip(coeffs, exps):
+            for i in range(n):
+                if e[i] == 0:
+                    continue
+                ei = e.copy()
+                ei[i] -= 1
+                out[..., i] += c * e[i] * monomials(x, ei)
+        return out
+
+    def hess(x):
+        out = np.zeros(x.shape[:-1] + (n, n))
+        for c, e in zip(coeffs, exps):
+            for i in range(n):
+                if e[i] == 0:
+                    continue
+                for j in range(i + 1):
+                    eij = e.copy()
+                    eij[i] -= 1
+                    if eij[j] == 0:
+                        continue
+                    fac = e[i] * eij[j]
+                    eij[j] -= 1
+                    term = c * fac * monomials(x, eij)
+                    out[..., i, j] += term
+                    if i != j:
+                        out[..., j, i] += term
+        return out
+
+    return value, grad, hess
+
+
+# ---------------------------------------------------------------------------
+# level-set boundary
+# ---------------------------------------------------------------------------
+
+def inward_normal(domain: dm.LevelSetDomain, x) -> np.ndarray:
+    """Inward unit normal eta = -grad phi / |grad phi| (phi < 0 inside)."""
+    return -dm.outward_normal(domain, x)
+
+
+def boundary_tangent_basis(domain: dm.LevelSetDomain, x) -> np.ndarray:
+    """Deterministic orthonormal basis of the boundary tangent space, ``(..., n-1, n)``."""
+    nhat = dm.outward_normal(domain, x)
+    eye = np.broadcast_to(np.eye(domain.n), nhat.shape + (domain.n,))
+    Q, R = np.linalg.qr(np.concatenate([nhat[..., None], eye], axis=-1))
+    d = np.diagonal(R[..., : domain.n], axis1=-2, axis2=-1)
+    Q = Q * np.where(d == 0.0, 1.0, np.sign(d))[..., None, :]
+    return np.swapaxes(Q[..., 1:], -1, -2)
+
+
+def shape_operator(domain: dm.LevelSetDomain, x,
+                   metric: ConformalMetric | None = None) -> np.ndarray:
+    """Symmetric shape operators in orthonormal tangent bases, ``(..., n-1, n-1)``.
+
+    Euclidean: restriction of ``boundary_form``.  Rescaled metric: the
+    eigenvalues transform as kappa~ = e^{-u} (kappa - eta(u)), which is the
+    operator e^{-u} (S - eta(u) I) in the same basis.
+    """
+    B = boundary_tangent_basis(domain, x)
+    S = B @ dm.boundary_form(domain, x) @ np.swapaxes(B, -1, -2)
+    S = 0.5 * (S + np.swapaxes(S, -1, -2))
+    if metric is None:
+        return S
+    eta_u = np.sum(metric.field.gradient(x) * -dm.outward_normal(domain, x), axis=-1)
+    scale = np.exp(-metric.field.value(x))
+    return scale[..., None, None] * (S - eta_u[..., None, None] * np.eye(domain.n - 1))
+
+
+def check_gradient_tube(domain: dm.LevelSetDomain, count: int = 256, seed: int = 0,
+                        floor: float = 1e-6, tube: float = 1e-2) -> float:
+    """Sampled minimum of |grad phi| on the tube |phi| <= tube, probed at each
+    sweep point and one tube width either side along the normal."""
+    pts = dm.sample_boundary(domain, count, seed)
+    offsets = (tube * np.array([-1.0, 0.0, 1.0]))[:, None, None]
+    ys = pts + offsets * dm.outward_normal(domain, pts)
+    ys = ys[np.abs(domain.phi.value(ys)) <= tube]
+    g = domain.phi.gradient(ys)
+    lo = float(np.min(np.sqrt(np.vecdot(g, g)), initial=np.inf))
+    if lo < floor:
+        raise DomainError(f"|grad phi| = {lo:.2e} below {floor:g} near the boundary")
+    return lo
+
+
+# ---------------------------------------------------------------------------
+# immersions
+# ---------------------------------------------------------------------------
+
+def boundary_volume(imm, metric: ConformalMetric | None = None) -> float:
+    """(k-1)-volume of the boundary; weights already carry Euclidean measure."""
+    return integrate_boundary(imm, 1.0, metric)
+
+
+def first_variation_value(imm, metric: ConformalMetric, interior_dirs, boundary_dirs) -> float:
+    """Pairing of a variation field with the first variation of volume:
+    -int <X, H~> dV + int <X, nu~> dA in the rescaled metric."""
+    u, bracket = mean_curvature_bracket(imm, metric)
+    H_conf = np.exp(-2.0 * u)[:, None] * bracket
+    fac = metric.factor(imm.xs)
+    vals = -fac * np.sum(np.asarray(interior_dirs) * H_conf, axis=1)
+    total = integrate_interior(imm, vals, metric)
+    if imm.n_boundary:
+        u_b = metric.field.value(imm.bxs)
+        nu_conf = np.exp(-u_b)[:, None] * imm.bnus
+        bvals = metric.factor(imm.bxs) * np.sum(np.asarray(boundary_dirs) * nu_conf, axis=1)
+        total += integrate_boundary(imm, bvals, metric)
+    return float(total)
+
+
+# ---------------------------------------------------------------------------
+# einsum statements of the batched kernels
+# ---------------------------------------------------------------------------
+
+def geometry_einsum(imm):
+    """``(alpha, H, jacobian_factor)`` of ``SampledImmersion.geometry()``."""
+    _, N, C = _batched_frames(imm.Js)
+    hn = np.einsum("mrx,mabx->mabr", N, imm.Hs)
+    alpha = np.einsum("mai,mbj,mabr->mijr", C, C, hn)
+    H = np.einsum("miir,mrx->mx", alpha, N)
+    gram = np.einsum("mxa,mxb->mab", imm.Js, imm.Js)
+    return alpha, H, np.sqrt(np.linalg.det(gram))
+
+
+def s_euclid_terms_einsum(alpha, TB, NB):
+    """``variation._s_euclid_terms``: S(E_l^perp, E_l^perp), (m, n)."""
+    a1 = np.einsum("mijr,mjl->milr", alpha, TB)
+    a2 = np.einsum("mijr,mrl->mijl", alpha, NB)
+    return np.sum(a1**2, axis=(1, 3)) - np.sum(a2**2, axis=(1, 2))
+
+
+def traced_interior_density_einsum(imm, metric: ConformalMetric, basis=None):
+    """``variation.traced_interior_density``: ``(values, residuals)``."""
+    geo = imm.geometry()
+    k = imm.k
+    T, N, alpha = geo.tangent, geo.normal, geo.alpha
+    NB = _in_basis(N, basis)
+    u = metric.field.value(imm.xs)
+    g = metric.field.gradient(imm.xs)
+    h = metric.field.hessian(imm.xs)
+    g2 = np.sum(g * g, axis=1)
+    ut = np.einsum("mkn,mn->mk", T, g)
+    un = np.einsum("mqn,mn->mq", N, g)
+    div = np.einsum("mkn,mnp,mkp->m", T, h, T)
+    s_g = s_euclid_terms_einsum(alpha, _in_basis(T, basis), NB)
+    XV = np.einsum("mqn,mql->mnl", N, NB)
+    X2 = np.einsum("mql->ml", NB**2)
+    hxx = np.einsum("mnl,mnp,mpl->ml", XV, h, XV)
+    ut2 = np.sum(ut**2, axis=1)
+    display = s_g - X2 * ut2[:, None] + X2 * div[:, None] + k * X2 * g2[:, None] + k * hxx
+    values = np.exp(-2.0 * u) * np.sum(display, axis=1)
+    ht = np.einsum("mkn,mnp,mkp->mk", T, h, T)
+    hn = np.einsum("mqn,mnp,mqp->mq", N, h, N)
+    terms = (ut[:, :, None] ** 2 + un[:, None, :] ** 2 - g2[:, None, None]
+             - ht[:, :, None] - hn[:, None, :])
+    ksum = np.exp(-2.0 * u) * np.sum(terms, axis=(1, 2))
+    gperp2 = np.sum(un**2, axis=1)
+    residuals = np.abs(np.exp(2.0 * u) * values - (k * gperp2 - np.exp(2.0 * u) * ksum))
+    return values, residuals
+
+
+def traced_boundary_density_einsum(imm, metric: ConformalMetric, domain, basis=None):
+    """``variation.traced_boundary_density`` without its tangency check:
+    ``(values, residuals, tangency)``."""
+    bN = imm.geometry().b_normal
+    bNB = _in_basis(bN, basis)
+    u = metric.field.value(imm.bxs)
+    nu_u = np.sum(metric.field.gradient(imm.bxs) * imm.bnus, axis=1)
+    nhat, M, eta_dot_nu = _boundary_form(imm, domain)
+    XV = np.einsum("mqn,mql->mnl", bN, bNB)
+    tangency = np.abs(np.einsum("mnl,mn->ml", XV, nhat))
+    X2 = np.sum(bNB**2, axis=1)
+    t_g = np.einsum("mnl,mnp,mpl->ml", XV, M, XV) * eta_dot_nu[:, None]
+    values = np.exp(-u) * np.sum(t_g - X2 * nu_u[:, None], axis=1)
+    PN = np.einsum("mqn,mqp->mnp", bN, bN)
+    pair_sum = eta_dot_nu * np.einsum("mnp,mpn->m", M, PN)
+    residuals = np.abs(np.exp(u) * values - (-(imm.n - imm.k) * nu_u + pair_sum))
+    return values, residuals, tangency

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from fbstab.errors import ConfigError, DomainError
 from fbstab.fields import ConformalMetric, ScalarField, euclidean_metric, make_field
 
@@ -111,3 +112,23 @@ def test_linear_field_gradient_is_constant(a, x):
     field = make_field("linear", a=a)
     assert np.allclose(field.gradient(np.array(x)), a)
     assert np.allclose(field.hessian(np.array(x)), 0.0)
+
+
+@pytest.mark.parametrize("terms", [
+    [[1 / a**2, [2 if j == i else 0 for j in range(4)]] for i, a in enumerate([2, 1.2, 1, 0.9])]
+    + [[-1.0, [0, 0, 0, 0]]],
+    [[1.0, [4 if j == i else 0 for j in range(5)]] for i in range(5)] + [[-1.0, [0] * 5]],
+    [[0.3, [1, 2, 0]], [-0.2, [0, 1, 1]], [0.7, [3, 0, 1]], [1.1, [0, 0, 0]],
+     [-0.4, [2, 2, 2]], [0.0, [1, 1, 1]], [0.25, [1, 2, 0]]],
+    [[2.0, [0, 0]]],
+])
+def test_polynomial_matches_term_loop_bitwise(terms, rng):
+    """The stacked evaluation adds the loop's products in the loop's order."""
+    field = make_field("polynomial", terms=terms)
+    n = len(terms[0][1])
+    for shape in [(n,), (7, n), (3, 5, n), (200, n)]:
+        x = rng.normal(size=shape)
+        for got, want in zip((field.value_fn, field.grad_fn, field.hess_fn),
+                             oracles.polynomial_loop(terms)):
+            assert got(x).shape == want(x).shape
+            assert got(x).tobytes() == want(x).tobytes()

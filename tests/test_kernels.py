@@ -1,0 +1,106 @@
+"""Batched matrix-product kernels against their einsum statements, and the
+Gram-eigenvalue conditioning check."""
+
+import numpy as np
+import pytest
+
+import oracles
+from fbstab import submanifold as sub
+from fbstab import variation as var
+from fbstab.errors import DegenerateSampleError
+from fbstab.fields import ConformalMetric, make_field
+from fbstab.scenarios import SCENARIOS, build_scenario
+
+# max |kernel - einsum| over max(1, max |einsum|)
+KERNEL_RTOL = 1e-13
+
+RANDOM_GRAPHS = [(k, n, seed) for k in (2, 3) for n in (4, 5, 6) for seed in (0, 1)]
+
+
+def _close(got, want):
+    scale = max(1.0, float(np.max(np.abs(want), initial=0.0)))
+    return float(np.max(np.abs(got - want), initial=0.0)) <= KERNEL_RTOL * scale
+
+
+def _random_basis(n, seed):
+    Q, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(n, n)))
+    return Q.T
+
+
+def _check_geometry(imm):
+    alpha, H, jac = oracles.geometry_einsum(imm)
+    geo = imm.geometry()
+    assert _close(geo.alpha, alpha)
+    assert _close(geo.H, H)
+    assert _close(geo.jacobian_factor, jac)
+
+
+def _check_interior(imm, metric, basis=None):
+    geo = imm.geometry()
+    TB, NB = var._in_basis(geo.tangent, basis), var._in_basis(geo.normal, basis)
+    assert _close(var._s_euclid_terms(geo.alpha, TB, NB),
+                  oracles.s_euclid_terms_einsum(geo.alpha, TB, NB))
+    values, residuals = var.traced_interior_density(imm, metric, basis)
+    want_values, want_residuals = oracles.traced_interior_density_einsum(imm, metric, basis)
+    assert _close(values, want_values)
+    assert _close(residuals, want_residuals)
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_registry_kernels_match_einsum(name):
+    built = build_scenario(name)
+    imm, metric = built.immersion, built.metric
+    _check_geometry(imm)
+    _check_interior(imm, metric)
+    _check_interior(imm, metric, _random_basis(imm.n, 3))
+
+
+@pytest.mark.parametrize("k,n,seed", RANDOM_GRAPHS)
+def test_random_graph_kernels_match_einsum(k, n, seed):
+    imm = sub.make_immersion("random-graph", n=n, k=k, seed=seed, degree=3)
+    _check_geometry(imm)
+    metric = ConformalMetric(make_field("polynomial", terms=[
+        [0.2, [1] + [0] * (n - 1)], [-0.3, [0, 2] + [0] * (n - 2)],
+        [0.1, [1, 0, 1] + [0] * (n - 3)],
+    ]), n)
+    _check_interior(imm, metric)
+    _check_interior(imm, metric, _random_basis(n, seed))
+
+
+@pytest.mark.parametrize("name", ["cap-disk-b4k2", "cap-disk-b5k3", "flat-disk-b6k3",
+                                  "radial-custom-disk-b4", "hyperbolic-disk-b4"])
+def test_traced_boundary_density_matches_einsum(name):
+    built = build_scenario(name)
+    imm, metric, dom = built.immersion, built.metric, built.domain
+    for basis in (None, _random_basis(imm.n, 5)):
+        values, residuals = var.traced_boundary_density(imm, metric, dom, basis=basis)
+        want_values, want_residuals, _ = oracles.traced_boundary_density_einsum(
+            imm, metric, dom, basis)
+        assert _close(values, want_values)
+        assert _close(residuals, want_residuals)
+
+
+def _jacobian(n, k, cond, seed=0):
+    """An n x k Jacobian with cond(J^T J) = cond: orthonormal columns scaled
+    by 1 and cond^-1/2."""
+    Q, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(n, k)))
+    return Q * np.array([1.0] + [cond**-0.5] * (k - 1))
+
+
+def test_conditioning_limit():
+    ok = np.stack([_jacobian(4, 2, 0.5 * sub.COND_LIMIT, s) for s in range(4)])
+    sub._check_conditioning(ok, "interior")
+    bad = np.stack([ok[0], ok[1], _jacobian(4, 2, 2.0 * sub.COND_LIMIT), ok[2]])
+    with pytest.raises(DegenerateSampleError, match="interior sample 2: .* exceeds 1e"):
+        sub._check_conditioning(bad, "interior")
+
+
+def test_conditioning_rejects_rank_deficient():
+    zero_column = np.zeros((1, 5, 3))
+    zero_column[0, :, :2] = np.eye(5)[:, :2]
+    with pytest.raises(DegenerateSampleError, match="boundary sample 0 has rank-deficient"):
+        sub._check_conditioning(zero_column, "boundary")
+    parallel = _jacobian(4, 2, 1.0)[None]
+    parallel[0, :, 1] = 2.0 * parallel[0, :, 0]
+    with pytest.raises(DegenerateSampleError):
+        sub._check_conditioning(parallel, "interior")

@@ -19,43 +19,46 @@ from .fields import ScalarField
 ORTHONORMAL_TOL = 1e-10
 
 
+def curvature_form(field: ScalarField, x, X, Y, Z, W) -> np.ndarray:
+    """Euclidean pairing <R(X,Y)Z, W> of e^{2u} * Euclidean at the points x.
+
+    Points are ``(m, n)`` and vectors ``(m, j, n)`` stacks that broadcast in
+    ``j``; returns ``(m, j)``.  Antisymmetric under X <-> Y and under
+    Z <-> W.  grad u and Hess u are evaluated once, and the Hessian is
+    applied to the X and Y stacks only: <Hess u X, Z> = <X, Hess u Z>.
+    """
+    g = field.gradient(x)[:, None, :]
+    h = field.hessian(x)
+
+    def dot(a, b):
+        return np.einsum("...n,...n->...", a, b)
+
+    hX, hY = X @ h, Y @ h
+    xu, yu, zu, wu = dot(X, g), dot(Y, g), dot(Z, g), dot(W, g)
+    xz, xw, yz, yw = dot(X, Z), dot(X, W), dot(Y, Z), dot(Y, W)
+    return (
+        zu * (xu * yw - yu * xw)
+        + wu * (yu * xz - xu * yz)
+        + dot(g, g) * (yz * xw - xz * yw)
+        + yz * dot(hX, W)
+        - xz * dot(hY, W)
+        + xw * dot(hY, Z)
+        - yw * dot(hX, Z)
+    )
+
+
 def riemann(field: ScalarField, x, X, Y, Z) -> np.ndarray:
     """Curvature vector R(X,Y)Z of e^{2u} * Euclidean at x (flat base).
 
     Multilinear in X, Y, Z and antisymmetric under swapping X and Y.  All
     arguments may carry leading batch axes ``(..., n)`` that broadcast
     together, e.g. points ``(m, 1, n)`` against frame vectors ``(m, k, n)``.
+    Its components are ``curvature_form`` against the coordinate axes.
     """
-    X = np.asarray(X, float)
-    Y = np.asarray(Y, float)
-    Z = np.asarray(Z, float)
-    g = field.gradient(x)
-    h = field.hessian(x)
-
-    def dot(a, b):
-        return np.sum(a * b, axis=-1, keepdims=True)
-
-    def hess(v):
-        return (h @ v[..., None])[..., 0]
-
-    xu, yu, zu = dot(X, g), dot(Y, g), dot(Z, g)
-    xz, yz = dot(X, Z), dot(Y, Z)
-    g2 = dot(g, g)
-    hY = hess(Y)
-    hX = hess(X)
-    hZ = hess(Z)
-    return (
-        xu * zu * Y
-        - yu * zu * X
-        - xu * yz * g
-        + yu * xz * g
-        - xz * hY
-        + yz * hX
-        - xz * g2 * Y
-        + yz * g2 * X
-        - dot(X, hZ) * Y
-        + dot(Y, hZ) * X
-    )
+    x, X, Y, Z = np.broadcast_arrays(*(np.asarray(a, float) for a in (x, X, Y, Z)))
+    n = x.shape[-1]
+    X, Y, Z = (a.reshape(-1, 1, n) for a in (X, Y, Z))
+    return curvature_form(field, x.reshape(-1, n), X, Y, Z, np.eye(n)[None]).reshape(x.shape)
 
 
 def sectional_curvature(field: ScalarField, x, X, Y) -> float:

@@ -617,9 +617,10 @@ def _suite_certificate(col: _Collector, seed: int, quadrature):
         col.close("sphere-convexity-b4", "sphere-rescaled-margin", margin_gt, 0.0, 1e-7,
                   worst_point=worst)
     with col.guard("ellipsoid-211"):
-        ell = domain_mod.make_domain("ellipsoid", 3, semi_axes=[2.0, 1.0, 1.0])
-        margin1, worst1 = domain_mod.p_convexity_margin(ell, 1, count=512, seed=seed)
-        col.close("ellipsoid-211", "ellipsoid-margin-p1", margin1, 0.25, 1e-3,
+        ell = build_scenario("ellipsoid-211")
+        want = ell.scenario.expected["margin_p1"]
+        margin1, worst1 = domain_mod.p_convexity_margin(ell.domain, 1, count=512, seed=seed)
+        col.close("ellipsoid-211", "ellipsoid-margin-p1", margin1, want["value"], want["tol"],
                   worst_point=worst1)
 
     gate_cases = (

@@ -51,21 +51,31 @@ def _batched_frames(Js: Array):
 
     Tangent vectors are the in-order Gram-Schmidt of the Jacobian columns;
     the normal frame completes them to an orthonormal basis (Householder QR
-    of [J | I], deterministic for fixed input).  Returns ``(tangent (m,k,n),
-    normal (m,n-k,n), chart_to_frame (m,k,k))`` with ``v_i = sum_a
-    chart_to_frame[a, i] * J[:, a]``.
+    of [J | I], deterministic for fixed input).  Returns C-contiguous
+    ``(tangent (m,k,n), normal (m,n-k,n), chart_to_frame (m,k,k))`` with
+    ``v_i = sum_a chart_to_frame[a, i] * J[:, a]``.
     """
     m, n, k = Js.shape
     A = np.concatenate([Js, np.broadcast_to(np.eye(n), (m, n, n))], axis=2)
     Q, R = np.linalg.qr(A)
     d = np.diagonal(R[:, :, :n], axis1=1, axis2=2)
     s = np.where(d == 0.0, 1.0, np.sign(d))
-    Q = Q * s[:, None, :]
-    Rk = R[:, :k, :k] * s[:, :k, None]
-    tangent = Q[:, :, :k].transpose(0, 2, 1)
-    normal = Q[:, :, k:].transpose(0, 2, 1)
-    chart_to_frame = np.linalg.inv(Rk)
-    return tangent, normal, chart_to_frame
+    Qt = np.swapaxes(Q, 1, 2)
+    tangent = np.multiply(Qt[:, :k], s[:, :k, None], order="C")
+    normal = np.multiply(Qt[:, k:], s[:, k:, None], order="C")
+    return tangent, normal, _upper_inverse(R[:, :k, :k] * s[:, :k, None])
+
+
+def _upper_inverse(R: Array) -> Array:
+    """Inverses of a stack of upper-triangular k x k matrices with nonzero
+    diagonal, by back-substitution: row i of X = R^{-1} solves R_ii X_i =
+    e_i - sum_{l>i} R_il X_l, from the last row up."""
+    k = R.shape[-1]
+    X = np.zeros_like(R)
+    for i in range(k - 1, -1, -1):
+        rest = (R[:, i:i + 1, i + 1:] @ X[:, i + 1:])[:, 0]
+        X[:, i] = (np.eye(k)[i] - rest) / R[:, i, i, None]
+    return X
 
 
 def _check_conditioning(Js: Array, where: str):

@@ -67,11 +67,12 @@ def projected_field(imm: SampledImmersion, E) -> NormalField:
     """
     geo = imm.geometry()
     E = np.asarray(E, float)
-    Et = np.einsum("mkn,n->mk", geo.tangent, E)
-    values = E[None, :] - np.einsum("mkn,mk->mn", geo.tangent, Et)
-    dperp = -np.einsum("mijr,mj->mir", geo.alpha, Et)
-    bEt = np.einsum("mkn,n->mk", geo.b_tangent, E)
-    bvalues = E[None, :] - np.einsum("mkn,mk->mn", geo.b_tangent, bEt)
+    m, k, _, q = geo.alpha.shape
+    Et = (geo.tangent.reshape(-1, imm.n) @ E).reshape(m, k)
+    values = E - np.einsum("mkn,mk->mn", geo.tangent, Et)
+    dperp = -(np.swapaxes(geo.alpha, 2, 3).reshape(m, k * q, k) @ Et[:, :, None]).reshape(m, k, q)
+    bEt = (geo.b_tangent.reshape(-1, imm.n) @ E).reshape(-1, k)
+    bvalues = E - np.einsum("mkn,mk->mn", geo.b_tangent, bEt)
     return NormalField(values, dperp, bvalues)
 
 
@@ -90,6 +91,11 @@ def _boundary_form(imm: SampledImmersion, domain: LevelSetDomain):
     at the boundary samples."""
     nhat = outward_normal(domain, imm.bxs)
     return nhat, boundary_form(domain, imm.bxs), -np.sum(nhat * imm.bnus, axis=1)
+
+
+def _boundary_pair(Xb: Array, M: Array) -> Array:
+    """<M X, X> per boundary sample for ``M`` (mb, n, n)."""
+    return np.sum((Xb[:, None] @ M)[:, 0] * Xb, axis=1)
 
 
 def _check_tangent(X: NormalField, nhat: Array, tangency_tol: float):
@@ -111,8 +117,9 @@ def s_euclid(imm: SampledImmersion, X: NormalField) -> Array:
     """Interior density in the Euclidean metric: |D^perp X|^2 - <alpha, X>^2."""
     _check_normal(imm, X)
     geo = imm.geometry()
+    m, k, _, q = geo.alpha.shape
     Xn = np.einsum("mqn,mn->mq", geo.normal, X.values)
-    alpha_X = np.einsum("mijr,mr->mij", geo.alpha, Xn)
+    alpha_X = geo.alpha.reshape(m, k * k, q) @ Xn[:, :, None]
     return np.sum(X.dperp**2, axis=(1, 2)) - np.sum(alpha_X**2, axis=(1, 2))
 
 
@@ -127,8 +134,7 @@ def t_euclid(imm: SampledImmersion, X: NormalField, domain: LevelSetDomain,
     """
     nhat, M, eta_dot_nu = _boundary_form(imm, domain)
     _check_tangent(X, nhat, tangency_tol)
-    Xb = X.boundary_values
-    return np.einsum("mn,mnp,mp->m", Xb, M, Xb) * eta_dot_nu
+    return _boundary_pair(X.boundary_values, M) * eta_dot_nu
 
 
 def s_tilde_transformed(imm: SampledImmersion, X: NormalField,
@@ -168,13 +174,14 @@ def s_tilde_direct(imm: SampledImmersion, X: NormalField,
     _check_normal(imm, X)
     geo = imm.geometry()
     field = metric.field
-    V = X.values
-    u_i = np.einsum("mkn,mn->mk", geo.tangent, field.gradient(imm.xs))
+    T, V = geo.tangent, X.values
+    m, k, _, q = geo.alpha.shape
+    u_i = np.einsum("mkn,mn->mk", T, field.gradient(imm.xs))
     Xn = np.einsum("mqn,mn->mq", geo.normal, V)
     grad_term = np.sum((X.dperp + u_i[:, :, None] * Xn[:, None, :]) ** 2, axis=(1, 2))
-    R = conformal.riemann(field, imm.xs[:, None], V[:, None], geo.tangent, V[:, None])
-    curv = np.einsum("min,min->m", R, geo.tangent)
-    sff = np.einsum("mijr,mr->mij", conformal_sff(imm, metric), Xn)
+    # sum_i <R(X, v_i) X, v_i>; no orthogonality of X and the v_i is assumed
+    curv = np.sum(conformal.curvature_form(field, imm.xs, V[:, None], T, V[:, None], T), axis=1)
+    sff = conformal_sff(imm, metric).reshape(m, k * k, q) @ Xn[:, :, None]
     return grad_term - curv - np.sum(sff**2, axis=(1, 2))
 
 
@@ -207,7 +214,7 @@ def t_tilde_direct(imm: SampledImmersion, X: NormalField, metric: ConformalMetri
     Xb = X.boundary_values
     u = metric.field.value(imm.bxs)
     eta_u = -np.sum(metric.field.gradient(imm.bxs) * nhat, axis=1)
-    form = (np.einsum("mn,mnp,mp->m", Xb, M, Xb) - np.sum(Xb * Xb, axis=1) * eta_u) * eta_dot_nu
+    form = (_boundary_pair(Xb, M) - np.sum(Xb * Xb, axis=1) * eta_u) * eta_dot_nu
     return np.exp(-u if rescaled else u) * form
 
 

@@ -11,8 +11,10 @@ Two kinds live here:
 * the ``np.einsum`` statements of the per-sample kernels that the package
   evaluates as batched matrix products: the second fundamental form, mean
   curvature and Jacobian factor of ``SampledImmersion.geometry()``, the
-  S-terms and the traced interior and boundary densities.  They read the
-  same geometry as the package, so a comparison isolates one kernel.
+  S-terms, the traced interior and boundary densities, and the direct
+  rescaled density with the curvature vector R(X, v_i)X written out term by
+  term.  They read the same geometry as the package, so a comparison
+  isolates one kernel.
 """
 
 import numpy as np
@@ -22,6 +24,7 @@ from fbstab.errors import DomainError
 from fbstab.fields import ConformalMetric, ScalarField
 from fbstab.submanifold import (
     _batched_frames,
+    conformal_sff,
     integrate_boundary,
     integrate_interior,
     mean_curvature_bracket,
@@ -43,6 +46,29 @@ def connection_correction(field: ScalarField, x, X, Y) -> np.ndarray:
     Y = np.asarray(Y, float)
     g = field.gradient(x)
     return (X @ g) * Y + (Y @ g) * X - (X @ Y) * g
+
+
+def riemann_vector(field: ScalarField, x, X, Y, Z) -> np.ndarray:
+    """R(X,Y)Z as a vector, term by term; arguments broadcast over leading
+    axes ``(..., n)``.  ``conformal.curvature_form`` is its pairing with a
+    fourth vector."""
+    g = field.gradient(x)
+    h = field.hessian(x)
+
+    def dot(a, b):
+        return np.sum(a * b, axis=-1, keepdims=True)
+
+    def hess(v):
+        return (h @ v[..., None])[..., 0]
+
+    xu, yu, zu = dot(X, g), dot(Y, g), dot(Z, g)
+    xz, yz = dot(X, Z), dot(Y, Z)
+    g2 = dot(g, g)
+    return (
+        xu * zu * Y - yu * zu * X - xu * yz * g + yu * xz * g
+        - xz * hess(Y) + yz * hess(X) - xz * g2 * Y + yz * g2 * X
+        - dot(X, hess(Z)) * Y + dot(Y, hess(Z)) * X
+    )
 
 
 def christoffel(field: ScalarField, x) -> np.ndarray:
@@ -259,3 +285,17 @@ def traced_boundary_density_einsum(imm, metric: ConformalMetric, domain, basis=N
     pair_sum = eta_dot_nu * np.einsum("mnp,mpn->m", M, PN)
     residuals = np.abs(np.exp(u) * values - (-(imm.n - imm.k) * nu_u + pair_sum))
     return values, residuals, tangency
+
+
+def s_tilde_direct_einsum(imm, X, metric: ConformalMetric):
+    """``variation.s_tilde_direct``: the curvature vector R(X, v_i)X paired
+    with v_i, and the connection and second fundamental form terms."""
+    geo = imm.geometry()
+    V = X.values
+    u_i = np.einsum("mkn,mn->mk", geo.tangent, metric.field.gradient(imm.xs))
+    Xn = np.einsum("mqn,mn->mq", geo.normal, V)
+    grad_term = np.sum((X.dperp + u_i[:, :, None] * Xn[:, None, :]) ** 2, axis=(1, 2))
+    R = riemann_vector(metric.field, imm.xs[:, None], V[:, None], geo.tangent, V[:, None])
+    curv = np.einsum("min,min->m", R, geo.tangent)
+    sff = np.einsum("mijr,mr->mij", conformal_sff(imm, metric), Xn)
+    return grad_term - curv - np.sum(sff**2, axis=(1, 2))

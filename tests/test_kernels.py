@@ -1,10 +1,13 @@
-"""Batched matrix-product kernels against their einsum statements, and the
+"""Batched matrix-product kernels against their einsum statements, the
+contracted curvature form against the Christoffel oracle, and the
 Gram-eigenvalue conditioning check."""
 
 import numpy as np
 import pytest
 
 import oracles
+from conftest import riemann_oracle
+from fbstab import conformal
 from fbstab import submanifold as sub
 from fbstab import variation as var
 from fbstab.errors import DegenerateSampleError
@@ -30,6 +33,8 @@ def _random_basis(n, seed):
 def _check_geometry(imm):
     alpha, H, jac = oracles.geometry_einsum(imm)
     geo = imm.geometry()
+    for frame in (geo.tangent, geo.normal, geo.b_tangent, geo.b_normal):
+        assert frame.flags.c_contiguous
     assert _close(geo.alpha, alpha)
     assert _close(geo.H, H)
     assert _close(geo.jacobian_factor, jac)
@@ -44,6 +49,10 @@ def _check_interior(imm, metric, basis=None):
     want_values, want_residuals = oracles.traced_interior_density_einsum(imm, metric, basis)
     assert _close(values, want_values)
     assert _close(residuals, want_residuals)
+    for E in var._basis(imm.n, basis):
+        X = var.projected_field(imm, E)
+        assert _close(var.s_tilde_direct(imm, X, metric),
+                      oracles.s_tilde_direct_einsum(imm, X, metric))
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
@@ -78,6 +87,69 @@ def test_traced_boundary_density_matches_einsum(name):
             imm, metric, dom, basis)
         assert _close(values, want_values)
         assert _close(residuals, want_residuals)
+
+
+CURVATURE_FIELDS = [
+    ("radial-custom", {"coeffs": [0.1, 0.4, -0.2]}),
+    ("polynomial", {"terms": [[0.25, [2, 0, 0, 1]], [-0.15, [0, 1, 1, 0]], [0.1, [1, 0, 0, 2]]]}),
+    ("radial-spherical", {}),
+]
+
+
+def _curvature_args(seed, m=6, j=3, n=4):
+    """Points (m, n) and vectors X, Y, Z, W (m, j, n), X with j = 1."""
+    rng = np.random.default_rng(seed)
+    xs = rng.uniform(-0.45, 0.45, size=(m, n))
+    X = rng.normal(size=(m, 1, n))
+    Y, Z, W = rng.normal(size=(3, m, j, n))
+    return xs, X, Y, Z, W
+
+
+@pytest.mark.parametrize("spec", CURVATURE_FIELDS, ids=[s[0] for s in CURVATURE_FIELDS])
+def test_curvature_form_matches_christoffel_oracle(spec):
+    field = make_field(spec[0], **spec[1])
+    xs, X, Y, Z, W = _curvature_args(11)
+    got = conformal.curvature_form(field, xs, X, Y, Z, W)
+    assert got.shape == Y.shape[:2]
+    for i in range(xs.shape[0]):
+        for j in range(Y.shape[1]):
+            want = riemann_oracle(field, xs[i], X[i, 0], Y[i, j], Z[i, j]) @ W[i, j]
+            assert abs(got[i, j] - want) < 5e-6
+
+
+@pytest.mark.parametrize("spec", CURVATURE_FIELDS, ids=[s[0] for s in CURVATURE_FIELDS])
+def test_curvature_form_symmetries(spec):
+    field = make_field(spec[0], **spec[1])
+    xs, X, Y, Z, W = _curvature_args(12)
+    form = conformal.curvature_form(field, xs, X, Y, Z, W)
+    scale = max(1.0, float(np.max(np.abs(form))))
+
+    def close(a, b):
+        return np.max(np.abs(a - b)) <= KERNEL_RTOL * scale
+
+    assert close(conformal.curvature_form(field, xs, Y, X, Z, W), -form)
+    assert close(conformal.curvature_form(field, xs, X, Y, W, Z), -form)
+    assert close(conformal.curvature_form(field, xs, Z, W, X, Y), form)
+
+
+@pytest.mark.parametrize("spec", CURVATURE_FIELDS, ids=[s[0] for s in CURVATURE_FIELDS])
+def test_riemann_is_the_form_against_the_axes(spec):
+    field = make_field(spec[0], **spec[1])
+    xs, X, Y, Z, _ = _curvature_args(13, j=1)
+    m, _, n = X.shape
+    axes = np.broadcast_to(np.eye(n), (m, n, n))
+    want = conformal.curvature_form(field, xs, X, Y, Z, axes)
+    assert np.array_equal(conformal.riemann(field, xs, X[:, 0], Y[:, 0], Z[:, 0]), want)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_upper_inverse_matches_lapack(k):
+    rng = np.random.default_rng(k)
+    R = np.triu(rng.normal(size=(50, k, k)), 1) + rng.uniform(0.5, 2.0, size=(50, k, 1)) * np.eye(k)
+    X = sub._upper_inverse(R)
+    assert np.array_equal(X, np.triu(X))
+    assert _close(X, np.linalg.inv(R))
+    assert _close(R @ X, np.broadcast_to(np.eye(k), R.shape))
 
 
 def _jacobian(n, k, cond, seed=0):

@@ -54,11 +54,17 @@ class ScalarField:
         return np.asarray(self.grad_fn(_as_points(x)), dtype=float)
 
     def hessian(self, x) -> Array:
+        """Hessians ``(..., n, n)``, symmetrised for finite-difference fields."""
         h = np.asarray(self.hess_fn(_as_points(x)), dtype=float)
+        if self.step == 0.0:
+            return h
         return 0.5 * (h + np.swapaxes(h, -1, -2))
 
     @staticmethod
     def analytic(value_fn, grad_fn, hess_fn, name="") -> "ScalarField":
+        """A field with closed-form derivatives.  ``hess_fn`` must return
+        bitwise symmetric matrices (h[..., i, j] == h[..., j, i] exactly):
+        ``hessian`` passes them through unsymmetrised."""
         return ScalarField(value_fn, grad_fn, hess_fn, name=name)
 
     @staticmethod

@@ -3,8 +3,13 @@
 The moving surface is a k=2 polar grid of control points in R^n: Gauss
 radial rings plus a boundary ring pinned to the ambient boundary.  Chart
 derivatives come from barycentric polynomial differentiation in the radius
-and Fourier differentiation in the angle, so every step yields a full
-``SampledImmersion`` and reuses the usual geometry kernels.
+and Fourier differentiation in the angle, so every grid yields a full
+``SampledImmersion``.  The flow measures it from the chart Gram g = J^T J
+alone and builds no tangent or normal frames: the Laplace-Beltrami
+coefficients g^-1 and -g^ij Gamma^k_ij give the mean curvature vector H
+(the operator applied to x), and the tangential projector J g^-1 J^T gives
+grad^perp u, so the flow measures with the operator it steps with.  The
+certificate keeps the frame route of ``SampledImmersion.geometry()``.
 
 The descent direction is the rescaled mean curvature vector in the interior
 (the first variation is minus its pairing with the variation field, so
@@ -23,9 +28,11 @@ filtered per ring with a cutoff proportional to the radius.  The implicit
 solve lifts the explicit (m/r)^2 step limit; what stays is the explicit
 limit of the rim update, ``1 / (boundary_rate * |D[nr, nr]|)``.
 
-A ``FlowState`` carries the immersion of its grid: each step takes its
-direction and operator from it and hands on the accepted trial's immersion,
-so every accepted grid is built and measured once.
+A ``FlowState`` carries the ``GridMeasure`` of its grid: the immersion,
+the operator coefficients, the bracket H - k grad^perp u and the rim's
+outward normals.  Each step takes its direction and operator from it and
+hands on the accepted trial's measure, so every trial grid is built and
+measured once.
 
 Free boundary critical points in a ball are saddle points: a disk lowers
 volume by sliding its rim toward a pole, so an untempered boundary speed
@@ -39,19 +46,17 @@ accepted step, rather than starting at the rim limit.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .domain import LevelSetDomain, outward_normal, project_to_boundary
+from .domain import LevelSetDomain, project_to_boundary
 from .errors import StepFailureError
 from .fields import ConformalMetric
 from .submanifold import (
     SampledImmersion,
     _gauss01,
-    boundary_defects,
-    mean_curvature_bracket,
-    minimality_residuals,
+    boundary_normals,
     polar_conormals,
     volume,
 )
@@ -59,6 +64,7 @@ from .submanifold import (
 Array = np.ndarray
 
 RIM_COLLAPSE = 1e-2  # rim extent, relative to the start, of a collapsed disk
+_ADJUGATE_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])
 
 
 def _diff_matrix(nodes: Array) -> Array:
@@ -171,26 +177,83 @@ class PolarGrid:
         )
 
 
-def laplace_beltrami(grid: PolarGrid, imm: SampledImmersion) -> Array:
+def _gram_terms(imm: SampledImmersion) -> tuple[Array, Array, Array]:
+    """``(g^-1, c, H)`` at the interior samples, from the chart Gram g = J^T J.
+
+    With A = g^ij d_ij x, the contraction g^ij Gamma^k_ij, where Gamma^k_ij =
+    g^kl <d_ij x, d_l x>, is g^kl <A, d_l x>.  So c^k = -g^ij Gamma^k_ij is
+    -(g^-1 J^T A)^k, and the mean curvature vector H = A + c^k d_k x is the
+    normal part of A.  g^-1 and c are the coefficients of the
+    Laplace-Beltrami operator g^ij d_ij + c^k d_k, which maps x to H.  The
+    disks are 2-dimensional, so g^-1 is the 2 x 2 adjugate over det g.
+    """
+    m, n, k = imm.Js.shape
+    Jt = np.swapaxes(imm.Js, 1, 2)
+    g = Jt @ imm.Js
+    det = g[:, 0, 0] * g[:, 1, 1] - g[:, 0, 1] * g[:, 1, 0]
+    ginv = g[:, ::-1, ::-1] * (_ADJUGATE_SIGNS / det[:, None, None])
+    A = (ginv.reshape(m, 1, k * k) @ imm.Hs.reshape(m, k * k, n))[:, 0]
+    c = -(ginv @ (Jt @ A[:, :, None]))[:, :, 0]
+    return ginv, c, A + (imm.Js @ c[:, :, None])[:, :, 0]
+
+
+def laplace_beltrami(grid: PolarGrid, imm: SampledImmersion, terms=None) -> Array:
     """Interior Laplace-Beltrami operator of ``imm`` on grid values.
 
     Shape (nr * ntheta, (nr + 1) * ntheta) over the ring-major flattening of
     the grid, rim columns last, so that ``L @ positions.reshape(-1, n)`` is
-    the mean curvature vector ``imm.geometry().H``.  L = g^ij d_ij -
-    (g^ij Gamma^k_ij) d_k with g = J^T J and Gamma^k_ij = g^kl <d_ij x, d_l x>.
+    the mean curvature vector ``imm.geometry().H``.  L = g^ij d_ij + c^k d_k
+    with the coefficients ``terms = (g^-1, c)`` of ``_gram_terms(imm)``,
+    computed here when not given.
     """
+    ginv, c = _gram_terms(imm)[:2] if terms is None else terms
     nr, nt = grid.nr, grid.ntheta
-    ginv = np.linalg.inv(np.einsum("mxa,mxb->mab", imm.Js, imm.Js))
-    gamma = np.einsum("mkl,mijx,mxl->mkij", ginv, imm.Hs, imm.Js)
     c2 = ginv.reshape(nr, nt, 2, 2)
-    c1 = -np.einsum("mij,mkij->mk", ginv, gamma).reshape(nr, nt, 2)
+    c1 = c.reshape(nr, nt, 2)
     Dr, Dr2 = grid.D[:nr], grid.D2[:nr]
     radial = c2[..., 0, 0, None] * Dr2[:, None] + c1[..., 0, None] * Dr[:, None]
     angular = c2[..., 1, 1, None] * grid.Dt2 + c1[..., 1, None] * grid.Dt
-    L = (radial[..., None] * np.eye(nt)[None, :, None, :]
-         + np.eye(nr, nr + 1)[:, None, :, None] * angular[:, :, None, :]
-         + 2.0 * c2[..., 0, 1, None, None] * Dr[:, None, :, None] * grid.Dt[None, :, None, :])
+    # L[i, t, j, s]: radial couples rings at equal angles, angular couples
+    # angles on one ring, and the mixed term couples both
+    L = np.zeros((nr, nt, nr + 1, nt))
+    t, i = np.arange(nt), np.arange(nr)
+    L[:, t, :, t] = radial.transpose(1, 0, 2)
+    L[i, :, i, :] += angular
+    L += (2.0 * c2[..., 0, 1, None, None] * Dr[:, None, :, None]) * grid.Dt[None, :, None, :]
     return L.reshape(nr * nt, (nr + 1) * nt)
+
+
+@dataclass(frozen=True)
+class GridMeasure:
+    """What the flow reads of one immersion, measured once from its chart
+    Gram: the operator coefficients, the bracket and the rim normals.  A
+    step hands the accepted trial's measure on to the next step."""
+
+    immersion: SampledImmersion
+    ginv: Array                       # (m, 2, 2) inverse chart Gram
+    c: Array                          # (m, 2) -g^ij Gamma^k_ij
+    u: Array                          # (m,) conformal exponent
+    bracket: Array                    # (m, n) H - k grad^perp u
+    rim_normals: Array                # (mb, n) outward unit normals of the domain
+
+
+def _measure(imm: SampledImmersion, metric: ConformalMetric,
+             domain: LevelSetDomain) -> GridMeasure:
+    """Measure ``imm`` without frames: grad^perp u = grad u - J g^-1 J^T grad u."""
+    ginv, c, H = _gram_terms(imm)
+    grad = metric.field.gradient(imm.xs)
+    tangential = imm.Js @ (ginv @ (np.swapaxes(imm.Js, 1, 2) @ grad[:, :, None]))
+    nhat = boundary_normals(imm, domain) if imm.n_boundary else np.zeros((0, imm.n))
+    return GridMeasure(imm, ginv, c, metric.field.value(imm.xs),
+                       H - imm.k * (grad - tangential[:, :, 0]), nhat)
+
+
+def _descent(measure: GridMeasure, metric: ConformalMetric) -> tuple[Array, Array]:
+    """``first_variation_direction`` from a measure."""
+    imm, nhat = measure.immersion, measure.rim_normals
+    interior = np.exp(-2.0 * measure.u)[:, None] * measure.bracket
+    nu_t = imm.bnus - np.sum(imm.bnus * nhat, axis=1, keepdims=True) * nhat
+    return interior, -np.exp(-metric.field.value(imm.bxs))[:, None] * nu_t
 
 
 def first_variation_direction(imm: SampledImmersion, metric: ConformalMetric,
@@ -201,16 +264,7 @@ def first_variation_direction(imm: SampledImmersion, metric: ConformalMetric,
     variation is -|H~|^2 <= 0).  Boundary: minus the rescaled conormal,
     projected onto the ambient boundary's tangent space.
     """
-    u, bracket = mean_curvature_bracket(imm, metric)
-    interior = np.exp(-2.0 * u)[:, None] * bracket
-    if imm.n_boundary:
-        u_b = metric.field.value(imm.bxs)
-        nhat = outward_normal(domain, imm.bxs)
-        nu_t = imm.bnus - np.sum(imm.bnus * nhat, axis=1, keepdims=True) * nhat
-        boundary = -np.exp(-u_b)[:, None] * nu_t
-    else:
-        boundary = np.zeros((0, imm.n))
-    return interior, boundary
+    return _descent(_measure(imm, metric, domain), metric)
 
 
 @dataclass(frozen=True)
@@ -227,7 +281,7 @@ class FlowConfig:
 @dataclass(frozen=True)
 class FlowState:
     grid: PolarGrid
-    immersion: SampledImmersion       # of ``grid``
+    measure: GridMeasure              # of ``grid``
     step: float
     iteration: int
     volume: float
@@ -235,6 +289,10 @@ class FlowState:
     boundary_defect: float
     # per accepted grid: (residual, defect, volume, dt, backtracks)
     residual_history: tuple[tuple[float, float, float, float, int], ...]
+
+    @property
+    def immersion(self) -> SampledImmersion:
+        return self.measure.immersion
 
 
 def _filter_direction(grid: PolarGrid, direction: Array) -> Array:
@@ -249,18 +307,20 @@ def _filter_direction(grid: PolarGrid, direction: Array) -> Array:
 
 
 def _measurements(grid: PolarGrid, metric: ConformalMetric, domain: LevelSetDomain):
-    imm = grid.immersion()
-    res = float(np.max(minimality_residuals(imm, metric)))
-    defect = float(np.max(boundary_defects(imm, domain)))
-    return imm, volume(imm, metric), res, defect
+    """``(measure, volume, max |H~|, max angle defect)`` of one grid."""
+    measure = _measure(grid.immersion(), metric, domain)
+    imm = measure.immersion
+    res = float(np.max(np.exp(-measure.u) * np.linalg.norm(measure.bracket, axis=1)))
+    pair = np.sum(imm.bnus * measure.rim_normals, axis=1)
+    return measure, volume(imm, metric), res, float(np.max(np.abs(1.0 - np.abs(pair))))
 
 
 def flow_state(grid: PolarGrid, metric: ConformalMetric, domain: LevelSetDomain,
                dt: float | None = None) -> FlowState:
-    imm, vol, res, defect = _measurements(grid, metric, domain)
+    measure, vol, res, defect = _measurements(grid, metric, domain)
     if dt is None:
         dt = 0.5 * grid.dt_stable
-    return FlowState(grid, imm, dt, 0, vol, res, defect, ((res, defect, vol, 0.0, 0),))
+    return FlowState(grid, measure, dt, 0, vol, res, defect, ((res, defect, vol, 0.0, 0),))
 
 
 def flow_step(state: FlowState, metric: ConformalMetric, domain: LevelSetDomain,
@@ -276,10 +336,11 @@ def flow_step(state: FlowState, metric: ConformalMetric, domain: LevelSetDomain,
     size never exceeds the rim's explicit limit,
     ``1 / (boundary_rate * |D[nr, nr]|)``."""
     cfg = config or FlowConfig()
-    grid, imm = state.grid, state.immersion
-    interior, boundary = first_variation_direction(imm, metric, domain)
+    grid, measure = state.grid, state.measure
+    interior, boundary = _descent(measure, metric)
     rim = cfg.boundary_rate * boundary
-    EL = np.exp(-2.0 * metric.field.value(imm.xs))[:, None] * laplace_beltrami(grid, imm)
+    L = laplace_beltrami(grid, measure.immersion, (measure.ginv, measure.c))
+    EL = np.exp(-2.0 * measure.u)[:, None] * L
     m = len(interior)
     EL_II, EL_IB = EL[:, :m], EL[:, m:]
     # explicit limit of the rim update, the one part of the step left explicit
@@ -291,11 +352,11 @@ def flow_step(state: FlowState, metric: ConformalMetric, domain: LevelSetDomain,
         trial = grid.positions + dt * _filter_direction(grid, direction)
         trial[grid.nr] = project_to_boundary(domain, trial[grid.nr], tol=1e-12)
         new_grid = grid.with_positions(trial)
-        new_imm, vol, res, defect = _measurements(new_grid, metric, domain)
+        new_measure, vol, res, defect = _measurements(new_grid, metric, domain)
         if vol <= state.volume + cfg.volume_slack * min(1.0, state.volume):
             next_dt = min(dt * 1.15, cap) if backtracks == 0 else dt
             return FlowState(
-                new_grid, new_imm, next_dt, state.iteration + 1, vol, res, defect,
+                new_grid, new_measure, next_dt, state.iteration + 1, vol, res, defect,
                 state.residual_history + ((res, defect, vol, dt, backtracks),),
             )
         dt *= 0.5
@@ -325,6 +386,5 @@ def run_flow(grid: PolarGrid, metric: ConformalMetric, domain: LevelSetDomain,
     converged = state.residual <= cfg.tol and state.boundary_defect <= cfg.boundary_tol
     final = state.grid.immersion(validate=True)
     # hand back one immersion: the validated build replaces the carried copy
-    state = FlowState(state.grid, final, state.step, state.iteration, state.volume,
-                      state.residual, state.boundary_defect, state.residual_history)
+    state = replace(state, measure=replace(state.measure, immersion=final))
     return final, converged, state

@@ -18,10 +18,12 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
+from .domain import outward_normal
 from .errors import ConfigError, DegenerateSampleError, InvalidSampleError
 from .fields import ConformalMetric, make_field
 
@@ -185,6 +187,12 @@ class SampledImmersion:
     def n_boundary(self) -> int:
         return self.bxs.shape[0]
 
+    @cached_property
+    def jacobian_factor(self) -> Array:
+        """sqrt(det J^T J) per interior sample; builds no frames, so volumes
+        and integrals never pay for ``geometry()``."""
+        return np.sqrt(np.linalg.det(np.swapaxes(self.Js, 1, 2) @ self.Js))
+
     def _boundary_frames(self) -> tuple[Array, Array]:
         """Tangent and normal frames at the boundary samples, built once for
         validation and ``geometry()``."""
@@ -201,8 +209,9 @@ class SampledImmersion:
             hn = (self.Hs.reshape(m, k * k, n) @ np.swapaxes(N, 1, 2)).reshape(m, k, k, n - k)
             alpha = (Ct @ (Ct[:, None] @ hn).reshape(m, k, -1)).reshape(m, k, k, n - k)
             H = (np.trace(alpha, axis1=1, axis2=2)[:, None] @ N)[:, 0]
-            jac = np.sqrt(np.linalg.det(np.swapaxes(self.Js, 1, 2) @ self.Js))
-            self._geometry = ImmersionGeometry(T, N, C, alpha, H, jac, *self._boundary_frames())
+            self._geometry = ImmersionGeometry(
+                T, N, C, alpha, H, self.jacobian_factor, *self._boundary_frames()
+            )
         return self._geometry
 
 
@@ -225,7 +234,7 @@ def volume(imm: SampledImmersion, metric: ConformalMetric | None = None) -> floa
 
 def integrate_interior(imm, values, metric=None) -> float:
     """Integrate per-sample values against the induced k-measure."""
-    dens = imm.ws * imm.geometry().jacobian_factor
+    dens = imm.ws * imm.jacobian_factor
     if metric is not None:
         dens = dens * metric.volume_scale(imm.xs, imm.k)
     return float(np.sum(dens * np.asarray(values, float)))
@@ -263,6 +272,18 @@ def check_minimality(imm: SampledImmersion, metric: ConformalMetric, tol: float)
     return ResidualReport("minimality", float(res[worst]), float(tol), worst, imm.xs[worst], res)
 
 
+def boundary_normals(imm: SampledImmersion, domain) -> Array:
+    """``outward_normal`` of the domain at the boundary samples, (mb, n);
+    raises ``InvalidSampleError`` for a sample off the domain boundary."""
+    phi_vals = np.abs(domain.phi.value(imm.bxs))
+    if np.max(phi_vals) > 1e-7:
+        bad = int(np.argmax(phi_vals))
+        raise InvalidSampleError(
+            f"boundary sample {bad} is off the domain boundary: |phi| = {phi_vals[bad]:.3e}"
+        )
+    return outward_normal(domain, imm.bxs)
+
+
 def boundary_defects(imm: SampledImmersion, domain, metric: ConformalMetric | None = None) -> Array:
     """Angle defect |1 - |<nu, outward normal>|| at each boundary sample.
 
@@ -272,14 +293,7 @@ def boundary_defects(imm: SampledImmersion, domain, metric: ConformalMetric | No
     """
     if imm.n_boundary == 0:
         return np.zeros(0)
-    phi_vals = np.abs(domain.phi.value(imm.bxs))
-    if np.max(phi_vals) > 1e-7:
-        bad = int(np.argmax(phi_vals))
-        raise InvalidSampleError(
-            f"boundary sample {bad} is off the domain boundary: |phi| = {phi_vals[bad]:.3e}"
-        )
-    grad = domain.phi.gradient(imm.bxs)
-    outward = grad / np.linalg.norm(grad, axis=1, keepdims=True)
+    outward = boundary_normals(imm, domain)
     if metric is None:
         pair = np.sum(imm.bnus * outward, axis=1)
     else:

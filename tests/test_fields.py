@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from fbstab.domain import make_domain
 from fbstab.errors import ConfigError, DomainError
 from fbstab.fields import ConformalMetric, ScalarField, euclidean_metric, make_field
 
@@ -35,6 +36,25 @@ def test_analytic_hessian_symmetric(rng):
     xs = rng.uniform(-1, 1, size=(10, 3))
     h = field.hessian(xs)
     assert np.max(np.abs(h - np.swapaxes(h, -1, -2))) < 1e-12
+
+
+@pytest.mark.parametrize("field", [
+    make_field("zero"),
+    make_field("linear", a=[0.3, -0.2, 0.5, 0.1]),
+    make_field("radial-spherical"),
+    make_field("radial-hyperbolic"),
+    make_field("radial-custom", coeffs=[0.2, -0.4, 0.1]),
+    make_domain("ellipsoid", 4, semi_axes=[1.2, 1.0, 0.8, 0.7]).phi,
+    make_domain("superellipsoid", 4, exponent=3).phi,
+], ids=["zero", "linear", "radial-spherical", "radial-hyperbolic", "radial-custom",
+        "ellipsoid-phi", "superellipsoid-phi"])
+def test_catalog_hessians_are_bitwise_symmetric(field, rng):
+    """``ScalarField.hessian`` passes analytic Hessians through unsymmetrised,
+    so every catalog ``hess_fn`` must be symmetric to the last bit."""
+    xs = rng.uniform(-0.55, 0.55, size=(1000, 4))
+    h = field.hessian(xs)
+    assert field.step == 0.0
+    assert np.array_equal(h, np.swapaxes(h, -1, -2))
 
 
 def test_fd_hessian_symmetric():

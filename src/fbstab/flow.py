@@ -56,7 +56,9 @@ from .fields import ConformalMetric
 from .submanifold import (
     SampledImmersion,
     _gauss01,
+    angle_defects,
     boundary_normals,
+    bracket_norms,
     polar_conormals,
     volume,
 )
@@ -197,16 +199,14 @@ def _gram_terms(imm: SampledImmersion) -> tuple[Array, Array, Array]:
     return ginv, c, A + (imm.Js @ c[:, :, None])[:, :, 0]
 
 
-def laplace_beltrami(grid: PolarGrid, imm: SampledImmersion, terms=None) -> Array:
-    """Interior Laplace-Beltrami operator of ``imm`` on grid values.
+def laplace_beltrami(grid: PolarGrid, ginv: Array, c: Array) -> Array:
+    """Interior Laplace-Beltrami operator L = g^ij d_ij + c^k d_k on grid values.
 
-    Shape (nr * ntheta, (nr + 1) * ntheta) over the ring-major flattening of
-    the grid, rim columns last, so that ``L @ positions.reshape(-1, n)`` is
-    the mean curvature vector ``imm.geometry().H``.  L = g^ij d_ij + c^k d_k
-    with the coefficients ``terms = (g^-1, c)`` of ``_gram_terms(imm)``,
-    computed here when not given.
+    ``ginv`` and ``c`` are the coefficients of ``_gram_terms`` of the grid's
+    immersion.  Shape (nr * ntheta, (nr + 1) * ntheta) over the ring-major
+    flattening of the grid, rim columns last, so that
+    ``L @ positions.reshape(-1, n)`` is the mean curvature vector.
     """
-    ginv, c = _gram_terms(imm)[:2] if terms is None else terms
     nr, nt = grid.nr, grid.ntheta
     c2 = ginv.reshape(nr, nt, 2, 2)
     c1 = c.reshape(nr, nt, 2)
@@ -261,8 +261,12 @@ def first_variation_direction(imm: SampledImmersion, metric: ConformalMetric,
     """Steepest-descent direction of rescaled volume.
 
     Interior: the rescaled mean curvature vector (its pairing with the first
-    variation is -|H~|^2 <= 0).  Boundary: minus the rescaled conormal,
-    projected onto the ambient boundary's tangent space.
+    variation is -|H~|^2 <= 0), with H from the chart Gram as the flow
+    measures it (``_gram_terms``), not from ``geometry()``.  Boundary: minus
+    the rescaled conormal, projected onto the ambient boundary's tangent
+    space.  Raises ``InvalidSampleError`` for a boundary sample off the
+    domain boundary and ``DomainError`` where grad phi vanishes there (see
+    ``boundary_normals``).
     """
     return _descent(_measure(imm, metric, domain), metric)
 
@@ -310,9 +314,9 @@ def _measurements(grid: PolarGrid, metric: ConformalMetric, domain: LevelSetDoma
     """``(measure, volume, max |H~|, max angle defect)`` of one grid."""
     measure = _measure(grid.immersion(), metric, domain)
     imm = measure.immersion
-    res = float(np.max(np.exp(-measure.u) * np.linalg.norm(measure.bracket, axis=1)))
-    pair = np.sum(imm.bnus * measure.rim_normals, axis=1)
-    return measure, volume(imm, metric), res, float(np.max(np.abs(1.0 - np.abs(pair))))
+    res = float(np.max(bracket_norms(measure.u, measure.bracket)))
+    defect = float(np.max(angle_defects(imm.bnus, measure.rim_normals)))
+    return measure, volume(imm, metric), res, defect
 
 
 def flow_state(grid: PolarGrid, metric: ConformalMetric, domain: LevelSetDomain,
@@ -339,7 +343,7 @@ def flow_step(state: FlowState, metric: ConformalMetric, domain: LevelSetDomain,
     grid, measure = state.grid, state.measure
     interior, boundary = _descent(measure, metric)
     rim = cfg.boundary_rate * boundary
-    L = laplace_beltrami(grid, measure.immersion, (measure.ginv, measure.c))
+    L = laplace_beltrami(grid, measure.ginv, measure.c)
     EL = np.exp(-2.0 * measure.u)[:, None] * L
     m = len(interior)
     EL_II, EL_IB = EL[:, :m], EL[:, m:]

@@ -18,7 +18,6 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -105,7 +104,6 @@ class ImmersionGeometry:
     chart_to_frame: Array    # (m, k, k)
     alpha: Array             # (m, k, k, q) normal-frame components
     H: Array                 # (m, n) Euclidean mean curvature vectors
-    jacobian_factor: Array   # (m,) sqrt(det J^T J)
     b_tangent: Array         # (mb, k, n)
     b_normal: Array          # (mb, q, n)
 
@@ -144,6 +142,7 @@ class SampledImmersion:
         self.bnus = np.asarray(boundary_nu, float)
         self._geometry = None
         self._b_frames = None
+        self._jacobian = None
         if validate:
             self._validate()
         for a in (self.xs, self.Js, self.Hs, self.ws, self.bxs, self.bJs, self.bws, self.bnus):
@@ -187,11 +186,13 @@ class SampledImmersion:
     def n_boundary(self) -> int:
         return self.bxs.shape[0]
 
-    @cached_property
+    @property
     def jacobian_factor(self) -> Array:
-        """sqrt(det J^T J) per interior sample; builds no frames, so volumes
-        and integrals never pay for ``geometry()``."""
-        return np.sqrt(np.linalg.det(np.swapaxes(self.Js, 1, 2) @ self.Js))
+        """sqrt(det J^T J) per interior sample, cached; builds no frames, so
+        volumes and integrals never pay for ``geometry()``."""
+        if self._jacobian is None:
+            self._jacobian = np.sqrt(np.linalg.det(np.swapaxes(self.Js, 1, 2) @ self.Js))
+        return self._jacobian
 
     def _boundary_frames(self) -> tuple[Array, Array]:
         """Tangent and normal frames at the boundary samples, built once for
@@ -209,9 +210,7 @@ class SampledImmersion:
             hn = (self.Hs.reshape(m, k * k, n) @ np.swapaxes(N, 1, 2)).reshape(m, k, k, n - k)
             alpha = (Ct @ (Ct[:, None] @ hn).reshape(m, k, -1)).reshape(m, k, k, n - k)
             H = (np.trace(alpha, axis1=1, axis2=2)[:, None] @ N)[:, 0]
-            self._geometry = ImmersionGeometry(
-                T, N, C, alpha, H, self.jacobian_factor, *self._boundary_frames()
-            )
+            self._geometry = ImmersionGeometry(T, N, C, alpha, H, *self._boundary_frames())
         return self._geometry
 
 
@@ -259,10 +258,14 @@ def mean_curvature_bracket(imm: SampledImmersion, metric: ConformalMetric):
     return metric.field.value(imm.xs), geo.H - imm.k * gperp
 
 
+def bracket_norms(u: Array, bracket: Array) -> Array:
+    """|H~|_{g~} = e^{-u} |bracket| per sample, for the bracket H - k grad^perp u."""
+    return np.exp(-u) * np.linalg.norm(bracket, axis=1)
+
+
 def minimality_residuals(imm: SampledImmersion, metric: ConformalMetric) -> Array:
     """Pointwise |H~|_{g~} = e^{-u} |H - k grad^perp u| over interior samples."""
-    u, bracket = mean_curvature_bracket(imm, metric)
-    return np.exp(-u) * np.linalg.norm(bracket, axis=1)
+    return bracket_norms(*mean_curvature_bracket(imm, metric))
 
 
 def check_minimality(imm: SampledImmersion, metric: ConformalMetric, tol: float) -> ResidualReport:
@@ -284,6 +287,12 @@ def boundary_normals(imm: SampledImmersion, domain) -> Array:
     return outward_normal(domain, imm.bxs)
 
 
+def angle_defects(nus: Array, outward: Array, factor=1.0) -> Array:
+    """Angle defect |1 - |factor <nu, n>|| per boundary sample, for conormals
+    ``nus`` and outward unit normals ``outward`` of the domain."""
+    return np.abs(1.0 - np.abs(factor * np.sum(nus * outward, axis=1)))
+
+
 def boundary_defects(imm: SampledImmersion, domain, metric: ConformalMetric | None = None) -> Array:
     """Angle defect |1 - |<nu, outward normal>|| at each boundary sample.
 
@@ -295,13 +304,9 @@ def boundary_defects(imm: SampledImmersion, domain, metric: ConformalMetric | No
         return np.zeros(0)
     outward = boundary_normals(imm, domain)
     if metric is None:
-        pair = np.sum(imm.bnus * outward, axis=1)
-    else:
-        scale = np.exp(-metric.field.value(imm.bxs))
-        pair = metric.factor(imm.bxs) * np.sum(
-            (scale[:, None] * imm.bnus) * (scale[:, None] * outward), axis=1
-        )
-    return np.abs(1.0 - np.abs(pair))
+        return angle_defects(imm.bnus, outward)
+    scale = np.exp(-metric.field.value(imm.bxs))[:, None]
+    return angle_defects(scale * imm.bnus, scale * outward, metric.factor(imm.bxs))
 
 
 def check_free_boundary(imm: SampledImmersion, domain, tol: float,

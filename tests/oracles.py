@@ -9,8 +9,8 @@ Two kinds live here:
 * the term-by-term loop that the stacked polynomial field must reproduce
   bit for bit;
 * the ``np.einsum`` statements of the per-sample kernels that the package
-  evaluates as batched matrix products: the second fundamental form, mean
-  curvature and Jacobian factor of ``SampledImmersion.geometry()``, the
+  evaluates as batched matrix products: the second fundamental form and mean
+  curvature of ``SampledImmersion.geometry()``, its Jacobian factor, the
   S-terms, the traced interior and boundary densities, and the direct
   rescaled density with the curvature vector R(X, v_i)X written out term by
   term.  They read the same geometry as the package, so a comparison
@@ -222,7 +222,8 @@ def first_variation_value(imm, metric: ConformalMetric, interior_dirs, boundary_
 # ---------------------------------------------------------------------------
 
 def geometry_einsum(imm):
-    """``(alpha, H, jacobian_factor)`` of ``SampledImmersion.geometry()``."""
+    """``(alpha, H)`` of ``SampledImmersion.geometry()`` and its
+    ``jacobian_factor``."""
     _, N, C = _batched_frames(imm.Js)
     hn = np.einsum("mrx,mabx->mabr", N, imm.Hs)
     alpha = np.einsum("mai,mbj,mabr->mijr", C, C, hn)

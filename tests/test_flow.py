@@ -10,7 +10,7 @@ from fbstab import domain as dm
 from fbstab import flow as fl
 from fbstab import scenarios as sc
 from fbstab import submanifold as sub
-from fbstab.errors import StepFailureError
+from fbstab.errors import InvalidSampleError, StepFailureError
 from fbstab.fields import ConformalMetric, make_field
 
 DOM3 = dm.make_domain("ball", 3, radius=1.0)
@@ -65,6 +65,17 @@ def test_tilted_disk_boundary_direction_reduces_defect():
     assert pairing < 0
 
 
+def test_direction_rejects_rim_off_the_boundary():
+    """The direction reads the domain's outward normals at the rim samples,
+    so a rim pushed off the ambient boundary is refused."""
+    grid = bump_grid()
+    positions = grid.positions.copy()
+    positions[grid.nr] *= 1.01
+    imm = grid.with_positions(positions).immersion()
+    with pytest.raises(InvalidSampleError, match="off the domain boundary"):
+        fl.first_variation_direction(imm, M3, DOM3)
+
+
 def rotated_sin_grid(n=4, angle=0.7, amp=0.1, nr=6, ntheta=16):
     c, s = np.cos(angle), np.sin(angle)
 
@@ -83,7 +94,7 @@ def test_laplace_beltrami_of_positions_is_mean_curvature(grid):
     Christoffel symbols, reproduces the frame-based mean curvature vector.
     The sin bump is non-radial, so it checks the angular matrices' orientation."""
     imm = grid.immersion()
-    L = fl.laplace_beltrami(grid, imm)
+    L = fl.laplace_beltrami(grid, *fl._gram_terms(imm)[:2])
     assert L.shape == (grid.nr * grid.ntheta, (grid.nr + 1) * grid.ntheta)
     Lx = L @ grid.positions.reshape(-1, grid.n)
     assert np.max(np.abs(Lx - imm.geometry().H)) < 1e-10

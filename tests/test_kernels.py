@@ -37,7 +37,7 @@ def _check_geometry(imm):
         assert frame.flags.c_contiguous
     assert _close(geo.alpha, alpha)
     assert _close(geo.H, H)
-    assert _close(geo.jacobian_factor, jac)
+    assert _close(imm.jacobian_factor, jac)
 
 
 def _check_interior(imm, metric, basis=None):

@@ -19,21 +19,22 @@ from .fields import ScalarField
 ORTHONORMAL_TOL = 1e-10
 
 
-def curvature_form(field: ScalarField, x, X, Y, Z, W) -> np.ndarray:
-    """Euclidean pairing <R(X,Y)Z, W> of e^{2u} * Euclidean at the points x.
+def curvature_form(grad, hess, X, Y, Z, W) -> np.ndarray:
+    """Euclidean pairing <R(X,Y)Z, W> of e^{2u} * Euclidean at m points,
+    given grad u ``(m, n)`` and Hess u ``(m, n, n)`` there.
 
-    Points are ``(m, n)`` and vectors ``(m, j, n)`` stacks that broadcast in
-    ``j``; returns ``(m, j)``.  Antisymmetric under X <-> Y and under
-    Z <-> W.  grad u and Hess u are evaluated once, and the Hessian is
-    applied to the X and Y stacks only: <Hess u X, Z> = <X, Hess u Z>.
+    Vectors are ``(m, j, n)`` stacks that broadcast in ``j``; returns
+    ``(m, j)``.  Antisymmetric under X <-> Y and under Z <-> W.  The
+    Hessian is applied to the X and Y stacks only: <Hess u X, Z> =
+    <X, Hess u Z>.  The caller evaluates the field, so samples held by an
+    immersion's ambient record feed the form without a new evaluation.
     """
-    g = field.gradient(x)[:, None, :]
-    h = field.hessian(x)
+    g = grad[:, None, :]
 
     def dot(a, b):
         return np.einsum("...n,...n->...", a, b)
 
-    hX, hY = X @ h, Y @ h
+    hX, hY = X @ hess, Y @ hess
     xu, yu, zu, wu = dot(X, g), dot(Y, g), dot(Z, g), dot(W, g)
     xz, xw, yz, yw = dot(X, Z), dot(X, W), dot(Y, Z), dot(Y, W)
     return (
@@ -57,8 +58,10 @@ def riemann(field: ScalarField, x, X, Y, Z) -> np.ndarray:
     """
     x, X, Y, Z = np.broadcast_arrays(*(np.asarray(a, float) for a in (x, X, Y, Z)))
     n = x.shape[-1]
+    pts = x.reshape(-1, n)
     X, Y, Z = (a.reshape(-1, 1, n) for a in (X, Y, Z))
-    return curvature_form(field, x.reshape(-1, n), X, Y, Z, np.eye(n)[None]).reshape(x.shape)
+    form = curvature_form(field.gradient(pts), field.hessian(pts), X, Y, Z, np.eye(n)[None])
+    return form.reshape(x.shape)
 
 
 def sectional_curvature(field: ScalarField, x, X, Y) -> float:

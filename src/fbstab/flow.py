@@ -81,22 +81,18 @@ def _diff_matrix(nodes: Array) -> Array:
     return D
 
 
-def _theta_derivative(values: Array, order: int) -> Array:
-    """Spectral d/dtheta along axis 1 of a (nr, ntheta, ...) array."""
+def _theta_derivatives(values: Array) -> tuple[Array, Array]:
+    """Spectral d/dtheta and d^2/dtheta^2 along axis 1 of a (nr, ntheta, ...)
+    array, from one transform."""
     ntheta = values.shape[1]
     spec = np.fft.rfft(values, axis=1)
-    m = np.arange(spec.shape[1])
-    if order == 1:
-        mult = 1j * m.astype(float)
-        if ntheta % 2 == 0:
-            mult[-1] = 0.0
-    elif order == 2:
-        mult = -(m.astype(float) ** 2)
-    else:
-        raise ValueError("order must be 1 or 2")
+    m = np.arange(spec.shape[1]).astype(float)
+    first = 1j * m
+    if ntheta % 2 == 0:
+        first[-1] = 0.0
     shape = (1, -1) + (1,) * (values.ndim - 2)
-    spec = spec * mult.reshape(shape)
-    return np.fft.irfft(spec, n=ntheta, axis=1)
+    return tuple(np.fft.irfft(spec * mult.reshape(shape), n=ntheta, axis=1)
+                 for mult in (first, -(m**2)))
 
 
 class PolarGrid:
@@ -118,9 +114,7 @@ class PolarGrid:
         self.theta = np.arange(ntheta) * (2.0 * np.pi / ntheta)
         self.D = _diff_matrix(self.rs)
         self.D2 = self.D @ self.D
-        eye = np.eye(ntheta)[None]
-        self.Dt = _theta_derivative(eye, 1)[0]
-        self.Dt2 = _theta_derivative(eye, 2)[0]
+        self.Dt, self.Dt2 = (d[0] for d in _theta_derivatives(np.eye(ntheta)[None]))
         self.positions = np.zeros((nr + 1, ntheta, n))
         mmax = ntheta // 2
         keep = np.minimum(np.maximum(1, np.floor(2.0 * mmax * self.rs).astype(int)), mmax)
@@ -154,8 +148,7 @@ class PolarGrid:
         P = self.positions
         P_r = np.einsum("ij,jtn->itn", self.D, P)
         P_rr = np.einsum("ij,jtn->itn", self.D2, P)
-        P_t = _theta_derivative(P, 1)
-        P_tt = _theta_derivative(P, 2)
+        P_t, P_tt = _theta_derivatives(P)
         P_rt = np.einsum("ij,jtn->itn", self.D, P_t)
         return P_r, P_rr, P_t, P_tt, P_rt
 
@@ -165,10 +158,9 @@ class PolarGrid:
         wt = 2.0 * np.pi / ntheta
         xs = self.positions[:nr].reshape(-1, n)
         Js = np.stack([P_r[:nr].reshape(-1, n), P_t[:nr].reshape(-1, n)], axis=2)
-        Hs = np.zeros((nr * ntheta, 2, 2, n))
-        Hs[:, 0, 0] = P_rr[:nr].reshape(-1, n)
-        Hs[:, 0, 1] = Hs[:, 1, 0] = P_rt[:nr].reshape(-1, n)
-        Hs[:, 1, 1] = P_tt[:nr].reshape(-1, n)
+        # entries (rr, rt, tr, tt) of the chart Hessian, in row-major order
+        Hs = np.stack([P_rr[:nr], P_rt[:nr], P_rt[:nr], P_tt[:nr]], axis=2)
+        Hs = Hs.reshape(-1, 2, 2, n)
         ws = np.repeat(self.wr, ntheta) * wt
 
         bJs = np.stack([P_r[nr], P_t[nr]], axis=2)

@@ -6,8 +6,9 @@ second derivatives and a chart-measure quadrature weight; boundary samples
 carry the Jacobian, a (k-1)-dimensional Euclidean measure weight and the
 outward unit conormal.  Frames, fundamental forms and mean curvature are
 computed for all samples at once by ``SampledImmersion.geometry()`` and
-cached; reductions (volumes, residual maxima) run in fixed sample order so
-results are deterministic.
+cached, and so are the samples of a metric and a domain that the second
+variation reads (``SampledImmersion.ambient``); reductions (volumes, residual
+maxima) run in fixed sample order so results are deterministic.
 
 Every catalog immersion is a graph x = (y, psi(y)) over a polar,
 spherical-polar or identity chart y of R^k, sampled by one chain rule.
@@ -17,12 +18,14 @@ from __future__ import annotations
 
 import itertools
 import json
+import weakref
 from dataclasses import dataclass
+from functools import cached_property, wraps
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .domain import outward_normal
+from .domain import boundary_form as domain_boundary_form, outward_normal
 from .errors import ConfigError, DegenerateSampleError, InvalidSampleError
 from .fields import ConformalMetric, make_field
 
@@ -143,6 +146,7 @@ class SampledImmersion:
         self._geometry = None
         self._b_frames = None
         self._jacobian = None
+        self._ambient = {}
         if validate:
             self._validate()
         for a in (self.xs, self.Js, self.Hs, self.ws, self.bxs, self.bJs, self.bws, self.bnus):
@@ -213,17 +217,152 @@ class SampledImmersion:
             self._geometry = ImmersionGeometry(T, N, C, alpha, H, *self._boundary_frames())
         return self._geometry
 
+    def ambient(self, metric: ConformalMetric | None, domain=None) -> "AmbientSamples":
+        """The record of what this immersion reads of ``metric`` and
+        ``domain`` independently of any normal field, built on first use and
+        cached per ``(metric, domain)`` like ``geometry()``."""
+        key = (metric, domain)
+        record = self._ambient.get(key)
+        if record is None:
+            record = self._ambient[key] = AmbientSamples(self, metric, domain)
+        return record
+
+
+def _entry(fn):
+    """A ``cached_property`` whose arrays are made read-only, since every
+    reader of the record shares them."""
+    @wraps(fn)
+    def read(self):
+        value = fn(self)
+        for a in value if isinstance(value, tuple) else (value,):
+            if isinstance(a, np.ndarray):
+                a.flags.writeable = False
+        return value
+    return cached_property(read)
+
+
+class AmbientSamples:
+    """Samples of one (immersion, metric, domain) triple that no normal
+    field X changes; each entry is evaluated the first time it is read.
+
+    An entry lives in the record keyed by what it depends on, so it is
+    evaluated once per immersion whichever reader asks: the field samples,
+    their tangential and normal components, the rescaled second fundamental
+    form, the integration densities and the minimality residual under
+    ``(metric, None)``; the boundary form and the free-boundary defect under
+    ``(None, domain)``; eta(u) under ``(metric, domain)``.  Caching is sound
+    because the immersion's arrays are read-only and metrics and domains are
+    frozen.  An entry that raises stores nothing, so every read raises again.
+    The record holds its immersion weakly: the cache makes no reference cycle.
+    """
+
+    def __init__(self, imm: SampledImmersion, metric: ConformalMetric | None, domain):
+        self.imm = weakref.proxy(imm)
+        self.metric = metric
+        self.domain = domain
+
+    # -- key (metric, None): interior samples ---------------------------------
+
+    @_entry
+    def u(self) -> Array:
+        return self.metric.field.value(self.imm.xs)
+
+    @_entry
+    def grad(self) -> Array:
+        return self.metric.field.gradient(self.imm.xs)
+
+    @_entry
+    def hess(self) -> Array:
+        return self.metric.field.hessian(self.imm.xs)
+
+    @_entry
+    def grad_tan(self) -> Array:
+        """Tangent-frame components of grad u, (m, k)."""
+        return np.einsum("mkn,mn->mk", self.imm.geometry().tangent, self.grad)
+
+    @_entry
+    def grad_nor(self) -> Array:
+        """Normal-frame components of grad u, (m, q)."""
+        return np.einsum("mqn,mn->mq", self.imm.geometry().normal, self.grad)
+
+    @_entry
+    def sff(self) -> Array:
+        """Second fundamental form of the rescaled metric, (m, k, k, q).
+
+        alpha~(X, Y) = alpha(X, Y) - <X, Y> grad^perp u in normal-frame
+        components: the normal components of grad u are subtracted on the
+        diagonal.
+        """
+        eye = np.eye(self.imm.k)[None, :, :, None]
+        return self.imm.geometry().alpha - eye * self.grad_nor[:, None, None, :]
+
+    @_entry
+    def density(self) -> Array:
+        """w sqrt(det g) e^{ku}, the rescaled k-measure of each interior sample."""
+        imm = self.imm
+        return imm.ws * imm.jacobian_factor * np.exp(imm.k * self.u)
+
+    @_entry
+    def minimality(self) -> float:
+        """max |H~|_{g~} over the interior samples."""
+        return float(np.max(minimality_residuals(self.imm, self.metric)))
+
+    # -- key (metric, None): boundary samples ---------------------------------
+
+    @_entry
+    def b_u(self) -> Array:
+        return self.metric.field.value(self.imm.bxs)
+
+    @_entry
+    def b_grad(self) -> Array:
+        return self.metric.field.gradient(self.imm.bxs)
+
+    @_entry
+    def nu_u(self) -> Array:
+        """Conormal derivative nu(u) per boundary sample."""
+        return np.sum(self.b_grad * self.imm.bnus, axis=1)
+
+    @_entry
+    def b_density(self) -> Array:
+        """w_b e^{(k-1)u}, the rescaled (k-1)-measure of each boundary sample."""
+        return self.imm.bws * np.exp((self.imm.k - 1) * self.b_u)
+
+    def integrate(self, values) -> float:
+        """``integrate_interior`` with the cached density."""
+        return float(np.sum(self.density * values))
+
+    def integrate_boundary(self, values) -> float:
+        """``integrate_boundary`` with the cached density."""
+        return float(np.sum(self.b_density * values))
+
+    # -- key (None, domain) ---------------------------------------------------
+
+    @_entry
+    def boundary_form(self) -> tuple[Array, Array, Array]:
+        """Outward unit normals, ``domain.boundary_form`` ``(mb, n, n)`` and
+        <eta, nu> at the boundary samples."""
+        nhat = outward_normal(self.domain, self.imm.bxs)
+        M = domain_boundary_form(self.domain, self.imm.bxs)
+        return nhat, M, -np.sum(nhat * self.imm.bnus, axis=1)
+
+    @_entry
+    def defect(self) -> float:
+        """Maximal free-boundary angle defect over the boundary samples."""
+        return float(np.max(boundary_defects(self.imm, self.domain)))
+
+    # -- key (metric, domain) -------------------------------------------------
+
+    @_entry
+    def eta_u(self) -> Array:
+        """Inward normal derivative eta(u) per boundary sample."""
+        nhat = self.imm.ambient(None, self.domain).boundary_form[0]
+        return -np.sum(self.imm.ambient(self.metric).b_grad * nhat, axis=1)
+
 
 def conformal_sff(imm: SampledImmersion, metric: ConformalMetric) -> Array:
-    """Second fundamental form of the rescaled metric, (m, k, k, q).
-
-    alpha~(X, Y) = alpha(X, Y) - <X, Y> grad^perp u in normal-frame
-    components: the normal components of grad u are subtracted on the
-    diagonal.
-    """
-    geo = imm.geometry()
-    gn = np.einsum("mqn,mn->mq", geo.normal, metric.field.gradient(imm.xs))
-    return geo.alpha - np.eye(imm.k)[None, :, :, None] * gn[:, None, None, :]
+    """Second fundamental form of the rescaled metric, (m, k, k, q); see
+    ``AmbientSamples.sff``."""
+    return imm.ambient(metric).sff
 
 
 def volume(imm: SampledImmersion, metric: ConformalMetric | None = None) -> float:
@@ -253,9 +392,9 @@ def mean_curvature_bracket(imm: SampledImmersion, metric: ConformalMetric):
     g~-norm is e^{-u} times the bracket's Euclidean norm.
     """
     geo = imm.geometry()
-    g = metric.field.gradient(imm.xs)
-    gperp = np.einsum("mrx,mr->mx", geo.normal, np.einsum("mrx,mx->mr", geo.normal, g))
-    return metric.field.value(imm.xs), geo.H - imm.k * gperp
+    record = imm.ambient(metric)
+    gperp = np.einsum("mrx,mr->mx", geo.normal, record.grad_nor)
+    return record.u, geo.H - imm.k * gperp
 
 
 def bracket_norms(u: Array, bracket: Array) -> Array:

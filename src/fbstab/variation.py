@@ -11,7 +11,12 @@ A ``NormalField`` is a set of arrays over a whole immersion: values and
 covariant normal derivatives at the interior samples, values at the boundary
 samples.  Every form takes the immersion and a field and returns one density
 per sample, ``(m,)`` for S and ``(mb,)`` for T, evaluated from ambient data
-(u, grad u, Hess u, frames, alpha) with no differencing across samples.  The
+(u, grad u, Hess u, frames, alpha) with no differencing across samples.
+Nothing of that data depends on the field: the forms, traces, bound and
+certificate read it from the immersion's cached ``geometry()`` and
+``ambient(metric, domain)`` records, so after the first call a form does only
+the work that X changes, and an n x n matrix Q(E_i, E_j) evaluates the
+field, the boundary form and the hypothesis residuals once.  The
 rescaled densities have two routes, Euclidean data plus a transformation law
 and direct evaluation with the conformal connection and curvature; their
 agreement is a test obligation.  Traces over the projected coordinate fields
@@ -27,17 +32,10 @@ import numpy as np
 from scipy.stats import qmc
 
 from . import conformal
-from .domain import LevelSetDomain, boundary_form, convexity_report, outward_normal
+from .domain import LevelSetDomain, convexity_report
 from .errors import DimensionError, PreconditionError
 from .fields import ConformalMetric
-from .submanifold import (
-    SampledImmersion,
-    boundary_defects,
-    conformal_sff,
-    integrate_boundary,
-    integrate_interior,
-    minimality_residuals,
-)
+from .submanifold import SampledImmersion
 
 Array = np.ndarray
 
@@ -86,13 +84,6 @@ def _check_normal(imm: SampledImmersion, X: NormalField):
         )
 
 
-def _boundary_form(imm: SampledImmersion, domain: LevelSetDomain):
-    """Outward unit normals, ``domain.boundary_form`` ``(mb, n, n)`` and <eta, nu>
-    at the boundary samples."""
-    nhat = outward_normal(domain, imm.bxs)
-    return nhat, boundary_form(domain, imm.bxs), -np.sum(nhat * imm.bnus, axis=1)
-
-
 def _boundary_pair(Xb: Array, M: Array) -> Array:
     """<M X, X> per boundary sample for ``M`` (mb, n, n)."""
     return np.sum((Xb[:, None] @ M)[:, 0] * Xb, axis=1)
@@ -132,7 +123,7 @@ def t_euclid(imm: SampledImmersion, X: NormalField, domain: LevelSetDomain,
     working with approximately orthogonal immersions may widen the tolerance
     to the measured boundary defect.
     """
-    nhat, M, eta_dot_nu = _boundary_form(imm, domain)
+    nhat, M, eta_dot_nu = imm.ambient(None, domain).boundary_form
     _check_tangent(X, nhat, tangency_tol)
     return _boundary_pair(X.boundary_values, M) * eta_dot_nu
 
@@ -146,11 +137,11 @@ def s_tilde_transformed(imm: SampledImmersion, X: NormalField,
     minimal for the rescaled metric.
     """
     geo = imm.geometry()
+    record = imm.ambient(metric)
     V = X.values
-    g = metric.field.gradient(imm.xs)
-    h = metric.field.hessian(imm.xs)
+    g, h = record.grad, record.hess
     X2 = np.sum(V * V, axis=1)
-    u_i = np.einsum("mkn,mn->mk", geo.tangent, g)
+    u_i = record.grad_tan
     Xn = np.einsum("mqn,mn->mq", geo.normal, V)
     deriv_term = 2.0 * np.einsum("mi,mir,mr->m", u_i, X.dperp, Xn)
     div_term = np.einsum("min,mnp,mip->m", geo.tangent, h, geo.tangent)
@@ -173,15 +164,16 @@ def s_tilde_direct(imm: SampledImmersion, X: NormalField,
     """
     _check_normal(imm, X)
     geo = imm.geometry()
-    field = metric.field
+    record = imm.ambient(metric)
     T, V = geo.tangent, X.values
     m, k, _, q = geo.alpha.shape
-    u_i = np.einsum("mkn,mn->mk", T, field.gradient(imm.xs))
     Xn = np.einsum("mqn,mn->mq", geo.normal, V)
-    grad_term = np.sum((X.dperp + u_i[:, :, None] * Xn[:, None, :]) ** 2, axis=(1, 2))
+    grad_term = np.sum((X.dperp + record.grad_tan[:, :, None] * Xn[:, None, :]) ** 2,
+                       axis=(1, 2))
     # sum_i <R(X, v_i) X, v_i>; no orthogonality of X and the v_i is assumed
-    curv = np.sum(conformal.curvature_form(field, imm.xs, V[:, None], T, V[:, None], T), axis=1)
-    sff = conformal_sff(imm, metric).reshape(m, k * k, q) @ Xn[:, :, None]
+    curv = np.sum(conformal.curvature_form(record.grad, record.hess, V[:, None], T,
+                                           V[:, None], T), axis=1)
+    sff = record.sff.reshape(m, k * k, q) @ Xn[:, :, None]
     return grad_term - curv - np.sum(sff**2, axis=(1, 2))
 
 
@@ -194,8 +186,8 @@ def t_tilde_transformed(imm: SampledImmersion, X: NormalField, metric: Conformal
     |X|^2 nu(u)); without rescaling, e^{+u} (same bracket).
     """
     Xb = X.boundary_values
-    u = metric.field.value(imm.bxs)
-    nu_u = np.sum(metric.field.gradient(imm.bxs) * imm.bnus, axis=1)
+    record = imm.ambient(metric)
+    u, nu_u = record.b_u, record.nu_u
     bracket = t_euclid(imm, X, domain, tangency_tol) - np.sum(Xb * Xb, axis=1) * nu_u
     return np.exp(-u if rescaled else u) * bracket
 
@@ -209,11 +201,11 @@ def t_tilde_direct(imm: SampledImmersion, X: NormalField, metric: ConformalMetri
     fundamental form and the rescaled conormal; dual route to
     ``t_tilde_transformed``.
     """
-    nhat, M, eta_dot_nu = _boundary_form(imm, domain)
+    nhat, M, eta_dot_nu = imm.ambient(None, domain).boundary_form
     _check_tangent(X, nhat, tangency_tol)
     Xb = X.boundary_values
-    u = metric.field.value(imm.bxs)
-    eta_u = -np.sum(metric.field.gradient(imm.bxs) * nhat, axis=1)
+    u = imm.ambient(metric).b_u
+    eta_u = imm.ambient(metric, domain).eta_u
     form = (_boundary_pair(Xb, M) - np.sum(Xb * Xb, axis=1) * eta_u) * eta_dot_nu
     return np.exp(-u if rescaled else u) * form
 
@@ -282,12 +274,10 @@ def traced_interior_density(imm: SampledImmersion, metric: ConformalMetric, basi
     k, n = imm.k, imm.n
     T, N, alpha = geo.tangent, geo.normal, geo.alpha
     NB = _in_basis(N, basis)
-    u = metric.field.value(imm.xs)
-    g = metric.field.gradient(imm.xs)
-    h = metric.field.hessian(imm.xs)
+    record = imm.ambient(metric)
+    u, g, h = record.u, record.grad, record.hess
+    ut, un = record.grad_tan, record.grad_nor
     g2 = np.sum(g * g, axis=1)
-    ut = (T @ g[:, :, None])[:, :, 0]
-    un = (N @ g[:, :, None])[:, :, 0]
     ht = np.sum((T @ h) * T, axis=2)           # Hess u(v_i, v_i)
     hn = np.sum((N @ h) * N, axis=2)           # Hess u(N_r, N_r)
 
@@ -327,10 +317,9 @@ def traced_boundary_density(imm: SampledImmersion, metric: ConformalMetric,
         return np.zeros(0), np.zeros(0)
     bN = geo.b_normal
     bNB = _in_basis(bN, basis)
-    u = metric.field.value(imm.bxs)
-    g = metric.field.gradient(imm.bxs)
-    nu_u = np.sum(g * imm.bnus, axis=1)
-    nhat, M, eta_dot_nu = _boundary_form(imm, domain)
+    record = imm.ambient(metric)
+    u, nu_u = record.b_u, record.nu_u
+    nhat, M, eta_dot_nu = imm.ambient(None, domain).boundary_form
 
     XV = np.swapaxes(bN, 1, 2) @ bNB
     tangency = np.abs((nhat[:, None, :] @ XV)[:, 0])
@@ -372,24 +361,23 @@ def _hypothesis_residuals(imm: SampledImmersion, metric: ConformalMetric,
                           domain: LevelSetDomain | None = None):
     """``(minimality, defect, tangency_tol)``: the maximal minimality residual,
     the maximal free-boundary defect and the tangency tolerance it allows.
+    Both maxima are read from the immersion's ambient records.
 
     Without a domain or boundary samples the defect is inf and the tolerance
     ``TANGENCY_TOL``.  The defect is 1 - cos(angle) while field misalignment
     scales with sin(angle), so the tolerance widens to 2 sqrt(2 defect).
     """
-    minimality = float(np.max(minimality_residuals(imm, metric)))
-    defects = boundary_defects(imm, domain) if domain is not None else np.zeros(0)
-    if not defects.size:
+    minimality = imm.ambient(metric).minimality
+    if domain is None or not imm.n_boundary:
         return minimality, np.inf, TANGENCY_TOL
-    defect = float(np.max(defects))
+    defect = imm.ambient(None, domain).defect
     return minimality, defect, max(TANGENCY_TOL, 2.0 * np.sqrt(2.0 * defect))
 
 
 def _bound_rhs(imm: SampledImmersion, metric: ConformalMetric) -> float:
     """Twice the boundary flux of u along the rescaled conormal, 2 int e^{-u} nu(u)."""
-    u_b = metric.field.value(imm.bxs)
-    nu_u = np.sum(metric.field.gradient(imm.bxs) * imm.bnus, axis=1)
-    return 2.0 * integrate_boundary(imm, np.exp(-u_b) * nu_u, metric)
+    record = imm.ambient(metric)
+    return 2.0 * record.integrate_boundary(np.exp(-record.b_u) * record.nu_u)
 
 
 def interior_bound(imm: SampledImmersion, metric: ConformalMetric,
@@ -415,7 +403,7 @@ def interior_bound(imm: SampledImmersion, metric: ConformalMetric,
     if curv_min < -1e-9:
         warnings.append(f"curvature hypothesis unverified: sampled min {curv_min:.3e} < 0")
     values, _ = traced_interior_density(imm, metric)
-    lhs = integrate_interior(imm, values, metric)
+    lhs = imm.ambient(metric).integrate(values)
     rhs = _bound_rhs(imm, metric)
     return BoundReport(lhs, rhs, rhs - lhs, curv_min, tuple(warnings))
 
@@ -451,8 +439,9 @@ def second_variation(imm: SampledImmersion, metric: ConformalMetric,
     else:
         s_vals = s_tilde_direct(imm, X, metric)
         t_vals = t_tilde_direct(imm, X, metric, domain, rescaled=False, tangency_tol=tangency)
-    interior_term = integrate_interior(imm, s_vals, metric)
-    boundary_term = integrate_boundary(imm, t_vals, metric)
+    record = imm.ambient(metric)
+    interior_term = record.integrate(s_vals)
+    boundary_term = record.integrate_boundary(t_vals)
     return SecondVariationResult(interior_term + boundary_term, interior_term, boundary_term,
                                  q_form_only=bool(warnings), warnings=tuple(warnings))
 
@@ -581,8 +570,9 @@ def instability_certificate(imm: SampledImmersion, metric: ConformalMetric,
 
     s_vals, s_res = traced_interior_density(imm, metric)
     t_vals, t_res = traced_boundary_density(imm, metric, domain, tangency)
-    traced_interior = integrate_interior(imm, s_vals, metric)
-    traced_boundary = integrate_boundary(imm, t_vals, metric)
+    record = imm.ambient(metric)
+    traced_interior = record.integrate(s_vals)
+    traced_boundary = record.integrate_boundary(t_vals)
     traced_total = traced_interior + traced_boundary
     bound_rhs = _bound_rhs(imm, metric)
 

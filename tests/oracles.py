@@ -29,7 +29,7 @@ from fbstab.submanifold import (
     integrate_interior,
     mean_curvature_bracket,
 )
-from fbstab.variation import _boundary_form, _in_basis
+from fbstab.variation import _in_basis
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +276,7 @@ def traced_boundary_density_einsum(imm, metric: ConformalMetric, domain, basis=N
     bNB = _in_basis(bN, basis)
     u = metric.field.value(imm.bxs)
     nu_u = np.sum(metric.field.gradient(imm.bxs) * imm.bnus, axis=1)
-    nhat, M, eta_dot_nu = _boundary_form(imm, domain)
+    nhat, M, eta_dot_nu = imm.ambient(None, domain).boundary_form
     XV = np.einsum("mqn,mql->mnl", bN, bNB)
     tangency = np.abs(np.einsum("mnl,mn->ml", XV, nhat))
     X2 = np.sum(bNB**2, axis=1)

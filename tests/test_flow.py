@@ -136,6 +136,38 @@ def test_flow_steps_build_no_frames(monkeypatch):
     assert len({id(imm) for imm in terms}) == trials
 
 
+def test_flow_builds_no_ambient_record(monkeypatch):
+    """The flow measures its grids without the second variation's cached
+    ambient samples."""
+    def refuse(*args):
+        raise AssertionError("the flow built an ambient record")
+
+    monkeypatch.setattr(sub.SampledImmersion, "ambient", refuse)
+    state = fl.flow_state(bump_grid(), M3, DOM3)
+    for _ in range(5):
+        state = fl.flow_step(state, M3, DOM3)
+    fl.first_variation_direction(state.immersion, M3, DOM3)
+
+
+def test_angular_derivatives_from_one_transform():
+    """Both theta-derivatives are exact on the resolved modes and agree with
+    the grid's differentiation matrices; the chart Hessian stack is symmetric."""
+    grid = bump_grid()
+    theta = grid.theta
+    modes = np.stack([np.sin(3 * theta), np.cos(5 * theta)], axis=1)[None]
+    d1, d2 = fl._theta_derivatives(modes)
+    exact = np.stack([3 * np.cos(3 * theta), -5 * np.sin(5 * theta)], axis=1)
+    assert np.max(np.abs(d1[0] - exact)) < 1e-12
+    assert np.max(np.abs(d2[0] + np.array([9.0, 25.0]) * modes[0])) < 1e-12
+    assert np.max(np.abs(grid.Dt @ modes[0] - d1[0])) < 1e-12
+    assert np.max(np.abs(grid.Dt2 @ modes[0] - d2[0])) < 1e-12
+    _, P_rr, P_t, P_tt, P_rt = grid.chart_derivatives()
+    Hs, nr = grid.immersion().Hs, grid.nr
+    assert np.array_equal(Hs[:, 0, 1], Hs[:, 1, 0])
+    for (a, b), P in (((0, 0), P_rr), ((0, 1), P_rt), ((1, 1), P_tt)):
+        assert np.array_equal(Hs[:, a, b], P[:nr].reshape(-1, grid.n))
+
+
 def test_fixed_point_step():
     grid = flat_grid()
     state = fl.flow_state(grid, M3, DOM3)

@@ -105,11 +105,16 @@ def _curvature_args(seed, m=6, j=3, n=4):
     return xs, X, Y, Z, W
 
 
+def _samples(field, xs):
+    """grad u and Hess u at the points, the samples ``curvature_form`` takes."""
+    return field.gradient(xs), field.hessian(xs)
+
+
 @pytest.mark.parametrize("spec", CURVATURE_FIELDS, ids=[s[0] for s in CURVATURE_FIELDS])
 def test_curvature_form_matches_christoffel_oracle(spec):
     field = make_field(spec[0], **spec[1])
     xs, X, Y, Z, W = _curvature_args(11)
-    got = conformal.curvature_form(field, xs, X, Y, Z, W)
+    got = conformal.curvature_form(*_samples(field, xs), X, Y, Z, W)
     assert got.shape == Y.shape[:2]
     for i in range(xs.shape[0]):
         for j in range(Y.shape[1]):
@@ -121,15 +126,15 @@ def test_curvature_form_matches_christoffel_oracle(spec):
 def test_curvature_form_symmetries(spec):
     field = make_field(spec[0], **spec[1])
     xs, X, Y, Z, W = _curvature_args(12)
-    form = conformal.curvature_form(field, xs, X, Y, Z, W)
+    form = conformal.curvature_form(*_samples(field, xs), X, Y, Z, W)
     scale = max(1.0, float(np.max(np.abs(form))))
 
     def close(a, b):
         return np.max(np.abs(a - b)) <= KERNEL_RTOL * scale
 
-    assert close(conformal.curvature_form(field, xs, Y, X, Z, W), -form)
-    assert close(conformal.curvature_form(field, xs, X, Y, W, Z), -form)
-    assert close(conformal.curvature_form(field, xs, Z, W, X, Y), form)
+    assert close(conformal.curvature_form(*_samples(field, xs), Y, X, Z, W), -form)
+    assert close(conformal.curvature_form(*_samples(field, xs), X, Y, W, Z), -form)
+    assert close(conformal.curvature_form(*_samples(field, xs), Z, W, X, Y), form)
 
 
 @pytest.mark.parametrize("spec", CURVATURE_FIELDS, ids=[s[0] for s in CURVATURE_FIELDS])
@@ -138,7 +143,7 @@ def test_riemann_is_the_form_against_the_axes(spec):
     xs, X, Y, Z, _ = _curvature_args(13, j=1)
     m, _, n = X.shape
     axes = np.broadcast_to(np.eye(n), (m, n, n))
-    want = conformal.curvature_form(field, xs, X, Y, Z, axes)
+    want = conformal.curvature_form(*_samples(field, xs), X, Y, Z, axes)
     assert np.array_equal(conformal.riemann(field, xs, X[:, 0], Y[:, 0], Z[:, 0]), want)
 
 

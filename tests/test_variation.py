@@ -1,14 +1,19 @@
 """Quadratic forms S/T, conformal transformation laws, traces, bound and
 certificate."""
 
+import gc
+import weakref
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from fbstab import domain as dm
+from fbstab import scenarios as sc
 from fbstab import submanifold as sub
 from fbstab import variation as var
-from fbstab.errors import DimensionError, PreconditionError
-from fbstab.fields import ConformalMetric, make_field
+from fbstab.errors import DimensionError, InvalidSampleError, PreconditionError
+from fbstab.fields import ConformalMetric, ScalarField, make_field
 
 BALL3 = dm.make_domain("ball", 3, radius=1.0)
 
@@ -345,6 +350,112 @@ def test_second_variation_q_form_label(ball4, metric_zero4):
     dom = dm.make_domain("ball", 4, radius=np.sqrt(1.0 + 0.25**2))
     out = var.second_variation(par, metric, X, dom, free_boundary_tol=1e-6)
     assert out.q_form_only and out.warnings
+
+
+def test_ambient_records_are_keyed_by_metric_and_domain():
+    """Interleaving metrics, domains, and calls with and without a domain, on
+    one immersion gives bit for bit what each call gives on a fresh one."""
+    built = sc.build_scenario("cap-disk-b4k2")
+    imm, dom = built.immersion, built.domain
+    sphere, zero = built.metric, ConformalMetric(make_field("zero"), 4)
+    wide = dm.make_domain("ball", 4, radius=2.0)
+    basis, _ = np.linalg.qr(np.random.default_rng(3).normal(size=(4, 4)))
+
+    def q(target, metric, i):
+        X = var.projected_field(target, basis[:, i])
+        return var.second_variation(target, metric, X, dom)
+
+    def t(target, domain, i):
+        return var.t_euclid(target, var.projected_field(target, basis[:, i]), domain, 1.0)
+
+    calls = [(q, sphere, 0), (q, zero, 0), (var.interior_bound, sphere), (q, sphere, 1),
+             (t, wide, 1), (var.interior_bound, zero), (q, zero, 2), (t, dom, 2),
+             (t, wide, 2), (q, sphere, 3), (var.interior_bound, sphere)]
+    for fn, *args in calls:
+        got, want = fn(imm, *args), fn(sc.build_scenario("cap-disk-b4k2").immersion, *args)
+        assert np.array_equal(got, want) if fn is t else got == want
+    assert set(imm._ambient) == {
+        (sphere, None), (zero, None), (None, dom), (None, wide), (sphere, dom)}
+
+
+def _counting_metric(name, n):
+    """``make_field(name)`` whose value, gradient and Hessian calls are counted."""
+    base = make_field(name)
+    calls = Counter()
+
+    def counted(kind, fn):
+        def call(x):
+            calls[kind] += 1
+            return fn(x)
+        return call
+
+    field = ScalarField.analytic(counted("value", base.value_fn),
+                                 counted("gradient", base.grad_fn),
+                                 counted("hessian", base.hess_fn), name=name)
+    return ConformalMetric(field, n), calls
+
+
+def test_warm_second_variation_evaluates_only_the_field_x(monkeypatch):
+    """After one Q(X, X), Q over a whole basis calls neither the field nor
+    the residual checks; the per-call checks on X still run."""
+    built = sc.build_scenario("cap-disk-b4k2")
+    imm, dom = built.immersion, built.domain
+    metric, calls = _counting_metric("radial-spherical", 4)
+    checks = Counter()
+    for name in ("minimality_residuals", "boundary_defects"):
+        def counted(*args, _fn=getattr(sub, name), _name=name):
+            checks[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(sub, name, counted)
+
+    first = var.second_variation(imm, metric, var.projected_field(imm, np.eye(4)[0]), dom)
+    assert sum(calls.values()) > 0
+    assert checks == {"minimality_residuals": 1, "boundary_defects": 1}
+    calls.clear()
+    checks.clear()
+    again = [var.second_variation(imm, metric, var.projected_field(imm, E), dom)
+             for E in np.eye(4)]
+    assert again[0] == first
+    assert sum(calls.values()) == 0 and sum(checks.values()) == 0
+    # every reader shares the cached arrays, so none may write to them
+    record = imm.ambient(metric)
+    assert not any(a.flags.writeable for a in (record.u, record.grad, record.hess, record.sff))
+
+    X = var.projected_field(imm, np.eye(4)[2])
+    values = X.values.copy()
+    values[137] = imm.geometry().tangent[137, 0]
+    bad = var.NormalField(values, X.dperp, X.boundary_values)
+    with pytest.raises(PreconditionError, match="not normal"):
+        var.s_tilde_direct(imm, bad, metric)
+    with pytest.raises(PreconditionError, match="not normal"):
+        var.second_variation(imm, metric, bad, dom)
+
+
+def test_failed_entries_are_not_cached_and_raise_where_they_did(cap_b4):
+    """A rim off the domain fails the free-boundary check on every call, while
+    the boundary density, which never checked it, still evaluates."""
+    imm = sc.build_scenario("cap-disk-b4k2").immersion
+    wide = dm.make_domain("ball", 4, radius=2.0)
+    X = var.projected_field(imm, np.eye(4)[3])
+    for _ in range(2):
+        with pytest.raises(InvalidSampleError, match="off the domain boundary"):
+            var.second_variation(imm, cap_b4.metric, X, wide)
+    assert np.all(np.isfinite(var.t_euclid(imm, X, wide)))
+
+
+def test_ambient_records_hold_their_immersion_weakly(cap_b4):
+    """The cache makes no reference cycle: an immersion is freed by reference
+    counting once its last reference goes."""
+    imm = sc.build_scenario("cap-disk-b4k2").immersion
+    var.second_variation(imm, cap_b4.metric, var.projected_field(imm, np.eye(4)[3]),
+                         cap_b4.domain)
+    ref = weakref.ref(imm)
+    gc.disable()
+    try:
+        del imm
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_certificate_flat(flat_b4, metric_zero4, ball4):

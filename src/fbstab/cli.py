@@ -161,7 +161,8 @@ def _cmd_convexity(args) -> int:
            "gate": domain_mod.corollary_gate(report)}
     _write(args.out, f"convexity-{scenario.name}.json", _emit_json(doc))
     print(f"scenario {scenario.name}: p={p} margin_g={report.margin_g:.6e} "
-          f"margin_gtilde={report.margin_gtilde:.6e} gate={doc['gate']}")
+          f"margin_gtilde={report.margin_gtilde:.6e} gate={doc['gate']} "
+          "polish_rounds={}/{}".format(*report.polish_rounds))
     exp = scenario.expected.get("margin_p1")
     if exp and p == 1:
         tol = args.tol if args.tol is not None else exp["tol"]

@@ -87,18 +87,16 @@ def sectional_curvature(field: ScalarField, x, X, Y) -> float:
     )
 
 
-def min_sectional_curvature(field: ScalarField, xs) -> np.ndarray:
-    """Minimum sectional curvature over all 2-planes at each of the points
-    ``xs`` (m, n); returns (m,).
+def min_sectional_curvature(u, grad, hess) -> np.ndarray:
+    """Minimum sectional curvature over all 2-planes at each of m points,
+    given u ``(m,)``, grad u ``(m, n)`` and Hess u ``(m, n, n)`` there;
+    returns (m,).
 
     With A = grad u grad u^T - Hess u the formula above reads K(X, Y) =
     e^{-2u} (<AX, X> + <AY, Y> - |grad u|^2), so by Ky Fan's principle the
     minimum over orthonormal pairs is e^{-2u} (l1 + l2 - |grad u|^2), with
-    l1 <= l2 the two smallest eigenvalues of A.
+    l1 <= l2 the two smallest eigenvalues of A.  As with ``curvature_form``,
+    the caller evaluates the field.
     """
-    xs = np.asarray(xs, float)
-    u = field.value(xs)
-    g = field.gradient(xs)
-    lam = np.linalg.eigvalsh(g[:, :, None] * g[:, None, :] - field.hessian(xs))
-    return np.exp(-2.0 * u) * (lam[:, 0] + lam[:, 1] - np.sum(g * g, axis=1))
-
+    lam = np.linalg.eigvalsh(grad[:, :, None] * grad[:, None, :] - hess)
+    return np.exp(-2.0 * u) * (lam[:, 0] + lam[:, 1] - np.sum(grad * grad, axis=1))

@@ -10,7 +10,9 @@ Principal curvatures come from a Householder block, with no tangent basis.
 A margin is a minimum over sampled boundary points, so it can only
 overestimate the true minimum: a sweep refined by a deterministic local
 polish is an upper bound, not a certified global minimum.  Both metrics
-share the sweep and run one polish search each, in lockstep.
+share the sweep and run one polish search each, in lockstep; a search ends
+once a whole round of its trials is flat to the acceptance gain
+``POLISH_GAIN``, and at the latest after ``POLISH_ROUNDS`` rounds.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ GRAD_FLOOR = 1e-10
 # by more than this, relative to max(1, |margin|): a round-off gain on a
 # domain where every point ties would move the worst point arbitrarily
 POLISH_GAIN = 1e-12
-# pattern search: rounds, Sobol offsets per round and their first scale
+# pattern search: most rounds, Sobol offsets per round and their first scale
 POLISH_ROUNDS = 40
 POLISH_DIRS = 64
 POLISH_CAP = 0.25
@@ -54,6 +56,8 @@ class ConvexityReport:
     ``margin`` entries are minima over sampled boundary points of the sum of
     the p smallest shape-operator eigenvalues (inward-normal convention).
     ``nu_u_range`` is the (min, max) of the exterior normal derivative of u.
+    ``polish_rounds`` counts the rounds each polish search ran (Euclidean,
+    rescaled), at most ``POLISH_ROUNDS``.
     """
 
     p: int
@@ -63,6 +67,7 @@ class ConvexityReport:
     worst_point_gtilde: Array
     nu_u_range: tuple[float, float]
     n_samples: int
+    polish_rounds: tuple[int, int]
 
     def to_dict(self) -> dict:
         return {
@@ -75,6 +80,8 @@ class ConvexityReport:
             "nu_u_min": self.nu_u_range[0],
             "nu_u_max": self.nu_u_range[1],
             "n_samples": self.n_samples,
+            "polish_rounds_g": self.polish_rounds[0],
+            "polish_rounds_gtilde": self.polish_rounds[1],
         }
 
 
@@ -198,7 +205,8 @@ def sample_boundary(domain: LevelSetDomain, count: int = 2048, seed: int = 0) ->
 
 def _pattern_search(p: int, pts: Array, kappa: Array, pattern: Array, fit: Array):
     """One search of ``_swept_margins``: yields each round's trials, is sent
-    them projected with their p-sums, and lastly yields ``(margin, point)``."""
+    them projected with their p-sums, and lastly yields ``(margin, point,
+    rounds)``."""
     n = pts.shape[1]
     sums = np.sum(kappa[:, :p], axis=1)
     worst = int(np.argmin(sums))
@@ -206,7 +214,7 @@ def _pattern_search(p: int, pts: Array, kappa: Array, pattern: Array, fit: Array
     origin = point / np.linalg.norm(point)
     tangent = np.linalg.qr(np.column_stack([origin, np.eye(n)]))[0][:, 1:].T
     cap, y, guess = POLISH_CAP, np.zeros(n - 1), np.zeros(n - 1)
-    for _ in range(POLISH_ROUNDS):
+    for rounds in range(1, POLISH_ROUNDS + 1):
         ys = np.vstack([y + cap * pattern, guess])
         dirs = origin + ys @ tangent
         trial, sums = yield np.linalg.norm(point) * dirs / np.linalg.norm(dirs, axis=1)[:, None]
@@ -218,25 +226,31 @@ def _pattern_search(p: int, pts: Array, kappa: Array, pattern: Array, fit: Array
             step *= POLISH_CAP / max(POLISH_CAP, cap * np.linalg.norm(step))
         guess = y + cap * step
         best = int(np.argmin(sums))
-        moved = sums[best] < margin - POLISH_GAIN * max(1.0, abs(margin))
+        gain = POLISH_GAIN * max(1.0, abs(margin))
+        moved = sums[best] < margin - gain
         if moved:
             margin, point, y = float(sums[best]), trial[best], ys[best]
+        elif np.max(sums) <= margin + gain:
+            break  # flat to the gain over the whole round: converged
         if not moved or best == POLISH_DIRS:
             cap *= 0.5
-    yield margin, point
+    yield margin, point, rounds
 
 
 def _swept_margins(domain: LevelSetDomain, p: int, metrics, pts: Array,
-                   kappas) -> list[tuple[float, Array]]:
-    """``(margin, worst_point)`` per metric (``None``: Euclidean) from its
-    curvatures ``kappas`` at the sweep ``pts``: the minimum of the sum of the
-    p smallest, then a batched pattern search (Torczon 1997) in chart
+                   kappas) -> list[tuple[float, Array, int]]:
+    """``(margin, worst_point, rounds)`` per metric (``None``: Euclidean) from
+    its curvatures ``kappas`` at the sweep ``pts``: the minimum of the sum of
+    the p smallest, then a batched pattern search (Torczon 1997) in chart
     coordinates y on the tangent plane at the worst sweep direction.  Each
     round a search tries a fixed Sobol pattern in a cap about y plus the
     minimiser of a quadratic fitted to its last round, and moves only if its
     best trial beats the margin by ``POLISH_GAIN``; the cap halves unless a
-    pattern trial was taken.  One search per metric, in lockstep: each round
-    makes one projection and one eigensolve for all their trials."""
+    pattern trial was taken.  A search ends after ``POLISH_ROUNDS`` rounds, or
+    earlier after a round that did not move it and whose every trial lies
+    within ``POLISH_GAIN`` above its margin.  One search per metric, in
+    lockstep: each round makes one projection and one eigensolve for the
+    trials of the searches still live."""
     n = domain.n
     if not 1 <= p <= n - 1:
         raise ConfigError(f"need 1 <= p <= n-1, got p={p}")
@@ -245,15 +259,17 @@ def _swept_margins(domain: LevelSetDomain, p: int, metrics, pts: Array,
     fit = np.linalg.pinv(np.column_stack([np.ones(POLISH_DIRS), pattern, squares]))
     searches = [_pattern_search(p, pts, kappa, pattern, fit) for kappa in kappas]
     batches = [next(search) for search in searches]
-    for _ in range(POLISH_ROUNDS):
-        trial = project_to_boundary(domain, np.concatenate(batches))
+    live = list(range(len(searches)))
+    while live:
+        trial = project_to_boundary(domain, np.concatenate([batches[i] for i in live]))
         kappa, nhat = _curvatures_and_normals(domain, trial)
-        blocks = zip(metrics, *(np.split(a, len(metrics)) for a in (trial, kappa, nhat)))
-        for i, (metric, x, k, nh) in enumerate(blocks):
-            if metric is not None:
-                k = _rescaled(metric.field, x, nh, k)[0]
+        for i, x, k, nh in zip(live, *(np.split(a, len(live)) for a in (trial, kappa, nhat))):
+            if metrics[i] is not None:
+                k = _rescaled(metrics[i].field, x, nh, k)[0]
             batches[i] = searches[i].send((x, np.sum(k[:, :p], axis=1)))
-    return batches  # after the last round, each search's (margin, worst_point)
+        # a live search yields trials, an ended one its (margin, point, rounds)
+        live = [i for i in live if not isinstance(batches[i], tuple)]
+    return batches
 
 
 def p_convexity_margin(domain: LevelSetDomain, p: int,
@@ -263,7 +279,9 @@ def p_convexity_margin(domain: LevelSetDomain, p: int,
     smallest principal curvatures after the polish, an upper bound on the
     true minimum."""
     pts = sample_boundary(domain, count, seed)
-    return _swept_margins(domain, p, [metric], pts, [principal_curvatures(domain, pts, metric)])[0]
+    kappa = principal_curvatures(domain, pts, metric)
+    margin, point, _ = _swept_margins(domain, p, [metric], pts, [kappa])[0]
+    return margin, point
 
 
 def convexity_report(domain: LevelSetDomain, field: ScalarField, p: int,
@@ -276,11 +294,12 @@ def convexity_report(domain: LevelSetDomain, field: ScalarField, p: int,
     kappa_gt, eta_u = _rescaled(field, pts, nhat, kappa)
     kappas = [kappa, kappa_gt]
     metrics = [None, ConformalMetric(field, domain.n)]
-    (margin_g, worst_g), (margin_gt, worst_gt) = _swept_margins(domain, p, metrics, pts, kappas)
+    (margin_g, worst_g, rounds_g), (margin_gt, worst_gt, rounds_gt) = _swept_margins(
+        domain, p, metrics, pts, kappas)
     return ConvexityReport(p=p, margin_g=margin_g, margin_gtilde=margin_gt,
                            worst_point_g=worst_g, worst_point_gtilde=worst_gt,
                            nu_u_range=(float(np.min(-eta_u)), float(np.max(-eta_u))),
-                           n_samples=len(pts))
+                           n_samples=len(pts), polish_rounds=(rounds_g, rounds_gt))
 
 
 MARGIN_SLACK = 1e-9

@@ -399,11 +399,12 @@ def interior_bound(imm: SampledImmersion, metric: ConformalMetric,
     minimality, _, _ = _hypothesis_residuals(imm, metric)
     if minimality > minimality_tol:
         warnings.append(f"minimality residual {minimality:.3e} exceeds {minimality_tol:g}")
-    curv_min = float(np.min(conformal.min_sectional_curvature(metric.field, imm.xs)))
+    record = imm.ambient(metric)
+    curv_min = float(np.min(conformal.min_sectional_curvature(record.u, record.grad, record.hess)))
     if curv_min < -1e-9:
         warnings.append(f"curvature hypothesis unverified: sampled min {curv_min:.3e} < 0")
     values, _ = traced_interior_density(imm, metric)
-    lhs = imm.ambient(metric).integrate(values)
+    lhs = record.integrate(values)
     rhs = _bound_rhs(imm, metric)
     return BoundReport(lhs, rhs, rhs - lhs, curv_min, tuple(warnings))
 
@@ -577,7 +578,9 @@ def instability_certificate(imm: SampledImmersion, metric: ConformalMetric,
     bound_rhs = _bound_rhs(imm, metric)
 
     xs = _sample_domain_interior(domain, cfg.curvature_points, cfg.seed)
-    curv_min = float(np.min(conformal.min_sectional_curvature(metric.field, xs)))
+    u = metric.field
+    curv_min = float(np.min(conformal.min_sectional_curvature(
+        u.value(xs), u.gradient(xs), u.hessian(xs))))
     if curv_min < -cfg.hypothesis_margin:
         failed.append(f"curvature: sampled min {curv_min:.3e} < 0")
 

@@ -7,7 +7,8 @@ Two kinds live here:
   normal, the gradient-tube probe, the first-variation pairing and the
   boundary volume;
 * the term-by-term loop that the stacked polynomial field must reproduce
-  bit for bit;
+  bit for bit, and the convexity polish run for all its rounds, against
+  which the tests hold the early-stopping polish;
 * the ``np.einsum`` statements of the per-sample kernels that the package
   evaluates as batched matrix products: the second fundamental form and mean
   curvature of ``SampledImmersion.geometry()``, its Jacobian factor, the
@@ -18,6 +19,8 @@ Two kinds live here:
 """
 
 import numpy as np
+from scipy.special import ndtri
+from scipy.stats import qmc
 
 from fbstab import domain as dm
 from fbstab.errors import DomainError
@@ -175,6 +178,60 @@ def shape_operator(domain: dm.LevelSetDomain, x,
     eta_u = np.sum(metric.field.gradient(x) * -dm.outward_normal(domain, x), axis=-1)
     scale = np.exp(-metric.field.value(x))
     return scale[..., None, None] * (S - eta_u[..., None, None] * np.eye(domain.n - 1))
+
+
+def convexity_margins_fixed_rounds(domain: dm.LevelSetDomain, field: ScalarField, p: int,
+                                   count: int, seed: int):
+    """``[(margin_g, worst_g), (margin_gtilde, worst_gtilde)]`` from the same
+    sweep and pattern search as ``dm.convexity_report``, with both searches
+    run in lockstep for all ``POLISH_ROUNDS`` rounds: no search stops at a
+    flat round."""
+    n = domain.n
+    pts = dm.sample_boundary(domain, count, seed)
+    kappa, nhat = dm._curvatures_and_normals(domain, pts)
+    metrics = [None, ConformalMetric(field, n)]
+    kappas = [kappa, dm._rescaled(field, pts, nhat, kappa)[0]]
+    pattern = ndtri(qmc.Sobol(d=n - 1, scramble=True, seed=0).random(dm.POLISH_DIRS))
+    squares = np.einsum("mi,mj->mij", pattern, pattern).reshape(dm.POLISH_DIRS, -1)
+    fit = np.linalg.pinv(np.column_stack([np.ones(dm.POLISH_DIRS), pattern, squares]))
+
+    def search(kappa):
+        sums = np.sum(kappa[:, :p], axis=1)
+        worst = int(np.argmin(sums))
+        margin, point = float(sums[worst]), pts[worst]
+        origin = point / np.linalg.norm(point)
+        tangent = np.linalg.qr(np.column_stack([origin, np.eye(n)]))[0][:, 1:].T
+        cap, y, guess = dm.POLISH_CAP, np.zeros(n - 1), np.zeros(n - 1)
+        for _ in range(dm.POLISH_ROUNDS):
+            ys = np.vstack([y + cap * pattern, guess])
+            dirs = origin + ys @ tangent
+            trial, sums = yield np.linalg.norm(point) * dirs / np.linalg.norm(dirs, axis=1)[:, None]
+            coef = fit @ sums[:-1]
+            hess = 2.0 * coef[n:].reshape(n - 1, n - 1)
+            step = np.zeros(n - 1)
+            if np.linalg.eigvalsh(hess)[0] > 0.0:
+                step = -np.linalg.solve(hess, coef[1:n])
+                step *= dm.POLISH_CAP / max(dm.POLISH_CAP, cap * np.linalg.norm(step))
+            guess = y + cap * step
+            best = int(np.argmin(sums))
+            moved = sums[best] < margin - dm.POLISH_GAIN * max(1.0, abs(margin))
+            if moved:
+                margin, point, y = float(sums[best]), trial[best], ys[best]
+            if not moved or best == dm.POLISH_DIRS:
+                cap *= 0.5
+        yield margin, point
+
+    searches = [search(k) for k in kappas]
+    batches = [next(s) for s in searches]
+    for _ in range(dm.POLISH_ROUNDS):
+        trial = dm.project_to_boundary(domain, np.concatenate(batches))
+        kappa, nhat = dm._curvatures_and_normals(domain, trial)
+        blocks = zip(metrics, *(np.split(a, len(metrics)) for a in (trial, kappa, nhat)))
+        for i, (metric, x, k, nh) in enumerate(blocks):
+            if metric is not None:
+                k = dm._rescaled(metric.field, x, nh, k)[0]
+            batches[i] = searches[i].send((x, np.sum(k[:, :p], axis=1)))
+    return batches
 
 
 def check_gradient_tube(domain: dm.LevelSetDomain, count: int = 256, seed: int = 0,

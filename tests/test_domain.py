@@ -212,8 +212,8 @@ def test_polish_is_resolution_independent():
 
 def test_polish_calls_are_batched(monkeypatch):
     """A convexity report makes one curvature evaluation and one projection
-    for the sweep, then one of each per polish round for both metrics: the
-    two searches' trials go through together."""
+    for the sweep, then one of each per polish round for the searches still
+    live: their trials go through together."""
     sizes = {"_curvatures_and_normals": [], "project_to_boundary": []}
     for name, calls in sizes.items():
         def counted(domain, x, *args, _real=getattr(dm, name), _calls=calls, **kwargs):
@@ -222,11 +222,73 @@ def test_polish_calls_are_batched(monkeypatch):
         monkeypatch.setattr(dm, name, counted)
     ell = dm.make_domain("ellipsoid", 4, semi_axes=[2.0, 1.2, 1.0, 0.9])
     field = make_field("radial-custom", coeffs=[0.1, 0.3, -0.15])
-    dm.convexity_report(ell, field, p=1, count=256, seed=0)
+    report = dm.convexity_report(ell, field, p=1, count=256, seed=0)
     for calls in sizes.values():
-        assert len(calls) == 1 + dm.POLISH_ROUNDS
+        rounds = len(calls) - 1
+        assert 1 <= rounds <= dm.POLISH_ROUNDS
+        assert rounds == 22 and report.polish_rounds == (19, 22)
         assert calls[0] == (256, 4)
-        assert all(shape == (2 * (dm.POLISH_DIRS + 1), 4) for shape in calls[1:])
+        # both searches until the Euclidean one ends, then the rescaled alone
+        live = [2] * 19 + [1] * 3
+        assert calls[1:] == [(m * (dm.POLISH_DIRS + 1), 4) for m in live]
+
+
+def poly_field(n):
+    return make_field("polynomial", terms=[[0.3, [4] + [0] * (n - 1)],
+                                           [-0.2, [0, 2, 2] + [0] * (n - 3)],
+                                           [0.15, [1, 1, 0] + [0] * (n - 3)]])
+
+
+@pytest.mark.parametrize("kind,n,params,field,p,count,seed", [
+    ("ball", 3, {"radius": 1.0}, ("zero", {}), 1, 128, 0),
+    ("ball", 4, {"radius": 1.0}, ("radial-spherical", {}), 2, 256, 0),
+    ("ellipsoid", 3, {"semi_axes": [2.0, 1.0, 1.0]}, ("linear", {"a": [0.3, -0.2, 0.1]}), 1, 256, 0),
+    ("ellipsoid", 4, {"semi_axes": [2.0, 1.2, 1.0, 0.9]},
+     ("radial-custom", {"coeffs": [0.1, 0.3, -0.15]}), 2, 256, 0),
+    ("ellipsoid", 5, {"semi_axes": [1.5, 1.2, 1.0, 0.9, 0.8]}, "polynomial", 3, 256, 0),
+    ("superellipsoid", 3, {"exponent": 2}, "polynomial", 1, 256, 1),
+    # the two probes whose rescaled searches move longest
+    ("superellipsoid", 4, {"exponent": 3}, ("radial-spherical", {}), 1, 256, 2),
+    ("superellipsoid", 5, {"exponent": 2},
+     ("linear", {"a": [0.3, -0.2, 0.1, 0.05, 0.2]}), 1, 256, 2),
+])
+def test_early_stop_matches_fixed_rounds(kind, n, params, field, p, count, seed):
+    """Ending each search at its first round flat to the acceptance gain
+    gives bit for bit the margins and worst points of running every search
+    for all ``POLISH_ROUNDS`` rounds."""
+    dom = dm.make_domain(kind, n, **params)
+    u = poly_field(n) if field == "polynomial" else make_field(field[0], **field[1])
+    report = dm.convexity_report(dom, u, p, count=count, seed=seed)
+    (margin_g, worst_g), (margin_gt, worst_gt) = oracles.convexity_margins_fixed_rounds(
+        dom, u, p, count, seed)
+    assert report.margin_g == margin_g and np.array_equal(report.worst_point_g, worst_g)
+    assert report.margin_gtilde == margin_gt
+    assert np.array_equal(report.worst_point_gtilde, worst_gt)
+    assert all(1 <= r <= dm.POLISH_ROUNDS for r in report.polish_rounds)
+
+
+def test_flat_round_ends_search_at_once():
+    """On the unit ball every boundary point ties in both metrics, so the
+    first round is flat and ends both searches."""
+    ball = dm.make_domain("ball", 4, radius=1.0)
+    report = dm.convexity_report(ball, make_field("radial-spherical"), p=2, count=256, seed=0)
+    assert report.polish_rounds == (1, 1)
+    doc = report.to_dict()
+    assert (doc["polish_rounds_g"], doc["polish_rounds_gtilde"]) == (1, 1)
+
+
+def test_early_stop_forgoes_only_round_off_moves():
+    """The one known departure from the fixed rounds: after the rescaled
+    search's first flat round, the fixed rounds move it once more at a cap
+    below 1e-9, where the objective differs by round-off, and lower the margin
+    by about 1e-12.  The Euclidean search is unchanged."""
+    ell = dm.make_domain("ellipsoid", 4, semi_axes=[2.0, 1.2, 1.0, 0.9])
+    u = poly_field(4)
+    report = dm.convexity_report(ell, u, p=2, count=256, seed=0)
+    (margin_g, worst_g), (margin_gt, _) = oracles.convexity_margins_fixed_rounds(ell, u, 2, 256, 0)
+    assert report.margin_g == margin_g and np.array_equal(report.worst_point_g, worst_g)
+    assert report.polish_rounds == (20, 23)
+    assert 0.0 < report.margin_gtilde - margin_gt < 1e-11
 
 
 @pytest.mark.parametrize("kind,p", [("ellipsoid", 3), ("superellipsoid", 1)])
@@ -269,8 +331,11 @@ def test_convexity_report_evaluates_grad_phi_once_per_round(monkeypatch):
                         lambda domain, x, *args, **kwargs: project(ell, x, *args, **kwargs))
     calls = {"gradient": 0, "hessian": 0}
     field = make_field("radial-custom", coeffs=[0.1, 0.3, -0.15])
-    dm.convexity_report(counting_domain(ell, calls), field, p=1, count=256, seed=0)
-    assert calls == {"gradient": 1 + dm.POLISH_ROUNDS, "hessian": 1 + dm.POLISH_ROUNDS}
+    report = dm.convexity_report(counting_domain(ell, calls), field, p=1, count=256, seed=0)
+    rounds = calls["gradient"] - 1
+    assert 1 <= rounds <= dm.POLISH_ROUNDS
+    assert rounds == max(report.polish_rounds) == 22
+    assert calls == {"gradient": 1 + rounds, "hessian": 1 + rounds}
 
 
 @pytest.mark.parametrize("kind,params", [

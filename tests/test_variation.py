@@ -431,6 +431,18 @@ def test_warm_second_variation_evaluates_only_the_field_x(monkeypatch):
         var.second_variation(imm, metric, bad, dom)
 
 
+def test_warm_interior_bound_evaluates_no_field():
+    """The curvature check of ``interior_bound`` reads u, grad u and Hess u
+    from the immersion's record, so a second bound calls no field."""
+    imm = sc.build_scenario("cap-disk-b4k2").immersion
+    metric, calls = _counting_metric("radial-spherical", 4)
+    first = var.interior_bound(imm, metric)
+    assert sum(calls.values()) > 0
+    calls.clear()
+    assert var.interior_bound(imm, metric) == first
+    assert sum(calls.values()) == 0
+
+
 def test_failed_entries_are_not_cached_and_raise_where_they_did(cap_b4):
     """A rim off the domain fails the free-boundary check on every call, while
     the boundary density, which never checked it, still evaluates."""

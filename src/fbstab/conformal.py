@@ -17,6 +17,10 @@ from .errors import PreconditionError
 from .fields import ScalarField
 
 ORTHONORMAL_TOL = 1e-10
+# radial minimum: a grid over [0, R], then zoom rounds over the argmin's cells
+RADIAL_GRID = 257
+RADIAL_ZOOM_ROUNDS = 6
+RADIAL_ZOOM = 33
 
 
 def curvature_form(grad, hess, X, Y, Z, W) -> np.ndarray:
@@ -100,3 +104,25 @@ def min_sectional_curvature(u, grad, hess) -> np.ndarray:
     """
     lam = np.linalg.eigvalsh(grad[:, :, None] * grad[:, None, :] - hess)
     return np.exp(-2.0 * u) * (lam[:, 0] + lam[:, 1] - np.sum(grad * grad, axis=1))
+
+
+def radial_min_sectional_curvature(field: ScalarField, n: int, radius: float) -> float:
+    """Minimum over 2-planes and |x| <= radius of the sectional curvature for
+    a radial u (``field.radial``): ``min_sectional_curvature`` along r e_1,
+    r in [0, radius], by a grid with both ends and zoom rounds around its
+    argmin.  The field raises its ``DomainError`` where it is undefined."""
+    def kmin(r):
+        x = np.zeros((len(r), n))
+        x[:, 0] = r
+        return min_sectional_curvature(field.value(x), field.gradient(x), field.hessian(x))
+
+    r = np.linspace(0.0, radius, RADIAL_GRID)
+    k = kmin(r)
+    r0, k0, h = r[np.argmin(k)], np.min(k), radius / (RADIAL_GRID - 1)
+    for _ in range(RADIAL_ZOOM_ROUNDS):
+        r = np.clip(np.linspace(r0 - h, r0 + h, RADIAL_ZOOM), 0.0, radius)
+        k = kmin(r)
+        if np.min(k) < k0:
+            r0, k0 = r[np.argmin(k)], np.min(k)
+        h *= 2.0 / (RADIAL_ZOOM - 1)
+    return float(k0)

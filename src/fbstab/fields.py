@@ -39,6 +39,8 @@ class ScalarField:
     ``(..., n) -> (..., n)``; ``hess_fn`` maps ``(..., n) -> (..., n, n)``.
     ``finite_difference`` generates the derivative callables from ``value_fn``
     by central differences at ``step``; analytic fields have ``step`` 0.
+    ``radial`` declares u(x) = p(|x|^2), invariant under rotations about
+    the origin; only the catalog's radial exponents and ``zero`` set it.
     """
 
     value_fn: Callable[[Array], Array]
@@ -46,6 +48,7 @@ class ScalarField:
     hess_fn: Callable[[Array], Array]
     step: float = 0.0
     name: str = dc_field(default="", compare=False)
+    radial: bool = False
 
     def value(self, x) -> Array:
         return np.asarray(self.value_fn(_as_points(x)), dtype=float)
@@ -61,11 +64,11 @@ class ScalarField:
         return 0.5 * (h + np.swapaxes(h, -1, -2))
 
     @staticmethod
-    def analytic(value_fn, grad_fn, hess_fn, name="") -> "ScalarField":
+    def analytic(value_fn, grad_fn, hess_fn, name="", radial=False) -> "ScalarField":
         """A field with closed-form derivatives.  ``hess_fn`` must return
         bitwise symmetric matrices (h[..., i, j] == h[..., j, i] exactly):
         ``hessian`` passes them through unsymmetrised."""
-        return ScalarField(value_fn, grad_fn, hess_fn, name=name)
+        return ScalarField(value_fn, grad_fn, hess_fn, name=name, radial=radial)
 
     @staticmethod
     def finite_difference(value_fn, step=DEFAULT_FD_STEP, name="") -> "ScalarField":
@@ -144,7 +147,7 @@ def _zero_field() -> ScalarField:
         lambda x: np.zeros(x.shape[:-1]),
         lambda x: np.zeros_like(x),
         lambda x: np.zeros(x.shape[:-1] + (x.shape[-1], x.shape[-1])),
-        name="zero",
+        name="zero", radial=True,
     )
 
 
@@ -189,7 +192,7 @@ def _radial_field(p, dp, d2p, name, open_unit_ball=False) -> ScalarField:
         outer = x[..., :, None] * x[..., None, :]
         return 2.0 * dp(s)[..., None, None] * eye + 4.0 * d2p(s)[..., None, None] * outer
 
-    return ScalarField.analytic(value, grad, hess, name=name)
+    return ScalarField.analytic(value, grad, hess, name=name, radial=True)
 
 
 def _radial_custom_field(coeffs) -> ScalarField:

@@ -456,7 +456,7 @@ class CertificateConfig:
     minimality_tol: float = 1e-6
     free_boundary_tol: float = 1e-6
     hypothesis_margin: float = 1e-9
-    curvature_points: int = 10_000       # Sobol points for the curvature minimum
+    curvature_points: int = 10_000       # Sobol points; non-radial exponents only
     convexity_samples: int = 1024
     seed: int = 0
 
@@ -549,8 +549,11 @@ def instability_certificate(imm: SampledImmersion, metric: ConformalMetric,
     ``-certify_tol`` and the curvature sign, the p-convexity margins in both
     metrics, the minimality residual and the free-boundary defect all pass;
     each failed hypothesis is listed in the report.  The curvature minimum is
-    exact over 2-planes at each of ``curvature_points`` interior points, so it
-    is a sampled bound over space.
+    exact over 2-planes; over space it is the 1-d minimum along a ray over
+    the closure's radii [0, ``domain.bounding_radius``] for a radial exponent
+    (``ScalarField.radial``; every catalog domain is star-shaped about the
+    origin), and otherwise a sampled bound at ``curvature_points`` interior
+    Sobol points.  It is computed first, as it needs no immersion data.
     """
     cfg = config or CertificateConfig()
     k, n = imm.k, imm.n
@@ -559,6 +562,16 @@ def instability_certificate(imm: SampledImmersion, metric: ConformalMetric,
         raise DimensionError(
             f"certificate requires 2 <= k <= min(n-2, n-p); got k={k}, n={n}, p={p}"
         )
+
+    u = metric.field
+    if u.radial:
+        curv_kind = "radial-1d"
+        curv_min = conformal.radial_min_sectional_curvature(u, n, domain.bounding_radius)
+    else:
+        curv_kind = "sampled"
+        xs = _sample_domain_interior(domain, cfg.curvature_points, cfg.seed)
+        curv_min = float(np.min(conformal.min_sectional_curvature(
+            u.value(xs), u.gradient(xs), u.hessian(xs))))
 
     failed = []
     warnings = []
@@ -577,12 +590,8 @@ def instability_certificate(imm: SampledImmersion, metric: ConformalMetric,
     traced_total = traced_interior + traced_boundary
     bound_rhs = _bound_rhs(imm, metric)
 
-    xs = _sample_domain_interior(domain, cfg.curvature_points, cfg.seed)
-    u = metric.field
-    curv_min = float(np.min(conformal.min_sectional_curvature(
-        u.value(xs), u.gradient(xs), u.hessian(xs))))
     if curv_min < -cfg.hypothesis_margin:
-        failed.append(f"curvature: sampled min {curv_min:.3e} < 0")
+        failed.append(f"curvature: {curv_kind} min {curv_min:.3e} < 0")
 
     convexity = convexity_report(domain, metric.field, p, cfg.convexity_samples, cfg.seed)
     margin_g, margin_gt = convexity.margin_g, convexity.margin_gtilde

@@ -224,10 +224,64 @@ def test_min_sectional_curvature_constant_curvature(rng):
 
 
 def test_certificate_curvature_min_is_the_exact_minimum():
-    """Ten random planes per point gave -0.974974 on this scenario; the
-    exact minimum over 2-planes at the same points is -0.975113."""
+    """The exponent is radial, so the certificate takes the minimum along a
+    ray over [0, R].  It lies at the centre: s = 0, p' = 0.3, p'' = -0.3,
+    K = -4 p' e^{-2p} = -1.2 e^{-0.2}.  Sobol sampling gave -0.975113."""
     from fbstab import scenarios, variation
 
     built = scenarios.build_scenario("radial-custom-disk-b4")
     report = variation.instability_certificate(built.immersion, built.metric, built.domain)
-    assert report.curvature_min < -0.97511
+    assert abs(report.curvature_min + 1.2 * np.exp(-0.2)) <= 1e-14
+    assert report.curvature_min <= -0.98247
+    assert report.failed_hypotheses == (
+        f"curvature: radial-1d min {report.curvature_min:.3e} < 0",)
+
+
+def test_certificate_curvature_min_interior_minimum():
+    """p(s) = -s + 1.5 s^2 on B^4: K(s) = e^{-2p} (4 - 24 s), least at
+    r = sqrt(2/3) inside the interval, where p = 0, p' = 1, p'' = 3 and
+    K = -12.  Sobol sampling stops short of it."""
+    from fbstab import domain, submanifold, variation
+
+    dom = domain.make_domain("ball", 4, radius=1.0)
+    field = make_field("radial-custom", coeffs=[0.0, -1.0, 1.5])
+    imm = submanifold.make_immersion("equatorial-disk", n=4, k=2)
+    report = variation.instability_certificate(imm, ConformalMetric(field, 4), dom)
+    assert abs(report.curvature_min + 12.0) <= 1e-12
+    xs = variation._sample_domain_interior(dom, 10_000, 0)
+    assert np.min(kmin_at(field, xs)) > -12.0 + 1e-10
+
+
+@pytest.mark.parametrize("name,want", [
+    *((f"cap-disk-b{n}k{k}", 1.0) for n, k in ((4, 2), (5, 2), (5, 3), (6, 3))),
+    *((f"flat-disk-b{n}k{k}", 0.0) for n, k in ((4, 2), (5, 2), (5, 3), (6, 3))),
+    ("hyperbolic-disk-b4", -1.0),
+])
+def test_certificate_curvature_min_constant_curvature(name, want):
+    from fbstab import scenarios, variation
+
+    built = scenarios.build_scenario(name)
+    report = variation.instability_certificate(built.immersion, built.metric, built.domain)
+    if want == 0.0:
+        assert report.curvature_min == 0.0
+    else:
+        assert abs(report.curvature_min - want) <= 1e-14
+
+
+def test_radial_minimum_is_below_the_sampled_minimum():
+    """On every registry scenario with a radial exponent, the 1-d minimum
+    over the closure's radii is no higher than the Sobol interior minimum."""
+    from fbstab import scenarios, variation
+
+    cases = 0
+    for name in scenarios.SCENARIOS:
+        built = scenarios.build_scenario(name)
+        field, dom = built.metric.field, built.domain
+        if not field.radial:
+            continue
+        ray = conformal.radial_min_sectional_curvature(field, dom.n, dom.bounding_radius)
+        for seed in (0, 1, 2):
+            xs = variation._sample_domain_interior(dom, 10_000, seed)
+            assert ray <= np.min(kmin_at(field, xs)) + 1e-12, (name, seed)
+        cases += 1
+    assert cases >= 10

@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from fbstab.domain import make_domain
 from fbstab.errors import ConfigError, DomainError
-from fbstab.fields import ConformalMetric, ScalarField, euclidean_metric, make_field
+from fbstab.fields import (FIELD_NAMES, ConformalMetric, ScalarField, euclidean_metric,
+                           make_field)
 
 
 def fd_check(field, xs, tol_g=1e-6, tol_h=1e-4):
@@ -84,6 +85,39 @@ def test_radial_fields_values():
     assert np.isclose(sph.value(x), np.log(2.0 / (1 + 0.36)))
     assert np.isclose(hyp.value(x), np.log(2.0 / (1 - 0.36)))
     assert np.isclose(sph.value(np.zeros(3)), np.log(2.0))
+
+
+_CATALOG_PARAMS = {
+    "zero": {},
+    "linear": {"a": [0.3, -0.2, 0.5, 0.1]},
+    "radial-spherical": {},
+    "radial-hyperbolic": {},
+    "radial-custom": {"coeffs": [0.2, -0.4, 0.1, 0.3]},
+    "polynomial": {"terms": [[0.5, [2, 0, 0, 0]], [0.5, [0, 2, 0, 0]],
+                             [0.5, [0, 0, 2, 0]], [0.5, [0, 0, 0, 2]]]},
+}
+
+
+def test_radial_fields_are_rotation_invariant(rng):
+    """A field that declares ``radial`` satisfies u(Qx) = u(x), grad u(Qx) =
+    Q grad u(x) and Hess u(Qx) = Q Hess u(x) Q^T for orthogonal Q; the
+    linear, polynomial (even a rotation-invariant one) and finite-difference
+    fields do not declare it."""
+    assert set(_CATALOG_PARAMS) == set(FIELD_NAMES)
+    xs = rng.uniform(-0.4, 0.4, size=(200, 4))
+    Qs, _ = np.linalg.qr(rng.normal(size=(200, 4, 4)))
+    Qxs = np.einsum("pij,pj->pi", Qs, xs)
+    for name, params in _CATALOG_PARAMS.items():
+        field = make_field(name, **params)
+        assert field.radial == (name not in ("linear", "polynomial")), name
+        assert not ScalarField.finite_difference(field.value_fn).radial
+        if not field.radial:
+            continue
+        g = np.einsum("pij,pj->pi", Qs, field.gradient(xs))
+        h = Qs @ field.hessian(xs) @ np.swapaxes(Qs, -1, -2)
+        assert np.max(np.abs(field.value(Qxs) - field.value(xs))) <= 1e-13, name
+        assert np.max(np.abs(field.gradient(Qxs) - g)) <= 1e-13, name
+        assert np.max(np.abs(field.hessian(Qxs) - h)) <= 1e-13, name
 
 
 def test_hyperbolic_outside_domain_raises():

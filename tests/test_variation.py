@@ -8,11 +8,12 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from fbstab import conformal
 from fbstab import domain as dm
 from fbstab import scenarios as sc
 from fbstab import submanifold as sub
 from fbstab import variation as var
-from fbstab.errors import DimensionError, InvalidSampleError, PreconditionError
+from fbstab.errors import DimensionError, DomainError, InvalidSampleError, PreconditionError
 from fbstab.fields import ConformalMetric, ScalarField, make_field
 
 BALL3 = dm.make_domain("ball", 3, radius=1.0)
@@ -497,6 +498,42 @@ def test_certificate_hyperbolic_inconclusive():
     assert rep.verdict == "inconclusive"
     assert any("curvature" in f for f in rep.failed_hypotheses)
     assert rep.traced_total < 0  # sign alone does not certify
+
+
+class _SobolDrawn(Exception):
+    pass
+
+
+def test_radial_certificate_draws_no_sobol_points(monkeypatch, ball4):
+    """Radial exponents take the curvature minimum along a ray; any other
+    exponent still samples the domain interior."""
+    def refuse(*args):
+        raise _SobolDrawn
+    monkeypatch.setattr(var, "_sample_domain_interior", refuse)
+    for name in ("cap-disk-b4k2", "flat-disk-b5k3", "hyperbolic-disk-b4"):
+        built = sc.build_scenario(name)
+        rep = var.instability_certificate(built.immersion, built.metric, built.domain)
+        assert rep.verdict == built.scenario.expected["verdict"]["value"]
+    imm = sub.make_immersion("equatorial-disk", n=4, k=2, nr=8, ntheta=16)
+    for field in (make_field("linear", a=[0.1, 0.0, 0.2, 0.0]),
+                  make_field("polynomial", terms=[[0.2, [2, 0, 0, 0]]])):
+        with pytest.raises(_SobolDrawn):
+            var.instability_certificate(imm, ConformalMetric(field, 4), ball4)
+
+
+def test_radial_curvature_check_covers_the_closure():
+    """The hypothesis is on the closure: radial-hyperbolic does not exist at
+    |x| = 1, so on ball(1) the certificate raises the field's DomainError,
+    though the interior Sobol points alone give a finite minimum of -1."""
+    dom = dm.make_domain("ball", 4, radius=1.0)
+    field = make_field("radial-hyperbolic")
+    imm = sub.make_immersion("equatorial-disk", n=4, k=2, radius=0.5)
+    with pytest.raises(DomainError):
+        var.instability_certificate(imm, ConformalMetric(field, 4), dom)
+    xs = var._sample_domain_interior(dom, 10_000, 0)
+    sampled = conformal.min_sectional_curvature(field.value(xs), field.gradient(xs),
+                                                field.hessian(xs))
+    assert abs(np.min(sampled) + 1.0) < 1e-12
 
 
 def test_certificate_dimension_gate(ball4, metric_zero4):

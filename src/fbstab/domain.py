@@ -6,6 +6,9 @@ negative.  Signs are calibrated on the unit sphere: with the inward normal,
 its shape operator is the identity, so p-convexity of the ball is positive.
 
 Principal curvatures come from a Householder block, with no tangent basis.
+The sweep finds the boundary point on each ray from an interior origin by
+Newton safeguarded with the ray's sign bracket, and stops on the step, not
+on |phi|, which would leave points about 1e-13 off the root.
 
 A margin is a minimum over sampled boundary points, so it can only
 overestimate the true minimum: a sweep refined by a deterministic local
@@ -17,6 +20,7 @@ once a whole round of its trials is flat to the acceptance gain
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -165,14 +169,42 @@ def principal_curvatures(domain: LevelSetDomain, x, metric=None) -> Array:
 # boundary sampling
 # ---------------------------------------------------------------------------
 
-def sample_boundary(domain: LevelSetDomain, count: int = 2048, seed: int = 0) -> Array:
-    """Deterministic boundary sweep: axis points plus Sobol directions.
+def _ray_search(domain: LevelSetDomain, d: Array) -> Array:
+    """Roots t of phi(t d) on unit rays ``d``: a doubling bracket, then Newton
+    that bisects the sign bracket [lo, hi] for a step leaving it or not
+    finite; a ray stops after taking its first step of at most 1e-12 t."""
+    hi = np.full(len(d), 1.001 * domain.bounding_radius)
+    for _ in range(8):
+        outside = domain.phi.value(hi[:, None] * d) > 0.0
+        if np.all(outside):
+            break
+        hi = np.where(outside, hi, 2.0 * hi)
+    else:
+        raise ProjectionError("could not bracket the boundary along a ray")
+    if float(domain.phi.value(np.zeros(domain.n))) >= 0.0:
+        raise DomainError("boundary sampler assumes the origin lies inside the domain")
+    t, lo, todo = hi.copy(), np.zeros(len(d)), np.arange(len(d))
+    for _ in range(60):
+        x, tt = t[todo, None] * d[todo], t[todo]
+        f = domain.phi.value(x)
+        lo[todo] = np.where(f < 0.0, tt, lo[todo])
+        hi[todo] = np.where(f < 0.0, hi[todo], tt)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            step = f / np.vecdot(domain.phi.gradient(x), d[todo])
+        new, done = tt - step, np.abs(step) <= 1e-12 * tt
+        keep = done | ((new > lo[todo]) & (new < hi[todo]))
+        t[todo] = np.where(keep, new, 0.5 * (lo[todo] + hi[todo]))
+        todo = todo[~done]
+        if not todo.size:
+            return t
+    raise ProjectionError("ray search did not converge in 60 steps")
 
-    All rays from the origin at once are bracketed by doubling from just
-    outside the bounding radius, bisected 60 times and Newton-projected; this
-    assumes the domain star-shaped about an interior origin, as every catalog
-    domain is.  Returns ``max(count, 2n)`` points.
-    """
+
+def sample_boundary(domain: LevelSetDomain, count: int = 2048, seed: int = 0) -> Array:
+    """Deterministic boundary sweep of ``max(count, 2n)`` points: axis and
+    Sobol rays from the origin, all searched at once by ``_ray_search`` and
+    Newton-projected.  The domain must be star-shaped about an interior
+    origin, as every catalog domain is."""
     n = domain.n
     dirs = np.stack([np.eye(n), -np.eye(n)], axis=1).reshape(2 * n, n)
     if count > len(dirs):
@@ -184,23 +216,18 @@ def sample_boundary(domain: LevelSetDomain, count: int = 2048, seed: int = 0) ->
         norms[norms == 0.0] = 1.0
         dirs = np.concatenate([dirs, zz / norms[:, None]])
     d = dirs / np.sqrt(np.vecdot(dirs, dirs))[:, None]
-    hi = np.full(len(d), 1.001 * domain.bounding_radius)
-    for _ in range(8):
-        outside = domain.phi.value(hi[:, None] * d) > 0.0
-        if np.all(outside):
-            break
-        hi = np.where(outside, hi, 2.0 * hi)
-    else:
-        raise ProjectionError("could not bracket the boundary along a ray")
-    if float(domain.phi.value(np.zeros(n))) >= 0.0:
-        raise DomainError("boundary sampler assumes the origin lies inside the domain")
-    lo = np.zeros(len(d))
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        inside = domain.phi.value(mid[:, None] * d) < 0.0
-        lo = np.where(inside, mid, lo)
-        hi = np.where(inside, hi, mid)
-    return project_to_boundary(domain, (0.5 * (lo + hi))[:, None] * d)
+    return project_to_boundary(domain, _ray_search(domain, d)[:, None] * d)
+
+
+@functools.cache
+def _polish_pattern(n: int) -> tuple[Array, Array]:
+    """The polish's Sobol pattern in n-1 chart coordinates and its quadratic
+    fit, built once per dimension and read-only."""
+    pattern = ndtri(qmc.Sobol(d=n - 1, scramble=True, seed=0).random(POLISH_DIRS))
+    squares = np.einsum("mi,mj->mij", pattern, pattern).reshape(POLISH_DIRS, -1)
+    fit = np.linalg.pinv(np.column_stack([np.ones(POLISH_DIRS), pattern, squares]))
+    pattern.flags.writeable = fit.flags.writeable = False
+    return pattern, fit
 
 
 def _pattern_search(p: int, pts: Array, kappa: Array, pattern: Array, fit: Array):
@@ -254,9 +281,7 @@ def _swept_margins(domain: LevelSetDomain, p: int, metrics, pts: Array,
     n = domain.n
     if not 1 <= p <= n - 1:
         raise ConfigError(f"need 1 <= p <= n-1, got p={p}")
-    pattern = ndtri(qmc.Sobol(d=n - 1, scramble=True, seed=0).random(POLISH_DIRS))
-    squares = np.einsum("mi,mj->mij", pattern, pattern).reshape(POLISH_DIRS, -1)
-    fit = np.linalg.pinv(np.column_stack([np.ones(POLISH_DIRS), pattern, squares]))
+    pattern, fit = _polish_pattern(n)
     searches = [_pattern_search(p, pts, kappa, pattern, fit) for kappa in kappas]
     batches = [next(search) for search in searches]
     live = list(range(len(searches)))

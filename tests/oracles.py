@@ -7,8 +7,10 @@ Two kinds live here:
   normal, the gradient-tube probe, the first-variation pairing and the
   boundary volume;
 * the term-by-term loop that the stacked polynomial field must reproduce
-  bit for bit, and the convexity polish run for all its rounds, against
-  which the tests hold the early-stopping polish;
+  bit for bit, the convexity polish run for all its rounds, against which
+  the tests hold the early-stopping polish, and the boundary sweep by 60
+  bisection steps per ray, against whose roots they hold the safeguarded
+  Newton sweep;
 * the ``np.einsum`` statements of the per-sample kernels that the package
   evaluates as batched matrix products: the second fundamental form and mean
   curvature of ``SampledImmersion.geometry()``, its Jacobian factor, the
@@ -232,6 +234,35 @@ def convexity_margins_fixed_rounds(domain: dm.LevelSetDomain, field: ScalarField
                 k = dm._rescaled(metric.field, x, nh, k)[0]
             batches[i] = searches[i].send((x, np.sum(k[:, :p], axis=1)))
     return batches
+
+
+def bisection_sweep(domain: dm.LevelSetDomain, count: int, seed: int):
+    """``(d, t)``: the unit rays of ``dm.sample_boundary`` and their roots by
+    bisection, the sweep's doubling bracket and then 60 halvings of [0, hi]
+    on every ray; projecting the midpoints ``t d`` gives a bisection sweep."""
+    n = domain.n
+    dirs = np.stack([np.eye(n), -np.eye(n)], axis=1).reshape(2 * n, n)
+    if count > len(dirs):
+        need = count - len(dirs)
+        uu = qmc.Sobol(d=n, scramble=True, seed=seed).random(1 << int(np.ceil(np.log2(need))))
+        zz = ndtri(np.clip(uu[:need], 1e-12, 1.0 - 1e-12))
+        norms = np.linalg.norm(zz, axis=1)
+        norms[norms == 0.0] = 1.0
+        dirs = np.concatenate([dirs, zz / norms[:, None]])
+    d = dirs / np.sqrt(np.vecdot(dirs, dirs))[:, None]
+    hi = np.full(len(d), 1.001 * domain.bounding_radius)
+    for _ in range(8):
+        outside = domain.phi.value(hi[:, None] * d) > 0.0
+        if np.all(outside):
+            break
+        hi = np.where(outside, hi, 2.0 * hi)
+    lo = np.zeros(len(d))
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        inside = domain.phi.value(mid[:, None] * d) < 0.0
+        lo = np.where(inside, mid, lo)
+        hi = np.where(inside, hi, mid)
+    return d, 0.5 * (lo + hi)
 
 
 def check_gradient_tube(domain: dm.LevelSetDomain, count: int = 256, seed: int = 0,

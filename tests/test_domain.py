@@ -40,7 +40,9 @@ def fd_shape_form(domain, x, X, Y, field=None, h=1e-6):
 
 def per_ray_sweep(domain, count, seed):
     """Reference sweep, one ray at a time: axis and Sobol directions, a
-    doubling bracket, 60 bisection steps and a scalar Newton projection."""
+    doubling bracket, Newton on phi(t d) that bisects the sign bracket for a
+    step leaving it and stops after taking a step of at most 1e-12 t, and a
+    scalar Newton projection."""
     n = domain.n
     dirs = [s * e for e in np.eye(n) for s in (1.0, -1.0)]
     if count > 2 * n:
@@ -54,11 +56,16 @@ def per_ray_sweep(domain, count, seed):
         hi = 1.001 * domain.bounding_radius
         while float(domain.phi.value(hi * d)) <= 0.0:
             hi *= 2.0
-        lo = 0.0
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            lo, hi = (mid, hi) if float(domain.phi.value(mid * d)) < 0.0 else (lo, mid)
-        y = 0.5 * (lo + hi) * d
+        lo, t = 0.0, hi
+        while True:
+            f = float(domain.phi.value(t * d))
+            lo, hi = (t, hi) if f < 0.0 else (lo, t)
+            step = f / float(np.vecdot(domain.phi.gradient(t * d), d))
+            if abs(step) <= 1e-12 * t:
+                t -= step
+                break
+            t = t - step if lo < t - step < hi else 0.5 * (lo + hi)
+        y = t * d
         while abs(val := float(domain.phi.value(y))) > 1e-12:
             g = domain.phi.gradient(y)
             y = y - (val / float(g @ g)) * g
@@ -66,16 +73,71 @@ def per_ray_sweep(domain, count, seed):
     return np.array(pts)
 
 
-@pytest.mark.parametrize("kind,n,params,count,seed", [
+SWEEP_DOMAINS = [
     ("ball", 4, {"radius": 1.0}, 128, 0),
     ("ellipsoid", 3, {"semi_axes": [2.0, 1.0, 1.0]}, 256, 0),
     ("ellipsoid", 4, {"semi_axes": [2.0, 1.2, 1.0, 0.9]}, 64, 3),
     ("superellipsoid", 3, {"exponent": 2}, 256, 1),
-])
+    ("ball", 5, {"radius": 1.0}, 1024, 0),
+    ("superellipsoid", 4, {"exponent": 3}, 1024, 0),
+]
+
+
+@pytest.mark.parametrize("kind,n,params,count,seed", SWEEP_DOMAINS)
 def test_sample_boundary_matches_per_ray_reference(kind, n, params, count, seed):
     domain = dm.make_domain(kind, n, **params)
     assert np.array_equal(dm.sample_boundary(domain, count, seed),
                           per_ray_sweep(domain, count, seed))
+
+
+def assert_near_bisection_roots(domain, count, seed):
+    """Every sweep point is the projection of ``t d`` on its ray ``d``, lies
+    on the boundary to 1e-12 in phi, and its t is within 4 ulp of the root
+    that 60 bisection steps give."""
+    d, t_ref = oracles.bisection_sweep(domain, count, seed)
+    t = dm._ray_search(domain, d)
+    pts = dm.sample_boundary(domain, count, seed)
+    assert np.array_equal(pts, dm.project_to_boundary(domain, t[:, None] * d))
+    assert np.max(np.abs(domain.phi.value(pts))) <= 1e-12
+    # positive doubles order like their bit patterns: this counts ulps
+    assert np.all(t > 0.0) and np.all(t_ref > 0.0)
+    assert np.max(np.abs(t.view(np.int64) - t_ref.view(np.int64))) <= 4
+
+
+@pytest.mark.parametrize("kind,n,params,count,seed", SWEEP_DOMAINS)
+def test_sample_boundary_matches_bisection_roots(kind, n, params, count, seed):
+    assert_near_bisection_roots(dm.make_domain(kind, n, **params), count, seed)
+
+
+def test_sample_boundary_makes_few_phi_calls():
+    """On the unit ball Newton lands in three steps, so a 1024-point sweep
+    evaluates phi a handful of times, where 60 bisection steps take 60."""
+    calls = {"value": 0, "gradient": 0}
+    ball = counting_domain(dm.make_domain("ball", 4, radius=1.0), calls)
+    dm.sample_boundary(ball, 1024, seed=0)
+    assert calls["value"] <= 10
+    assert calls["gradient"] <= 4
+
+
+def test_sample_boundary_safeguards_newton_on_nonconvex_rays():
+    """A star-shaped radial phi = w - 1.9 w^2 + w^3, w = |x|^2 - 1, decreases
+    along each ray at the bracket's end, so Newton's first step from there
+    leaves the bracket and the search bisects it; the sweep still lands on
+    the bisection roots, and raises no warning where phi' vanishes."""
+    phi = make_field("radial-custom", coeffs=[-3.9, 7.8, -4.9, 1.0])
+    dom = dm.LevelSetDomain(phi, 4, bounding_radius=1.25)
+    hi = 1.001 * 1.25 * np.eye(4)[0]
+    slope = float(phi.gradient(hi) @ np.eye(4)[0])
+    assert float(phi.value(hi)) > 0.0 and slope < 0.0  # the step moves out past hi
+    assert_near_bisection_roots(dom, 256, 0)
+    # phi = min(|x|^2 - 1, 1/2) is flat beyond |x|^2 = 3/2: at the bracket's
+    # end phi' = 0 exactly and the Newton step is infinite
+    flat = ScalarField.analytic(
+        lambda x: np.minimum(np.sum(x * x, axis=-1) - 1.0, 0.5),
+        lambda x: np.where((np.sum(x * x, axis=-1) < 1.5)[..., None], 2.0 * x, 0.0),
+        lambda x: 2.0 * np.eye(x.shape[-1]) * (np.sum(x * x, axis=-1) < 1.5)[..., None, None])
+    assert np.array_equal(flat.gradient(np.full(4, 1.001)), np.zeros(4))
+    assert_near_bisection_roots(dm.LevelSetDomain(flat, 4, bounding_radius=2.0), 256, 0)
 
 
 def test_project_to_boundary_trivials():
@@ -233,6 +295,32 @@ def test_polish_calls_are_batched(monkeypatch):
         assert calls[1:] == [(m * (dm.POLISH_DIRS + 1), 4) for m in live]
 
 
+def test_polish_pattern_is_built_once_per_dimension(monkeypatch):
+    """The polish pattern and its fit are cached per dimension, read-only: a
+    second report draws only the sweep's Sobol directions and is bit for bit
+    the first."""
+    ell = dm.make_domain("ellipsoid", 4, semi_axes=[2.0, 1.2, 1.0, 0.9])
+    field = make_field("radial-custom", coeffs=[0.1, 0.3, -0.15])
+    dm._polish_pattern.cache_clear()
+    first = dm.convexity_report(ell, field, p=2, count=256, seed=0)
+    dims = []
+    sobol = dm.qmc.Sobol
+
+    def counted(*args, **kwargs):
+        dims.append(kwargs["d"])
+        return sobol(*args, **kwargs)
+
+    monkeypatch.setattr(dm.qmc, "Sobol", counted)
+    second = dm.convexity_report(ell, field, p=2, count=256, seed=0)
+    assert dims == [4]
+    assert second.to_dict() == first.to_dict()
+    assert np.array_equal(second.worst_point_g, first.worst_point_g)
+    assert np.array_equal(second.worst_point_gtilde, first.worst_point_gtilde)
+    pattern, fit = dm._polish_pattern(4)
+    assert pattern.shape == (dm.POLISH_DIRS, 3) and fit.shape == (1 + 3 + 9, dm.POLISH_DIRS)
+    assert not pattern.flags.writeable and not fit.flags.writeable
+
+
 def poly_field(n):
     return make_field("polynomial", terms=[[0.3, [4] + [0] * (n - 1)],
                                            [-0.2, [0, 2, 2] + [0] * (n - 3)],
@@ -308,7 +396,8 @@ def test_lockstep_searches_match_single_searches(kind, p):
 
 
 def counting_domain(domain, calls):
-    """``domain`` with its phi's gradient and Hessian calls counted."""
+    """``domain`` with its phi's gradient and Hessian calls counted, and its
+    value calls too when ``calls`` has a ``"value"`` entry."""
     def counted(name, fn):
         def wrapped(x):
             calls[name] += 1
@@ -316,19 +405,21 @@ def counting_domain(domain, calls):
         return wrapped
 
     phi = domain.phi
-    wrapped = ScalarField.analytic(phi.value_fn, counted("gradient", phi.grad_fn),
+    value = counted("value", phi.value_fn) if "value" in calls else phi.value_fn
+    wrapped = ScalarField.analytic(value, counted("gradient", phi.grad_fn),
                                    counted("hessian", phi.hess_fn))
     return dm.LevelSetDomain(wrapped, domain.n, domain.bounding_radius, domain.name)
 
 
 def test_convexity_report_evaluates_grad_phi_once_per_round(monkeypatch):
-    """Outside the projections a convexity report evaluates grad phi (and
-    Hess phi) once for the sweep and once per polish round: the rescaled
-    curvatures reuse the Householder kernel's normals."""
+    """Outside the projections and the ray search a convexity report
+    evaluates grad phi (and Hess phi) once for the sweep and once per polish
+    round: the rescaled curvatures reuse the Householder kernel's normals."""
     ell = dm.make_domain("ellipsoid", 4, semi_axes=[2.0, 1.2, 1.0, 0.9])
-    project = dm.project_to_boundary
+    project, search = dm.project_to_boundary, dm._ray_search
     monkeypatch.setattr(dm, "project_to_boundary",
                         lambda domain, x, *args, **kwargs: project(ell, x, *args, **kwargs))
+    monkeypatch.setattr(dm, "_ray_search", lambda domain, d: search(ell, d))
     calls = {"gradient": 0, "hessian": 0}
     field = make_field("radial-custom", coeffs=[0.1, 0.3, -0.15])
     report = dm.convexity_report(counting_domain(ell, calls), field, p=1, count=256, seed=0)

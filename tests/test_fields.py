@@ -49,10 +49,13 @@ def test_analytic_hessian_symmetric(rng):
     make_domain("superellipsoid", 4, exponent=3).phi,
 ], ids=["zero", "linear", "radial-spherical", "radial-hyperbolic", "radial-custom",
         "ellipsoid-phi", "superellipsoid-phi"])
-def test_catalog_hessians_are_bitwise_symmetric(field, rng):
+def test_catalog_hessians_are_bitwise_symmetric(field):
     """``ScalarField.hessian`` passes analytic Hessians through unsymmetrised,
-    so every catalog ``hess_fn`` must be symmetric to the last bit."""
-    xs = rng.uniform(-0.55, 0.55, size=(1000, 4))
+    so every catalog ``hess_fn`` must be symmetric to the last bit.  The
+    points come from a generator of the test's own, inside the unit ball
+    where ``radial-hyperbolic`` is defined, so the outcome does not depend on
+    which tests ran first."""
+    xs = np.random.default_rng(52).uniform(-0.45, 0.45, size=(1000, 4))
     h = field.hessian(xs)
     assert field.step == 0.0
     assert np.array_equal(h, np.swapaxes(h, -1, -2))

@@ -202,10 +202,16 @@ def _ray_search(domain: LevelSetDomain, d: Array) -> Array:
 
 def sample_boundary(domain: LevelSetDomain, count: int = 2048, seed: int = 0) -> Array:
     """Deterministic boundary sweep of ``max(count, 2n)`` points: axis and
-    Sobol rays from the origin, all searched at once by ``_ray_search`` and
-    Newton-projected.  The domain must be star-shaped about an interior
-    origin, as every catalog domain is."""
-    n = domain.n
+    Sobol rays from the origin (``_sweep_directions``), all searched at once
+    by ``_ray_search`` and Newton-projected.  The domain must be star-shaped
+    about an interior origin, as every catalog domain is."""
+    d = _sweep_directions(domain.n, count, seed)
+    return project_to_boundary(domain, _ray_search(domain, d)[:, None] * d)
+
+
+@functools.lru_cache(maxsize=32)
+def _sweep_directions(n: int, count: int, seed: int) -> Array:
+    """The sweep's unit rays: 2n signed axes, then scrambled Sobol points."""
     dirs = np.stack([np.eye(n), -np.eye(n)], axis=1).reshape(2 * n, n)
     if count > len(dirs):
         need = count - len(dirs)
@@ -216,7 +222,8 @@ def sample_boundary(domain: LevelSetDomain, count: int = 2048, seed: int = 0) ->
         norms[norms == 0.0] = 1.0
         dirs = np.concatenate([dirs, zz / norms[:, None]])
     d = dirs / np.sqrt(np.vecdot(dirs, dirs))[:, None]
-    return project_to_boundary(domain, _ray_search(domain, d)[:, None] * d)
+    d.flags.writeable = False
+    return d
 
 
 @functools.cache

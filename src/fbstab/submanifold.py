@@ -4,11 +4,13 @@ An immersion holds its quadrature samples as stacked arrays.  Interior
 samples carry the chart Jacobian (columns span the tangent space), the chart
 second derivatives and a chart-measure quadrature weight; boundary samples
 carry the Jacobian, a (k-1)-dimensional Euclidean measure weight and the
-outward unit conormal.  Frames, fundamental forms and mean curvature are
-computed for all samples at once by ``SampledImmersion.geometry()`` and
-cached, and so are the samples of a metric and a domain that the second
-variation reads (``SampledImmersion.ambient``); reductions (volumes, residual
-maxima) run in fixed sample order so results are deterministic.
+outward unit conormal.  Frames (k Householder reflections over the stack; the
+normal frame's orientation is a convention), fundamental forms and mean
+curvature are computed for all samples at once by
+``SampledImmersion.geometry()`` and cached, and so are the samples of a
+metric and a domain that the second variation reads
+(``SampledImmersion.ambient``); reductions (volumes, residual maxima) run in
+fixed sample order so results are deterministic.
 
 Every catalog immersion is a graph x = (y, psi(y)) over a polar,
 spherical-polar or identity chart y of R^k, sampled by one chain rule.
@@ -20,7 +22,7 @@ import itertools
 import json
 import weakref
 from dataclasses import dataclass
-from functools import cached_property, wraps
+from functools import cache, cached_property, wraps
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -51,23 +53,25 @@ class ResidualReport:
 
 
 def _batched_frames(Js: Array):
-    """Orthonormal tangent/normal frames for a stack of Jacobians.
-
-    Tangent vectors are the in-order Gram-Schmidt of the Jacobian columns;
-    the normal frame completes them to an orthonormal basis (Householder QR
-    of [J | I], deterministic for fixed input).  Returns C-contiguous
-    ``(tangent (m,k,n), normal (m,n-k,n), chart_to_frame (m,k,k))`` with
-    ``v_i = sum_a chart_to_frame[a, i] * J[:, a]``.
-    """
+    """Orthonormal tangent/normal frames for a stack of Jacobians: J = QR by k
+    Householder reflections I - beta v v^T (Golub-Van Loan 5.2; beta = 0 for
+    v = 0, as in LAPACK's dlarfg).  Tangent: Q's first k columns signed by
+    diag R, the in-order Gram-Schmidt of J's columns; normal: Q's last n-k.
+    Returns C-contiguous ``(tangent (m,k,n), normal (m,n-k,n), chart_to_frame
+    (m,k,k))`` with ``v_i = sum_a chart_to_frame[a, i] * J[:, a]``."""
     m, n, k = Js.shape
-    A = np.concatenate([Js, np.broadcast_to(np.eye(n), (m, n, n))], axis=2)
-    Q, R = np.linalg.qr(A)
-    d = np.diagonal(R[:, :, :n], axis1=1, axis2=2)
-    s = np.where(d == 0.0, 1.0, np.sign(d))
-    Qt = np.swapaxes(Q, 1, 2)
-    tangent = np.multiply(Qt[:, :k], s[:, :k, None], order="C")
-    normal = np.multiply(Qt[:, k:], s[:, k:, None], order="C")
-    return tangent, normal, _upper_inverse(R[:, :k, :k] * s[:, :k, None])
+    A = Js
+    for j in range(k):
+        v = np.where(np.arange(n) >= j, A[:, :, j], 0.0)
+        v[:, j] += np.copysign(np.sqrt(np.vecdot(v, v)), v[:, j])
+        vv = np.vecdot(v, v)
+        beta = np.divide(2.0, vv, out=np.zeros(m), where=vv > 0.0)
+        H = np.einsum("mi,mj->mij", -beta[:, None] * v, v)
+        H.reshape(m, n * n)[:, ::n + 1] += 1.0
+        A, Qt = H @ A, H @ Qt if j else H
+    d = np.diagonal(A[:, :k], axis1=1, axis2=2)
+    s = np.where(d == 0.0, 1.0, np.sign(d))[:, :, None]
+    return Qt[:, :k] * s, np.ascontiguousarray(Qt[:, k:]), _upper_inverse(A[:, :k] * s)
 
 
 def _upper_inverse(R: Array) -> Array:
@@ -82,15 +86,28 @@ def _upper_inverse(R: Array) -> Array:
     return X
 
 
+def _gram_spectrum(Js: Array, det: bool = False):
+    """Extreme eigenvalues ``(lmin, lmax)`` of each sample's Gram J^T J, or with
+    ``det`` its determinant; in closed form for k = 2 (see README)."""
+    G = np.swapaxes(Js, 1, 2) @ Js
+    if G.shape[-1] != 2:
+        return np.linalg.det(G) if det else np.linalg.eigvalsh(G)[:, [0, -1]].T
+    g11, g22, g12 = G[:, 0, 0], G[:, 1, 1], G[:, 0, 1]
+    if det:
+        return g11 * g22 - g12 * g12
+    mid, rad = 0.5 * (g11 + g22), np.hypot(0.5 * (g11 - g22), g12)
+    return mid - rad, mid + rad
+
+
 def _check_conditioning(Js: Array, where: str):
     """Reject samples whose Gram J^T J is singular or has cond(J^T J) =
     lmax / lmin above ``COND_LIMIT``.  The eigenvalues of the k x k Gram
     carry round-off of about 1e-16 lmax, far below lmax / COND_LIMIT."""
-    lam = np.linalg.eigvalsh(np.swapaxes(Js, 1, 2) @ Js)
-    if np.any(lam[:, 0] <= 0.0):
-        bad = int(np.argmax(lam[:, 0] <= 0.0))
+    lmin, lmax = _gram_spectrum(Js)
+    if np.any(lmin <= 0.0):
+        bad = int(np.argmax(lmin <= 0.0))
         raise DegenerateSampleError(f"{where} sample {bad} has rank-deficient Jacobian")
-    cond2 = lam[:, -1] / lam[:, 0]
+    cond2 = lmax / lmin
     if np.any(cond2 > COND_LIMIT):
         bad = int(np.argmax(cond2 > COND_LIMIT))
         raise DegenerateSampleError(
@@ -195,7 +212,7 @@ class SampledImmersion:
         """sqrt(det J^T J) per interior sample, cached; builds no frames, so
         volumes and integrals never pay for ``geometry()``."""
         if self._jacobian is None:
-            self._jacobian = np.sqrt(np.linalg.det(np.swapaxes(self.Js, 1, 2) @ self.Js))
+            self._jacobian = np.sqrt(_gram_spectrum(self.Js, det=True))
         return self._jacobian
 
     def _boundary_frames(self) -> tuple[Array, Array]:
@@ -478,13 +495,19 @@ def polar_conormals(bJ: Array) -> Array:
 # immersion catalog
 # ---------------------------------------------------------------------------
 
-def _gauss01(m):
+@cache
+def _leggauss(m):
     t, w = leggauss(m)
-    return (t + 1.0) / 2.0, w / 2.0
+    t.flags.writeable = w.flags.writeable = False
+    return t, w
+
+
+def _gauss01(m):
+    return _gauss_interval(m, 0.0, 1.0)
 
 
 def _gauss_interval(m, a, b):
-    t, w = leggauss(m)
+    t, w = _leggauss(m)
     return a + (b - a) * (t + 1.0) / 2.0, w * (b - a) / 2.0
 
 

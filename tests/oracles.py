@@ -1,11 +1,11 @@
 """Independent references for the tests; no verb, suite or script calls them.
 
-Two kinds live here:
+Three kinds live here:
 
-* oracles with a route of their own: the QR shape operator and its tangent
-  basis, the Christoffel symbols and the connection correction, the inward
-  normal, the gradient-tube probe, the first-variation pairing and the
-  boundary volume;
+* oracles with a route of their own: the immersion frames by LAPACK QR,
+  the QR shape operator and its tangent basis, the Christoffel symbols and
+  the connection correction, the inward normal, the gradient-tube probe,
+  the first-variation pairing and the boundary volume;
 * the term-by-term loop that the stacked polynomial field must reproduce
   bit for bit, the convexity polish run for all its rounds, against which
   the tests hold the early-stopping polish, and the boundary sweep by 60
@@ -29,6 +29,7 @@ from fbstab.errors import DomainError
 from fbstab.fields import ConformalMetric, ScalarField
 from fbstab.submanifold import (
     _batched_frames,
+    _upper_inverse,
     conformal_sff,
     integrate_boundary,
     integrate_interior,
@@ -303,6 +304,25 @@ def first_variation_value(imm, metric: ConformalMetric, interior_dirs, boundary_
         bvals = metric.factor(imm.bxs) * np.sum(np.asarray(boundary_dirs) * nu_conf, axis=1)
         total += integrate_boundary(imm, bvals, metric)
     return float(total)
+
+
+# ---------------------------------------------------------------------------
+# immersion frames by LAPACK
+# ---------------------------------------------------------------------------
+
+def lapack_frames(Js):
+    """``submanifold._batched_frames`` by LAPACK: a QR of [J | I] per sample,
+    each column of Q signed by R's diagonal.  Its normal frame may differ
+    from the package's by a rotation of the normal space."""
+    m, n, k = Js.shape
+    A = np.concatenate([Js, np.broadcast_to(np.eye(n), (m, n, n))], axis=2)
+    Q, R = np.linalg.qr(A)
+    d = np.diagonal(R[:, :, :n], axis1=1, axis2=2)
+    s = np.where(d == 0.0, 1.0, np.sign(d))
+    Qt = np.swapaxes(Q, 1, 2)
+    tangent = np.multiply(Qt[:, :k], s[:, :k, None], order="C")
+    normal = np.multiply(Qt[:, k:], s[:, k:, None], order="C")
+    return tangent, normal, _upper_inverse(R[:, :k, :k] * s[:, :k, None])
 
 
 # ---------------------------------------------------------------------------

@@ -296,12 +296,13 @@ def test_polish_calls_are_batched(monkeypatch):
 
 
 def test_polish_pattern_is_built_once_per_dimension(monkeypatch):
-    """The polish pattern and its fit are cached per dimension, read-only: a
-    second report draws only the sweep's Sobol directions and is bit for bit
-    the first."""
+    """The polish pattern and its fit are cached per dimension and the sweep
+    directions per (n, count, seed), all read-only: a second report
+    constructs no Sobol sequence and is bit for bit the first."""
     ell = dm.make_domain("ellipsoid", 4, semi_axes=[2.0, 1.2, 1.0, 0.9])
     field = make_field("radial-custom", coeffs=[0.1, 0.3, -0.15])
     dm._polish_pattern.cache_clear()
+    dm._sweep_directions.cache_clear()
     first = dm.convexity_report(ell, field, p=2, count=256, seed=0)
     dims = []
     sobol = dm.qmc.Sobol
@@ -312,13 +313,15 @@ def test_polish_pattern_is_built_once_per_dimension(monkeypatch):
 
     monkeypatch.setattr(dm.qmc, "Sobol", counted)
     second = dm.convexity_report(ell, field, p=2, count=256, seed=0)
-    assert dims == [4]
+    assert dims == []
     assert second.to_dict() == first.to_dict()
     assert np.array_equal(second.worst_point_g, first.worst_point_g)
     assert np.array_equal(second.worst_point_gtilde, first.worst_point_gtilde)
     pattern, fit = dm._polish_pattern(4)
     assert pattern.shape == (dm.POLISH_DIRS, 3) and fit.shape == (1 + 3 + 9, dm.POLISH_DIRS)
     assert not pattern.flags.writeable and not fit.flags.writeable
+    directions = dm._sweep_directions(4, 256, 0)
+    assert directions.shape == (256, 4) and not directions.flags.writeable
 
 
 def poly_field(n):

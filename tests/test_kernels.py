@@ -164,20 +164,39 @@ def _jacobian(n, k, cond, seed=0):
     return Q * np.array([1.0] + [cond**-0.5] * (k - 1))
 
 
-def test_conditioning_limit():
-    ok = np.stack([_jacobian(4, 2, 0.5 * sub.COND_LIMIT, s) for s in range(4)])
+@pytest.mark.parametrize("k", [2, 3])
+def test_conditioning_limit(k):
+    ok = np.stack([_jacobian(4, k, 0.5 * sub.COND_LIMIT, s) for s in range(4)])
     sub._check_conditioning(ok, "interior")
-    bad = np.stack([ok[0], ok[1], _jacobian(4, 2, 2.0 * sub.COND_LIMIT), ok[2]])
+    bad = np.stack([ok[0], ok[1], _jacobian(4, k, 2.0 * sub.COND_LIMIT), ok[2]])
     with pytest.raises(DegenerateSampleError, match="interior sample 2: .* exceeds 1e"):
         sub._check_conditioning(bad, "interior")
 
 
-def test_conditioning_rejects_rank_deficient():
-    zero_column = np.zeros((1, 5, 3))
-    zero_column[0, :, :2] = np.eye(5)[:, :2]
+@pytest.mark.parametrize("k", [2, 3])
+def test_conditioning_rejects_rank_deficient(k):
+    zero_column = np.zeros((1, 5, k))
+    zero_column[0, :, :k - 1] = np.eye(5)[:, :k - 1]
     with pytest.raises(DegenerateSampleError, match="boundary sample 0 has rank-deficient"):
         sub._check_conditioning(zero_column, "boundary")
-    parallel = _jacobian(4, 2, 1.0)[None]
+    parallel = _jacobian(4, k, 1.0)[None]
     parallel[0, :, 1] = 2.0 * parallel[0, :, 0]
     with pytest.raises(DegenerateSampleError):
         sub._check_conditioning(parallel, "interior")
+
+
+@pytest.mark.parametrize("cond", [1.0, 1e2, 1e4, 1e6, 1e8])
+def test_gram_closed_form_matches_eigvalsh(cond):
+    """For k = 2 the Gram's extreme eigenvalues come in closed form; they
+    match ``eigvalsh`` within 1e-15 lmax.  The closed-form determinant
+    matches ``det`` within 1e-14 lmax^2: numpy's ``det`` exponentiates a sum
+    of logarithms of the LU pivots, and is off by several ulp itself."""
+    rng = np.random.default_rng(int(np.log10(cond)))
+    Js = np.stack([_jacobian(4, 2, cond, s) @ np.linalg.qr(rng.normal(size=(2, 2)))[0]
+                   for s in range(200)]) * rng.uniform(0.1, 10.0, size=(200, 1, 1))
+    G = np.swapaxes(Js, 1, 2) @ Js
+    lam = np.linalg.eigvalsh(G)
+    lmin, lmax = sub._gram_spectrum(Js)
+    assert np.all(np.abs(lmin - lam[:, 0]) <= 1e-15 * lam[:, 1])
+    assert np.all(np.abs(lmax - lam[:, 1]) <= 1e-15 * lam[:, 1])
+    assert np.all(np.abs(sub._gram_spectrum(Js, det=True) - np.linalg.det(G)) <= 1e-14 * lam[:, 1]**2)

@@ -66,6 +66,68 @@ def test_frames_gram_identity(seed):
     assert np.allclose(proj @ J, J, atol=1e-10)
 
 
+def _bounded_jacobians(rng, m, n, k):
+    """m Jacobians n x k whose singular values lie in [0.5, 2]."""
+    U = np.linalg.qr(rng.normal(size=(m, n, k)))[0]
+    V = np.linalg.qr(rng.normal(size=(m, k, k)))[0]
+    return U @ (rng.uniform(0.5, 2.0, size=(m, k, 1)) * V)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(3, 6), st.data(), st.integers(0, 2**31 - 1))
+def test_frames_match_lapack(n, data, seed):
+    """The Householder frames match the [J | I] LAPACK QR: the tangent frame
+    and chart_to_frame entry by entry, the normal frame up to a rotation of
+    the normal space (its projector), and [T; N] is orthonormal."""
+    k = data.draw(st.integers(1, n - 1))
+    Js = _bounded_jacobians(np.random.default_rng(seed), 40, n, k)
+    T, N, C = sub._batched_frames(Js)
+    T0, N0, C0 = oracles.lapack_frames(Js)
+    assert np.max(np.abs(T - T0)) <= 1e-13
+    assert np.max(np.abs(C - C0)) <= 1e-13
+    proj = np.swapaxes(N, 1, 2) @ N
+    assert np.max(np.abs(proj - np.swapaxes(N0, 1, 2) @ N0)) <= 1e-14
+    basis = np.concatenate([T, N], axis=1)
+    assert np.max(np.abs(basis @ np.swapaxes(basis, 1, 2) - np.eye(n))) <= 1e-14
+    assert T.flags.c_contiguous and N.flags.c_contiguous
+
+
+def test_build_and_geometry_make_no_lapack_qr(monkeypatch):
+    """The frames of a catalog build are Householder reflections in numpy
+    stack arithmetic: building cap-disk-b4k2 and its geometry makes no
+    ``np.linalg.qr`` call."""
+    calls = []
+    qr = np.linalg.qr
+
+    def counted(*args, **kwargs):
+        calls.append(np.shape(args[0]))
+        return qr(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", counted)
+    build_scenario("cap-disk-b4k2").immersion.geometry()
+    assert calls == []
+
+
+def test_gauss_legendre_rules_are_built_once(monkeypatch):
+    """A second catalog build reuses the cached Gauss-Legendre rules, which
+    are read-only, and its arrays are bit for bit the first's."""
+    first = sub.make_immersion("equatorial-disk", n=4)
+    t, w = sub._leggauss(8)
+    assert not t.flags.writeable and not w.flags.writeable
+    calls = []
+    leggauss = sub.leggauss
+
+    def counted(m):
+        calls.append(m)
+        return leggauss(m)
+
+    monkeypatch.setattr(sub, "leggauss", counted)
+    second = sub.make_immersion("equatorial-disk", n=4)
+    assert calls == []
+    for name in ("xs", "Js", "Hs", "ws", "bxs", "bJs", "bws", "bnus"):
+        assert np.array_equal(getattr(second, name), getattr(first, name)), name
+
+
 def test_flat_disk_zero_forms(flat_b4, metric_zero4):
     imm = flat_b4.immersion
     geo = imm.geometry()

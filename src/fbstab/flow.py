@@ -4,7 +4,16 @@ The moving surface is a k=2 polar grid of control points in R^n: Gauss
 radial rings plus a boundary ring pinned to the ambient boundary.  Chart
 derivatives come from barycentric polynomial differentiation in the radius
 and Fourier differentiation in the angle, so every grid yields a full
-``SampledImmersion``.  The flow measures it from the chart Gram g = J^T J
+``SampledImmersion``.
+
+Each fixed linear map of a grid is one dense matrix over the flattened grid,
+built once per ``(nr, ntheta)`` by ``grid_operators``: the stacked chart
+derivatives, whose interior rows also assemble the Laplace-Beltrami
+operator, and the per-ring filter.  A step is a few matrix products.  All
+grids of a shape share one read-only copy; the flow keeps many grids alive,
+and a copy per grid would multiply their memory.
+
+The flow measures a grid's immersion from the chart Gram g = J^T J
 alone and builds no tangent or normal frames: the Laplace-Beltrami
 coefficients g^-1 and -g^ij Gamma^k_ij give the mean curvature vector H
 (the operator applied to x), and the tangential projector J g^-1 J^T gives
@@ -47,8 +56,11 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, replace
+from functools import cache
 
 import numpy as np
+from scipy.linalg import block_diag
+from scipy.linalg.lapack import dgesv
 
 from .domain import LevelSetDomain, project_to_boundary
 from .errors import StepFailureError
@@ -66,7 +78,6 @@ from .submanifold import (
 Array = np.ndarray
 
 RIM_COLLAPSE = 1e-2  # rim extent, relative to the start, of a collapsed disk
-_ADJUGATE_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])
 
 
 def _diff_matrix(nodes: Array) -> Array:
@@ -81,45 +92,67 @@ def _diff_matrix(nodes: Array) -> Array:
     return D
 
 
-def _theta_derivatives(values: Array) -> tuple[Array, Array]:
-    """Spectral d/dtheta and d^2/dtheta^2 along axis 1 of a (nr, ntheta, ...)
-    array, from one transform."""
-    ntheta = values.shape[1]
-    spec = np.fft.rfft(values, axis=1)
-    m = np.arange(spec.shape[1]).astype(float)
-    first = 1j * m
-    if ntheta % 2 == 0:
-        first[-1] = 0.0
-    shape = (1, -1) + (1,) * (values.ndim - 2)
-    return tuple(np.fft.irfft(spec * mult.reshape(shape), n=ntheta, axis=1)
-                 for mult in (first, -(m**2)))
+@dataclass(frozen=True)
+class GridOperators:
+    """The fixed linear maps of every ``PolarGrid`` of one ``(nr, ntheta)``
+    over the ring-major flattening of its N = (nr + 1) * ntheta points."""
+
+    rs: Array                         # (nr + 1,) Gauss radii and the rim
+    wr: Array                         # (nr,) Gauss weights
+    D: Array                          # radial d/dr and d^2/dr^2
+    D2: Array
+    Dt: Array                         # spectral d/dtheta and d^2/dtheta^2
+    Dt2: Array
+    chart: Array                      # (N, 5, N): d_r, d_rr, d_t, d_tt, d_rt
+    lowpass: Array                    # (N, N) per-ring filter, block-diagonal
+    dt_stable: float                  # explicit limit of the filtered (m/r)^2
+
+
+@cache
+def grid_operators(nr: int, ntheta: int) -> GridOperators:
+    """The read-only operators shared by all grids of one shape.  Row p of
+    ``chart[:, j]`` is derivative j at point p, so ``chart[:m]`` are the
+    interior rows that ``laplace_beltrami`` contracts.  The filter keeps the
+    angular modes m <= max(1, 2 * mmax * r) of each ring."""
+    r, wr = _gauss01(nr)
+    rs = np.concatenate([r, [1.0]])
+    D, Ir, It = _diff_matrix(rs), np.eye(nr + 1), np.eye(ntheta)
+    D2 = D @ D
+    mmax = ntheta // 2
+    m = np.arange(mmax + 1)
+    keep = np.minimum(np.maximum(1, np.floor(2.0 * mmax * rs).astype(int)), mmax)
+    # row s of each inverse transform is an operator applied to e_s; the
+    # Nyquist mode has no first derivative
+    spec = np.fft.rfft(It)
+    Dt, Dt2 = (np.fft.irfft(spec * mult, n=ntheta).T
+               for mult in (np.where(m < mmax, 1j * m, 0.0), -(m**2.0)))
+    blocks = np.fft.irfft(spec * (m <= keep[:, None, None]), n=ntheta)
+    ops = GridOperators(
+        rs, wr, D, D2, Dt, Dt2,
+        np.stack([np.kron(D, It), np.kron(D2, It), np.kron(Ir, Dt), np.kron(Ir, Dt2),
+                  np.kron(D, Dt)], axis=1),
+        block_diag(*np.swapaxes(blocks, 1, 2)), float(1.0 / np.max((keep / rs) ** 2)))
+    for a in (ops.rs, ops.wr, ops.D, ops.D2, ops.Dt, ops.Dt2, ops.chart, ops.lowpass):
+        a.flags.writeable = False
+    return ops
 
 
 class PolarGrid:
     """Control-point grid for a k=2 disk immersion in R^n.
 
     ``positions`` has shape (nr + 1, ntheta, n); the last radial ring is the
-    boundary.
+    boundary.  Its linear maps are ``ops = grid_operators(nr, ntheta)``.
     """
 
     def __init__(self, n: int, nr: int = 8, ntheta: int = 16):
         if ntheta % 2:
             raise ValueError("ntheta must be even")
-        self.n = n
-        self.nr = nr
-        self.ntheta = ntheta
-        r, wr = _gauss01(nr)
-        self.rs = np.concatenate([r, [1.0]])
-        self.wr = wr
+        self.n, self.nr, self.ntheta = n, nr, ntheta
+        self.ops = ops = grid_operators(nr, ntheta)
+        self.rs, self.wr, self.D, self.D2, self.Dt, self.Dt2, self.dt_stable = (
+            ops.rs, ops.wr, ops.D, ops.D2, ops.Dt, ops.Dt2, ops.dt_stable)
         self.theta = np.arange(ntheta) * (2.0 * np.pi / ntheta)
-        self.D = _diff_matrix(self.rs)
-        self.D2 = self.D @ self.D
-        self.Dt, self.Dt2 = (d[0] for d in _theta_derivatives(np.eye(ntheta)[None]))
         self.positions = np.zeros((nr + 1, ntheta, n))
-        mmax = ntheta // 2
-        keep = np.minimum(np.maximum(1, np.floor(2.0 * mmax * self.rs).astype(int)), mmax)
-        # explicit Euler limit of the filtered angular Laplacian, (m/r)^2
-        self.dt_stable = float(1.0 / np.max((keep / self.rs) ** 2))
 
     @classmethod
     def from_graph(cls, n: int, height_fn, nr: int = 8, ntheta: int = 16,
@@ -129,14 +162,9 @@ class PolarGrid:
         ``height_fn(y) -> (m, n - 2)`` heights for planar points (m, 2).
         """
         grid = cls(n, nr, ntheta)
-        rr = grid.rs[:, None]
-        cc = np.cos(grid.theta)[None, :]
-        ss = np.sin(grid.theta)[None, :]
-        y = radius * np.stack([rr * cc, rr * ss], axis=-1)
-        flat = y.reshape(-1, 2)
-        heights = np.asarray(height_fn(flat), float).reshape(nr + 1, ntheta, n - 2)
-        grid.positions[:, :, :2] = y
-        grid.positions[:, :, 2:] = heights
+        circle = np.stack([np.cos(grid.theta), np.sin(grid.theta)], axis=-1)
+        y = grid.positions[:, :, :2] = radius * (grid.rs[:, None, None] * circle)
+        grid.positions[:, :, 2:] = np.reshape(height_fn(y.reshape(-1, 2)), (nr + 1, ntheta, n - 2))
         return grid
 
     def with_positions(self, positions: Array) -> "PolarGrid":
@@ -145,12 +173,10 @@ class PolarGrid:
         return out
 
     def chart_derivatives(self):
-        P = self.positions
-        P_r = np.einsum("ij,jtn->itn", self.D, P)
-        P_rr = np.einsum("ij,jtn->itn", self.D2, P)
-        P_t, P_tt = _theta_derivatives(P)
-        P_rt = np.einsum("ij,jtn->itn", self.D, P_t)
-        return P_r, P_rr, P_t, P_tt, P_rt
+        """``(P_r, P_rr, P_t, P_tt, P_rt)``, each shaped like ``positions``."""
+        N, n = len(self.ops.chart), self.n
+        out = self.ops.chart.reshape(-1, N) @ self.positions.reshape(N, n)
+        return tuple(np.moveaxis(out.reshape(self.nr + 1, self.ntheta, 5, n), 2, 0))
 
     def immersion(self, validate: bool = False) -> SampledImmersion:
         nr, ntheta, n = self.nr, self.ntheta, self.n
@@ -159,16 +185,18 @@ class PolarGrid:
         xs = self.positions[:nr].reshape(-1, n)
         Js = np.stack([P_r[:nr].reshape(-1, n), P_t[:nr].reshape(-1, n)], axis=2)
         # entries (rr, rt, tr, tt) of the chart Hessian, in row-major order
-        Hs = np.stack([P_rr[:nr], P_rt[:nr], P_rt[:nr], P_tt[:nr]], axis=2)
-        Hs = Hs.reshape(-1, 2, 2, n)
+        Hs = np.stack([P_rr[:nr], P_rt[:nr], P_rt[:nr], P_tt[:nr]], axis=2).reshape(-1, 2, 2, n)
         ws = np.repeat(self.wr, ntheta) * wt
-
         bJs = np.stack([P_r[nr], P_t[nr]], axis=2)
         bws = np.linalg.norm(P_t[nr], axis=1) * wt
-        return SampledImmersion(
-            2, n, xs, Js, Hs, ws, self.positions[nr], bJs, bws, polar_conormals(bJs),
-            validate=validate,
-        )
+        return SampledImmersion(2, n, xs, Js, Hs, ws, self.positions[nr], bJs, bws,
+                                polar_conormals(bJs), validate=validate)
+
+
+def _tangential(Js: Array, ginv: Array, v: Array) -> tuple[Array, Array]:
+    """``(g^-1 J^T v, J g^-1 J^T v)`` per sample, by ``vecdot``."""
+    t = np.vecdot(ginv, np.vecdot(Js, v[:, :, None], axis=1)[:, None])
+    return t, np.vecdot(Js, t[:, None])
 
 
 def _gram_terms(imm: SampledImmersion) -> tuple[Array, Array, Array]:
@@ -179,16 +207,15 @@ def _gram_terms(imm: SampledImmersion) -> tuple[Array, Array, Array]:
     -(g^-1 J^T A)^k, and the mean curvature vector H = A + c^k d_k x is the
     normal part of A.  g^-1 and c are the coefficients of the
     Laplace-Beltrami operator g^ij d_ij + c^k d_k, which maps x to H.  The
-    disks are 2-dimensional, so g^-1 is the 2 x 2 adjugate over det g.
+    disks are 2-dimensional: g^-1 is the adjugate over det g, in closed form.
     """
-    m, n, k = imm.Js.shape
-    Jt = np.swapaxes(imm.Js, 1, 2)
-    g = Jt @ imm.Js
-    det = g[:, 0, 0] * g[:, 1, 1] - g[:, 0, 1] * g[:, 1, 0]
-    ginv = g[:, ::-1, ::-1] * (_ADJUGATE_SIGNS / det[:, None, None])
-    A = (ginv.reshape(m, 1, k * k) @ imm.Hs.reshape(m, k * k, n))[:, 0]
-    c = -(ginv @ (Jt @ A[:, :, None]))[:, :, 0]
-    return ginv, c, A + (imm.Js @ c[:, :, None])[:, :, 0]
+    J0, J1 = imm.Js[:, :, 0], imm.Js[:, :, 1]
+    g00, g01, g11 = np.vecdot(J0, J0), np.vecdot(J0, J1), np.vecdot(J1, J1)
+    inv = 1.0 / (g00 * g11 - g01 * g01)
+    ginv = np.stack([g11 * inv, -g01 * inv, -g01 * inv, g00 * inv], axis=1).reshape(-1, 2, 2)
+    A = (ginv.reshape(-1, 1, 4) @ imm.Hs.reshape(len(inv), 4, -1))[:, 0]
+    coords, tangential = _tangential(imm.Js, ginv, A)
+    return ginv, -coords, A - tangential
 
 
 def laplace_beltrami(grid: PolarGrid, ginv: Array, c: Array) -> Array:
@@ -197,22 +224,12 @@ def laplace_beltrami(grid: PolarGrid, ginv: Array, c: Array) -> Array:
     ``ginv`` and ``c`` are the coefficients of ``_gram_terms`` of the grid's
     immersion.  Shape (nr * ntheta, (nr + 1) * ntheta) over the ring-major
     flattening of the grid, rim columns last, so that
-    ``L @ positions.reshape(-1, n)`` is the mean curvature vector.
+    ``L @ positions.reshape(-1, n)`` is the mean curvature vector.  Row p
+    contracts the five coefficients at p with ``grid.ops.chart[p]``.
     """
-    nr, nt = grid.nr, grid.ntheta
-    c2 = ginv.reshape(nr, nt, 2, 2)
-    c1 = c.reshape(nr, nt, 2)
-    Dr, Dr2 = grid.D[:nr], grid.D2[:nr]
-    radial = c2[..., 0, 0, None] * Dr2[:, None] + c1[..., 0, None] * Dr[:, None]
-    angular = c2[..., 1, 1, None] * grid.Dt2 + c1[..., 1, None] * grid.Dt
-    # L[i, t, j, s]: radial couples rings at equal angles, angular couples
-    # angles on one ring, and the mixed term couples both
-    L = np.zeros((nr, nt, nr + 1, nt))
-    t, i = np.arange(nt), np.arange(nr)
-    L[:, t, :, t] = radial.transpose(1, 0, 2)
-    L[i, :, i, :] += angular
-    L += (2.0 * c2[..., 0, 1, None, None] * Dr[:, None, :, None]) * grid.Dt[None, :, None, :]
-    return L.reshape(nr * nt, (nr + 1) * nt)
+    coef = np.stack([c[:, 0], ginv[:, 0, 0], c[:, 1], ginv[:, 1, 1], 2.0 * ginv[:, 0, 1]],
+                    axis=1)
+    return (coef[:, None, :] @ grid.ops.chart[:len(coef)])[:, 0]
 
 
 @dataclass(frozen=True)
@@ -234,10 +251,10 @@ def _measure(imm: SampledImmersion, metric: ConformalMetric,
     """Measure ``imm`` without frames: grad^perp u = grad u - J g^-1 J^T grad u."""
     ginv, c, H = _gram_terms(imm)
     grad = metric.field.gradient(imm.xs)
-    tangential = imm.Js @ (ginv @ (np.swapaxes(imm.Js, 1, 2) @ grad[:, :, None]))
+    tangential = _tangential(imm.Js, ginv, grad)[1]
     nhat = boundary_normals(imm, domain) if imm.n_boundary else np.zeros((0, imm.n))
     return GridMeasure(imm, ginv, c, metric.field.value(imm.xs),
-                       H - imm.k * (grad - tangential[:, :, 0]), nhat)
+                       H - imm.k * (grad - tangential), nhat)
 
 
 def _descent(measure: GridMeasure, metric: ConformalMetric) -> tuple[Array, Array]:
@@ -293,13 +310,8 @@ class FlowState:
 
 def _filter_direction(grid: PolarGrid, direction: Array) -> Array:
     """Per-ring angular low-pass: keep modes m <= max(1, 2 * mmax * r)."""
-    mmax = grid.ntheta // 2
-    spec = np.fft.rfft(direction, axis=1)
-    m = np.arange(spec.shape[1])
-    keep = np.maximum(1, np.floor(2.0 * mmax * grid.rs).astype(int))
-    mask = (m[None, :] <= keep[:, None]).astype(float)
-    spec *= mask[:, :, None]
-    return np.fft.irfft(spec, n=grid.ntheta, axis=1)
+    lowpass = grid.ops.lowpass
+    return (lowpass @ direction.reshape(len(lowpass), -1)).reshape(direction.shape)
 
 
 def _measurements(grid: PolarGrid, metric: ConformalMetric, domain: LevelSetDomain):
@@ -335,15 +347,17 @@ def flow_step(state: FlowState, metric: ConformalMetric, domain: LevelSetDomain,
     grid, measure = state.grid, state.measure
     interior, boundary = _descent(measure, metric)
     rim = cfg.boundary_rate * boundary
-    L = laplace_beltrami(grid, measure.ginv, measure.c)
-    EL = np.exp(-2.0 * measure.u)[:, None] * L
+    EL = np.exp(-2.0 * measure.u)[:, None] * laplace_beltrami(grid, measure.ginv, measure.c)
     m = len(interior)
     EL_II, EL_IB = EL[:, :m], EL[:, m:]
     # explicit limit of the rim update, the one part of the step left explicit
     cap = float(1.0 / (cfg.boundary_rate * abs(grid.D[grid.nr, grid.nr])))
     dt = float(min(state.step, cap))
     for backtracks in range(cfg.max_backtracks + 1):
-        V = np.linalg.solve(np.eye(m) - dt * EL_II, interior + dt * (EL_IB @ rim))
+        *_, V, info = dgesv(np.eye(m) - dt * EL_II, interior + dt * (EL_IB @ rim))
+        if info > 0:
+            raise StepFailureError(
+                f"singular implicit system at iteration {state.iteration}, dt = {dt:.6e}")
         direction = np.concatenate([V, rim]).reshape(grid.positions.shape)
         trial = grid.positions + dt * _filter_direction(grid, direction)
         trial[grid.nr] = project_to_boundary(domain, trial[grid.nr], tol=1e-12)
@@ -356,10 +370,8 @@ def flow_step(state: FlowState, metric: ConformalMetric, domain: LevelSetDomain,
                 state.residual_history + ((res, defect, vol, dt, backtracks),),
             )
         dt *= 0.5
-    raise StepFailureError(
-        f"backtracking exhausted after {cfg.max_backtracks} halvings at "
-        f"iteration {state.iteration}"
-    )
+    raise StepFailureError(f"backtracking exhausted after {cfg.max_backtracks} halvings at "
+                           f"iteration {state.iteration}")
 
 
 def run_flow(grid: PolarGrid, metric: ConformalMetric, domain: LevelSetDomain,

@@ -183,16 +183,10 @@ def _registry() -> dict[str, Scenario]:
 
     reg["flow-bump-b3"] = Scenario(
         name="flow-bump-b3", n=3, k=2,
-        domain_spec={"kind": "ball", "radius": 1.0},
-        field_spec={"name": "zero"},
-        immersion_spec={"kind": "equatorial-disk"},
         flow_spec={"initial": "radial-bump", "amplitude": 0.2, "nr": 6, "ntheta": 16},
     )
     reg["flow-sin-cap-b4"] = Scenario(
-        name="flow-sin-cap-b4", n=4, k=2,
-        domain_spec={"kind": "ball", "radius": 1.0},
-        field_spec={"name": "radial-spherical"},
-        immersion_spec={"kind": "equatorial-disk"},
+        name="flow-sin-cap-b4", n=4, k=2, field_spec={"name": "radial-spherical"},
         flow_spec={"initial": "sin-bump", "amplitude": 0.05, "nr": 6, "ntheta": 16},
     )
 
@@ -233,23 +227,14 @@ def flow_grid_for(sc: Scenario) -> flow_mod.PolarGrid:
     nr = int(spec.get("nr", 8))
     ntheta = int(spec.get("ntheta", 16))
     kind = spec.get("initial", "radial-bump")
-    q = sc.n - 2
-
-    if kind == "radial-bump":
-        def height(y):
-            h = np.zeros((y.shape[0], q))
-            h[:, 0] = amp * (1.0 - np.sum(y * y, axis=1))
-            return h
-    elif kind == "sin-bump":
-        def height(y):
-            h = np.zeros((y.shape[0], q))
-            h[:, 0] = amp * (1.0 - np.sum(y * y, axis=1)) * y[:, 1]
-            return h
-    elif kind == "flat":
-        def height(y):
-            return np.zeros((y.shape[0], q))
-    else:
+    if kind not in ("radial-bump", "sin-bump", "flat"):
         raise ConfigError(f"unknown flow initial shape: {kind!r}")
+
+    def height(y):
+        h = np.zeros((y.shape[0], sc.n - 2))
+        if kind != "flat":
+            h[:, 0] = amp * (1.0 - np.sum(y * y, axis=1)) * (y[:, 1] if kind == "sin-bump" else 1.0)
+        return h
     return flow_mod.PolarGrid.from_graph(sc.n, height, nr=nr, ntheta=ntheta)
 
 

@@ -86,10 +86,10 @@ def _upper_inverse(R: Array) -> Array:
     return X
 
 
-def _gram_spectrum(Js: Array, det: bool = False):
-    """Extreme eigenvalues ``(lmin, lmax)`` of each sample's Gram J^T J, or with
-    ``det`` its determinant; in closed form for k = 2 (see README)."""
-    G = np.swapaxes(Js, 1, 2) @ Js
+def _gram_spectrum(Js: Array, det: bool = False, gram: Array | None = None):
+    """Extreme eigenvalues ``(lmin, lmax)`` of each sample's Gram J^T J (or
+    ``gram``), or with ``det`` its determinant; closed forms for k = 2."""
+    G = np.swapaxes(Js, 1, 2) @ Js if gram is None else gram
     if G.shape[-1] != 2:
         return np.linalg.det(G) if det else np.linalg.eigvalsh(G)[:, [0, -1]].T
     g11, g22, g12 = G[:, 0, 0], G[:, 1, 1], G[:, 0, 1]
@@ -99,11 +99,12 @@ def _gram_spectrum(Js: Array, det: bool = False):
     return mid - rad, mid + rad
 
 
-def _check_conditioning(Js: Array, where: str):
-    """Reject samples whose Gram J^T J is singular or has cond(J^T J) =
-    lmax / lmin above ``COND_LIMIT``.  The eigenvalues of the k x k Gram
+def _check_conditioning(Js: Array, where: str) -> Array:
+    """Return the Gram J^T J; reject samples where it is singular or cond =
+    lmax / lmin exceeds ``COND_LIMIT``.  The eigenvalues of the k x k Gram
     carry round-off of about 1e-16 lmax, far below lmax / COND_LIMIT."""
-    lmin, lmax = _gram_spectrum(Js)
+    G = np.swapaxes(Js, 1, 2) @ Js
+    lmin, lmax = _gram_spectrum(Js, gram=G)
     if np.any(lmin <= 0.0):
         bad = int(np.argmax(lmin <= 0.0))
         raise DegenerateSampleError(f"{where} sample {bad} has rank-deficient Jacobian")
@@ -113,6 +114,7 @@ def _check_conditioning(Js: Array, where: str):
         raise DegenerateSampleError(
             f"{where} sample {bad}: cond(J^T J) = {cond2[bad]:.3e} exceeds {COND_LIMIT:.0e}"
         )
+    return G
 
 
 @dataclass(frozen=True)
@@ -182,7 +184,8 @@ class SampledImmersion:
             raise ConfigError("interior sample array shapes are inconsistent")
         if np.any(self.ws <= 0.0):
             raise ConfigError("quadrature weights must be positive")
-        _check_conditioning(self.Js, "interior")
+        gram = _check_conditioning(self.Js, "interior")
+        self._jacobian = np.sqrt(_gram_spectrum(self.Js, det=True, gram=gram))
         sym = np.max(np.abs(self.Hs - self.Hs.transpose(0, 2, 1, 3)))
         if sym > 1e-9 * (1.0 + np.max(np.abs(self.Hs))):
             raise ConfigError("chart second derivatives are not symmetric")
@@ -209,8 +212,8 @@ class SampledImmersion:
 
     @property
     def jacobian_factor(self) -> Array:
-        """sqrt(det J^T J) per interior sample, cached; builds no frames, so
-        volumes and integrals never pay for ``geometry()``."""
+        """sqrt(det J^T J) per interior sample, cached (from the validation's
+        Gram); builds no frames, so volumes never pay for ``geometry()``."""
         if self._jacobian is None:
             self._jacobian = np.sqrt(_gram_spectrum(self.Js, det=True))
         return self._jacobian

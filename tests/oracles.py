@@ -11,6 +11,12 @@ Three kinds live here:
   the tests hold the early-stopping polish, and the boundary sweep by 60
   bisection steps per ray, against whose roots they hold the safeguarded
   Newton sweep;
+* the flow's per-step routes before its grid operators were cached: chart
+  derivatives by FFT and ``einsum``, the Laplace-Beltrami operator scattered
+  by fancy indexing, the per-ring filter by ``rfft``, the Gram terms by
+  batched 2 x 2 matrix products and the implicit solve by
+  ``np.linalg.solve``, against which the tests hold each cached-operator
+  kernel and whole flow steps;
 * the ``np.einsum`` statements of the per-sample kernels that the package
   evaluates as batched matrix products: the second fundamental form and mean
   curvature of ``SampledImmersion.geometry()``, its Jacobian factor, the
@@ -25,6 +31,7 @@ from scipy.special import ndtri
 from scipy.stats import qmc
 
 from fbstab import domain as dm
+from fbstab import flow as fl
 from fbstab.errors import DomainError
 from fbstab.fields import ConformalMetric, ScalarField
 from fbstab.submanifold import (
@@ -323,6 +330,88 @@ def lapack_frames(Js):
     tangent = np.multiply(Qt[:, :k], s[:, :k, None], order="C")
     normal = np.multiply(Qt[:, k:], s[:, k:, None], order="C")
     return tangent, normal, _upper_inverse(R[:, :k, :k] * s[:, :k, None])
+
+
+# ---------------------------------------------------------------------------
+# flow kernels before the cached grid operators
+# ---------------------------------------------------------------------------
+
+def theta_derivatives(values):
+    """Spectral d/dtheta and d^2/dtheta^2 along axis 1 of a (nr, ntheta, ...)
+    array, from one transform."""
+    ntheta = values.shape[1]
+    spec = np.fft.rfft(values, axis=1)
+    m = np.arange(spec.shape[1]).astype(float)
+    first = 1j * m
+    if ntheta % 2 == 0:
+        first[-1] = 0.0
+    shape = (1, -1) + (1,) * (values.ndim - 2)
+    return tuple(np.fft.irfft(spec * mult.reshape(shape), n=ntheta, axis=1)
+                 for mult in (first, -(m**2)))
+
+
+def chart_derivatives_fft(grid):
+    """``PolarGrid.chart_derivatives`` by ``einsum`` in the radius and FFT in
+    the angle."""
+    P = grid.positions
+    P_r = np.einsum("ij,jtn->itn", grid.D, P)
+    P_rr = np.einsum("ij,jtn->itn", grid.D2, P)
+    P_t, P_tt = theta_derivatives(P)
+    P_rt = np.einsum("ij,jtn->itn", grid.D, P_t)
+    return P_r, P_rr, P_t, P_tt, P_rt
+
+
+def gram_terms_matmul(imm):
+    """``flow._gram_terms`` by batched 2 x 2 matrix products."""
+    m, n, k = imm.Js.shape
+    Jt = np.swapaxes(imm.Js, 1, 2)
+    g = Jt @ imm.Js
+    det = g[:, 0, 0] * g[:, 1, 1] - g[:, 0, 1] * g[:, 1, 0]
+    ginv = g[:, ::-1, ::-1] * (np.array([[1.0, -1.0], [-1.0, 1.0]]) / det[:, None, None])
+    A = (ginv.reshape(m, 1, k * k) @ imm.Hs.reshape(m, k * k, n))[:, 0]
+    c = -(ginv @ (Jt @ A[:, :, None]))[:, :, 0]
+    return ginv, c, A + (imm.Js @ c[:, :, None])[:, :, 0]
+
+
+def laplace_beltrami_scatter(grid, ginv, c):
+    """``flow.laplace_beltrami`` scattered block by block into a zero array."""
+    nr, nt = grid.nr, grid.ntheta
+    c2 = ginv.reshape(nr, nt, 2, 2)
+    c1 = c.reshape(nr, nt, 2)
+    Dr, Dr2 = grid.D[:nr], grid.D2[:nr]
+    radial = c2[..., 0, 0, None] * Dr2[:, None] + c1[..., 0, None] * Dr[:, None]
+    angular = c2[..., 1, 1, None] * grid.Dt2 + c1[..., 1, None] * grid.Dt
+    L = np.zeros((nr, nt, nr + 1, nt))
+    t, i = np.arange(nt), np.arange(nr)
+    L[:, t, :, t] = radial.transpose(1, 0, 2)
+    L[i, :, i, :] += angular
+    L += (2.0 * c2[..., 0, 1, None, None] * Dr[:, None, :, None]) * grid.Dt[None, :, None, :]
+    return L.reshape(nr * nt, (nr + 1) * nt)
+
+
+def filter_direction_rfft(grid, direction):
+    """``flow._filter_direction`` by ``rfft``, a mode mask and ``irfft``."""
+    mmax = grid.ntheta // 2
+    spec = np.fft.rfft(direction, axis=1)
+    m = np.arange(spec.shape[1])
+    keep = np.maximum(1, np.floor(2.0 * mmax * grid.rs).astype(int))
+    spec *= (m[None, :] <= keep[:, None]).astype(float)[:, :, None]
+    return np.fft.irfft(spec, n=grid.ntheta, axis=1)
+
+
+def gesv_numpy(a, b):
+    """``scipy.linalg.lapack.dgesv``'s ``(lu, piv, x, info)`` by
+    ``np.linalg.solve``; only ``x`` and ``info`` are filled in."""
+    return None, None, np.linalg.solve(a, b), 0
+
+
+def use_flow_oracles(monkeypatch):
+    """Make the flow step through the routes above."""
+    monkeypatch.setattr(fl.PolarGrid, "chart_derivatives", chart_derivatives_fft)
+    monkeypatch.setattr(fl, "_gram_terms", gram_terms_matmul)
+    monkeypatch.setattr(fl, "laplace_beltrami", laplace_beltrami_scatter)
+    monkeypatch.setattr(fl, "_filter_direction", filter_direction_rfft)
+    monkeypatch.setattr(fl, "dgesv", gesv_numpy)
 
 
 # ---------------------------------------------------------------------------

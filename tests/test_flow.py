@@ -155,7 +155,7 @@ def test_angular_derivatives_from_one_transform():
     grid = bump_grid()
     theta = grid.theta
     modes = np.stack([np.sin(3 * theta), np.cos(5 * theta)], axis=1)[None]
-    d1, d2 = fl._theta_derivatives(modes)
+    d1, d2 = oracles.theta_derivatives(modes)
     exact = np.stack([3 * np.cos(3 * theta), -5 * np.sin(5 * theta)], axis=1)
     assert np.max(np.abs(d1[0] - exact)) < 1e-12
     assert np.max(np.abs(d2[0] + np.array([9.0, 25.0]) * modes[0])) < 1e-12
@@ -166,6 +166,101 @@ def test_angular_derivatives_from_one_transform():
     assert np.array_equal(Hs[:, 0, 1], Hs[:, 1, 0])
     for (a, b), P in (((0, 0), P_rr), ((0, 1), P_rt), ((1, 1), P_tt)):
         assert np.array_equal(Hs[:, a, b], P[:nr].reshape(-1, grid.n))
+
+
+def benchmark_start(name):
+    """``(grid, metric, domain)`` of a flow start of the benchmark, unrotated:
+    the two registry flows and the n = 3 sin bump of amplitude 0.1, all of
+    them 6 x 16 grids."""
+    if name == "sin-b3":
+        return rotated_sin_grid(n=3, angle=0.0, amp=0.1), M3, DOM3
+    built = sc.build_scenario(name)
+    return sc.flow_grid_for(built.scenario), built.metric, built.domain
+
+
+BENCHMARK_STARTS = ("flow-bump-b3", "flow-sin-cap-b4", "sin-b3")
+
+
+def _relative_gap(new, old):
+    """Normwise relative gap |new - old| / |old| in the Frobenius norm."""
+    return np.linalg.norm(new - old) / np.linalg.norm(old)
+
+
+@pytest.mark.parametrize("name", BENCHMARK_STARTS)
+def test_cached_operator_kernels_match_their_oracles(name):
+    """Each kernel that steps on the cached operators agrees with the route
+    it replaced within 1e-13 normwise relative: the chart derivatives (one
+    product, so compared as one stack), the Gram terms, the Laplace-Beltrami
+    operator and the per-ring filter.  Entrywise, d_rr x differs by up to
+    1.5e-13 where it is at most 0.6: D^2 has entries of 1.1e3, and both
+    routes are about 4.6e-13 from the exact value there."""
+    grid, _, _ = benchmark_start(name)
+    assert _relative_gap(np.stack(grid.chart_derivatives()),
+                         np.stack(oracles.chart_derivatives_fft(grid))) <= 1e-13
+    imm = grid.immersion()
+    for new, old in zip(fl._gram_terms(imm), oracles.gram_terms_matmul(imm)):
+        assert _relative_gap(new, old) <= 1e-13
+    ginv, c, _ = oracles.gram_terms_matmul(imm)
+    assert _relative_gap(fl.laplace_beltrami(grid, ginv, c),
+                         oracles.laplace_beltrami_scatter(grid, ginv, c)) <= 1e-13
+    direction = np.random.default_rng(3).normal(size=grid.positions.shape)
+    assert _relative_gap(fl._filter_direction(grid, direction),
+                         oracles.filter_direction_rfft(grid, direction)) <= 1e-13
+
+
+@pytest.mark.parametrize("name", BENCHMARK_STARTS)
+def test_ten_steps_match_the_oracle_routes(name, monkeypatch):
+    """Ten steps on the cached operators land within 1e-14 of ten steps by
+    FFTs, scattered operators, batched Gram products and np.linalg.solve,
+    with the same step sizes and backtracks."""
+    grid, metric, dom = benchmark_start(name)
+
+    def ten_steps():
+        state = fl.flow_state(grid, metric, dom)
+        for _ in range(10):
+            state = fl.flow_step(state, metric, dom)
+        return state
+
+    new = ten_steps()
+    oracles.use_flow_oracles(monkeypatch)
+    old = ten_steps()
+    assert [row[3:] for row in new.residual_history] == [row[3:] for row in old.residual_history]
+    assert np.max(np.abs(new.grid.positions - old.grid.positions)) <= 1e-14
+
+
+def test_grids_of_one_shape_share_read_only_operators():
+    """The operators are built once per (nr, ntheta): grids of other
+    dimensions and their position copies hold the same arrays, and no
+    holder can write to them."""
+    a, b = fl.PolarGrid(3, 6, 16), fl.PolarGrid(4, 6, 16)
+    grids = (a, b, a.with_positions(a.positions + 1.0), rotated_sin_grid())
+    ops = fl.grid_operators(6, 16)
+    assert all(g.ops is ops for g in grids)
+    assert fl.PolarGrid(3, 8, 16).ops is not ops
+    for name in ("rs", "wr", "D", "D2", "Dt", "Dt2"):
+        assert all(getattr(g, name) is getattr(ops, name) for g in grids)
+    assert all(g.dt_stable == ops.dt_stable for g in grids)
+    for name in ("rs", "wr", "D", "D2", "Dt", "Dt2", "chart", "lowpass"):
+        array = getattr(ops, name)
+        with pytest.raises(ValueError, match="read-only"):
+            array[(0,) * array.ndim] = 1.0
+
+
+def test_singular_implicit_system_raises_typed_error(monkeypatch):
+    """A zero pivot in the implicit solve ends the step with a
+    ``StepFailureError`` that names the iteration and dt.  With u = 0 and
+    L_II = I / dt the system matrix I - dt e^{-2u} L_II is exactly zero."""
+    grid = bump_grid()
+    state = fl.flow_state(grid, M3, DOM3, dt=0.0625)
+    m = grid.nr * grid.ntheta
+
+    def singular(g, ginv, c):
+        return np.hstack([16.0 * np.eye(m), np.zeros((m, g.ntheta))])
+
+    monkeypatch.setattr(fl, "laplace_beltrami", singular)
+    with pytest.raises(StepFailureError,
+                       match=r"singular implicit system at iteration 0, dt = 6\.25"):
+        fl.flow_step(state, M3, DOM3)
 
 
 def test_fixed_point_step():
@@ -306,17 +401,18 @@ def test_flow_returns_to_disk_and_feeds_certificate():
     assert not rep.failed_hypotheses
 
 
-@pytest.mark.parametrize("name", ["flow-bump-b3", "flow-sin-cap-b4"])
-def test_registry_flows_converge_in_few_steps(name):
+@pytest.mark.parametrize("name, steps", [("flow-bump-b3", 43), ("flow-sin-cap-b4", 43),
+                                         ("sin-b3", 36)], ids=BENCHMARK_STARTS)
+def test_registry_flows_converge_in_few_steps(name, steps):
     """The linearly implicit step lifts the explicit (m/r)^2 limit: both
-    registry starts converge in 43 steps (about 1,000 explicit).  The count
-    is pinned so that any change of the trajectory shows."""
-    built = sc.build_scenario(name)
-    cfg = fl.FlowConfig(max_iter=5000)
-    _, converged, state = fl.run_flow(sc.flow_grid_for(built.scenario), built.metric,
-                                      built.domain, cfg)
+    registry starts converge in 43 steps (about 1,000 explicit), and the
+    benchmark's n = 3 sin bump in 36 (about 374), none with a backtrack.
+    The counts are pinned so that any change of the trajectory shows."""
+    grid, metric, dom = benchmark_start(name)
+    _, converged, state = fl.run_flow(grid, metric, dom, fl.FlowConfig(max_iter=5000))
     assert converged
-    assert state.iteration == 43
+    assert state.iteration == steps
+    assert all(row[4] == 0 for row in state.residual_history)
     volumes = np.array([row[2] for row in state.residual_history])
     assert np.max(np.diff(volumes)) <= 1e-12
 

@@ -221,6 +221,30 @@ def test_volume_k3():
     assert abs(sub.volume(imm, ms) - np.pi**2) < 1e-9
 
 
+@pytest.mark.parametrize("kind, params", [
+    ("paraboloid-cap", {"curvature": 0.5, "n": 3}),
+    ("random-graph", {"n": 5, "k": 3, "seed": 7, "degree": 2}),
+], ids=["k2", "k3"])
+def test_validated_jacobian_factor_reuses_the_conditioning_gram(kind, params, monkeypatch):
+    """A validated build takes its Jacobian factor from the Gram its
+    conditioning check formed, so J^T J is multiplied once; the factor is
+    bit-identical to the one an unvalidated copy computes on first use."""
+    calls = []
+    spectrum = sub._gram_spectrum
+
+    def counted(Js, det=False, gram=None):
+        calls.append(gram is None)
+        return spectrum(Js, det, gram)
+
+    monkeypatch.setattr(sub, "_gram_spectrum", counted)
+    imm = sub.make_immersion(kind, **params)
+    built = len(calls)
+    factor = imm.jacobian_factor
+    assert len(calls) == built and not any(calls)
+    lazy = sub.SampledImmersion(imm.k, imm.n, imm.xs, imm.Js, imm.Hs, imm.ws, validate=False)
+    assert np.array_equal(factor, lazy.jacobian_factor)
+
+
 def test_frame_invariance_under_reparametrization(rng):
     """Volume and mean curvature are chart-independent."""
     imm = sub.make_immersion("random-graph", n=5, k=2, seed=21, degree=2)

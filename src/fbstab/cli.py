@@ -135,7 +135,7 @@ def _cmd_stability(args) -> int:
     if args.tol is not None:
         cert_cfg = {**cert_cfg, "certify_tol": args.tol}
     seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
-    config = var.CertificateConfig(**{"seed": seed, **cert_cfg})
+    config = var.CertificateConfig(**{"seed": seed, "p": scenario.p, **cert_cfg})
     report = var.instability_certificate(built.immersion, built.metric, built.domain, config)
     doc = report.to_dict()
     doc["scenario"] = scenario.name

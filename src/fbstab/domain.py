@@ -304,18 +304,6 @@ def _swept_margins(domain: LevelSetDomain, p: int, metrics, pts: Array,
     return batches
 
 
-def p_convexity_margin(domain: LevelSetDomain, p: int,
-                       metric: ConformalMetric | None = None,
-                       count: int = 2048, seed: int = 0) -> tuple[float, Array]:
-    """``(margin, worst_point)``: the sampled minimum of the sum of the p
-    smallest principal curvatures after the polish, an upper bound on the
-    true minimum."""
-    pts = sample_boundary(domain, count, seed)
-    kappa = principal_curvatures(domain, pts, metric)
-    margin, point, _ = _swept_margins(domain, p, [metric], pts, [kappa])[0]
-    return margin, point
-
-
 def convexity_report(domain: LevelSetDomain, field: ScalarField, p: int,
                      count: int = 2048, seed: int = 0) -> ConvexityReport:
     """Margins in both the Euclidean and the rescaled metric, plus the

@@ -126,9 +126,6 @@ class ConformalMetric:
         Y = np.asarray(Y, float)
         return self.factor(x) * np.sum(X * Y, axis=-1)
 
-    def norm(self, x, X) -> Array:
-        return np.sqrt(self.inner(x, X, X))
-
     def volume_scale(self, x, k: int) -> Array:
         """Scale factor e^{k u(x)} of the induced k-dimensional measure."""
         return np.exp(k * self.field.value(x))

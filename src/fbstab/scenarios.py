@@ -383,12 +383,11 @@ def _suite_identities(col: _Collector, seed: int, quadrature):
             # curvature law e^{2u} H~ = H - k grad^perp u, at every sample
             g = metric.field.gradient(imm.xs)
             gperp = np.einsum("mrx,mr->mx", geo.normal, np.einsum("mrx,mx->mr", geo.normal, g))
-            lhs = np.einsum("miir,mrx->mx", sub.conformal_sff(imm, metric), geo.normal)
+            lhs = np.einsum("miir,mrx->mx", imm.ambient(metric).sff, geo.normal)
             col.below(name, "conformal-sff-trace",
                       float(np.max(np.abs(lhs - (geo.H - imm.k * gperp)))), 1e-9)
 
-            res = sub.check_minimality(imm, metric, 1e-8)
-            if res.passed:
+            if imm.ambient(metric).minimality.max_residual <= 1e-8:
                 worst_s = worst_t = 0.0
                 for E in np.eye(imm.n):
                     X = var.projected_field(imm, E)
@@ -401,12 +400,9 @@ def _suite_identities(col: _Collector, seed: int, quadrature):
                 col.below(name, "interior-transform-closure", worst_s, 1e-7)
                 col.below(name, "boundary-transform-closure", worst_t, 1e-7)
 
-            d_euclid = sub.boundary_defects(imm, dom)
             d_resc = sub.boundary_defects(imm, dom, metric)
-            col.below(
-                name, "defect-conformal-invariance",
-                float(np.max(np.abs(d_euclid - d_resc))) if d_euclid.size else 0.0, 1e-12,
-            )
+            gap = np.abs(imm.ambient(None, dom).defect.residuals - d_resc) if d_resc.size else 0.0
+            col.below(name, "defect-conformal-invariance", float(np.max(gap)), 1e-12)
 
     # curvature pairing consistency on random points and planes
     for fname in ("radial-spherical", "radial-hyperbolic"):
@@ -594,19 +590,19 @@ def _suite_certificate(col: _Collector, seed: int, quadrature):
     # convexity margins backing the certificate hypotheses
     ball4 = domain_mod.make_domain("ball", 4, radius=1.0)
     with col.guard("sphere-convexity-b4"):
-        for p in (1, 2, 3):
-            margin, _ = domain_mod.p_convexity_margin(ball4, p, count=256, seed=seed)
-            col.close("sphere-convexity-b4", f"sphere-margin-p{p}", margin, float(p), 1e-9)
-        metric4 = ConformalMetric(make_field("radial-spherical"), 4)
-        margin_gt, worst = domain_mod.p_convexity_margin(ball4, 2, metric4, count=256, seed=seed)
-        col.close("sphere-convexity-b4", "sphere-rescaled-margin", margin_gt, 0.0, 1e-7,
-                  worst_point=worst)
+        spherical = make_field("radial-spherical")
+        reports = {p: domain_mod.convexity_report(ball4, spherical, p, count=256, seed=seed)
+                   for p in (1, 2, 3)}
+        for p, rep in reports.items():
+            col.close("sphere-convexity-b4", f"sphere-margin-p{p}", rep.margin_g, float(p), 1e-9)
+        col.close("sphere-convexity-b4", "sphere-rescaled-margin", reports[2].margin_gtilde,
+                  0.0, 1e-7, worst_point=reports[2].worst_point_gtilde)
     with col.guard("ellipsoid-211"):
         ell = build_scenario("ellipsoid-211")
         want = ell.scenario.expected["margin_p1"]
-        margin1, worst1 = domain_mod.p_convexity_margin(ell.domain, 1, count=512, seed=seed)
-        col.close("ellipsoid-211", "ellipsoid-margin-p1", margin1, want["value"], want["tol"],
-                  worst_point=worst1)
+        rep = domain_mod.convexity_report(ell.domain, ell.metric.field, 1, count=512, seed=seed)
+        col.close("ellipsoid-211", "ellipsoid-margin-p1", rep.margin_g, want["value"],
+                  want["tol"], worst_point=rep.worst_point_g)
 
     gate_cases = (
         ("ball-quadratic", make_field("polynomial",
@@ -735,8 +731,8 @@ def sample_dump_csv(built: BuiltScenario) -> bytes:
     s_vals, s_res = var.traced_interior_density(imm, metric)
     t_vals, t_res = var.traced_boundary_density(imm, metric, dom, tangency)
     euclid = var.trace_s_euclid(imm)
-    minres = sub.minimality_residuals(imm, metric)
-    defects = sub.boundary_defects(imm, dom)
+    minres = imm.ambient(metric).minimality.residuals
+    defects = imm.ambient(None, dom).defect.residuals if imm.n_boundary else None
     n = imm.n
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")

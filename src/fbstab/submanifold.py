@@ -38,18 +38,20 @@ Array = np.ndarray
 
 @dataclass(frozen=True)
 class ResidualReport:
-    """Maximum pointwise residual of a check, with the offending sample."""
+    """Pointwise residuals of one hypothesis check, their maximum and the
+    sample that attains it; the threshold belongs to the caller."""
 
     name: str
     max_residual: float
-    tol: float
     worst_index: int
     worst_point: Array
     residuals: Array
 
-    @property
-    def passed(self) -> bool:
-        return bool(self.max_residual <= self.tol)
+
+def _residual_report(name: str, residuals: Array, points: Array) -> ResidualReport:
+    worst = int(np.argmax(residuals))
+    residuals.flags.writeable = False
+    return ResidualReport(name, float(residuals[worst]), worst, points[worst], residuals)
 
 
 def _batched_frames(Js: Array):
@@ -268,9 +270,10 @@ class AmbientSamples:
     An entry lives in the record keyed by what it depends on, so it is
     evaluated once per immersion whichever reader asks: the field samples,
     their tangential and normal components, the rescaled second fundamental
-    form, the integration densities and the minimality residual under
-    ``(metric, None)``; the boundary form and the free-boundary defect under
-    ``(None, domain)``; eta(u) under ``(metric, domain)``.  Caching is sound
+    form, the integration densities, the mean curvature bracket and the
+    minimality residuals under ``(metric, None)``; the boundary form and the
+    free-boundary defects under ``(None, domain)``; eta(u) under ``(metric,
+    domain)``.  The residual entries are ``ResidualReport``s.  Caching is sound
     because the immersion's arrays are read-only and metrics and domains are
     frozen.  An entry that raises stores nothing, so every read raises again.
     The record holds its immersion weakly: the cache makes no reference cycle.
@@ -318,14 +321,19 @@ class AmbientSamples:
 
     @_entry
     def density(self) -> Array:
-        """w sqrt(det g) e^{ku}, the rescaled k-measure of each interior sample."""
-        imm = self.imm
-        return imm.ws * imm.jacobian_factor * np.exp(imm.k * self.u)
+        return _density(self.imm, self.u)
 
     @_entry
-    def minimality(self) -> float:
-        """max |H~|_{g~} over the interior samples."""
-        return float(np.max(minimality_residuals(self.imm, self.metric)))
+    def bracket(self) -> Array:
+        """H - k grad^perp u, (m, n); the rescaled mean curvature vector is
+        e^{-2u} times it."""
+        geo = self.imm.geometry()
+        return geo.H - self.imm.k * np.einsum("mrx,mr->mx", geo.normal, self.grad_nor)
+
+    @_entry
+    def minimality(self) -> ResidualReport:
+        """|H~|_{g~} = e^{-u} |H - k grad^perp u| per interior sample."""
+        return _residual_report("minimality", bracket_norms(self.u, self.bracket), self.imm.xs)
 
     # -- key (metric, None): boundary samples ---------------------------------
 
@@ -348,11 +356,11 @@ class AmbientSamples:
         return self.imm.bws * np.exp((self.imm.k - 1) * self.b_u)
 
     def integrate(self, values) -> float:
-        """``integrate_interior`` with the cached density."""
+        """Integral of per-sample values against the rescaled k-measure."""
         return float(np.sum(self.density * values))
 
     def integrate_boundary(self, values) -> float:
-        """``integrate_boundary`` with the cached density."""
+        """Integral of per-sample values against the rescaled (k-1)-measure."""
         return float(np.sum(self.b_density * values))
 
     # -- key (None, domain) ---------------------------------------------------
@@ -366,9 +374,16 @@ class AmbientSamples:
         return nhat, M, -np.sum(nhat * self.imm.bnus, axis=1)
 
     @_entry
-    def defect(self) -> float:
-        """Maximal free-boundary angle defect over the boundary samples."""
-        return float(np.max(boundary_defects(self.imm, self.domain)))
+    def defect(self) -> ResidualReport:
+        """Free-boundary angle defect |1 - |<nu, outward normal>|| per boundary
+        sample; raises ``InvalidSampleError`` without boundary samples or for
+        a sample off the domain boundary."""
+        imm = self.imm
+        if not imm.n_boundary:
+            raise InvalidSampleError("immersion has no boundary samples")
+        _check_on_boundary(self.domain, imm.bxs)
+        return _residual_report(
+            "free-boundary", angle_defects(imm.bnus, self.boundary_form[0]), imm.bxs)
 
     # -- key (metric, domain) -------------------------------------------------
 
@@ -379,42 +394,15 @@ class AmbientSamples:
         return -np.sum(self.imm.ambient(self.metric).b_grad * nhat, axis=1)
 
 
-def conformal_sff(imm: SampledImmersion, metric: ConformalMetric) -> Array:
-    """Second fundamental form of the rescaled metric, (m, k, k, q); see
-    ``AmbientSamples.sff``."""
-    return imm.ambient(metric).sff
+def _density(imm: SampledImmersion, u: Array) -> Array:
+    """w sqrt(det g) e^{ku}, the rescaled k-measure of each interior sample."""
+    return imm.ws * imm.jacobian_factor * np.exp(imm.k * u)
 
 
-def volume(imm: SampledImmersion, metric: ConformalMetric | None = None) -> float:
-    """k-volume: sum of w * sqrt(det J^T J) * e^{k u} over interior samples."""
-    return integrate_interior(imm, 1.0, metric)
-
-
-def integrate_interior(imm, values, metric=None) -> float:
-    """Integrate per-sample values against the induced k-measure."""
-    dens = imm.ws * imm.jacobian_factor
-    if metric is not None:
-        dens = dens * metric.volume_scale(imm.xs, imm.k)
-    return float(np.sum(dens * np.asarray(values, float)))
-
-
-def integrate_boundary(imm, values, metric=None) -> float:
-    dens = imm.bws
-    if metric is not None:
-        dens = dens * metric.volume_scale(imm.bxs, imm.k - 1)
-    return float(np.sum(dens * np.asarray(values, float)))
-
-
-def mean_curvature_bracket(imm: SampledImmersion, metric: ConformalMetric):
-    """``(u, H - k grad^perp u)`` at the interior samples.
-
-    The rescaled mean curvature vector is e^{-2u} times the bracket, and its
-    g~-norm is e^{-u} times the bracket's Euclidean norm.
-    """
-    geo = imm.geometry()
-    record = imm.ambient(metric)
-    gperp = np.einsum("mrx,mr->mx", geo.normal, record.grad_nor)
-    return record.u, geo.H - imm.k * gperp
+def volume(imm: SampledImmersion, metric: ConformalMetric) -> float:
+    """Rescaled k-volume, the sum of the interior densities; builds no
+    ambient record, as the flow measures every trial grid with it."""
+    return float(np.sum(_density(imm, metric.field.value(imm.xs))))
 
 
 def bracket_norms(u: Array, bracket: Array) -> Array:
@@ -422,27 +410,20 @@ def bracket_norms(u: Array, bracket: Array) -> Array:
     return np.exp(-u) * np.linalg.norm(bracket, axis=1)
 
 
-def minimality_residuals(imm: SampledImmersion, metric: ConformalMetric) -> Array:
-    """Pointwise |H~|_{g~} = e^{-u} |H - k grad^perp u| over interior samples."""
-    return bracket_norms(*mean_curvature_bracket(imm, metric))
-
-
-def check_minimality(imm: SampledImmersion, metric: ConformalMetric, tol: float) -> ResidualReport:
-    """Pass iff max |H~|_{g~} over interior samples is at most tol."""
-    res = minimality_residuals(imm, metric)
-    worst = int(np.argmax(res))
-    return ResidualReport("minimality", float(res[worst]), float(tol), worst, imm.xs[worst], res)
-
-
-def boundary_normals(imm: SampledImmersion, domain) -> Array:
-    """``outward_normal`` of the domain at the boundary samples, (mb, n);
-    raises ``InvalidSampleError`` for a sample off the domain boundary."""
-    phi_vals = np.abs(domain.phi.value(imm.bxs))
+def _check_on_boundary(domain, bxs: Array) -> None:
+    """Raise ``InvalidSampleError`` for a boundary sample off the domain boundary."""
+    phi_vals = np.abs(domain.phi.value(bxs))
     if np.max(phi_vals) > 1e-7:
         bad = int(np.argmax(phi_vals))
         raise InvalidSampleError(
             f"boundary sample {bad} is off the domain boundary: |phi| = {phi_vals[bad]:.3e}"
         )
+
+
+def boundary_normals(imm: SampledImmersion, domain) -> Array:
+    """``outward_normal`` of the domain at the boundary samples, (mb, n);
+    raises ``InvalidSampleError`` for a sample off the domain boundary."""
+    _check_on_boundary(domain, imm.bxs)
     return outward_normal(domain, imm.bxs)
 
 
@@ -452,32 +433,16 @@ def angle_defects(nus: Array, outward: Array, factor=1.0) -> Array:
     return np.abs(1.0 - np.abs(factor * np.sum(nus * outward, axis=1)))
 
 
-def boundary_defects(imm: SampledImmersion, domain, metric: ConformalMetric | None = None) -> Array:
-    """Angle defect |1 - |<nu, outward normal>|| at each boundary sample.
-
-    Angles are conformally invariant; passing a metric evaluates the same
-    pairing with rescaled unit vectors and the rescaled inner product, which
-    agrees with the Euclidean computation identically.
-    """
+def boundary_defects(imm: SampledImmersion, domain, metric: ConformalMetric) -> Array:
+    """The angle defect of each boundary sample in the rescaled metric: the
+    pairing of the rescaled unit vectors e^{-u} nu and e^{-u} n in the
+    rescaled inner product.  Angles are conformally invariant, so it agrees
+    with the Euclidean ``AmbientSamples.defect`` identically."""
     if imm.n_boundary == 0:
         return np.zeros(0)
-    outward = boundary_normals(imm, domain)
-    if metric is None:
-        return angle_defects(imm.bnus, outward)
     scale = np.exp(-metric.field.value(imm.bxs))[:, None]
-    return angle_defects(scale * imm.bnus, scale * outward, metric.factor(imm.bxs))
-
-
-def check_free_boundary(imm: SampledImmersion, domain, tol: float,
-                        metric: ConformalMetric | None = None) -> ResidualReport:
-    """Pass iff every boundary sample meets the domain boundary orthogonally."""
-    defects = boundary_defects(imm, domain, metric)
-    if defects.size == 0:
-        raise InvalidSampleError("immersion has no boundary samples")
-    worst = int(np.argmax(defects))
-    return ResidualReport(
-        "free-boundary", float(defects[worst]), float(tol), worst, imm.bxs[worst], defects
-    )
+    return angle_defects(scale * imm.bnus, scale * boundary_normals(imm, domain),
+                         metric.factor(imm.bxs))
 
 
 def polar_conormals(bJ: Array) -> Array:

@@ -361,16 +361,16 @@ def _hypothesis_residuals(imm: SampledImmersion, metric: ConformalMetric,
                           domain: LevelSetDomain | None = None):
     """``(minimality, defect, tangency_tol)``: the maximal minimality residual,
     the maximal free-boundary defect and the tangency tolerance it allows.
-    Both maxima are read from the immersion's ambient records.
+    Both maxima are read from the immersion's ambient records' reports.
 
     Without a domain or boundary samples the defect is inf and the tolerance
     ``TANGENCY_TOL``.  The defect is 1 - cos(angle) while field misalignment
     scales with sin(angle), so the tolerance widens to 2 sqrt(2 defect).
     """
-    minimality = imm.ambient(metric).minimality
+    minimality = imm.ambient(metric).minimality.max_residual
     if domain is None or not imm.n_boundary:
         return minimality, np.inf, TANGENCY_TOL
-    defect = imm.ambient(None, domain).defect
+    defect = imm.ambient(None, domain).defect.max_residual
     return minimality, defect, max(TANGENCY_TOL, 2.0 * np.sqrt(2.0 * defect))
 
 
@@ -510,7 +510,9 @@ class StabilityReport:
             "interior_identity_residual_max": self.interior_identity_residual_max,
             "residuals": {
                 "minimality": self.minimality_residual,
-                "free_boundary": self.free_boundary_defect,
+                # inf (no boundary samples) is not JSON; the failure says why
+                "free_boundary": (self.free_boundary_defect
+                                  if np.isfinite(self.free_boundary_defect) else None),
             },
             "curvature_min": self.curvature_min,
             "margin_g": self.margin_g,

@@ -34,14 +34,7 @@ from fbstab import domain as dm
 from fbstab import flow as fl
 from fbstab.errors import DomainError
 from fbstab.fields import ConformalMetric, ScalarField
-from fbstab.submanifold import (
-    _batched_frames,
-    _upper_inverse,
-    conformal_sff,
-    integrate_boundary,
-    integrate_interior,
-    mean_curvature_bracket,
-)
+from fbstab.submanifold import _batched_frames, _upper_inverse
 from fbstab.variation import _in_basis
 
 
@@ -292,24 +285,26 @@ def check_gradient_tube(domain: dm.LevelSetDomain, count: int = 256, seed: int =
 # immersions
 # ---------------------------------------------------------------------------
 
-def boundary_volume(imm, metric: ConformalMetric | None = None) -> float:
-    """(k-1)-volume of the boundary; weights already carry Euclidean measure."""
-    return integrate_boundary(imm, 1.0, metric)
+def boundary_volume(imm, metric: ConformalMetric) -> float:
+    """Rescaled (k-1)-volume of the boundary; weights already carry Euclidean
+    measure."""
+    return float(np.sum(imm.bws * metric.volume_scale(imm.bxs, imm.k - 1)))
 
 
 def first_variation_value(imm, metric: ConformalMetric, interior_dirs, boundary_dirs) -> float:
     """Pairing of a variation field with the first variation of volume:
     -int <X, H~> dV + int <X, nu~> dA in the rescaled metric."""
-    u, bracket = mean_curvature_bracket(imm, metric)
-    H_conf = np.exp(-2.0 * u)[:, None] * bracket
+    record = imm.ambient(metric)
+    H_conf = np.exp(-2.0 * record.u)[:, None] * record.bracket
     fac = metric.factor(imm.xs)
     vals = -fac * np.sum(np.asarray(interior_dirs) * H_conf, axis=1)
-    total = integrate_interior(imm, vals, metric)
+    dens = imm.ws * imm.jacobian_factor * metric.volume_scale(imm.xs, imm.k)
+    total = float(np.sum(dens * vals))
     if imm.n_boundary:
         u_b = metric.field.value(imm.bxs)
         nu_conf = np.exp(-u_b)[:, None] * imm.bnus
         bvals = metric.factor(imm.bxs) * np.sum(np.asarray(boundary_dirs) * nu_conf, axis=1)
-        total += integrate_boundary(imm, bvals, metric)
+        total += float(np.sum(imm.bws * metric.volume_scale(imm.bxs, imm.k - 1) * bvals))
     return float(total)
 
 
@@ -495,5 +490,5 @@ def s_tilde_direct_einsum(imm, X, metric: ConformalMetric):
     grad_term = np.sum((X.dperp + u_i[:, :, None] * Xn[:, None, :]) ** 2, axis=(1, 2))
     R = riemann_vector(metric.field, imm.xs[:, None], V[:, None], geo.tangent, V[:, None])
     curv = np.einsum("min,min->m", R, geo.tangent)
-    sff = np.einsum("mijr,mr->mij", conformal_sff(imm, metric), Xn)
+    sff = np.einsum("mijr,mr->mij", imm.ambient(metric).sff, Xn)
     return grad_term - curv - np.sum(sff**2, axis=(1, 2))

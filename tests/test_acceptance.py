@@ -197,16 +197,16 @@ def test_criterion_8_convexity_margins():
     ball = dm.make_domain("ball", 4, radius=1.0)
     ok = True
     details = []
+    sph = make_field("radial-spherical")
     for p in (1, 2, 3):
-        margin, _ = dm.p_convexity_margin(ball, p, count=256, seed=0)
+        margin = dm.convexity_report(ball, sph, p, count=256, seed=0).margin_g
         ok = ok and abs(margin - p) <= 1e-9
         details.append(f"sphere p={p}: {margin:.12f}")
-    metric = ConformalMetric(make_field("radial-spherical"), 4)
-    m_gt, _ = dm.p_convexity_margin(ball, 2, metric, count=256, seed=0)
+    m_gt = dm.convexity_report(ball, sph, 2, count=256, seed=0).margin_gtilde
     ok = ok and abs(m_gt) <= 1e-7
     details.append(f"rescaled sphere: {m_gt:.3e}")
     ell = dm.make_domain("ellipsoid", 3, semi_axes=[2.0, 1.0, 1.0])
-    m1, _ = dm.p_convexity_margin(ell, 1, count=512, seed=0)
+    m1 = dm.convexity_report(ell, make_field("zero"), 1, count=512, seed=0).margin_g
     ok = ok and abs(m1 - 0.25) <= 1e-3
     details.append(f"ellipsoid p=1: {m1:.6f}")
     assert report("8 (convexity margins)", ok, "; ".join(details))

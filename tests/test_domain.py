@@ -235,27 +235,27 @@ def test_rescaled_shape_operator_matches_fd_oracle(field_spec, rng):
 
 def test_margins_sphere_and_ellipsoid():
     ball = dm.make_domain("ball", 4, radius=1.0)
+    sph = make_field("radial-spherical")
     for p in (1, 2, 3):
-        margin, _ = dm.p_convexity_margin(ball, p, count=128, seed=0)
-        assert abs(margin - p) < 1e-9
-    metric = ConformalMetric(make_field("radial-spherical"), 4)
-    margin, _ = dm.p_convexity_margin(ball, 2, metric, count=128, seed=0)
-    assert abs(margin) < 1e-7
+        report = dm.convexity_report(ball, sph, p, count=128, seed=0)
+        assert abs(report.margin_g - p) < 1e-9
+        if p == 2:
+            assert abs(report.margin_gtilde) < 1e-7
     ell = dm.make_domain("ellipsoid", 3, semi_axes=[2.0, 1.0, 1.0])
-    margin, worst = dm.p_convexity_margin(ell, 1, count=256, seed=0)
-    assert abs(margin - 0.25) < 1e-3
+    report = dm.convexity_report(ell, make_field("zero"), 1, count=256, seed=0)
+    assert abs(report.margin_g - 0.25) < 1e-3
     # minimum attained on the waist circle, away from the long axis
-    assert abs(worst[0]) < 0.3
+    assert abs(report.worst_point_g[0]) < 0.3
 
 
 def test_polish_keeps_sweep_point_on_ties():
     """On the ball every boundary point ties, so a polish that gains only
     round-off must leave the worst point at a sweep point."""
     ball = dm.make_domain("ball", 4, radius=1.0)
-    margin, worst = dm.p_convexity_margin(ball, 1, count=256, seed=42)
-    assert abs(margin - 1.0) < 1e-9
+    report = dm.convexity_report(ball, make_field("zero"), 1, count=256, seed=42)
+    assert abs(report.margin_g - 1.0) < 1e-9
     pts = dm.sample_boundary(ball, 256, 42)
-    assert np.any(np.all(pts == worst, axis=1))
+    assert np.any(np.all(pts == report.worst_point_g, axis=1))
 
 
 def test_polish_is_resolution_independent():
@@ -265,7 +265,7 @@ def test_polish_is_resolution_independent():
     metric = ConformalMetric(make_field("linear", a=[0.3, -0.2, 0.1, 0.05, 0.2]), 5)
     margins = []
     for count in (256, 1024):
-        margin, _ = dm.p_convexity_margin(ell, 3, metric, count=count, seed=0)
+        margin = dm.convexity_report(ell, metric.field, 3, count=count, seed=0).margin_gtilde
         pts = dm.sample_boundary(ell, count, 0)
         assert margin <= np.min(np.sum(dm.principal_curvatures(ell, pts, metric)[:, :3], axis=1))
         margins.append(margin)
@@ -390,9 +390,12 @@ def test_lockstep_searches_match_single_searches(kind, p):
     dom = dm.make_domain(kind, 5, **params)
     field = make_field("linear", a=[0.3, -0.2, 0.1, 0.05, 0.2])
     report = dm.convexity_report(dom, field, p, count=256, seed=2)
-    margin_g, worst_g = dm.p_convexity_margin(dom, p, count=256, seed=2)
-    margin_gt, worst_gt = dm.p_convexity_margin(dom, p, ConformalMetric(field, 5),
-                                                count=256, seed=2)
+    pts = dm.sample_boundary(dom, 256, 2)
+    (margin_g, worst_g, _), = dm._swept_margins(
+        dom, p, [None], pts, [dm.principal_curvatures(dom, pts)])
+    metric = ConformalMetric(field, 5)
+    (margin_gt, worst_gt, _), = dm._swept_margins(
+        dom, p, [metric], pts, [dm.principal_curvatures(dom, pts, metric)])
     assert margin_g == report.margin_g and np.array_equal(worst_g, report.worst_point_g)
     assert margin_gt == report.margin_gtilde
     assert np.array_equal(worst_gt, report.worst_point_gtilde)
@@ -484,8 +487,7 @@ def test_margin_eigenvalue_sum_consistency():
 
 def test_superellipsoid_margin_nonnegative():
     se = dm.make_domain("superellipsoid", 3, exponent=2)
-    margin, _ = dm.p_convexity_margin(se, 1, count=256, seed=1)
-    assert margin >= -1e-9
+    assert dm.convexity_report(se, make_field("zero"), 1, count=256, seed=1).margin_g >= -1e-9
 
 
 def test_convexity_report_and_gate():
@@ -528,4 +530,4 @@ def test_domain_catalog_errors():
     with pytest.raises(ConfigError):
         dm.make_domain("ellipsoid", 3, semi_axes=[1.0, 2.0])
     with pytest.raises(ConfigError):
-        dm.p_convexity_margin(dm.make_domain("ball", 3, radius=1.0), 5)
+        dm.convexity_report(dm.make_domain("ball", 3, radius=1.0), make_field("zero"), 5)

@@ -33,8 +33,8 @@ def test_grid_immersion_matches_catalog_quadrature():
     imm = flat_grid().immersion(validate=True)
     assert abs(sub.volume(imm, M3) - np.pi) < 1e-12
     assert abs(oracles.boundary_volume(imm, M3) - 2 * np.pi) < 1e-12
-    assert sub.check_minimality(imm, M3, 1e-12).passed
-    assert sub.check_free_boundary(imm, DOM3, 1e-12).passed
+    assert imm.ambient(M3).minimality.max_residual <= 1e-12
+    assert imm.ambient(None, DOM3).defect.max_residual <= 1e-12
 
 
 def test_direction_zero_on_minimal_orthogonal():
@@ -387,7 +387,7 @@ def test_flow_returns_to_disk_and_feeds_certificate():
     imm, converged, state = fl.run_flow(grid, metric, dom, fl.FlowConfig(max_iter=5000))
     assert converged
     assert state.residual <= 1e-3
-    assert sub.check_free_boundary(imm, dom, 1e-2).passed
+    assert imm.ambient(None, dom).defect.max_residual <= 1e-2
 
     # the relaxed immersion is a valid certificate input at its own residual
     from fbstab import variation as var

@@ -262,3 +262,39 @@ def test_cli_expected_value_without_tol(tmp_path, capsys):
     }))
     assert cli.main(["stability", "--config", str(cfg)]) == 1
     assert "traced_total: got" in capsys.readouterr().out
+
+
+def test_cli_stability_takes_p_from_the_scenario(tmp_path):
+    """The scenario's p applies unless the certificate block sets one."""
+    for block, want in (({}, 1), ({"p": 2}, 2)):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "scenario": {"name": "inline-p", "n": 5, "k": 2, "p": 1,
+                         "immersion": {"kind": "equatorial-disk", "nr": 8, "ntheta": 16}},
+            "certificate": {"convexity_samples": 64, **block},
+        }))
+        assert cli.main(["stability", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        doc = json.loads((tmp_path / "stability-inline-p.json").read_text())
+        assert doc["p"] == want
+
+
+def test_cli_stability_without_boundary_samples_writes_strict_json(tmp_path, capsys):
+    """A graph immersion has no boundary samples: its defect is written as
+    null, and the failed hypothesis still names it."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "scenario": {"name": "inline-graph", "n": 4, "k": 2,
+                     "immersion": {"kind": "graph",
+                                   "coeffs": [[[0.3, [2, 0]]], [[0.0, [0, 0]]]]}},
+        "certificate": {"convexity_samples": 64},
+    }))
+    cli.main(["stability", "--config", str(cfg), "--out", str(tmp_path)])
+    assert "free-boundary: defect inf" in capsys.readouterr().out
+
+    def refuse(name):
+        raise ValueError(f"not JSON: {name}")
+
+    text = (tmp_path / "stability-inline-graph.json").read_text()
+    doc = json.loads(text, parse_constant=refuse)
+    assert doc["residuals"]["free_boundary"] is None
+    assert any(f.startswith("free-boundary") for f in doc["failed_hypotheses"])

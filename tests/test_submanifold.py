@@ -162,19 +162,18 @@ def test_equatorial_disk_minimal_in_radial_metric(cap_b4):
     imm, metric = cap_b4.immersion, cap_b4.metric
     assert np.allclose(imm.geometry().H, 0.0, atol=1e-14)
     assert np.allclose(_conformal_mean_curvature(imm, metric), 0.0, atol=1e-14)
-    report = sub.check_minimality(imm, metric, 1e-8)
-    assert report.passed and report.max_residual < 1e-12
+    assert imm.ambient(metric).minimality.max_residual < 1e-12
 
 
 def test_conformal_sff(cap_b4, metric_zero4):
     imm, metric = cap_b4.immersion, cap_b4.metric
     geo = imm.geometry()
     # zero exponent: unchanged
-    at0 = sub.conformal_sff(imm, metric_zero4)
+    at0 = imm.ambient(metric_zero4).sff
     assert at0.shape == geo.alpha.shape
     assert np.allclose(at0, geo.alpha)
     # radial exponent on the equatorial disk: normal gradient vanishes
-    at = sub.conformal_sff(imm, metric)
+    at = imm.ambient(metric).sff
     assert np.max(np.abs(at)) < 1e-14
     # trace law against the conformal mean curvature
     tr = np.einsum("miir,mrx->mx", at, geo.normal)
@@ -187,7 +186,7 @@ def test_conformal_sff_closure_via_connection(custom_b4):
     connection correction agree with the transformation law."""
     imm, metric = custom_b4.immersion, custom_b4.metric
 
-    sff = sub.conformal_sff(imm, metric)
+    sff = imm.ambient(metric).sff
     normal = imm.geometry().normal
     for i in (0, 11, 101):
         x, J, Hchart = imm.xs[i], imm.Js[i], imm.Hs[i]
@@ -262,27 +261,24 @@ def test_frame_invariance_under_reparametrization(rng):
     assert np.max(np.abs(a1 - a2)) < 1e-9
 
 
-def test_check_minimality_fail_and_infinite_tol():
+def test_minimality_report_of_a_non_minimal_cap():
     imm = sub.make_immersion("paraboloid-cap", curvature=0.5, n=3)
     m0 = ConformalMetric(make_field("zero"), 3)
-    rep = sub.check_minimality(imm, m0, 1e-8)
-    assert not rep.passed and rep.max_residual > 0.1
-    assert sub.check_minimality(imm, m0, np.inf).passed
+    assert imm.ambient(m0).minimality.max_residual > 0.1
 
 
 def test_free_boundary_checks(flat_b4, ball4):
-    rep = sub.check_free_boundary(flat_b4.immersion, ball4, 1e-9)
-    assert rep.passed
+    assert flat_b4.immersion.ambient(None, ball4).defect.max_residual <= 1e-9
     tilt = build_scenario("tilted-disk-b3")
     want = tilt.scenario.expected["fb_defect"]
-    rep = sub.check_free_boundary(tilt.immersion, tilt.domain, 1e-3)
-    assert not rep.passed
+    rep = tilt.immersion.ambient(None, tilt.domain).defect
+    assert rep.max_residual > 1e-3
     assert abs(rep.max_residual - want["value"]) < want["tol"]
 
 
 def test_free_boundary_conformal_invariance(cap_b4):
     imm, dom, metric = cap_b4.immersion, cap_b4.domain, cap_b4.metric
-    d0 = sub.boundary_defects(imm, dom)
+    d0 = imm.ambient(None, dom).defect.residuals
     d1 = sub.boundary_defects(imm, dom, metric)
     assert np.max(np.abs(d0 - d1)) < 1e-12
 
@@ -293,8 +289,45 @@ def test_off_boundary_sample_rejected(flat_b4):
         2, 4, imm.xs, imm.Js, imm.Hs, imm.ws,
         0.9 * imm.bxs, imm.bJs, imm.bws, imm.bnus,
     )
-    with pytest.raises(InvalidSampleError):
-        sub.boundary_defects(shrunk, flat_b4.domain)
+    with pytest.raises(InvalidSampleError, match="off the domain boundary"):
+        shrunk.ambient(None, flat_b4.domain).defect
+
+
+def test_defect_without_boundary_samples_is_a_typed_error(ball4):
+    imm = sub.make_immersion("equatorial-disk", n=4, k=2, nr=4, ntheta=8)
+    bare = sub.SampledImmersion(2, 4, imm.xs, imm.Js, imm.Hs, imm.ws)
+    with pytest.raises(InvalidSampleError, match="no boundary samples"):
+        bare.ambient(None, ball4).defect
+
+
+@pytest.mark.parametrize("name", ["cap-disk-b4k2", "tilted-disk-b3", "paraboloid-b3"])
+def test_residual_reports_name_their_worst_sample(name):
+    built = build_scenario(name)
+    imm = built.immersion
+    for rep, points in ((imm.ambient(built.metric).minimality, imm.xs),
+                        (imm.ambient(None, built.domain).defect, imm.bxs)):
+        assert rep.max_residual == rep.residuals.max()
+        assert rep.residuals[rep.worst_index] == rep.max_residual
+        assert np.array_equal(rep.worst_point, points[rep.worst_index])
+        assert not rep.residuals.flags.writeable
+
+
+def test_defect_reads_the_outward_normals_of_the_boundary_form(monkeypatch):
+    calls = []
+    outward = sub.outward_normal
+
+    def counted(domain, x):
+        calls.append(len(x))
+        return outward(domain, x)
+
+    monkeypatch.setattr(sub, "outward_normal", counted)
+    built = build_scenario("cap-disk-b4k2")
+    imm = built.immersion
+    record = imm.ambient(None, built.domain)
+    nhat = record.boundary_form[0]
+    rep = record.defect
+    assert calls == [imm.n_boundary]
+    assert np.array_equal(rep.residuals, sub.angle_defects(imm.bnus, nhat))
 
 
 def test_validation_rejects_bad_samples(flat_b4):

@@ -234,7 +234,7 @@ def test_trace_t_euclid_ball(flat_b4, ball4, rng):
     imm = flat_b4.immersion
     vals = var.trace_t_euclid(imm, ball4)
     assert np.allclose(vals, -2.0, atol=1e-12)
-    total = sub.integrate_boundary(imm, vals)
+    total = np.sum(imm.bws * vals)
     assert abs(total - (-2 * 2 * np.pi)) < 1e-9
     Q, _ = np.linalg.qr(rng.normal(size=(4, 4)))
     assert np.max(np.abs(vals - var.trace_t_euclid(imm, ball4, basis=Q.T))) < 1e-12
@@ -403,7 +403,7 @@ def test_warm_second_variation_evaluates_only_the_field_x(monkeypatch):
     imm, dom = built.immersion, built.domain
     metric, calls = _counting_metric("radial-spherical", 4)
     checks = Counter()
-    for name in ("minimality_residuals", "boundary_defects"):
+    for name in ("bracket_norms", "angle_defects"):
         def counted(*args, _fn=getattr(sub, name), _name=name):
             checks[_name] += 1
             return _fn(*args)
@@ -411,7 +411,7 @@ def test_warm_second_variation_evaluates_only_the_field_x(monkeypatch):
 
     first = var.second_variation(imm, metric, var.projected_field(imm, np.eye(4)[0]), dom)
     assert sum(calls.values()) > 0
-    assert checks == {"minimality_residuals": 1, "boundary_defects": 1}
+    assert checks == {"bracket_norms": 1, "angle_defects": 1}
     calls.clear()
     checks.clear()
     again = [var.second_variation(imm, metric, var.projected_field(imm, E), dom)

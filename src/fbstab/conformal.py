@@ -23,33 +23,45 @@ RADIAL_ZOOM_ROUNDS = 6
 RADIAL_ZOOM = 33
 
 
+def schouten(grad, hess) -> np.ndarray:
+    """B = Hess u - grad u grad u^T + |grad u|^2 I / 2 ``(m, n, n)`` at m
+    points, from grad u ``(m, n)`` and Hess u ``(m, n, n)`` there.  Minus the
+    curvature form is its Kulkarni-Nomizu product with <.,.>, so
+    ``curvature_form`` and ``tangent_curvature`` state the curvature once."""
+    B = hess - grad[:, :, None] * grad[:, None, :]
+    return B + 0.5 * np.sum(grad * grad, axis=1)[:, None, None] * np.eye(grad.shape[1])
+
+
 def curvature_form(grad, hess, X, Y, Z, W) -> np.ndarray:
     """Euclidean pairing <R(X,Y)Z, W> of e^{2u} * Euclidean at m points,
     given grad u ``(m, n)`` and Hess u ``(m, n, n)`` there.
 
     Vectors are ``(m, j, n)`` stacks that broadcast in ``j``; returns
-    ``(m, j)``.  Antisymmetric under X <-> Y and under Z <-> W.  The
-    Hessian is applied to the X and Y stacks only: <Hess u X, Z> =
-    <X, Hess u Z>.  The caller evaluates the field, so samples held by an
-    immersion's ambient record feed the form without a new evaluation.
+    ``(m, j)``.  Antisymmetric under X <-> Y and under Z <-> W.  With B =
+    ``schouten(grad, hess)`` the form is -[B(X,Z)<Y,W> + B(Y,W)<X,Z> -
+    B(X,W)<Y,Z> - B(Y,Z)<X,W>], B applied to the X and Y stacks only.  The
+    caller evaluates the field, so samples held by an immersion's ambient
+    record feed the form without a new evaluation.
     """
-    g = grad[:, None, :]
-
     def dot(a, b):
         return np.einsum("...n,...n->...", a, b)
 
-    hX, hY = X @ hess, Y @ hess
-    xu, yu, zu, wu = dot(X, g), dot(Y, g), dot(Z, g), dot(W, g)
-    xz, xw, yz, yw = dot(X, Z), dot(X, W), dot(Y, Z), dot(Y, W)
-    return (
-        zu * (xu * yw - yu * xw)
-        + wu * (yu * xz - xu * yz)
-        + dot(g, g) * (yz * xw - xz * yw)
-        + yz * dot(hX, W)
-        - xz * dot(hY, W)
-        + xw * dot(hY, Z)
-        - yw * dot(hX, Z)
-    )
+    B = schouten(grad, hess)
+    bX, bY = X @ B, Y @ B
+    return (dot(bX, W) * dot(Y, Z) + dot(bY, Z) * dot(X, W)
+            - dot(bX, Z) * dot(Y, W) - dot(bY, W) * dot(X, Z))
+
+
+def tangent_curvature(grad, hess, tangent) -> np.ndarray:
+    """The symmetric ``(m, n, n)`` A with V^T A V = sum_i <R(V, v_i)V, v_i>
+    for every V, the v_i the rows of ``tangent`` ``(m, k, n)``.  X = Z = V
+    and Y = W = v_i in ``curvature_form`` give A = BP + PB - tr(P) B - tr(PB)
+    I, with B = ``schouten`` and P = T^T T; V need not be normal."""
+    B = schouten(grad, hess)
+    P = np.swapaxes(tangent, 1, 2) @ tangent
+    BP = B @ P
+    return (BP + np.swapaxes(BP, 1, 2) - np.einsum("mii->m", P)[:, None, None] * B
+            - np.einsum("mij,mji->m", P, B)[:, None, None] * np.eye(B.shape[1]))
 
 
 def riemann(field: ScalarField, x, X, Y, Z) -> np.ndarray:

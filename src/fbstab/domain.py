@@ -158,13 +158,6 @@ def _curvatures_and_normals(domain: LevelSetDomain, x) -> tuple[Array, Array]:
     return np.linalg.eigvalsh(H[..., :-1, :-1] - (vz + np.swapaxes(vz, -1, -2))), nhat
 
 
-def principal_curvatures(domain: LevelSetDomain, x, metric=None) -> Array:
-    """Ascending principal curvatures ``(..., n-1)`` from the Householder
-    kernel; the rescaled ones follow by the conformal law at its normals."""
-    kappa, nhat = _curvatures_and_normals(domain, x)
-    return kappa if metric is None else _rescaled(metric.field, x, nhat, kappa)[0]
-
-
 # ---------------------------------------------------------------------------
 # boundary sampling
 # ---------------------------------------------------------------------------

@@ -126,10 +126,6 @@ class ConformalMetric:
         Y = np.asarray(Y, float)
         return self.factor(x) * np.sum(X * Y, axis=-1)
 
-    def volume_scale(self, x, k: int) -> Array:
-        """Scale factor e^{k u(x)} of the induced k-dimensional measure."""
-        return np.exp(k * self.field.value(x))
-
 
 def euclidean_metric(n: int) -> ConformalMetric:
     return ConformalMetric(make_field("zero"), n)

@@ -258,26 +258,15 @@ def _measure(imm: SampledImmersion, metric: ConformalMetric,
 
 
 def _descent(measure: GridMeasure, metric: ConformalMetric) -> tuple[Array, Array]:
-    """``first_variation_direction`` from a measure."""
+    """Steepest-descent direction of rescaled volume from a measure: inside,
+    the rescaled mean curvature vector (its pairing with the first variation
+    is -|H~|^2 <= 0), H from the chart Gram (``_gram_terms``), not from
+    ``geometry()``; on the rim, minus the rescaled conormal projected onto
+    the ambient boundary's tangent space."""
     imm, nhat = measure.immersion, measure.rim_normals
     interior = np.exp(-2.0 * measure.u)[:, None] * measure.bracket
     nu_t = imm.bnus - np.sum(imm.bnus * nhat, axis=1, keepdims=True) * nhat
     return interior, -np.exp(-metric.field.value(imm.bxs))[:, None] * nu_t
-
-
-def first_variation_direction(imm: SampledImmersion, metric: ConformalMetric,
-                              domain: LevelSetDomain):
-    """Steepest-descent direction of rescaled volume.
-
-    Interior: the rescaled mean curvature vector (its pairing with the first
-    variation is -|H~|^2 <= 0), with H from the chart Gram as the flow
-    measures it (``_gram_terms``), not from ``geometry()``.  Boundary: minus
-    the rescaled conormal, projected onto the ambient boundary's tangent
-    space.  Raises ``InvalidSampleError`` for a boundary sample off the
-    domain boundary and ``DomainError`` where grad phi vanishes there (see
-    ``boundary_normals``).
-    """
-    return _descent(_measure(imm, metric, domain), metric)
 
 
 @dataclass(frozen=True)

@@ -556,7 +556,8 @@ def _suite_certificate(col: _Collector, seed: int, quadrature):
         with col.guard(name, "certificate"):
             built = build_scenario(name, quadrature)
             imm, metric, dom = built.immersion, built.metric, built.domain
-            report = var.instability_certificate(imm, metric, dom, cfg)
+            report = var.instability_certificate(
+                imm, metric, dom, var.CertificateConfig(seed=seed, p=built.scenario.p))
             exp = built.scenario.expected
             if "traced_total" in exp:
                 e = exp["traced_total"]

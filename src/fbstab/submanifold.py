@@ -27,6 +27,7 @@ from functools import cache, cached_property, wraps
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
+from . import conformal
 from .domain import boundary_form as domain_boundary_form, outward_normal
 from .errors import ConfigError, DegenerateSampleError, InvalidSampleError
 from .fields import ConformalMetric, make_field
@@ -270,12 +271,13 @@ class AmbientSamples:
     An entry lives in the record keyed by what it depends on, so it is
     evaluated once per immersion whichever reader asks: the field samples,
     their tangential and normal components, the rescaled second fundamental
-    form, the integration densities, the mean curvature bracket and the
-    minimality residuals under ``(metric, None)``; the boundary form and the
-    free-boundary defects under ``(None, domain)``; eta(u) under ``(metric,
-    domain)``.  The residual entries are ``ResidualReport``s.  Caching is sound
-    because the immersion's arrays are read-only and metrics and domains are
-    frozen.  An entry that raises stores nothing, so every read raises again.
+    form, the tangent-traced curvature operator, the integration densities,
+    the mean curvature bracket and the minimality residuals under ``(metric,
+    None)``; the boundary form and the free-boundary defects under ``(None,
+    domain)``; eta(u) under ``(metric, domain)``.  The residual entries are
+    ``ResidualReport``s.  Caching is sound because the immersion's arrays are
+    read-only and metrics and domains are frozen.  An entry that raises
+    stores nothing, so every read raises again.
     The record holds its immersion weakly: the cache makes no reference cycle.
     """
 
@@ -318,6 +320,11 @@ class AmbientSamples:
         """
         eye = np.eye(self.imm.k)[None, :, :, None]
         return self.imm.geometry().alpha - eye * self.grad_nor[:, None, None, :]
+
+    @_entry
+    def tangent_curvature(self) -> Array:
+        """A ``(m, n, n)``: sum_i <R(V, v_i)V, v_i> = V^T A V per sample."""
+        return conformal.tangent_curvature(self.grad, self.hess, self.imm.geometry().tangent)
 
     @_entry
     def density(self) -> Array:

@@ -16,9 +16,10 @@ Nothing of that data depends on the field: the forms, traces, bound and
 certificate read it from the immersion's cached ``geometry()`` and
 ``ambient(metric, domain)`` records, so after the first call a form does only
 the work that X changes, and an n x n matrix Q(E_i, E_j) evaluates the
-field, the boundary form and the hypothesis residuals once.  The
-rescaled densities have two routes, Euclidean data plus a transformation law
-and direct evaluation with the conformal connection and curvature; their
+field, the boundary form, the hypothesis residuals and the curvature
+operator A once; the curvature term sum_i <R(X,v_i)X, v_i> is then X^T A X.
+The rescaled densities have two routes, Euclidean data plus a transformation
+law and direct evaluation with the conformal connection and curvature; their
 agreement is a test obligation.  Traces over the projected coordinate fields
 e_l^perp take an optional orthonormal basis (canonical by default);
 invariance under rotating it is tested, not assumed.
@@ -160,19 +161,19 @@ def s_tilde_direct(imm: SampledImmersion, X: NormalField,
 
     Uses only the conformal connection, curvature tensor and second
     fundamental form; no minimality assumption.  Dual route to
-    ``s_tilde_transformed`` for closure testing.
+    ``s_tilde_transformed`` for closure testing.  The curvature term is
+    X^T A X, A the record's ``tangent_curvature``.
     """
     _check_normal(imm, X)
     geo = imm.geometry()
     record = imm.ambient(metric)
-    T, V = geo.tangent, X.values
+    V = X.values
     m, k, _, q = geo.alpha.shape
     Xn = np.einsum("mqn,mn->mq", geo.normal, V)
     grad_term = np.sum((X.dperp + record.grad_tan[:, :, None] * Xn[:, None, :]) ** 2,
                        axis=(1, 2))
     # sum_i <R(X, v_i) X, v_i>; no orthogonality of X and the v_i is assumed
-    curv = np.sum(conformal.curvature_form(record.grad, record.hess, V[:, None], T,
-                                           V[:, None], T), axis=1)
+    curv = np.einsum("mn,mnp,mp->m", V, record.tangent_curvature, V)
     sff = record.sff.reshape(m, k * k, q) @ Xn[:, :, None]
     return grad_term - curv - np.sum(sff**2, axis=(1, 2))
 

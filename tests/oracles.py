@@ -1,10 +1,11 @@
 """Independent references for the tests; no verb, suite or script calls them.
 
-Three kinds live here:
+These kinds live here:
 
 * oracles with a route of their own: the immersion frames by LAPACK QR,
   the QR shape operator and its tangent basis, the Christoffel symbols and
-  the connection correction, the inward normal, the gradient-tube probe,
+  the connection correction, the curvature form written out term by term
+  without the Schouten tensor, the inward normal, the gradient-tube probe,
   the first-variation pairing and the boundary volume;
 * the term-by-term loop that the stacked polynomial field must reproduce
   bit for bit, the convexity polish run for all its rounds, against which
@@ -17,6 +18,9 @@ Three kinds live here:
   batched 2 x 2 matrix products and the implicit solve by
   ``np.linalg.solve``, against which the tests hold each cached-operator
   kernel and whole flow steps;
+* helpers that only tests call, over the package's own kernels: the
+  principal curvatures of the Householder kernel, the volume scale
+  e^{ku} and the flow's descent direction of a fresh measure;
 * the ``np.einsum`` statements of the per-sample kernels that the package
   evaluates as batched matrix products: the second fundamental form and mean
   curvature of ``SampledImmersion.geometry()``, its Jacobian factor, the
@@ -74,6 +78,28 @@ def riemann_vector(field: ScalarField, x, X, Y, Z) -> np.ndarray:
         xu * zu * Y - yu * zu * X - xu * yz * g + yu * xz * g
         - xz * hess(Y) + yz * hess(X) - xz * g2 * Y + yz * g2 * X
         - dot(X, hess(Z)) * Y + dot(Y, hess(Z)) * X
+    )
+
+
+def curvature_form_expanded(grad, hess, X, Y, Z, W) -> np.ndarray:
+    """``conformal.curvature_form`` written out as the pairings of grad u
+    and Hess u with the four vectors, without the Schouten tensor."""
+    g = grad[:, None, :]
+
+    def dot(a, b):
+        return np.einsum("...n,...n->...", a, b)
+
+    hX, hY = X @ hess, Y @ hess
+    xu, yu, zu, wu = dot(X, g), dot(Y, g), dot(Z, g), dot(W, g)
+    xz, xw, yz, yw = dot(X, Z), dot(X, W), dot(Y, Z), dot(Y, W)
+    return (
+        zu * (xu * yw - yu * xw)
+        + wu * (yu * xz - xu * yz)
+        + dot(g, g) * (yz * xw - xz * yw)
+        + yz * dot(hX, W)
+        - xz * dot(hY, W)
+        + xw * dot(hY, Z)
+        - yw * dot(hX, Z)
     )
 
 
@@ -163,6 +189,14 @@ def boundary_tangent_basis(domain: dm.LevelSetDomain, x) -> np.ndarray:
     d = np.diagonal(R[..., : domain.n], axis1=-2, axis2=-1)
     Q = Q * np.where(d == 0.0, 1.0, np.sign(d))[..., None, :]
     return np.swapaxes(Q[..., 1:], -1, -2)
+
+
+def principal_curvatures(domain: dm.LevelSetDomain, x, metric=None) -> np.ndarray:
+    """Ascending principal curvatures ``(..., n-1)`` from the package's
+    Householder kernel; the rescaled ones follow by the conformal law at its
+    normals."""
+    kappa, nhat = dm._curvatures_and_normals(domain, x)
+    return kappa if metric is None else dm._rescaled(metric.field, x, nhat, kappa)[0]
 
 
 def shape_operator(domain: dm.LevelSetDomain, x,
@@ -285,10 +319,15 @@ def check_gradient_tube(domain: dm.LevelSetDomain, count: int = 256, seed: int =
 # immersions
 # ---------------------------------------------------------------------------
 
+def volume_scale(metric: ConformalMetric, x, k: int) -> np.ndarray:
+    """Scale factor e^{k u(x)} of the induced k-dimensional measure."""
+    return np.exp(k * metric.field.value(x))
+
+
 def boundary_volume(imm, metric: ConformalMetric) -> float:
     """Rescaled (k-1)-volume of the boundary; weights already carry Euclidean
     measure."""
-    return float(np.sum(imm.bws * metric.volume_scale(imm.bxs, imm.k - 1)))
+    return float(np.sum(imm.bws * volume_scale(metric, imm.bxs, imm.k - 1)))
 
 
 def first_variation_value(imm, metric: ConformalMetric, interior_dirs, boundary_dirs) -> float:
@@ -298,14 +337,22 @@ def first_variation_value(imm, metric: ConformalMetric, interior_dirs, boundary_
     H_conf = np.exp(-2.0 * record.u)[:, None] * record.bracket
     fac = metric.factor(imm.xs)
     vals = -fac * np.sum(np.asarray(interior_dirs) * H_conf, axis=1)
-    dens = imm.ws * imm.jacobian_factor * metric.volume_scale(imm.xs, imm.k)
+    dens = imm.ws * imm.jacobian_factor * volume_scale(metric, imm.xs, imm.k)
     total = float(np.sum(dens * vals))
     if imm.n_boundary:
         u_b = metric.field.value(imm.bxs)
         nu_conf = np.exp(-u_b)[:, None] * imm.bnus
         bvals = metric.factor(imm.bxs) * np.sum(np.asarray(boundary_dirs) * nu_conf, axis=1)
-        total += float(np.sum(imm.bws * metric.volume_scale(imm.bxs, imm.k - 1) * bvals))
+        total += float(np.sum(imm.bws * volume_scale(metric, imm.bxs, imm.k - 1) * bvals))
     return float(total)
+
+
+def first_variation_direction(imm, metric: ConformalMetric, domain: dm.LevelSetDomain):
+    """The flow's steepest-descent direction of rescaled volume, ``flow._descent``
+    of a fresh measure: ``(interior (m, n), boundary (mb, n))``.  Raises
+    ``InvalidSampleError`` for a boundary sample off the domain boundary and
+    ``DomainError`` where grad phi vanishes there."""
+    return fl._descent(fl._measure(imm, metric, domain), metric)
 
 
 # ---------------------------------------------------------------------------

@@ -267,7 +267,8 @@ def test_polish_is_resolution_independent():
     for count in (256, 1024):
         margin = dm.convexity_report(ell, metric.field, 3, count=count, seed=0).margin_gtilde
         pts = dm.sample_boundary(ell, count, 0)
-        assert margin <= np.min(np.sum(dm.principal_curvatures(ell, pts, metric)[:, :3], axis=1))
+        kappa = oracles.principal_curvatures(ell, pts, metric)
+        assert margin <= np.min(np.sum(kappa[:, :3], axis=1))
         margins.append(margin)
     assert abs(margins[0] - margins[1]) < 1e-9
 
@@ -392,10 +393,10 @@ def test_lockstep_searches_match_single_searches(kind, p):
     report = dm.convexity_report(dom, field, p, count=256, seed=2)
     pts = dm.sample_boundary(dom, 256, 2)
     (margin_g, worst_g, _), = dm._swept_margins(
-        dom, p, [None], pts, [dm.principal_curvatures(dom, pts)])
+        dom, p, [None], pts, [oracles.principal_curvatures(dom, pts)])
     metric = ConformalMetric(field, 5)
     (margin_gt, worst_gt, _), = dm._swept_margins(
-        dom, p, [metric], pts, [dm.principal_curvatures(dom, pts, metric)])
+        dom, p, [metric], pts, [oracles.principal_curvatures(dom, pts, metric)])
     assert margin_g == report.margin_g and np.array_equal(worst_g, report.worst_point_g)
     assert margin_gt == report.margin_gtilde
     assert np.array_equal(worst_gt, report.worst_point_gtilde)
@@ -462,7 +463,7 @@ def test_principal_curvatures_match_qr_route(kind, params):
     calls = {"gradient": 0, "hessian": 0}
     counted = counting_domain(dom, calls)
     for m in (None, metric):
-        kappa = dm.principal_curvatures(counted, x, m)
+        kappa = oracles.principal_curvatures(counted, x, m)
         oracle = np.linalg.eigvalsh(oracles.shape_operator(dom, x, m))
         assert np.all(np.abs(kappa - oracle) <= 1e-13 * np.maximum(1.0, np.abs(oracle)))
     assert calls == {"gradient": 2, "hessian": 2}
@@ -474,13 +475,13 @@ def test_margin_eigenvalue_sum_consistency():
     eigenvalues of each point's rescaled shape operator."""
     ell = dm.make_domain("ellipsoid", 4, semi_axes=[2.0, 1.2, 1.0, 0.9])
     pts = dm.sample_boundary(ell, 64, seed=3)
-    eigs = dm.principal_curvatures(ell, pts)
+    eigs = oracles.principal_curvatures(ell, pts)
     assert eigs.shape == (64, 3)
     sums = np.cumsum(eigs, axis=1)
     assert np.all(sums[:, 0] <= sums[:, 1]) and np.all(sums[:, 1] <= sums[:, 2] + 1e-15)
     assert np.all(sums > 0)
     metric = ConformalMetric(make_field("radial-custom", coeffs=[0.1, 0.3, -0.15]), 4)
-    rescaled = dm.principal_curvatures(ell, pts, metric)
+    rescaled = oracles.principal_curvatures(ell, pts, metric)
     direct = np.array([np.linalg.eigvalsh(oracles.shape_operator(ell, x, metric)) for x in pts])
     assert np.max(np.abs(rescaled - direct)) < 1e-13
 

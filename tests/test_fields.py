@@ -145,7 +145,7 @@ def test_metric_positive_and_scales(rng):
         assert np.isclose(metric.inner(x, X, X), want)
         if np.linalg.norm(X) > 1e-12:
             assert metric.inner(x, X, X) > 0
-    assert np.isclose(metric.volume_scale(np.zeros(3), 2), 4.0)
+    assert np.isclose(oracles.volume_scale(metric, np.zeros(3), 2), 4.0)
 
 
 def test_euclidean_metric_is_identity_scale(rng):

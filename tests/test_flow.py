@@ -39,7 +39,7 @@ def test_grid_immersion_matches_catalog_quadrature():
 
 def test_direction_zero_on_minimal_orthogonal():
     imm = flat_grid().immersion()
-    interior, boundary = fl.first_variation_direction(imm, M3, DOM3)
+    interior, boundary = oracles.first_variation_direction(imm, M3, DOM3)
     assert np.max(np.abs(interior)) < 1e-13
     assert np.max(np.abs(boundary)) < 1e-13
 
@@ -47,7 +47,7 @@ def test_direction_zero_on_minimal_orthogonal():
 def test_direction_opposes_volume_growth_on_paraboloid():
     imm = sub.make_immersion("paraboloid-cap", curvature=0.5, n=3)
     dom = dm.make_domain("ball", 3, radius=np.sqrt(1.0625))
-    interior, boundary = fl.first_variation_direction(imm, M3, dom)
+    interior, boundary = oracles.first_variation_direction(imm, M3, dom)
     geo = imm.geometry()
     # magnitude equals |H| for the flat exponent, direction along H
     assert np.allclose(np.linalg.norm(interior, axis=1),
@@ -58,7 +58,7 @@ def test_direction_opposes_volume_growth_on_paraboloid():
 
 def test_tilted_disk_boundary_direction_reduces_defect():
     tilt = sub.make_immersion("tilted-disk", angle=np.deg2rad(10), n=3)
-    interior, boundary = fl.first_variation_direction(tilt, M3, DOM3)
+    interior, boundary = oracles.first_variation_direction(tilt, M3, DOM3)
     assert np.max(np.abs(interior)) < 1e-12  # a flat disk is minimal
     assert np.max(np.linalg.norm(boundary, axis=1)) > 1e-2
     pairing = oracles.first_variation_value(tilt, M3, interior, boundary)
@@ -73,7 +73,7 @@ def test_direction_rejects_rim_off_the_boundary():
     positions[grid.nr] *= 1.01
     imm = grid.with_positions(positions).immersion()
     with pytest.raises(InvalidSampleError, match="off the domain boundary"):
-        fl.first_variation_direction(imm, M3, DOM3)
+        oracles.first_variation_direction(imm, M3, DOM3)
 
 
 def rotated_sin_grid(n=4, angle=0.7, amp=0.1, nr=6, ntheta=16):
@@ -146,7 +146,7 @@ def test_flow_builds_no_ambient_record(monkeypatch):
     state = fl.flow_state(bump_grid(), M3, DOM3)
     for _ in range(5):
         state = fl.flow_step(state, M3, DOM3)
-    fl.first_variation_direction(state.immersion, M3, DOM3)
+    oracles.first_variation_direction(state.immersion, M3, DOM3)
 
 
 def test_angular_derivatives_from_one_transform():

@@ -1,5 +1,6 @@
 """Batched matrix-product kernels against their einsum statements, the
-contracted curvature form against the Christoffel oracle, and the
+contracted curvature form against the Christoffel oracle and its expanded
+statement, the tangent-traced curvature operator against the form, and the
 Gram-eigenvalue conditioning check."""
 
 import numpy as np
@@ -55,6 +56,20 @@ def _check_interior(imm, metric, basis=None):
                       oracles.s_tilde_direct_einsum(imm, X, metric))
 
 
+def _check_tangent_curvature(imm, metric, seed):
+    """The record's A is symmetric and V^T A V = sum_i <R(V, v_i)V, v_i>,
+    for the projected constant fields and for a field that is not normal."""
+    record = imm.ambient(metric)
+    A, T = record.tangent_curvature, imm.geometry().tangent
+    assert np.array_equal(A, np.swapaxes(A, 1, 2))
+    fields = [var.projected_field(imm, E).values for E in np.eye(imm.n)]
+    fields.append(np.random.default_rng(seed).normal(size=(imm.n_interior, imm.n)))
+    for V in fields:
+        want = np.sum(conformal.curvature_form(record.grad, record.hess, V[:, None], T,
+                                               V[:, None], T), axis=1)
+        assert _close(np.einsum("mn,mnp,mp->m", V, A, V), want)
+
+
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_registry_kernels_match_einsum(name):
     built = build_scenario(name)
@@ -62,6 +77,7 @@ def test_registry_kernels_match_einsum(name):
     _check_geometry(imm)
     _check_interior(imm, metric)
     _check_interior(imm, metric, _random_basis(imm.n, 3))
+    _check_tangent_curvature(imm, metric, 3)
 
 
 @pytest.mark.parametrize("k,n,seed", RANDOM_GRAPHS)
@@ -74,6 +90,7 @@ def test_random_graph_kernels_match_einsum(k, n, seed):
     ]), n)
     _check_interior(imm, metric)
     _check_interior(imm, metric, _random_basis(n, seed))
+    _check_tangent_curvature(imm, metric, seed)
 
 
 @pytest.mark.parametrize("name", ["cap-disk-b4k2", "cap-disk-b5k3", "flat-disk-b6k3",
@@ -120,6 +137,16 @@ def test_curvature_form_matches_christoffel_oracle(spec):
         for j in range(Y.shape[1]):
             want = riemann_oracle(field, xs[i], X[i, 0], Y[i, j], Z[i, j]) @ W[i, j]
             assert abs(got[i, j] - want) < 5e-6
+
+
+@pytest.mark.parametrize("spec", CURVATURE_FIELDS, ids=[s[0] for s in CURVATURE_FIELDS])
+def test_curvature_form_matches_expanded_statement(spec):
+    field = make_field(spec[0], **spec[1])
+    for seed in (14, 15):
+        xs, X, Y, Z, W = _curvature_args(seed)
+        samples = _samples(field, xs)
+        assert _close(conformal.curvature_form(*samples, X, Y, Z, W),
+                      oracles.curvature_form_expanded(*samples, X, Y, Z, W))
 
 
 @pytest.mark.parametrize("spec", CURVATURE_FIELDS, ids=[s[0] for s in CURVATURE_FIELDS])

@@ -1,6 +1,7 @@
 """Scenario registry, suite execution, report emission, CLI."""
 
 import csv
+import dataclasses
 import io
 import json
 
@@ -9,6 +10,7 @@ import pytest
 
 from fbstab import cli
 from fbstab import scenarios as sc
+from fbstab import variation as var
 from fbstab.errors import ConfigError
 
 
@@ -103,6 +105,25 @@ def test_suite_records_failures_without_aborting(monkeypatch):
     passed_scenarios = {c.scenario for c in result.checks if c.passed}
     assert "radial-custom-disk-b4" in passed_scenarios
     assert not result.all_passed
+
+
+def test_certificate_suite_certifies_at_the_scenario_p(monkeypatch):
+    """A registry entry with ``p`` is certified at that p by the certificate
+    suite, as by ``fbstab stability``; the others at n - k."""
+    name = "flat-disk-b6k3"
+    monkeypatch.setitem(sc.SCENARIOS, name, dataclasses.replace(sc.scenario(name), p=1))
+    certify, reports = var.instability_certificate, []
+
+    def recorded(*args):
+        reports.append(certify(*args))
+        return reports[-1]
+
+    monkeypatch.setattr(var, "instability_certificate", recorded)
+    result = sc.run_suite("certificate", seed=0)
+    assert result.all_passed
+    by_name = dict(zip(sc._CERT_SCENARIOS, reports))
+    assert by_name[name].p == 1
+    assert all(r.p == r.n - r.k for other, r in by_name.items() if other != name)
 
 
 def test_sample_dump_round_trip():

@@ -398,20 +398,21 @@ def _counting_metric(name, n):
 
 def test_warm_second_variation_evaluates_only_the_field_x(monkeypatch):
     """After one Q(X, X), Q over a whole basis calls neither the field nor
-    the residual checks; the per-call checks on X still run."""
+    the residual checks, nor builds the curvature operator again; the
+    per-call checks on X still run."""
     built = sc.build_scenario("cap-disk-b4k2")
     imm, dom = built.immersion, built.domain
     metric, calls = _counting_metric("radial-spherical", 4)
     checks = Counter()
-    for name in ("bracket_norms", "angle_defects"):
-        def counted(*args, _fn=getattr(sub, name), _name=name):
+    for mod, name in ((sub, "bracket_norms"), (sub, "angle_defects"), (conformal, "schouten")):
+        def counted(*args, _fn=getattr(mod, name), _name=name):
             checks[_name] += 1
             return _fn(*args)
-        monkeypatch.setattr(sub, name, counted)
+        monkeypatch.setattr(mod, name, counted)
 
     first = var.second_variation(imm, metric, var.projected_field(imm, np.eye(4)[0]), dom)
     assert sum(calls.values()) > 0
-    assert checks == {"bracket_norms": 1, "angle_defects": 1}
+    assert checks == {"bracket_norms": 1, "angle_defects": 1, "schouten": 1}
     calls.clear()
     checks.clear()
     again = [var.second_variation(imm, metric, var.projected_field(imm, E), dom)
@@ -420,7 +421,14 @@ def test_warm_second_variation_evaluates_only_the_field_x(monkeypatch):
     assert sum(calls.values()) == 0 and sum(checks.values()) == 0
     # every reader shares the cached arrays, so none may write to them
     record = imm.ambient(metric)
-    assert not any(a.flags.writeable for a in (record.u, record.grad, record.hess, record.sff))
+    assert not any(a.flags.writeable for a in (record.u, record.grad, record.hess, record.sff,
+                                               record.tangent_curvature))
+    # another metric on the same immersion gets its own operator
+    other = ConformalMetric(make_field("radial-custom", coeffs=[0.1, 0.4, -0.2]), 4)
+    var.second_variation(imm, other, var.projected_field(imm, np.eye(4)[0]), dom)
+    assert checks["schouten"] == 1
+    A, B = record.tangent_curvature, imm.ambient(other).tangent_curvature
+    assert A is not B and not np.array_equal(A, B)
 
     X = var.projected_field(imm, np.eye(4)[2])
     values = X.values.copy()

@@ -124,7 +124,7 @@ def _expected_failures(report_dict: dict, expected: dict) -> list[str]:
         if isinstance(want, str):
             if have != want:
                 failures.append(f"{key}: got {have!r}, want {want!r}")
-        elif abs(have - want) > tol:
+        elif not abs(have - want) <= tol:  # a NaN result fails too
             failures.append(f"{key}: got {have:.8e}, want {want:.8e} (tol {tol:g})")
     return failures
 
@@ -166,7 +166,7 @@ def _cmd_convexity(args) -> int:
     exp = scenario.expected.get("margin_p1")
     if exp and p == 1:
         tol = args.tol if args.tol is not None else exp["tol"]
-        if abs(report.margin_g - exp["value"]) > tol:
+        if not abs(report.margin_g - exp["value"]) <= tol:
             print("  assertion failed: margin_p1")
             return 1
     return 0

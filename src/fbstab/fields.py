@@ -109,10 +109,8 @@ class ScalarField:
 
 @dataclass(frozen=True)
 class ConformalMetric:
-    """The metric e^{2u} * <.,.> on a subset of R^n.
-
-    The Euclidean metric is the ``u == 0`` case (``euclidean_metric``).
-    """
+    """The metric e^{2u} * <.,.> on a subset of R^n; the Euclidean metric is
+    the case u = 0, ``make_field("zero")``."""
 
     field: ScalarField
     dim: int
@@ -120,15 +118,6 @@ class ConformalMetric:
     def factor(self, x) -> Array:
         """Conformal factor e^{2u(x)}."""
         return np.exp(2.0 * self.field.value(x))
-
-    def inner(self, x, X, Y) -> Array:
-        X = np.asarray(X, float)
-        Y = np.asarray(Y, float)
-        return self.factor(x) * np.sum(X * Y, axis=-1)
-
-
-def euclidean_metric(n: int) -> ConformalMetric:
-    return ConformalMetric(make_field("zero"), n)
 
 
 # ---------------------------------------------------------------------------

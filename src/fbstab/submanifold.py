@@ -10,7 +10,11 @@ curvature are computed for all samples at once by
 ``SampledImmersion.geometry()`` and cached, and so are the samples of a
 metric and a domain that the second variation reads
 (``SampledImmersion.ambient``); reductions (volumes, residual maxima) run in
-fixed sample order so results are deterministic.
+fixed sample order so results are deterministic.  The kernels behind a
+cold certificate (the chart chain rule, the conditioning Gram, the frames,
+alpha and H) contract by ``einsum`` over contiguous sample-last copies
+(..., m), made and undone by ``_last``/``_first``, and hand back the public
+C-contiguous (m, ...) stacks.
 
 Every catalog immersion is a graph x = (y, psi(y)) over a polar,
 spherical-polar or identity chart y of R^k, sampled by one chain rule.
@@ -55,47 +59,69 @@ def _residual_report(name: str, residuals: Array, points: Array) -> ResidualRepo
     return ResidualReport(name, float(residuals[worst]), worst, points[worst], residuals)
 
 
+def _last(a: Array) -> Array:
+    """A C-contiguous copy of the stack ``a`` (m, ...) with its sample axis
+    last, (..., m): the layout the certificate kernels contract in."""
+    return a.transpose(*range(1, a.ndim), 0).copy()
+
+
+def _first(a: Array) -> Array:
+    """The C-contiguous (m, ...) stack of a sample-last array (..., m)."""
+    return np.ascontiguousarray(a.transpose(-1, *range(a.ndim - 1)))
+
+
 def _batched_frames(Js: Array):
     """Orthonormal tangent/normal frames for a stack of Jacobians: J = QR by k
     Householder reflections I - beta v v^T (Golub-Van Loan 5.2; beta = 0 for
-    v = 0, as in LAPACK's dlarfg).  Tangent: Q's first k columns signed by
-    diag R, the in-order Gram-Schmidt of J's columns; normal: Q's last n-k.
-    Returns C-contiguous ``(tangent (m,k,n), normal (m,n-k,n), chart_to_frame
-    (m,k,k))`` with ``v_i = sum_a chart_to_frame[a, i] * J[:, a]``."""
+    v = 0, as in LAPACK's dlarfg), each applied as a rank-1 update to the
+    rows it changes of a sample-last copy of J and of Q^T.  Tangent: Q's
+    first k columns signed by diag R, the in-order Gram-Schmidt of J's
+    columns; normal: Q's last n-k.  Returns C-contiguous ``(tangent (m,k,n),
+    normal (m,n-k,n), chart_to_frame (m,k,k))`` with ``v_i = sum_a
+    chart_to_frame[a, i] * J[:, a]``."""
     m, n, k = Js.shape
-    A = Js
+    A = _last(Js)
+    Qt = np.zeros((n, n, m))
+    Qt[np.arange(n), np.arange(n)] = 1.0
     for j in range(k):
-        v = np.where(np.arange(n) >= j, A[:, :, j], 0.0)
-        v[:, j] += np.copysign(np.sqrt(np.vecdot(v, v)), v[:, j])
-        vv = np.vecdot(v, v)
-        beta = np.divide(2.0, vv, out=np.zeros(m), where=vv > 0.0)
-        H = np.einsum("mi,mj->mij", -beta[:, None] * v, v)
-        H.reshape(m, n * n)[:, ::n + 1] += 1.0
-        A, Qt = H @ A, H @ Qt if j else H
-    d = np.diagonal(A[:, :k], axis1=1, axis2=2)
-    s = np.where(d == 0.0, 1.0, np.sign(d))[:, :, None]
-    return Qt[:, :k] * s, np.ascontiguousarray(Qt[:, k:]), _upper_inverse(A[:, :k] * s)
+        v = A[j:, j].copy()
+        v[0] += np.copysign(np.sqrt(np.einsum("im,im->m", v, v)), v[0])
+        vv = np.einsum("im,im->m", v, v)
+        bv = v * np.divide(2.0, vv, out=np.zeros(m), where=vv > 0.0)
+        for B in (A[j:], Qt[j:]):
+            B -= bv[:, None] * np.einsum("im,iam->am", v, B)
+    d = A[np.arange(k), np.arange(k)]
+    s = np.where(d == 0.0, 1.0, np.sign(d))[:, None]
+    return _first(Qt[:k] * s), _first(Qt[k:]), _first(_upper_inverse(A[:k] * s))
 
 
 def _upper_inverse(R: Array) -> Array:
-    """Inverses of a stack of upper-triangular k x k matrices with nonzero
-    diagonal, by back-substitution: row i of X = R^{-1} solves R_ii X_i =
-    e_i - sum_{l>i} R_il X_l, from the last row up."""
-    k = R.shape[-1]
+    """Inverses of a sample-last stack (k, k, m) of upper-triangular k x k
+    matrices with nonzero diagonal, by back-substitution: row i of X =
+    R^{-1} solves R_ii X_i = e_i - sum_{l>i} R_il X_l, from the last row up."""
+    k = R.shape[0]
     X = np.zeros_like(R)
     for i in range(k - 1, -1, -1):
-        rest = (R[:, i:i + 1, i + 1:] @ X[:, i + 1:])[:, 0]
-        X[:, i] = (np.eye(k)[i] - rest) / R[:, i, i, None]
+        rest = np.einsum("lm,ljm->jm", R[i, i + 1:], X[i + 1:])
+        X[i] = (np.eye(k)[i][:, None] - rest) / R[i, i]
     return X
+
+
+def _gram(Js: Array) -> Array:
+    """The Gram J^T J of each sample, sample-last (k, k, m)."""
+    J = _last(Js)
+    return np.einsum("xam,xbm->abm", J, J)
 
 
 def _gram_spectrum(Js: Array, det: bool = False, gram: Array | None = None):
     """Extreme eigenvalues ``(lmin, lmax)`` of each sample's Gram J^T J (or
-    ``gram``), or with ``det`` its determinant; closed forms for k = 2."""
-    G = np.swapaxes(Js, 1, 2) @ Js if gram is None else gram
-    if G.shape[-1] != 2:
+    the sample-last ``gram``), or with ``det`` its determinant; closed forms
+    for k = 2."""
+    G = _gram(Js) if gram is None else gram
+    if G.shape[0] != 2:
+        G = _first(G)
         return np.linalg.det(G) if det else np.linalg.eigvalsh(G)[:, [0, -1]].T
-    g11, g22, g12 = G[:, 0, 0], G[:, 1, 1], G[:, 0, 1]
+    g11, g22, g12 = G[0, 0], G[1, 1], G[0, 1]
     if det:
         return g11 * g22 - g12 * g12
     mid, rad = 0.5 * (g11 + g22), np.hypot(0.5 * (g11 - g22), g12)
@@ -103,10 +129,10 @@ def _gram_spectrum(Js: Array, det: bool = False, gram: Array | None = None):
 
 
 def _check_conditioning(Js: Array, where: str) -> Array:
-    """Return the Gram J^T J; reject samples where it is singular or cond =
-    lmax / lmin exceeds ``COND_LIMIT``.  The eigenvalues of the k x k Gram
-    carry round-off of about 1e-16 lmax, far below lmax / COND_LIMIT."""
-    G = np.swapaxes(Js, 1, 2) @ Js
+    """Return the sample-last Gram J^T J; reject samples where it is singular
+    or cond = lmax / lmin exceeds ``COND_LIMIT``.  Its eigenvalues carry
+    round-off of about 1e-16 lmax, far below lmax / COND_LIMIT."""
+    G = _gram(Js)
     lmin, lmax = _gram_spectrum(Js, gram=G)
     if np.any(lmin <= 0.0):
         bad = int(np.argmax(lmin <= 0.0))
@@ -230,14 +256,14 @@ class SampledImmersion:
 
     def geometry(self) -> ImmersionGeometry:
         if self._geometry is None:
-            m, n, k = self.Js.shape
             T, N, C = _batched_frames(self.Js)
-            Ct = np.swapaxes(C, 1, 2)
-            # hn[:, a, b] = <d_a d_b x, N_r> and alpha_r = C^T hn_r C
-            hn = (self.Hs.reshape(m, k * k, n) @ np.swapaxes(N, 1, 2)).reshape(m, k, k, n - k)
-            alpha = (Ct @ (Ct[:, None] @ hn).reshape(m, k, -1)).reshape(m, k, k, n - k)
-            H = (np.trace(alpha, axis1=1, axis2=2)[:, None] @ N)[:, 0]
-            self._geometry = ImmersionGeometry(T, N, C, alpha, H, *self._boundary_frames())
+            NL, CL = _last(N), _last(C)
+            # hn[a, b, r] = <d_a d_b x, N_r> and alpha_r = C^T hn_r C
+            hn = np.einsum("abxm,rxm->abrm", _last(self.Hs), NL)
+            alpha = np.einsum("aim,bjm,abrm->ijrm", CL, CL, hn)
+            H = np.einsum("iirm,rxm->xm", alpha, NL)
+            self._geometry = ImmersionGeometry(T, N, C, _first(alpha), _first(H),
+                                               *self._boundary_frames())
         return self._geometry
 
     def ambient(self, metric: ConformalMetric | None, domain=None) -> "AmbientSamples":
@@ -500,15 +526,15 @@ def _graph_over_chart(y, dy, d2y, graph):
 
     ``dy[:, i, a]`` is d_a y_i, (m, k, k), and ``d2y[:, a, b, i]`` is
     d_a d_b y_i, (m, k, k, k).  ``graph(y)`` returns psi (m, q), D psi
-    (m, q, k) and D^2 psi (m, q, k, k).  The chain rule:
+    (m, q, k) and D^2 psi (m, q, k, k).  The chain rule, on sample-last copies:
     d_a psi = D psi d_a y and d_a d_b psi = D^2 psi(d_a y, d_b y) + D psi d_a d_b y.
     """
     p, dp, d2p = graph(y)
-    m, k = y.shape
-    curv = np.einsum("mia,mqij,mjb->mabq", dy, d2p, dy, optimize="greedy")
-    tangential = (d2y.reshape(m, k * k, k) @ np.swapaxes(dp, 1, 2)).reshape(m, k, k, -1)
-    H = np.concatenate([d2y, curv + tangential], axis=3)
-    return np.concatenate([y, p], axis=1), np.concatenate([dy, dp @ dy], axis=1), H
+    dy, dp, d2y = _last(dy), _last(dp), _last(d2y)
+    curv = np.einsum("iam,qijm,jbm->abqm", dy, _last(d2p), dy)
+    H = np.concatenate([d2y, curv + np.einsum("abim,qim->abqm", d2y, dp)], axis=2)
+    J = np.concatenate([dy, np.einsum("qim,iam->qam", dp, dy)], axis=0)
+    return np.concatenate([y, p], axis=1), _first(J), _first(H)
 
 
 def _circle(theta):

@@ -18,6 +18,8 @@ certificate read it from the immersion's cached ``geometry()`` and
 the work that X changes, and an n x n matrix Q(E_i, E_j) evaluates the
 field, the boundary form, the hypothesis residuals and the curvature
 operator A once; the curvature term sum_i <R(X,v_i)X, v_i> is then X^T A X.
+The traced interior density and its S-terms contract over sample-last
+copies (..., m) of the record's arrays (``submanifold._last``).
 The rescaled densities have two routes, Euclidean data plus a transformation
 law and direct evaluation with the conformal connection and curvature; their
 agreement is a test obligation.  Traces over the projected coordinate fields
@@ -36,7 +38,7 @@ from . import conformal
 from .domain import LevelSetDomain, convexity_report
 from .errors import DimensionError, PreconditionError
 from .fields import ConformalMetric
-from .submanifold import SampledImmersion
+from .submanifold import SampledImmersion, _first, _last
 
 Array = np.ndarray
 
@@ -233,15 +235,16 @@ def _in_basis(frames: Array, basis=None) -> Array:
 
 
 def _s_euclid_terms(alpha: Array, TB: Array, NB: Array) -> Array:
-    """S(E_l^perp, E_l^perp) per interior sample and basis direction, (m, n).
+    """S(E_l^perp, E_l^perp) per interior sample and basis direction, (m, n),
+    contracted over sample-last copies of its operands.
 
     ``TB``/``NB`` are the tangent/normal frames against the basis: E_l^tan
     has frame components TB[:, :, l] and E_l^perp normal components NB[:, :, l].
     """
-    m, k, _, q = alpha.shape
-    a1 = np.swapaxes(alpha, 2, 3).reshape(m, k * q, k) @ TB   # alpha(v_i, E_l^tan)
-    a2 = alpha.reshape(m, k * k, q) @ NB                       # <alpha_ij, E_l^perp>
-    return np.sum(a1**2, axis=1) - np.sum(a2**2, axis=1)
+    alpha = _last(alpha)
+    a1 = np.einsum("ijrm,jlm->irlm", alpha, _last(TB))   # alpha(v_i, E_l^tan)
+    a2 = np.einsum("ijrm,rlm->ijlm", alpha, _last(NB))   # <alpha_ij, E_l^perp>
+    return _first(np.einsum("irlm,irlm->lm", a1, a1) - np.einsum("ijlm,ijlm->lm", a2, a2))
 
 
 def trace_s_euclid(imm: SampledImmersion, basis=None) -> Array:
@@ -272,31 +275,29 @@ def traced_interior_density(imm: SampledImmersion, metric: ConformalMetric, basi
     (m,))``.
     """
     geo = imm.geometry()
-    k, n = imm.k, imm.n
-    T, N, alpha = geo.tangent, geo.normal, geo.alpha
-    NB = _in_basis(N, basis)
+    k = imm.k
+    TB, NB = _in_basis(geo.tangent, basis), _in_basis(geo.normal, basis)
+    s_g = _s_euclid_terms(geo.alpha, TB, NB).T
     record = imm.ambient(metric)
-    u, g, h = record.u, record.grad, record.hess
-    ut, un = record.grad_tan, record.grad_nor
-    g2 = np.sum(g * g, axis=1)
-    ht = np.sum((T @ h) * T, axis=2)           # Hess u(v_i, v_i)
-    hn = np.sum((N @ h) * N, axis=2)           # Hess u(N_r, N_r)
+    u = record.u
+    g, h, T, N, NB, ut, un = map(_last, (record.grad, record.hess, geo.tangent, geo.normal,
+                                         NB, record.grad_tan, record.grad_nor))
+    g2 = np.sum(g * g, axis=0)
+    ht = np.einsum("inm,npm,ipm->im", T, h, T)     # Hess u(v_i, v_i)
+    hn = np.einsum("rnm,npm,rpm->rm", N, h, N)     # Hess u(N_r, N_r)
 
-    s_g = _s_euclid_terms(alpha, _in_basis(T, basis), NB)
+    XV = np.einsum("rnm,rlm->nlm", N, NB)          # E_l^perp ambient components
+    X2 = np.sum(NB**2, axis=0)
+    hxx = np.einsum("nlm,npm,plm->lm", XV, h, XV)
+    ut2 = np.sum(ut**2, axis=0)
+    div = np.sum(ht, axis=0)
 
-    XV = np.swapaxes(N, 1, 2) @ NB             # E_l^perp ambient components
-    X2 = np.sum(NB**2, axis=1)
-    hxx = np.sum(XV * (h @ XV), axis=1)
-    ut2 = np.sum(ut**2, axis=1)
-    div = np.sum(ht, axis=1)
+    display = s_g - X2 * ut2 + X2 * div + k * X2 * g2 + k * hxx
+    values = np.exp(-2.0 * u) * np.sum(display, axis=0)
 
-    display = s_g - X2 * ut2[:, None] + X2 * div[:, None] + k * X2 * g2[:, None] + k * hxx
-    values = np.exp(-2.0 * u) * np.sum(display, axis=1)
-
-    terms = (ut[:, :, None] ** 2 + un[:, None, :] ** 2 - g2[:, None, None]
-             - ht[:, :, None] - hn[:, None, :])
-    ksum = np.exp(-2.0 * u) * np.sum(terms, axis=(1, 2))
-    gperp2 = np.sum(un**2, axis=1)
+    terms = ut[:, None] ** 2 + un**2 - g2 - ht[:, None] - hn
+    ksum = np.exp(-2.0 * u) * np.einsum("irm->m", terms)
+    gperp2 = np.sum(un**2, axis=0)
     residuals = np.abs(np.exp(2.0 * u) * values - (k * gperp2 - np.exp(2.0 * u) * ksum))
     return values, residuals
 

@@ -19,15 +19,17 @@ These kinds live here:
   ``np.linalg.solve``, against which the tests hold each cached-operator
   kernel and whole flow steps;
 * helpers that only tests call, over the package's own kernels: the
-  principal curvatures of the Householder kernel, the volume scale
-  e^{ku} and the flow's descent direction of a fresh measure;
-* the ``np.einsum`` statements of the per-sample kernels that the package
-  evaluates as batched matrix products: the second fundamental form and mean
-  curvature of ``SampledImmersion.geometry()``, its Jacobian factor, the
-  S-terms, the traced interior and boundary densities, and the direct
-  rescaled density with the curvature vector R(X, v_i)X written out term by
-  term.  They read the same geometry as the package, so a comparison
-  isolates one kernel.
+  principal curvatures of the Householder kernel, the Euclidean metric, the
+  rescaled inner product, the volume scale e^{ku} and the flow's descent
+  direction of a fresh measure;
+* sample-first ``np.einsum`` statements and batched matrix products of the
+  per-sample kernels that the package contracts over sample-last copies:
+  the chart chain rule and the Jacobian Gram, the second fundamental form
+  and mean curvature of ``SampledImmersion.geometry()``, its Jacobian
+  factor, the S-terms, the traced interior and boundary densities, and the
+  direct rescaled density with the curvature vector R(X, v_i)X written out
+  term by term.  They read the same geometry as the package, so a
+  comparison isolates one kernel.
 """
 
 import numpy as np
@@ -37,8 +39,8 @@ from scipy.stats import qmc
 from fbstab import domain as dm
 from fbstab import flow as fl
 from fbstab.errors import DomainError
-from fbstab.fields import ConformalMetric, ScalarField
-from fbstab.submanifold import _batched_frames, _upper_inverse
+from fbstab.fields import ConformalMetric, ScalarField, make_field
+from fbstab.submanifold import _batched_frames, _first, _last, _upper_inverse
 from fbstab.variation import _in_basis
 
 
@@ -319,6 +321,18 @@ def check_gradient_tube(domain: dm.LevelSetDomain, count: int = 256, seed: int =
 # immersions
 # ---------------------------------------------------------------------------
 
+def euclidean_metric(n: int) -> ConformalMetric:
+    """The Euclidean metric of R^n, the conformal metric of u = 0."""
+    return ConformalMetric(make_field("zero"), n)
+
+
+def metric_inner(metric: ConformalMetric, x, X, Y) -> np.ndarray:
+    """The rescaled inner product e^{2u(x)} <X, Y>."""
+    X = np.asarray(X, float)
+    Y = np.asarray(Y, float)
+    return metric.factor(x) * np.sum(X * Y, axis=-1)
+
+
 def volume_scale(metric: ConformalMetric, x, k: int) -> np.ndarray:
     """Scale factor e^{k u(x)} of the induced k-dimensional measure."""
     return np.exp(k * metric.field.value(x))
@@ -371,7 +385,7 @@ def lapack_frames(Js):
     Qt = np.swapaxes(Q, 1, 2)
     tangent = np.multiply(Qt[:, :k], s[:, :k, None], order="C")
     normal = np.multiply(Qt[:, k:], s[:, k:, None], order="C")
-    return tangent, normal, _upper_inverse(R[:, :k, :k] * s[:, :k, None])
+    return tangent, normal, _first(_upper_inverse(_last(R[:, :k, :k] * s[:, :k, None])))
 
 
 # ---------------------------------------------------------------------------
@@ -459,6 +473,23 @@ def use_flow_oracles(monkeypatch):
 # ---------------------------------------------------------------------------
 # einsum statements of the batched kernels
 # ---------------------------------------------------------------------------
+
+def graph_over_chart_einsum(y, dy, d2y, graph):
+    """``submanifold._graph_over_chart``: ``(x, J, H)`` by one sample-first
+    ``einsum`` for D^2 psi(d_a y, d_b y) and batched products for the rest."""
+    p, dp, d2p = graph(y)
+    m, k = y.shape
+    curv = np.einsum("mia,mqij,mjb->mabq", dy, d2p, dy, optimize="greedy")
+    tangential = (d2y.reshape(m, k * k, k) @ np.swapaxes(dp, 1, 2)).reshape(m, k, k, -1)
+    H = np.concatenate([d2y, curv + tangential], axis=3)
+    return np.concatenate([y, p], axis=1), np.concatenate([dy, dp @ dy], axis=1), H
+
+
+def gram_matmul(Js):
+    """``submanifold._gram`` sample-first: J^T J by a batched matrix
+    product, (m, k, k)."""
+    return np.swapaxes(Js, 1, 2) @ Js
+
 
 def geometry_einsum(imm):
     """``(alpha, H)`` of ``SampledImmersion.geometry()`` and its

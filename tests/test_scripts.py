@@ -19,7 +19,10 @@ ROOT = Path(__file__).resolve().parent.parent
     ("flow_experiment.py", ["--n", "4", "--field", "radial-spherical", "--mode", "sin",
                             "--amplitude", "0.05", "--nr", "4", "--ntheta", "8",
                             "--max-iter", "400"], "verdict=unstable-certified"),
-], ids=["certificate_sweep", "flow_experiment", "flow_experiment_steps"])
+    # one scenario's certificates and Q(E_l^perp), then the verify report
+    ("registry_outputs.py", ["--scenario", "cap-disk-b4k2"],
+     "cap-disk-b4k2 seed 2: unstable-certified"),
+], ids=["certificate_sweep", "flow_experiment", "flow_experiment_steps", "registry_outputs"])
 def test_script_runs(script, args, expect, tmp_path):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}

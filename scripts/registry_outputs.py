@@ -7,11 +7,16 @@ projected canonical constants E_l^perp of every scenario with boundary
 samples, and the report of ``fbstab verify --seed 42``.  Floats are written
 to the last bit, so two checkouts agree on every output exactly when their
 files are identical: run the script in each and ``diff`` the two files.
-Prints one line per certificate; use --out to keep the JSON.
+Prints one line per certificate; use --out to keep the JSON.  With --diff
+OTHER.json it also compares this checkout's outputs with another's: the
+identical and moved counts per section (a certificate, a Q value or a
+verify check is one item), the largest relative and absolute moves of every
+float key and every change that is not a float moving.
 
 Examples:
   python scripts/registry_outputs.py --out results/outputs
   python scripts/registry_outputs.py --scenario cap-disk-b4k2 --out /tmp/one
+  python scripts/registry_outputs.py --diff parent/registry_outputs.json
 """
 
 import argparse
@@ -62,11 +67,71 @@ def scenario_outputs(name: str) -> tuple[dict, dict | None]:
     return certificates, values
 
 
+def _leaves(node, path=()):
+    """``(path, value)`` of every leaf of a document; a verify check is keyed
+    by ``suite/scenario/name``, any other list item by its index."""
+    if isinstance(node, dict):
+        for key in sorted(node):
+            yield from _leaves(node[key], path + (str(key),))
+    elif isinstance(node, list):
+        for i, item in enumerate(node):
+            label = (f"{item['suite']}/{item['scenario']}/{item['name']}"
+                     if isinstance(item, dict) and "suite" in item else str(i))
+            yield from _leaves(item, path + (label,))
+    else:
+        yield path, node
+
+
+def _item(path: tuple) -> tuple:
+    """The item a leaf belongs to: a certificate, a Q value or a verify check."""
+    return path[:3] if path[0] != "verify" or path[1] == "checks" else path[:2]
+
+
+def _key(path: tuple) -> str:
+    """The leaf's name with the scenario, seed, check and list index left out."""
+    rest = path[len(_item(path)):] if path[0] != "second_variation" else ("Q",)
+    return ".".join(p for p in rest if not p.isdigit()) or path[-1]
+
+
+def diff(old_doc: dict, new_doc: dict) -> list[str]:
+    """Lines comparing two documents: counts per section, the largest
+    relative and absolute moves per float key, then every other change."""
+    old, new = dict(_leaves(old_doc)), dict(_leaves(new_doc))
+    moved_items, items, largest, changes = set(), {}, {}, []
+    for path in sorted(old.keys() | new.keys()):
+        items.setdefault(path[0], set()).add(_item(path))
+        a, b = old.get(path, "<absent>"), new.get(path, "<absent>")
+        if type(a) is type(b) and (a == b or a != a and b != b):
+            continue
+        moved_items.add(_item(path))
+        if type(a) is float and type(b) is float:
+            moves = largest.setdefault((path[0], _key(path)), {})
+            for kind, size in (("relative", abs(a - b) / max(abs(a), abs(b))),
+                               ("absolute", abs(a - b))):
+                if size > moves.get(kind, (-1.0,))[0]:
+                    moves[kind] = (size, path, a, b)
+        else:
+            changes.append(f"  {'/'.join(path)}: {a!r} -> {b!r}")
+    lines = []
+    for section in sorted(items):
+        moved = sum(item in moved_items for item in items[section])
+        lines.append(f"{section}: {len(items[section]) - moved} identical, {moved} moved")
+        for (sec, key), moves in sorted(largest.items()):
+            for kind, (size, path, a, b) in moves.items():
+                if sec == section:
+                    lines.append(f"  {key}: largest {kind} move {size:.2e} at "
+                                 f"{'/'.join(path)} ({a!r} -> {b!r})")
+    lines.append(f"non-float changes: {len(changes)}")
+    return lines + changes
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--scenario", action="append", choices=sorted(sc.SCENARIOS),
                         help="restrict the per-scenario outputs (repeatable; default all)")
     parser.add_argument("--out", type=str, default=None)
+    parser.add_argument("--diff", type=str, default=None, metavar="OTHER.json",
+                        help="compare the outputs with another checkout's document")
     args = parser.parse_args()
 
     doc = {"certificates": {}, "second_variation": {}}
@@ -88,6 +153,10 @@ def main():
         path = out / "registry_outputs.json"
         path.write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n")
         print(f"wrote {path}")
+    if args.diff:
+        other = json.loads(Path(args.diff).read_text())
+        print(f"diff against {args.diff}:")
+        print("\n".join(diff(other, json.loads(json.dumps(doc)))))
 
 
 if __name__ == "__main__":

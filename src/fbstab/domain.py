@@ -27,7 +27,7 @@ import numpy as np
 from scipy.stats import qmc
 from scipy.special import ndtri
 
-from .errors import ConfigError, DomainError, ProjectionError
+from .errors import ConfigError, DomainError, ProjectionError, required
 from .fields import ConformalMetric, ScalarField, make_field
 
 Array = np.ndarray
@@ -347,7 +347,7 @@ def make_domain(kind: str, n: int, **params) -> LevelSetDomain:
         phi = make_field("radial-custom", coeffs=[-(r**2), 1.0])
         return LevelSetDomain(phi, n, bounding_radius=r, name=f"ball({r:g})")
     if kind == "ellipsoid":
-        axes = np.asarray(params["semi_axes"], float)
+        axes = np.asarray(required(params, "semi_axes", "domain 'ellipsoid'"), float)
         if axes.shape != (n,) or np.any(axes <= 0):
             raise ConfigError("ellipsoid needs n positive semi-axes")
         terms = [[1.0 / axes[i] ** 2, [2 if j == i else 0 for j in range(n)]] for i in range(n)]

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and a lookup that raises one."""
 
 
 class GeometryError(Exception):
@@ -35,3 +35,10 @@ class StepFailureError(GeometryError):
 
 class ConfigError(Exception):
     """Malformed configuration document or unknown catalog name."""
+
+
+def required(params: dict, key: str, what: str):
+    """``params[key]``, or a ``ConfigError`` naming ``what`` and the absent key."""
+    if key not in params:
+        raise ConfigError(f"{what} needs parameter {key!r}")
+    return params[key]

@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, required
 
 Array = np.ndarray
 
@@ -266,7 +266,7 @@ def make_field(name: str, **params) -> ScalarField:
     if name == "zero":
         return _zero_field()
     if name == "linear":
-        return _linear_field(params["a"])
+        return _linear_field(required(params, "a", "field 'linear'"))
     if name == "radial-spherical":
         return _radial_field(
             lambda s: np.log(2.0) - np.log1p(s),
@@ -283,9 +283,9 @@ def make_field(name: str, **params) -> ScalarField:
             open_unit_ball=True,
         )
     if name == "radial-custom":
-        return _radial_custom_field(params["coeffs"])
+        return _radial_custom_field(required(params, "coeffs", "field 'radial-custom'"))
     if name == "polynomial":
-        return _polynomial_field(params["terms"])
+        return _polynomial_field(required(params, "terms", "field 'polynomial'"))
     raise ConfigError(f"unknown field catalog name: {name!r}")
 
 

@@ -63,7 +63,7 @@ from scipy.linalg import block_diag
 from scipy.linalg.lapack import dgesv
 
 from .domain import LevelSetDomain, project_to_boundary
-from .errors import StepFailureError
+from .errors import ConfigError, StepFailureError
 from .fields import ConformalMetric
 from .submanifold import (
     SampledImmersion,
@@ -146,7 +146,7 @@ class PolarGrid:
 
     def __init__(self, n: int, nr: int = 8, ntheta: int = 16):
         if ntheta % 2:
-            raise ValueError("ntheta must be even")
+            raise ConfigError(f"flow grid ntheta must be even, got {ntheta}")
         self.n, self.nr, self.ntheta = n, nr, ntheta
         self.ops = ops = grid_operators(nr, ntheta)
         self.rs, self.wr, self.D, self.D2, self.Dt, self.Dt2, self.dt_stable = (

@@ -13,8 +13,9 @@ metric and a domain that the second variation reads
 fixed sample order so results are deterministic.  The kernels behind a
 cold certificate (the chart chain rule, the conditioning Gram, the frames,
 alpha and H) contract by ``einsum`` over contiguous sample-last copies
-(..., m), made and undone by ``_last``/``_first``, and hand back the public
-C-contiguous (m, ...) stacks.
+(..., m), made and undone by ``_last``/``_first``; the geometry keeps the
+sample-last frames and alpha for the second-variation forms, beside the
+public C-contiguous (m, ...) stacks (alpha a view).
 
 Every catalog immersion is a graph x = (y, psi(y)) over a polar,
 spherical-polar or identity chart y of R^k, sampled by one chain rule.
@@ -33,7 +34,7 @@ from numpy.polynomial.legendre import leggauss
 
 from . import conformal
 from .domain import boundary_form as domain_boundary_form, outward_normal
-from .errors import ConfigError, DegenerateSampleError, InvalidSampleError
+from .errors import ConfigError, DegenerateSampleError, InvalidSampleError, required
 from .fields import ConformalMetric, make_field
 
 COND_LIMIT = 1e8
@@ -78,7 +79,8 @@ def _batched_frames(Js: Array):
     first k columns signed by diag R, the in-order Gram-Schmidt of J's
     columns; normal: Q's last n-k.  Returns C-contiguous ``(tangent (m,k,n),
     normal (m,n-k,n), chart_to_frame (m,k,k))`` with ``v_i = sum_a
-    chart_to_frame[a, i] * J[:, a]``."""
+    chart_to_frame[a, i] * J[:, a]``, then the frames sample-last, ``(k, n,
+    m)`` and ``(n-k, n, m)``."""
     m, n, k = Js.shape
     A = _last(Js)
     Qt = np.zeros((n, n, m))
@@ -92,7 +94,8 @@ def _batched_frames(Js: Array):
             B -= bv[:, None] * np.einsum("im,iam->am", v, B)
     d = A[np.arange(k), np.arange(k)]
     s = np.where(d == 0.0, 1.0, np.sign(d))[:, None]
-    return _first(Qt[:k] * s), _first(Qt[k:]), _first(_upper_inverse(A[:k] * s))
+    T, N = Qt[:k] * s, Qt[k:].copy()
+    return _first(T), _first(N), _first(_upper_inverse(A[:k] * s)), T, N
 
 
 def _upper_inverse(R: Array) -> Array:
@@ -153,10 +156,14 @@ class ImmersionGeometry:
     tangent: Array           # (m, k, n)
     normal: Array            # (m, q, n), q = n - k
     chart_to_frame: Array    # (m, k, k)
-    alpha: Array             # (m, k, k, q) normal-frame components
+    alpha: Array             # (m, k, k, q) normal-frame components, a view of alpha_last
     H: Array                 # (m, n) Euclidean mean curvature vectors
     b_tangent: Array         # (mb, k, n)
     b_normal: Array          # (mb, q, n)
+    tangent_last: Array      # (k, n, m)
+    normal_last: Array       # (q, n, m)
+    alpha_last: Array        # (k, k, q, m)
+    alpha_gram: Array        # (q, q, m) sum_ij alpha_ijr alpha_ijs: |alpha(., .) X|^2 = X^T G X
 
 
 class SampledImmersion:
@@ -256,14 +263,15 @@ class SampledImmersion:
 
     def geometry(self) -> ImmersionGeometry:
         if self._geometry is None:
-            T, N, C = _batched_frames(self.Js)
-            NL, CL = _last(N), _last(C)
+            T, N, C, TL, NL = _batched_frames(self.Js)
+            CL = _last(C)
             # hn[a, b, r] = <d_a d_b x, N_r> and alpha_r = C^T hn_r C
             hn = np.einsum("abxm,rxm->abrm", _last(self.Hs), NL)
             alpha = np.einsum("aim,bjm,abrm->ijrm", CL, CL, hn)
             H = np.einsum("iirm,rxm->xm", alpha, NL)
-            self._geometry = ImmersionGeometry(T, N, C, _first(alpha), _first(H),
-                                               *self._boundary_frames())
+            self._geometry = ImmersionGeometry(T, N, C, alpha.transpose(3, 0, 1, 2), _first(H),
+                                               *self._boundary_frames(), TL, NL, alpha,
+                                               np.einsum("ijrm,ijsm->rsm", alpha, alpha))
         return self._geometry
 
     def ambient(self, metric: ConformalMetric | None, domain=None) -> "AmbientSamples":
@@ -297,14 +305,16 @@ class AmbientSamples:
     An entry lives in the record keyed by what it depends on, so it is
     evaluated once per immersion whichever reader asks: the field samples,
     their tangential and normal components, the rescaled second fundamental
-    form, the tangent-traced curvature operator, the integration densities,
-    the mean curvature bracket and the minimality residuals under ``(metric,
-    None)``; the boundary form and the free-boundary defects under ``(None,
-    domain)``; eta(u) under ``(metric, domain)``.  The residual entries are
-    ``ResidualReport``s.  Caching is sound because the immersion's arrays are
-    read-only and metrics and domains are frozen.  An entry that raises
-    stores nothing, so every read raises again.
-    The record holds its immersion weakly: the cache makes no reference cycle.
+    form, Hess u and the tangent-traced curvature operator A on the normal
+    frame, the integration densities, the mean curvature bracket and the
+    minimality residuals under ``(metric, None)``; the boundary form on the
+    rim's normal frame and the free-boundary defects under ``(None,
+    domain)``; eta(u) under ``(metric, domain)``.  Entries on the frames are
+    sample-last (..., m), the layout the second-variation forms contract in.
+    The residual entries are ``ResidualReport``s.  Caching is sound because
+    the immersion's arrays are read-only and metrics and domains are frozen.
+    An entry that raises stores nothing, so every read raises again.  The
+    record holds its immersion weakly: the cache makes no reference cycle.
     """
 
     def __init__(self, imm: SampledImmersion, metric: ConformalMetric | None, domain):
@@ -328,29 +338,38 @@ class AmbientSamples:
 
     @_entry
     def grad_tan(self) -> Array:
-        """Tangent-frame components of grad u, (m, k)."""
-        return np.einsum("mkn,mn->mk", self.imm.geometry().tangent, self.grad)
+        """Tangent-frame components of grad u, sample-last (k, m)."""
+        return np.einsum("kxm,xm->km", self.imm.geometry().tangent_last, _last(self.grad))
 
     @_entry
     def grad_nor(self) -> Array:
-        """Normal-frame components of grad u, (m, q)."""
-        return np.einsum("mqn,mn->mq", self.imm.geometry().normal, self.grad)
+        """Normal-frame components of grad u, sample-last (q, m)."""
+        return np.einsum("rxm,xm->rm", self.imm.geometry().normal_last, _last(self.grad))
 
     @_entry
     def sff(self) -> Array:
-        """Second fundamental form of the rescaled metric, (m, k, k, q).
-
-        alpha~(X, Y) = alpha(X, Y) - <X, Y> grad^perp u in normal-frame
-        components: the normal components of grad u are subtracted on the
-        diagonal.
-        """
-        eye = np.eye(self.imm.k)[None, :, :, None]
-        return self.imm.geometry().alpha - eye * self.grad_nor[:, None, None, :]
+        """Second fundamental form of the rescaled metric, sample-last (k, k,
+        q, m): alpha~(X, Y) = alpha(X, Y) - <X, Y> grad^perp u."""
+        eye = np.eye(self.imm.k)[:, :, None, None]
+        return self.imm.geometry().alpha_last - eye * self.grad_nor
 
     @_entry
-    def tangent_curvature(self) -> Array:
-        """A ``(m, n, n)``: sum_i <R(V, v_i)V, v_i> = V^T A V per sample."""
-        return conformal.tangent_curvature(self.grad, self.hess, self.imm.geometry().tangent)
+    def hess_tangent(self) -> Array:
+        """sum_i Hess u(v_i, v_i) over the tangent frame, (m,): the trace of
+        Hess u less its trace on the normal frame."""
+        return np.einsum("mxx->m", self.hess) - np.einsum("rrm->m", self.hess_normal)
+
+    @_entry
+    def hess_normal(self) -> Array:
+        """Hess u on the normal frame, Hess u(N_r, N_s), sample-last (q, q, m)."""
+        return _on_normal_frame(self.imm, self.hess)
+
+    @_entry
+    def curvature_normal(self) -> Array:
+        """The tangent-traced curvature operator A on the normal frame (q, q, m):
+        sum_i <R(X, v_i)X, v_i> = X^T A X for a normal field's components X."""
+        A = conformal.tangent_curvature(self.grad, self.hess, self.imm.geometry().tangent)
+        return _on_normal_frame(self.imm, A)
 
     @_entry
     def density(self) -> Array:
@@ -361,7 +380,7 @@ class AmbientSamples:
         """H - k grad^perp u, (m, n); the rescaled mean curvature vector is
         e^{-2u} times it."""
         geo = self.imm.geometry()
-        return geo.H - self.imm.k * np.einsum("mrx,mr->mx", geo.normal, self.grad_nor)
+        return geo.H - self.imm.k * np.einsum("rxm,rm->mx", geo.normal_last, self.grad_nor)
 
     @_entry
     def minimality(self) -> ResidualReport:
@@ -399,12 +418,16 @@ class AmbientSamples:
     # -- key (None, domain) ---------------------------------------------------
 
     @_entry
-    def boundary_form(self) -> tuple[Array, Array, Array]:
-        """Outward unit normals, ``domain.boundary_form`` ``(mb, n, n)`` and
-        <eta, nu> at the boundary samples."""
+    def boundary_form(self) -> tuple[Array, Array, Array, Array]:
+        """At the boundary samples: the outward unit normals (mb, n);
+        ``domain.boundary_form`` M and the normals on the rim's normal frame,
+        bN_r^T M bN_s (q, q, mb) and <nhat, bN_r> (q, mb), sample-last; and
+        <eta, nu> (mb,)."""
         nhat = outward_normal(self.domain, self.imm.bxs)
         M = domain_boundary_form(self.domain, self.imm.bxs)
-        return nhat, M, -np.sum(nhat * self.imm.bnus, axis=1)
+        bN = self.imm.geometry().b_normal
+        return (nhat, _last(bN @ M @ np.swapaxes(bN, 1, 2)), np.einsum("mrx,mx->rm", bN, nhat),
+                -np.sum(nhat * self.imm.bnus, axis=1))
 
     @_entry
     def defect(self) -> ResidualReport:
@@ -425,6 +448,12 @@ class AmbientSamples:
         """Inward normal derivative eta(u) per boundary sample."""
         nhat = self.imm.ambient(None, self.domain).boundary_form[0]
         return -np.sum(self.imm.ambient(self.metric).b_grad * nhat, axis=1)
+
+
+def _on_normal_frame(imm: SampledImmersion, S: Array) -> Array:
+    """N_r^T S N_s (q, q, m) of a stack ``S`` (m, n, n), by two contractions."""
+    N = imm.geometry().normal_last
+    return np.einsum("rym,sym->rsm", np.einsum("rxm,xym->rym", N, _last(S)), N)
 
 
 def _density(imm: SampledImmersion, u: Array) -> Array:
@@ -669,8 +698,9 @@ def make_immersion(kind: str, **params) -> SampledImmersion:
     polar (k = 2) or spherical-polar (k = 3) chart with radial Gauss nodes for
     disks, the identity chart on a tensor Gauss cube for graphs.
     """
+    what = f"immersion {kind!r}"
     if kind == "equatorial-disk":
-        n = int(params["n"])
+        n = int(required(params, "n", what))
         k = int(params.get("k", 2))
         radius = float(params.get("radius", 1.0))
         if k not in (2, 3):
@@ -692,18 +722,19 @@ def make_immersion(kind: str, **params) -> SampledImmersion:
         )
     if kind == "tilted-disk":
         n = int(params.get("n", 3))
-        angle = float(params["angle"])
+        angle = float(required(params, "angle", what))
         return _ball_graph(
             2, float(np.cos(angle)), _const_graph(n, 2, [np.sin(angle)]),
             int(params.get("nr", 16)), int(params.get("ntheta", 32)),
         )
     if kind in ("graph", "random-graph"):
         k = int(params.get("k", 2))
-        n = int(params["n"])
+        n = int(required(params, "n", what))
         if kind == "graph":
-            terms = params["coeffs"]
+            terms = required(params, "coeffs", what)
         else:
-            terms = random_graph_terms(k, n, int(params.get("degree", 2)), int(params["seed"]))
+            terms = random_graph_terms(k, n, int(params.get("degree", 2)),
+                                       int(required(params, "seed", what)))
         return _cube_graph(
             k, n, terms,
             float(params.get("halfwidth", 0.5)),

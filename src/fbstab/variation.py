@@ -7,24 +7,25 @@ condition, to the ambient boundary's second fundamental form.  Q = int S +
 int T is the second variation when the immersion is minimal and meets the
 boundary orthogonally.
 
-A ``NormalField`` is a set of arrays over a whole immersion: values and
-covariant normal derivatives at the interior samples, values at the boundary
-samples.  Every form takes the immersion and a field and returns one density
-per sample, ``(m,)`` for S and ``(mb,)`` for T, evaluated from ambient data
-(u, grad u, Hess u, frames, alpha) with no differencing across samples.
-Nothing of that data depends on the field: the forms, traces, bound and
-certificate read it from the immersion's cached ``geometry()`` and
-``ambient(metric, domain)`` records, so after the first call a form does only
-the work that X changes, and an n x n matrix Q(E_i, E_j) evaluates the
-field, the boundary form, the hypothesis residuals and the curvature
-operator A once; the curvature term sum_i <R(X,v_i)X, v_i> is then X^T A X.
-The traced interior density and its S-terms contract over sample-last
-copies (..., m) of the record's arrays (``submanifold._last``).
-The rescaled densities have two routes, Euclidean data plus a transformation
-law and direct evaluation with the conformal connection and curvature; their
-agreement is a test obligation.  Traces over the projected coordinate fields
-e_l^perp take an optional orthonormal basis (canonical by default);
-invariance under rotating it is tested, not assumed.
+A ``NormalField`` is its components against the immersion's normal frames,
+so it is normal by construction: values and covariant normal derivatives at
+the interior samples, values at the boundary samples, sample-last (..., m)
+and with optional leading axes that stack fields.  Every form returns one
+density per field and sample, ``(..., m)`` for S and ``(..., mb)`` for T,
+with no differencing across samples.  What no field changes (Hess u, the
+curvature operator A and the boundary form on the normal frames) the forms,
+traces, bound and certificate read from the immersion's cached
+``geometry()`` and ``ambient(metric, domain)`` records, so after the first
+call a form does only the work that X changes; the curvature term
+sum_i <R(X,v_i)X, v_i> is X^T A X.
+
+The traces sum the forms over the projected constants E_l^perp of an
+orthonormal basis (canonical by default), stacked by ``projected_field``,
+or over the rescaled constants e^{-u} E_l^perp (``NormalField.scaled``);
+invariance under rotating the basis is tested, not assumed.  The rescaled
+densities have two routes, Euclidean data plus a transformation law and
+direct evaluation with the conformal connection and curvature; their
+agreement is a test obligation, and Q(X, X) takes the direct route.
 """
 
 from __future__ import annotations
@@ -38,83 +39,89 @@ from . import conformal
 from .domain import LevelSetDomain, convexity_report
 from .errors import DimensionError, PreconditionError
 from .fields import ConformalMetric
-from .submanifold import SampledImmersion, _first, _last
+from .submanifold import SampledImmersion
 
 Array = np.ndarray
 
-NORMALITY_TOL = 1e-9
 TANGENCY_TOL = 1e-8
 
 
 @dataclass(frozen=True)
 class NormalField:
-    """A normal field sampled over a whole immersion.
+    """A normal field over a whole immersion by its normal-frame components.
 
-    ``dperp[i, a, r]`` are the components of D^perp_{v_a} X at interior
-    sample i against that sample's normal frame.
+    ``normal[..., r, i]`` = <X, N_r> and ``dperp[..., a, r, i]`` =
+    <D^perp_{v_a} X, N_r> at interior sample i, ``boundary[..., r, j]`` =
+    <X, bN_r> at boundary sample j, for the samples' normal frames N and bN
+    and tangent frame v.  Leading axes stack fields.
     """
 
-    values: Array            # (m, n)
-    dperp: Array             # (m, k, q)
-    boundary_values: Array   # (mb, n)
+    normal: Array     # (..., q, m)
+    dperp: Array      # (..., k, q, m)
+    boundary: Array   # (..., q, mb)
+
+    def scaled(self, f: Array, df: Array, bf: Array) -> NormalField:
+        """The field fX, for f given by its interior values (m,), its
+        derivatives v_a(f) along the tangent frame (k, m) and its boundary
+        values (mb,): D^perp(fX) = v(f) X + f D^perp X."""
+        dperp = f * self.dperp
+        dperp += df[:, None] * self.normal[..., None, :, :]
+        return NormalField(f * self.normal, dperp, bf * self.boundary)
 
 
 def projected_field(imm: SampledImmersion, E) -> NormalField:
-    """The projected constant field E^perp over a whole immersion, with its
-    covariant derivative D^perp_{v_i} E^perp = -alpha(v_i, E^tan).
+    """The projected constants E^perp of the vectors ``E`` (..., n), stacked
+    over E's leading axes, with D^perp_{v_i} E^perp = -alpha(v_i, E^tan).
 
     Boundary samples carry no chart curvature, so the field holds their
-    values only; the boundary densities are tensorial and never need more.
+    components only; the boundary densities are tensorial and never need more.
     """
     geo = imm.geometry()
     E = np.asarray(E, float)
-    m, k, _, q = geo.alpha.shape
-    Et = (geo.tangent.reshape(-1, imm.n) @ E).reshape(m, k)
-    values = E - np.einsum("mkn,mk->mn", geo.tangent, Et)
-    dperp = -(np.swapaxes(geo.alpha, 2, 3).reshape(m, k * q, k) @ Et[:, :, None]).reshape(m, k, q)
-    bEt = (geo.b_tangent.reshape(-1, imm.n) @ E).reshape(-1, k)
-    bvalues = E - np.einsum("mkn,mk->mn", geo.b_tangent, bEt)
-    return NormalField(values, dperp, bvalues)
+    minus_Et = np.tensordot(-E, geo.tangent_last, axes=(-1, 1))
+    return NormalField(np.tensordot(E, geo.normal_last, axes=(-1, 1)),
+                       np.einsum("ijrm,...jm->...irm", geo.alpha_last, minus_Et),
+                       np.einsum("...x,mrx->...rm", E, geo.b_normal))
 
 
-def _check_normal(imm: SampledImmersion, X: NormalField):
-    tan = np.einsum("mkn,mn->mk", imm.geometry().tangent, X.values)
-    limit = NORMALITY_TOL * (1.0 + np.linalg.norm(X.values, axis=1))
-    bad = np.max(np.abs(tan), axis=1) > limit
+def _norm2(X: Array) -> Array:
+    """|X|^2 per sample from components ``X`` (..., q, m)."""
+    return np.einsum("...rm,...rm->...m", X, X)
+
+
+def _squares(a: Array) -> Array:
+    """Sum of squares over the two axes before the sample axis."""
+    return np.einsum("...ijm,...ijm->...m", a, a)
+
+
+def _pair(S: Array, X: Array) -> Array:
+    """X^T S X per sample for a sample-last stack ``S`` (q, q, m) and
+    components ``X`` (..., q, m)."""
+    return np.einsum("...rm,rsm,...sm->...m", X, S, X)
+
+
+def _rim_pair(imm: SampledImmersion, X: NormalField, domain: LevelSetDomain,
+              tangency_tol: float) -> Array:
+    """<M X, X> per boundary sample, M the domain's boundary form, once X is
+    checked tangent to the domain boundary."""
+    _, form, nhat, _ = imm.ambient(None, domain).boundary_form
+    Xb = X.boundary
+    limit = tangency_tol * (1.0 + np.sqrt(_norm2(Xb)))
+    bad = np.abs(np.einsum("...rm,rm->...m", Xb, nhat)) > limit
     if np.any(bad):
-        raise PreconditionError(
-            f"field is not normal to the submanifold at interior sample {int(np.argmax(bad))}"
-        )
-
-
-def _boundary_pair(Xb: Array, M: Array) -> Array:
-    """<M X, X> per boundary sample for ``M`` (mb, n, n)."""
-    return np.sum((Xb[:, None] @ M)[:, 0] * Xb, axis=1)
-
-
-def _check_tangent(X: NormalField, nhat: Array, tangency_tol: float):
-    Xb = X.boundary_values
-    limit = tangency_tol * (1.0 + np.linalg.norm(Xb, axis=1))
-    bad = np.abs(np.sum(Xb * nhat, axis=1)) > limit
-    if np.any(bad):
-        raise PreconditionError(
-            f"field is not tangent to the domain boundary at boundary sample "
-            f"{int(np.argmax(bad))}"
-        )
+        j = int(np.argmax(np.any(bad.reshape(-1, bad.shape[-1]), axis=0)))
+        raise PreconditionError(f"field is not tangent to the domain boundary at boundary "
+                                f"sample {j}")
+    return _pair(form, Xb)
 
 
 # ---------------------------------------------------------------------------
-# quadratic forms, one density per sample
+# quadratic forms, one density per field and sample
 # ---------------------------------------------------------------------------
 
 def s_euclid(imm: SampledImmersion, X: NormalField) -> Array:
     """Interior density in the Euclidean metric: |D^perp X|^2 - <alpha, X>^2."""
-    _check_normal(imm, X)
-    geo = imm.geometry()
-    m, k, _, q = geo.alpha.shape
-    Xn = np.einsum("mqn,mn->mq", geo.normal, X.values)
-    alpha_X = geo.alpha.reshape(m, k * k, q) @ Xn[:, :, None]
-    return np.sum(X.dperp**2, axis=(1, 2)) - np.sum(alpha_X**2, axis=(1, 2))
+    return _squares(X.dperp) - _pair(imm.geometry().alpha_gram, X.normal)
 
 
 def t_euclid(imm: SampledImmersion, X: NormalField, domain: LevelSetDomain,
@@ -126,9 +133,8 @@ def t_euclid(imm: SampledImmersion, X: NormalField, domain: LevelSetDomain,
     working with approximately orthogonal immersions may widen the tolerance
     to the measured boundary defect.
     """
-    nhat, M, eta_dot_nu = imm.ambient(None, domain).boundary_form
-    _check_tangent(X, nhat, tangency_tol)
-    return _boundary_pair(X.boundary_values, M) * eta_dot_nu
+    eta_dot_nu = imm.ambient(None, domain).boundary_form[3]
+    return _rim_pair(imm, X, domain, tangency_tol) * eta_dot_nu
 
 
 def s_tilde_transformed(imm: SampledImmersion, X: NormalField,
@@ -139,22 +145,13 @@ def s_tilde_transformed(imm: SampledImmersion, X: NormalField,
     + k |X|^2 |grad u|^2 + k Hess u(X, X); valid where the immersion is
     minimal for the rescaled metric.
     """
-    geo = imm.geometry()
     record = imm.ambient(metric)
-    V = X.values
-    g, h = record.grad, record.hess
-    X2 = np.sum(V * V, axis=1)
-    u_i = record.grad_tan
-    Xn = np.einsum("mqn,mn->mq", geo.normal, V)
-    deriv_term = 2.0 * np.einsum("mi,mir,mr->m", u_i, X.dperp, Xn)
-    div_term = np.einsum("min,mnp,mip->m", geo.tangent, h, geo.tangent)
-    return (
-        s_euclid(imm, X)
-        + deriv_term
-        + X2 * div_term
-        + imm.k * X2 * np.sum(g * g, axis=1)
-        + imm.k * np.einsum("mn,mnp,mp->m", V, h, V)
-    )
+    Xn = X.normal
+    X2 = _norm2(Xn)
+    deriv_term = 2.0 * np.einsum("im,...irm,...rm->...m", record.grad_tan, X.dperp, Xn)
+    g2 = np.einsum("mx,mx->m", record.grad, record.grad)
+    return (s_euclid(imm, X) + deriv_term + X2 * record.hess_tangent + imm.k * X2 * g2
+            + imm.k * _pair(record.hess_normal, Xn))
 
 
 def s_tilde_direct(imm: SampledImmersion, X: NormalField,
@@ -164,20 +161,13 @@ def s_tilde_direct(imm: SampledImmersion, X: NormalField,
     Uses only the conformal connection, curvature tensor and second
     fundamental form; no minimality assumption.  Dual route to
     ``s_tilde_transformed`` for closure testing.  The curvature term is
-    X^T A X, A the record's ``tangent_curvature``.
+    X^T A X, A the record's ``curvature_normal``.
     """
-    _check_normal(imm, X)
-    geo = imm.geometry()
     record = imm.ambient(metric)
-    V = X.values
-    m, k, _, q = geo.alpha.shape
-    Xn = np.einsum("mqn,mn->mq", geo.normal, V)
-    grad_term = np.sum((X.dperp + record.grad_tan[:, :, None] * Xn[:, None, :]) ** 2,
-                       axis=(1, 2))
-    # sum_i <R(X, v_i) X, v_i>; no orthogonality of X and the v_i is assumed
-    curv = np.einsum("mn,mnp,mp->m", V, record.tangent_curvature, V)
-    sff = record.sff.reshape(m, k * k, q) @ Xn[:, :, None]
-    return grad_term - curv - np.sum(sff**2, axis=(1, 2))
+    Xn = X.normal
+    grad_term = _squares(X.dperp + record.grad_tan[:, None] * Xn[..., None, :, :])
+    sff_X = np.einsum("ijrm,...rm->...ijm", record.sff, Xn)
+    return grad_term - _pair(record.curvature_normal, Xn) - _squares(sff_X)
 
 
 def t_tilde_transformed(imm: SampledImmersion, X: NormalField, metric: ConformalMetric,
@@ -188,11 +178,9 @@ def t_tilde_transformed(imm: SampledImmersion, X: NormalField, metric: Conformal
     For the rescaled field X~ = e^{-u} X this is e^{-u} (T(X,X) -
     |X|^2 nu(u)); without rescaling, e^{+u} (same bracket).
     """
-    Xb = X.boundary_values
-    record = imm.ambient(metric)
-    u, nu_u = record.b_u, record.nu_u
-    bracket = t_euclid(imm, X, domain, tangency_tol) - np.sum(Xb * Xb, axis=1) * nu_u
-    return np.exp(-u if rescaled else u) * bracket
+    record, Xb = imm.ambient(metric), X.boundary
+    bracket = t_euclid(imm, X, domain, tangency_tol) - _norm2(Xb) * record.nu_u
+    return np.exp(-record.b_u if rescaled else record.b_u) * bracket
 
 
 def t_tilde_direct(imm: SampledImmersion, X: NormalField, metric: ConformalMetric,
@@ -204,12 +192,9 @@ def t_tilde_direct(imm: SampledImmersion, X: NormalField, metric: ConformalMetri
     fundamental form and the rescaled conormal; dual route to
     ``t_tilde_transformed``.
     """
-    nhat, M, eta_dot_nu = imm.ambient(None, domain).boundary_form
-    _check_tangent(X, nhat, tangency_tol)
-    Xb = X.boundary_values
-    u = imm.ambient(metric).b_u
-    eta_u = imm.ambient(metric, domain).eta_u
-    form = (_boundary_pair(Xb, M) - np.sum(Xb * Xb, axis=1) * eta_u) * eta_dot_nu
+    u, eta_u = imm.ambient(metric).b_u, imm.ambient(metric, domain).eta_u
+    eta_dot_nu = imm.ambient(None, domain).boundary_form[3]
+    form = (_rim_pair(imm, X, domain, tangency_tol) - _norm2(X.boundary) * eta_u) * eta_dot_nu
     return np.exp(-u if rescaled else u) * form
 
 
@@ -226,80 +211,44 @@ def _basis(n: int, basis=None) -> Array:
     return basis
 
 
-def _in_basis(frames: Array, basis=None) -> Array:
-    """Components ``[..., l]`` of frame vectors against the basis rows; the
-    frames themselves for the canonical basis."""
-    if basis is None:
-        return frames
-    return frames @ _basis(frames.shape[-1], basis).T
-
-
-def _s_euclid_terms(alpha: Array, TB: Array, NB: Array) -> Array:
-    """S(E_l^perp, E_l^perp) per interior sample and basis direction, (m, n),
-    contracted over sample-last copies of its operands.
-
-    ``TB``/``NB`` are the tangent/normal frames against the basis: E_l^tan
-    has frame components TB[:, :, l] and E_l^perp normal components NB[:, :, l].
-    """
-    alpha = _last(alpha)
-    a1 = np.einsum("ijrm,jlm->irlm", alpha, _last(TB))   # alpha(v_i, E_l^tan)
-    a2 = np.einsum("ijrm,rlm->ijlm", alpha, _last(NB))   # <alpha_ij, E_l^perp>
-    return _first(np.einsum("irlm,irlm->lm", a1, a1) - np.einsum("ijlm,ijlm->lm", a2, a2))
-
-
 def trace_s_euclid(imm: SampledImmersion, basis=None) -> Array:
     """Sum of S(E^perp, E^perp) over an orthonormal basis at every interior
     sample; zero pointwise on any immersion (tested, not assumed) -- the
     returned values are the achieved residuals for reporting."""
-    geo = imm.geometry()
-    terms = _s_euclid_terms(
-        geo.alpha, _in_basis(geo.tangent, basis), _in_basis(geo.normal, basis)
-    )
-    return np.sum(terms, axis=1)
+    return np.sum(s_euclid(imm, projected_field(imm, _basis(imm.n, basis))), axis=0)
 
 
 def trace_t_euclid(imm: SampledImmersion, domain: LevelSetDomain, basis=None) -> Array:
     """Boundary trace: sum of <alpha_boundary(E^perp, E^perp), nu> at every
     boundary sample."""
-    B = _basis(imm.n, basis)
-    return sum(t_euclid(imm, projected_field(imm, E), domain) for E in B)
+    return np.sum(t_euclid(imm, projected_field(imm, _basis(imm.n, basis)), domain), axis=0)
 
 
 def traced_interior_density(imm: SampledImmersion, metric: ConformalMetric, basis=None):
     """Per-interior-sample traced rescaled density and identity residual.
 
-    The density is traced over the projected rescaled constants e^{-u} E^perp
-    of an orthonormal basis (canonical by default); the residual compares
-    e^{2u} * value with k |grad^perp u|^2 - e^{2u} K~(T, N), the total
-    tangent-normal sectional curvature.  Returns ``(values (m,), residuals
-    (m,))``.
+    The density sums ``s_tilde_transformed`` over the projected rescaled
+    constants e^{-u} E^perp of an orthonormal basis (canonical by default);
+    the residual compares e^{2u} * value with k |grad^perp u|^2 - e^{2u}
+    K~(T, N), the total tangent-normal sectional curvature, which needs no
+    field.  Returns ``(values (m,), residuals (m,))``.
     """
-    geo = imm.geometry()
-    k = imm.k
-    TB, NB = _in_basis(geo.tangent, basis), _in_basis(geo.normal, basis)
-    s_g = _s_euclid_terms(geo.alpha, TB, NB).T
+    return _traced_interior(imm, metric, projected_field(imm, _basis(imm.n, basis)))
+
+
+def _traced_interior(imm: SampledImmersion, metric: ConformalMetric, X: NormalField):
+    """``traced_interior_density`` over the stacked projected constants X."""
+    k, q = imm.k, imm.n - imm.k
     record = imm.ambient(metric)
-    u = record.u
-    g, h, T, N, NB, ut, un = map(_last, (record.grad, record.hess, geo.tangent, geo.normal,
-                                         NB, record.grad_tan, record.grad_nor))
-    g2 = np.sum(g * g, axis=0)
-    ht = np.einsum("inm,npm,ipm->im", T, h, T)     # Hess u(v_i, v_i)
-    hn = np.einsum("rnm,npm,rpm->rm", N, h, N)     # Hess u(N_r, N_r)
-
-    XV = np.einsum("rnm,rlm->nlm", N, NB)          # E_l^perp ambient components
-    X2 = np.sum(NB**2, axis=0)
-    hxx = np.einsum("nlm,npm,plm->lm", XV, h, XV)
-    ut2 = np.sum(ut**2, axis=0)
-    div = np.sum(ht, axis=0)
-
-    display = s_g - X2 * ut2 + X2 * div + k * X2 * g2 + k * hxx
-    values = np.exp(-2.0 * u) * np.sum(display, axis=0)
-
-    terms = ut[:, None] ** 2 + un**2 - g2 - ht[:, None] - hn
-    ksum = np.exp(-2.0 * u) * np.einsum("irm->m", terms)
-    gperp2 = np.sum(un**2, axis=0)
-    residuals = np.abs(np.exp(2.0 * u) * values - (k * gperp2 - np.exp(2.0 * u) * ksum))
-    return values, residuals
+    f = np.exp(-record.u)  # the rescaled constants e^{-u} E^perp; v_a(f) = -u_a f
+    rescaled = X.scaled(f, -record.grad_tan * f, np.exp(-record.b_u))
+    values = np.sum(s_tilde_transformed(imm, rescaled, metric), axis=0)
+    ut2, un2 = _norm2(record.grad_tan), _norm2(record.grad_nor)
+    g2 = np.einsum("mx,mx->m", record.grad, record.grad)
+    # e^{2u} K~(T, N) = sum_{i,r} u_i^2 + u_r^2 - |grad u|^2 - Hess u(v_i, v_i) - Hess u(N_r, N_r)
+    curvature = (q * ut2 + k * un2 - k * q * g2 - q * record.hess_tangent
+                 - k * np.einsum("rrm->m", record.hess_normal))
+    return values, np.abs(np.exp(2.0 * record.u) * values - (k * un2 - curvature))
 
 
 def traced_boundary_density(imm: SampledImmersion, metric: ConformalMetric,
@@ -307,37 +256,30 @@ def traced_boundary_density(imm: SampledImmersion, metric: ConformalMetric,
                             tangency_tol: float = TANGENCY_TOL, basis=None):
     """Per-boundary-sample traced rescaled density and identity residual.
 
-    The density is traced over the projected rescaled constants of an
-    orthonormal basis (canonical by default); the residual compares e^u *
-    value with -(n-k) nu(u) + sum_l <alpha_boundary(E_l^perp, E_l^perp), nu>,
-    the latter evaluated as a projector trace.  Returns ``(values (mb,),
-    residuals (mb,))``.
+    The density sums ``t_tilde_transformed`` for the rescaled fields over the
+    projected constants of an orthonormal basis (canonical by default); the
+    residual compares e^u * value with -(n-k) nu(u) + sum_l
+    <alpha_boundary(E_l^perp, E_l^perp), nu>, the latter evaluated as the
+    trace of the boundary form on the rim's normal frame.  Returns
+    ``(values (mb,), residuals (mb,))``.
     """
-    geo = imm.geometry()
-    k, n = imm.k, imm.n
+    return _traced_boundary(imm, metric, domain, projected_field(imm, _basis(imm.n, basis)),
+                            tangency_tol)
+
+
+def _traced_boundary(imm: SampledImmersion, metric: ConformalMetric, domain: LevelSetDomain,
+                     X: NormalField, tangency_tol: float):
+    """``traced_boundary_density`` over the stacked projected constants X."""
     if imm.n_boundary == 0:
         return np.zeros(0), np.zeros(0)
-    bN = geo.b_normal
-    bNB = _in_basis(bN, basis)
+    _, form, nhat, eta_dot_nu = imm.ambient(None, domain).boundary_form
+    if np.max(np.abs(np.einsum("...rm,rm->...m", X.boundary, nhat))) > tangency_tol:
+        raise PreconditionError("projected fields are not tangent to the domain boundary; "
+                                "free boundary condition violated")
+    values = t_tilde_transformed(imm, X, metric, domain, tangency_tol=tangency_tol).sum(axis=0)
     record = imm.ambient(metric)
-    u, nu_u = record.b_u, record.nu_u
-    nhat, M, eta_dot_nu = imm.ambient(None, domain).boundary_form
-
-    XV = np.swapaxes(bN, 1, 2) @ bNB
-    tangency = np.abs((nhat[:, None, :] @ XV)[:, 0])
-    if np.max(tangency) > tangency_tol:
-        raise PreconditionError(
-            "projected fields are not tangent to the domain boundary; "
-            "free boundary condition violated"
-        )
-    X2 = np.sum(bNB**2, axis=1)
-    t_g = np.sum(XV * (M @ XV), axis=1) * eta_dot_nu[:, None]
-    values = np.exp(-u) * np.sum(t_g - X2 * nu_u[:, None], axis=1)
-
-    pair_sum = eta_dot_nu * np.sum((bN @ M) * bN, axis=(1, 2))
-    display = -(n - k) * nu_u + pair_sum
-    residuals = np.abs(np.exp(u) * values - display)
-    return values, residuals
+    display = -(imm.n - imm.k) * record.nu_u + eta_dot_nu * np.einsum("rrm->m", form)
+    return values, np.abs(np.exp(record.b_u) * values - display)
 
 
 # ---------------------------------------------------------------------------
@@ -436,12 +378,8 @@ def second_variation(imm: SampledImmersion, metric: ConformalMetric,
         warnings.append(f"not minimal at tolerance {minimality_tol:g}")
     if np.isfinite(defect) and defect > free_boundary_tol:
         warnings.append(f"free boundary defect exceeds {free_boundary_tol:g}")
-    if metric.field.name == "zero":
-        s_vals = s_euclid(imm, X)
-        t_vals = t_euclid(imm, X, domain, tangency)
-    else:
-        s_vals = s_tilde_direct(imm, X, metric)
-        t_vals = t_tilde_direct(imm, X, metric, domain, rescaled=False, tangency_tol=tangency)
+    s_vals = s_tilde_direct(imm, X, metric)
+    t_vals = t_tilde_direct(imm, X, metric, domain, rescaled=False, tangency_tol=tangency)
     record = imm.ambient(metric)
     interior_term = record.integrate(s_vals)
     boundary_term = record.integrate_boundary(t_vals)
@@ -586,8 +524,9 @@ def instability_certificate(imm: SampledImmersion, metric: ConformalMetric,
     if fb_defect > cfg.free_boundary_tol:
         failed.append(f"free-boundary: defect {fb_defect:.3e} > {cfg.free_boundary_tol:g}")
 
-    s_vals, s_res = traced_interior_density(imm, metric)
-    t_vals, t_res = traced_boundary_density(imm, metric, domain, tangency)
+    X = projected_field(imm, np.eye(n))
+    s_vals, s_res = _traced_interior(imm, metric, X)
+    t_vals, t_res = _traced_boundary(imm, metric, domain, X, tangency)
     record = imm.ambient(metric)
     traced_interior = record.integrate(s_vals)
     traced_boundary = record.integrate_boundary(t_vals)

@@ -29,7 +29,10 @@ These kinds live here:
   factor, the S-terms, the traced interior and boundary densities, and the
   direct rescaled density with the curvature vector R(X, v_i)X written out
   term by term.  They read the same geometry as the package, so a
-  comparison isolates one kernel.
+  comparison isolates one kernel.  The S-terms and the traces state the
+  projected constants by the frames against the basis, and the direct
+  density reads a field's ambient vectors, rebuilt from its normal-frame
+  components by ``ambient_field``.
 """
 
 import numpy as np
@@ -41,7 +44,6 @@ from fbstab import flow as fl
 from fbstab.errors import DomainError
 from fbstab.fields import ConformalMetric, ScalarField, make_field
 from fbstab.submanifold import _batched_frames, _first, _last, _upper_inverse
-from fbstab.variation import _in_basis
 
 
 # ---------------------------------------------------------------------------
@@ -494,7 +496,7 @@ def gram_matmul(Js):
 def geometry_einsum(imm):
     """``(alpha, H)`` of ``SampledImmersion.geometry()`` and its
     ``jacobian_factor``."""
-    _, N, C = _batched_frames(imm.Js)
+    _, N, C = _batched_frames(imm.Js)[:3]
     hn = np.einsum("mrx,mabx->mabr", N, imm.Hs)
     alpha = np.einsum("mai,mbj,mabr->mijr", C, C, hn)
     H = np.einsum("miir,mrx->mx", alpha, N)
@@ -502,8 +504,24 @@ def geometry_einsum(imm):
     return alpha, H, np.sqrt(np.linalg.det(gram))
 
 
+def in_basis(frames, basis=None):
+    """Components ``[..., l]`` of frame vectors against the basis rows; the
+    frames themselves for the canonical basis."""
+    return frames if basis is None else frames @ np.asarray(basis, float).T
+
+
+def ambient_field(imm, X):
+    """The ambient vectors of a ``NormalField``: ``(values (..., m, n), dperp
+    (..., m, k, q), boundary values (..., mb, n))``, sample-first."""
+    geo = imm.geometry()
+    return (np.einsum("...rm,mrx->...mx", X.normal, geo.normal),
+            np.einsum("...irm->...mir", X.dperp),
+            np.einsum("...rm,mrx->...mx", X.boundary, geo.b_normal))
+
+
 def s_euclid_terms_einsum(alpha, TB, NB):
-    """``variation._s_euclid_terms``: S(E_l^perp, E_l^perp), (m, n)."""
+    """``variation.s_euclid`` of the projected constants of a basis, from the
+    frames against it: S(E_l^perp, E_l^perp), (m, n)."""
     a1 = np.einsum("mijr,mjl->milr", alpha, TB)
     a2 = np.einsum("mijr,mrl->mijl", alpha, NB)
     return np.sum(a1**2, axis=(1, 3)) - np.sum(a2**2, axis=(1, 2))
@@ -514,7 +532,7 @@ def traced_interior_density_einsum(imm, metric: ConformalMetric, basis=None):
     geo = imm.geometry()
     k = imm.k
     T, N, alpha = geo.tangent, geo.normal, geo.alpha
-    NB = _in_basis(N, basis)
+    NB = in_basis(N, basis)
     u = metric.field.value(imm.xs)
     g = metric.field.gradient(imm.xs)
     h = metric.field.hessian(imm.xs)
@@ -522,7 +540,7 @@ def traced_interior_density_einsum(imm, metric: ConformalMetric, basis=None):
     ut = np.einsum("mkn,mn->mk", T, g)
     un = np.einsum("mqn,mn->mq", N, g)
     div = np.einsum("mkn,mnp,mkp->m", T, h, T)
-    s_g = s_euclid_terms_einsum(alpha, _in_basis(T, basis), NB)
+    s_g = s_euclid_terms_einsum(alpha, in_basis(T, basis), NB)
     XV = np.einsum("mqn,mql->mnl", N, NB)
     X2 = np.einsum("mql->ml", NB**2)
     hxx = np.einsum("mnl,mnp,mpl->ml", XV, h, XV)
@@ -543,10 +561,12 @@ def traced_boundary_density_einsum(imm, metric: ConformalMetric, domain, basis=N
     """``variation.traced_boundary_density`` without its tangency check:
     ``(values, residuals, tangency)``."""
     bN = imm.geometry().b_normal
-    bNB = _in_basis(bN, basis)
+    bNB = in_basis(bN, basis)
     u = metric.field.value(imm.bxs)
     nu_u = np.sum(metric.field.gradient(imm.bxs) * imm.bnus, axis=1)
-    nhat, M, eta_dot_nu = imm.ambient(None, domain).boundary_form
+    nhat = dm.outward_normal(domain, imm.bxs)
+    M = dm.boundary_form(domain, imm.bxs)
+    eta_dot_nu = -np.sum(nhat * imm.bnus, axis=1)
     XV = np.einsum("mqn,mql->mnl", bN, bNB)
     tangency = np.abs(np.einsum("mnl,mn->ml", XV, nhat))
     X2 = np.sum(bNB**2, axis=1)
@@ -558,15 +578,19 @@ def traced_boundary_density_einsum(imm, metric: ConformalMetric, domain, basis=N
     return values, residuals, tangency
 
 
-def s_tilde_direct_einsum(imm, X, metric: ConformalMetric):
-    """``variation.s_tilde_direct``: the curvature vector R(X, v_i)X paired
-    with v_i, and the connection and second fundamental form terms."""
+def s_tilde_direct_einsum(imm, V, dperp, metric: ConformalMetric):
+    """``variation.s_tilde_direct`` of the normal field with ambient values
+    ``V`` (m, n) and normal derivative ``dperp`` (m, k, q): the curvature
+    vector R(X, v_i)X paired with v_i, and the connection and second
+    fundamental form terms, the latter by the transformation law."""
     geo = imm.geometry()
-    V = X.values
-    u_i = np.einsum("mkn,mn->mk", geo.tangent, metric.field.gradient(imm.xs))
+    g = metric.field.gradient(imm.xs)
+    u_i = np.einsum("mkn,mn->mk", geo.tangent, g)
     Xn = np.einsum("mqn,mn->mq", geo.normal, V)
-    grad_term = np.sum((X.dperp + u_i[:, :, None] * Xn[:, None, :]) ** 2, axis=(1, 2))
+    grad_term = np.sum((dperp + u_i[:, :, None] * Xn[:, None, :]) ** 2, axis=(1, 2))
     R = riemann_vector(metric.field, imm.xs[:, None], V[:, None], geo.tangent, V[:, None])
     curv = np.einsum("min,min->m", R, geo.tangent)
-    sff = np.einsum("mijr,mr->mij", imm.ambient(metric).sff, Xn)
-    return grad_term - curv - np.sum(sff**2, axis=(1, 2))
+    gperp = np.einsum("mqn,mn->mq", geo.normal, g)
+    sff = geo.alpha - np.eye(imm.k)[None, :, :, None] * gperp[:, None, None, :]
+    sff_X = np.einsum("mijr,mr->mij", sff, Xn)
+    return grad_term - curv - np.sum(sff_X**2, axis=(1, 2))

@@ -1,6 +1,8 @@
 """Batched matrix-product kernels against their einsum statements, the
-contracted curvature form against the Christoffel oracle and its expanded
-statement, the tangent-traced curvature operator against the form, and the
+stacked second-variation forms and traces against the sample-first
+statements over ambient vectors, the contracted curvature form against the
+Christoffel oracle and its expanded statement, the tangent-traced curvature
+operator and its normal-frame entry against the form, and the
 Gram-eigenvalue conditioning check."""
 
 import numpy as np
@@ -11,7 +13,7 @@ from conftest import riemann_oracle
 from fbstab import conformal
 from fbstab import submanifold as sub
 from fbstab import variation as var
-from fbstab.errors import DegenerateSampleError
+from fbstab.errors import DegenerateSampleError, PreconditionError
 from fbstab.fields import ConformalMetric, make_field
 from fbstab.scenarios import SCENARIOS, build_scenario
 
@@ -42,32 +44,44 @@ def _check_geometry(imm):
 
 
 def _check_interior(imm, metric, basis=None):
+    """The stacked S-forms over the projected constants of a basis, and the
+    traces, against the sample-first statements."""
     geo = imm.geometry()
-    TB, NB = var._in_basis(geo.tangent, basis), var._in_basis(geo.normal, basis)
-    assert _close(var._s_euclid_terms(geo.alpha, TB, NB),
-                  oracles.s_euclid_terms_einsum(geo.alpha, TB, NB))
+    X = var.projected_field(imm, var._basis(imm.n, basis))
+    terms = oracles.s_euclid_terms_einsum(
+        geo.alpha, oracles.in_basis(geo.tangent, basis), oracles.in_basis(geo.normal, basis))
+    assert _close(var.s_euclid(imm, X), terms.T)
+    assert _close(var.trace_s_euclid(imm, basis), np.sum(terms, axis=1))
     values, residuals = var.traced_interior_density(imm, metric, basis)
     want_values, want_residuals = oracles.traced_interior_density_einsum(imm, metric, basis)
     assert _close(values, want_values)
     assert _close(residuals, want_residuals)
-    for E in var._basis(imm.n, basis):
-        X = var.projected_field(imm, E)
-        assert _close(var.s_tilde_direct(imm, X, metric),
-                      oracles.s_tilde_direct_einsum(imm, X, metric))
+    V, dperp, _ = oracles.ambient_field(imm, X)
+    got = var.s_tilde_direct(imm, X, metric)
+    for l in range(imm.n):
+        assert _close(got[l], oracles.s_tilde_direct_einsum(imm, V[l], dperp[l], metric))
 
 
 def _check_tangent_curvature(imm, metric, seed):
-    """The record's A is symmetric and V^T A V = sum_i <R(V, v_i)V, v_i>,
-    for the projected constant fields and for a field that is not normal."""
+    """A is symmetric and V^T A V = sum_i <R(V, v_i)V, v_i>, for the
+    projected constant fields and for a field that is not normal; the
+    record's normal-frame entries of A and Hess u give V^T A V and Hess u(V,
+    V) from the projected fields' components."""
     record = imm.ambient(metric)
-    A, T = record.tangent_curvature, imm.geometry().tangent
+    T = imm.geometry().tangent
+    A = conformal.tangent_curvature(record.grad, record.hess, T)
     assert np.array_equal(A, np.swapaxes(A, 1, 2))
-    fields = [var.projected_field(imm, E).values for E in np.eye(imm.n)]
+    X = var.projected_field(imm, np.eye(imm.n))
+    V = oracles.ambient_field(imm, X)[0]
+    fields = list(V)
     fields.append(np.random.default_rng(seed).normal(size=(imm.n_interior, imm.n)))
     for V in fields:
         want = np.sum(conformal.curvature_form(record.grad, record.hess, V[:, None], T,
                                                V[:, None], T), axis=1)
         assert _close(np.einsum("mn,mnp,mp->m", V, A, V), want)
+    for entry, S in ((record.curvature_normal, A), (record.hess_normal, record.hess)):
+        assert _close(np.einsum("lrm,rsm,lsm->lm", X.normal, entry, X.normal),
+                      np.einsum("lmn,mnp,lmp->lm", fields[:-1], S, fields[:-1]))
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
@@ -132,15 +146,20 @@ def test_chart_chain_rule_and_gram_match_einsum(name, monkeypatch):
                       oracles.gram_matmul(J))
 
 
-@pytest.mark.parametrize("name", ["cap-disk-b4k2", "cap-disk-b5k3", "flat-disk-b6k3",
-                                  "radial-custom-disk-b4", "hyperbolic-disk-b4"])
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_traced_boundary_density_matches_einsum(name):
+    """Where the projected constants are tangent to the domain boundary the
+    traced boundary density matches its statement; elsewhere it refuses."""
     built = build_scenario(name)
     imm, metric, dom = built.immersion, built.metric, built.domain
     for basis in (None, _random_basis(imm.n, 5)):
-        values, residuals = var.traced_boundary_density(imm, metric, dom, basis=basis)
-        want_values, want_residuals, _ = oracles.traced_boundary_density_einsum(
+        want_values, want_residuals, tangency = oracles.traced_boundary_density_einsum(
             imm, metric, dom, basis)
+        if np.max(tangency) > var.TANGENCY_TOL:
+            with pytest.raises(PreconditionError, match="not tangent"):
+                var.traced_boundary_density(imm, metric, dom, basis=basis)
+            continue
+        values, residuals = var.traced_boundary_density(imm, metric, dom, basis=basis)
         assert _close(values, want_values)
         assert _close(residuals, want_residuals)
 

@@ -270,6 +270,25 @@ def test_cli_config_errors(tmp_path, capsys):
         assert key in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("verb,scenario,message", [
+    ("stability", {"n": 4, "k": 2, "field": {"name": "linear"}},
+     "field 'linear' needs parameter 'a'"),
+    ("stability", {"n": 4, "k": 2, "domain": {"kind": "ellipsoid"}},
+     "domain 'ellipsoid' needs parameter 'semi_axes'"),
+    ("stability", {"n": 3, "k": 2, "immersion": {"kind": "tilted-disk"}},
+     "immersion 'tilted-disk' needs parameter 'angle'"),
+    ("flow", {"n": 3, "k": 2, "flow": {"initial": "flat", "ntheta": 15}},
+     "flow grid ntheta must be even, got 15"),
+], ids=["field-parameter", "domain-parameter", "immersion-parameter", "flow-odd-ntheta"])
+def test_cli_catalog_errors_exit_2(verb, scenario, message, tmp_path, capsys):
+    """A catalog entry missing a parameter, or a flow grid the solver cannot
+    use, is a configuration error naming the key or the value."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"scenario": scenario}))
+    assert cli.main([verb, "--config", str(cfg)]) == 2
+    assert f"configuration error: {message}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [
     ["stability", "--scenario", "flat-disk-b4k2", "--format", "csv"],
     ["dump", "--scenario", "flat-disk-b4k2", "--tol", "1"],

@@ -1,5 +1,6 @@
 """Smoke runs of the experiment scripts on small settings."""
 
+import json
 import os
 import subprocess
 import sys
@@ -24,12 +25,34 @@ ROOT = Path(__file__).resolve().parent.parent
      "cap-disk-b4k2 seed 2: unstable-certified"),
 ], ids=["certificate_sweep", "flow_experiment", "flow_experiment_steps", "registry_outputs"])
 def test_script_runs(script, args, expect, tmp_path):
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / script), *args, "--out", str(tmp_path)],
-        capture_output=True, text=True, env=env, timeout=300,
-    )
-    assert proc.returncode == 0, proc.stderr
+    proc = _run(script, *args, "--out", str(tmp_path))
     assert expect in proc.stdout
     assert any(tmp_path.iterdir())
+
+
+def _run(script, *args):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / script), *args],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc
+
+
+def test_registry_outputs_diff(tmp_path):
+    """--diff counts identical and moved items, reports a float's move and
+    lists a change that is not a float's."""
+    _run("registry_outputs.py", "--scenario", "cap-disk-b4k2", "--out", str(tmp_path))
+    path = tmp_path / "registry_outputs.json"
+    doc = json.loads(path.read_text())
+    report = doc["certificates"]["cap-disk-b4k2"]["1"]
+    report["traced_total"] *= 1.0 + 1e-12
+    report["verdict"] = "inconclusive"
+    path.write_text(json.dumps(doc))
+    out = _run("registry_outputs.py", "--scenario", "cap-disk-b4k2", "--diff", str(path)).stdout
+    assert "certificates: 2 identical, 1 moved" in out
+    assert "second_variation: 4 identical, 0 moved" in out
+    assert "traced_total: largest relative move 1.00e-12 at certificates/cap-disk-b4k2/1" in out
+    assert "non-float changes: 1" in out
+    assert ("certificates/cap-disk-b4k2/1/verdict: 'inconclusive' -> 'unstable-certified'"
+            in out)

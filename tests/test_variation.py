@@ -8,6 +8,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import oracles
 from fbstab import conformal
 from fbstab import domain as dm
 from fbstab import scenarios as sc
@@ -28,15 +29,16 @@ def test_projected_field_trivials(flat_b4):
     # normal direction is preserved; tangent direction is annihilated
     e3 = np.eye(4)[2]
     X = var.projected_field(imm, e3)
-    assert np.allclose(X.values, e3) and np.allclose(X.dperp, 0.0)
-    assert np.allclose(X.boundary_values, e3)
+    values, _, boundary_values = oracles.ambient_field(imm, X)
+    assert np.allclose(values, e3) and np.allclose(X.dperp, 0.0)
+    assert np.allclose(boundary_values, e3)
     tangent = imm.geometry().tangent[4, 0]
-    assert np.allclose(var.projected_field(imm, tangent).values, 0.0, atol=1e-14)
+    assert np.allclose(var.projected_field(imm, tangent).normal, 0.0, atol=1e-14)
 
 
 def test_projected_field_norms_sum_to_codimension(rng):
     imm = sub.make_immersion("random-graph", n=6, k=3, seed=11, degree=2)
-    total = sum(np.sum(var.projected_field(imm, E).values ** 2, axis=1) for E in np.eye(6))
+    total = sum(np.sum(var.projected_field(imm, E).normal ** 2, axis=0) for E in np.eye(6))
     assert np.max(np.abs(total - 3.0)) < 1e-12
 
 
@@ -69,21 +71,92 @@ def test_projected_field_derivative_matches_chart_differentiation():
                 w = C[:, a]  # chart velocity of the frame vector v_a
                 d = (perp(y0 + h * w, E) - perp(y0 - h * w, E)) / (2 * h)
                 want = geo.normal[i] @ d  # normal components of the derivative
-                assert np.max(np.abs(X.dperp[i, a] - want)) < 1e-6
+                assert np.max(np.abs(X.dperp[a, :, i] - want)) < 1e-6
 
 
-def test_normal_field_precondition(flat_b4):
-    """One tangential row among many normal ones is rejected."""
-    imm = flat_b4.immersion
+def test_scaled_field_derivative_matches_chart_differentiation():
+    """D^perp(fX) = v(f) X + f D^perp X agrees with numerically
+    differentiating the normal part of f E^perp along the chart."""
+    c = 0.7
+    imm = sub.make_immersion(
+        "graph", n=3, k=2,
+        coeffs=[[[c / 2, [2, 0]], [c / 2, [0, 2]]]],
+        halfwidth=0.5, nodes_per_axis=5,
+    )
+    u = make_field("polynomial", terms=[[0.3, [1, 0, 0]], [-0.4, [0, 1, 1]], [0.2, [2, 0, 0]]])
+
+    def x_of(y):
+        return np.array([y[0], y[1], c / 2 * (y[0] ** 2 + y[1] ** 2)])
+
+    def scaled_perp(y, E):
+        J = np.array([[1.0, 0.0], [0.0, 1.0], [c * y[0], c * y[1]]])
+        P = J @ np.linalg.inv(J.T @ J) @ J.T
+        return np.exp(-u.value(x_of(y))) * (E - P @ E)
+
+    geo = imm.geometry()
+    f = np.exp(-u.value(imm.xs))
+    df = -np.einsum("mkx,mx->km", geo.tangent, u.gradient(imm.xs)) * f
+    h = 1e-6
+    X = var.projected_field(imm, np.eye(3)).scaled(f, df, np.exp(-u.value(imm.bxs)))
+    for l, E in enumerate(np.eye(3)):
+        for i in range(imm.n_interior):
+            y0 = imm.xs[i, :2]
+            for a in range(2):
+                w = geo.chart_to_frame[i][:, a]  # chart velocity of the frame vector v_a
+                d = (scaled_perp(y0 + h * w, E) - scaled_perp(y0 - h * w, E)) / (2 * h)
+                assert np.max(np.abs(X.dperp[l, a, :, i] - geo.normal[i] @ d)) < 1e-6
+
+
+def _per_field_forms(imm, metric, dom):
+    """Every form as a function of a field."""
+    return {
+        "s_euclid": lambda X: var.s_euclid(imm, X),
+        "s_tilde_transformed": lambda X: var.s_tilde_transformed(imm, X, metric),
+        "s_tilde_direct": lambda X: var.s_tilde_direct(imm, X, metric),
+        "t_euclid": lambda X: var.t_euclid(imm, X, dom),
+        "t_tilde_transformed": lambda X: var.t_tilde_transformed(imm, X, metric, dom),
+        "t_tilde_direct": lambda X: var.t_tilde_direct(imm, X, metric, dom, rescaled=False),
+    }
+
+
+@pytest.mark.parametrize("scenario_fixture", ["cap_b4", "custom_b4", "cap_b5k3"])
+def test_stacked_forms_equal_per_field_calls(scenario_fixture, request, rng):
+    """A form of a stack of fields is the form of each field, row by row and
+    bit for bit, for a stack with one and with two leading axes; the stacked
+    projection is the projection of each vector."""
+    built = request.getfixturevalue(scenario_fixture)
+    imm, metric, dom = built.immersion, built.metric, built.domain
+    Q, _ = np.linalg.qr(rng.normal(size=(imm.n, imm.n)))
+    B = Q.T
+    stack = var.projected_field(imm, B)
+    grid = var.NormalField(*(np.stack([a, a[::-1]])
+                             for a in (stack.normal, stack.dperp, stack.boundary)))
+    assert np.max(np.abs(var.projected_field(imm, np.stack([B, B[::-1]])).dperp
+                         - grid.dperp)) <= 1e-15
+    for l, E in enumerate(B):
+        single = var.projected_field(imm, E)
+        for got, want in zip((stack.normal[l], stack.dperp[l], stack.boundary[l]),
+                             (single.normal, single.dperp, single.boundary)):
+            assert np.max(np.abs(got - want)) <= 1e-15
+    rows = [var.NormalField(stack.normal[l], stack.dperp[l], stack.boundary[l])
+            for l in range(imm.n)]
+    for name, form in _per_field_forms(imm, metric, dom).items():
+        want = np.array([form(X) for X in rows])
+        assert np.array_equal(form(stack), want), name
+        assert np.array_equal(form(grid), np.stack([want, want[::-1]])), name
+
+
+def test_second_variation_route_does_not_depend_on_the_field_name(cap_b4):
+    """Q(X, X) evaluates the exponent it is given: a radial-spherical field
+    named "zero" gives the radial-spherical value -2 pi e^{2u(0)} = -8 pi."""
+    imm, dom = cap_b4.immersion, cap_b4.domain
+    base = make_field("radial-spherical")
+    renamed = ConformalMetric(
+        ScalarField.analytic(base.value_fn, base.grad_fn, base.hess_fn, name="zero"), 4)
     X = var.projected_field(imm, np.eye(4)[2])
-    var.s_euclid(imm, X)
-    values = X.values.copy()
-    values[137] = imm.geometry().tangent[137, 0]
-    bad = var.NormalField(values, X.dperp, X.boundary_values)
-    with pytest.raises(PreconditionError):
-        var.s_euclid(imm, bad)
-    with pytest.raises(PreconditionError):
-        var.s_tilde_direct(imm, bad, flat_b4.metric)
+    got = var.second_variation(imm, renamed, X, dom).value
+    assert got == var.second_variation(imm, cap_b4.metric, X, dom).value
+    assert abs(got + 8.0 * np.pi) < 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -93,9 +166,9 @@ def test_normal_field_precondition(flat_b4):
 def _zero_field(imm):
     q = imm.n - imm.k
     return var.NormalField(
-        np.zeros((imm.n_interior, imm.n)),
-        np.zeros((imm.n_interior, imm.k, q)),
-        np.zeros((imm.n_boundary, imm.n)),
+        np.zeros((q, imm.n_interior)),
+        np.zeros((imm.k, q, imm.n_interior)),
+        np.zeros((q, imm.n_boundary)),
     )
 
 
@@ -112,7 +185,7 @@ def test_s_euclid_paraboloid_term_structure():
     for E in np.eye(3):
         X = var.projected_field(imm, E)
         Et = geo.tangent @ E
-        Xn = np.einsum("mrn,mn->mr", geo.normal, X.values)
+        Xn = X.normal.T
         grad_part = np.sum(np.einsum("majr,mj->mar", geo.alpha, Et) ** 2, axis=(1, 2))
         alpha_part = np.sum(np.einsum("mijr,mr->mij", geo.alpha, Xn) ** 2, axis=(1, 2))
         assert np.max(np.abs(var.s_euclid(imm, X) - (grad_part - alpha_part))) < 1e-12
@@ -126,37 +199,40 @@ def test_t_euclid_unit_ball(flat_b4, ball4):
     imm = flat_b4.immersion
     X = var.projected_field(imm, np.eye(4)[2])
     got = var.t_euclid(imm, X, ball4)
-    Xb = X.boundary_values
+    Xb = oracles.ambient_field(imm, X)[2]
     assert np.max(np.abs(got - (-np.sum(Xb * Xb, axis=1)))) < 1e-12
     assert np.all(var.t_euclid(imm, _zero_field(imm), ball4) == 0.0)
 
 
-def test_t_euclid_requires_tangency(flat_b4, ball4):
-    """One row along the outward normal among many tangent ones is rejected."""
-    imm = flat_b4.immersion
-    X = var.projected_field(imm, np.eye(4)[2])
-    var.t_euclid(imm, X, ball4)
-    bvalues = X.boundary_values.copy()
-    bvalues[17] = dm.outward_normal(ball4, imm.bxs[17])
-    bad = var.NormalField(X.values, X.dperp, bvalues)
-    with pytest.raises(PreconditionError):
-        var.t_euclid(imm, bad, ball4)
-    with pytest.raises(PreconditionError):
-        var.t_tilde_direct(imm, bad, flat_b4.metric, ball4)
+def test_t_euclid_requires_tangency(metric_zero4):
+    """One row along the outward normal among many tangent ones is rejected.
+    A normal field of a disk meeting the sphere orthogonally has no such row,
+    so the rim is a paraboloid cap's on the sphere through it."""
+    imm = sub.make_immersion("paraboloid-cap", curvature=0.5, n=4, radius=1.0)
+    dom = dm.make_domain("ball", 4, radius=np.sqrt(1.0 + 0.25**2))
+    X = _zero_field(imm)
+    var.t_euclid(imm, X, dom)
+    bvalues = X.boundary.copy()
+    bvalues[:, 17] = imm.geometry().b_normal[17] @ dm.outward_normal(dom, imm.bxs[17])
+    bad = var.NormalField(X.normal, X.dperp, bvalues)
+    with pytest.raises(PreconditionError, match="boundary sample 17"):
+        var.t_euclid(imm, bad, dom)
+    with pytest.raises(PreconditionError, match="boundary sample 17"):
+        var.t_tilde_direct(imm, bad, metric_zero4, dom)
 
 
 def test_t_euclid_ellipsoid_principal_direction():
     a, b = 2.0, 1.0
     ell = dm.make_domain("ellipsoid", 3, semi_axes=[a, b, b])
     # a synthetic surface with one boundary sample whose conormal is the
-    # outward axis
-    J = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
+    # outward axis and whose normal is the second axis
+    J = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]])
     imm = sub.SampledImmersion(
         2, 3,
         np.zeros((1, 3)), J[None], np.zeros((1, 2, 2, 3)), np.ones(1),
         np.array([[a, 0.0, 0.0]]), J[None], np.ones(1), np.array([[1.0, 0.0, 0.0]]),
     )
-    X = var.NormalField(np.zeros((1, 3)), np.zeros((1, 2, 1)), np.array([[0.0, 1.0, 0.0]]))
+    X = var.NormalField(np.zeros((1, 1)), np.zeros((2, 1, 1)), np.ones((1, 1)))
     got = var.t_euclid(imm, X, ell)
     assert got.shape == (1,)
     assert abs(got[0] - (-(a / b**2))) < 1e-12
@@ -173,7 +249,7 @@ def test_s_tilde_transformed_reduces_and_scales(flat_b4, metric_zero4, cap_b4):
     assert np.max(np.abs(var.s_tilde_transformed(imm, X, metric_zero4) - euclid)) < 1e-14
     metric = cap_b4.metric
     v1 = var.s_tilde_transformed(imm, X, metric)
-    X2 = var.NormalField(2.0 * X.values, 2.0 * X.dperp, 2.0 * X.boundary_values)
+    X2 = var.NormalField(2.0 * X.normal, 2.0 * X.dperp, 2.0 * X.boundary)
     v2 = var.s_tilde_transformed(imm, X2, metric)
     assert np.all(np.abs(v2 - 4.0 * v1) < 1e-12 * np.maximum(1, np.abs(v1)))
 
@@ -212,7 +288,7 @@ def test_t_tilde_transformed_values(cap_b4, flat_b4, metric_zero4, ball4):
     assert np.max(np.abs(got)) < 1e-12
     # doubling |X|^2 doubles the slope term
     a = var.t_tilde_transformed(imm, X, metric, ball4, rescaled=False)
-    X2 = var.NormalField(X.values, X.dperp, np.sqrt(2) * X.boundary_values)
+    X2 = var.NormalField(X.normal, X.dperp, np.sqrt(2) * X.boundary)
     b = var.t_tilde_transformed(imm, X2, metric, ball4, rescaled=False)
     assert np.max(np.abs(b - 2 * a)) < 1e-12
 
@@ -375,8 +451,10 @@ def test_ambient_records_are_keyed_by_metric_and_domain():
     for fn, *args in calls:
         got, want = fn(imm, *args), fn(sc.build_scenario("cap-disk-b4k2").immersion, *args)
         assert np.array_equal(got, want) if fn is t else got == want
+    # Q(X, X) takes the direct route for the zero exponent too, so it reads
+    # eta(u) under (zero, dom)
     assert set(imm._ambient) == {
-        (sphere, None), (zero, None), (None, dom), (None, wide), (sphere, dom)}
+        (sphere, None), (zero, None), (None, dom), (None, wide), (sphere, dom), (zero, dom)}
 
 
 def _counting_metric(name, n):
@@ -398,8 +476,7 @@ def _counting_metric(name, n):
 
 def test_warm_second_variation_evaluates_only_the_field_x(monkeypatch):
     """After one Q(X, X), Q over a whole basis calls neither the field nor
-    the residual checks, nor builds the curvature operator again; the
-    per-call checks on X still run."""
+    the residual checks, nor builds the curvature operator again."""
     built = sc.build_scenario("cap-disk-b4k2")
     imm, dom = built.immersion, built.domain
     metric, calls = _counting_metric("radial-spherical", 4)
@@ -422,22 +499,13 @@ def test_warm_second_variation_evaluates_only_the_field_x(monkeypatch):
     # every reader shares the cached arrays, so none may write to them
     record = imm.ambient(metric)
     assert not any(a.flags.writeable for a in (record.u, record.grad, record.hess, record.sff,
-                                               record.tangent_curvature))
+                                               record.curvature_normal))
     # another metric on the same immersion gets its own operator
     other = ConformalMetric(make_field("radial-custom", coeffs=[0.1, 0.4, -0.2]), 4)
     var.second_variation(imm, other, var.projected_field(imm, np.eye(4)[0]), dom)
     assert checks["schouten"] == 1
-    A, B = record.tangent_curvature, imm.ambient(other).tangent_curvature
+    A, B = record.curvature_normal, imm.ambient(other).curvature_normal
     assert A is not B and not np.array_equal(A, B)
-
-    X = var.projected_field(imm, np.eye(4)[2])
-    values = X.values.copy()
-    values[137] = imm.geometry().tangent[137, 0]
-    bad = var.NormalField(values, X.dperp, X.boundary_values)
-    with pytest.raises(PreconditionError, match="not normal"):
-        var.s_tilde_direct(imm, bad, metric)
-    with pytest.raises(PreconditionError, match="not normal"):
-        var.second_variation(imm, metric, bad, dom)
 
 
 def test_warm_interior_bound_evaluates_no_field():

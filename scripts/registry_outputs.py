@@ -4,14 +4,16 @@
 The document holds, for every registry scenario, the instability
 certificate's report at seeds 0-2 (an error as its message), Q(X, X) on the
 projected canonical constants E_l^perp of every scenario with boundary
-samples, and the report of ``fbstab verify --seed 42``.  Floats are written
-to the last bit, so two checkouts agree on every output exactly when their
-files are identical: run the script in each and ``diff`` the two files.
-Prints one line per certificate; use --out to keep the JSON.  With --diff
-OTHER.json it also compares this checkout's outputs with another's: the
-identical and moved counts per section (a certificate, a Q value or a
-verify check is one item), the largest relative and absolute moves of every
-float key and every change that is not a float moving.
+samples, for every flow scenario the ``fbstab flow`` document (iterations,
+residual, defect, volume) and its residual history, and the report of
+``fbstab verify --seed 42``.  Floats are written to the last bit, so two
+checkouts agree on every output exactly when their files are identical: run
+the script in each and ``diff`` the two files.  Prints one line per
+certificate and flow; use --out to keep the JSON.  With --diff OTHER.json
+it also compares this checkout's outputs with another's: the identical and
+moved counts per section (a certificate, a Q value, a flow run or a verify
+check is one item), the largest relative and absolute moves of every float
+key and every change that is not a float moving.
 
 Examples:
   python scripts/registry_outputs.py --out results/outputs
@@ -25,6 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
+from fbstab import flow as fl
 from fbstab import scenarios as sc
 from fbstab import variation as var
 from fbstab.errors import ConfigError, GeometryError
@@ -33,6 +36,7 @@ SEEDS = (0, 1, 2)
 VERIFY_SEED = 42
 # the package's typed errors; an error is an output like any value
 ERRORS = (ConfigError, GeometryError)
+HISTORY = ("residual", "defect", "volume", "dt", "backtracks")
 
 
 def _error(exc: Exception) -> dict:
@@ -67,6 +71,22 @@ def scenario_outputs(name: str) -> tuple[dict, dict | None]:
     return certificates, values
 
 
+def flow_outputs(name: str) -> dict:
+    """The ``fbstab flow`` document of a flow scenario at the default
+    configuration, with its residual history (one row per accepted grid),
+    or the typed error's message."""
+    try:
+        built = sc.build_scenario(name)
+        _, converged, state = fl.run_flow(sc.flow_grid_for(built.scenario), built.metric,
+                                          built.domain, fl.FlowConfig())
+    except ERRORS as exc:
+        return _error(exc)
+    return {"converged": converged, "iterations": state.iteration,
+            "residual": state.residual, "boundary_defect": state.boundary_defect,
+            "volume": state.volume,
+            "history": [dict(zip(HISTORY, row)) for row in state.residual_history]}
+
+
 def _leaves(node, path=()):
     """``(path, value)`` of every leaf of a document; a verify check is keyed
     by ``suite/scenario/name``, any other list item by its index."""
@@ -83,8 +103,11 @@ def _leaves(node, path=()):
 
 
 def _item(path: tuple) -> tuple:
-    """The item a leaf belongs to: a certificate, a Q value or a verify check."""
-    return path[:3] if path[0] != "verify" or path[1] == "checks" else path[:2]
+    """The item a leaf belongs to: a certificate, a Q value, a flow run or a
+    verify check."""
+    if path[0] == "flow" or path[0] == "verify" and path[1] != "checks":
+        return path[:2]
+    return path[:3]
 
 
 def _key(path: tuple) -> str:
@@ -134,7 +157,7 @@ def main():
                         help="compare the outputs with another checkout's document")
     args = parser.parse_args()
 
-    doc = {"certificates": {}, "second_variation": {}}
+    doc = {"certificates": {}, "second_variation": {}, "flow": {}}
     for name in args.scenario or sorted(sc.SCENARIOS):
         certificates, values = scenario_outputs(name)
         doc["certificates"][name] = certificates
@@ -144,6 +167,11 @@ def main():
             print(f"{name} seed {seed}: "
                   + report.get("error", f"{report.get('verdict')} "
                                f"traced total {report.get('traced_total')!r}"))
+        if sc.scenario(name).flow_spec is not None:
+            run = doc["flow"][name] = flow_outputs(name)
+            print(f"{name} flow: " + run.get("error", f"converged={run.get('converged')} "
+                                                   f"after {run.get('iterations')} iterations, "
+                                                   f"volume {run.get('volume')!r}"))
     result = sc.run_suite(sc.SUITE_NAMES, VERIFY_SEED)
     doc["verify"] = result.to_dict()
     print(f"verify --seed {VERIFY_SEED}: {result.n_passed}/{len(result.checks)} checks passed")

@@ -4,7 +4,8 @@ The moving surface is a k=2 polar grid of control points in R^n: Gauss
 radial rings plus a boundary ring pinned to the ambient boundary.  Chart
 derivatives come from barycentric polynomial differentiation in the radius
 and Fourier differentiation in the angle, so every grid yields a full
-``SampledImmersion``.
+``SampledImmersion``; the flow builds one, validated, for the grid it
+returns.
 
 Each fixed linear map of a grid is one dense matrix over the flattened grid,
 built once per ``(nr, ntheta)`` by ``grid_operators``: the stacked chart
@@ -13,12 +14,14 @@ operator, and the per-ring filter.  A step is a few matrix products.  All
 grids of a shape share one read-only copy; the flow keeps many grids alive,
 and a copy per grid would multiply their memory.
 
-The flow measures a grid's immersion from the chart Gram g = J^T J
-alone and builds no tangent or normal frames: the Laplace-Beltrami
-coefficients g^-1 and -g^ij Gamma^k_ij give the mean curvature vector H
-(the operator applied to x), and the tangential projector J g^-1 J^T gives
-grad^perp u, so the flow measures with the operator it steps with.  The
-certificate keeps the frame route of ``SampledImmersion.geometry()``.
+The flow measures a grid straight from its chart stack, by the chart Gram
+g = J^T J alone: it builds neither an immersion nor tangent or normal
+frames.  The Laplace-Beltrami coefficients g^-1 and -g^ij Gamma^k_ij give
+the mean curvature vector H (the operator applied to x), and the tangential
+projector J g^-1 J^T gives grad^perp u, so the flow measures with the
+operator it steps with; the rescaled volume sums w sqrt(det g) e^{2u} over
+the det g and u already taken.  The certificate keeps the frame route of
+``SampledImmersion.geometry()``.
 
 The descent direction is the rescaled mean curvature vector in the interior
 (the first variation is minus its pairing with the variation field, so
@@ -26,10 +29,10 @@ moving with the mean curvature vector shrinks volume) and, on the boundary
 ring, the part of the negative rescaled conormal tangent to the ambient
 boundary (admissible boundary variations slide along it).  Steps are
 linearly implicit (Dziuk, Numer. Math. 1990): the Laplace-Beltrami operator
-of the current immersion, which maps the grid positions to the mean
-curvature vector, is frozen and its interior block is solved at the new
-step, while the rim moves explicitly.  Each step is then volume-backtracked
-and its rim re-projected onto the boundary.
+of the current grid, which maps the grid positions to the mean curvature
+vector, is frozen and its interior block is solved at the new step, while
+the rim moves explicitly.  Each step is then volume-backtracked and its rim
+re-projected onto the boundary.
 
 High angular modes on small-radius rings carry (m/r)^2 stiffness; smooth
 fields have O(r^m) content there, so the stepped direction is low-pass
@@ -37,11 +40,11 @@ filtered per ring with a cutoff proportional to the radius.  The implicit
 solve lifts the explicit (m/r)^2 step limit; what stays is the explicit
 limit of the rim update, ``1 / (boundary_rate * |D[nr, nr]|)``.
 
-A ``FlowState`` carries the ``GridMeasure`` of its grid: the immersion,
-the operator coefficients, the bracket H - k grad^perp u and the rim's
-outward normals.  Each step takes its direction and operator from it and
-hands on the accepted trial's measure, so every trial grid is built and
-measured once.
+A ``FlowState`` carries the ``GridMeasure`` of its grid: the operator
+coefficients, u, the bracket H - k grad^perp u, and the rim's positions,
+conormals and the domain's outward normals there.  Each step takes its
+direction and operator from it and hands on the accepted trial's measure,
+so every trial grid is measured once, and no trial builds an immersion.
 
 Free boundary critical points in a ball are saddle points: a disk lowers
 volume by sliding its rim toward a pole, so an untempered boundary speed
@@ -55,7 +58,7 @@ accepted step, rather than starting at the rim limit.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
@@ -65,15 +68,8 @@ from scipy.linalg.lapack import dgesv
 from .domain import LevelSetDomain, project_to_boundary
 from .errors import ConfigError, StepFailureError
 from .fields import ConformalMetric
-from .submanifold import (
-    SampledImmersion,
-    _gauss01,
-    angle_defects,
-    boundary_normals,
-    bracket_norms,
-    polar_conormals,
-    volume,
-)
+from .submanifold import (SampledImmersion, _gauss01, angle_defects, boundary_normals,
+                          bracket_norms, polar_conormals)
 
 Array = np.ndarray
 
@@ -103,6 +99,7 @@ class GridOperators:
     D2: Array
     Dt: Array                         # spectral d/dtheta and d^2/dtheta^2
     Dt2: Array
+    ws: Array                         # (nr * ntheta,) interior quadrature weights
     chart: Array                      # (N, 5, N): d_r, d_rr, d_t, d_tt, d_rt
     lowpass: Array                    # (N, N) per-ring filter, block-diagonal
     dt_stable: float                  # explicit limit of the filtered (m/r)^2
@@ -128,11 +125,11 @@ def grid_operators(nr: int, ntheta: int) -> GridOperators:
                for mult in (np.where(m < mmax, 1j * m, 0.0), -(m**2.0)))
     blocks = np.fft.irfft(spec * (m <= keep[:, None, None]), n=ntheta)
     ops = GridOperators(
-        rs, wr, D, D2, Dt, Dt2,
+        rs, wr, D, D2, Dt, Dt2, np.repeat(wr, ntheta) * (2.0 * np.pi / ntheta),
         np.stack([np.kron(D, It), np.kron(D2, It), np.kron(Ir, Dt), np.kron(Ir, Dt2),
                   np.kron(D, Dt)], axis=1),
         block_diag(*np.swapaxes(blocks, 1, 2)), float(1.0 / np.max((keep / rs) ** 2)))
-    for a in (ops.rs, ops.wr, ops.D, ops.D2, ops.Dt, ops.Dt2, ops.chart, ops.lowpass):
+    for a in (ops.rs, ops.wr, ops.D, ops.D2, ops.Dt, ops.Dt2, ops.ws, ops.chart, ops.lowpass):
         a.flags.writeable = False
     return ops
 
@@ -178,19 +175,24 @@ class PolarGrid:
         out = self.ops.chart.reshape(-1, N) @ self.positions.reshape(N, n)
         return tuple(np.moveaxis(out.reshape(self.nr + 1, self.ntheta, 5, n), 2, 0))
 
-    def immersion(self, validate: bool = False) -> SampledImmersion:
-        nr, ntheta, n = self.nr, self.ntheta, self.n
+    def samples(self) -> tuple[Array, Array, Array, Array]:
+        """``(xs, Js, Hs, bJs)`` in the layout of ``SampledImmersion``: the
+        interior positions (m, n), Jacobians (m, n, 2) and chart Hessians
+        (m, 2, 2, n), and the rim Jacobians (mb, n, 2), from one product of
+        the chart stack."""
+        nr, n = self.nr, self.n
         P_r, P_rr, P_t, P_tt, P_rt = self.chart_derivatives()
-        wt = 2.0 * np.pi / ntheta
-        xs = self.positions[:nr].reshape(-1, n)
         Js = np.stack([P_r[:nr].reshape(-1, n), P_t[:nr].reshape(-1, n)], axis=2)
         # entries (rr, rt, tr, tt) of the chart Hessian, in row-major order
         Hs = np.stack([P_rr[:nr], P_rt[:nr], P_rt[:nr], P_tt[:nr]], axis=2).reshape(-1, 2, 2, n)
-        ws = np.repeat(self.wr, ntheta) * wt
         bJs = np.stack([P_r[nr], P_t[nr]], axis=2)
-        bws = np.linalg.norm(P_t[nr], axis=1) * wt
-        return SampledImmersion(2, n, xs, Js, Hs, ws, self.positions[nr], bJs, bws,
-                                polar_conormals(bJs), validate=validate)
+        return self.positions[:nr].reshape(-1, n), Js, Hs, bJs
+
+    def immersion(self, validate: bool = False) -> SampledImmersion:
+        xs, Js, Hs, bJs = self.samples()
+        bws = np.linalg.norm(bJs[:, :, 1], axis=1) * (2.0 * np.pi / self.ntheta)
+        return SampledImmersion(2, self.n, xs, Js, Hs, self.ops.ws, self.positions[self.nr],
+                                bJs, bws, polar_conormals(bJs), validate=validate)
 
 
 def _tangential(Js: Array, ginv: Array, v: Array) -> tuple[Array, Array]:
@@ -199,8 +201,10 @@ def _tangential(Js: Array, ginv: Array, v: Array) -> tuple[Array, Array]:
     return t, np.vecdot(Js, t[:, None])
 
 
-def _gram_terms(imm: SampledImmersion) -> tuple[Array, Array, Array]:
-    """``(g^-1, c, H)`` at the interior samples, from the chart Gram g = J^T J.
+def _gram_terms(Js: Array, Hs: Array) -> tuple[Array, Array, Array, Array]:
+    """``(g^-1, c, H, det g)`` at the interior samples, from the Jacobians
+    ``Js`` (m, n, 2) and chart Hessians ``Hs`` (m, 2, 2, n) by the chart
+    Gram g = J^T J.
 
     With A = g^ij d_ij x, the contraction g^ij Gamma^k_ij, where Gamma^k_ij =
     g^kl <d_ij x, d_l x>, is g^kl <A, d_l x>.  So c^k = -g^ij Gamma^k_ij is
@@ -209,20 +213,21 @@ def _gram_terms(imm: SampledImmersion) -> tuple[Array, Array, Array]:
     Laplace-Beltrami operator g^ij d_ij + c^k d_k, which maps x to H.  The
     disks are 2-dimensional: g^-1 is the adjugate over det g, in closed form.
     """
-    J0, J1 = imm.Js[:, :, 0], imm.Js[:, :, 1]
+    J0, J1 = Js[:, :, 0], Js[:, :, 1]
     g00, g01, g11 = np.vecdot(J0, J0), np.vecdot(J0, J1), np.vecdot(J1, J1)
-    inv = 1.0 / (g00 * g11 - g01 * g01)
+    det = g00 * g11 - g01 * g01
+    inv = 1.0 / det
     ginv = np.stack([g11 * inv, -g01 * inv, -g01 * inv, g00 * inv], axis=1).reshape(-1, 2, 2)
-    A = (ginv.reshape(-1, 1, 4) @ imm.Hs.reshape(len(inv), 4, -1))[:, 0]
-    coords, tangential = _tangential(imm.Js, ginv, A)
-    return ginv, -coords, A - tangential
+    A = (ginv.reshape(-1, 1, 4) @ Hs.reshape(len(inv), 4, -1))[:, 0]
+    coords, tangential = _tangential(Js, ginv, A)
+    return ginv, -coords, A - tangential, det
 
 
 def laplace_beltrami(grid: PolarGrid, ginv: Array, c: Array) -> Array:
     """Interior Laplace-Beltrami operator L = g^ij d_ij + c^k d_k on grid values.
 
     ``ginv`` and ``c`` are the coefficients of ``_gram_terms`` of the grid's
-    immersion.  Shape (nr * ntheta, (nr + 1) * ntheta) over the ring-major
+    samples.  Shape (nr * ntheta, (nr + 1) * ntheta) over the ring-major
     flattening of the grid, rim columns last, so that
     ``L @ positions.reshape(-1, n)`` is the mean curvature vector.  Row p
     contracts the five coefficients at p with ``grid.ops.chart[p]``.
@@ -234,27 +239,17 @@ def laplace_beltrami(grid: PolarGrid, ginv: Array, c: Array) -> Array:
 
 @dataclass(frozen=True)
 class GridMeasure:
-    """What the flow reads of one immersion, measured once from its chart
-    Gram: the operator coefficients, the bracket and the rim normals.  A
-    step hands the accepted trial's measure on to the next step."""
+    """What the flow reads of one grid, measured once from its chart stack:
+    the operator coefficients, the bracket and the rim.  A step hands the
+    accepted trial's measure on to the next step."""
 
-    immersion: SampledImmersion
     ginv: Array                       # (m, 2, 2) inverse chart Gram
     c: Array                          # (m, 2) -g^ij Gamma^k_ij
     u: Array                          # (m,) conformal exponent
     bracket: Array                    # (m, n) H - k grad^perp u
+    bxs: Array                        # (mb, n) rim positions
+    bnus: Array                       # (mb, n) outward unit conormals of the disk
     rim_normals: Array                # (mb, n) outward unit normals of the domain
-
-
-def _measure(imm: SampledImmersion, metric: ConformalMetric,
-             domain: LevelSetDomain) -> GridMeasure:
-    """Measure ``imm`` without frames: grad^perp u = grad u - J g^-1 J^T grad u."""
-    ginv, c, H = _gram_terms(imm)
-    grad = metric.field.gradient(imm.xs)
-    tangential = _tangential(imm.Js, ginv, grad)[1]
-    nhat = boundary_normals(imm, domain) if imm.n_boundary else np.zeros((0, imm.n))
-    return GridMeasure(imm, ginv, c, metric.field.value(imm.xs),
-                       H - imm.k * (grad - tangential), nhat)
 
 
 def _descent(measure: GridMeasure, metric: ConformalMetric) -> tuple[Array, Array]:
@@ -263,10 +258,10 @@ def _descent(measure: GridMeasure, metric: ConformalMetric) -> tuple[Array, Arra
     is -|H~|^2 <= 0), H from the chart Gram (``_gram_terms``), not from
     ``geometry()``; on the rim, minus the rescaled conormal projected onto
     the ambient boundary's tangent space."""
-    imm, nhat = measure.immersion, measure.rim_normals
+    bnus, nhat = measure.bnus, measure.rim_normals
     interior = np.exp(-2.0 * measure.u)[:, None] * measure.bracket
-    nu_t = imm.bnus - np.sum(imm.bnus * nhat, axis=1, keepdims=True) * nhat
-    return interior, -np.exp(-metric.field.value(imm.bxs))[:, None] * nu_t
+    nu_t = bnus - np.sum(bnus * nhat, axis=1, keepdims=True) * nhat
+    return interior, -np.exp(-metric.field.value(measure.bxs))[:, None] * nu_t
 
 
 @dataclass(frozen=True)
@@ -292,10 +287,6 @@ class FlowState:
     # per accepted grid: (residual, defect, volume, dt, backtracks)
     residual_history: tuple[tuple[float, float, float, float, int], ...]
 
-    @property
-    def immersion(self) -> SampledImmersion:
-        return self.measure.immersion
-
 
 def _filter_direction(grid: PolarGrid, direction: Array) -> Array:
     """Per-ring angular low-pass: keep modes m <= max(1, 2 * mmax * r)."""
@@ -304,12 +295,19 @@ def _filter_direction(grid: PolarGrid, direction: Array) -> Array:
 
 
 def _measurements(grid: PolarGrid, metric: ConformalMetric, domain: LevelSetDomain):
-    """``(measure, volume, max |H~|, max angle defect)`` of one grid."""
-    measure = _measure(grid.immersion(), metric, domain)
-    imm = measure.immersion
-    res = float(np.max(bracket_norms(measure.u, measure.bracket)))
-    defect = float(np.max(angle_defects(imm.bnus, measure.rim_normals)))
-    return measure, volume(imm, metric), res, defect
+    """``(measure, volume, max |H~|, max angle defect)`` of one grid, from its
+    chart stack; builds no immersion.  grad^perp u = grad u - J g^-1 J^T
+    grad u, and the volume sums w sqrt(det g) e^{2u} over the same samples.
+    Raises ``InvalidSampleError`` for a rim point off the domain boundary."""
+    xs, Js, Hs, bJs = grid.samples()
+    ginv, c, H, det = _gram_terms(Js, Hs)
+    u, grad = metric.field.value(xs), metric.field.gradient(xs)
+    bracket = H - 2 * (grad - _tangential(Js, ginv, grad)[1])
+    bxs, bnus = grid.positions[grid.nr], polar_conormals(bJs)
+    nhat = boundary_normals(bxs, domain)
+    vol = float(np.sum(grid.ops.ws * np.sqrt(det) * np.exp(2 * u)))
+    return (GridMeasure(ginv, c, u, bracket, bxs, bnus, nhat), vol,
+            float(np.max(bracket_norms(u, bracket))), float(np.max(angle_defects(bnus, nhat))))
 
 
 def flow_state(grid: PolarGrid, metric: ConformalMetric, domain: LevelSetDomain,
@@ -327,7 +325,7 @@ def flow_step(state: FlowState, metric: ConformalMetric, domain: LevelSetDomain,
 
     With d the descent direction (the rim part scaled by ``boundary_rate``),
     E = diag(e^{-2u}) and L the interior Laplace-Beltrami operator of the
-    current immersion, the interior velocity solves
+    current grid, the interior velocity solves
     (I - dt E L_II) V_I = d_I + dt E L_IB d_B and the rim keeps V_B = d_B.
     Each backtrack re-solves at the halved step with the same L.  The step
     size never exceeds the rim's explicit limit,
@@ -381,7 +379,4 @@ def run_flow(grid: PolarGrid, metric: ConformalMetric, domain: LevelSetDomain,
         if np.max(np.ptp(state.grid.positions[grid.nr], axis=0)) < RIM_COLLAPSE * extent:
             raise StepFailureError(f"the rim collapsed at iteration {state.iteration}")
     converged = state.residual <= cfg.tol and state.boundary_defect <= cfg.boundary_tol
-    final = state.grid.immersion(validate=True)
-    # hand back one immersion: the validated build replaces the carried copy
-    state = replace(state, measure=replace(state.measure, immersion=final))
-    return final, converged, state
+    return state.grid.immersion(validate=True), converged, state

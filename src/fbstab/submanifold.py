@@ -463,7 +463,7 @@ def _density(imm: SampledImmersion, u: Array) -> Array:
 
 def volume(imm: SampledImmersion, metric: ConformalMetric) -> float:
     """Rescaled k-volume, the sum of the interior densities; builds no
-    ambient record, as the flow measures every trial grid with it."""
+    ambient record."""
     return float(np.sum(_density(imm, metric.field.value(imm.xs))))
 
 
@@ -482,11 +482,11 @@ def _check_on_boundary(domain, bxs: Array) -> None:
         )
 
 
-def boundary_normals(imm: SampledImmersion, domain) -> Array:
-    """``outward_normal`` of the domain at the boundary samples, (mb, n);
+def boundary_normals(bxs: Array, domain) -> Array:
+    """``outward_normal`` of the domain at boundary samples ``bxs``, (mb, n);
     raises ``InvalidSampleError`` for a sample off the domain boundary."""
-    _check_on_boundary(domain, imm.bxs)
-    return outward_normal(domain, imm.bxs)
+    _check_on_boundary(domain, bxs)
+    return outward_normal(domain, bxs)
 
 
 def angle_defects(nus: Array, outward: Array, factor=1.0) -> Array:
@@ -503,7 +503,7 @@ def boundary_defects(imm: SampledImmersion, domain, metric: ConformalMetric) -> 
     if imm.n_boundary == 0:
         return np.zeros(0)
     scale = np.exp(-metric.field.value(imm.bxs))[:, None]
-    return angle_defects(scale * imm.bnus, scale * boundary_normals(imm, domain),
+    return angle_defects(scale * imm.bnus, scale * boundary_normals(imm.bxs, domain),
                          metric.factor(imm.bxs))
 
 

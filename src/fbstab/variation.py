@@ -37,7 +37,7 @@ from scipy.stats import qmc
 
 from . import conformal
 from .domain import LevelSetDomain, convexity_report
-from .errors import DimensionError, PreconditionError
+from .errors import ConfigError, DimensionError, PreconditionError
 from .fields import ConformalMetric
 from .submanifold import SampledImmersion
 
@@ -370,8 +370,11 @@ def second_variation(imm: SampledImmersion, metric: ConformalMetric,
 
     Coincides with the second variation of volume when the immersion is
     minimal and meets the boundary orthogonally; otherwise the result is
-    flagged as the bare quadratic form.
+    flagged as the bare quadratic form.  ``X`` is one field: a stack raises
+    ``ConfigError``, as the integrals would sum its per-field values.
     """
+    if X.normal.ndim != 2:
+        raise ConfigError(f"Q(X, X) takes one field, got a stack of shape {X.normal.shape[:-2]}")
     minimality, defect, tangency = _hypothesis_residuals(imm, metric, domain)
     warnings = []
     if minimality > minimality_tol:

@@ -20,8 +20,9 @@ These kinds live here:
   kernel and whole flow steps;
 * helpers that only tests call, over the package's own kernels: the
   principal curvatures of the Householder kernel, the Euclidean metric, the
-  rescaled inner product, the volume scale e^{ku} and the flow's descent
-  direction of a fresh measure;
+  rescaled inner product, the volume scale e^{ku}, the flow's measure of an
+  immersion (the immersion route that the flow's measure of a chart stack
+  is held to) and its descent direction;
 * sample-first ``np.einsum`` statements and batched matrix products of the
   per-sample kernels that the package contracts over sample-last copies:
   the chart chain rule and the Jacobian Gram, the second fundamental form
@@ -43,7 +44,8 @@ from fbstab import domain as dm
 from fbstab import flow as fl
 from fbstab.errors import DomainError
 from fbstab.fields import ConformalMetric, ScalarField, make_field
-from fbstab.submanifold import _batched_frames, _first, _last, _upper_inverse
+from fbstab.submanifold import (_batched_frames, _first, _last, _upper_inverse,
+                                boundary_normals)
 
 
 # ---------------------------------------------------------------------------
@@ -363,12 +365,25 @@ def first_variation_value(imm, metric: ConformalMetric, interior_dirs, boundary_
     return float(total)
 
 
+def immersion_measure(imm, metric: ConformalMetric, domain: dm.LevelSetDomain):
+    """The flow's ``GridMeasure`` of an immersion, read off its arrays: the
+    Gram terms of ``imm.Js`` and ``imm.Hs``, grad^perp u = grad u - J g^-1
+    J^T grad u, and the immersion's rim, conormals and outward normals.
+    The flow measures a grid from its chart stack instead and builds no
+    immersion; the tests hold the two to each other."""
+    ginv, c, H, _ = fl._gram_terms(imm.Js, imm.Hs)
+    grad = metric.field.gradient(imm.xs)
+    tangential = fl._tangential(imm.Js, ginv, grad)[1]
+    return fl.GridMeasure(ginv, c, metric.field.value(imm.xs), H - imm.k * (grad - tangential),
+                          imm.bxs, imm.bnus, boundary_normals(imm.bxs, domain))
+
+
 def first_variation_direction(imm, metric: ConformalMetric, domain: dm.LevelSetDomain):
     """The flow's steepest-descent direction of rescaled volume, ``flow._descent``
-    of a fresh measure: ``(interior (m, n), boundary (mb, n))``.  Raises
-    ``InvalidSampleError`` for a boundary sample off the domain boundary and
-    ``DomainError`` where grad phi vanishes there."""
-    return fl._descent(fl._measure(imm, metric, domain), metric)
+    of the immersion's measure: ``(interior (m, n), boundary (mb, n))``.
+    Raises ``InvalidSampleError`` for a boundary sample off the domain
+    boundary and ``DomainError`` where grad phi vanishes there."""
+    return fl._descent(immersion_measure(imm, metric, domain), metric)
 
 
 # ---------------------------------------------------------------------------
@@ -419,16 +434,16 @@ def chart_derivatives_fft(grid):
     return P_r, P_rr, P_t, P_tt, P_rt
 
 
-def gram_terms_matmul(imm):
+def gram_terms_matmul(Js, Hs):
     """``flow._gram_terms`` by batched 2 x 2 matrix products."""
-    m, n, k = imm.Js.shape
-    Jt = np.swapaxes(imm.Js, 1, 2)
-    g = Jt @ imm.Js
+    m, n, k = Js.shape
+    Jt = np.swapaxes(Js, 1, 2)
+    g = Jt @ Js
     det = g[:, 0, 0] * g[:, 1, 1] - g[:, 0, 1] * g[:, 1, 0]
     ginv = g[:, ::-1, ::-1] * (np.array([[1.0, -1.0], [-1.0, 1.0]]) / det[:, None, None])
-    A = (ginv.reshape(m, 1, k * k) @ imm.Hs.reshape(m, k * k, n))[:, 0]
+    A = (ginv.reshape(m, 1, k * k) @ Hs.reshape(m, k * k, n))[:, 0]
     c = -(ginv @ (Jt @ A[:, :, None]))[:, :, 0]
-    return ginv, c, A + (imm.Js @ c[:, :, None])[:, :, 0]
+    return ginv, c, A + (Js @ c[:, :, None])[:, :, 0], det
 
 
 def laplace_beltrami_scatter(grid, ginv, c):

@@ -94,7 +94,7 @@ def test_laplace_beltrami_of_positions_is_mean_curvature(grid):
     Christoffel symbols, reproduces the frame-based mean curvature vector.
     The sin bump is non-radial, so it checks the angular matrices' orientation."""
     imm = grid.immersion()
-    L = fl.laplace_beltrami(grid, *fl._gram_terms(imm)[:2])
+    L = fl.laplace_beltrami(grid, *fl._gram_terms(imm.Js, imm.Hs)[:2])
     assert L.shape == (grid.nr * grid.ntheta, (grid.nr + 1) * grid.ntheta)
     Lx = L @ grid.positions.reshape(-1, grid.n)
     assert np.max(np.abs(Lx - imm.geometry().H)) < 1e-10
@@ -107,33 +107,40 @@ def test_laplace_beltrami_of_positions_is_mean_curvature(grid):
 def test_gram_mean_curvature_matches_frames(imm):
     """The flow measures H from the chart Gram, the certificate from frames:
     the two routes agree to round-off."""
-    _, _, H = fl._gram_terms(imm)
+    H = fl._gram_terms(imm.Js, imm.Hs)[2]
     assert np.max(np.abs(H - imm.geometry().H)) <= 1e-12
 
 
 def test_flow_steps_build_no_frames(monkeypatch):
-    """A step measures each trial grid once, from its chart Gram, and builds
-    neither tangent nor normal frames."""
-    frames, terms = [], []
+    """A step measures each trial grid once, straight from its chart stack:
+    ten steps build no ``SampledImmersion`` and neither tangent nor normal
+    frames, and take the Gram terms once per trial grid."""
+    frames, terms, immersions = [], [], []
     batched_frames, gram_terms = sub._batched_frames, fl._gram_terms
+    init = sub.SampledImmersion.__init__
 
     def counted_frames(*args):
         frames.append(1)
         return batched_frames(*args)
 
-    def counted_terms(imm):
-        terms.append(imm)
-        return gram_terms(imm)
+    def counted_terms(Js, Hs):
+        terms.append(Js)
+        return gram_terms(Js, Hs)
+
+    def counted_init(self, *args, **kwargs):
+        immersions.append(1)
+        init(self, *args, **kwargs)
 
     monkeypatch.setattr(sub, "_batched_frames", counted_frames)
     monkeypatch.setattr(fl, "_gram_terms", counted_terms)
+    monkeypatch.setattr(sub.SampledImmersion, "__init__", counted_init)
     state = fl.flow_state(bump_grid(), M3, DOM3)
     for _ in range(10):
         state = fl.flow_step(state, M3, DOM3)
-    assert frames == []
+    assert frames == [] and immersions == []
     trials = 1 + sum(1 + row[4] for row in state.residual_history[1:])
     assert len(terms) == trials
-    assert len({id(imm) for imm in terms}) == trials
+    assert len({id(Js) for Js in terms}) == trials
 
 
 def test_flow_builds_no_ambient_record(monkeypatch):
@@ -146,7 +153,7 @@ def test_flow_builds_no_ambient_record(monkeypatch):
     state = fl.flow_state(bump_grid(), M3, DOM3)
     for _ in range(5):
         state = fl.flow_step(state, M3, DOM3)
-    oracles.first_variation_direction(state.immersion, M3, DOM3)
+    oracles.first_variation_direction(state.grid.immersion(), M3, DOM3)
 
 
 def test_angular_derivatives_from_one_transform():
@@ -198,9 +205,9 @@ def test_cached_operator_kernels_match_their_oracles(name):
     assert _relative_gap(np.stack(grid.chart_derivatives()),
                          np.stack(oracles.chart_derivatives_fft(grid))) <= 1e-13
     imm = grid.immersion()
-    for new, old in zip(fl._gram_terms(imm), oracles.gram_terms_matmul(imm)):
+    for new, old in zip(fl._gram_terms(imm.Js, imm.Hs), oracles.gram_terms_matmul(imm.Js, imm.Hs)):
         assert _relative_gap(new, old) <= 1e-13
-    ginv, c, _ = oracles.gram_terms_matmul(imm)
+    ginv, c = oracles.gram_terms_matmul(imm.Js, imm.Hs)[:2]
     assert _relative_gap(fl.laplace_beltrami(grid, ginv, c),
                          oracles.laplace_beltrami_scatter(grid, ginv, c)) <= 1e-13
     direction = np.random.default_rng(3).normal(size=grid.positions.shape)
@@ -284,26 +291,57 @@ def test_step_decreases_volume_and_projects_boundary():
     assert np.max(phi_vals) <= 1e-9
 
 
-def test_state_carries_the_accepted_immersion(monkeypatch):
-    """Each step builds only its trials: the state's immersion is reused as
-    the next step's starting point, and equals a fresh build bit for bit."""
-    builds = []
-    immersion = fl.PolarGrid.immersion
-
-    def counted(self, *args, **kwargs):
-        builds.append(self)
-        return immersion(self, *args, **kwargs)
-
-    monkeypatch.setattr(fl.PolarGrid, "immersion", counted)
-    state = fl.flow_state(bump_grid(), M3, DOM3)
+def test_state_carries_the_accepted_measure():
+    """Each step hands on the measure of its accepted grid.  After ten more
+    steps, every state's grid still builds the immersion of the positions it
+    was accepted with, bit for bit, and its measure equals the measure read
+    off that immersion bit for bit: no later step writes into an earlier
+    grid or measure."""
+    states = [fl.flow_state(bump_grid(), M3, DOM3)]
+    snapshots = [states[0].grid.positions.copy()]
     for _ in range(10):
-        state = fl.flow_step(state, M3, DOM3)
-        fresh = immersion(state.grid)
-        carried = state.immersion
-        for name in ("xs", "bxs", "bnus"):
-            assert np.array_equal(getattr(carried, name), getattr(fresh, name))
-        assert np.array_equal(carried.geometry().H, fresh.geometry().H)
-    assert len(builds) == 11
+        states.append(fl.flow_step(states[-1], M3, DOM3))
+        snapshots.append(states[-1].grid.positions.copy())
+    for state, positions in zip(states, snapshots):
+        imm = state.grid.immersion()
+        fresh = state.grid.with_positions(positions).immersion()
+        for name in ("xs", "Js", "Hs", "ws", "bxs", "bJs", "bws", "bnus"):
+            assert np.array_equal(getattr(imm, name), getattr(fresh, name))
+        want = oracles.immersion_measure(imm, M3, DOM3)
+        for field in dataclasses.fields(fl.GridMeasure):
+            assert np.array_equal(getattr(state.measure, field.name),
+                                  getattr(want, field.name)), field.name
+
+
+MEASURED_GRIDS = {
+    "radial-bump-n3": (bump_grid, "ball", "radial-spherical"),
+    "rotated-sin-n4": (rotated_sin_grid, "ball", "radial-spherical"),
+    "flat-n3": (lambda: flat_grid(nr=8), "ball", "zero"),
+}
+
+
+@pytest.mark.parametrize("name", MEASURED_GRIDS)
+def test_trial_measure_matches_the_immersion_route(name):
+    """A trial grid measured from its chart stack agrees with the route
+    through its immersion: ``volume``, ``bracket_norms``, ``polar_conormals``
+    and ``boundary_normals`` of ``grid.immersion()``.  Everything but the
+    volume is bit-identical; the volume's det g comes from the flow's
+    ``vecdot`` Gram, not the immersion's ``einsum`` Gram, and agrees within
+    1e-15 relative."""
+    make, domain_name, field_name = MEASURED_GRIDS[name]
+    grid = make()
+    metric = ConformalMetric(make_field(field_name), grid.n)
+    dom = dm.make_domain(domain_name, grid.n, radius=1.0)
+    measure, vol, res, defect = fl._measurements(grid, metric, dom)
+    imm = grid.immersion()
+    want = oracles.immersion_measure(imm, metric, dom)
+    assert abs(vol - sub.volume(imm, metric)) <= 1e-15 * sub.volume(imm, metric)
+    assert res == np.max(sub.bracket_norms(want.u, want.bracket))
+    assert np.array_equal(measure.bnus, sub.polar_conormals(imm.bJs))
+    assert np.array_equal(measure.rim_normals, sub.boundary_normals(imm.bxs, dom))
+    assert defect == np.max(sub.angle_defects(imm.bnus, want.rim_normals))
+    for field in dataclasses.fields(fl.GridMeasure):
+        assert np.array_equal(getattr(measure, field.name), getattr(want, field.name))
 
 
 def test_backtracking_exhaustion_raises():

@@ -41,18 +41,28 @@ def _run(script, *args):
 
 def test_registry_outputs_diff(tmp_path):
     """--diff counts identical and moved items, reports a float's move and
-    lists a change that is not a float's."""
-    _run("registry_outputs.py", "--scenario", "cap-disk-b4k2", "--out", str(tmp_path))
+    lists a change that is not a float's; a flow run is one item, with its
+    residual history to the last bit."""
+    scenarios = ("--scenario", "cap-disk-b4k2", "--scenario", "flow-bump-b3")
+    _run("registry_outputs.py", *scenarios, "--out", str(tmp_path))
     path = tmp_path / "registry_outputs.json"
     doc = json.loads(path.read_text())
+    run = doc["flow"]["flow-bump-b3"]
+    assert run["converged"] and run["iterations"] == 43
+    assert len(run["history"]) == 44 and run["history"][-1]["volume"] == run["volume"]
+    assert sorted(run["history"][0]) == ["backtracks", "defect", "dt", "residual", "volume"]
     report = doc["certificates"]["cap-disk-b4k2"]["1"]
     report["traced_total"] *= 1.0 + 1e-12
     report["verdict"] = "inconclusive"
+    run["history"][7]["volume"] *= 1.0 - 1e-13
     path.write_text(json.dumps(doc))
-    out = _run("registry_outputs.py", "--scenario", "cap-disk-b4k2", "--diff", str(path)).stdout
-    assert "certificates: 2 identical, 1 moved" in out
-    assert "second_variation: 4 identical, 0 moved" in out
+    out = _run("registry_outputs.py", *scenarios, "--diff", str(path)).stdout
+    assert "flow-bump-b3 flow: converged=True after 43 iterations" in out
+    assert "certificates: 5 identical, 1 moved" in out
+    assert "second_variation: 7 identical, 0 moved" in out
+    assert "flow: 0 identical, 1 moved" in out
     assert "traced_total: largest relative move 1.00e-12 at certificates/cap-disk-b4k2/1" in out
+    assert "history.volume: largest relative move 1.00e-13 at flow/flow-bump-b3/history/7" in out
     assert "non-float changes: 1" in out
     assert ("certificates/cap-disk-b4k2/1/verdict: 'inconclusive' -> 'unstable-certified'"
             in out)

@@ -2,6 +2,7 @@
 certificate."""
 
 import gc
+import re
 import weakref
 from collections import Counter
 
@@ -14,7 +15,8 @@ from fbstab import domain as dm
 from fbstab import scenarios as sc
 from fbstab import submanifold as sub
 from fbstab import variation as var
-from fbstab.errors import DimensionError, DomainError, InvalidSampleError, PreconditionError
+from fbstab.errors import (ConfigError, DimensionError, DomainError, InvalidSampleError,
+                           PreconditionError)
 from fbstab.fields import ConformalMetric, ScalarField, make_field
 
 BALL3 = dm.make_domain("ball", 3, radius=1.0)
@@ -157,6 +159,15 @@ def test_second_variation_route_does_not_depend_on_the_field_name(cap_b4):
     got = var.second_variation(imm, renamed, X, dom).value
     assert got == var.second_variation(imm, cap_b4.metric, X, dom).value
     assert abs(got + 8.0 * np.pi) < 1e-9
+
+
+def test_second_variation_refuses_a_stack_of_fields(cap_b4):
+    """Q(X, X) integrates one field; a stack would come back as the sum of
+    its per-field values, so it is refused with the stack's shape."""
+    imm, dom = cap_b4.immersion, cap_b4.domain
+    for E, shape in ((np.eye(4)[2:], "(2,)"), (np.eye(4)[None, 2:], "(1, 2)")):
+        with pytest.raises(ConfigError, match=re.escape(f"a stack of shape {shape}")):
+            var.second_variation(imm, cap_b4.metric, var.projected_field(imm, E), dom)
 
 
 # ---------------------------------------------------------------------------

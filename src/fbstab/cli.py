@@ -165,7 +165,7 @@ def _cmd_convexity(args) -> int:
           "polish_rounds={}/{}".format(*report.polish_rounds))
     exp = scenario.expected.get("margin_p1")
     if exp and p == 1:
-        tol = args.tol if args.tol is not None else exp["tol"]
+        tol = args.tol if args.tol is not None else exp.get("tol", 1e-9)
         if not abs(report.margin_g - exp["value"]) <= tol:
             print("  assertion failed: margin_p1")
             return 1

@@ -27,7 +27,7 @@ def schouten(grad, hess) -> np.ndarray:
     """B = Hess u - grad u grad u^T + |grad u|^2 I / 2 ``(m, n, n)`` at m
     points, from grad u ``(m, n)`` and Hess u ``(m, n, n)`` there.  Minus the
     curvature form is its Kulkarni-Nomizu product with <.,.>, so
-    ``curvature_form`` and ``tangent_curvature`` state the curvature once."""
+    ``curvature_form`` and ``curvature_normal`` state the curvature once."""
     B = hess - grad[:, :, None] * grad[:, None, :]
     return B + 0.5 * np.sum(grad * grad, axis=1)[:, None, None] * np.eye(grad.shape[1])
 
@@ -50,18 +50,6 @@ def curvature_form(grad, hess, X, Y, Z, W) -> np.ndarray:
     bX, bY = X @ B, Y @ B
     return (dot(bX, W) * dot(Y, Z) + dot(bY, Z) * dot(X, W)
             - dot(bX, Z) * dot(Y, W) - dot(bY, W) * dot(X, Z))
-
-
-def tangent_curvature(grad, hess, tangent) -> np.ndarray:
-    """The symmetric ``(m, n, n)`` A with V^T A V = sum_i <R(V, v_i)V, v_i>
-    for every V, the v_i the rows of ``tangent`` ``(m, k, n)``.  X = Z = V
-    and Y = W = v_i in ``curvature_form`` give A = BP + PB - tr(P) B - tr(PB)
-    I, with B = ``schouten`` and P = T^T T; V need not be normal."""
-    B = schouten(grad, hess)
-    P = np.swapaxes(tangent, 1, 2) @ tangent
-    BP = B @ P
-    return (BP + np.swapaxes(BP, 1, 2) - np.einsum("mii->m", P)[:, None, None] * B
-            - np.einsum("mij,mji->m", P, B)[:, None, None] * np.eye(B.shape[1]))
 
 
 def riemann(field: ScalarField, x, X, Y, Z) -> np.ndarray:

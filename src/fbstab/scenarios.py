@@ -25,7 +25,7 @@ import numpy as np
 from . import conformal, domain as domain_mod, flow as flow_mod
 from . import submanifold as sub
 from . import variation as var
-from .errors import ConfigError, DimensionError
+from .errors import ConfigError, DimensionError, required
 from .fields import ConformalMetric, ScalarField, make_field
 from .submanifold import SampledImmersion, make_immersion
 
@@ -54,6 +54,13 @@ class Scenario:
     def __post_init__(self):
         if not 1 <= self.k <= self.n - 1:
             raise ConfigError(f"scenario {self.name}: need 1 <= k <= n-1")
+        if not isinstance(self.expected, dict):
+            raise ConfigError(f"scenario {self.name}: 'expected' must be a JSON object")
+        for key, spec in self.expected.items():
+            if not (isinstance(spec, dict) and isinstance(spec.get("value"), (int, float, str))
+                    and isinstance(spec.get("tol", 0.0), (int, float))):
+                raise ConfigError(f"scenario {self.name}: expected {key!r} must be an object with "
+                                  "a number or string 'value' and an optional number 'tol'")
 
 
 @dataclass(frozen=True)
@@ -64,9 +71,9 @@ class BuiltScenario:
     immersion: SampledImmersion
 
 
-def _mk_field(spec: dict) -> ScalarField:
-    params = {k: v for k, v in spec.items() if k != "name"}
-    return make_field(spec["name"], **params)
+def _catalog(spec: dict, key: str, what: str) -> tuple[str, dict]:
+    """The catalog name ``spec[key]`` and the other entries, its parameters."""
+    return required(spec, key, what), {k: v for k, v in spec.items() if k != key}
 
 
 def build_scenario(sc: Scenario | str, quadrature: dict | None = None) -> BuiltScenario:
@@ -76,12 +83,11 @@ def build_scenario(sc: Scenario | str, quadrature: dict | None = None) -> BuiltS
     """
     if isinstance(sc, str):
         sc = scenario(sc)
-    dom_spec = dict(sc.domain_spec)
-    dom = domain_mod.make_domain(dom_spec.pop("kind"), sc.n, **dom_spec)
-    field = _mk_field(sc.field_spec)
-    metric = ConformalMetric(field, sc.n)
-    imm_spec = dict(sc.immersion_spec)
-    kind = imm_spec.pop("kind")
+    kind, params = _catalog(sc.domain_spec, "kind", "domain")
+    dom = domain_mod.make_domain(kind, sc.n, **params)
+    name, params = _catalog(sc.field_spec, "name", "field")
+    metric = ConformalMetric(make_field(name, **params), sc.n)
+    kind, imm_spec = _catalog(sc.immersion_spec, "kind", "immersion")
     imm_spec.setdefault("n", sc.n)
     if kind in ("equatorial-disk", "graph", "random-graph"):
         imm_spec.setdefault("k", sc.k)
@@ -372,18 +378,18 @@ def _suite_identities(col: _Collector, seed: int, quadrature):
             imm, metric, dom = built.immersion, built.metric, built.domain
             geo = imm.geometry()
 
-            basis = np.concatenate([geo.tangent, geo.normal], axis=1)
-            gram = np.einsum("man,mbn->mab", basis, basis) - np.eye(imm.n)
+            basis = np.concatenate([geo.tangent, geo.normal])
+            gram = np.einsum("axm,bxm->abm", basis, basis) - np.eye(imm.n)[:, :, None]
             col.below(name, "frame-gram-identity", float(np.max(np.abs(gram))), 1e-10)
 
-            sym = float(np.max(np.abs(geo.alpha - geo.alpha.transpose(0, 2, 1, 3))))
+            sym = float(np.max(np.abs(geo.alpha - geo.alpha.transpose(1, 0, 2, 3))))
             col.below(name, "alpha-symmetry", sym, 1e-9)
 
             # trace of the rescaled second fundamental form vs the mean
             # curvature law e^{2u} H~ = H - k grad^perp u, at every sample
             g = metric.field.gradient(imm.xs)
-            gperp = np.einsum("mrx,mr->mx", geo.normal, np.einsum("mrx,mx->mr", geo.normal, g))
-            lhs = np.einsum("iirm,mrx->mx", imm.ambient(metric).sff, geo.normal)
+            gperp = np.einsum("rxm,rm->mx", geo.normal, np.einsum("rxm,mx->rm", geo.normal, g))
+            lhs = np.einsum("iirm,rxm->mx", imm.ambient(metric).sff, geo.normal)
             col.below(name, "conformal-sff-trace",
                       float(np.max(np.abs(lhs - (geo.H - imm.k * gperp)))), 1e-9)
 

@@ -10,12 +10,12 @@ curvature are computed for all samples at once by
 ``SampledImmersion.geometry()`` and cached, and so are the samples of a
 metric and a domain that the second variation reads
 (``SampledImmersion.ambient``); reductions (volumes, residual maxima) run in
-fixed sample order so results are deterministic.  The kernels behind a
-cold certificate (the chart chain rule, the conditioning Gram, the frames,
-alpha and H) contract by ``einsum`` over contiguous sample-last copies
-(..., m), made and undone by ``_last``/``_first``; the geometry keeps the
-sample-last frames and alpha for the second-variation forms, beside the
-public C-contiguous (m, ...) stacks (alpha a view).
+fixed sample order so results are deterministic.  The kernels contract by
+``einsum`` over contiguous sample-last stacks, made and undone by
+``_last``/``_first``.  One layout rule holds for what the geometry and its
+records keep: frame and form components are sample-last (..., m); vectors
+of R^n per sample (x, H, grad u, the bracket) stay (m, n), as the fields
+return them.
 
 Every catalog immersion is a graph x = (y, psi(y)) over a polar,
 spherical-polar or identity chart y of R^k, sampled by one chain rule.
@@ -77,10 +77,9 @@ def _batched_frames(Js: Array):
     v = 0, as in LAPACK's dlarfg), each applied as a rank-1 update to the
     rows it changes of a sample-last copy of J and of Q^T.  Tangent: Q's
     first k columns signed by diag R, the in-order Gram-Schmidt of J's
-    columns; normal: Q's last n-k.  Returns C-contiguous ``(tangent (m,k,n),
-    normal (m,n-k,n), chart_to_frame (m,k,k))`` with ``v_i = sum_a
-    chart_to_frame[a, i] * J[:, a]``, then the frames sample-last, ``(k, n,
-    m)`` and ``(n-k, n, m)``."""
+    columns; normal: Q's last n-k.  Returns C-contiguous sample-last
+    ``(tangent (k, n, m), normal (n-k, n, m), chart_to_frame (k, k, m))``
+    with ``v_i = sum_a chart_to_frame[a, i] * J[:, a]``."""
     m, n, k = Js.shape
     A = _last(Js)
     Qt = np.zeros((n, n, m))
@@ -94,8 +93,7 @@ def _batched_frames(Js: Array):
             B -= bv[:, None] * np.einsum("im,iam->am", v, B)
     d = A[np.arange(k), np.arange(k)]
     s = np.where(d == 0.0, 1.0, np.sign(d))[:, None]
-    T, N = Qt[:k] * s, Qt[k:].copy()
-    return _first(T), _first(N), _first(_upper_inverse(A[:k] * s)), T, N
+    return Qt[:k] * s, Qt[k:].copy(), _upper_inverse(A[:k] * s)
 
 
 def _upper_inverse(R: Array) -> Array:
@@ -151,19 +149,18 @@ def _check_conditioning(Js: Array, where: str) -> Array:
 
 @dataclass(frozen=True)
 class ImmersionGeometry:
-    """Per-sample frames and fundamental forms, cached on the immersion."""
+    """Per-sample frames and fundamental forms, cached and read-only."""
 
-    tangent: Array           # (m, k, n)
-    normal: Array            # (m, q, n), q = n - k
-    chart_to_frame: Array    # (m, k, k)
-    alpha: Array             # (m, k, k, q) normal-frame components, a view of alpha_last
-    H: Array                 # (m, n) Euclidean mean curvature vectors
-    b_tangent: Array         # (mb, k, n)
-    b_normal: Array          # (mb, q, n)
-    tangent_last: Array      # (k, n, m)
-    normal_last: Array       # (q, n, m)
-    alpha_last: Array        # (k, k, q, m)
+    tangent: Array           # (k, n, m)
+    normal: Array            # (q, n, m), q = n - k
+    alpha: Array             # (k, k, q, m) normal-frame components
     alpha_gram: Array        # (q, q, m) sum_ij alpha_ijr alpha_ijs: |alpha(., .) X|^2 = X^T G X
+    H: Array                 # (m, n) Euclidean mean curvature vectors
+    b_normal: Array          # (q, n, mb)
+
+    def __post_init__(self):
+        for a in vars(self).values():
+            a.flags.writeable = False
 
 
 class SampledImmersion:
@@ -199,7 +196,6 @@ class SampledImmersion:
         self.bws = np.asarray(boundary_w, float)
         self.bnus = np.asarray(boundary_nu, float)
         self._geometry = None
-        self._b_frames = None
         self._jacobian = None
         self._ambient = {}
         if validate:
@@ -234,8 +230,8 @@ class SampledImmersion:
             if np.any(np.abs(norms - 1.0) > 1e-9):
                 raise InvalidSampleError("boundary conormals must be unit vectors")
             # conormal must lie in the tangent space of the immersion
-            _, bN = self._boundary_frames()
-            if np.max(np.linalg.norm(bN @ self.bnus[:, :, None], axis=(1, 2))) > 1e-8:
+            off = np.einsum("rxm,mx->rm", self._boundary_normal, self.bnus)
+            if np.max(np.linalg.norm(off, axis=0)) > 1e-8:
                 raise InvalidSampleError("boundary conormal not tangent to the immersion")
 
     @property
@@ -252,26 +248,25 @@ class SampledImmersion:
         Gram); builds no frames, so volumes never pay for ``geometry()``."""
         if self._jacobian is None:
             self._jacobian = np.sqrt(_gram_spectrum(self.Js, det=True))
+        self._jacobian.flags.writeable = False
         return self._jacobian
 
-    def _boundary_frames(self) -> tuple[Array, Array]:
-        """Tangent and normal frames at the boundary samples, built once for
+    @cached_property
+    def _boundary_normal(self) -> Array:
+        """The normal frame at the boundary samples (q, n, mb), built once for
         validation and ``geometry()``."""
-        if self._b_frames is None:
-            self._b_frames = _batched_frames(self.bJs)[:2]
-        return self._b_frames
+        return _batched_frames(self.bJs)[1]
 
     def geometry(self) -> ImmersionGeometry:
         if self._geometry is None:
-            T, N, C, TL, NL = _batched_frames(self.Js)
-            CL = _last(C)
+            T, N, C = _batched_frames(self.Js)
             # hn[a, b, r] = <d_a d_b x, N_r> and alpha_r = C^T hn_r C
-            hn = np.einsum("abxm,rxm->abrm", _last(self.Hs), NL)
-            alpha = np.einsum("aim,bjm,abrm->ijrm", CL, CL, hn)
-            H = np.einsum("iirm,rxm->xm", alpha, NL)
-            self._geometry = ImmersionGeometry(T, N, C, alpha.transpose(3, 0, 1, 2), _first(H),
-                                               *self._boundary_frames(), TL, NL, alpha,
-                                               np.einsum("ijrm,ijsm->rsm", alpha, alpha))
+            hn = np.einsum("abxm,rxm->abrm", _last(self.Hs), N)
+            alpha = np.einsum("aim,bjm,abrm->ijrm", C, C, hn)
+            H = np.einsum("iirm,rxm->xm", alpha, N)
+            self._geometry = ImmersionGeometry(
+                T, N, alpha, np.einsum("ijrm,ijsm->rsm", alpha, alpha), _first(H),
+                self._boundary_normal)
         return self._geometry
 
     def ambient(self, metric: ConformalMetric | None, domain=None) -> "AmbientSamples":
@@ -309,12 +304,12 @@ class AmbientSamples:
     frame, the integration densities, the mean curvature bracket and the
     minimality residuals under ``(metric, None)``; the boundary form on the
     rim's normal frame and the free-boundary defects under ``(None,
-    domain)``; eta(u) under ``(metric, domain)``.  Entries on the frames are
-    sample-last (..., m), the layout the second-variation forms contract in.
-    The residual entries are ``ResidualReport``s.  Caching is sound because
-    the immersion's arrays are read-only and metrics and domains are frozen.
-    An entry that raises stores nothing, so every read raises again.  The
-    record holds its immersion weakly: the cache makes no reference cycle.
+    domain)``; eta(u) under ``(metric, domain)``, laid out by the module's
+    rule.  The residual entries are ``ResidualReport``s.  Caching is sound
+    because the immersion's arrays and geometry are read-only and metrics and
+    domains are frozen.  An entry that raises stores nothing, so every read
+    raises again.  The record holds its immersion weakly: the cache makes no
+    reference cycle.
     """
 
     def __init__(self, imm: SampledImmersion, metric: ConformalMetric | None, domain):
@@ -339,19 +334,19 @@ class AmbientSamples:
     @_entry
     def grad_tan(self) -> Array:
         """Tangent-frame components of grad u, sample-last (k, m)."""
-        return np.einsum("kxm,xm->km", self.imm.geometry().tangent_last, _last(self.grad))
+        return np.einsum("kxm,xm->km", self.imm.geometry().tangent, _last(self.grad))
 
     @_entry
     def grad_nor(self) -> Array:
         """Normal-frame components of grad u, sample-last (q, m)."""
-        return np.einsum("rxm,xm->rm", self.imm.geometry().normal_last, _last(self.grad))
+        return np.einsum("rxm,xm->rm", self.imm.geometry().normal, _last(self.grad))
 
     @_entry
     def sff(self) -> Array:
         """Second fundamental form of the rescaled metric, sample-last (k, k,
         q, m): alpha~(X, Y) = alpha(X, Y) - <X, Y> grad^perp u."""
         eye = np.eye(self.imm.k)[:, :, None, None]
-        return self.imm.geometry().alpha_last - eye * self.grad_nor
+        return self.imm.geometry().alpha - eye * self.grad_nor
 
     @_entry
     def hess_tangent(self) -> Array:
@@ -362,14 +357,19 @@ class AmbientSamples:
     @_entry
     def hess_normal(self) -> Array:
         """Hess u on the normal frame, Hess u(N_r, N_s), sample-last (q, q, m)."""
-        return _on_normal_frame(self.imm, self.hess)
+        return _on_frame(self.imm.geometry().normal, self.hess)
 
     @_entry
     def curvature_normal(self) -> Array:
-        """The tangent-traced curvature operator A on the normal frame (q, q, m):
-        sum_i <R(X, v_i)X, v_i> = X^T A X for a normal field's components X."""
-        A = conformal.tangent_curvature(self.grad, self.hess, self.imm.geometry().tangent)
-        return _on_normal_frame(self.imm, A)
+        """The tangent-traced curvature operator A on the normal frame (q, q,
+        m): sum_i <R(X, v_i)X, v_i> = X^T A X for a normal field's components
+        X.  ``curvature_form`` sums to 2 B(X, PX) - k B(X, X) - tr(PB)|X|^2,
+        B = ``conformal.schouten`` and P the tangent projector; PX = 0 for a
+        normal X, so A = -k N B N^T - (sum_i v_i^T B v_i) I_q."""
+        geo, B = self.imm.geometry(), conformal.schouten(self.grad, self.hess)
+        traced = np.einsum("iim->m", _on_frame(geo.tangent, B))
+        return (-self.imm.k * _on_frame(geo.normal, B)
+                - traced * np.eye(len(geo.normal))[:, :, None])
 
     @_entry
     def density(self) -> Array:
@@ -380,7 +380,7 @@ class AmbientSamples:
         """H - k grad^perp u, (m, n); the rescaled mean curvature vector is
         e^{-2u} times it."""
         geo = self.imm.geometry()
-        return geo.H - self.imm.k * np.einsum("rxm,rm->mx", geo.normal_last, self.grad_nor)
+        return geo.H - self.imm.k * np.einsum("rxm,rm->mx", geo.normal, self.grad_nor)
 
     @_entry
     def minimality(self) -> ResidualReport:
@@ -424,10 +424,9 @@ class AmbientSamples:
         bN_r^T M bN_s (q, q, mb) and <nhat, bN_r> (q, mb), sample-last; and
         <eta, nu> (mb,)."""
         nhat = outward_normal(self.domain, self.imm.bxs)
-        M = domain_boundary_form(self.domain, self.imm.bxs)
         bN = self.imm.geometry().b_normal
-        return (nhat, _last(bN @ M @ np.swapaxes(bN, 1, 2)), np.einsum("mrx,mx->rm", bN, nhat),
-                -np.sum(nhat * self.imm.bnus, axis=1))
+        return (nhat, _on_frame(bN, domain_boundary_form(self.domain, self.imm.bxs)),
+                np.einsum("rxm,mx->rm", bN, nhat), -np.sum(nhat * self.imm.bnus, axis=1))
 
     @_entry
     def defect(self) -> ResidualReport:
@@ -450,10 +449,10 @@ class AmbientSamples:
         return -np.sum(self.imm.ambient(self.metric).b_grad * nhat, axis=1)
 
 
-def _on_normal_frame(imm: SampledImmersion, S: Array) -> Array:
-    """N_r^T S N_s (q, q, m) of a stack ``S`` (m, n, n), by two contractions."""
-    N = imm.geometry().normal_last
-    return np.einsum("rym,sym->rsm", np.einsum("rxm,xym->rym", N, _last(S)), N)
+def _on_frame(F: Array, S: Array) -> Array:
+    """F_r^T S F_s (p, p, m) of a stack ``S`` (m, n, n) on a sample-last frame
+    ``F`` (p, n, m), by two contractions."""
+    return np.einsum("rym,sym->rsm", np.einsum("rxm,xym->rym", F, _last(S)), F)
 
 
 def _density(imm: SampledImmersion, u: Array) -> Array:

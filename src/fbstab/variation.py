@@ -17,7 +17,8 @@ curvature operator A and the boundary form on the normal frames) the forms,
 traces, bound and certificate read from the immersion's cached
 ``geometry()`` and ``ambient(metric, domain)`` records, so after the first
 call a form does only the work that X changes; the curvature term
-sum_i <R(X,v_i)X, v_i> is X^T A X.
+sum_i <R(X,v_i)X, v_i> is X^T A X, with A = -k N B N^T - (sum_i v_i^T B
+v_i) I_q for the Schouten tensor B, as X is normal.
 
 The traces sum the forms over the projected constants E_l^perp of an
 orthonormal basis (canonical by default), stacked by ``projected_field``,
@@ -78,10 +79,10 @@ def projected_field(imm: SampledImmersion, E) -> NormalField:
     """
     geo = imm.geometry()
     E = np.asarray(E, float)
-    minus_Et = np.tensordot(-E, geo.tangent_last, axes=(-1, 1))
-    return NormalField(np.tensordot(E, geo.normal_last, axes=(-1, 1)),
-                       np.einsum("ijrm,...jm->...irm", geo.alpha_last, minus_Et),
-                       np.einsum("...x,mrx->...rm", E, geo.b_normal))
+    minus_Et = np.tensordot(-E, geo.tangent, axes=(-1, 1))
+    return NormalField(np.tensordot(E, geo.normal, axes=(-1, 1)),
+                       np.einsum("ijrm,...jm->...irm", geo.alpha, minus_Et),
+                       np.tensordot(E, geo.b_normal, axes=(-1, 1)))
 
 
 def _norm2(X: Array) -> Array:
@@ -161,7 +162,8 @@ def s_tilde_direct(imm: SampledImmersion, X: NormalField,
     Uses only the conformal connection, curvature tensor and second
     fundamental form; no minimality assumption.  Dual route to
     ``s_tilde_transformed`` for closure testing.  The curvature term is
-    X^T A X, A the record's ``curvature_normal``.
+    X^T A X, A the record's ``curvature_normal``, built from the Schouten
+    tensor and the frames, not from the record's Hess u blocks.
     """
     record = imm.ambient(metric)
     Xn = X.normal
@@ -468,6 +470,8 @@ class StabilityReport:
 
 
 def _sample_domain_interior(domain: LevelSetDomain, count: int, seed: int) -> Array:
+    if count < 1:
+        raise ConfigError(f"curvature_points must be positive, got {count}")
     sob = qmc.Sobol(d=domain.n, scramble=True, seed=seed)
     R = domain.bounding_radius
     pts = np.zeros((0, domain.n))

@@ -5,7 +5,8 @@ These kinds live here:
 * oracles with a route of their own: the immersion frames by LAPACK QR,
   the QR shape operator and its tangent basis, the Christoffel symbols and
   the connection correction, the curvature form written out term by term
-  without the Schouten tensor, the inward normal, the gradient-tube probe,
+  without the Schouten tensor, the tangent-traced curvature operator on all
+  of R^n, the inward normal, the gradient-tube probe,
   the first-variation pairing and the boundary volume;
 * the term-by-term loop that the stacked polynomial field must reproduce
   bit for bit, the convexity polish run for all its rounds, against which
@@ -24,7 +25,8 @@ These kinds live here:
   immersion (the immersion route that the flow's measure of a chart stack
   is held to) and its descent direction;
 * sample-first ``np.einsum`` statements and batched matrix products of the
-  per-sample kernels that the package contracts over sample-last copies:
+  per-sample kernels that the package contracts over sample-last stacks,
+  reading the geometry's frames sample-first through ``geometry_first``:
   the chart chain rule and the Jacobian Gram, the second fundamental form
   and mean curvature of ``SampledImmersion.geometry()``, its Jacobian
   factor, the S-terms, the traced interior and boundary densities, and the
@@ -40,8 +42,11 @@ import numpy as np
 from scipy.special import ndtri
 from scipy.stats import qmc
 
+from types import SimpleNamespace
+
 from fbstab import domain as dm
 from fbstab import flow as fl
+from fbstab.conformal import schouten
 from fbstab.errors import DomainError
 from fbstab.fields import ConformalMetric, ScalarField, make_field
 from fbstab.submanifold import (_batched_frames, _first, _last, _upper_inverse,
@@ -107,6 +112,19 @@ def curvature_form_expanded(grad, hess, X, Y, Z, W) -> np.ndarray:
         + xw * dot(hY, Z)
         - yw * dot(hX, Z)
     )
+
+
+def tangent_curvature(grad, hess, tangent) -> np.ndarray:
+    """The symmetric ``(m, n, n)`` A with V^T A V = sum_i <R(V, v_i)V, v_i>
+    for every V, the v_i the rows of ``tangent`` ``(m, k, n)``.  X = Z = V
+    and Y = W = v_i in ``curvature_form`` give A = BP + PB - tr(P) B - tr(PB)
+    I, with B = ``schouten`` and P = T^T T; V need not be normal.  The
+    ambient record's ``curvature_normal`` is N A N^T in closed form."""
+    B = schouten(grad, hess)
+    P = np.swapaxes(tangent, 1, 2) @ tangent
+    BP = B @ P
+    return (BP + np.swapaxes(BP, 1, 2) - np.einsum("mii->m", P)[:, None, None] * B
+            - np.einsum("mij,mji->m", P, B)[:, None, None] * np.eye(B.shape[1]))
 
 
 def christoffel(field: ScalarField, x) -> np.ndarray:
@@ -508,10 +526,20 @@ def gram_matmul(Js):
     return np.swapaxes(Js, 1, 2) @ Js
 
 
+def geometry_first(imm):
+    """The frames and alpha of ``imm.geometry()`` and its chart_to_frame,
+    sample-first: ``tangent`` (m, k, n), ``normal`` (m, q, n), ``alpha`` (m,
+    k, k, q), ``b_normal`` (mb, q, n) and ``chart_to_frame`` (m, k, k)."""
+    geo = imm.geometry()
+    return SimpleNamespace(tangent=_first(geo.tangent), normal=_first(geo.normal),
+                           alpha=_first(geo.alpha), b_normal=_first(geo.b_normal),
+                           chart_to_frame=_first(_batched_frames(imm.Js)[2]))
+
+
 def geometry_einsum(imm):
-    """``(alpha, H)`` of ``SampledImmersion.geometry()`` and its
-    ``jacobian_factor``."""
-    _, N, C = _batched_frames(imm.Js)[:3]
+    """``(alpha, H)`` of ``SampledImmersion.geometry()``, alpha sample-first,
+    and its ``jacobian_factor``."""
+    N, C = (_first(a) for a in _batched_frames(imm.Js)[1:])
     hn = np.einsum("mrx,mabx->mabr", N, imm.Hs)
     alpha = np.einsum("mai,mbj,mabr->mijr", C, C, hn)
     H = np.einsum("miir,mrx->mx", alpha, N)
@@ -529,9 +557,9 @@ def ambient_field(imm, X):
     """The ambient vectors of a ``NormalField``: ``(values (..., m, n), dperp
     (..., m, k, q), boundary values (..., mb, n))``, sample-first."""
     geo = imm.geometry()
-    return (np.einsum("...rm,mrx->...mx", X.normal, geo.normal),
+    return (np.einsum("...rm,rxm->...mx", X.normal, geo.normal),
             np.einsum("...irm->...mir", X.dperp),
-            np.einsum("...rm,mrx->...mx", X.boundary, geo.b_normal))
+            np.einsum("...rm,rxm->...mx", X.boundary, geo.b_normal))
 
 
 def s_euclid_terms_einsum(alpha, TB, NB):
@@ -544,7 +572,7 @@ def s_euclid_terms_einsum(alpha, TB, NB):
 
 def traced_interior_density_einsum(imm, metric: ConformalMetric, basis=None):
     """``variation.traced_interior_density``: ``(values, residuals)``."""
-    geo = imm.geometry()
+    geo = geometry_first(imm)
     k = imm.k
     T, N, alpha = geo.tangent, geo.normal, geo.alpha
     NB = in_basis(N, basis)
@@ -575,7 +603,7 @@ def traced_interior_density_einsum(imm, metric: ConformalMetric, basis=None):
 def traced_boundary_density_einsum(imm, metric: ConformalMetric, domain, basis=None):
     """``variation.traced_boundary_density`` without its tangency check:
     ``(values, residuals, tangency)``."""
-    bN = imm.geometry().b_normal
+    bN = geometry_first(imm).b_normal
     bNB = in_basis(bN, basis)
     u = metric.field.value(imm.bxs)
     nu_u = np.sum(metric.field.gradient(imm.bxs) * imm.bnus, axis=1)
@@ -598,7 +626,7 @@ def s_tilde_direct_einsum(imm, V, dperp, metric: ConformalMetric):
     ``V`` (m, n) and normal derivative ``dperp`` (m, k, q): the curvature
     vector R(X, v_i)X paired with v_i, and the connection and second
     fundamental form terms, the latter by the transformation law."""
-    geo = imm.geometry()
+    geo = geometry_first(imm)
     g = metric.field.gradient(imm.xs)
     u_i = np.einsum("mkn,mn->mk", geo.tangent, g)
     Xn = np.einsum("mqn,mn->mq", geo.normal, V)

@@ -252,11 +252,14 @@ def test_certificate_curvature_min_interior_minimum():
     assert np.min(kmin_at(field, xs)) > -12.0 + 1e-10
 
 
-@pytest.mark.parametrize("name,want", [
+SPACE_FORMS = [
     *((f"cap-disk-b{n}k{k}", 1.0) for n, k in ((4, 2), (5, 2), (5, 3), (6, 3))),
     *((f"flat-disk-b{n}k{k}", 0.0) for n, k in ((4, 2), (5, 2), (5, 3), (6, 3))),
     ("hyperbolic-disk-b4", -1.0),
-])
+]
+
+
+@pytest.mark.parametrize("name,want", SPACE_FORMS)
 def test_certificate_curvature_min_constant_curvature(name, want):
     from fbstab import scenarios, variation
 
@@ -266,6 +269,23 @@ def test_certificate_curvature_min_constant_curvature(name, want):
         assert report.curvature_min == 0.0
     else:
         assert abs(report.curvature_min - want) <= 1e-14
+
+
+@pytest.mark.parametrize("name,K", SPACE_FORMS)
+def test_curvature_normal_of_a_space_form(name, K):
+    """Where every sectional curvature is K, sum_i <R(X, v_i)X, v_i> = K k
+    e^{2u} |X|^2 in the Euclidean pairing, so the record's closed-form
+    operator on the normal frame is K k e^{2u} I_q, to round-off."""
+    from fbstab import scenarios
+
+    built = scenarios.build_scenario(name)
+    imm = built.immersion
+    record = imm.ambient(built.metric)
+    q = imm.n - imm.k
+    want = K * imm.k * np.exp(2.0 * record.u) * np.eye(q)[:, :, None]
+    assert record.curvature_normal.shape == (q, q, imm.n_interior)
+    scale = max(1.0, float(np.max(np.abs(want))))
+    assert np.max(np.abs(record.curvature_normal - want)) <= 1e-14 * scale
 
 
 def test_radial_minimum_is_below_the_sampled_minimum():

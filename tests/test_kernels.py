@@ -1,9 +1,12 @@
 """Batched matrix-product kernels against their einsum statements, the
-stacked second-variation forms and traces against the sample-first
-statements over ambient vectors, the contracted curvature form against the
-Christoffel oracle and its expanded statement, the tangent-traced curvature
-operator and its normal-frame entry against the form, and the
-Gram-eigenvalue conditioning check."""
+geometry record's layout (frames and forms sample-last, every array
+C-contiguous and read-only), the stacked second-variation forms and traces
+against the sample-first statements over ambient vectors, the contracted
+curvature form against the Christoffel oracle and its expanded statement,
+the tangent-traced curvature operator and its normal-frame entry against
+the form, and the Gram-eigenvalue conditioning check."""
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -33,12 +36,28 @@ def _random_basis(n, seed):
     return Q.T
 
 
+def _check_layout(imm):
+    """Frame and form components end in their sample axis, m or mb; H is a
+    vector of R^n per sample, (m, n).  Every array of the record and the
+    Jacobian factor is C-contiguous and read-only: an in-place write raises."""
+    geo = imm.geometry()
+    m, mb, n, k = imm.n_interior, imm.n_boundary, imm.n, imm.k
+    q = n - k
+    arrays = {f.name: getattr(geo, f.name) for f in dataclasses.fields(geo)}
+    assert {name: a.shape for name, a in arrays.items()} == {
+        "tangent": (k, n, m), "normal": (q, n, m), "alpha": (k, k, q, m),
+        "alpha_gram": (q, q, m), "H": (m, n), "b_normal": (q, n, mb)}
+    for a in (*arrays.values(), imm.jacobian_factor):
+        assert a.flags.c_contiguous and not a.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            a *= 2.0
+
+
 def _check_geometry(imm):
     alpha, H, jac = oracles.geometry_einsum(imm)
     geo = imm.geometry()
-    for frame in (geo.tangent, geo.normal, geo.b_tangent, geo.b_normal):
-        assert frame.flags.c_contiguous
-    assert _close(geo.alpha, alpha)
+    _check_layout(imm)
+    assert _close(sub._first(geo.alpha), alpha)
     assert _close(geo.H, H)
     assert _close(imm.jacobian_factor, jac)
 
@@ -46,7 +65,7 @@ def _check_geometry(imm):
 def _check_interior(imm, metric, basis=None):
     """The stacked S-forms over the projected constants of a basis, and the
     traces, against the sample-first statements."""
-    geo = imm.geometry()
+    geo = oracles.geometry_first(imm)
     X = var.projected_field(imm, var._basis(imm.n, basis))
     terms = oracles.s_euclid_terms_einsum(
         geo.alpha, oracles.in_basis(geo.tangent, basis), oracles.in_basis(geo.normal, basis))
@@ -68,8 +87,8 @@ def _check_tangent_curvature(imm, metric, seed):
     record's normal-frame entries of A and Hess u give V^T A V and Hess u(V,
     V) from the projected fields' components."""
     record = imm.ambient(metric)
-    T = imm.geometry().tangent
-    A = conformal.tangent_curvature(record.grad, record.hess, T)
+    T = oracles.geometry_first(imm).tangent
+    A = oracles.tangent_curvature(record.grad, record.hess, T)
     assert np.array_equal(A, np.swapaxes(A, 1, 2))
     X = var.projected_field(imm, np.eye(imm.n))
     V = oracles.ambient_field(imm, X)[0]

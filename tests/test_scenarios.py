@@ -270,21 +270,42 @@ def test_cli_config_errors(tmp_path, capsys):
         assert key in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("verb,scenario,message", [
-    ("stability", {"n": 4, "k": 2, "field": {"name": "linear"}},
+_POLYNOMIAL_B4 = {"n": 4, "k": 2, "field": {"name": "polynomial", "terms": [[0.1, [2, 0, 0, 0]]]}}
+
+
+@pytest.mark.parametrize("verb,doc,message", [
+    ("stability", {"scenario": {"n": 4, "k": 2, "field": {"name": "linear"}}},
      "field 'linear' needs parameter 'a'"),
-    ("stability", {"n": 4, "k": 2, "domain": {"kind": "ellipsoid"}},
+    ("stability", {"scenario": {"n": 4, "k": 2, "domain": {"kind": "ellipsoid"}}},
      "domain 'ellipsoid' needs parameter 'semi_axes'"),
-    ("stability", {"n": 3, "k": 2, "immersion": {"kind": "tilted-disk"}},
+    ("stability", {"scenario": {"n": 3, "k": 2, "immersion": {"kind": "tilted-disk"}}},
      "immersion 'tilted-disk' needs parameter 'angle'"),
-    ("flow", {"n": 3, "k": 2, "flow": {"initial": "flat", "ntheta": 15}},
+    ("flow", {"scenario": {"n": 3, "k": 2, "flow": {"initial": "flat", "ntheta": 15}}},
      "flow grid ntheta must be even, got 15"),
-], ids=["field-parameter", "domain-parameter", "immersion-parameter", "flow-odd-ntheta"])
-def test_cli_catalog_errors_exit_2(verb, scenario, message, tmp_path, capsys):
-    """A catalog entry missing a parameter, or a flow grid the solver cannot
-    use, is a configuration error naming the key or the value."""
+    ("stability", {"scenario": {"n": 4, "k": 2, "domain": {"radius": 1.0}}},
+     "domain needs parameter 'kind'"),
+    ("stability", {"scenario": {"n": 4, "k": 2, "immersion": {"radius": 1.0}}},
+     "immersion needs parameter 'kind'"),
+    ("stability", {"scenario": {"n": 4, "k": 2, "field": {"coeffs": [0.1]}}},
+     "field needs parameter 'name'"),
+    ("stability", {"scenario": {"n": 4, "k": 2, "expected": {"traced_total": -12.5}}},
+     "scenario inline: expected 'traced_total' must be an object"),
+    ("stability", {"scenario": {"n": 4, "k": 2, "expected": {"traced_total": {"tol": 1e-6}}}},
+     "scenario inline: expected 'traced_total' must be an object"),
+    ("stability", {"scenario": {"n": 4, "k": 2,
+                                "expected": {"traced_total": {"value": -12.5, "tol": "tight"}}}},
+     "scenario inline: expected 'traced_total' must be an object"),
+    ("stability", {"scenario": _POLYNOMIAL_B4, "certificate": {"curvature_points": 0}},
+     "curvature_points must be positive, got 0"),
+], ids=["field-parameter", "domain-parameter", "immersion-parameter", "flow-odd-ntheta",
+        "domain-kind", "immersion-kind", "field-name", "expected-not-object",
+        "expected-no-value", "expected-tol", "curvature-points-zero"])
+def test_cli_catalog_errors_exit_2(verb, doc, message, tmp_path, capsys):
+    """A catalog entry missing a parameter or its kind, a malformed expected
+    value, a curvature sample count of zero, or a flow grid the solver
+    cannot use, is a configuration error naming the key or the value."""
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"scenario": scenario}))
+    cfg.write_text(json.dumps(doc))
     assert cli.main([verb, "--config", str(cfg)]) == 2
     assert f"configuration error: {message}" in capsys.readouterr().err
 

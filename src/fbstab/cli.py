@@ -21,7 +21,7 @@ from . import domain as domain_mod
 from . import flow as flow_mod
 from . import scenarios as sc
 from . import variation as var
-from .errors import ConfigError, GeometryError
+from .errors import ConfigError, GeometryError, integer
 from .submanifold import immersion_to_json
 
 
@@ -49,12 +49,22 @@ def _section(cfg: dict, name: str, keys) -> dict:
     return options
 
 
+def _quadrature(cfg: dict) -> dict:
+    """The ``quadrature`` block, whose node counts are positive integers."""
+    options = _section(cfg, "quadrature", sc.QUADRATURE_KEYS)
+    return {key: integer(options, key, 1, 1) for key in options}
+
+
+def _seed(args, cfg: dict) -> int:
+    """``--seed``, else the config's ``seed`` (0 if absent), an integer >= 0."""
+    return integer(cfg if args.seed is None else {"seed": args.seed}, "seed", 0)
+
+
 def _load_scenario(args) -> tuple[dict, sc.Scenario, sc.BuiltScenario]:
     """The config, the scenario it or ``--scenario`` names, and its build."""
     cfg = _load_config(args.config)
     scenario = _resolve_scenario(args, cfg)
-    quadrature = _section(cfg, "quadrature", sc.QUADRATURE_KEYS)
-    return cfg, scenario, sc.build_scenario(scenario, quadrature)
+    return cfg, scenario, sc.build_scenario(scenario, _quadrature(cfg))
 
 
 def _resolve_scenario(args, cfg) -> sc.Scenario:
@@ -75,7 +85,7 @@ def _resolve_scenario(args, cfg) -> sc.Scenario:
                 immersion_spec=spec.get("immersion", {"kind": "equatorial-disk"}),
                 flow_spec=spec.get("flow"),
                 expected=spec.get("expected", {}),
-                seed=int(spec.get("seed", cfg.get("seed", 0))),
+                seed=integer(spec, "seed", integer(cfg, "seed", 0)),
             )
         except KeyError as exc:
             raise ConfigError(f"inline scenario is missing key {exc}") from exc
@@ -96,9 +106,9 @@ def _emit_json(doc: dict) -> bytes:
 
 def _cmd_verify(args) -> int:
     cfg = _load_config(args.config)
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
+    seed = _seed(args, cfg)
     suites = [args.suite] if args.suite else cfg.get("suites", list(sc.SUITE_NAMES))
-    result = sc.run_suite(tuple(suites), seed, _section(cfg, "quadrature", sc.QUADRATURE_KEYS))
+    result = sc.run_suite(tuple(suites), seed, _quadrature(cfg))
     fmt = args.format
     data = sc.emit_report(result, fmt)
     _write(args.out, f"report.{ 'txt' if fmt == 'text' else fmt }", data)
@@ -134,7 +144,7 @@ def _cmd_stability(args) -> int:
     cert_cfg = _section(cfg, "certificate", inspect.signature(var.CertificateConfig).parameters)
     if args.tol is not None:
         cert_cfg = {**cert_cfg, "certify_tol": args.tol}
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
+    seed = _seed(args, cfg)
     config = var.CertificateConfig(**{"seed": seed, "p": scenario.p, **cert_cfg})
     report = var.instability_certificate(built.immersion, built.metric, built.domain, config)
     doc = report.to_dict()
@@ -153,7 +163,7 @@ def _cmd_stability(args) -> int:
 def _cmd_convexity(args) -> int:
     cfg, scenario, built = _load_scenario(args)
     p = args.p if args.p is not None else (scenario.p or scenario.n - scenario.k)
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
+    seed = _seed(args, cfg)
     count = int(_section(cfg, "convexity", ("samples",)).get("samples", 1024))
     report = domain_mod.convexity_report(built.domain, built.metric.field, p,
                                          count=count, seed=seed)

@@ -1,4 +1,6 @@
-"""Exception types shared across the package, and a lookup that raises one."""
+"""Exception types shared across the package, and lookups that raise one."""
+
+from numbers import Integral
 
 
 class GeometryError(Exception):
@@ -42,3 +44,12 @@ def required(params: dict, key: str, what: str):
     if key not in params:
         raise ConfigError(f"{what} needs parameter {key!r}")
     return params[key]
+
+
+def integer(params: dict, key: str, default: int, minimum: int = 0) -> int:
+    """``params[key]`` (``default`` if absent), an integer of at least
+    ``minimum``, or a ``ConfigError`` naming the key and the value."""
+    value = params.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < minimum:
+        raise ConfigError(f"{key} must be an integer >= {minimum}, got {value!r}")
+    return int(value)

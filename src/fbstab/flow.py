@@ -65,10 +65,10 @@ import numpy as np
 from scipy.linalg import block_diag
 from scipy.linalg.lapack import dgesv
 
-from .domain import LevelSetDomain, project_to_boundary
+from .domain import LevelSetDomain, outward_normal, project_to_boundary
 from .errors import ConfigError, StepFailureError
 from .fields import ConformalMetric
-from .submanifold import (SampledImmersion, _gauss01, angle_defects, boundary_normals,
+from .submanifold import (SampledImmersion, _check_on_boundary, _gauss01, angle_defects,
                           bracket_norms, polar_conormals)
 
 Array = np.ndarray
@@ -298,13 +298,14 @@ def _measurements(grid: PolarGrid, metric: ConformalMetric, domain: LevelSetDoma
     """``(measure, volume, max |H~|, max angle defect)`` of one grid, from its
     chart stack; builds no immersion.  grad^perp u = grad u - J g^-1 J^T
     grad u, and the volume sums w sqrt(det g) e^{2u} over the same samples.
-    Raises ``InvalidSampleError`` for a rim point off the domain boundary."""
+    The rim is taken to lie on the domain boundary: ``flow_state`` checks the
+    start's, and every trial's is projected there."""
     xs, Js, Hs, bJs = grid.samples()
     ginv, c, H, det = _gram_terms(Js, Hs)
     u, grad = metric.field.value(xs), metric.field.gradient(xs)
     bracket = H - 2 * (grad - _tangential(Js, ginv, grad)[1])
     bxs, bnus = grid.positions[grid.nr], polar_conormals(bJs)
-    nhat = boundary_normals(bxs, domain)
+    nhat = outward_normal(domain, bxs)
     vol = float(np.sum(grid.ops.ws * np.sqrt(det) * np.exp(2 * u)))
     return (GridMeasure(ginv, c, u, bracket, bxs, bnus, nhat), vol,
             float(np.max(bracket_norms(u, bracket))), float(np.max(angle_defects(bnus, nhat))))
@@ -312,6 +313,9 @@ def _measurements(grid: PolarGrid, metric: ConformalMetric, domain: LevelSetDoma
 
 def flow_state(grid: PolarGrid, metric: ConformalMetric, domain: LevelSetDomain,
                dt: float | None = None) -> FlowState:
+    """The state of a start grid; raises ``InvalidSampleError`` for a rim
+    point off the domain boundary."""
+    _check_on_boundary(domain, grid.positions[grid.nr])
     measure, vol, res, defect = _measurements(grid, metric, domain)
     if dt is None:
         dt = 0.5 * grid.dt_stable

@@ -25,7 +25,7 @@ import numpy as np
 from . import conformal, domain as domain_mod, flow as flow_mod
 from . import submanifold as sub
 from . import variation as var
-from .errors import ConfigError, DimensionError, required
+from .errors import ConfigError, DimensionError, integer, required
 from .fields import ConformalMetric, ScalarField, make_field
 from .submanifold import SampledImmersion, make_immersion
 
@@ -230,8 +230,7 @@ def flow_grid_for(sc: Scenario) -> flow_mod.PolarGrid:
         raise ConfigError(f"scenario {sc.name} has no flow specification")
     spec = sc.flow_spec
     amp = float(spec.get("amplitude", 0.1))
-    nr = int(spec.get("nr", 8))
-    ntheta = int(spec.get("ntheta", 16))
+    nr, ntheta = integer(spec, "nr", 8, 1), integer(spec, "ntheta", 16, 1)
     kind = spec.get("initial", "radial-bump")
     if kind not in ("radial-bump", "sin-bump", "flat"):
         raise ConfigError(f"unknown flow initial shape: {kind!r}")
@@ -394,7 +393,7 @@ def _suite_identities(col: _Collector, seed: int, quadrature):
                       float(np.max(np.abs(lhs - (geo.H - imm.k * gperp)))), 1e-9)
 
             if imm.ambient(metric).minimality.max_residual <= 1e-8:
-                X = var.projected_field(imm, np.eye(imm.n))
+                X = var.rescaled_constants(imm, metric)
                 gap_s = var.s_tilde_transformed(imm, X, metric) - var.s_tilde_direct(imm, X, metric)
                 gap_t = (var.t_tilde_transformed(imm, X, metric, dom)
                          - var.t_tilde_direct(imm, X, metric, dom))

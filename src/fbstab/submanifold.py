@@ -15,7 +15,9 @@ fixed sample order so results are deterministic.  The kernels contract by
 ``_last``/``_first``.  One layout rule holds for what the geometry and its
 records keep: frame and form components are sample-last (..., m); vectors
 of R^n per sample (x, H, grad u, the bracket) stay (m, n), as the fields
-return them.
+return them.  A ``NormalField`` is a normal field by its components against
+the normal frames, in the same layout; ``projected_field`` gives the
+projected constants E^perp.
 
 Every catalog immersion is a graph x = (y, psi(y)) over a polar,
 spherical-polar or identity chart y of R^k, sampled by one chain rule.
@@ -34,7 +36,7 @@ from numpy.polynomial.legendre import leggauss
 
 from . import conformal
 from .domain import boundary_form as domain_boundary_form, outward_normal
-from .errors import ConfigError, DegenerateSampleError, InvalidSampleError, required
+from .errors import ConfigError, DegenerateSampleError, InvalidSampleError, integer, required
 from .fields import ConformalMetric, make_field
 
 COND_LIMIT = 1e8
@@ -280,13 +282,53 @@ class SampledImmersion:
         return record
 
 
+@dataclass(frozen=True)
+class NormalField:
+    """A normal field over a whole immersion by its normal-frame components.
+
+    ``normal[..., r, i]`` = <X, N_r> and ``dperp[..., a, r, i]`` =
+    <D^perp_{v_a} X, N_r> at interior sample i, ``boundary[..., r, j]`` =
+    <X, bN_r> at boundary sample j, for the samples' normal frames N and bN
+    and tangent frame v.  Leading axes stack fields.
+    """
+
+    normal: Array     # (..., q, m)
+    dperp: Array      # (..., k, q, m)
+    boundary: Array   # (..., q, mb)
+
+    def scaled(self, f: Array, df: Array, bf: Array) -> NormalField:
+        """The field fX, for f given by its interior values (m,), its
+        derivatives v_a(f) along the tangent frame (k, m) and its boundary
+        values (mb,): D^perp(fX) = v(f) X + f D^perp X."""
+        dperp = f * self.dperp
+        dperp += df[:, None] * self.normal[..., None, :, :]
+        return NormalField(f * self.normal, dperp, bf * self.boundary)
+
+
+def projected_field(imm: SampledImmersion, E) -> NormalField:
+    """The projected constants E^perp of the vectors ``E`` (..., n), stacked
+    over E's leading axes, with D^perp_{v_i} E^perp = -alpha(v_i, E^tan).
+
+    Boundary samples carry no chart curvature, so the field holds their
+    components only; the boundary densities are tensorial and never need more.
+    """
+    geo = imm.geometry()
+    E = np.asarray(E, float)
+    minus_Et = np.tensordot(-E, geo.tangent, axes=(-1, 1))
+    return NormalField(np.tensordot(E, geo.normal, axes=(-1, 1)),
+                       np.einsum("ijrm,...jm->...irm", geo.alpha, minus_Et),
+                       np.tensordot(E, geo.b_normal, axes=(-1, 1)))
+
+
 def _entry(fn):
     """A ``cached_property`` whose arrays are made read-only, since every
     reader of the record shares them."""
     @wraps(fn)
     def read(self):
         value = fn(self)
-        for a in value if isinstance(value, tuple) else (value,):
+        parts = (value if isinstance(value, tuple)
+                 else vars(value).values() if isinstance(value, NormalField) else (value,))
+        for a in parts:
             if isinstance(a, np.ndarray):
                 a.flags.writeable = False
         return value
@@ -301,15 +343,15 @@ class AmbientSamples:
     evaluated once per immersion whichever reader asks: the field samples,
     their tangential and normal components, the rescaled second fundamental
     form, Hess u and the tangent-traced curvature operator A on the normal
-    frame, the integration densities, the mean curvature bracket and the
-    minimality residuals under ``(metric, None)``; the boundary form on the
-    rim's normal frame and the free-boundary defects under ``(None,
-    domain)``; eta(u) under ``(metric, domain)``, laid out by the module's
-    rule.  The residual entries are ``ResidualReport``s.  Caching is sound
-    because the immersion's arrays and geometry are read-only and metrics and
-    domains are frozen.  An entry that raises stores nothing, so every read
-    raises again.  The record holds its immersion weakly: the cache makes no
-    reference cycle.
+    frame, the integration densities, the mean curvature bracket, the
+    minimality residuals and the rescaled constants e^{-u} E_l^perp under
+    ``(metric, None)``; the boundary form on the rim's normal frame and the
+    free-boundary defects under ``(None, domain)``; eta(u) under ``(metric,
+    domain)``, laid out by the module's rule.  The residual entries are
+    ``ResidualReport``s.  Caching is sound because the immersion's arrays and
+    geometry are read-only and metrics and domains are frozen.  An entry that
+    raises stores nothing, so every read raises again.  The record holds its
+    immersion weakly: the cache makes no reference cycle.
     """
 
     def __init__(self, imm: SampledImmersion, metric: ConformalMetric | None, domain):
@@ -415,6 +457,14 @@ class AmbientSamples:
         """Integral of per-sample values against the rescaled (k-1)-measure."""
         return float(np.sum(self.b_density * values))
 
+    @_entry
+    def rescaled_constants(self) -> NormalField:
+        """The rescaled constants e^{-u} E_l^perp of the canonical basis,
+        stacked over l; v_a(e^{-u}) = -u_a e^{-u}."""
+        f = np.exp(-self.u)
+        return projected_field(self.imm, np.eye(self.imm.n)).scaled(
+            f, -self.grad_tan * f, np.exp(-self.b_u))
+
     # -- key (None, domain) ---------------------------------------------------
 
     @_entry
@@ -481,13 +531,6 @@ def _check_on_boundary(domain, bxs: Array) -> None:
         )
 
 
-def boundary_normals(bxs: Array, domain) -> Array:
-    """``outward_normal`` of the domain at boundary samples ``bxs``, (mb, n);
-    raises ``InvalidSampleError`` for a sample off the domain boundary."""
-    _check_on_boundary(domain, bxs)
-    return outward_normal(domain, bxs)
-
-
 def angle_defects(nus: Array, outward: Array, factor=1.0) -> Array:
     """Angle defect |1 - |factor <nu, n>|| per boundary sample, for conormals
     ``nus`` and outward unit normals ``outward`` of the domain."""
@@ -501,8 +544,9 @@ def boundary_defects(imm: SampledImmersion, domain, metric: ConformalMetric) -> 
     with the Euclidean ``AmbientSamples.defect`` identically."""
     if imm.n_boundary == 0:
         return np.zeros(0)
+    _check_on_boundary(domain, imm.bxs)
     scale = np.exp(-metric.field.value(imm.bxs))[:, None]
-    return angle_defects(scale * imm.bnus, scale * boundary_normals(imm.bxs, domain),
+    return angle_defects(scale * imm.bnus, scale * outward_normal(domain, imm.bxs),
                          metric.factor(imm.bxs))
 
 
@@ -706,8 +750,8 @@ def make_immersion(kind: str, **params) -> SampledImmersion:
             raise ConfigError("equatorial-disk supports k in {2, 3}")
         return _ball_graph(
             k, radius, _const_graph(n, k, []),
-            int(params.get("nr", 32 if k == 2 else 12)),
-            int(params.get("ntheta", 64 if k == 2 else 24)), int(params.get("nphi", 12)),
+            integer(params, "nr", 32 if k == 2 else 12, 1),
+            integer(params, "ntheta", 64 if k == 2 else 24, 1), integer(params, "nphi", 12, 1),
         )
     if kind == "paraboloid-cap":
         n = int(params.get("n", 3))
@@ -716,7 +760,7 @@ def make_immersion(kind: str, **params) -> SampledImmersion:
         terms = [[[c / 2.0, [2, 0]], [c / 2.0, [0, 2]]]] + [[[0.0, [0, 0]]]] * (n - 3)
         return _ball_graph(
             2, radius, _poly_graph(n, 2, terms),
-            int(params.get("nr", 16)), int(params.get("ntheta", 32)),
+            integer(params, "nr", 16, 1), integer(params, "ntheta", 32, 1),
             with_boundary=bool(params.get("with_boundary", True)),
         )
     if kind == "tilted-disk":
@@ -724,7 +768,7 @@ def make_immersion(kind: str, **params) -> SampledImmersion:
         angle = float(required(params, "angle", what))
         return _ball_graph(
             2, float(np.cos(angle)), _const_graph(n, 2, [np.sin(angle)]),
-            int(params.get("nr", 16)), int(params.get("ntheta", 32)),
+            integer(params, "nr", 16, 1), integer(params, "ntheta", 32, 1),
         )
     if kind in ("graph", "random-graph"):
         k = int(params.get("k", 2))
@@ -737,7 +781,7 @@ def make_immersion(kind: str, **params) -> SampledImmersion:
         return _cube_graph(
             k, n, terms,
             float(params.get("halfwidth", 0.5)),
-            int(params.get("nodes_per_axis", 6 if k == 2 else 5)),
+            integer(params, "nodes_per_axis", 6 if k == 2 else 5, 1),
         )
     raise ConfigError(f"unknown immersion catalog name: {kind!r}")
 

@@ -7,12 +7,13 @@ condition, to the ambient boundary's second fundamental form.  Q = int S +
 int T is the second variation when the immersion is minimal and meets the
 boundary orthogonally.
 
-A ``NormalField`` is its components against the immersion's normal frames,
-so it is normal by construction: values and covariant normal derivatives at
-the interior samples, values at the boundary samples, sample-last (..., m)
-and with optional leading axes that stack fields.  Every form returns one
-density per field and sample, ``(..., m)`` for S and ``(..., mb)`` for T,
-with no differencing across samples.  What no field changes (Hess u, the
+A ``NormalField`` (``submanifold``) is its components against the
+immersion's normal frames, so it is normal by construction: values and
+covariant normal derivatives at the interior samples, values at the boundary
+samples, sample-last (..., m) and with optional leading axes that stack
+fields.  Every form returns the density of the field it is given, one per
+field and sample, ``(..., m)`` for S and ``(..., mb)`` for T, with no
+differencing across samples.  What no field changes (Hess u, the
 curvature operator A and the boundary form on the normal frames) the forms,
 traces, bound and certificate read from the immersion's cached
 ``geometry()`` and ``ambient(metric, domain)`` records, so after the first
@@ -20,13 +21,15 @@ call a form does only the work that X changes; the curvature term
 sum_i <R(X,v_i)X, v_i> is X^T A X, with A = -k N B N^T - (sum_i v_i^T B
 v_i) I_q for the Schouten tensor B, as X is normal.
 
-The traces sum the forms over the projected constants E_l^perp of an
-orthonormal basis (canonical by default), stacked by ``projected_field``,
-or over the rescaled constants e^{-u} E_l^perp (``NormalField.scaled``);
-invariance under rotating the basis is tested, not assumed.  The rescaled
-densities have two routes, Euclidean data plus a transformation law and
-direct evaluation with the conformal connection and curvature; their
-agreement is a test obligation, and Q(X, X) takes the direct route.
+The Euclidean traces sum the forms over the projected constants E_l^perp
+of an orthonormal basis (canonical by default), stacked by
+``projected_field``; the rescaled traces and the certificate sum them over
+the rescaled constants e^{-u} E_l^perp of ``rescaled_constants``, built once
+per immersion and metric.  Invariance under rotating the basis is tested,
+not assumed.  The rescaled densities have two routes, Euclidean data plus a
+transformation law and direct evaluation with the conformal connection and
+curvature; their agreement is a test obligation, and Q(X, X) takes the
+direct route.
 """
 
 from __future__ import annotations
@@ -40,49 +43,11 @@ from . import conformal
 from .domain import LevelSetDomain, convexity_report
 from .errors import ConfigError, DimensionError, PreconditionError
 from .fields import ConformalMetric
-from .submanifold import SampledImmersion
+from .submanifold import NormalField, SampledImmersion, projected_field
 
 Array = np.ndarray
 
 TANGENCY_TOL = 1e-8
-
-
-@dataclass(frozen=True)
-class NormalField:
-    """A normal field over a whole immersion by its normal-frame components.
-
-    ``normal[..., r, i]`` = <X, N_r> and ``dperp[..., a, r, i]`` =
-    <D^perp_{v_a} X, N_r> at interior sample i, ``boundary[..., r, j]`` =
-    <X, bN_r> at boundary sample j, for the samples' normal frames N and bN
-    and tangent frame v.  Leading axes stack fields.
-    """
-
-    normal: Array     # (..., q, m)
-    dperp: Array      # (..., k, q, m)
-    boundary: Array   # (..., q, mb)
-
-    def scaled(self, f: Array, df: Array, bf: Array) -> NormalField:
-        """The field fX, for f given by its interior values (m,), its
-        derivatives v_a(f) along the tangent frame (k, m) and its boundary
-        values (mb,): D^perp(fX) = v(f) X + f D^perp X."""
-        dperp = f * self.dperp
-        dperp += df[:, None] * self.normal[..., None, :, :]
-        return NormalField(f * self.normal, dperp, bf * self.boundary)
-
-
-def projected_field(imm: SampledImmersion, E) -> NormalField:
-    """The projected constants E^perp of the vectors ``E`` (..., n), stacked
-    over E's leading axes, with D^perp_{v_i} E^perp = -alpha(v_i, E^tan).
-
-    Boundary samples carry no chart curvature, so the field holds their
-    components only; the boundary densities are tensorial and never need more.
-    """
-    geo = imm.geometry()
-    E = np.asarray(E, float)
-    minus_Et = np.tensordot(-E, geo.tangent, axes=(-1, 1))
-    return NormalField(np.tensordot(E, geo.normal, axes=(-1, 1)),
-                       np.einsum("ijrm,...jm->...irm", geo.alpha, minus_Et),
-                       np.tensordot(E, geo.b_normal, axes=(-1, 1)))
 
 
 def _norm2(X: Array) -> Array:
@@ -173,21 +138,16 @@ def s_tilde_direct(imm: SampledImmersion, X: NormalField,
 
 
 def t_tilde_transformed(imm: SampledImmersion, X: NormalField, metric: ConformalMetric,
-                        domain: LevelSetDomain, rescaled: bool = True,
-                        tangency_tol: float = TANGENCY_TOL) -> Array:
-    """Boundary density of the rescaled metric from Euclidean data.
-
-    For the rescaled field X~ = e^{-u} X this is e^{-u} (T(X,X) -
-    |X|^2 nu(u)); without rescaling, e^{+u} (same bracket).
-    """
+                        domain: LevelSetDomain, tangency_tol: float = TANGENCY_TOL) -> Array:
+    """Boundary density of the rescaled metric from Euclidean data:
+    e^{u} (T(X,X) - |X|^2 nu(u))."""
     record, Xb = imm.ambient(metric), X.boundary
     bracket = t_euclid(imm, X, domain, tangency_tol) - _norm2(Xb) * record.nu_u
-    return np.exp(-record.b_u if rescaled else record.b_u) * bracket
+    return np.exp(record.b_u) * bracket
 
 
 def t_tilde_direct(imm: SampledImmersion, X: NormalField, metric: ConformalMetric,
-                   domain: LevelSetDomain, rescaled: bool = True,
-                   tangency_tol: float = TANGENCY_TOL) -> Array:
+                   domain: LevelSetDomain, tangency_tol: float = TANGENCY_TOL) -> Array:
     """Boundary density of the rescaled metric via the conformal boundary form.
 
     Applies the conformal transformation of the ambient boundary's second
@@ -197,11 +157,11 @@ def t_tilde_direct(imm: SampledImmersion, X: NormalField, metric: ConformalMetri
     u, eta_u = imm.ambient(metric).b_u, imm.ambient(metric, domain).eta_u
     eta_dot_nu = imm.ambient(None, domain).boundary_form[3]
     form = (_rim_pair(imm, X, domain, tangency_tol) - _norm2(X.boundary) * eta_u) * eta_dot_nu
-    return np.exp(-u if rescaled else u) * form
+    return np.exp(u) * form
 
 
 # ---------------------------------------------------------------------------
-# traces over projected constant fields
+# traces over projected and rescaled constant fields
 # ---------------------------------------------------------------------------
 
 def _basis(n: int, basis=None) -> Array:
@@ -226,25 +186,34 @@ def trace_t_euclid(imm: SampledImmersion, domain: LevelSetDomain, basis=None) ->
     return np.sum(t_euclid(imm, projected_field(imm, _basis(imm.n, basis)), domain), axis=0)
 
 
+def rescaled_constants(imm: SampledImmersion, metric: ConformalMetric,
+                       basis=None) -> NormalField:
+    """The rescaled constants e^{-u} E_l^perp of an orthonormal basis
+    (canonical by default), stacked over l.
+
+    The canonical stack is the ambient record's ``rescaled_constants``,
+    built once per immersion and metric through ``NormalField.scaled`` and
+    read-only.  E -> e^{-u} E^perp is linear, so another basis rotates it.
+    """
+    X = imm.ambient(metric).rescaled_constants
+    if basis is None:
+        return X
+    B = _basis(imm.n, basis)
+    return NormalField(*(np.tensordot(B, a, axes=1) for a in (X.normal, X.dperp, X.boundary)))
+
+
 def traced_interior_density(imm: SampledImmersion, metric: ConformalMetric, basis=None):
     """Per-interior-sample traced rescaled density and identity residual.
 
-    The density sums ``s_tilde_transformed`` over the projected rescaled
-    constants e^{-u} E^perp of an orthonormal basis (canonical by default);
+    The density sums ``s_tilde_transformed`` over ``rescaled_constants``;
     the residual compares e^{2u} * value with k |grad^perp u|^2 - e^{2u}
     K~(T, N), the total tangent-normal sectional curvature, which needs no
     field.  Returns ``(values (m,), residuals (m,))``.
     """
-    return _traced_interior(imm, metric, projected_field(imm, _basis(imm.n, basis)))
-
-
-def _traced_interior(imm: SampledImmersion, metric: ConformalMetric, X: NormalField):
-    """``traced_interior_density`` over the stacked projected constants X."""
     k, q = imm.k, imm.n - imm.k
     record = imm.ambient(metric)
-    f = np.exp(-record.u)  # the rescaled constants e^{-u} E^perp; v_a(f) = -u_a f
-    rescaled = X.scaled(f, -record.grad_tan * f, np.exp(-record.b_u))
-    values = np.sum(s_tilde_transformed(imm, rescaled, metric), axis=0)
+    X = rescaled_constants(imm, metric, basis)
+    values = np.sum(s_tilde_transformed(imm, X, metric), axis=0)
     ut2, un2 = _norm2(record.grad_tan), _norm2(record.grad_nor)
     g2 = np.einsum("mx,mx->m", record.grad, record.grad)
     # e^{2u} K~(T, N) = sum_{i,r} u_i^2 + u_r^2 - |grad u|^2 - Hess u(v_i, v_i) - Hess u(N_r, N_r)
@@ -258,28 +227,25 @@ def traced_boundary_density(imm: SampledImmersion, metric: ConformalMetric,
                             tangency_tol: float = TANGENCY_TOL, basis=None):
     """Per-boundary-sample traced rescaled density and identity residual.
 
-    The density sums ``t_tilde_transformed`` for the rescaled fields over the
-    projected constants of an orthonormal basis (canonical by default); the
-    residual compares e^u * value with -(n-k) nu(u) + sum_l
+    The density sums ``t_tilde_transformed`` over ``rescaled_constants``;
+    the residual compares e^u * value with -(n-k) nu(u) + sum_l
     <alpha_boundary(E_l^perp, E_l^perp), nu>, the latter evaluated as the
-    trace of the boundary form on the rim's normal frame.  Returns
-    ``(values (mb,), residuals (mb,))``.
+    trace of the boundary form on the rim's normal frame.  The projected
+    constants E_l^perp = e^{u} X~_l must be tangent to the domain boundary
+    within the absolute ``tangency_tol``.  Returns ``(values (mb,),
+    residuals (mb,))``.
     """
-    return _traced_boundary(imm, metric, domain, projected_field(imm, _basis(imm.n, basis)),
-                            tangency_tol)
-
-
-def _traced_boundary(imm: SampledImmersion, metric: ConformalMetric, domain: LevelSetDomain,
-                     X: NormalField, tangency_tol: float):
-    """``traced_boundary_density`` over the stacked projected constants X."""
     if imm.n_boundary == 0:
         return np.zeros(0), np.zeros(0)
+    record, X = imm.ambient(metric), rescaled_constants(imm, metric, basis)
     _, form, nhat, eta_dot_nu = imm.ambient(None, domain).boundary_form
-    if np.max(np.abs(np.einsum("...rm,rm->...m", X.boundary, nhat))) > tangency_tol:
+    tangency = np.exp(record.b_u) * np.abs(np.einsum("...rm,rm->...m", X.boundary, nhat))
+    if np.max(tangency) > tangency_tol:
         raise PreconditionError("projected fields are not tangent to the domain boundary; "
                                 "free boundary condition violated")
-    values = t_tilde_transformed(imm, X, metric, domain, tangency_tol=tangency_tol).sum(axis=0)
-    record = imm.ambient(metric)
+    # tangency is the check above, on the unscaled components; the form's
+    # relative limit is not applied again to the rescaled ones
+    values = t_tilde_transformed(imm, X, metric, domain, tangency_tol=np.inf).sum(axis=0)
     display = -(imm.n - imm.k) * record.nu_u + eta_dot_nu * np.einsum("rrm->m", form)
     return values, np.abs(np.exp(record.b_u) * values - display)
 
@@ -384,7 +350,7 @@ def second_variation(imm: SampledImmersion, metric: ConformalMetric,
     if np.isfinite(defect) and defect > free_boundary_tol:
         warnings.append(f"free boundary defect exceeds {free_boundary_tol:g}")
     s_vals = s_tilde_direct(imm, X, metric)
-    t_vals = t_tilde_direct(imm, X, metric, domain, rescaled=False, tangency_tol=tangency)
+    t_vals = t_tilde_direct(imm, X, metric, domain, tangency_tol=tangency)
     record = imm.ambient(metric)
     interior_term = record.integrate(s_vals)
     boundary_term = record.integrate_boundary(t_vals)
@@ -531,9 +497,8 @@ def instability_certificate(imm: SampledImmersion, metric: ConformalMetric,
     if fb_defect > cfg.free_boundary_tol:
         failed.append(f"free-boundary: defect {fb_defect:.3e} > {cfg.free_boundary_tol:g}")
 
-    X = projected_field(imm, np.eye(n))
-    s_vals, s_res = _traced_interior(imm, metric, X)
-    t_vals, t_res = _traced_boundary(imm, metric, domain, X, tangency)
+    s_vals, s_res = traced_interior_density(imm, metric)
+    t_vals, t_res = traced_boundary_density(imm, metric, domain, tangency)
     record = imm.ambient(metric)
     traced_interior = record.integrate(s_vals)
     traced_boundary = record.integrate_boundary(t_vals)

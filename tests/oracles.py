@@ -49,8 +49,8 @@ from fbstab import flow as fl
 from fbstab.conformal import schouten
 from fbstab.errors import DomainError
 from fbstab.fields import ConformalMetric, ScalarField, make_field
-from fbstab.submanifold import (_batched_frames, _first, _last, _upper_inverse,
-                                boundary_normals)
+from fbstab.submanifold import (_batched_frames, _check_on_boundary, _first, _last,
+                                _upper_inverse)
 
 
 # ---------------------------------------------------------------------------
@@ -392,8 +392,9 @@ def immersion_measure(imm, metric: ConformalMetric, domain: dm.LevelSetDomain):
     ginv, c, H, _ = fl._gram_terms(imm.Js, imm.Hs)
     grad = metric.field.gradient(imm.xs)
     tangential = fl._tangential(imm.Js, ginv, grad)[1]
+    _check_on_boundary(domain, imm.bxs)
     return fl.GridMeasure(ginv, c, metric.field.value(imm.xs), H - imm.k * (grad - tangential),
-                          imm.bxs, imm.bnus, boundary_normals(imm.bxs, domain))
+                          imm.bxs, imm.bnus, dm.outward_normal(domain, imm.bxs))
 
 
 def first_variation_direction(imm, metric: ConformalMetric, domain: dm.LevelSetDomain):

@@ -1,6 +1,7 @@
 """Descent flow: directions, stepping contracts, convergence."""
 
 import dataclasses
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from fbstab import flow as fl
 from fbstab import scenarios as sc
 from fbstab import submanifold as sub
 from fbstab.errors import InvalidSampleError, StepFailureError
-from fbstab.fields import ConformalMetric, make_field
+from fbstab.fields import ConformalMetric, ScalarField, make_field
 
 DOM3 = dm.make_domain("ball", 3, radius=1.0)
 M3 = ConformalMetric(make_field("zero"), 3)
@@ -324,10 +325,10 @@ MEASURED_GRIDS = {
 def test_trial_measure_matches_the_immersion_route(name):
     """A trial grid measured from its chart stack agrees with the route
     through its immersion: ``volume``, ``bracket_norms``, ``polar_conormals``
-    and ``boundary_normals`` of ``grid.immersion()``.  Everything but the
-    volume is bit-identical; the volume's det g comes from the flow's
-    ``vecdot`` Gram, not the immersion's ``einsum`` Gram, and agrees within
-    1e-15 relative."""
+    and the domain's ``outward_normal`` at the rim of ``grid.immersion()``.
+    Everything but the volume is bit-identical; the volume's det g comes from
+    the flow's ``vecdot`` Gram, not the immersion's ``einsum`` Gram, and
+    agrees within 1e-15 relative."""
     make, domain_name, field_name = MEASURED_GRIDS[name]
     grid = make()
     metric = ConformalMetric(make_field(field_name), grid.n)
@@ -338,10 +339,52 @@ def test_trial_measure_matches_the_immersion_route(name):
     assert abs(vol - sub.volume(imm, metric)) <= 1e-15 * sub.volume(imm, metric)
     assert res == np.max(sub.bracket_norms(want.u, want.bracket))
     assert np.array_equal(measure.bnus, sub.polar_conormals(imm.bJs))
-    assert np.array_equal(measure.rim_normals, sub.boundary_normals(imm.bxs, dom))
+    assert np.array_equal(measure.rim_normals, dm.outward_normal(dom, imm.bxs))
     assert defect == np.max(sub.angle_defects(imm.bnus, want.rim_normals))
     for field in dataclasses.fields(fl.GridMeasure):
         assert np.array_equal(getattr(measure, field.name), getattr(want, field.name))
+
+
+def _counting_domain(domain):
+    """``domain`` with its level-set function's value and gradient calls counted."""
+    calls = Counter()
+
+    def counted(kind, fn):
+        def call(x):
+            calls[kind] += 1
+            return fn(x)
+        return call
+
+    phi = domain.phi
+    return dataclasses.replace(domain, phi=ScalarField.analytic(
+        counted("value", phi.value_fn), counted("gradient", phi.grad_fn), phi.hess_fn)), calls
+
+
+def test_the_rim_is_checked_once_at_the_start(monkeypatch):
+    """``flow_state`` checks the start's rim against the domain; a trial's rim
+    has just been projected onto the boundary, so a step evaluates phi only
+    inside the projection.  A start off the boundary is still refused."""
+    dom, calls = _counting_domain(DOM3)
+    state = fl.flow_state(bump_grid(), M3, dom)
+    assert calls == {"value": 1, "gradient": 1}
+    in_projection = []
+    project = fl.project_to_boundary
+
+    def projected(*args, **kwargs):
+        before = calls["value"]
+        out = project(*args, **kwargs)
+        in_projection.append(calls["value"] - before)
+        return out
+
+    monkeypatch.setattr(fl, "project_to_boundary", projected)
+    calls.clear()
+    for _ in range(3):
+        state = fl.flow_step(state, M3, dom)
+    assert len(in_projection) == 3 and calls["value"] == sum(in_projection)
+    positions = bump_grid().positions.copy()
+    positions[-1] *= 1.01
+    with pytest.raises(InvalidSampleError, match="off the domain boundary"):
+        fl.flow_state(bump_grid().with_positions(positions), M3, DOM3)
 
 
 def test_backtracking_exhaustion_raises():

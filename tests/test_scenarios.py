@@ -297,13 +297,29 @@ _POLYNOMIAL_B4 = {"n": 4, "k": 2, "field": {"name": "polynomial", "terms": [[0.1
      "scenario inline: expected 'traced_total' must be an object"),
     ("stability", {"scenario": _POLYNOMIAL_B4, "certificate": {"curvature_points": 0}},
      "curvature_points must be positive, got 0"),
+    ("stability", {"scenario": "flat-disk-b4k2", "seed": "abc"},
+     "seed must be an integer >= 0, got 'abc'"),
+    ("stability", {"scenario": {"n": 4, "k": 2, "seed": 1.5}},
+     "seed must be an integer >= 0, got 1.5"),
+    ("convexity", {"scenario": "flat-disk-b4k2", "seed": -1},
+     "seed must be an integer >= 0, got -1"),
+    ("stability", {"scenario": "flat-disk-b4k2", "quadrature": {"nr": 0}},
+     "nr must be an integer >= 1, got 0"),
+    ("verify", {"quadrature": {"nodes_per_axis": 2.5}},
+     "nodes_per_axis must be an integer >= 1, got 2.5"),
+    ("stability", {"scenario": {"n": 4, "k": 2,
+                                "immersion": {"kind": "equatorial-disk", "ntheta": -4}}},
+     "ntheta must be an integer >= 1, got -4"),
 ], ids=["field-parameter", "domain-parameter", "immersion-parameter", "flow-odd-ntheta",
         "domain-kind", "immersion-kind", "field-name", "expected-not-object",
-        "expected-no-value", "expected-tol", "curvature-points-zero"])
+        "expected-no-value", "expected-tol", "curvature-points-zero", "seed-not-integer",
+        "inline-seed-not-integer", "seed-negative", "quadrature-nr-zero",
+        "verify-quadrature-not-integer", "immersion-ntheta-negative"])
 def test_cli_catalog_errors_exit_2(verb, doc, message, tmp_path, capsys):
     """A catalog entry missing a parameter or its kind, a malformed expected
-    value, a curvature sample count of zero, or a flow grid the solver
-    cannot use, is a configuration error naming the key or the value."""
+    value, a seed that is not an integer >= 0, a node or curvature sample
+    count that is not positive, or a flow grid the solver cannot use, is a
+    configuration error naming the key or the value."""
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(doc))
     assert cli.main([verb, "--config", str(cfg)]) == 2

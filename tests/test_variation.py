@@ -117,7 +117,7 @@ def _per_field_forms(imm, metric, dom):
         "s_tilde_direct": lambda X: var.s_tilde_direct(imm, X, metric),
         "t_euclid": lambda X: var.t_euclid(imm, X, dom),
         "t_tilde_transformed": lambda X: var.t_tilde_transformed(imm, X, metric, dom),
-        "t_tilde_direct": lambda X: var.t_tilde_direct(imm, X, metric, dom, rescaled=False),
+        "t_tilde_direct": lambda X: var.t_tilde_direct(imm, X, metric, dom),
     }
 
 
@@ -298,10 +298,27 @@ def test_t_tilde_transformed_values(cap_b4, flat_b4, metric_zero4, ball4):
     got = var.t_tilde_transformed(imm, X, metric, ball4)
     assert np.max(np.abs(got)) < 1e-12
     # doubling |X|^2 doubles the slope term
-    a = var.t_tilde_transformed(imm, X, metric, ball4, rescaled=False)
+    a = var.t_tilde_transformed(imm, X, metric, ball4)
     X2 = var.NormalField(X.normal, X.dperp, np.sqrt(2) * X.boundary)
-    b = var.t_tilde_transformed(imm, X2, metric, ball4, rescaled=False)
+    b = var.t_tilde_transformed(imm, X2, metric, ball4)
     assert np.max(np.abs(b - 2 * a)) < 1e-12
+
+
+@pytest.mark.parametrize("scenario_fixture", ["cap_b4", "custom_b4"])
+def test_t_tilde_of_rescaled_constants(scenario_fixture, request):
+    """The boundary density of the rescaled constants e^{-u} E_l^perp is
+    e^{-u} (T - |X|^2 nu(u)) of the unscaled constants X = E_l^perp, to
+    round-off relative to the size of its terms."""
+    built = request.getfixturevalue(scenario_fixture)
+    imm, metric, dom = built.immersion, built.metric, built.domain
+    X = var.projected_field(imm, np.eye(imm.n))
+    u = metric.field.value(imm.bxs)
+    nu_u = np.sum(metric.field.gradient(imm.bxs) * imm.bnus, axis=1)
+    T, X2 = var.t_euclid(imm, X, dom), np.sum(X.boundary**2, axis=-2)
+    want = np.exp(-u) * (T - X2 * nu_u)
+    scale = np.max(np.exp(-u) * (np.abs(T) + X2 * np.abs(nu_u)))
+    got = var.t_tilde_transformed(imm, var.rescaled_constants(imm, metric), metric, dom)
+    assert np.max(np.abs(got - want)) <= 1e-14 * scale
 
 
 # ---------------------------------------------------------------------------
@@ -575,6 +592,61 @@ def test_certificate_cap(cap_b4):
     assert rep.curvature_min > 0.9
     assert "positive-curvature" in rep.strict_conditions
     assert rep.interior_identity_residual_max < 1e-7
+
+
+# the registry scenarios the certificate accepts
+CERTIFIED = ("flat-disk-b4k2", "flat-disk-b5k2", "flat-disk-b5k3", "flat-disk-b6k3",
+             "cap-disk-b4k2", "cap-disk-b5k2", "cap-disk-b5k3", "cap-disk-b6k3",
+             "hyperbolic-disk-b4", "radial-custom-disk-b4", "flow-sin-cap-b4",
+             "sphere-convexity-b4")
+
+
+def test_certified_scenarios_are_those_the_certificate_accepts():
+    """Every other registry scenario is refused for its dimensions."""
+    for name in sorted(set(sc.SCENARIOS) - set(CERTIFIED)):
+        built = sc.build_scenario(name)
+        with pytest.raises(DimensionError):
+            var.instability_certificate(built.immersion, built.metric, built.domain,
+                                        var.CertificateConfig(p=built.scenario.p))
+
+
+@pytest.mark.parametrize("name", CERTIFIED)
+def test_q_of_the_rescaled_constants_sums_to_the_traced_total(name):
+    """Two independent routes to the certificate's trace: Q(X~_l, X~_l) by
+    the direct S/T forms, one rescaled constant X~_l = e^{-u} E_l^perp at a
+    time, sums to ``traced_total``, the transformed traced densities."""
+    built = sc.build_scenario(name)
+    imm, metric, dom = built.immersion, built.metric, built.domain
+    rep = var.instability_certificate(imm, metric, dom, var.CertificateConfig(p=built.scenario.p))
+    X = var.rescaled_constants(imm, metric)
+    fields = [var.NormalField(X.normal[l], X.dperp[l], X.boundary[l]) for l in range(imm.n)]
+    results = [var.second_variation(imm, metric, Xl, dom) for Xl in fields]
+    assert all(not q.warnings for q in results)
+    total = sum(q.value for q in results)
+    assert abs(total - rep.traced_total) <= 1e-12 * abs(rep.traced_total)
+
+
+def test_certificate_builds_the_rescaled_constants_once(monkeypatch):
+    """The certificate reads the rescaled constants through the public traces;
+    the immersion's record builds them once per metric, read-only."""
+    built = sc.build_scenario("cap-disk-b5k3")
+    imm, metric, dom = built.immersion, built.metric, built.domain
+    builds = []
+    projected_field = sub.projected_field
+
+    def counted(*args):
+        builds.append(args)
+        return projected_field(*args)
+
+    monkeypatch.setattr(sub, "projected_field", counted)
+    monkeypatch.setattr(var, "projected_field", counted)
+    first = var.instability_certificate(imm, metric, dom)
+    assert len(builds) == 1
+    assert var.instability_certificate(imm, metric, dom).to_dict() == first.to_dict()
+    assert len(builds) == 1
+    X = var.rescaled_constants(imm, metric)
+    assert X is imm.ambient(metric).rescaled_constants
+    assert not any(a.flags.writeable for a in vars(X).values())
 
 
 def test_certificate_hyperbolic_inconclusive():

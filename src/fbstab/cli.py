@@ -21,7 +21,7 @@ from . import domain as domain_mod
 from . import flow as flow_mod
 from . import scenarios as sc
 from . import variation as var
-from .errors import ConfigError, GeometryError, integer
+from .errors import ConfigError, GeometryError, integer, required
 from .submanifold import immersion_to_json
 
 
@@ -74,21 +74,18 @@ def _resolve_scenario(args, cfg) -> sc.Scenario:
         spec = cfg["scenario"]
         if isinstance(spec, str):
             return sc.scenario(spec)
-        try:
-            return sc.Scenario(
-                name=spec.get("name", "inline"),
-                n=int(spec["n"]),
-                k=int(spec["k"]),
-                p=spec.get("p"),
-                domain_spec=spec.get("domain", {"kind": "ball", "radius": 1.0}),
-                field_spec=spec.get("field", {"name": "zero"}),
-                immersion_spec=spec.get("immersion", {"kind": "equatorial-disk"}),
-                flow_spec=spec.get("flow"),
-                expected=spec.get("expected", {}),
-                seed=integer(spec, "seed", integer(cfg, "seed", 0)),
-            )
-        except KeyError as exc:
-            raise ConfigError(f"inline scenario is missing key {exc}") from exc
+        return sc.Scenario(
+            name=spec.get("name", "inline"),
+            n=integer(spec, "n", required(spec, "n", "inline scenario"), 1),
+            k=integer(spec, "k", required(spec, "k", "inline scenario"), 1),
+            p=None if spec.get("p") is None else integer(spec, "p", None, 1),
+            domain_spec=spec.get("domain", {"kind": "ball", "radius": 1.0}),
+            field_spec=spec.get("field", {"name": "zero"}),
+            immersion_spec=spec.get("immersion", {"kind": "equatorial-disk"}),
+            flow_spec=spec.get("flow"),
+            expected=spec.get("expected", {}),
+            seed=integer(spec, "seed", integer(cfg, "seed", 0)),
+        )
     raise ConfigError("no scenario given: pass --scenario NAME or a config with one")
 
 

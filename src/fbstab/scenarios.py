@@ -260,17 +260,9 @@ class CheckResult:
     worst_point: tuple | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "suite": self.suite,
-            "scenario": self.scenario,
-            "name": self.name,
-            "passed": self.passed,
-            "achieved": self.achieved,
-            "expected": self.expected,
-            "tol": self.tol,
-            "detail": self.detail,
-            "worst_point": list(self.worst_point) if self.worst_point is not None else None,
-        }
+        """Every field, the worst point as a list."""
+        point = self.worst_point
+        return dict(vars(self), worst_point=None if point is None else list(point))
 
 
 @dataclass

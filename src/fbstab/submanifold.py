@@ -311,13 +311,21 @@ def projected_field(imm: SampledImmersion, E) -> NormalField:
 
     Boundary samples carry no chart curvature, so the field holds their
     components only; the boundary densities are tensorial and never need more.
+    The rows of E meet each sample-last frame in one matmul that writes
+    <E, F_p> straight into the C-contiguous result: no frame is copied.
     """
     geo = imm.geometry()
     E = np.asarray(E, float)
-    minus_Et = np.tensordot(-E, geo.tangent, axes=(-1, 1))
-    return NormalField(np.tensordot(E, geo.normal, axes=(-1, 1)),
-                       np.einsum("ijrm,...jm->...irm", geo.alpha, minus_Et),
-                       np.tensordot(E, geo.b_normal, axes=(-1, 1)))
+    rows = E.reshape(-1, E.shape[-1])
+
+    def on(a, F):
+        out = np.empty((len(a), len(F), F.shape[-1]))
+        np.matmul(a, F, out=out.transpose(1, 0, 2))
+        return out.reshape(*E.shape[:-1], *F.shape[::2])
+
+    return NormalField(on(rows, geo.normal),
+                       np.einsum("ijrm,...jm->...irm", geo.alpha, on(-rows, geo.tangent)),
+                       on(rows, geo.b_normal))
 
 
 def _entry(fn):
@@ -342,16 +350,18 @@ class AmbientSamples:
     An entry lives in the record keyed by what it depends on, so it is
     evaluated once per immersion whichever reader asks: the field samples,
     their tangential and normal components, the rescaled second fundamental
-    form, Hess u and the tangent-traced curvature operator A on the normal
-    frame, the integration densities, the mean curvature bracket, the
-    minimality residuals and the rescaled constants e^{-u} E_l^perp under
-    ``(metric, None)``; the boundary form on the rim's normal frame and the
-    free-boundary defects under ``(None, domain)``; eta(u) under ``(metric,
-    domain)``, laid out by the module's rule.  The residual entries are
-    ``ResidualReport``s.  Caching is sound because the immersion's arrays and
-    geometry are read-only and metrics and domains are frozen.  An entry that
-    raises stores nothing, so every read raises again.  The record holds its
-    immersion weakly: the cache makes no reference cycle.
+    form, Hess u, the tangent-traced curvature operator A and the operator of
+    S~(X, X) = |D~X|^2 - X^T (A + G~) X on the normal frame, the integration
+    densities, the mean curvature bracket, the minimality residuals and the
+    rescaled constants e^{-u} E_l^perp under ``(metric, None)``; the boundary
+    form on the rim's normal frame and the free-boundary defects under
+    ``(None, domain)``; the conformal boundary form of T~(X, X) = X^T M~ X
+    under ``(metric, domain)``, laid out by the module's rule.  The residual
+    entries are ``ResidualReport``s.  Caching is sound because the
+    immersion's arrays and geometry are read-only and metrics and domains are
+    frozen.  An entry that raises stores nothing, so every read raises again.
+    The record holds its immersion weakly: the cache makes no reference
+    cycle.
     """
 
     def __init__(self, imm: SampledImmersion, metric: ConformalMetric | None, domain):
@@ -412,6 +422,13 @@ class AmbientSamples:
         traced = np.einsum("iim->m", _on_frame(geo.tangent, B))
         return (-self.imm.k * _on_frame(geo.normal, B)
                 - traced * np.eye(len(geo.normal))[:, :, None])
+
+    @_entry
+    def s_operator(self) -> Array:
+        """A + G~ on the normal frame (q, q, m), A = ``curvature_normal`` and
+        G~_rs = sum_ij alpha~_ijr alpha~_ijs from ``sff``: the zeroth-order
+        part of S~(X, X) = |D~X|^2 - X^T (A + G~) X."""
+        return self.curvature_normal + np.einsum("ijrm,ijsm->rsm", self.sff, self.sff)
 
     @_entry
     def density(self) -> Array:
@@ -493,10 +510,14 @@ class AmbientSamples:
     # -- key (metric, domain) -------------------------------------------------
 
     @_entry
-    def eta_u(self) -> Array:
-        """Inward normal derivative eta(u) per boundary sample."""
-        nhat = self.imm.ambient(None, self.domain).boundary_form[0]
-        return -np.sum(self.imm.ambient(self.metric).b_grad * nhat, axis=1)
+    def t_operator(self) -> Array:
+        """M~ = e^{u} <eta, nu> (M - eta(u) I_q) on the rim's normal frame (q,
+        q, mb), M from ``boundary_form`` and eta(u) = -<grad u, nhat>: T~(X,
+        X) = X^T M~ X for a field tangent to the domain boundary."""
+        nhat, form, _, eta_dot_nu = self.imm.ambient(None, self.domain).boundary_form
+        samples = self.imm.ambient(self.metric)
+        eta_u = -np.sum(samples.b_grad * nhat, axis=1)
+        return np.exp(samples.b_u) * eta_dot_nu * (form - eta_u * np.eye(len(form))[:, :, None])
 
 
 def _on_frame(F: Array, S: Array) -> Array:

@@ -13,13 +13,14 @@ covariant normal derivatives at the interior samples, values at the boundary
 samples, sample-last (..., m) and with optional leading axes that stack
 fields.  Every form returns the density of the field it is given, one per
 field and sample, ``(..., m)`` for S and ``(..., mb)`` for T, with no
-differencing across samples.  What no field changes (Hess u, the
-curvature operator A and the boundary form on the normal frames) the forms,
-traces, bound and certificate read from the immersion's cached
-``geometry()`` and ``ambient(metric, domain)`` records, so after the first
-call a form does only the work that X changes; the curvature term
-sum_i <R(X,v_i)X, v_i> is X^T A X, with A = -k N B N^T - (sum_i v_i^T B
-v_i) I_q for the Schouten tensor B, as X is normal.
+differencing across samples.  What no field changes (Hess u and the
+operators on the normal frames) the forms, traces, bound and certificate
+read from the immersion's cached ``geometry()`` and ``ambient(metric,
+domain)`` records, so after the first call a form does only the work that X
+changes.  The direct route is S~ = |D~X|^2 - X^T (A + G~) X and T~ = X^T M~
+X: sum_i <R(X,v_i)X, v_i> = X^T A X with A = -k N B N^T - (sum_i v_i^T B
+v_i) I_q for the Schouten tensor B, as X is normal, G~ is the Gram of the
+rescaled second fundamental form and M~ = e^{u} <eta, nu> (M - eta(u) I_q).
 
 The Euclidean traces sum the forms over the projected constants E_l^perp
 of an orthonormal basis (canonical by default), stacked by
@@ -34,7 +35,7 @@ direct route.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.stats import qmc
@@ -66,19 +67,18 @@ def _pair(S: Array, X: Array) -> Array:
     return np.einsum("...rm,rsm,...sm->...m", X, S, X)
 
 
-def _rim_pair(imm: SampledImmersion, X: NormalField, domain: LevelSetDomain,
-              tangency_tol: float) -> Array:
-    """<M X, X> per boundary sample, M the domain's boundary form, once X is
-    checked tangent to the domain boundary."""
-    _, form, nhat, _ = imm.ambient(None, domain).boundary_form
-    Xb = X.boundary
+def _tangent_rim(imm: SampledImmersion, X: NormalField, domain: LevelSetDomain,
+                 tangency_tol: float) -> Array:
+    """X's boundary components, once X is checked tangent to the domain
+    boundary."""
+    Xb, nhat = X.boundary, imm.ambient(None, domain).boundary_form[2]
     limit = tangency_tol * (1.0 + np.sqrt(_norm2(Xb)))
     bad = np.abs(np.einsum("...rm,rm->...m", Xb, nhat)) > limit
     if np.any(bad):
         j = int(np.argmax(np.any(bad.reshape(-1, bad.shape[-1]), axis=0)))
         raise PreconditionError(f"field is not tangent to the domain boundary at boundary "
                                 f"sample {j}")
-    return _pair(form, Xb)
+    return Xb
 
 
 # ---------------------------------------------------------------------------
@@ -99,8 +99,8 @@ def t_euclid(imm: SampledImmersion, X: NormalField, domain: LevelSetDomain,
     working with approximately orthogonal immersions may widen the tolerance
     to the measured boundary defect.
     """
-    eta_dot_nu = imm.ambient(None, domain).boundary_form[3]
-    return _rim_pair(imm, X, domain, tangency_tol) * eta_dot_nu
+    _, form, _, eta_dot_nu = imm.ambient(None, domain).boundary_form
+    return _pair(form, _tangent_rim(imm, X, domain, tangency_tol)) * eta_dot_nu
 
 
 def s_tilde_transformed(imm: SampledImmersion, X: NormalField,
@@ -126,15 +126,14 @@ def s_tilde_direct(imm: SampledImmersion, X: NormalField,
 
     Uses only the conformal connection, curvature tensor and second
     fundamental form; no minimality assumption.  Dual route to
-    ``s_tilde_transformed`` for closure testing.  The curvature term is
-    X^T A X, A the record's ``curvature_normal``, built from the Schouten
-    tensor and the frames, not from the record's Hess u blocks.
+    ``s_tilde_transformed`` for closure testing.  |D~X|^2 = |D^perp X +
+    grad^T u (x) X|^2, and X^T (A + G~) X reads the record's ``s_operator``,
+    built from the Schouten tensor, the frames and ``sff``, not Hess u.
     """
     record = imm.ambient(metric)
     Xn = X.normal
-    grad_term = _squares(X.dperp + record.grad_tan[:, None] * Xn[..., None, :, :])
-    sff_X = np.einsum("ijrm,...rm->...ijm", record.sff, Xn)
-    return grad_term - _pair(record.curvature_normal, Xn) - _squares(sff_X)
+    return (_squares(X.dperp + record.grad_tan[:, None] * Xn[..., None, :, :])
+            - _pair(record.s_operator, Xn))
 
 
 def t_tilde_transformed(imm: SampledImmersion, X: NormalField, metric: ConformalMetric,
@@ -151,13 +150,10 @@ def t_tilde_direct(imm: SampledImmersion, X: NormalField, metric: ConformalMetri
     """Boundary density of the rescaled metric via the conformal boundary form.
 
     Applies the conformal transformation of the ambient boundary's second
-    fundamental form and the rescaled conormal; dual route to
-    ``t_tilde_transformed``.
+    fundamental form and the rescaled conormal, X^T M~ X with M~ the
+    record's ``t_operator``; dual route to ``t_tilde_transformed``.
     """
-    u, eta_u = imm.ambient(metric).b_u, imm.ambient(metric, domain).eta_u
-    eta_dot_nu = imm.ambient(None, domain).boundary_form[3]
-    form = (_rim_pair(imm, X, domain, tangency_tol) - _norm2(X.boundary) * eta_u) * eta_dot_nu
-    return np.exp(u) * form
+    return _pair(imm.ambient(metric, domain).t_operator, _tangent_rim(imm, X, domain, tangency_tol))
 
 
 # ---------------------------------------------------------------------------
@@ -349,11 +345,9 @@ def second_variation(imm: SampledImmersion, metric: ConformalMetric,
         warnings.append(f"not minimal at tolerance {minimality_tol:g}")
     if np.isfinite(defect) and defect > free_boundary_tol:
         warnings.append(f"free boundary defect exceeds {free_boundary_tol:g}")
-    s_vals = s_tilde_direct(imm, X, metric)
-    t_vals = t_tilde_direct(imm, X, metric, domain, tangency_tol=tangency)
     record = imm.ambient(metric)
-    interior_term = record.integrate(s_vals)
-    boundary_term = record.integrate_boundary(t_vals)
+    interior_term = record.integrate(s_tilde_direct(imm, X, metric))
+    boundary_term = record.integrate_boundary(t_tilde_direct(imm, X, metric, domain, tangency))
     return SecondVariationResult(interior_term + boundary_term, interior_term, boundary_term,
                                  q_form_only=bool(warnings), warnings=tuple(warnings))
 
@@ -398,8 +392,6 @@ class StabilityReport:
     failed_hypotheses: tuple[str, ...]
     verdict: str
     warnings: tuple[str, ...]
-    interior_trace_values: Array = dc_field(repr=False, default=None)
-    boundary_trace_values: Array = dc_field(repr=False, default=None)
 
     def to_dict(self) -> dict:
         return {
@@ -550,6 +542,4 @@ def instability_certificate(imm: SampledImmersion, metric: ConformalMetric,
         failed_hypotheses=tuple(failed),
         verdict="unstable-certified" if certified else "inconclusive",
         warnings=tuple(warnings),
-        interior_trace_values=s_vals,
-        boundary_trace_values=t_vals,
     )

@@ -31,11 +31,14 @@ These kinds live here:
   and mean curvature of ``SampledImmersion.geometry()``, its Jacobian
   factor, the S-terms, the traced interior and boundary densities, and the
   direct rescaled density with the curvature vector R(X, v_i)X written out
-  term by term.  They read the same geometry as the package, so a
-  comparison isolates one kernel.  The S-terms and the traces state the
-  projected constants by the frames against the basis, and the direct
-  density reads a field's ambient vectors, rebuilt from its normal-frame
-  components by ``ambient_field``.
+  term by term, and the direct rescaled boundary density unfused: the
+  boundary form's pair less |X|^2 eta(u), times e^{u} <eta, nu>.  They read
+  the same geometry as the package, so a comparison isolates one kernel.
+  The S-terms and the traces state the projected constants by the frames
+  against the basis, and the direct densities read a field's ambient
+  vectors, rebuilt from its normal-frame components by ``ambient_field``;
+* the projected constants by ``np.tensordot`` over the frames, which
+  ``projected_field`` must reproduce bit for bit.
 """
 
 import numpy as np
@@ -638,3 +641,27 @@ def s_tilde_direct_einsum(imm, V, dperp, metric: ConformalMetric):
     sff = geo.alpha - np.eye(imm.k)[None, :, :, None] * gperp[:, None, None, :]
     sff_X = np.einsum("mijr,mr->mij", sff, Xn)
     return grad_term - curv - np.sum(sff_X**2, axis=(1, 2))
+
+
+def t_tilde_direct_einsum(imm, X, metric: ConformalMetric, domain):
+    """``variation.t_tilde_direct`` without its tangency check, unfused:
+    e^{u} (<M X, X> - |X|^2 eta(u)) <eta, nu> per field and boundary sample,
+    (..., mb), for the domain's boundary form M."""
+    V = ambient_field(imm, X)[2]
+    nhat = dm.outward_normal(domain, imm.bxs)
+    eta_u = -np.sum(metric.field.gradient(imm.bxs) * nhat, axis=1)
+    eta_dot_nu = -np.sum(nhat * imm.bnus, axis=1)
+    pair = np.einsum("...mx,mxy,...my->...m", V, dm.boundary_form(domain, imm.bxs), V)
+    X2 = np.einsum("...rm,...rm->...m", X.boundary, X.boundary)
+    return np.exp(metric.field.value(imm.bxs)) * ((pair - X2 * eta_u) * eta_dot_nu)
+
+
+def projected_field_tensordot(imm, E):
+    """``submanifold.projected_field`` by ``np.tensordot`` of ``E`` (..., n)
+    against the frames: ``(normal, dperp, boundary)``."""
+    geo = imm.geometry()
+    E = np.asarray(E, float)
+    minus_Et = np.tensordot(-E, geo.tangent, axes=(-1, 1))
+    return (np.tensordot(E, geo.normal, axes=(-1, 1)),
+            np.einsum("ijrm,...jm->...irm", geo.alpha, minus_Et),
+            np.tensordot(E, geo.b_normal, axes=(-1, 1)))

@@ -4,7 +4,10 @@ C-contiguous and read-only), the stacked second-variation forms and traces
 against the sample-first statements over ambient vectors, the contracted
 curvature form against the Christoffel oracle and its expanded statement,
 the tangent-traced curvature operator and its normal-frame entry against
-the form, and the Gram-eigenvalue conditioning check."""
+the form, the projected constants against their ``tensordot`` statement and
+the direct rescaled boundary density against its unfused statement, the
+layout of the operators the second variation reads, and the Gram-eigenvalue
+conditioning check."""
 
 import dataclasses
 
@@ -14,6 +17,7 @@ import pytest
 import oracles
 from conftest import riemann_oracle
 from fbstab import conformal
+from fbstab import domain as dm
 from fbstab import submanifold as sub
 from fbstab import variation as var
 from fbstab.errors import DegenerateSampleError, PreconditionError
@@ -81,6 +85,53 @@ def _check_interior(imm, metric, basis=None):
         assert _close(got[l], oracles.s_tilde_direct_einsum(imm, V[l], dperp[l], metric))
 
 
+def _check_projection(imm):
+    """``projected_field`` is the ``tensordot`` statement bit for bit, and
+    C-contiguous, for a unit vector, the identity, a random orthonormal
+    basis and a (2, n, n) stack.  One dense vector is a vector-matrix
+    product, which BLAS blocks differently over the k m columns
+    ``tensordot`` multiplies and the m columns of each frame block, so it is
+    held to round-off."""
+    def pairs(E):
+        X = var.projected_field(imm, E)
+        return zip((X.normal, X.dperp, X.boundary), oracles.projected_field_tensordot(imm, E))
+
+    n, B = imm.n, _random_basis(imm.n, 3)
+    for E in (np.eye(n)[-1], np.eye(n), B, np.stack([B, B.T])):
+        for got, want in pairs(E):
+            assert got.flags.c_contiguous and np.array_equal(got, want)
+    for got, want in pairs(B[0]):
+        assert got.flags.c_contiguous and _close(got, want)
+
+
+def _check_rim(imm, metric, domain, basis=None):
+    """The direct rescaled boundary density of the projected and of the
+    rescaled constants of a basis against its unfused statement; the
+    tangency check is not part of the statement, so the form skips it."""
+    B = var._basis(imm.n, basis)
+    for X in (var.projected_field(imm, B), var.rescaled_constants(imm, metric, basis)):
+        assert _close(var.t_tilde_direct(imm, X, metric, domain, tangency_tol=np.inf),
+                      oracles.t_tilde_direct_einsum(imm, X, metric, domain))
+
+
+def _check_operator_layout(imm, metric, domain):
+    """The operators Q(X, X) reads, A + G~ (q, q, m) and the conformal
+    boundary form (q, q, mb), are sample-last, C-contiguous and read-only,
+    and a second Q on the same immersion builds no entry of either record."""
+    var.second_variation(imm, metric, var.projected_field(imm, np.eye(imm.n)[0]), domain)
+    records = imm.ambient(metric), imm.ambient(metric, domain)
+    q = imm.n - imm.k
+    for a, m in ((records[0].s_operator, imm.n_interior), (records[1].t_operator, imm.n_boundary)):
+        assert a.shape == (q, q, m) and a.flags.c_contiguous and not a.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            a *= 2.0
+    built = [dict(vars(r)) for r in records]
+    var.second_variation(imm, metric, var.projected_field(imm, np.eye(imm.n)[-1]), domain)
+    for r, before in zip(records, built):
+        assert vars(r).keys() == before.keys()
+        assert all(vars(r)[key] is a for key, a in before.items())
+
+
 def _check_tangent_curvature(imm, metric, seed):
     """A is symmetric and V^T A V = sum_i <R(V, v_i)V, v_i>, for the
     projected constant fields and for a field that is not normal; the
@@ -113,17 +164,41 @@ def test_registry_kernels_match_einsum(name):
     _check_tangent_curvature(imm, metric, 3)
 
 
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_registry_projection_and_rim_match_their_statements(name):
+    built = build_scenario(name)
+    imm, metric, domain = built.immersion, built.metric, built.domain
+    assert imm.n_boundary
+    _check_projection(imm)
+    _check_rim(imm, metric, domain)
+    _check_rim(imm, metric, domain, _random_basis(imm.n, 3))
+    _check_operator_layout(imm, metric, domain)
+
+
+def _polynomial_metric(n):
+    """A polynomial exponent with non-zero gradient and Hessian."""
+    return ConformalMetric(make_field("polynomial", terms=[
+        [0.2, [1] + [0] * (n - 1)], [-0.3, [0, 2] + [0] * (n - 2)],
+        [0.1, [1, 0, 1] + [0] * (n - 3)],
+    ]), n)
+
+
 @pytest.mark.parametrize("k,n,seed", RANDOM_GRAPHS)
 def test_random_graph_kernels_match_einsum(k, n, seed):
     imm = sub.make_immersion("random-graph", n=n, k=k, seed=seed, degree=3)
     _check_geometry(imm)
-    metric = ConformalMetric(make_field("polynomial", terms=[
-        [0.2, [1] + [0] * (n - 1)], [-0.3, [0, 2] + [0] * (n - 2)],
-        [0.1, [1, 0, 1] + [0] * (n - 3)],
-    ]), n)
+    metric = _polynomial_metric(n)
     _check_interior(imm, metric)
     _check_interior(imm, metric, _random_basis(n, seed))
     _check_tangent_curvature(imm, metric, seed)
+
+
+@pytest.mark.parametrize("k,n,seed", RANDOM_GRAPHS)
+def test_random_graph_projection_matches_tensordot(k, n, seed):
+    """The random graphs have no rim, so Q reads only the interior operator."""
+    imm = sub.make_immersion("random-graph", n=n, k=k, seed=seed, degree=3)
+    _check_projection(imm)
+    _check_operator_layout(imm, _polynomial_metric(n), dm.make_domain("ball", n, radius=2.0))
 
 
 CHART_GRAPHS = {
@@ -163,6 +238,19 @@ def test_chart_chain_rule_and_gram_match_einsum(name, monkeypatch):
         assert np.max(np.abs(want_H[..., J.shape[2]:])) > 0.1
         assert _close(sub._first(sub._check_conditioning(J, "interior")),
                       oracles.gram_matmul(J))
+
+
+@pytest.mark.parametrize("name", ["polar-b4", "spherical-b5", "paraboloid-cap"])
+def test_curved_rim_matches_its_statement(name):
+    """Curved graphs with a rim under the polynomial exponent: eta(u) and
+    e^{u} vary along the rim.  The rim need not lie on the domain boundary,
+    as the statement checks no tangency."""
+    imm = CHART_GRAPHS[name]()
+    metric, domain = _polynomial_metric(imm.n), dm.make_domain("ball", imm.n, radius=2.0)
+    assert imm.n_boundary
+    _check_projection(imm)
+    _check_rim(imm, metric, domain)
+    _check_rim(imm, metric, domain, _random_basis(imm.n, 4))
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))

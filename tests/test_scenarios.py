@@ -310,16 +310,24 @@ _POLYNOMIAL_B4 = {"n": 4, "k": 2, "field": {"name": "polynomial", "terms": [[0.1
     ("stability", {"scenario": {"n": 4, "k": 2,
                                 "immersion": {"kind": "equatorial-disk", "ntheta": -4}}},
      "ntheta must be an integer >= 1, got -4"),
+    ("stability", {"scenario": {"n": "four", "k": 2}},
+     "n must be an integer >= 1, got 'four'"),
+    ("stability", {"scenario": {"n": 4, "k": 2, "p": "two"}},
+     "p must be an integer >= 1, got 'two'"),
+    ("stability", {"scenario": {"n": 4.0, "k": 2}},
+     "n must be an integer >= 1, got 4.0"),
 ], ids=["field-parameter", "domain-parameter", "immersion-parameter", "flow-odd-ntheta",
         "domain-kind", "immersion-kind", "field-name", "expected-not-object",
         "expected-no-value", "expected-tol", "curvature-points-zero", "seed-not-integer",
         "inline-seed-not-integer", "seed-negative", "quadrature-nr-zero",
-        "verify-quadrature-not-integer", "immersion-ntheta-negative"])
+        "verify-quadrature-not-integer", "immersion-ntheta-negative", "inline-n-not-integer",
+        "inline-p-not-integer", "inline-n-float"])
 def test_cli_catalog_errors_exit_2(verb, doc, message, tmp_path, capsys):
     """A catalog entry missing a parameter or its kind, a malformed expected
-    value, a seed that is not an integer >= 0, a node or curvature sample
-    count that is not positive, or a flow grid the solver cannot use, is a
-    configuration error naming the key or the value."""
+    value, a seed that is not an integer >= 0, an inline scenario's n, k or
+    p, a node or curvature sample count that is not a positive integer, or a
+    flow grid the solver cannot use, is a configuration error naming the key
+    or the value."""
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(doc))
     assert cli.main([verb, "--config", str(cfg)]) == 2

@@ -74,6 +74,8 @@ def _resolve_scenario(args, cfg) -> sc.Scenario:
         spec = cfg["scenario"]
         if isinstance(spec, str):
             return sc.scenario(spec)
+        if not isinstance(spec, dict):
+            raise ConfigError(f"scenario must be a registry name or an object, got {spec!r}")
         return sc.Scenario(
             name=spec.get("name", "inline"),
             n=integer(spec, "n", required(spec, "n", "inline scenario"), 1),

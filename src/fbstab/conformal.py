@@ -103,25 +103,39 @@ def min_sectional_curvature(u, grad, hess) -> np.ndarray:
     the caller evaluates the field.
     """
     lam = np.linalg.eigvalsh(grad[:, :, None] * grad[:, None, :] - hess)
+    return _ky_fan_minimum(u, grad, lam)
+
+
+def _ky_fan_minimum(u, grad, lam) -> np.ndarray:
+    """e^{-2u} (l1 + l2 - |grad u|^2) from the ascending spectrum ``lam``
+    ``(m, n)`` of A = grad u grad u^T - Hess u."""
     return np.exp(-2.0 * u) * (lam[:, 0] + lam[:, 1] - np.sum(grad * grad, axis=1))
+
+
+def _axis_min_sectional_curvature(field: ScalarField, n: int, r) -> np.ndarray:
+    """``min_sectional_curvature`` at the points r e_1 of R^n for a radial u.
+    There grad u is a multiple of e_1 and Hess u = 2p' I + 4p'' x x^T is
+    diagonal, so A has exact zeros off its diagonal, and its sorted
+    diagonal is its spectrum without an eigensolve."""
+    x = np.zeros((len(r), n))
+    x[:, 0] = r
+    u, grad, hess = field.value(x), field.gradient(x), field.hessian(x)
+    lam = np.sort(grad * grad - np.diagonal(hess, axis1=1, axis2=2), axis=1)
+    return _ky_fan_minimum(u, grad, lam)
 
 
 def radial_min_sectional_curvature(field: ScalarField, n: int, radius: float) -> float:
     """Minimum over 2-planes and |x| <= radius of the sectional curvature for
     a radial u (``field.radial``): ``min_sectional_curvature`` along r e_1,
-    r in [0, radius], by a grid with both ends and zoom rounds around its
-    argmin.  The field raises its ``DomainError`` where it is undefined."""
-    def kmin(r):
-        x = np.zeros((len(r), n))
-        x[:, 0] = r
-        return min_sectional_curvature(field.value(x), field.gradient(x), field.hessian(x))
-
+    r in [0, radius], read off the axis diagonal, by a grid with both ends
+    and zoom rounds around its argmin.  The field raises its
+    ``DomainError`` where it is undefined."""
     r = np.linspace(0.0, radius, RADIAL_GRID)
-    k = kmin(r)
+    k = _axis_min_sectional_curvature(field, n, r)
     r0, k0, h = r[np.argmin(k)], np.min(k), radius / (RADIAL_GRID - 1)
     for _ in range(RADIAL_ZOOM_ROUNDS):
         r = np.clip(np.linspace(r0 - h, r0 + h, RADIAL_ZOOM), 0.0, radius)
-        k = kmin(r)
+        k = _axis_min_sectional_curvature(field, n, r)
         if np.min(k) < k0:
             r0, k0 = r[np.argmin(k)], np.min(k)
         h *= 2.0 / (RADIAL_ZOOM - 1)

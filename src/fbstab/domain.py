@@ -27,7 +27,7 @@ import numpy as np
 from scipy.stats import qmc
 from scipy.special import ndtri
 
-from .errors import ConfigError, DomainError, ProjectionError, required
+from .errors import ConfigError, DomainError, ProjectionError, integer, number, required
 from .fields import ConformalMetric, ScalarField, make_field
 
 Array = np.ndarray
@@ -129,10 +129,11 @@ def boundary_form(domain: LevelSetDomain, x) -> Array:
 
     M = P (Hess phi) P / |grad phi| with P the tangential projector, ``(..., n, n)``;
     the unit sphere gets +1 eigenvalues on the tangent space (inward-normal sign).
+    The product is two batched ``matmul`` calls, O(n^3) per point.
     """
     nhat, norm = _unit_gradient(domain, x)
     P = np.eye(domain.n) - nhat[..., :, None] * nhat[..., None, :]
-    return np.einsum("...ab,...bc,...cd->...ad", P, domain.phi.hessian(x), P) / norm[..., None]
+    return P @ domain.phi.hessian(x) @ P / norm[..., None]
 
 
 def _rescaled(field: ScalarField, x, nhat: Array, kappa: Array) -> tuple[Array, Array]:
@@ -343,22 +344,23 @@ def make_domain(kind: str, n: int, **params) -> LevelSetDomain:
     """Catalog domains: ``ball(radius)``, ``ellipsoid(semi_axes)``,
     ``superellipsoid(exponent)``."""
     if kind == "ball":
-        r = float(params.get("radius", 1.0))
+        r = number(params, "radius", 1.0)
         phi = make_field("radial-custom", coeffs=[-(r**2), 1.0])
         return LevelSetDomain(phi, n, bounding_radius=r, name=f"ball({r:g})")
     if kind == "ellipsoid":
-        axes = np.asarray(required(params, "semi_axes", "domain 'ellipsoid'"), float)
-        if axes.shape != (n,) or np.any(axes <= 0):
-            raise ConfigError("ellipsoid needs n positive semi-axes")
+        axes = required(params, "semi_axes", "domain 'ellipsoid'")
+        if not isinstance(axes, (list, tuple, np.ndarray)) or len(axes) != n:
+            raise ConfigError(f"ellipsoid needs {n} positive semi-axes, got {axes!r}")
+        axes = np.array([number({"semi_axes": a}, "semi_axes", None) for a in axes])
+        if np.any(axes <= 0):
+            raise ConfigError(f"ellipsoid needs {n} positive semi-axes, got {axes.tolist()}")
         terms = [[1.0 / axes[i] ** 2, [2 if j == i else 0 for j in range(n)]] for i in range(n)]
         terms.append([-1.0, [0] * n])
         phi = make_field("polynomial", terms=terms)
         name = "ellipsoid(" + ",".join(f"{a:g}" for a in axes) + ")"
         return LevelSetDomain(phi, n, bounding_radius=float(np.max(axes)), name=name)
     if kind == "superellipsoid":
-        m = int(params.get("exponent", 2))
-        if m < 2:
-            raise ConfigError("superellipsoid exponent must be >= 2")
+        m = integer(params, "exponent", 2, 2)
         terms = [[1.0, [2 * m if j == i else 0 for j in range(n)]] for i in range(n)]
         terms.append([-1.0, [0] * n])
         phi = make_field("polynomial", terms=terms)

@@ -1,6 +1,6 @@
 """Exception types shared across the package, and lookups that raise one."""
 
-from numbers import Integral
+from numbers import Integral, Real
 
 
 class GeometryError(Exception):
@@ -53,3 +53,12 @@ def integer(params: dict, key: str, default: int, minimum: int = 0) -> int:
     if isinstance(value, bool) or not isinstance(value, Integral) or value < minimum:
         raise ConfigError(f"{key} must be an integer >= {minimum}, got {value!r}")
     return int(value)
+
+
+def number(params: dict, key: str, default: float) -> float:
+    """``params[key]`` (``default`` if absent), a real number, or a
+    ``ConfigError`` naming the key and the value."""
+    value = params.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise ConfigError(f"{key} must be a number, got {value!r}")
+    return float(value)

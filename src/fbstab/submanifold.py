@@ -36,10 +36,12 @@ from numpy.polynomial.legendre import leggauss
 
 from . import conformal
 from .domain import boundary_form as domain_boundary_form, outward_normal
-from .errors import ConfigError, DegenerateSampleError, InvalidSampleError, integer, required
+from .errors import (ConfigError, DegenerateSampleError, InvalidSampleError, integer, number,
+                     required)
 from .fields import ConformalMetric, make_field
 
 COND_LIMIT = 1e8
+HADAMARD_FLOOR = 1e-8  # det / (G_11 G_22 G_33) for the k = 3 invariant bound
 
 Array = np.ndarray
 
@@ -119,8 +121,12 @@ def _gram(Js: Array) -> Array:
 def _gram_spectrum(Js: Array, det: bool = False, gram: Array | None = None):
     """Extreme eigenvalues ``(lmin, lmax)`` of each sample's Gram J^T J (or
     the sample-last ``gram``), or with ``det`` its determinant; closed forms
-    for k = 2."""
+    for k = 2, and cofactors for the determinant at k = 3."""
     G = _gram(Js) if gram is None else gram
+    if det and G.shape[0] == 3:
+        return (G[0, 0] * (G[1, 1] * G[2, 2] - G[1, 2] * G[1, 2])
+                - G[0, 1] * (G[0, 1] * G[2, 2] - G[1, 2] * G[0, 2])
+                + G[0, 2] * (G[0, 1] * G[1, 2] - G[1, 1] * G[0, 2]))
     if G.shape[0] != 2:
         G = _first(G)
         return np.linalg.det(G) if det else np.linalg.eigvalsh(G)[:, [0, -1]].T
@@ -131,20 +137,43 @@ def _gram_spectrum(Js: Array, det: bool = False, gram: Array | None = None):
     return mid - rad, mid + rad
 
 
+def _settled_by_invariants(G: Array) -> Array:
+    """The samples of a sample-last 3 x 3 Gram stack that the invariants
+    pass: cond <= tr G tr G^-1 = tr G c2 / det (c2 the sum of the principal
+    2 x 2 minors) <= COND_LIMIT / 4.  As G_ij^2 <= G_ii G_jj, det carries
+    round-off below 1e-14 G_11 G_22 G_33 and the minor of (i, j) below
+    1e-15 G_ii G_jj; with det at least ``HADAMARD_FLOOR`` times that product
+    (so each minor is above det / G_ll) the computed bound errs by at most
+    about 1e-6 relative, far inside the factor 4.  Without that floor a det
+    of round-off alone, from nearly dependent columns, gives a small false
+    bound."""
+    diag = G[[0, 1, 2], [0, 1, 2]]
+    det = _gram_spectrum(None, det=True, gram=G)
+    c2 = (diag[1] * diag[2] - G[1, 2] * G[1, 2] + diag[0] * diag[2] - G[0, 2] * G[0, 2]
+          + diag[0] * diag[1] - G[0, 1] * G[0, 1])
+    return ((det > HADAMARD_FLOOR * diag[0] * diag[1] * diag[2])
+            & (np.sum(diag, axis=0) * c2 <= 0.25 * COND_LIMIT * det))
+
+
 def _check_conditioning(Js: Array, where: str) -> Array:
     """Return the sample-last Gram J^T J; reject samples where it is singular
-    or cond = lmax / lmin exceeds ``COND_LIMIT``.  Its eigenvalues carry
-    round-off of about 1e-16 lmax, far below lmax / COND_LIMIT."""
+    or cond = lmax / lmin exceeds ``COND_LIMIT``.  For k = 3 the samples
+    ``_settled_by_invariants`` pass, and eigenvalues decide the rest; these
+    carry round-off of about 1e-16 lmax, far below lmax / COND_LIMIT."""
     G = _gram(Js)
-    lmin, lmax = _gram_spectrum(Js, gram=G)
+    rest = np.flatnonzero(~_settled_by_invariants(G)) if G.shape[0] == 3 else slice(None)
+    index = np.arange(G.shape[-1])[rest]
+    if not index.size:
+        return G
+    lmin, lmax = _gram_spectrum(Js, gram=G[..., rest])
     if np.any(lmin <= 0.0):
-        bad = int(np.argmax(lmin <= 0.0))
+        bad = index[np.argmax(lmin <= 0.0)]
         raise DegenerateSampleError(f"{where} sample {bad} has rank-deficient Jacobian")
     cond2 = lmax / lmin
     if np.any(cond2 > COND_LIMIT):
-        bad = int(np.argmax(cond2 > COND_LIMIT))
+        bad = np.argmax(cond2 > COND_LIMIT)
         raise DegenerateSampleError(
-            f"{where} sample {bad}: cond(J^T J) = {cond2[bad]:.3e} exceeds {COND_LIMIT:.0e}"
+            f"{where} sample {index[bad]}: cond(J^T J) = {cond2[bad]:.3e} exceeds {COND_LIMIT:.0e}"
         )
     return G
 
@@ -220,7 +249,8 @@ class SampledImmersion:
             raise ConfigError("quadrature weights must be positive")
         gram = _check_conditioning(self.Js, "interior")
         self._jacobian = np.sqrt(_gram_spectrum(self.Js, det=True, gram=gram))
-        sym = np.max(np.abs(self.Hs - self.Hs.transpose(0, 2, 1, 3)))
+        a, b = np.triu_indices(k, 1)
+        sym = np.max(np.abs(self.Hs[:, a, b] - self.Hs[:, b, a]), initial=0.0)
         if sym > 1e-9 * (1.0 + np.max(np.abs(self.Hs))):
             raise ConfigError("chart second derivatives are not symmetric")
         mb = self.bxs.shape[0]
@@ -764,9 +794,9 @@ def make_immersion(kind: str, **params) -> SampledImmersion:
     """
     what = f"immersion {kind!r}"
     if kind == "equatorial-disk":
-        n = int(required(params, "n", what))
-        k = int(params.get("k", 2))
-        radius = float(params.get("radius", 1.0))
+        n = integer(params, "n", required(params, "n", what), 1)
+        k = integer(params, "k", 2, 1)
+        radius = number(params, "radius", 1.0)
         if k not in (2, 3):
             raise ConfigError("equatorial-disk supports k in {2, 3}")
         return _ball_graph(
@@ -775,9 +805,9 @@ def make_immersion(kind: str, **params) -> SampledImmersion:
             integer(params, "ntheta", 64 if k == 2 else 24, 1), integer(params, "nphi", 12, 1),
         )
     if kind == "paraboloid-cap":
-        n = int(params.get("n", 3))
-        c = float(params.get("curvature", 0.5))
-        radius = float(params.get("radius", 1.0))
+        n = integer(params, "n", 3, 1)
+        c = number(params, "curvature", 0.5)
+        radius = number(params, "radius", 1.0)
         terms = [[[c / 2.0, [2, 0]], [c / 2.0, [0, 2]]]] + [[[0.0, [0, 0]]]] * (n - 3)
         return _ball_graph(
             2, radius, _poly_graph(n, 2, terms),
@@ -785,23 +815,23 @@ def make_immersion(kind: str, **params) -> SampledImmersion:
             with_boundary=bool(params.get("with_boundary", True)),
         )
     if kind == "tilted-disk":
-        n = int(params.get("n", 3))
-        angle = float(required(params, "angle", what))
+        n = integer(params, "n", 3, 1)
+        angle = number(params, "angle", required(params, "angle", what))
         return _ball_graph(
             2, float(np.cos(angle)), _const_graph(n, 2, [np.sin(angle)]),
             integer(params, "nr", 16, 1), integer(params, "ntheta", 32, 1),
         )
     if kind in ("graph", "random-graph"):
-        k = int(params.get("k", 2))
-        n = int(required(params, "n", what))
+        k = integer(params, "k", 2, 1)
+        n = integer(params, "n", required(params, "n", what), 1)
         if kind == "graph":
             terms = required(params, "coeffs", what)
         else:
-            terms = random_graph_terms(k, n, int(params.get("degree", 2)),
-                                       int(required(params, "seed", what)))
+            terms = random_graph_terms(k, n, integer(params, "degree", 2),
+                                       integer(params, "seed", required(params, "seed", what)))
         return _cube_graph(
             k, n, terms,
-            float(params.get("halfwidth", 0.5)),
+            number(params, "halfwidth", 0.5),
             integer(params, "nodes_per_axis", 6 if k == 2 else 5, 1),
         )
     raise ConfigError(f"unknown immersion catalog name: {kind!r}")

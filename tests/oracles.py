@@ -38,7 +38,10 @@ These kinds live here:
   against the basis, and the direct densities read a field's ambient
   vectors, rebuilt from its normal-frame components by ``ambient_field``;
 * the projected constants by ``np.tensordot`` over the frames, which
-  ``projected_field`` must reproduce bit for bit.
+  ``projected_field`` must reproduce bit for bit;
+* the conditioning check by ``eigvalsh`` of every sample's Gram, which the
+  k = 3 invariant screen must reproduce decision for decision and message
+  for message, and the boundary form by a three-operand ``np.einsum``.
 """
 
 import numpy as np
@@ -50,10 +53,10 @@ from types import SimpleNamespace
 from fbstab import domain as dm
 from fbstab import flow as fl
 from fbstab.conformal import schouten
-from fbstab.errors import DomainError
+from fbstab.errors import DegenerateSampleError, DomainError
 from fbstab.fields import ConformalMetric, ScalarField, make_field
-from fbstab.submanifold import (_batched_frames, _check_on_boundary, _first, _last,
-                                _upper_inverse)
+from fbstab.submanifold import (COND_LIMIT, _batched_frames, _check_on_boundary, _first, _gram,
+                                _last, _upper_inverse)
 
 
 # ---------------------------------------------------------------------------
@@ -206,6 +209,16 @@ def polynomial_loop(terms):
 def inward_normal(domain: dm.LevelSetDomain, x) -> np.ndarray:
     """Inward unit normal eta = -grad phi / |grad phi| (phi < 0 inside)."""
     return -dm.outward_normal(domain, x)
+
+
+def boundary_form_einsum(domain: dm.LevelSetDomain, x) -> np.ndarray:
+    """``domain.boundary_form`` as P (Hess phi) P / |grad phi| by one
+    three-operand ``np.einsum``, P the tangential projector."""
+    g = domain.phi.gradient(x)
+    norm = np.linalg.norm(g, axis=-1, keepdims=True)
+    nhat = g / norm
+    P = np.eye(domain.n) - nhat[..., :, None] * nhat[..., None, :]
+    return np.einsum("...ab,...bc,...cd->...ad", P, domain.phi.hessian(x), P) / norm[..., None]
 
 
 def boundary_tangent_basis(domain: dm.LevelSetDomain, x) -> np.ndarray:
@@ -528,6 +541,22 @@ def gram_matmul(Js):
     """``submanifold._gram`` sample-first: J^T J by a batched matrix
     product, (m, k, k)."""
     return np.swapaxes(Js, 1, 2) @ Js
+
+
+def conditioning_eigvalsh(Js, where):
+    """``submanifold._check_conditioning`` by ``eigvalsh`` of every sample's
+    Gram (the package's ``_gram``): a rank-deficient sample first, then the
+    first whose cond = lmax / lmin exceeds ``COND_LIMIT``."""
+    lam = np.linalg.eigvalsh(_first(_gram(Js)))
+    lmin, lmax = lam[:, 0], lam[:, -1]
+    if np.any(lmin <= 0.0):
+        bad = int(np.argmax(lmin <= 0.0))
+        raise DegenerateSampleError(f"{where} sample {bad} has rank-deficient Jacobian")
+    cond2 = lmax / lmin
+    if np.any(cond2 > COND_LIMIT):
+        bad = int(np.argmax(cond2 > COND_LIMIT))
+        raise DegenerateSampleError(
+            f"{where} sample {bad}: cond(J^T J) = {cond2[bad]:.3e} exceeds {COND_LIMIT:.0e}")
 
 
 def geometry_first(imm):

@@ -305,3 +305,29 @@ def test_radial_minimum_is_below_the_sampled_minimum():
             assert ray <= np.min(kmin_at(field, xs)) + 1e-12, (name, seed)
         cases += 1
     assert cases >= 10
+
+
+RADIAL_FIELDS = [
+    ("zero", {}, 2.0),
+    ("radial-spherical", {}, 2.0),
+    ("radial-hyperbolic", {}, 0.999),
+    ("radial-custom", {"coeffs": [0.1, 0.3, -0.15]}, 1.5),
+    ("radial-custom", {"coeffs": [0.0, -1.0, 1.5]}, 1.5),
+]
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+@pytest.mark.parametrize("spec", RADIAL_FIELDS, ids=[
+    "zero", "radial-spherical", "radial-hyperbolic", "radial-custom", "radial-custom-interior"])
+def test_axis_minimum_is_the_eigenvalue_minimum(spec, n, rng):
+    """On the axis r e_1 the sorted diagonal of grad u grad u^T - Hess u is
+    its spectrum: the radial minimum's kernel equals
+    ``min_sectional_curvature`` bit for bit, at the grid radii, random
+    radii and both ends."""
+    name, params, radius = spec
+    field = make_field(name, **params)
+    r = np.concatenate([np.linspace(0.0, radius, conformal.RADIAL_GRID),
+                        rng.uniform(0.0, radius, 256)])
+    x = np.zeros((len(r), n))
+    x[:, 0] = r
+    assert np.array_equal(conformal._axis_min_sectional_curvature(field, n, r), kmin_at(field, x))

@@ -436,18 +436,17 @@ def test_convexity_report_evaluates_grad_phi_once_per_round(monkeypatch):
     assert calls == {"gradient": 1 + rounds, "hessian": 1 + rounds}
 
 
-@pytest.mark.parametrize("kind,params", [
+CURVED_DOMAINS = [
     ("ball", {"radius": 1.0}),
     ("ellipsoid", {"semi_axes": [2.0, 1.2, 1.0, 0.9]}),
     ("superellipsoid", {"exponent": 3}),
-])
-def test_principal_curvatures_match_qr_route(kind, params):
-    """The Householder kernel agrees with the eigenvalues of the QR-basis
-    shape operator over a 1024-point sweep, at normals +-e_n, where the
-    reflection is exact, and at normals just either side of its sign
-    switch (nhat_n = +-0 and tiny), in both metrics; it evaluates the
-    gradient and Hessian of phi once per call."""
-    dom = dm.make_domain(kind, 4, **params)
+]
+
+
+def _sweep_poles_and_switch(dom):
+    """A 1024-point sweep of a domain of R^4, the points with normals +-e_4,
+    where the Householder reflection is exact, and points with normals just
+    either side of its sign switch (nhat_4 = +-0 and tiny)."""
     pts = dm.sample_boundary(dom, 1024, seed=0)
     poles = dm.project_to_boundary(dom, np.array([[0.0, 0.0, 0.0, 1.0], [0.0, 0.0, 0.0, -1.0]]))
     assert np.array_equal(dm.outward_normal(dom, poles), [[0, 0, 0, 1.0], [0, 0, 0, -1.0]])
@@ -458,7 +457,18 @@ def test_principal_curvatures_match_qr_route(kind, params):
     nhat_n = dm.outward_normal(dom, near)[:, 3]
     assert np.any(np.signbit(nhat_n)) and np.any(~np.signbit(nhat_n))
     assert np.max(np.abs(nhat_n)) < 1e-5
-    x = np.concatenate([pts, poles, near])
+    return np.concatenate([pts, poles, near])
+
+
+@pytest.mark.parametrize("kind,params", CURVED_DOMAINS)
+def test_principal_curvatures_match_qr_route(kind, params):
+    """The Householder kernel agrees with the eigenvalues of the QR-basis
+    shape operator over a 1024-point sweep, at normals +-e_n, where the
+    reflection is exact, and at normals just either side of its sign
+    switch (nhat_n = +-0 and tiny), in both metrics; it evaluates the
+    gradient and Hessian of phi once per call."""
+    dom = dm.make_domain(kind, 4, **params)
+    x = _sweep_poles_and_switch(dom)
     metric = ConformalMetric(make_field("radial-custom", coeffs=[0.1, 0.3, -0.15]), 4)
     calls = {"gradient": 0, "hessian": 0}
     counted = counting_domain(dom, calls)
@@ -467,6 +477,18 @@ def test_principal_curvatures_match_qr_route(kind, params):
         oracle = np.linalg.eigvalsh(oracles.shape_operator(dom, x, m))
         assert np.all(np.abs(kappa - oracle) <= 1e-13 * np.maximum(1.0, np.abs(oracle)))
     assert calls == {"gradient": 2, "hessian": 2}
+
+
+@pytest.mark.parametrize("kind,params", CURVED_DOMAINS)
+def test_boundary_form_matches_einsum(kind, params):
+    """P (Hess phi) P / |grad phi| by two matrix products matches the
+    three-operand ``einsum`` within 1e-15 of its scale, at the sweep, the
+    poles and the normals either side of the Householder switch."""
+    dom = dm.make_domain(kind, 4, **params)
+    x = _sweep_poles_and_switch(dom)
+    want = oracles.boundary_form_einsum(dom, x)
+    scale = max(1.0, float(np.max(np.abs(want))))
+    assert np.max(np.abs(dm.boundary_form(dom, x) - want)) <= 1e-15 * scale
 
 
 def test_margin_eigenvalue_sum_consistency():

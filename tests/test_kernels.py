@@ -6,8 +6,9 @@ curvature form against the Christoffel oracle and its expanded statement,
 the tangent-traced curvature operator and its normal-frame entry against
 the form, the projected constants against their ``tensordot`` statement and
 the direct rescaled boundary density against its unfused statement, the
-layout of the operators the second variation reads, and the Gram-eigenvalue
-conditioning check."""
+layout of the operators the second variation reads, the Gram-eigenvalue
+conditioning check, the k = 3 invariant screen against the eigenvalue rule
+and the k = 3 cofactor determinant against ``det``."""
 
 import dataclasses
 
@@ -392,3 +393,94 @@ def test_gram_closed_form_matches_eigvalsh(cond):
     assert np.all(np.abs(lmin - lam[:, 0]) <= 1e-15 * lam[:, 1])
     assert np.all(np.abs(lmax - lam[:, 1]) <= 1e-15 * lam[:, 1])
     assert np.all(np.abs(sub._gram_spectrum(Js, det=True) - np.linalg.det(G)) <= 1e-14 * lam[:, 1]**2)
+
+
+def _rotated_jacobian(n, cond, seed):
+    """An n x 3 Jacobian with cond(J^T J) = cond and a Gram that is not
+    diagonal: orthonormal columns scaled by 1, cond^-1/4 and cond^-1/2,
+    then mixed by a random rotation of the chart."""
+    rng = np.random.default_rng(seed)
+    Q, _ = np.linalg.qr(rng.normal(size=(n, 3)))
+    return Q * np.array([1.0, cond**-0.25, cond**-0.5]) @ np.linalg.qr(rng.normal(size=(3, 3)))[0]
+
+
+def _near_dependent(n, delta, seed):
+    """An n x 3 Jacobian with columns v, v + delta a, v + delta b: its two
+    small Gram eigenvalues are close, and for delta <= 1e-7 its cofactor
+    determinant is mostly round-off."""
+    v, a, b = np.random.default_rng(seed).normal(size=(3, n))
+    return np.stack([v, v + delta * a, v + delta * b], axis=1)
+
+
+def _k3_stacks():
+    """Named lists of k = 3 Jacobian stacks: well conditioned, cond just
+    below and just above the limit, a zero column, and a single bad sample
+    (index 21) among good ones, by its cond or by nearly dependent columns."""
+    rng = np.random.default_rng(28)
+    good = rng.normal(size=(64, 5, 3))
+
+    def one_bad(J):
+        stack = good.copy()
+        stack[21] = J
+        return stack
+
+    stacks = {"well-conditioned": [good]}
+    for factor in (0.99, 1.01):
+        stacks[f"cond-{factor}-limit"] = [np.stack(
+            [_rotated_jacobian(5, factor * sub.COND_LIMIT, s) for s in range(16)])]
+    stacks["zero-column"] = [one_bad(good[21] * [1.0, 0.0, 1.0])]
+    for factor in (0.3, 1.01, 1e4):
+        stacks[f"one-bad-{factor}"] = [
+            one_bad(_rotated_jacobian(5, factor * sub.COND_LIMIT, s)) for s in range(16)]
+    for delta in (1e-5, 1e-6, 1e-7, 1e-9):
+        stacks[f"near-dependent-{delta}"] = [
+            one_bad(_near_dependent(5, delta, s)) for s in range(16)]
+    return stacks
+
+
+def _verdict(check, Js):
+    """None if ``check`` accepts the stack, else its message."""
+    try:
+        check(Js, "interior")
+    except DegenerateSampleError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("name", sorted(_k3_stacks()))
+def test_k3_conditioning_matches_eigvalsh_rule(name):
+    """For k = 3 the invariant screen and the eigenvalues of the rest give
+    the decision and the message, sample index included, of ``eigvalsh`` on
+    every sample.  A single bad sample is the one named.  Nearly dependent
+    columns give determinants of round-off alone, which without the floor
+    on det / (G_11 G_22 G_33) pass a bad sample."""
+    for Js in _k3_stacks()[name]:
+        want = _verdict(oracles.conditioning_eigvalsh, Js)
+        assert _verdict(sub._check_conditioning, Js) == want
+        if name in ("well-conditioned", "cond-0.99-limit", "one-bad-0.3"):
+            assert want is None
+        elif name != "cond-1.01-limit":
+            assert want.startswith("interior sample 21")
+
+
+def test_k3_screen_settles_the_registry_without_eigenvalues():
+    """Every Gram of every k = 3 registry scenario, interior and rim,
+    passes the invariant screen, so no eigensolve runs on it."""
+    names = [name for name in sorted(SCENARIOS) if SCENARIOS[name].k == 3]
+    assert len(names) >= 4
+    for name in names:
+        imm = build_scenario(name).immersion
+        for Js in (imm.Js, imm.bJs):
+            assert np.all(sub._settled_by_invariants(sub._gram(Js)))
+
+
+@pytest.mark.parametrize("cond", [1.0, 1e2, 1e4, 1e6, 1e8])
+def test_k3_gram_determinant_matches_det(cond):
+    """For k = 3 the cofactor determinant matches ``det`` within 1e-14
+    lmax^3."""
+    rng = np.random.default_rng(int(np.log10(cond)))
+    Js = np.stack([_rotated_jacobian(5, cond, s) for s in range(200)])
+    Js *= rng.uniform(0.1, 10.0, size=(200, 1, 1))
+    G = np.swapaxes(Js, 1, 2) @ Js
+    lmax = np.linalg.eigvalsh(G)[:, -1]
+    assert np.all(np.abs(sub._gram_spectrum(Js, det=True) - np.linalg.det(G)) <= 1e-14 * lmax**3)

@@ -316,15 +316,47 @@ _POLYNOMIAL_B4 = {"n": 4, "k": 2, "field": {"name": "polynomial", "terms": [[0.1
      "p must be an integer >= 1, got 'two'"),
     ("stability", {"scenario": {"n": 4.0, "k": 2}},
      "n must be an integer >= 1, got 4.0"),
+    ("stability", {"scenario": 4},
+     "scenario must be a registry name or an object, got 4"),
+    ("stability", {"scenario": [1]},
+     "scenario must be a registry name or an object, got [1]"),
+    ("stability", {"scenario": {"n": 4, "k": 2, "domain": {"kind": "ball", "radius": "one"}}},
+     "radius must be a number, got 'one'"),
+    ("stability", {"scenario": {"n": 3, "k": 2,
+                                "domain": {"kind": "ellipsoid", "semi_axes": [2.0, "one", 1.0]}}},
+     "semi_axes must be a number, got 'one'"),
+    ("stability", {"scenario": {"n": 4, "k": 2,
+                                "domain": {"kind": "superellipsoid", "exponent": "two"}}},
+     "exponent must be an integer >= 2, got 'two'"),
+    ("stability", {"scenario": {"n": 4, "k": 2,
+                                "immersion": {"kind": "equatorial-disk", "radius": "one"}}},
+     "radius must be a number, got 'one'"),
+    ("stability", {"scenario": {"n": 4, "k": 2,
+                                "immersion": {"kind": "paraboloid-cap", "curvature": "half"}}},
+     "curvature must be a number, got 'half'"),
+    ("stability", {"scenario": {"n": 4, "k": 2,
+                                "immersion": {"kind": "tilted-disk", "angle": "ten"}}},
+     "angle must be a number, got 'ten'"),
+    ("stability", {"scenario": {"n": 4, "k": 2, "immersion": {
+        "kind": "graph", "coeffs": [[[0.1, [2, 0]]], [[0.1, [0, 2]]]], "halfwidth": [0.5]}}},
+     "halfwidth must be a number, got [0.5]"),
+    ("stability", {"scenario": {"n": 4, "k": 2,
+                                "immersion": {"kind": "random-graph", "degree": "two"}}},
+     "degree must be an integer >= 0, got 'two'"),
 ], ids=["field-parameter", "domain-parameter", "immersion-parameter", "flow-odd-ntheta",
         "domain-kind", "immersion-kind", "field-name", "expected-not-object",
         "expected-no-value", "expected-tol", "curvature-points-zero", "seed-not-integer",
         "inline-seed-not-integer", "seed-negative", "quadrature-nr-zero",
         "verify-quadrature-not-integer", "immersion-ntheta-negative", "inline-n-not-integer",
-        "inline-p-not-integer", "inline-n-float"])
+        "inline-p-not-integer", "inline-n-float", "scenario-number", "scenario-list",
+        "ball-radius-not-number", "ellipsoid-axis-not-number",
+        "superellipsoid-exponent-not-integer", "equatorial-disk-radius-not-number",
+        "paraboloid-curvature-not-number", "tilted-disk-angle-not-number",
+        "graph-halfwidth-not-number", "random-graph-degree-not-integer"])
 def test_cli_catalog_errors_exit_2(verb, doc, message, tmp_path, capsys):
-    """A catalog entry missing a parameter or its kind, a malformed expected
-    value, a seed that is not an integer >= 0, an inline scenario's n, k or
+    """A catalog entry missing a parameter or its kind, a catalog parameter
+    of the wrong type, a scenario that is neither a registry name nor an
+    object, a malformed expected value, a seed that is not an integer >= 0, an inline scenario's n, k or
     p, a node or curvature sample count that is not a positive integer, or a
     flow grid the solver cannot use, is a configuration error naming the key
     or the value."""

@@ -3,6 +3,7 @@ certificate."""
 
 import gc
 import re
+import sys
 import weakref
 from collections import Counter
 
@@ -647,6 +648,45 @@ def test_certificate_builds_the_rescaled_constants_once(monkeypatch):
     X = var.rescaled_constants(imm, metric)
     assert X is imm.ambient(metric).rescaled_constants
     assert not any(a.flags.writeable for a in vars(X).values())
+
+
+@pytest.mark.parametrize("name", ["flat-disk-b5k3", "cap-disk-b4k2"])
+def test_cold_certificate_runs_no_per_sample_lapack(name, monkeypatch):
+    """A cold build and certificate calls ``det`` nowhere and ``eigvalsh``
+    only on the sweep's principal-curvature blocks, the polish's single
+    (n-1) x (n-1) model Hessian and the single companion matrix of each
+    Gauss-Legendre rule: no eigensolve of a Gram stack or of the curvature
+    operator along the radial axis.  The boundary form is built by matrix
+    products, with no ``einsum`` inside it."""
+    calls = []
+
+    def counted(routine):
+        def call(*args, **kwargs):
+            calls.append((routine.__name__, sys._getframe(1).f_code, np.shape(args[0])))
+            return routine(*args, **kwargs)
+        return call
+
+    for routine in (np.linalg.eigvalsh, np.linalg.det):
+        monkeypatch.setattr(np.linalg, routine.__name__, counted(routine))
+    monkeypatch.setattr(np, "einsum", counted(np.einsum))
+    monkeypatch.setattr(sub, "domain_boundary_form", counted(dm.boundary_form))
+    sub._leggauss.cache_clear()
+    built = sc.build_scenario(name)
+    var.instability_certificate(built.immersion, built.metric, built.domain)
+    n = built.scenario.n
+    lapack = [(caller.co_name, shape) for routine, caller, shape in calls
+              if routine in ("eigvalsh", "det")]
+    assert {caller for caller, _ in lapack} == {
+        "_curvatures_and_normals", "_pattern_search", "leggauss"}
+    for caller, shape in lapack:
+        if caller == "_pattern_search":
+            assert shape == (n - 1, n - 1)
+        elif caller == "_curvatures_and_normals":
+            assert shape[1:] == (n - 1, n - 1)
+        else:
+            assert len(shape) == 2
+    assert [routine for routine, _, _ in calls].count("boundary_form") == 1
+    assert not any(caller is dm.boundary_form.__code__ for _, caller, _ in calls)
 
 
 def test_certificate_hyperbolic_inconclusive():

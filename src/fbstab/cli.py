@@ -21,7 +21,7 @@ from . import domain as domain_mod
 from . import flow as flow_mod
 from . import scenarios as sc
 from . import variation as var
-from .errors import ConfigError, GeometryError, integer, required
+from .errors import ConfigError, GeometryError, integer, number, required
 from .submanifold import immersion_to_json
 
 
@@ -53,6 +53,25 @@ def _quadrature(cfg: dict) -> dict:
     """The ``quadrature`` block, whose node counts are positive integers."""
     options = _section(cfg, "quadrature", sc.QUADRATURE_KEYS)
     return {key: integer(options, key, 1, 1) for key in options}
+
+
+def _flow_config(cfg: dict, tol: float | None) -> flow_mod.FlowConfig:
+    """The ``flow`` block, with ``--tol`` over its ``tol``: iteration and
+    halving counts are integers >= 0, tolerances numbers >= 0, and
+    ``boundary_rate`` and ``dt`` (null: half the grid's ``dt_stable``) are
+    positive numbers."""
+    options = dict(_section(cfg, "flow", inspect.signature(flow_mod.FlowConfig).parameters))
+    if tol is not None:
+        options["tol"] = tol
+    base = flow_mod.FlowConfig()
+    return flow_mod.FlowConfig(
+        dt=None if options.get("dt") is None else number(options, "dt", None, 0.0, strict=True),
+        max_iter=integer(options, "max_iter", base.max_iter),
+        tol=number(options, "tol", base.tol, 0.0),
+        boundary_tol=number(options, "boundary_tol", base.boundary_tol, 0.0),
+        boundary_rate=number(options, "boundary_rate", base.boundary_rate, 0.0, strict=True),
+        max_backtracks=integer(options, "max_backtracks", base.max_backtracks),
+        volume_slack=number(options, "volume_slack", base.volume_slack))
 
 
 def _seed(args, cfg: dict) -> int:
@@ -184,10 +203,7 @@ def _cmd_convexity(args) -> int:
 def _cmd_flow(args) -> int:
     cfg, scenario, built = _load_scenario(args)
     grid = sc.flow_grid_for(scenario)
-    flow_cfg = dict(_section(cfg, "flow", inspect.signature(flow_mod.FlowConfig).parameters))
-    if args.tol is not None:
-        flow_cfg["tol"] = args.tol
-    config = flow_mod.FlowConfig(**flow_cfg)
+    config = _flow_config(cfg, args.tol)
     final, converged, state = flow_mod.run_flow(grid, built.metric, built.domain, config)
     doc = {
         "schema": "fbstab-flow/1",

@@ -106,15 +106,17 @@ def project_to_boundary(domain: LevelSetDomain, x, tol: float = 1e-12,
                         max_iter: int = 50) -> Array:
     """Newton iteration along grad phi until |phi| <= tol, for one point
     ``(n,)`` or a batch ``(..., n)``; each point stops at its first iterate
-    within tol."""
+    within tol.  While every point is still far, the whole batch steps
+    without index arrays."""
     y = np.array(x, dtype=float)
     pts = y.reshape(-1, domain.n)
-    todo = np.arange(len(pts))
+    todo = slice(None)
     for _ in range(max_iter):
         val = domain.phi.value(pts[todo])
         far = np.abs(val) > tol
-        todo, val = todo[far], val[far]
-        if not todo.size:
+        if not far.all():
+            todo, val = np.arange(len(pts))[todo][far], val[far]
+        if not val.size:
             return y
         g = domain.phi.gradient(pts[todo])
         g2 = np.vecdot(g, g)
@@ -344,7 +346,7 @@ def make_domain(kind: str, n: int, **params) -> LevelSetDomain:
     """Catalog domains: ``ball(radius)``, ``ellipsoid(semi_axes)``,
     ``superellipsoid(exponent)``."""
     if kind == "ball":
-        r = number(params, "radius", 1.0)
+        r = number(params, "radius", 1.0, 0.0, strict=True)
         phi = make_field("radial-custom", coeffs=[-(r**2), 1.0])
         return LevelSetDomain(phi, n, bounding_radius=r, name=f"ball({r:g})")
     if kind == "ellipsoid":

@@ -7,18 +7,19 @@ and Fourier differentiation in the angle, so every grid yields a full
 ``SampledImmersion``; the flow builds one, validated, for the grid it
 returns.
 
-Each fixed linear map of a grid is one dense matrix over the flattened grid,
-built once per ``(nr, ntheta)`` by ``grid_operators``: the stacked chart
-derivatives, whose interior rows also assemble the Laplace-Beltrami
-operator, and the per-ring filter.  A step is a few matrix products.  All
-grids of a shape share one read-only copy; the flow keeps many grids alive,
-and a copy per grid would multiply their memory.
+Each fixed linear map of a grid is built once per ``(nr, ntheta)`` by
+``grid_operators``: the radial factors [D; D2] and angular factors
+[Dt; Dt2] that give the chart derivatives, the dense interior rows of the
+stacked chart derivatives that assemble the Laplace-Beltrami operator,
+and the per-ring filter.  A step is a few matrix products.  All grids of a
+shape share one read-only copy; the flow keeps many grids alive, and a
+copy per grid would multiply their memory.
 
-The flow measures a grid straight from its chart stack, by the chart Gram
-g = J^T J alone: it builds neither an immersion nor tangent or normal
-frames.  The Laplace-Beltrami coefficients g^-1 and -g^ij Gamma^k_ij give
-the mean curvature vector H (the operator applied to x), and the tangential
-projector J g^-1 J^T gives grad^perp u, so the flow measures with the
+The flow measures a grid straight from its chart derivatives, by the chart
+Gram g = J^T J alone: it builds neither an immersion nor tangent or normal
+frames.  One kernel, ``_gram_terms``, gives the Laplace-Beltrami
+coefficients g^-1 and -g^ij Gamma^k_ij and the bracket H - 2 grad^perp u,
+the normal part of g^ij d_ij x - 2 grad u, so the flow measures with the
 operator it steps with; the rescaled volume sums w sqrt(det g) e^{2u} over
 the det g and u already taken.  The certificate keeps the frame route of
 ``SampledImmersion.geometry()``.
@@ -41,10 +42,11 @@ solve lifts the explicit (m/r)^2 step limit; what stays is the explicit
 limit of the rim update, ``1 / (boundary_rate * |D[nr, nr]|)``.
 
 A ``FlowState`` carries the ``GridMeasure`` of its grid: the operator
-coefficients, u, the bracket H - k grad^perp u, and the rim's positions,
-conormals and the domain's outward normals there.  Each step takes its
-direction and operator from it and hands on the accepted trial's measure,
-so every trial grid is measured once, and no trial builds an immersion.
+coefficients, u at every grid point, the bracket H - k grad^perp u, and
+the rim's positions, conormals and the domain's outward normals there.
+Each step takes its direction and operator from it and hands on the
+accepted trial's measure, so every trial grid is measured once, and no
+trial builds an immersion.
 
 Free boundary critical points in a ball are saddle points: a disk lowers
 volume by sliding its rim toward a pole, so an untempered boundary speed
@@ -99,8 +101,10 @@ class GridOperators:
     D2: Array
     Dt: Array                         # spectral d/dtheta and d^2/dtheta^2
     Dt2: Array
+    radial: Array                     # [D; D2]
+    angular: Array                    # (2, 1, ntheta, ntheta) Dt, Dt2 over the rings
     ws: Array                         # (nr * ntheta,) interior quadrature weights
-    chart: Array                      # (N, 5, N): d_r, d_rr, d_t, d_tt, d_rt
+    chart: Array                      # (m, 5, N): d_r, d_rr, d_t, d_tt, d_rt
     lowpass: Array                    # (N, N) per-ring filter, block-diagonal
     dt_stable: float                  # explicit limit of the filtered (m/r)^2
 
@@ -108,9 +112,9 @@ class GridOperators:
 @cache
 def grid_operators(nr: int, ntheta: int) -> GridOperators:
     """The read-only operators shared by all grids of one shape.  Row p of
-    ``chart[:, j]`` is derivative j at point p, so ``chart[:m]`` are the
-    interior rows that ``laplace_beltrami`` contracts.  The filter keeps the
-    angular modes m <= max(1, 2 * mmax * r) of each ring."""
+    ``chart[:, j]`` is derivative j at interior point p, the m = nr * ntheta
+    rows that ``laplace_beltrami`` contracts.  The filter keeps the angular
+    modes m <= max(1, 2 * mmax * r) of each ring."""
     r, wr = _gauss01(nr)
     rs = np.concatenate([r, [1.0]])
     D, Ir, It = _diff_matrix(rs), np.eye(nr + 1), np.eye(ntheta)
@@ -125,11 +129,13 @@ def grid_operators(nr: int, ntheta: int) -> GridOperators:
                for mult in (np.where(m < mmax, 1j * m, 0.0), -(m**2.0)))
     blocks = np.fft.irfft(spec * (m <= keep[:, None, None]), n=ntheta)
     ops = GridOperators(
-        rs, wr, D, D2, Dt, Dt2, np.repeat(wr, ntheta) * (2.0 * np.pi / ntheta),
-        np.stack([np.kron(D, It), np.kron(D2, It), np.kron(Ir, Dt), np.kron(Ir, Dt2),
-                  np.kron(D, Dt)], axis=1),
+        rs, wr, D, D2, Dt, Dt2, np.vstack([D, D2]), np.stack([Dt, Dt2])[:, None],
+        np.repeat(wr, ntheta) * (2.0 * np.pi / ntheta),
+        np.stack([np.kron(D[:nr], It), np.kron(D2[:nr], It), np.kron(Ir[:nr], Dt),
+                  np.kron(Ir[:nr], Dt2), np.kron(D[:nr], Dt)], axis=1),
         block_diag(*np.swapaxes(blocks, 1, 2)), float(1.0 / np.max((keep / rs) ** 2)))
-    for a in (ops.rs, ops.wr, ops.D, ops.D2, ops.Dt, ops.Dt2, ops.ws, ops.chart, ops.lowpass):
+    for a in (ops.rs, ops.wr, ops.D, ops.D2, ops.Dt, ops.Dt2, ops.radial, ops.angular, ops.ws,
+              ops.chart, ops.lowpass):
         a.flags.writeable = False
     return ops
 
@@ -170,98 +176,97 @@ class PolarGrid:
         return out
 
     def chart_derivatives(self):
-        """``(P_r, P_rr, P_t, P_tt, P_rt)``, each shaped like ``positions``."""
-        N, n = len(self.ops.chart), self.n
-        out = self.ops.chart.reshape(-1, N) @ self.positions.reshape(N, n)
-        return tuple(np.moveaxis(out.reshape(self.nr + 1, self.ntheta, 5, n), 2, 0))
+        """``(P_r, P_rr, P_t, P_tt, P_rt)``, each shaped like ``positions``,
+        from the factors: [D; D2] over the rings, [Dt; Dt2] along each ring,
+        then D over the rings of P_t."""
+        P = self.positions
+        ops, shape = self.ops, (2,) + P.shape
+        P_r, P_rr = (ops.radial @ P.reshape(len(P), -1)).reshape(shape)
+        P_t, P_tt = ops.angular @ P
+        return P_r, P_rr, P_t, P_tt, (ops.D @ P_t.reshape(len(P), -1)).reshape(P.shape)
 
-    def samples(self) -> tuple[Array, Array, Array, Array]:
-        """``(xs, Js, Hs, bJs)`` in the layout of ``SampledImmersion``: the
-        interior positions (m, n), Jacobians (m, n, 2) and chart Hessians
-        (m, 2, 2, n), and the rim Jacobians (mb, n, 2), from one product of
-        the chart stack."""
+    def immersion(self, validate: bool = False) -> SampledImmersion:
+        """The grid's ``SampledImmersion``: Jacobians (m, n, 2), chart
+        Hessians (m, 2, 2, n) and rim Jacobians (mb, n, 2) from
+        ``chart_derivatives``."""
         nr, n = self.nr, self.n
         P_r, P_rr, P_t, P_tt, P_rt = self.chart_derivatives()
         Js = np.stack([P_r[:nr].reshape(-1, n), P_t[:nr].reshape(-1, n)], axis=2)
         # entries (rr, rt, tr, tt) of the chart Hessian, in row-major order
         Hs = np.stack([P_rr[:nr], P_rt[:nr], P_rt[:nr], P_tt[:nr]], axis=2).reshape(-1, 2, 2, n)
         bJs = np.stack([P_r[nr], P_t[nr]], axis=2)
-        return self.positions[:nr].reshape(-1, n), Js, Hs, bJs
-
-    def immersion(self, validate: bool = False) -> SampledImmersion:
-        xs, Js, Hs, bJs = self.samples()
         bws = np.linalg.norm(bJs[:, :, 1], axis=1) * (2.0 * np.pi / self.ntheta)
-        return SampledImmersion(2, self.n, xs, Js, Hs, self.ops.ws, self.positions[self.nr],
-                                bJs, bws, polar_conormals(bJs), validate=validate)
+        return SampledImmersion(2, n, self.positions[:nr].reshape(-1, n), Js, Hs, self.ops.ws,
+                                self.positions[nr], bJs, bws, polar_conormals(bJs),
+                                validate=validate)
 
 
-def _tangential(Js: Array, ginv: Array, v: Array) -> tuple[Array, Array]:
-    """``(g^-1 J^T v, J g^-1 J^T v)`` per sample, by ``vecdot``."""
-    t = np.vecdot(ginv, np.vecdot(Js, v[:, :, None], axis=1)[:, None])
-    return t, np.vecdot(Js, t[:, None])
-
-
-def _gram_terms(Js: Array, Hs: Array) -> tuple[Array, Array, Array, Array]:
-    """``(g^-1, c, H, det g)`` at the interior samples, from the Jacobians
-    ``Js`` (m, n, 2) and chart Hessians ``Hs`` (m, 2, 2, n) by the chart
-    Gram g = J^T J.
+def _gram_terms(x_r: Array, x_rr: Array, x_t: Array, x_tt: Array, x_rt: Array,
+                grad: Array) -> tuple[Array, Array, Array]:
+    """``(coef, bracket, det g)`` at the interior samples, from the five
+    chart derivatives (each (m, n), in the order of ``GridOperators.chart``)
+    and grad u there, by the chart Gram g = J^T J of J = [x_r | x_t].
 
     With A = g^ij d_ij x, the contraction g^ij Gamma^k_ij, where Gamma^k_ij =
     g^kl <d_ij x, d_l x>, is g^kl <A, d_l x>.  So c^k = -g^ij Gamma^k_ij is
     -(g^-1 J^T A)^k, and the mean curvature vector H = A + c^k d_k x is the
-    normal part of A.  g^-1 and c are the coefficients of the
-    Laplace-Beltrami operator g^ij d_ij + c^k d_k, which maps x to H.  The
-    disks are 2-dimensional: g^-1 is the adjugate over det g, in closed form.
+    normal part of A.  The projection is linear, so the bracket
+    H - 2 grad^perp u is the normal part of A - 2 grad u: one tangential
+    projection of the pair [A, A - 2 grad u] gives both c and the bracket.
+    ``coef`` (m, 5) = (c^r, g^rr, c^t, g^tt, 2 g^rt) are the coefficients of
+    the Laplace-Beltrami operator g^ij d_ij + c^k d_k, which maps x to H,
+    per chart derivative.  The disks are 2-dimensional: g^-1 is the
+    adjugate over det g, in closed form.
     """
-    J0, J1 = Js[:, :, 0], Js[:, :, 1]
-    g00, g01, g11 = np.vecdot(J0, J0), np.vecdot(J0, J1), np.vecdot(J1, J1)
-    det = g00 * g11 - g01 * g01
-    inv = 1.0 / det
-    ginv = np.stack([g11 * inv, -g01 * inv, -g01 * inv, g00 * inv], axis=1).reshape(-1, 2, 2)
-    A = (ginv.reshape(-1, 1, 4) @ Hs.reshape(len(inv), 4, -1))[:, 0]
-    coords, tangential = _tangential(Js, ginv, A)
-    return ginv, -coords, A - tangential, det
+    grr, grt, gtt = np.vecdot(x_r, x_r), np.vecdot(x_r, x_t), np.vecdot(x_t, x_t)
+    det = grr * gtt - grt * grt
+    irr, irt, itt = np.array([gtt, -grt, grr]) / det
+    A = irr[:, None] * x_rr + itt[:, None] * x_tt + (2.0 * irt)[:, None] * x_rt
+    pair = np.array([A, A - 2.0 * grad])
+    # tangential coordinates g^-1 J^T v of v = A and v = A - 2 grad u, (2, m) each
+    p_r, p_t = np.vecdot(pair, x_r), np.vecdot(pair, x_t)
+    t_r, t_t = irr * p_r + irt * p_t, irt * p_r + itt * p_t
+    coef = np.array([-t_r[0], irr, -t_t[0], itt, 2.0 * irt]).T
+    return coef, pair[1] - t_r[1, :, None] * x_r - t_t[1, :, None] * x_t, det
 
 
-def laplace_beltrami(grid: PolarGrid, ginv: Array, c: Array) -> Array:
+def laplace_beltrami(grid: PolarGrid, coef: Array) -> Array:
     """Interior Laplace-Beltrami operator L = g^ij d_ij + c^k d_k on grid values.
 
-    ``ginv`` and ``c`` are the coefficients of ``_gram_terms`` of the grid's
-    samples.  Shape (nr * ntheta, (nr + 1) * ntheta) over the ring-major
-    flattening of the grid, rim columns last, so that
-    ``L @ positions.reshape(-1, n)`` is the mean curvature vector.  Row p
-    contracts the five coefficients at p with ``grid.ops.chart[p]``.
+    ``coef`` (m, 5) are per-row coefficients of the chart derivatives, those
+    of ``_gram_terms`` or a row scaling of them.  Shape (nr * ntheta,
+    (nr + 1) * ntheta) over the ring-major flattening of the grid, rim
+    columns last, so that ``L @ positions.reshape(-1, n)`` is the mean
+    curvature vector.  Row p contracts the five coefficients at p with
+    ``grid.ops.chart[p]``.
     """
-    coef = np.stack([c[:, 0], ginv[:, 0, 0], c[:, 1], ginv[:, 1, 1], 2.0 * ginv[:, 0, 1]],
-                    axis=1)
-    return (coef[:, None, :] @ grid.ops.chart[:len(coef)])[:, 0]
+    return (coef[:, None, :] @ grid.ops.chart)[:, 0]
 
 
 @dataclass(frozen=True)
 class GridMeasure:
-    """What the flow reads of one grid, measured once from its chart stack:
-    the operator coefficients, the bracket and the rim.  A step hands the
-    accepted trial's measure on to the next step."""
+    """What the flow reads of one grid, measured once from its chart
+    derivatives: the operator coefficients, u, the bracket and the rim.  A
+    step hands the accepted trial's measure on to the next step."""
 
-    ginv: Array                       # (m, 2, 2) inverse chart Gram
-    c: Array                          # (m, 2) -g^ij Gamma^k_ij
-    u: Array                          # (m,) conformal exponent
+    coef: Array                       # (m, 5) (c^r, g^rr, c^t, g^tt, 2 g^rt)
+    u: Array                          # (N,) conformal exponent, rim last
     bracket: Array                    # (m, n) H - k grad^perp u
     bxs: Array                        # (mb, n) rim positions
     bnus: Array                       # (mb, n) outward unit conormals of the disk
     rim_normals: Array                # (mb, n) outward unit normals of the domain
 
 
-def _descent(measure: GridMeasure, metric: ConformalMetric) -> tuple[Array, Array]:
+def _descent(measure: GridMeasure) -> tuple[Array, Array]:
     """Steepest-descent direction of rescaled volume from a measure: inside,
     the rescaled mean curvature vector (its pairing with the first variation
     is -|H~|^2 <= 0), H from the chart Gram (``_gram_terms``), not from
     ``geometry()``; on the rim, minus the rescaled conormal projected onto
     the ambient boundary's tangent space."""
-    bnus, nhat = measure.bnus, measure.rim_normals
-    interior = np.exp(-2.0 * measure.u)[:, None] * measure.bracket
+    bnus, nhat, m = measure.bnus, measure.rim_normals, len(measure.bracket)
+    interior = np.exp(-2.0 * measure.u[:m])[:, None] * measure.bracket
     nu_t = bnus - np.sum(bnus * nhat, axis=1, keepdims=True) * nhat
-    return interior, -np.exp(-metric.field.value(measure.bxs))[:, None] * nu_t
+    return interior, -np.exp(-measure.u[m:])[:, None] * nu_t
 
 
 @dataclass(frozen=True)
@@ -296,19 +301,24 @@ def _filter_direction(grid: PolarGrid, direction: Array) -> Array:
 
 def _measurements(grid: PolarGrid, metric: ConformalMetric, domain: LevelSetDomain):
     """``(measure, volume, max |H~|, max angle defect)`` of one grid, from its
-    chart stack; builds no immersion.  grad^perp u = grad u - J g^-1 J^T
-    grad u, and the volume sums w sqrt(det g) e^{2u} over the same samples.
-    The rim is taken to lie on the domain boundary: ``flow_state`` checks the
-    start's, and every trial's is projected there."""
-    xs, Js, Hs, bJs = grid.samples()
-    ginv, c, H, det = _gram_terms(Js, Hs)
-    u, grad = metric.field.value(xs), metric.field.gradient(xs)
-    bracket = H - 2 * (grad - _tangential(Js, ginv, grad)[1])
-    bxs, bnus = grid.positions[grid.nr], polar_conormals(bJs)
-    nhat = outward_normal(domain, bxs)
-    vol = float(np.sum(grid.ops.ws * np.sqrt(det) * np.exp(2 * u)))
-    return (GridMeasure(ginv, c, u, bracket, bxs, bnus, nhat), vol,
-            float(np.max(bracket_norms(u, bracket))), float(np.max(angle_defects(bnus, nhat))))
+    chart derivatives; builds no immersion.  u is evaluated once at every
+    grid point and grad u at the interior ones, and the volume sums
+    w sqrt(det g) e^{2u} over the interior.  The rim is taken to lie on the
+    domain boundary: ``flow_state`` checks the start's, and every trial's is
+    projected there."""
+    nr, n, P = grid.nr, grid.n, grid.positions
+    derivs = grid.chart_derivatives()
+    m = nr * grid.ntheta
+    u = metric.field.value(P.reshape(-1, n))
+    coef, bracket, det = _gram_terms(*(d[:nr].reshape(m, n) for d in derivs),
+                                     metric.field.gradient(P[:nr].reshape(m, n)))
+    # the rim Jacobians [d_r x | d_t x]
+    bnus = polar_conormals(np.stack([derivs[0][nr], derivs[2][nr]], axis=2))
+    nhat = outward_normal(domain, P[nr])
+    vol = float(np.sum(grid.ops.ws * np.sqrt(det) * np.exp(2 * u[:m])))
+    return (GridMeasure(coef, u, bracket, P[nr], bnus, nhat), vol,
+            float(np.max(bracket_norms(u[:m], bracket))),
+            float(np.max(angle_defects(bnus, nhat))))
 
 
 def flow_state(grid: PolarGrid, metric: ConformalMetric, domain: LevelSetDomain,
@@ -336,16 +346,19 @@ def flow_step(state: FlowState, metric: ConformalMetric, domain: LevelSetDomain,
     ``1 / (boundary_rate * |D[nr, nr]|)``."""
     cfg = config or FlowConfig()
     grid, measure = state.grid, state.measure
-    interior, boundary = _descent(measure, metric)
+    interior, boundary = _descent(measure)
     rim = cfg.boundary_rate * boundary
-    EL = np.exp(-2.0 * measure.u)[:, None] * laplace_beltrami(grid, measure.ginv, measure.c)
     m = len(interior)
-    EL_II, EL_IB = EL[:, :m], EL[:, m:]
+    EL = laplace_beltrami(grid, np.exp(-2.0 * measure.u[:m])[:, None] * measure.coef)
+    EL_II, EL_rim = EL[:, :m], EL[:, m:] @ rim
     # explicit limit of the rim update, the one part of the step left explicit
     cap = float(1.0 / (cfg.boundary_rate * abs(grid.D[grid.nr, grid.nr])))
     dt = float(min(state.step, cap))
     for backtracks in range(cfg.max_backtracks + 1):
-        *_, V, info = dgesv(np.eye(m) - dt * EL_II, interior + dt * (EL_IB @ rim))
+        # S = I - dt E L_II in LAPACK's column order, which dgesv overwrites
+        S = np.multiply(EL_II, -dt, order="F")
+        S.flat[:: m + 1] += 1.0
+        *_, V, info = dgesv(S, interior + dt * EL_rim, overwrite_a=1, overwrite_b=1)
         if info > 0:
             raise StepFailureError(
                 f"singular implicit system at iteration {state.iteration}, dt = {dt:.6e}")

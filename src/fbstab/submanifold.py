@@ -796,7 +796,7 @@ def make_immersion(kind: str, **params) -> SampledImmersion:
     if kind == "equatorial-disk":
         n = integer(params, "n", required(params, "n", what), 1)
         k = integer(params, "k", 2, 1)
-        radius = number(params, "radius", 1.0)
+        radius = number(params, "radius", 1.0, 0.0, strict=True)
         if k not in (2, 3):
             raise ConfigError("equatorial-disk supports k in {2, 3}")
         return _ball_graph(
@@ -807,12 +807,15 @@ def make_immersion(kind: str, **params) -> SampledImmersion:
     if kind == "paraboloid-cap":
         n = integer(params, "n", 3, 1)
         c = number(params, "curvature", 0.5)
-        radius = number(params, "radius", 1.0)
+        radius = number(params, "radius", 1.0, 0.0, strict=True)
+        with_boundary = params.get("with_boundary", True)
+        if not isinstance(with_boundary, bool):
+            raise ConfigError(f"with_boundary must be true or false, got {with_boundary!r}")
         terms = [[[c / 2.0, [2, 0]], [c / 2.0, [0, 2]]]] + [[[0.0, [0, 0]]]] * (n - 3)
         return _ball_graph(
             2, radius, _poly_graph(n, 2, terms),
             integer(params, "nr", 16, 1), integer(params, "ntheta", 32, 1),
-            with_boundary=bool(params.get("with_boundary", True)),
+            with_boundary=with_boundary,
         )
     if kind == "tilted-disk":
         n = integer(params, "n", 3, 1)

@@ -53,7 +53,7 @@ from types import SimpleNamespace
 from fbstab import domain as dm
 from fbstab import flow as fl
 from fbstab.conformal import schouten
-from fbstab.errors import DegenerateSampleError, DomainError
+from fbstab.errors import DegenerateSampleError, DomainError, ProjectionError
 from fbstab.fields import ConformalMetric, ScalarField, make_field
 from fbstab.submanifold import (COND_LIMIT, _batched_frames, _check_on_boundary, _first, _gram,
                                 _last, _upper_inverse)
@@ -209,6 +209,27 @@ def polynomial_loop(terms):
 def inward_normal(domain: dm.LevelSetDomain, x) -> np.ndarray:
     """Inward unit normal eta = -grad phi / |grad phi| (phi < 0 inside)."""
     return -dm.outward_normal(domain, x)
+
+
+def project_to_boundary_indexed(domain: dm.LevelSetDomain, x, tol: float = 1e-12,
+                                max_iter: int = 50) -> np.ndarray:
+    """``domain.project_to_boundary`` with an index array of the points still
+    far from every iteration on, the first included."""
+    y = np.array(x, dtype=float)
+    pts = y.reshape(-1, domain.n)
+    todo = np.arange(len(pts))
+    for _ in range(max_iter):
+        val = domain.phi.value(pts[todo])
+        far = np.abs(val) > tol
+        todo, val = todo[far], val[far]
+        if not todo.size:
+            return y
+        g = domain.phi.gradient(pts[todo])
+        g2 = np.vecdot(g, g)
+        if np.any(g2 < dm.GRAD_FLOOR**2):
+            raise ProjectionError("level-set gradient vanished during projection")
+        pts[todo] -= (val / g2)[:, None] * g
+    raise ProjectionError(f"projection did not reach |phi| <= {tol:g} in {max_iter} steps")
 
 
 def boundary_form_einsum(domain: dm.LevelSetDomain, x) -> np.ndarray:
@@ -399,17 +420,28 @@ def first_variation_value(imm, metric: ConformalMetric, interior_dirs, boundary_
     return float(total)
 
 
+def immersion_gram_terms(imm, grad=None):
+    """``flow._gram_terms`` of a k = 2 immersion's Jacobian columns and
+    chart Hessian entries, in the order of the grid's chart derivatives, as
+    contiguous copies like the flow's own arrays (``vecdot`` may sum a
+    strided column in another order); with grad u = 0 (the default) the
+    bracket is H."""
+    Js, Hs = imm.Js, imm.Hs
+    derivs = (Js[..., 0], Hs[:, 0, 0], Js[..., 1], Hs[:, 1, 1], Hs[:, 0, 1])
+    return fl._gram_terms(*map(np.ascontiguousarray, derivs),
+                          np.zeros_like(imm.xs) if grad is None else grad)
+
+
 def immersion_measure(imm, metric: ConformalMetric, domain: dm.LevelSetDomain):
     """The flow's ``GridMeasure`` of an immersion, read off its arrays: the
-    Gram terms of ``imm.Js`` and ``imm.Hs``, grad^perp u = grad u - J g^-1
-    J^T grad u, and the immersion's rim, conormals and outward normals.
-    The flow measures a grid from its chart stack instead and builds no
-    immersion; the tests hold the two to each other."""
-    ginv, c, H, _ = fl._gram_terms(imm.Js, imm.Hs)
-    grad = metric.field.gradient(imm.xs)
-    tangential = fl._tangential(imm.Js, ginv, grad)[1]
+    Gram terms of ``imm.Js`` and ``imm.Hs`` with grad u at ``imm.xs``, u at
+    the interior samples then the rim, and the immersion's rim, conormals
+    and outward normals.  The flow measures a grid from its chart
+    derivatives instead and builds no immersion; the tests hold the two to
+    each other."""
+    coef, bracket, _ = immersion_gram_terms(imm, metric.field.gradient(imm.xs))
     _check_on_boundary(domain, imm.bxs)
-    return fl.GridMeasure(ginv, c, metric.field.value(imm.xs), H - imm.k * (grad - tangential),
+    return fl.GridMeasure(coef, metric.field.value(np.concatenate([imm.xs, imm.bxs])), bracket,
                           imm.bxs, imm.bnus, dm.outward_normal(domain, imm.bxs))
 
 
@@ -418,7 +450,7 @@ def first_variation_direction(imm, metric: ConformalMetric, domain: dm.LevelSetD
     of the immersion's measure: ``(interior (m, n), boundary (mb, n))``.
     Raises ``InvalidSampleError`` for a boundary sample off the domain
     boundary and ``DomainError`` where grad phi vanishes there."""
-    return fl._descent(immersion_measure(imm, metric, domain), metric)
+    return fl._descent(immersion_measure(imm, metric, domain))
 
 
 # ---------------------------------------------------------------------------
@@ -469,31 +501,36 @@ def chart_derivatives_fft(grid):
     return P_r, P_rr, P_t, P_tt, P_rt
 
 
-def gram_terms_matmul(Js, Hs):
-    """``flow._gram_terms`` by batched 2 x 2 matrix products."""
+def gram_terms_matmul(x_r, x_rr, x_t, x_tt, x_rt, grad):
+    """``flow._gram_terms`` by batched 2 x 2 matrix products on the stacked
+    Jacobians and chart Hessians: c = -g^-1 J^T A, H = A + J c and
+    grad^perp u = grad u - J g^-1 J^T grad u, each projected on its own."""
+    Js = np.stack([x_r, x_t], axis=2)
     m, n, k = Js.shape
+    Hs = np.stack([x_rr, x_rt, x_rt, x_tt], axis=1).reshape(m, k, k, n)
     Jt = np.swapaxes(Js, 1, 2)
     g = Jt @ Js
     det = g[:, 0, 0] * g[:, 1, 1] - g[:, 0, 1] * g[:, 1, 0]
     ginv = g[:, ::-1, ::-1] * (np.array([[1.0, -1.0], [-1.0, 1.0]]) / det[:, None, None])
     A = (ginv.reshape(m, 1, k * k) @ Hs.reshape(m, k * k, n))[:, 0]
     c = -(ginv @ (Jt @ A[:, :, None]))[:, :, 0]
-    return ginv, c, A + (Js @ c[:, :, None])[:, :, 0], det
+    perp = grad - (Js @ (ginv @ (Jt @ grad[:, :, None])))[:, :, 0]
+    coef = np.stack([c[:, 0], ginv[:, 0, 0], c[:, 1], ginv[:, 1, 1], 2.0 * ginv[:, 0, 1]], axis=1)
+    return coef, A + (Js @ c[:, :, None])[:, :, 0] - 2.0 * perp, det
 
 
-def laplace_beltrami_scatter(grid, ginv, c):
+def laplace_beltrami_scatter(grid, coef):
     """``flow.laplace_beltrami`` scattered block by block into a zero array."""
     nr, nt = grid.nr, grid.ntheta
-    c2 = ginv.reshape(nr, nt, 2, 2)
-    c1 = c.reshape(nr, nt, 2)
+    cr, grr, ct, gtt, grt2 = np.moveaxis(coef.reshape(nr, nt, 5), 2, 0)
     Dr, Dr2 = grid.D[:nr], grid.D2[:nr]
-    radial = c2[..., 0, 0, None] * Dr2[:, None] + c1[..., 0, None] * Dr[:, None]
-    angular = c2[..., 1, 1, None] * grid.Dt2 + c1[..., 1, None] * grid.Dt
+    radial = grr[..., None] * Dr2[:, None] + cr[..., None] * Dr[:, None]
+    angular = gtt[..., None] * grid.Dt2 + ct[..., None] * grid.Dt
     L = np.zeros((nr, nt, nr + 1, nt))
     t, i = np.arange(nt), np.arange(nr)
     L[:, t, :, t] = radial.transpose(1, 0, 2)
     L[i, :, i, :] += angular
-    L += (2.0 * c2[..., 0, 1, None, None] * Dr[:, None, :, None]) * grid.Dt[None, :, None, :]
+    L += (grt2[..., None, None] * Dr[:, None, :, None]) * grid.Dt[None, :, None, :]
     return L.reshape(nr * nt, (nr + 1) * nt)
 
 
@@ -507,9 +544,10 @@ def filter_direction_rfft(grid, direction):
     return np.fft.irfft(spec, n=grid.ntheta, axis=1)
 
 
-def gesv_numpy(a, b):
+def gesv_numpy(a, b, **overwrite):
     """``scipy.linalg.lapack.dgesv``'s ``(lu, piv, x, info)`` by
-    ``np.linalg.solve``; only ``x`` and ``info`` are filled in."""
+    ``np.linalg.solve``; only ``x`` and ``info`` are filled in, and the
+    inputs are never overwritten."""
     return None, None, np.linalg.solve(a, b), 0
 
 

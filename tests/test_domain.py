@@ -162,6 +162,62 @@ def test_project_to_boundary_ellipsoid(rng):
     assert np.array_equal(dm.project_to_boundary(ell, np.array(xs)), np.array(ys))
 
 
+def _newton_steps(domain, x):
+    """Newton steps the projection takes on one point: the fewest
+    ``max_iter`` that reach tol, less one."""
+    for max_iter in range(1, 51):
+        try:
+            oracles.project_to_boundary_indexed(domain, x, max_iter=max_iter)
+            return max_iter - 1
+        except ProjectionError:
+            pass
+    raise AssertionError("no convergence in 50 steps")
+
+
+PROJECTED_DOMAINS = {
+    "ball": lambda: dm.make_domain("ball", 3, radius=1.0),
+    "ellipsoid": lambda: dm.make_domain("ellipsoid", 3, semi_axes=[2.0, 1.0, 0.5]),
+    "superellipsoid": lambda: dm.make_domain("superellipsoid", 4, exponent=3),
+}
+
+
+@pytest.mark.parametrize("name", PROJECTED_DOMAINS)
+def test_projection_fast_path_matches_the_indexed_loop(name, rng):
+    """The projection steps the whole batch while every point is still far
+    and indexes the rest afterwards; the parent's loop indexes from the
+    first iteration.  Both give the same points, bit for bit: on batches
+    whose points stop at different iterations (a point already on the
+    boundary, near ones and far ones), on an all-far batch, and on one
+    ``(n,)`` point."""
+    domain = PROJECTED_DOMAINS[name]()
+    n = domain.n
+    on = dm.project_to_boundary(domain, rng.normal(size=(4, n)))
+    d = rng.normal(size=(40, n))
+    scales = np.concatenate([[1.0], 1.0 + np.geomspace(1e-14, 1e-1, 19), rng.uniform(0.3, 3.0, 20)])
+    mixed = np.concatenate([on, scales[:, None] * dm.project_to_boundary(domain, d)])
+    far = rng.uniform(0.5, 2.0, size=(16, 1)) * d[:16]
+    stops = [_newton_steps(domain, x) for x in mixed]
+    assert len(set(stops)) >= 4 and min(stops) == 0
+    for batch in (mixed, mixed.reshape(4, -1, n), far, far[3]):
+        want = oracles.project_to_boundary_indexed(domain, batch)
+        assert np.array_equal(dm.project_to_boundary(domain, batch), want)
+
+
+def test_projection_errors_match_the_indexed_loop():
+    """Both error paths raise the indexed loop's ``ProjectionError``: a
+    gradient that vanishes while the whole batch is still far, and a batch
+    that does not converge within ``max_iter`` steps."""
+    flat = dm.LevelSetDomain(make_field("radial-custom", coeffs=[1.0]), 2, 1.0)
+    slow = dm.make_domain("ball", 3, radius=1.0)
+    x = np.array([[3.0, 4.0, 0.0], [0.0, 0.8, 0.6], [20.0, 0.0, 0.0]])
+    for domain, points, kwargs, match in (
+            (flat, np.array([[0.3, 0.3], [1.0, 2.0]]), {}, "gradient vanished"),
+            (slow, x, {"max_iter": 3}, r"did not reach \|phi\| <= 1e-12 in 3 steps")):
+        for project in (dm.project_to_boundary, oracles.project_to_boundary_indexed):
+            with pytest.raises(ProjectionError, match=match):
+                project(domain, points, **kwargs)
+
+
 def test_projection_failure_raises():
     flat = dm.LevelSetDomain(make_field("radial-custom", coeffs=[1.0]), 2, 1.0)
     with pytest.raises(ProjectionError):

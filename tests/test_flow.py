@@ -95,7 +95,7 @@ def test_laplace_beltrami_of_positions_is_mean_curvature(grid):
     Christoffel symbols, reproduces the frame-based mean curvature vector.
     The sin bump is non-radial, so it checks the angular matrices' orientation."""
     imm = grid.immersion()
-    L = fl.laplace_beltrami(grid, *fl._gram_terms(imm.Js, imm.Hs)[:2])
+    L = fl.laplace_beltrami(grid, oracles.immersion_gram_terms(imm)[0])
     assert L.shape == (grid.nr * grid.ntheta, (grid.nr + 1) * grid.ntheta)
     Lx = L @ grid.positions.reshape(-1, grid.n)
     assert np.max(np.abs(Lx - imm.geometry().H)) < 1e-10
@@ -108,14 +108,14 @@ def test_laplace_beltrami_of_positions_is_mean_curvature(grid):
 def test_gram_mean_curvature_matches_frames(imm):
     """The flow measures H from the chart Gram, the certificate from frames:
     the two routes agree to round-off."""
-    H = fl._gram_terms(imm.Js, imm.Hs)[2]
+    H = oracles.immersion_gram_terms(imm)[1]
     assert np.max(np.abs(H - imm.geometry().H)) <= 1e-12
 
 
 def test_flow_steps_build_no_frames(monkeypatch):
-    """A step measures each trial grid once, straight from its chart stack:
-    ten steps build no ``SampledImmersion`` and neither tangent nor normal
-    frames, and take the Gram terms once per trial grid."""
+    """A step measures each trial grid once, straight from its chart
+    derivatives: ten steps build no ``SampledImmersion`` and neither tangent
+    nor normal frames, and take the Gram terms once per trial grid."""
     frames, terms, immersions = [], [], []
     batched_frames, gram_terms = sub._batched_frames, fl._gram_terms
     init = sub.SampledImmersion.__init__
@@ -124,9 +124,9 @@ def test_flow_steps_build_no_frames(monkeypatch):
         frames.append(1)
         return batched_frames(*args)
 
-    def counted_terms(Js, Hs):
-        terms.append(Js)
-        return gram_terms(Js, Hs)
+    def counted_terms(*derivs):
+        terms.append(derivs[0])
+        return gram_terms(*derivs)
 
     def counted_init(self, *args, **kwargs):
         immersions.append(1)
@@ -197,20 +197,22 @@ def _relative_gap(new, old):
 @pytest.mark.parametrize("name", BENCHMARK_STARTS)
 def test_cached_operator_kernels_match_their_oracles(name):
     """Each kernel that steps on the cached operators agrees with the route
-    it replaced within 1e-13 normwise relative: the chart derivatives (one
-    product, so compared as one stack), the Gram terms, the Laplace-Beltrami
-    operator and the per-ring filter.  Entrywise, d_rr x differs by up to
-    1.5e-13 where it is at most 0.6: D^2 has entries of 1.1e3, and both
-    routes are about 4.6e-13 from the exact value there."""
-    grid, _, _ = benchmark_start(name)
+    it replaced within 1e-13 normwise relative: the chart derivatives
+    (compared as one stack), the Gram terms with the start's grad u, the
+    Laplace-Beltrami operator and the per-ring filter.  Entrywise, d_rr x
+    differs by up to 1.5e-13 where it is at most 0.6: D^2 has entries of
+    1.1e3, and both routes are about 4.6e-13 from the exact value there."""
+    grid, metric, _ = benchmark_start(name)
     assert _relative_gap(np.stack(grid.chart_derivatives()),
                          np.stack(oracles.chart_derivatives_fft(grid))) <= 1e-13
     imm = grid.immersion()
-    for new, old in zip(fl._gram_terms(imm.Js, imm.Hs), oracles.gram_terms_matmul(imm.Js, imm.Hs)):
+    grad = metric.field.gradient(imm.xs)
+    derivs = (imm.Js[..., 0], imm.Hs[:, 0, 0], imm.Js[..., 1], imm.Hs[:, 1, 1], imm.Hs[:, 0, 1])
+    for new, old in zip(fl._gram_terms(*derivs, grad), oracles.gram_terms_matmul(*derivs, grad)):
         assert _relative_gap(new, old) <= 1e-13
-    ginv, c = oracles.gram_terms_matmul(imm.Js, imm.Hs)[:2]
-    assert _relative_gap(fl.laplace_beltrami(grid, ginv, c),
-                         oracles.laplace_beltrami_scatter(grid, ginv, c)) <= 1e-13
+    coef = oracles.gram_terms_matmul(*derivs, grad)[0]
+    assert _relative_gap(fl.laplace_beltrami(grid, coef),
+                         oracles.laplace_beltrami_scatter(grid, coef)) <= 1e-13
     direction = np.random.default_rng(3).normal(size=grid.positions.shape)
     assert _relative_gap(fl._filter_direction(grid, direction),
                          oracles.filter_direction_rfft(grid, direction)) <= 1e-13
@@ -248,7 +250,7 @@ def test_grids_of_one_shape_share_read_only_operators():
     for name in ("rs", "wr", "D", "D2", "Dt", "Dt2"):
         assert all(getattr(g, name) is getattr(ops, name) for g in grids)
     assert all(g.dt_stable == ops.dt_stable for g in grids)
-    for name in ("rs", "wr", "D", "D2", "Dt", "Dt2", "chart", "lowpass"):
+    for name in ("rs", "wr", "D", "D2", "Dt", "Dt2", "radial", "angular", "chart", "lowpass"):
         array = getattr(ops, name)
         with pytest.raises(ValueError, match="read-only"):
             array[(0,) * array.ndim] = 1.0
@@ -262,7 +264,7 @@ def test_singular_implicit_system_raises_typed_error(monkeypatch):
     state = fl.flow_state(grid, M3, DOM3, dt=0.0625)
     m = grid.nr * grid.ntheta
 
-    def singular(g, ginv, c):
+    def singular(g, coef):
         return np.hstack([16.0 * np.eye(m), np.zeros((m, g.ntheta))])
 
     monkeypatch.setattr(fl, "laplace_beltrami", singular)
@@ -323,12 +325,14 @@ MEASURED_GRIDS = {
 
 @pytest.mark.parametrize("name", MEASURED_GRIDS)
 def test_trial_measure_matches_the_immersion_route(name):
-    """A trial grid measured from its chart stack agrees with the route
-    through its immersion: ``volume``, ``bracket_norms``, ``polar_conormals``
-    and the domain's ``outward_normal`` at the rim of ``grid.immersion()``.
-    Everything but the volume is bit-identical; the volume's det g comes from
-    the flow's ``vecdot`` Gram, not the immersion's ``einsum`` Gram, and
-    agrees within 1e-15 relative."""
+    """A trial grid measured from its chart derivatives agrees with the
+    route through its immersion: ``volume``, ``bracket_norms``,
+    ``polar_conormals`` and the domain's ``outward_normal`` at the rim of
+    ``grid.immersion()``.  Everything but the volume is bit-identical (the
+    oracle hands ``_gram_terms`` contiguous copies of the immersion's
+    columns, as the flow does); the volume's det g comes from the flow's
+    ``vecdot`` Gram, not the immersion's ``einsum`` Gram, and agrees within
+    1e-15 relative."""
     make, domain_name, field_name = MEASURED_GRIDS[name]
     grid = make()
     metric = ConformalMetric(make_field(field_name), grid.n)
@@ -337,7 +341,7 @@ def test_trial_measure_matches_the_immersion_route(name):
     imm = grid.immersion()
     want = oracles.immersion_measure(imm, metric, dom)
     assert abs(vol - sub.volume(imm, metric)) <= 1e-15 * sub.volume(imm, metric)
-    assert res == np.max(sub.bracket_norms(want.u, want.bracket))
+    assert res == np.max(sub.bracket_norms(want.u[:len(want.bracket)], want.bracket))
     assert np.array_equal(measure.bnus, sub.polar_conormals(imm.bJs))
     assert np.array_equal(measure.rim_normals, dm.outward_normal(dom, imm.bxs))
     assert defect == np.max(sub.angle_defects(imm.bnus, want.rim_normals))
@@ -385,6 +389,46 @@ def test_the_rim_is_checked_once_at_the_start(monkeypatch):
     positions[-1] *= 1.01
     with pytest.raises(InvalidSampleError, match="off the domain boundary"):
         fl.flow_state(bump_grid().with_positions(positions), M3, DOM3)
+
+
+def test_each_trial_evaluates_the_field_once(monkeypatch):
+    """Ten steps of ``flow-sin-cap-b4`` pin the work per trial grid: u once
+    at its N points, grad u once at its m interior points, and, beyond the
+    projection's calls, one gradient of phi, for the rim's outward normals.
+    The descent reads the rim's u from the measure.  ``GridOperators.chart``
+    holds the m interior rows only."""
+    grid, metric, dom = benchmark_start("flow-sin-cap-b4")
+    N, m, n = (grid.nr + 1) * grid.ntheta, grid.nr * grid.ntheta, grid.n
+    assert grid.ops.chart.shape == (m, 5, N)
+    field, evaluations = metric.field, []
+
+    def counted(kind, fn):
+        def call(x):
+            evaluations.append((kind, x.shape))
+            return fn(x)
+        return call
+
+    metric = ConformalMetric(ScalarField.analytic(
+        counted("value", field.value_fn), counted("gradient", field.grad_fn), field.hess_fn,
+        radial=field.radial), metric.dim)
+    dom, calls = _counting_domain(dom)
+    in_projection, project = Counter(), fl.project_to_boundary
+
+    def projected(*args, **kwargs):
+        before = Counter(calls)
+        out = project(*args, **kwargs)
+        in_projection.update(calls - before)
+        return out
+
+    monkeypatch.setattr(fl, "project_to_boundary", projected)
+    state = fl.flow_state(grid, metric, dom)
+    evaluations.clear()
+    calls.clear()
+    for _ in range(10):
+        state = fl.flow_step(state, metric, dom)
+    trials = sum(1 + row[4] for row in state.residual_history[1:])
+    assert evaluations == [("value", (N, n)), ("gradient", (m, n))] * trials
+    assert calls - in_projection == Counter({"gradient": trials})
 
 
 def test_backtracking_exhaustion_raises():

@@ -343,6 +343,37 @@ _POLYNOMIAL_B4 = {"n": 4, "k": 2, "field": {"name": "polynomial", "terms": [[0.1
     ("stability", {"scenario": {"n": 4, "k": 2,
                                 "immersion": {"kind": "random-graph", "degree": "two"}}},
      "degree must be an integer >= 0, got 'two'"),
+    ("stability", {"scenario": {"n": 4, "k": 2, "domain": {"kind": "ball", "radius": -1.0}}},
+     "radius must be a number > 0, got -1.0"),
+    ("stability", {"scenario": {"n": 4, "k": 2, "domain": {"kind": "ball", "radius": 0}}},
+     "radius must be a number > 0, got 0"),
+    ("stability", {"scenario": {"n": 4, "k": 2,
+                                "immersion": {"kind": "equatorial-disk", "radius": -1.0}}},
+     "radius must be a number > 0, got -1.0"),
+    ("stability", {"scenario": {"n": 4, "k": 2,
+                                "immersion": {"kind": "paraboloid-cap", "radius": 0.0}}},
+     "radius must be a number > 0, got 0.0"),
+    ("stability", {"scenario": {"n": 4, "k": 2, "immersion": {"kind": "paraboloid-cap",
+                                                              "with_boundary": "false"}}},
+     "with_boundary must be true or false, got 'false'"),
+    ("flow", {"scenario": "flow-bump-b3", "flow": {"max_iter": "10"}},
+     "max_iter must be an integer >= 0, got '10'"),
+    ("flow", {"scenario": "flow-bump-b3", "flow": {"max_iter": 2.5}},
+     "max_iter must be an integer >= 0, got 2.5"),
+    ("flow", {"scenario": "flow-bump-b3", "flow": {"max_backtracks": -1}},
+     "max_backtracks must be an integer >= 0, got -1"),
+    ("flow", {"scenario": "flow-bump-b3", "flow": {"boundary_rate": 0}},
+     "boundary_rate must be a number > 0, got 0"),
+    ("flow", {"scenario": "flow-bump-b3", "flow": {"dt": -0.001}},
+     "dt must be a number > 0, got -0.001"),
+    ("flow", {"scenario": "flow-bump-b3", "flow": {"dt": "auto"}},
+     "dt must be a number, got 'auto'"),
+    ("flow", {"scenario": "flow-bump-b3", "flow": {"tol": -0.001}},
+     "tol must be a number >= 0, got -0.001"),
+    ("flow", {"scenario": "flow-bump-b3", "flow": {"boundary_tol": "loose"}},
+     "boundary_tol must be a number, got 'loose'"),
+    ("flow", {"scenario": "flow-bump-b3", "flow": {"volume_slack": [1e-12]}},
+     "volume_slack must be a number, got [1e-12]"),
 ], ids=["field-parameter", "domain-parameter", "immersion-parameter", "flow-odd-ntheta",
         "domain-kind", "immersion-kind", "field-name", "expected-not-object",
         "expected-no-value", "expected-tol", "curvature-points-zero", "seed-not-integer",
@@ -352,14 +383,21 @@ _POLYNOMIAL_B4 = {"n": 4, "k": 2, "field": {"name": "polynomial", "terms": [[0.1
         "ball-radius-not-number", "ellipsoid-axis-not-number",
         "superellipsoid-exponent-not-integer", "equatorial-disk-radius-not-number",
         "paraboloid-curvature-not-number", "tilted-disk-angle-not-number",
-        "graph-halfwidth-not-number", "random-graph-degree-not-integer"])
+        "graph-halfwidth-not-number", "random-graph-degree-not-integer", "ball-radius-negative",
+        "ball-radius-zero", "equatorial-disk-radius-negative", "paraboloid-radius-zero",
+        "paraboloid-with-boundary-string", "flow-max-iter-string", "flow-max-iter-float",
+        "flow-max-backtracks-negative", "flow-boundary-rate-zero", "flow-dt-negative",
+        "flow-dt-string", "flow-tol-negative", "flow-boundary-tol-string",
+        "flow-volume-slack-list"])
 def test_cli_catalog_errors_exit_2(verb, doc, message, tmp_path, capsys):
     """A catalog entry missing a parameter or its kind, a catalog parameter
     of the wrong type, a scenario that is neither a registry name nor an
     object, a malformed expected value, a seed that is not an integer >= 0, an inline scenario's n, k or
-    p, a node or curvature sample count that is not a positive integer, or a
-    flow grid the solver cannot use, is a configuration error naming the key
-    or the value."""
+    p, a node or curvature sample count that is not a positive integer, a
+    radius that is not positive, a ``with_boundary`` that is not a JSON
+    boolean, a flow option of the wrong type or sign, or a flow grid the
+    solver cannot use, is a configuration error naming the key or the
+    value."""
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(doc))
     assert cli.main([verb, "--config", str(cfg)]) == 2

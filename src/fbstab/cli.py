@@ -21,7 +21,7 @@ from . import domain as domain_mod
 from . import flow as flow_mod
 from . import scenarios as sc
 from . import variation as var
-from .errors import ConfigError, GeometryError, integer, number, required
+from .errors import ConfigError, GeometryError, integer, required
 from .submanifold import immersion_to_json
 
 
@@ -55,25 +55,6 @@ def _quadrature(cfg: dict) -> dict:
     return {key: integer(options, key, 1, 1) for key in options}
 
 
-def _flow_config(cfg: dict, tol: float | None) -> flow_mod.FlowConfig:
-    """The ``flow`` block, with ``--tol`` over its ``tol``: iteration and
-    halving counts are integers >= 0, tolerances numbers >= 0, and
-    ``boundary_rate`` and ``dt`` (null: half the grid's ``dt_stable``) are
-    positive numbers."""
-    options = dict(_section(cfg, "flow", inspect.signature(flow_mod.FlowConfig).parameters))
-    if tol is not None:
-        options["tol"] = tol
-    base = flow_mod.FlowConfig()
-    return flow_mod.FlowConfig(
-        dt=None if options.get("dt") is None else number(options, "dt", None, 0.0, strict=True),
-        max_iter=integer(options, "max_iter", base.max_iter),
-        tol=number(options, "tol", base.tol, 0.0),
-        boundary_tol=number(options, "boundary_tol", base.boundary_tol, 0.0),
-        boundary_rate=number(options, "boundary_rate", base.boundary_rate, 0.0, strict=True),
-        max_backtracks=integer(options, "max_backtracks", base.max_backtracks),
-        volume_slack=number(options, "volume_slack", base.volume_slack))
-
-
 def _seed(args, cfg: dict) -> int:
     """``--seed``, else the config's ``seed`` (0 if absent), an integer >= 0."""
     return integer(cfg if args.seed is None else {"seed": args.seed}, "seed", 0)
@@ -97,15 +78,15 @@ def _resolve_scenario(args, cfg) -> sc.Scenario:
             raise ConfigError(f"scenario must be a registry name or an object, got {spec!r}")
         return sc.Scenario(
             name=spec.get("name", "inline"),
-            n=integer(spec, "n", required(spec, "n", "inline scenario"), 1),
-            k=integer(spec, "k", required(spec, "k", "inline scenario"), 1),
-            p=None if spec.get("p") is None else integer(spec, "p", None, 1),
+            n=required(spec, "n", "inline scenario"),
+            k=required(spec, "k", "inline scenario"),
+            p=spec.get("p"),
             domain_spec=spec.get("domain", {"kind": "ball", "radius": 1.0}),
             field_spec=spec.get("field", {"name": "zero"}),
             immersion_spec=spec.get("immersion", {"kind": "equatorial-disk"}),
             flow_spec=spec.get("flow"),
             expected=spec.get("expected", {}),
-            seed=integer(spec, "seed", integer(cfg, "seed", 0)),
+            seed=spec.get("seed", cfg.get("seed", 0)),
         )
     raise ConfigError("no scenario given: pass --scenario NAME or a config with one")
 
@@ -159,11 +140,11 @@ def _expected_failures(report_dict: dict, expected: dict) -> list[str]:
 
 def _cmd_stability(args) -> int:
     cfg, scenario, built = _load_scenario(args)
-    cert_cfg = _section(cfg, "certificate", inspect.signature(var.CertificateConfig).parameters)
+    keys = set(inspect.signature(var.CertificateConfig).parameters) - {"seed"}
+    cert_cfg = _section(cfg, "certificate", keys)
     if args.tol is not None:
         cert_cfg = {**cert_cfg, "certify_tol": args.tol}
-    seed = _seed(args, cfg)
-    config = var.CertificateConfig(**{"seed": seed, "p": scenario.p, **cert_cfg})
+    config = var.CertificateConfig(**{"p": scenario.p, **cert_cfg, "seed": _seed(args, cfg)})
     report = var.instability_certificate(built.immersion, built.metric, built.domain, config)
     doc = report.to_dict()
     doc["scenario"] = scenario.name
@@ -182,7 +163,7 @@ def _cmd_convexity(args) -> int:
     cfg, scenario, built = _load_scenario(args)
     p = args.p if args.p is not None else (scenario.p or scenario.n - scenario.k)
     seed = _seed(args, cfg)
-    count = int(_section(cfg, "convexity", ("samples",)).get("samples", 1024))
+    count = integer(_section(cfg, "convexity", ("samples",)), "samples", 1024, 1)
     report = domain_mod.convexity_report(built.domain, built.metric.field, p,
                                          count=count, seed=seed)
     doc = {**report.to_dict(), "scenario": scenario.name,
@@ -203,7 +184,10 @@ def _cmd_convexity(args) -> int:
 def _cmd_flow(args) -> int:
     cfg, scenario, built = _load_scenario(args)
     grid = sc.flow_grid_for(scenario)
-    config = _flow_config(cfg, args.tol)
+    options = _section(cfg, "flow", inspect.signature(flow_mod.FlowConfig).parameters)
+    if args.tol is not None:
+        options = {**options, "tol": args.tol}
+    config = flow_mod.FlowConfig(**options)
     final, converged, state = flow_mod.run_flow(grid, built.metric, built.domain, config)
     doc = {
         "schema": "fbstab-flow/1",

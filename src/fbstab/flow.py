@@ -4,8 +4,7 @@ The moving surface is a k=2 polar grid of control points in R^n: Gauss
 radial rings plus a boundary ring pinned to the ambient boundary.  Chart
 derivatives come from barycentric polynomial differentiation in the radius
 and Fourier differentiation in the angle, so every grid yields a full
-``SampledImmersion``; the flow builds one, validated, for the grid it
-returns.
+``SampledImmersion``; the flow builds one for the grid it returns.
 
 Each fixed linear map of a grid is built once per ``(nr, ntheta)`` by
 ``grid_operators``: the radial factors [D; D2] and angular factors
@@ -68,7 +67,7 @@ from scipy.linalg import block_diag
 from scipy.linalg.lapack import dgesv
 
 from .domain import LevelSetDomain, outward_normal, project_to_boundary
-from .errors import ConfigError, StepFailureError
+from .errors import ConfigError, StepFailureError, integer, number
 from .fields import ConformalMetric
 from .submanifold import (SampledImmersion, _check_on_boundary, _gauss01, angle_defects,
                           bracket_norms, polar_conormals)
@@ -185,7 +184,7 @@ class PolarGrid:
         P_t, P_tt = ops.angular @ P
         return P_r, P_rr, P_t, P_tt, (ops.D @ P_t.reshape(len(P), -1)).reshape(P.shape)
 
-    def immersion(self, validate: bool = False) -> SampledImmersion:
+    def immersion(self) -> SampledImmersion:
         """The grid's ``SampledImmersion``: Jacobians (m, n, 2), chart
         Hessians (m, 2, 2, n) and rim Jacobians (mb, n, 2) from
         ``chart_derivatives``."""
@@ -197,8 +196,7 @@ class PolarGrid:
         bJs = np.stack([P_r[nr], P_t[nr]], axis=2)
         bws = np.linalg.norm(bJs[:, :, 1], axis=1) * (2.0 * np.pi / self.ntheta)
         return SampledImmersion(2, n, self.positions[:nr].reshape(-1, n), Js, Hs, self.ops.ws,
-                                self.positions[nr], bJs, bws, polar_conormals(bJs),
-                                validate=validate)
+                                self.positions[nr], bJs, bws, polar_conormals(bJs))
 
 
 def _gram_terms(x_r: Array, x_rr: Array, x_t: Array, x_tt: Array, x_rt: Array,
@@ -278,6 +276,17 @@ class FlowConfig:
     boundary_rate: float = 0.1        # rim speed relative to interior
     max_backtracks: int = 20
     volume_slack: float = 1e-12       # times min(1, volume)
+
+    def __post_init__(self):
+        """Each option out of range or of the wrong type raises ``ConfigError``."""
+        if self.dt is not None:
+            number(vars(self), "dt", None, 0.0, strict=True)
+        for key in ("max_iter", "max_backtracks"):
+            integer(vars(self), key, None)
+        for key in ("tol", "boundary_tol"):
+            number(vars(self), key, None, 0.0)
+        number(vars(self), "boundary_rate", None, 0.0, strict=True)
+        number(vars(self), "volume_slack", None)
 
 
 @dataclass(frozen=True)
@@ -396,4 +405,4 @@ def run_flow(grid: PolarGrid, metric: ConformalMetric, domain: LevelSetDomain,
         if np.max(np.ptp(state.grid.positions[grid.nr], axis=0)) < RIM_COLLAPSE * extent:
             raise StepFailureError(f"the rim collapsed at iteration {state.iteration}")
     converged = state.residual <= cfg.tol and state.boundary_defect <= cfg.boundary_tol
-    return state.grid.immersion(validate=True), converged, state
+    return state.grid.immersion(), converged, state

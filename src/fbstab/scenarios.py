@@ -25,7 +25,7 @@ import numpy as np
 from . import conformal, domain as domain_mod, flow as flow_mod
 from . import submanifold as sub
 from . import variation as var
-from .errors import ConfigError, DimensionError, integer, required
+from .errors import ConfigError, DimensionError, integer, number, required
 from .fields import ConformalMetric, ScalarField, make_field
 from .submanifold import SampledImmersion, make_immersion
 
@@ -34,6 +34,8 @@ REPORT_SCHEMA = "fbstab-report/1"
 SUITE_NAMES = ("identities", "traces", "bounds", "certificate", "flow")
 # immersion resolutions a ``quadrature`` override may set
 QUADRATURE_KEYS = ("nr", "ntheta", "nphi", "nodes_per_axis")
+# keys a scenario's flow spec may set (``flow_grid_for``)
+FLOW_KEYS = {"initial", "amplitude", "nr", "ntheta"}
 
 
 @dataclass(frozen=True)
@@ -52,6 +54,10 @@ class Scenario:
     seed: int = 0
 
     def __post_init__(self):
+        for key, minimum in (("n", 1), ("k", 1), ("seed", 0)):
+            integer(vars(self), key, None, minimum)
+        if self.p is not None:
+            integer(vars(self), "p", None, 1)
         if not 1 <= self.k <= self.n - 1:
             raise ConfigError(f"scenario {self.name}: need 1 <= k <= n-1")
         if not isinstance(self.expected, dict):
@@ -229,7 +235,9 @@ def flow_grid_for(sc: Scenario) -> flow_mod.PolarGrid:
     if sc.flow_spec is None:
         raise ConfigError(f"scenario {sc.name} has no flow specification")
     spec = sc.flow_spec
-    amp = float(spec.get("amplitude", 0.1))
+    if not isinstance(spec, dict) or not set(spec) <= FLOW_KEYS:
+        raise ConfigError(f"flow spec must be an object of {sorted(FLOW_KEYS)}, got {spec!r}")
+    amp = number(spec, "amplitude", 0.1)
     nr, ntheta = integer(spec, "nr", 8, 1), integer(spec, "ntheta", 16, 1)
     kind = spec.get("initial", "radial-bump")
     if kind not in ("radial-bump", "sin-bump", "flat"):

@@ -209,7 +209,6 @@ class SampledImmersion:
         boundary_J=None,
         boundary_w=None,
         boundary_nu=None,
-        validate: bool = True,
     ):
         self.k = int(k)
         self.n = int(n)
@@ -227,11 +226,10 @@ class SampledImmersion:
         self.bws = np.asarray(boundary_w, float)
         self.bnus = np.asarray(boundary_nu, float)
         self._geometry = None
-        self._jacobian = None
         self._ambient = {}
-        if validate:
-            self._validate()
-        for a in (self.xs, self.Js, self.Hs, self.ws, self.bxs, self.bJs, self.bws, self.bnus):
+        self._validate()
+        for a in (self.xs, self.Js, self.Hs, self.ws, self.bxs, self.bJs, self.bws, self.bnus,
+                  self.jacobian_factor):
             a.flags.writeable = False
 
     def _validate(self):
@@ -248,7 +246,9 @@ class SampledImmersion:
         if np.any(self.ws <= 0.0):
             raise ConfigError("quadrature weights must be positive")
         gram = _check_conditioning(self.Js, "interior")
-        self._jacobian = np.sqrt(_gram_spectrum(self.Js, det=True, gram=gram))
+        # sqrt(det J^T J) per interior sample, from the conditioning check's
+        # Gram; builds no frames, so volumes never pay for ``geometry()``
+        self.jacobian_factor = np.sqrt(_gram_spectrum(self.Js, det=True, gram=gram))
         a, b = np.triu_indices(k, 1)
         sym = np.max(np.abs(self.Hs[:, a, b] - self.Hs[:, b, a]), initial=0.0)
         if sym > 1e-9 * (1.0 + np.max(np.abs(self.Hs))):
@@ -273,15 +273,6 @@ class SampledImmersion:
     @property
     def n_boundary(self) -> int:
         return self.bxs.shape[0]
-
-    @property
-    def jacobian_factor(self) -> Array:
-        """sqrt(det J^T J) per interior sample, cached (from the validation's
-        Gram); builds no frames, so volumes never pay for ``geometry()``."""
-        if self._jacobian is None:
-            self._jacobian = np.sqrt(_gram_spectrum(self.Js, det=True))
-        self._jacobian.flags.writeable = False
-        return self._jacobian
 
     @cached_property
     def _boundary_normal(self) -> Array:

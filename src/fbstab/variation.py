@@ -42,7 +42,7 @@ from scipy.stats import qmc
 
 from . import conformal
 from .domain import LevelSetDomain, convexity_report
-from .errors import ConfigError, DimensionError, PreconditionError
+from .errors import ConfigError, DimensionError, PreconditionError, integer, number
 from .fields import ConformalMetric
 from .submanifold import NormalField, SampledImmersion, projected_field
 
@@ -365,6 +365,16 @@ class CertificateConfig:
     convexity_samples: int = 1024
     seed: int = 0
 
+    def __post_init__(self):
+        """Each option out of range or of the wrong type raises ``ConfigError``."""
+        if self.p is not None:
+            integer(vars(self), "p", None, 1)
+        for key in ("certify_tol", "minimality_tol", "free_boundary_tol", "hypothesis_margin"):
+            number(vars(self), key, None, 0.0)
+        for key in ("curvature_points", "convexity_samples"):
+            integer(vars(self), key, None, 1)
+        integer(vars(self), "seed", None)
+
 
 @dataclass(frozen=True)
 class StabilityReport:
@@ -428,8 +438,6 @@ class StabilityReport:
 
 
 def _sample_domain_interior(domain: LevelSetDomain, count: int, seed: int) -> Array:
-    if count < 1:
-        raise ConfigError(f"curvature_points must be positive, got {count}")
     sob = qmc.Sobol(d=domain.n, scramble=True, seed=seed)
     R = domain.bounding_radius
     pts = np.zeros((0, domain.n))

@@ -11,7 +11,7 @@ from fbstab import domain as dm
 from fbstab import flow as fl
 from fbstab import scenarios as sc
 from fbstab import submanifold as sub
-from fbstab.errors import InvalidSampleError, StepFailureError
+from fbstab.errors import ConfigError, InvalidSampleError, StepFailureError
 from fbstab.fields import ConformalMetric, ScalarField, make_field
 
 DOM3 = dm.make_domain("ball", 3, radius=1.0)
@@ -30,8 +30,20 @@ def bump_grid(amp=0.2, nr=6, ntheta=16):
     )
 
 
+@pytest.mark.parametrize("option", [
+    {"boundary_rate": 0.0}, {"dt": -1e-3}, {"max_backtracks": -1}],
+    ids=["boundary-rate-zero", "dt-negative", "max-backtracks-negative"])
+def test_flow_config_refuses_values_the_step_cannot_use(option):
+    """A Python caller gets the same check as the config block: a zero rim
+    rate would divide by zero in the step, a negative step or halving count
+    would reach the step loop."""
+    [(key, value)] = option.items()
+    with pytest.raises(ConfigError, match=f"{key} must be .*, got {value!r}"):
+        fl.FlowConfig(**option)
+
+
 def test_grid_immersion_matches_catalog_quadrature():
-    imm = flat_grid().immersion(validate=True)
+    imm = flat_grid().immersion()
     assert abs(sub.volume(imm, M3) - np.pi) < 1e-12
     assert abs(oracles.boundary_volume(imm, M3) - 2 * np.pi) < 1e-12
     assert imm.ambient(M3).minimality.max_residual <= 1e-12

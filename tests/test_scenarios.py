@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from fbstab import cli
+from fbstab import flow as fl
 from fbstab import scenarios as sc
 from fbstab import variation as var
 from fbstab.errors import ConfigError
@@ -296,7 +297,7 @@ _POLYNOMIAL_B4 = {"n": 4, "k": 2, "field": {"name": "polynomial", "terms": [[0.1
                                 "expected": {"traced_total": {"value": -12.5, "tol": "tight"}}}},
      "scenario inline: expected 'traced_total' must be an object"),
     ("stability", {"scenario": _POLYNOMIAL_B4, "certificate": {"curvature_points": 0}},
-     "curvature_points must be positive, got 0"),
+     "curvature_points must be an integer >= 1, got 0"),
     ("stability", {"scenario": "flat-disk-b4k2", "seed": "abc"},
      "seed must be an integer >= 0, got 'abc'"),
     ("stability", {"scenario": {"n": 4, "k": 2, "seed": 1.5}},
@@ -374,6 +375,30 @@ _POLYNOMIAL_B4 = {"n": 4, "k": 2, "field": {"name": "polynomial", "terms": [[0.1
      "boundary_tol must be a number, got 'loose'"),
     ("flow", {"scenario": "flow-bump-b3", "flow": {"volume_slack": [1e-12]}},
      "volume_slack must be a number, got [1e-12]"),
+    ("stability", {"scenario": "flat-disk-b4k2", "certificate": {"certify_tol": "x"}},
+     "certify_tol must be a number, got 'x'"),
+    ("stability", {"scenario": "flat-disk-b4k2", "certificate": {"convexity_samples": "many"}},
+     "convexity_samples must be an integer >= 1, got 'many'"),
+    ("stability", {"scenario": "flat-disk-b4k2", "certificate": {"p": "two"}},
+     "p must be an integer >= 1, got 'two'"),
+    ("stability", {"scenario": "flat-disk-b4k2", "certificate": {"curvature_points": 2.5}},
+     "curvature_points must be an integer >= 1, got 2.5"),
+    ("stability", {"scenario": "flat-disk-b4k2", "certificate": {"hypothesis_margin": -1}},
+     "hypothesis_margin must be a number >= 0, got -1"),
+    ("stability", {"scenario": "flat-disk-b4k2", "certificate": {"seed": 7}},
+     "unknown certificate option(s): seed"),
+    ("flow", {"scenario": {"n": 3, "k": 2, "flow": {"amplitude": "big"}}},
+     "amplitude must be a number, got 'big'"),
+    ("flow", {"scenario": {"n": 3, "k": 2, "flow": {"amplitude": True}}},
+     "amplitude must be a number, got True"),
+    ("flow", {"scenario": {"n": 3, "k": 2, "flow": {"bogus": 1}}},
+     "flow spec must be an object of ['amplitude', 'initial', 'nr', 'ntheta'], got {'bogus': 1}"),
+    ("flow", {"scenario": {"n": 3, "k": 2, "flow": "bump"}},
+     "flow spec must be an object of ['amplitude', 'initial', 'nr', 'ntheta'], got 'bump'"),
+    ("convexity", {"scenario": "flat-disk-b4k2", "convexity": {"samples": "x"}},
+     "samples must be an integer >= 1, got 'x'"),
+    ("convexity", {"scenario": "flat-disk-b4k2", "convexity": {"samples": 0}},
+     "samples must be an integer >= 1, got 0"),
 ], ids=["field-parameter", "domain-parameter", "immersion-parameter", "flow-odd-ntheta",
         "domain-kind", "immersion-kind", "field-name", "expected-not-object",
         "expected-no-value", "expected-tol", "curvature-points-zero", "seed-not-integer",
@@ -388,16 +413,21 @@ _POLYNOMIAL_B4 = {"n": 4, "k": 2, "field": {"name": "polynomial", "terms": [[0.1
         "paraboloid-with-boundary-string", "flow-max-iter-string", "flow-max-iter-float",
         "flow-max-backtracks-negative", "flow-boundary-rate-zero", "flow-dt-negative",
         "flow-dt-string", "flow-tol-negative", "flow-boundary-tol-string",
-        "flow-volume-slack-list"])
+        "flow-volume-slack-list", "certify-tol-string", "convexity-samples-string",
+        "certificate-p-string", "curvature-points-float", "hypothesis-margin-negative",
+        "certificate-seed", "flow-amplitude-string", "flow-amplitude-bool",
+        "flow-spec-unknown-key", "flow-spec-string", "convexity-block-samples-string",
+        "convexity-block-samples-zero"])
 def test_cli_catalog_errors_exit_2(verb, doc, message, tmp_path, capsys):
     """A catalog entry missing a parameter or its kind, a catalog parameter
     of the wrong type, a scenario that is neither a registry name nor an
     object, a malformed expected value, a seed that is not an integer >= 0, an inline scenario's n, k or
     p, a node or curvature sample count that is not a positive integer, a
     radius that is not positive, a ``with_boundary`` that is not a JSON
-    boolean, a flow option of the wrong type or sign, or a flow grid the
-    solver cannot use, is a configuration error naming the key or the
-    value."""
+    boolean, a flow or certificate option of the wrong type or sign, a
+    ``seed`` in the certificate block, a flow spec that is not an object of
+    its keys, a convexity sample count below 1, or a flow grid the solver
+    cannot use, is a configuration error naming the key or the value."""
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(doc))
     assert cli.main([verb, "--config", str(cfg)]) == 2
@@ -414,6 +444,36 @@ def test_cli_rejects_flags_the_verb_ignores(argv, capsys):
         cli.main(argv)
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("config_class, option", [
+    (config_class, f.name) for config_class in (fl.FlowConfig, var.CertificateConfig)
+    for f in dataclasses.fields(config_class)])
+def test_every_config_option_is_checked(config_class, option):
+    """A string for any option of ``FlowConfig`` or ``CertificateConfig``
+    raises ``ConfigError`` naming the option, so no option skips its check."""
+    with pytest.raises(ConfigError, match=f"^{option} must be .*, got 'x'$"):
+        config_class(**{option: "x"})
+
+
+def test_cli_seed_has_one_source(tmp_path):
+    """``--seed`` and the top-level ``seed`` set the certificate's seed alike;
+    the certificate block refuses one, so it cannot override ``--seed``."""
+    scenario = {"name": "inline-linear", "n": 4, "k": 2,
+                "field": {"name": "linear", "a": [0.3, -0.2, 0.1, 0.05]}}
+    cfg = tmp_path / "cfg.json"
+
+    def curvature_min(doc, argv):
+        cfg.write_text(json.dumps({"scenario": scenario,
+                                   "certificate": {"convexity_samples": 64}, **doc}))
+        assert cli.main(["stability", "--config", str(cfg), "--out", str(tmp_path)] + argv) == 0
+        return json.loads((tmp_path / "stability-inline-linear.json").read_text())["curvature_min"]
+
+    seed_1 = curvature_min({}, ["--seed", "1"])
+    assert curvature_min({"seed": 1}, []) == seed_1
+    assert curvature_min({}, ["--seed", "7"]) != seed_1
+    cfg.write_text(json.dumps({"scenario": scenario, "certificate": {"seed": 7}}))
+    assert cli.main(["stability", "--config", str(cfg), "--seed", "1"]) == 2
 
 
 def test_cli_inline_scenario(tmp_path):

@@ -107,6 +107,8 @@ def _cmd_verify(args) -> int:
     cfg = _load_config(args.config)
     seed = _seed(args, cfg)
     suites = [args.suite] if args.suite else cfg.get("suites", list(sc.SUITE_NAMES))
+    if not (isinstance(suites, list) and all(isinstance(name, str) for name in suites)):
+        raise ConfigError(f"suites must be a list of suite names, got {suites!r}")
     result = sc.run_suite(tuple(suites), seed, _quadrature(cfg))
     fmt = args.format
     data = sc.emit_report(result, fmt)

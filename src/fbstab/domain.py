@@ -16,15 +16,19 @@ polish is an upper bound, not a certified global minimum.  Both metrics
 share the sweep and run one polish search each, in lockstep; a search ends
 once a whole round of its trials is flat to the acceptance gain
 ``POLISH_GAIN``, and at the latest after ``POLISH_ROUNDS`` rounds.
+
+Sobol points come from ``Sobol``, bit for bit scipy's scrambled Sobol
+engine, so that importing the package never loads ``scipy.stats``.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
-from scipy.stats import qmc
+import scipy
 from scipy.special import ndtri
 
 from .errors import ConfigError, DomainError, ProjectionError, integer, number, required
@@ -41,6 +45,8 @@ POLISH_GAIN = 1e-12
 POLISH_ROUNDS = 40
 POLISH_DIRS = 64
 POLISH_CAP = 0.25
+# bits per Sobol coordinate, the default of scipy's Sobol engine
+SOBOL_BITS = 30
 
 
 @dataclass(frozen=True)
@@ -196,6 +202,70 @@ def _ray_search(domain: LevelSetDomain, d: Array) -> Array:
     raise ProjectionError("ray search did not converge in 60 steps")
 
 
+@functools.cache
+def _sobol_numbers() -> tuple[Array, Array]:
+    """Joe–Kuo primitive polynomials and initial direction numbers, read
+    from the table scipy ships, so that ``scipy.stats`` is never imported."""
+    with np.load(Path(scipy.__file__).parent / "stats" / "_sobol_direction_numbers.npz") as table:
+        return table["poly"], table["vinit"]
+
+
+@functools.cache
+def _sobol_directions(d: int) -> Array:
+    """(d, SOBOL_BITS) direction words by the Bratley–Fox recurrence, word j
+    left-aligned to bit SOBOL_BITS - 1 - j."""
+    poly, vinit = _sobol_numbers()
+    v = np.ones((d, SOBOL_BITS), dtype=np.int64)
+    for i in range(1, d):
+        p = int(poly[i])
+        m = p.bit_length() - 1
+        row = [int(x) for x in vinit[i, :m]]
+        for j in range(m, SOBOL_BITS):
+            new = row[j - m]
+            for k in range(1, m + 1):
+                if (p >> (m - k)) & 1:
+                    new ^= row[j - k] << k
+            row.append(new)
+        v[i] = row
+    v <<= np.arange(SOBOL_BITS - 1, -1, -1)
+    v.flags.writeable = False
+    return v
+
+
+class Sobol:
+    """Scrambled Sobol points in [0, 1)^d, bit for bit those of scipy's
+    ``Sobol(d=d, scramble=True, seed=seed)`` engine: Matoušek's
+    linear matrix scramble and a digital shift, drawn from
+    ``np.random.default_rng(seed)`` in scipy's order.  Successive ``random``
+    calls continue one sequence, point i being point i - 1 XOR the scrambled
+    direction word of the lowest set bit of i."""
+
+    def __init__(self, d: int, seed: int):
+        rng = np.random.default_rng(seed)
+        place = np.arange(SOBOL_BITS - 1, -1, -1).astype(np.uint32)
+        shift = rng.integers(0, 2, size=(d, SOBOL_BITS), dtype=np.uint32) @ (1 << place[::-1])
+        lower = np.tril(rng.integers(0, 2, size=(d, SOBOL_BITS, SOBOL_BITS), dtype=np.uint32))
+        lower[:, range(SOBOL_BITS), range(SOBOL_BITS)] = 1
+        # bit b of a word sits at index SOBOL_BITS - 1 - b of its bit vector
+        bits = (_sobol_directions(d)[:, :, None] >> place).astype(np.uint32) & 1
+        scrambled = np.einsum("dpk,djk->djp", lower, bits) & 1
+        # row 0 steps from nothing to point 0, row c + 1 XORs bit c in
+        self._steps = np.vstack([shift, (scrambled @ (1 << place)).T])
+        self._count = 0
+        self._last = np.zeros(d, dtype=np.uint32)
+
+    def random(self, n: int) -> Array:
+        """The next n >= 1 points, (n, d)."""
+        i = np.arange(self._count, self._count + n)
+        # frexp(i & -i)[1] is one more than the lowest set bit of i, 0 for i = 0
+        words = np.take(self._steps, np.frexp(i & -i)[1], axis=0)
+        words[0] ^= self._last
+        np.bitwise_xor.accumulate(words, axis=0, out=words)
+        self._count += n
+        self._last = words[-1].copy()
+        return words * 2.0**-SOBOL_BITS
+
+
 def sample_boundary(domain: LevelSetDomain, count: int = 2048, seed: int = 0) -> Array:
     """Deterministic boundary sweep of ``max(count, 2n)`` points: axis and
     Sobol rays from the origin (``_sweep_directions``), all searched at once
@@ -211,8 +281,7 @@ def _sweep_directions(n: int, count: int, seed: int) -> Array:
     dirs = np.stack([np.eye(n), -np.eye(n)], axis=1).reshape(2 * n, n)
     if count > len(dirs):
         need = count - len(dirs)
-        sob = qmc.Sobol(d=n, scramble=True, seed=seed)
-        uu = sob.random(1 << int(np.ceil(np.log2(need))))[:need]
+        uu = Sobol(n, seed).random(1 << int(np.ceil(np.log2(need))))[:need]
         zz = ndtri(np.clip(uu, 1e-12, 1.0 - 1e-12))
         norms = np.linalg.norm(zz, axis=1)
         norms[norms == 0.0] = 1.0
@@ -226,7 +295,7 @@ def _sweep_directions(n: int, count: int, seed: int) -> Array:
 def _polish_pattern(n: int) -> tuple[Array, Array]:
     """The polish's Sobol pattern in n-1 chart coordinates and its quadratic
     fit, built once per dimension and read-only."""
-    pattern = ndtri(qmc.Sobol(d=n - 1, scramble=True, seed=0).random(POLISH_DIRS))
+    pattern = ndtri(Sobol(n - 1, 0).random(POLISH_DIRS))
     squares = np.einsum("mi,mj->mij", pattern, pattern).reshape(POLISH_DIRS, -1)
     fit = np.linalg.pinv(np.column_stack([np.ones(POLISH_DIRS), pattern, squares]))
     pattern.flags.writeable = fit.flags.writeable = False

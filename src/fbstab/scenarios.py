@@ -36,6 +36,9 @@ SUITE_NAMES = ("identities", "traces", "bounds", "certificate", "flow")
 QUADRATURE_KEYS = ("nr", "ntheta", "nphi", "nodes_per_axis")
 # keys a scenario's flow spec may set (``flow_grid_for``)
 FLOW_KEYS = {"initial", "amplitude", "nr", "ntheta"}
+# keys a scenario's ``expected`` may set: the report values ``fbstab
+# stability`` compares, and the two the suites read
+EXPECTED_KEYS = ("traced_total", "bound_lhs", "bound_rhs", "verdict", "fb_defect", "margin_p1")
 
 
 @dataclass(frozen=True)
@@ -63,6 +66,9 @@ class Scenario:
         if not isinstance(self.expected, dict):
             raise ConfigError(f"scenario {self.name}: 'expected' must be a JSON object")
         for key, spec in self.expected.items():
+            if key not in EXPECTED_KEYS:
+                raise ConfigError(f"scenario {self.name}: unknown expected key {key!r}; "
+                                  f"choose from {list(EXPECTED_KEYS)}")
             if not (isinstance(spec, dict) and isinstance(spec.get("value"), (int, float, str))
                     and isinstance(spec.get("tol", 0.0), (int, float))):
                 raise ConfigError(f"scenario {self.name}: expected {key!r} must be an object with "

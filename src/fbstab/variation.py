@@ -38,10 +38,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import qmc
 
 from . import conformal
-from .domain import LevelSetDomain, convexity_report
+from .domain import LevelSetDomain, Sobol, convexity_report
 from .errors import ConfigError, DimensionError, PreconditionError, integer, number
 from .fields import ConformalMetric
 from .submanifold import NormalField, SampledImmersion, projected_field
@@ -438,7 +437,7 @@ class StabilityReport:
 
 
 def _sample_domain_interior(domain: LevelSetDomain, count: int, seed: int) -> Array:
-    sob = qmc.Sobol(d=domain.n, scramble=True, seed=seed)
+    sob = Sobol(domain.n, seed)
     R = domain.bounding_radius
     pts = np.zeros((0, domain.n))
     attempts = 0

@@ -1,5 +1,11 @@
 """Level-set boundary geometry: projections, shape operators, convexity."""
 
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.special import ndtri
@@ -362,13 +368,13 @@ def test_polish_pattern_is_built_once_per_dimension(monkeypatch):
     dm._sweep_directions.cache_clear()
     first = dm.convexity_report(ell, field, p=2, count=256, seed=0)
     dims = []
-    sobol = dm.qmc.Sobol
+    sobol = dm.Sobol
 
-    def counted(*args, **kwargs):
-        dims.append(kwargs["d"])
-        return sobol(*args, **kwargs)
+    def counted(d, seed):
+        dims.append(d)
+        return sobol(d, seed)
 
-    monkeypatch.setattr(dm.qmc, "Sobol", counted)
+    monkeypatch.setattr(dm, "Sobol", counted)
     second = dm.convexity_report(ell, field, p=2, count=256, seed=0)
     assert dims == []
     assert second.to_dict() == first.to_dict()
@@ -379,6 +385,50 @@ def test_polish_pattern_is_built_once_per_dimension(monkeypatch):
     assert not pattern.flags.writeable and not fit.flags.writeable
     directions = dm._sweep_directions(4, 256, 0)
     assert directions.shape == (256, 4) and not directions.flags.writeable
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_sobol_is_scipys_scrambled_sobol(d):
+    """The generator's points are bit for bit those of scipy's scrambled
+    Sobol engine for the same dimension and seed, at every size of a first
+    draw and over consecutive draws from one engine."""
+    with warnings.catch_warnings():
+        # scipy warns that a first draw of 1000 points breaks the balance
+        warnings.simplefilter("ignore", UserWarning)
+        for seed in (0, 1, 5, 42):
+            for count in (1, 64, 1000, 32768):
+                ours = dm.Sobol(d, seed).random(count)
+                assert ours.shape == (count, d) and ours.flags.c_contiguous
+                assert np.array_equal(ours, qmc.Sobol(d=d, scramble=True, seed=seed).random(count))
+            ours, theirs = dm.Sobol(d, seed), qmc.Sobol(d=d, scramble=True, seed=seed)
+            for count in (32768, 32768, 100):
+                assert np.array_equal(ours.random(count), theirs.random(count))
+
+
+def test_cli_and_certificate_never_import_scipy_stats():
+    """A fresh process imports ``fbstab.cli`` and certifies with a linear
+    exponent, which draws Sobol points inside the domain, without loading
+    ``scipy.stats``."""
+    script = """
+import sys
+import fbstab.cli
+from fbstab import domain, submanifold, variation
+from fbstab.fields import ConformalMetric, make_field
+imm = submanifold.make_immersion("equatorial-disk", n=4, k=2, nr=8, ntheta=16)
+metric = ConformalMetric(make_field("linear", a=[0.1, 0.0, 0.2, 0.0]), 4)
+calls = []
+draw = domain.Sobol.random
+domain.Sobol.random = lambda self, count: calls.append(count) or draw(self, count)
+variation.instability_certificate(imm, metric, domain.make_domain("ball", 4))
+assert calls, "the certificate drew no interior points"
+print(sorted(name for name in sys.modules if name.startswith("scipy.stats")))
+"""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def poly_field(n):

@@ -399,6 +399,10 @@ _POLYNOMIAL_B4 = {"n": 4, "k": 2, "field": {"name": "polynomial", "terms": [[0.1
      "samples must be an integer >= 1, got 'x'"),
     ("convexity", {"scenario": "flat-disk-b4k2", "convexity": {"samples": 0}},
      "samples must be an integer >= 1, got 0"),
+    ("verify", {"suites": "flow"}, "suites must be a list of suite names, got 'flow'"),
+    ("verify", {"suites": ["flow", 3]}, "suites must be a list of suite names, got ['flow', 3]"),
+    ("stability", {"scenario": {"n": 4, "k": 2, "expected": {"traced_totl": {"value": 1.0}}}},
+     "scenario inline: unknown expected key 'traced_totl'"),
 ], ids=["field-parameter", "domain-parameter", "immersion-parameter", "flow-odd-ntheta",
         "domain-kind", "immersion-kind", "field-name", "expected-not-object",
         "expected-no-value", "expected-tol", "curvature-points-zero", "seed-not-integer",
@@ -417,7 +421,8 @@ _POLYNOMIAL_B4 = {"n": 4, "k": 2, "field": {"name": "polynomial", "terms": [[0.1
         "certificate-p-string", "curvature-points-float", "hypothesis-margin-negative",
         "certificate-seed", "flow-amplitude-string", "flow-amplitude-bool",
         "flow-spec-unknown-key", "flow-spec-string", "convexity-block-samples-string",
-        "convexity-block-samples-zero"])
+        "convexity-block-samples-zero", "verify-suites-string", "verify-suites-number",
+        "expected-unknown-key"])
 def test_cli_catalog_errors_exit_2(verb, doc, message, tmp_path, capsys):
     """A catalog entry missing a parameter or its kind, a catalog parameter
     of the wrong type, a scenario that is neither a registry name nor an
@@ -426,8 +431,10 @@ def test_cli_catalog_errors_exit_2(verb, doc, message, tmp_path, capsys):
     radius that is not positive, a ``with_boundary`` that is not a JSON
     boolean, a flow or certificate option of the wrong type or sign, a
     ``seed`` in the certificate block, a flow spec that is not an object of
-    its keys, a convexity sample count below 1, or a flow grid the solver
-    cannot use, is a configuration error naming the key or the value."""
+    its keys, a convexity sample count below 1, a flow grid the solver
+    cannot use, ``suites`` that are not a list of names, or an ``expected``
+    key that nothing reads, is a configuration error naming the key or the
+    value."""
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(doc))
     assert cli.main([verb, "--config", str(cfg)]) == 2

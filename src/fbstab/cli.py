@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import inspect
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -109,6 +110,8 @@ def _cmd_verify(args) -> int:
     suites = [args.suite] if args.suite else cfg.get("suites", list(sc.SUITE_NAMES))
     if not (isinstance(suites, list) and all(isinstance(name, str) for name in suites)):
         raise ConfigError(f"suites must be a list of suite names, got {suites!r}")
+    if not suites:
+        raise ConfigError("suites must name at least one suite, got []")
     result = sc.run_suite(tuple(suites), seed, _quadrature(cfg))
     fmt = args.format
     data = sc.emit_report(result, fmt)
@@ -119,19 +122,28 @@ def _cmd_verify(args) -> int:
     return 0 if result.all_passed else 1
 
 
-def _expected_failures(report_dict: dict, expected: dict) -> list[str]:
+def _stability_values(report_dict: dict) -> dict:
+    """The report value each ``expected`` key names in ``fbstab stability``;
+    ``margin_p1`` is read by ``fbstab convexity`` alone."""
+    defect = report_dict["residuals"]["free_boundary"]
+    return {
+        "traced_total": report_dict["traced_total"],
+        "bound_lhs": report_dict["traced_interior"],
+        "bound_rhs": report_dict["bound_rhs"],
+        "verdict": report_dict["verdict"],
+        # the report writes an infinite defect (no boundary samples) as null
+        "fb_defect": math.inf if defect is None else defect,
+    }
+
+
+def _expected_failures(values: dict, expected: dict) -> list[str]:
+    """The misses of the ``expected`` keys that ``values`` holds."""
     failures = []
     for key, spec in expected.items():
-        want = spec["value"]
-        tol = spec.get("tol", 1e-9)
-        have = {
-            "traced_total": report_dict.get("traced_total"),
-            "bound_lhs": report_dict.get("traced_interior"),
-            "bound_rhs": report_dict.get("bound_rhs"),
-            "verdict": report_dict.get("verdict"),
-        }.get(key)
-        if have is None:
+        if key not in values:
             continue
+        want, have = spec["value"], values[key]
+        tol = spec.get("tol", 1e-9)
         if isinstance(want, str):
             if have != want:
                 failures.append(f"{key}: got {have!r}, want {want!r}")
@@ -155,7 +167,11 @@ def _cmd_stability(args) -> int:
           f"traced total = {report.traced_total:.8e}")
     for item in report.failed_hypotheses:
         print(f"  failed hypothesis: {item}")
-    failures = _expected_failures(doc, scenario.expected)
+    values = _stability_values(doc)
+    for key in scenario.expected:
+        if key not in values:
+            print(f"  not checked: expected {key} is not a stability report value")
+    failures = _expected_failures(values, scenario.expected)
     for f in failures:
         print(f"  assertion failed: {f}")
     return 1 if failures else 0

@@ -17,19 +17,22 @@ share the sweep and run one polish search each, in lockstep; a search ends
 once a whole round of its trials is flat to the acceptance gain
 ``POLISH_GAIN``, and at the latest after ``POLISH_ROUNDS`` rounds.
 
-Sobol points come from ``Sobol``, bit for bit scipy's scrambled Sobol
-engine, so that importing the package never loads ``scipy.stats``.
+Sweep rays and the polish pattern are scrambled Sobol points mapped through
+the normal quantile.  Both are numpy ports, bit for bit scipy's:
+``Sobol`` is its scrambled Sobol engine and ``ndtri`` its Cephes normal
+quantile, so that no scipy module is loaded.  The Joe–Kuo direction numbers
+are read from the table file scipy ships, found without importing scipy.
 """
 
 from __future__ import annotations
 
 import functools
+import importlib.util
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-import scipy
-from scipy.special import ndtri
 
 from .errors import ConfigError, DomainError, ProjectionError, integer, number, required
 from .fields import ConformalMetric, ScalarField, make_field
@@ -47,6 +50,34 @@ POLISH_DIRS = 64
 POLISH_CAP = 0.25
 # bits per Sobol coordinate, the default of scipy's Sobol engine
 SOBOL_BITS = 30
+# Cephes ``ndtri`` (Moshier): numerator and monic denominator coefficients,
+# highest power first, of the centre branch (in (y - 1/2)^2, for
+# e^-2 < y < 1 - e^-2) and of the tail branches (in 1/r, r = sqrt(-2 log y),
+# one for r < 8 and one beyond)
+NDTRI_EXP_M2 = 0.13533528323661269189
+NDTRI_CENTRE = (
+    (-5.99633501014107895267E1, 9.80010754185999661536E1, -5.66762857469070293439E1,
+     1.39312609387279679503E1, -1.23916583867381258016E0),
+    (1.95448858338141759834E0, 4.67627912898881538453E0, 8.63602421390890590575E1,
+     -2.25462687854119370527E2, 2.00260212380060660359E2, -8.20372256168333339912E1,
+     1.59056225126211695515E1, -1.18331621121330003142E0),
+)
+NDTRI_NEAR = (
+    (4.05544892305962419923E0, 3.15251094599893866154E1, 5.71628192246421288162E1,
+     4.40805073893200834700E1, 1.46849561928858024014E1, 2.18663306850790267539E0,
+     -1.40256079171354495875E-1, -3.50424626827848203418E-2, -8.57456785154685413611E-4),
+    (1.57799883256466749731E1, 4.53907635128879210584E1, 4.13172038254672030440E1,
+     1.50425385692907503408E1, 2.50464946208309415979E0, -1.42182922854787788574E-1,
+     -3.80806407691578277194E-2, -9.33259480895457427372E-4),
+)
+NDTRI_FAR = (
+    (3.23774891776946035970E0, 6.91522889068984211695E0, 3.93881025292474443415E0,
+     1.33303460815807542389E0, 2.01485389549179081538E-1, 1.23716634817820021358E-2,
+     3.01581553508235416007E-4, 2.65806974686737550832E-6, 6.23974539184983293730E-9),
+    (6.02427039364742014255E0, 3.67983563856160859403E0, 1.37702099489081330271E0,
+     2.16236993594496635890E-1, 1.34204006088543189037E-2, 3.28014464682127739104E-4,
+     2.89247864745380683936E-6, 6.79019408009981274425E-9),
+)
 
 
 @dataclass(frozen=True)
@@ -205,8 +236,9 @@ def _ray_search(domain: LevelSetDomain, d: Array) -> Array:
 @functools.cache
 def _sobol_numbers() -> tuple[Array, Array]:
     """Joe–Kuo primitive polynomials and initial direction numbers, read
-    from the table scipy ships, so that ``scipy.stats`` is never imported."""
-    with np.load(Path(scipy.__file__).parent / "stats" / "_sobol_direction_numbers.npz") as table:
+    from the table scipy ships, which is found without importing scipy."""
+    scipy_dir = Path(importlib.util.find_spec("scipy").origin).parent
+    with np.load(scipy_dir / "stats" / "_sobol_direction_numbers.npz") as table:
         return table["poly"], table["vinit"]
 
 
@@ -264,6 +296,43 @@ class Sobol:
         self._count += n
         self._last = words[-1].copy()
         return words * 2.0**-SOBOL_BITS
+
+
+def _rational(x: Array, coeffs) -> Array:
+    """Cephes' ``x * polevl(x, num) / p1evl(x, den)``, Horner in its order."""
+    num, den = coeffs
+    top, bottom = np.full_like(x, num[0]), x + den[0]
+    for c in num[1:]:
+        top = top * x + c
+    for c in den[1:]:
+        bottom = bottom * x + c
+    return x * top / bottom
+
+
+def ndtri(y) -> Array:
+    """The standard normal quantile, bit for bit ``scipy.special.ndtri``:
+    Cephes' three rational branches, with the tail's two logarithms taken
+    by ``math.log`` (the C library's, which scipy calls; numpy's vectorised
+    log differs in the last bit).  0 maps to -inf, 1 to +inf, and anything
+    outside [0, 1] or NaN to NaN, without a warning."""
+    y = np.asarray(y, dtype=float)
+    x = np.full(y.shape, np.nan)
+    x[y == 0.0] = -np.inf
+    x[y == 1.0] = np.inf
+    upper = y > 1.0 - NDTRI_EXP_M2
+    t = np.where(upper, 1.0 - y, y)
+    inside = (y > 0.0) & (y < 1.0)
+    centre = inside & (t > NDTRI_EXP_M2)
+    c = t[centre] - 0.5
+    # times Cephes' sqrt(2 pi)
+    x[centre] = (c + c * _rational(c * c, NDTRI_CENTRE)) * 2.50662827463100050242
+    tail = inside & ~centre
+    r = np.sqrt(-2.0 * np.array([math.log(v) for v in t[tail]]))
+    z = 1.0 / r
+    fit = np.where(r < 8.0, _rational(z, NDTRI_NEAR), _rational(z, NDTRI_FAR))
+    q = r - np.array([math.log(v) for v in r]) / r - fit
+    x[tail] = np.where(upper[tail], q, -q)
+    return x
 
 
 def sample_boundary(domain: LevelSetDomain, count: int = 2048, seed: int = 0) -> Array:

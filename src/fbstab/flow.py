@@ -63,8 +63,6 @@ from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
-from scipy.linalg import block_diag
-from scipy.linalg.lapack import dgesv
 
 from .domain import LevelSetDomain, outward_normal, project_to_boundary
 from .errors import ConfigError, StepFailureError, integer, number
@@ -127,12 +125,16 @@ def grid_operators(nr: int, ntheta: int) -> GridOperators:
     Dt, Dt2 = (np.fft.irfft(spec * mult, n=ntheta).T
                for mult in (np.where(m < mmax, 1j * m, 0.0), -(m**2.0)))
     blocks = np.fft.irfft(spec * (m <= keep[:, None, None]), n=ntheta)
+    # the filter is block-diagonal, ring i's block at (i, i)
+    lowpass = np.zeros((nr + 1, ntheta, nr + 1, ntheta))
+    ring = np.arange(nr + 1)
+    lowpass[ring, :, ring, :] = np.swapaxes(blocks, 1, 2)
     ops = GridOperators(
         rs, wr, D, D2, Dt, Dt2, np.vstack([D, D2]), np.stack([Dt, Dt2])[:, None],
         np.repeat(wr, ntheta) * (2.0 * np.pi / ntheta),
         np.stack([np.kron(D[:nr], It), np.kron(D2[:nr], It), np.kron(Ir[:nr], Dt),
                   np.kron(Ir[:nr], Dt2), np.kron(D[:nr], Dt)], axis=1),
-        block_diag(*np.swapaxes(blocks, 1, 2)), float(1.0 / np.max((keep / rs) ** 2)))
+        lowpass.reshape((nr + 1) * ntheta, -1), float(1.0 / np.max((keep / rs) ** 2)))
     for a in (ops.rs, ops.wr, ops.D, ops.D2, ops.Dt, ops.Dt2, ops.radial, ops.angular, ops.ws,
               ops.chart, ops.lowpass):
         a.flags.writeable = False
@@ -341,6 +343,15 @@ def flow_state(grid: PolarGrid, metric: ConformalMetric, domain: LevelSetDomain,
     return FlowState(grid, measure, dt, 0, vol, res, defect, ((res, defect, vol, 0.0, 0),))
 
 
+@cache
+def _gesv():
+    """LAPACK's ``dgesv``, imported at the first implicit solve, so that
+    importing the package loads no scipy module.  numpy's ``solve`` is
+    slower at the flow's sizes and differs from it at round-off."""
+    from scipy.linalg.lapack import dgesv
+    return dgesv
+
+
 def flow_step(state: FlowState, metric: ConformalMetric, domain: LevelSetDomain,
               config: FlowConfig | None = None) -> FlowState:
     """One linearly implicit step with boundary re-projection and volume
@@ -367,7 +378,7 @@ def flow_step(state: FlowState, metric: ConformalMetric, domain: LevelSetDomain,
         # S = I - dt E L_II in LAPACK's column order, which dgesv overwrites
         S = np.multiply(EL_II, -dt, order="F")
         S.flat[:: m + 1] += 1.0
-        *_, V, info = dgesv(S, interior + dt * EL_rim, overwrite_a=1, overwrite_b=1)
+        *_, V, info = _gesv()(S, interior + dt * EL_rim, overwrite_a=1, overwrite_b=1)
         if info > 0:
             raise StepFailureError(
                 f"singular implicit system at iteration {state.iteration}, dt = {dt:.6e}")

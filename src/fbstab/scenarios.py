@@ -69,10 +69,11 @@ class Scenario:
             if key not in EXPECTED_KEYS:
                 raise ConfigError(f"scenario {self.name}: unknown expected key {key!r}; "
                                   f"choose from {list(EXPECTED_KEYS)}")
-            if not (isinstance(spec, dict) and isinstance(spec.get("value"), (int, float, str))
+            kind, noun = (str, "string") if key == "verdict" else ((int, float), "number")
+            if not (isinstance(spec, dict) and isinstance(spec.get("value"), kind)
                     and isinstance(spec.get("tol", 0.0), (int, float))):
                 raise ConfigError(f"scenario {self.name}: expected {key!r} must be an object with "
-                                  "a number or string 'value' and an optional number 'tol'")
+                                  f"a {noun} 'value' and an optional number 'tol'")
 
 
 @dataclass(frozen=True)

@@ -405,10 +405,45 @@ def test_sobol_is_scipys_scrambled_sobol(d):
                 assert np.array_equal(ours.random(count), theirs.random(count))
 
 
-def test_cli_and_certificate_never_import_scipy_stats():
-    """A fresh process imports ``fbstab.cli`` and certifies with a linear
-    exponent, which draws Sobol points inside the domain, without loading
-    ``scipy.stats``."""
+def test_ndtri_is_scipys_ndtri():
+    """The numpy normal quantile is bit for bit scipy's on uniform points,
+    on both deep tails, across the centre/tail switches at e^-2 and
+    1 - e^-2 and the tail's r = 8 switch at e^-32, and at the edges."""
+    rng = np.random.default_rng(20260)
+    switch = np.exp(-2.0)
+    y = np.concatenate([
+        rng.random(1_000_000),
+        10.0 ** rng.uniform(-300.0, -8.0, 100_000),
+        1.0 - 10.0 ** rng.uniform(-16.0, -8.0, 100_000),
+        switch + np.arange(-2000, 2000) * 2.0**-55,
+        (1.0 - switch) + np.arange(-2000, 2000) * 2.0**-53,
+        np.exp(-32.0) * (1.0 + np.linspace(-1e-3, 1e-3, 10_001)),
+        np.linspace(1e-12, 1.0 - 1e-12, 100_001),
+        [5e-324, np.nextafter(1.0, 0.0), 0.5],
+    ])
+    assert np.array_equal(dm.ndtri(y), ndtri(y))
+    edges = np.array([0.0, 1.0, -0.5, 1.5, np.nan])
+    assert np.array_equal(dm.ndtri(edges), [-np.inf, np.inf, np.nan, np.nan, np.nan],
+                          equal_nan=True)
+    assert np.array_equal(dm.ndtri(edges), ndtri(edges), equal_nan=True)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_sweep_and_polish_directions_are_scipys(n):
+    """The sweep's rays at the registry sweep sizes and the polish pattern
+    equal those rebuilt by scipy's Sobol engine and ``ndtri``."""
+    for count in (64, 256, 512, 1024, 2048):
+        for seed in (0, 1, 42):
+            assert np.array_equal(dm._sweep_directions(n, count, seed),
+                                  oracles.sweep_directions_scipy(n, count, seed))
+    if n >= 3:
+        assert np.array_equal(dm._polish_pattern(n)[0], oracles.polish_pattern_scipy(n))
+
+
+def test_cli_certificate_and_convexity_never_import_scipy():
+    """A fresh process imports ``fbstab.cli``, certifies with a linear
+    exponent, which draws Sobol points inside the domain, and reports the
+    convexity of an ellipsoid, without loading any scipy module."""
     script = """
 import sys
 import fbstab.cli
@@ -421,7 +456,9 @@ draw = domain.Sobol.random
 domain.Sobol.random = lambda self, count: calls.append(count) or draw(self, count)
 variation.instability_certificate(imm, metric, domain.make_domain("ball", 4))
 assert calls, "the certificate drew no interior points"
-print(sorted(name for name in sys.modules if name.startswith("scipy.stats")))
+ellipsoid = domain.make_domain("ellipsoid", 3, semi_axes=[2.0, 1.0, 1.0])
+domain.convexity_report(ellipsoid, make_field("radial-spherical"), 1, count=256, seed=3)
+print(sorted(name for name in sys.modules if name == "scipy" or name.startswith("scipy.")))
 """
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}

@@ -5,6 +5,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from scipy.linalg import block_diag
 
 import oracles
 from fbstab import domain as dm
@@ -266,6 +267,15 @@ def test_grids_of_one_shape_share_read_only_operators():
         array = getattr(ops, name)
         with pytest.raises(ValueError, match="read-only"):
             array[(0,) * array.ndim] = 1.0
+
+
+def test_lowpass_is_the_block_diagonal_of_its_ring_filters():
+    """The filter holds ring i's block at (i, i) and +0.0 everywhere else:
+    bit for bit ``scipy.linalg.block_diag`` of its diagonal blocks."""
+    for nr, nt in ((6, 16), (8, 24)):
+        lowpass = fl.grid_operators(nr, nt).lowpass
+        blocks = [lowpass[i * nt:(i + 1) * nt, i * nt:(i + 1) * nt] for i in range(nr + 1)]
+        assert np.array_equal(lowpass.view(np.int64), block_diag(*blocks).view(np.int64))
 
 
 def test_singular_implicit_system_raises_typed_error(monkeypatch):

@@ -401,8 +401,13 @@ _POLYNOMIAL_B4 = {"n": 4, "k": 2, "field": {"name": "polynomial", "terms": [[0.1
      "samples must be an integer >= 1, got 0"),
     ("verify", {"suites": "flow"}, "suites must be a list of suite names, got 'flow'"),
     ("verify", {"suites": ["flow", 3]}, "suites must be a list of suite names, got ['flow', 3]"),
+    ("verify", {"suites": []}, "suites must name at least one suite, got []"),
     ("stability", {"scenario": {"n": 4, "k": 2, "expected": {"traced_totl": {"value": 1.0}}}},
      "scenario inline: unknown expected key 'traced_totl'"),
+    ("stability", {"scenario": {"n": 4, "k": 2, "expected": {"verdict": {"value": 1.0}}}},
+     "scenario inline: expected 'verdict' must be an object with a string 'value'"),
+    ("stability", {"scenario": {"n": 4, "k": 2, "expected": {"fb_defect": {"value": "small"}}}},
+     "scenario inline: expected 'fb_defect' must be an object with a number 'value'"),
 ], ids=["field-parameter", "domain-parameter", "immersion-parameter", "flow-odd-ntheta",
         "domain-kind", "immersion-kind", "field-name", "expected-not-object",
         "expected-no-value", "expected-tol", "curvature-points-zero", "seed-not-integer",
@@ -422,7 +427,8 @@ _POLYNOMIAL_B4 = {"n": 4, "k": 2, "field": {"name": "polynomial", "terms": [[0.1
         "certificate-seed", "flow-amplitude-string", "flow-amplitude-bool",
         "flow-spec-unknown-key", "flow-spec-string", "convexity-block-samples-string",
         "convexity-block-samples-zero", "verify-suites-string", "verify-suites-number",
-        "expected-unknown-key"])
+        "verify-suites-empty", "expected-unknown-key", "expected-verdict-number",
+        "expected-defect-string"])
 def test_cli_catalog_errors_exit_2(verb, doc, message, tmp_path, capsys):
     """A catalog entry missing a parameter or its kind, a catalog parameter
     of the wrong type, a scenario that is neither a registry name nor an
@@ -432,7 +438,7 @@ def test_cli_catalog_errors_exit_2(verb, doc, message, tmp_path, capsys):
     boolean, a flow or certificate option of the wrong type or sign, a
     ``seed`` in the certificate block, a flow spec that is not an object of
     its keys, a convexity sample count below 1, a flow grid the solver
-    cannot use, ``suites`` that are not a list of names, or an ``expected``
+    cannot use, ``suites`` that are not a non-empty list of names, or an ``expected``
     key that nothing reads, is a configuration error naming the key or the
     value."""
     cfg = tmp_path / "cfg.json"
@@ -512,6 +518,27 @@ def test_cli_expected_value_without_tol(tmp_path, capsys):
     }))
     assert cli.main(["stability", "--config", str(cfg)]) == 1
     assert "traced_total: got" in capsys.readouterr().out
+
+
+def test_cli_stability_compares_fb_defect_and_names_unread_keys(tmp_path, capsys):
+    """``fb_defect`` is compared with the report's free-boundary defect, and
+    a key ``fbstab stability`` does not read is named as not checked."""
+    cfg = tmp_path / "cfg.json"
+
+    def run(expected):
+        cfg.write_text(json.dumps({
+            "scenario": {"name": "inline-flat", "n": 4, "k": 2,
+                         "immersion": {"kind": "equatorial-disk", "nr": 8, "ntheta": 16},
+                         "expected": expected},
+            "certificate": {"curvature_points": 500, "convexity_samples": 64},
+        }))
+        return cli.main(["stability", "--config", str(cfg)]), capsys.readouterr().out
+
+    rc, out = run({"fb_defect": {"value": 123.0}})
+    assert rc == 1 and "assertion failed: fb_defect: got" in out
+    rc, out = run({"fb_defect": {"value": 0.0, "tol": 1e-9}, "margin_p1": {"value": 0.25}})
+    assert rc == 0 and "assertion failed" not in out
+    assert "not checked: expected margin_p1" in out
 
 
 def test_cli_stability_takes_p_from_the_scenario(tmp_path):

@@ -190,6 +190,11 @@ def _cmd_convexity(args) -> int:
     print(f"scenario {scenario.name}: p={p} margin_g={report.margin_g:.6e} "
           f"margin_gtilde={report.margin_gtilde:.6e} gate={doc['gate']} "
           "polish_rounds={}/{}".format(*report.polish_rounds))
+    for key in scenario.expected:
+        if key != "margin_p1":
+            print(f"  not checked: expected {key} is not a convexity report value")
+        elif p != 1:
+            print(f"  not checked: expected margin_p1 needs --p 1, got p={p}")
     exp = scenario.expected.get("margin_p1")
     if exp and p == 1:
         tol = args.tol if args.tol is not None else exp.get("tol", 1e-9)

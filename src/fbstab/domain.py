@@ -12,7 +12,9 @@ on |phi|, which would leave points about 1e-13 off the root.
 
 A margin is a minimum over sampled boundary points, so it can only
 overestimate the true minimum: a sweep refined by a deterministic local
-polish is an upper bound, not a certified global minimum.  Both metrics
+polish is an upper bound, not a certified global minimum.  The exception is
+a radial domain with a radial exponent, whose margins are the same at every
+boundary point: ``radial_margins`` reads them exactly at one.  Both metrics
 share the sweep and run one polish search each, in lockstep; a search ends
 once a whole round of its trials is flat to the acceptance gain
 ``POLISH_GAIN``, and at the latest after ``POLISH_ROUNDS`` rounds.
@@ -454,6 +456,23 @@ def convexity_report(domain: LevelSetDomain, field: ScalarField, p: int,
                            worst_point_g=worst_g, worst_point_gtilde=worst_gt,
                            nu_u_range=(float(np.min(-eta_u)), float(np.max(-eta_u))),
                            n_samples=len(pts), polish_rounds=(rounds_g, rounds_gt))
+
+
+def radial_margins(domain: LevelSetDomain, field: ScalarField, p: int) -> tuple[float, float]:
+    """Exact p-convexity margins ``(margin_g, margin_gtilde)`` of a radial
+    domain (``domain.phi.radial``) for a radial exponent (``field.radial``).
+    Every ray from the origin meets the boundary at one radius and rotations
+    about the origin fix phi and u, so both curvature sums are the same at
+    every boundary point; they are read at the one point on the ray +e_1,
+    the sweep's first ray, by the sweep's kernels and so bit for bit its
+    sample 0."""
+    if not 1 <= p <= domain.n - 1:
+        raise ConfigError(f"need 1 <= p <= n-1, got p={p}")
+    d = np.eye(domain.n)[:1]
+    x = project_to_boundary(domain, _ray_search(domain, d)[:, None] * d)
+    kappa, nhat = _curvatures_and_normals(domain, x)
+    kappa_gt = _rescaled(field, x, nhat, kappa)[0]
+    return float(np.sum(kappa[:, :p], axis=1)[0]), float(np.sum(kappa_gt[:, :p], axis=1)[0])
 
 
 MARGIN_SLACK = 1e-9

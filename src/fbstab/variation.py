@@ -31,6 +31,12 @@ not assumed.  The rescaled densities have two routes, Euclidean data plus a
 transformation law and direct evaluation with the conformal connection and
 curvature; their agreement is a test obligation, and Q(X, X) takes the
 direct route.
+
+The certificate's hypotheses are exact where symmetry allows: for a radial
+exponent the curvature minimum is a 1-d minimum along one ray, and on a
+radial domain with a radial exponent the convexity margins are read at one
+boundary point.  Otherwise both are sampled bounds, and the failure text
+names which.
 """
 
 from __future__ import annotations
@@ -40,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import conformal
-from .domain import LevelSetDomain, Sobol, convexity_report
+from .domain import LevelSetDomain, Sobol, convexity_report, radial_margins
 from .errors import ConfigError, DimensionError, PreconditionError, integer, number
 from .fields import ConformalMetric
 from .submanifold import NormalField, SampledImmersion, projected_field
@@ -361,7 +367,7 @@ class CertificateConfig:
     free_boundary_tol: float = 1e-6
     hypothesis_margin: float = 1e-9
     curvature_points: int = 10_000       # Sobol points; non-radial exponents only
-    convexity_samples: int = 1024
+    convexity_samples: int = 1024        # sweep rays; non-radial domains or exponents only
     seed: int = 0
 
     def __post_init__(self):
@@ -467,7 +473,13 @@ def instability_certificate(imm: SampledImmersion, metric: ConformalMetric,
     the closure's radii [0, ``domain.bounding_radius``] for a radial exponent
     (``ScalarField.radial``; every catalog domain is star-shaped about the
     origin), and otherwise a sampled bound at ``curvature_points`` interior
-    Sobol points.  It is computed first, as it needs no immersion data.
+    Sobol points.  It is computed first, as it needs no immersion data.  The
+    convexity margins are exact (``radial_margins``, at one boundary point)
+    when both the domain's level-set function and the exponent are radial,
+    and otherwise the sampled upper bounds of ``convexity_report`` over
+    ``convexity_samples`` rays.  Each failed hypothesis names its kind:
+    ``radial-1d`` or ``sampled`` curvature, ``radial-exact`` or ``sampled``
+    margin.
     """
     cfg = config or CertificateConfig()
     k, n = imm.k, imm.n
@@ -507,12 +519,17 @@ def instability_certificate(imm: SampledImmersion, metric: ConformalMetric,
     if curv_min < -cfg.hypothesis_margin:
         failed.append(f"curvature: {curv_kind} min {curv_min:.3e} < 0")
 
-    convexity = convexity_report(domain, metric.field, p, cfg.convexity_samples, cfg.seed)
-    margin_g, margin_gt = convexity.margin_g, convexity.margin_gtilde
+    if domain.phi.radial and u.radial:
+        conv_kind = "radial-exact"
+        margin_g, margin_gt = radial_margins(domain, u, p)
+    else:
+        conv_kind = "sampled"
+        convexity = convexity_report(domain, u, p, cfg.convexity_samples, cfg.seed)
+        margin_g, margin_gt = convexity.margin_g, convexity.margin_gtilde
     if margin_g < -cfg.hypothesis_margin:
-        failed.append(f"convexity (euclidean): margin {margin_g:.3e} < 0")
+        failed.append(f"convexity (euclidean): {conv_kind} margin {margin_g:.3e} < 0")
     if margin_gt < -cfg.hypothesis_margin:
-        failed.append(f"convexity (rescaled): margin {margin_gt:.3e} < 0")
+        failed.append(f"convexity (rescaled): {conv_kind} margin {margin_gt:.3e} < 0")
 
     strict = []
     if curv_min > cfg.hypothesis_margin:

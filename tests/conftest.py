@@ -121,3 +121,13 @@ def cap_b5k3():
 @pytest.fixture(scope="session")
 def custom_b4():
     return sc.build_scenario("radial-custom-disk-b4")
+
+
+@pytest.fixture(scope="session")
+def ellipsoid_disk_b4():
+    """The unit equatorial 2-disk in a domain that is not a ball, with a
+    radial exponent: its rim lies on the boundary, as the first two semi-axes
+    are 1, but the certificate's convexity margins are swept."""
+    return sc.Scenario(name="ellipsoid-disk-b4", n=4, k=2,
+                       domain_spec={"kind": "ellipsoid", "semi_axes": [1.0, 1.0, 0.8, 0.7]},
+                       field_spec={"name": "radial-spherical"})

@@ -217,8 +217,12 @@ def test_cli_convexity_fails_a_nan_margin(monkeypatch, capsys, tmp_path):
     assert "assertion failed: margin_p1" in capsys.readouterr().out
 
 
-def test_one_boundary_sweep_per_certificate_and_convexity_verb(monkeypatch, tmp_path):
-    """Both margins, the exterior slope range and the gate come from one sweep."""
+def test_one_boundary_sweep_per_certificate_and_convexity_verb(monkeypatch, tmp_path,
+                                                               ellipsoid_disk_b4):
+    """A certificate on a ball with a radial exponent reads its margins at one
+    point and sweeps nothing; on another domain both margins come from one
+    sweep.  The convexity verb's margins, exterior slope range and gate come
+    from one sweep."""
     from fbstab import domain as dm, variation as var
 
     sweeps = []
@@ -232,6 +236,9 @@ def test_one_boundary_sweep_per_certificate_and_convexity_verb(monkeypatch, tmp_
     built = sc.build_scenario("cap-disk-b4k2")
     report = var.instability_certificate(built.immersion, built.metric, built.domain)
     assert report.verdict == "unstable-certified"
+    assert len(sweeps) == 0
+    built = sc.build_scenario(ellipsoid_disk_b4)
+    var.instability_certificate(built.immersion, built.metric, built.domain)
     assert len(sweeps) == 1
     sweeps.clear()
     assert cli.main(["convexity", "--scenario", "cap-disk-b4k2", "--out", str(tmp_path)]) == 0
@@ -539,6 +546,27 @@ def test_cli_stability_compares_fb_defect_and_names_unread_keys(tmp_path, capsys
     rc, out = run({"fb_defect": {"value": 0.0, "tol": 1e-9}, "margin_p1": {"value": 0.25}})
     assert rc == 0 and "assertion failed" not in out
     assert "not checked: expected margin_p1" in out
+
+
+def test_cli_convexity_names_unread_keys(tmp_path, capsys):
+    """``fbstab convexity`` reads ``margin_p1`` at p = 1 only; at another p,
+    and for any other key, it says the expectation was not checked."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "scenario": {"name": "inline-flat", "n": 4, "k": 2,
+                     "immersion": {"kind": "equatorial-disk", "nr": 8, "ntheta": 16},
+                     "expected": {"margin_p1": {"value": 123.0},
+                                  "traced_total": {"value": -25.0}}},
+        "convexity": {"samples": 64},
+    }))
+    argv = ["convexity", "--config", str(cfg), "--out", str(tmp_path)]
+    assert cli.main(argv + ["--p", "2"]) == 0
+    out = capsys.readouterr().out
+    assert "not checked: expected margin_p1 needs --p 1, got p=2" in out
+    assert "not checked: expected traced_total is not a convexity report value" in out
+    assert cli.main(argv + ["--p", "1"]) == 1
+    out = capsys.readouterr().out
+    assert "assertion failed: margin_p1" in out and "not checked: expected margin_p1" not in out
 
 
 def test_cli_stability_takes_p_from_the_scenario(tmp_path):

@@ -627,6 +627,60 @@ def test_q_of_the_rescaled_constants_sums_to_the_traced_total(name):
     assert abs(total - rep.traced_total) <= 1e-12 * abs(rep.traced_total)
 
 
+@pytest.mark.parametrize("name", CERTIFIED)
+def test_radial_margins_match_closed_forms_and_the_sweep(name):
+    """On a ball of radius R with a radial exponent the certificate's margins
+    are p/R and p e^{-u} (1/R - eta(u)) at R e_1, eta(u) read from the
+    field's gradient; they are the sweep's sums at its sample 0 bit for bit,
+    the sampled margins lie at or below them, and a rotated boundary point
+    gives the same sums."""
+    built = sc.build_scenario(name)
+    dom, field, n = built.domain, built.metric.field, built.scenario.n
+    assert dom.phi.radial and field.radial  # every registry certificate is a radial disk
+    cfg = var.CertificateConfig(p=built.scenario.p)
+    p, R = cfg.p or n - built.scenario.k, built.scenario.domain_spec["radius"]
+    margin_g, margin_gt = dm.radial_margins(dom, field, p)
+    rep = var.instability_certificate(built.immersion, built.metric, dom, cfg)
+    assert (rep.margin_g, rep.margin_gtilde) == (margin_g, margin_gt)
+    x = R * np.eye(n)[0]
+    eta_u = -field.gradient(x)[0]
+    assert abs(margin_g - p / R) <= 1e-14
+    assert abs(margin_gt - p * np.exp(-field.value(x)) * (1.0 / R - eta_u)) <= 1e-14
+
+    def sums(pts):
+        kappa, nhat = dm._curvatures_and_normals(dom, pts)
+        kappa_gt = dm._rescaled(field, pts, nhat, kappa)[0]
+        return np.sum(kappa[:, :p], axis=1), np.sum(kappa_gt[:, :p], axis=1)
+
+    sweep_g, sweep_gt = sums(dm.sample_boundary(dom, cfg.convexity_samples, cfg.seed))
+    assert (sweep_g[0], sweep_gt[0]) == (margin_g, margin_gt)
+    sampled = dm.convexity_report(dom, field, p, cfg.convexity_samples, cfg.seed)
+    assert sampled.margin_g <= margin_g + 1e-13
+    assert sampled.margin_gtilde <= margin_gt + 1e-13
+    q = np.linalg.qr(np.random.default_rng(33).normal(size=(n, n)))[0][:, 0]
+    rotated_g, rotated_gt = sums(R * q[None])
+    assert abs(rotated_g[0] - margin_g) <= 1e-14
+    assert abs(rotated_gt[0] - margin_gt) <= 1e-14
+
+
+def test_failed_convexity_names_its_kind(ellipsoid_disk_b4):
+    """u = -|x|^2 on the unit ball in R^4 gives the rescaled margin
+    2 e^{1} (1 - 2) = -2e at every boundary point, read exactly; on a domain
+    that is not a ball the failure names the sampled margin."""
+    imm = sub.make_immersion("equatorial-disk", n=4, k=2)
+    metric = ConformalMetric(make_field("radial-custom", coeffs=[0.0, -1.0]), 4)
+    rep = var.instability_certificate(imm, metric, dm.make_domain("ball", 4))
+    assert abs(rep.margin_gtilde + 2.0 * np.e) <= 1e-14 * 2.0 * np.e
+    assert rep.failed_hypotheses == (
+        f"convexity (rescaled): radial-exact margin {rep.margin_gtilde:.3e} < 0",)
+    assert rep.verdict == "inconclusive"
+    built = sc.build_scenario(ellipsoid_disk_b4)
+    rep = var.instability_certificate(built.immersion, built.metric, built.domain)
+    assert rep.failed_hypotheses == (
+        f"convexity (rescaled): sampled margin {rep.margin_gtilde:.3e} < 0",)
+    assert rep.verdict == "inconclusive"
+
+
 def test_certificate_builds_the_rescaled_constants_once(monkeypatch):
     """The certificate reads the rescaled constants through the public traces;
     the immersion's record builds them once per metric, read-only."""
@@ -650,13 +704,15 @@ def test_certificate_builds_the_rescaled_constants_once(monkeypatch):
     assert not any(a.flags.writeable for a in vars(X).values())
 
 
-@pytest.mark.parametrize("name", ["flat-disk-b5k3", "cap-disk-b4k2"])
-def test_cold_certificate_runs_no_per_sample_lapack(name, monkeypatch):
+@pytest.mark.parametrize("name", ["flat-disk-b5k3", "cap-disk-b4k2", "ellipsoid-disk-b4"])
+def test_cold_certificate_runs_no_per_sample_lapack(name, monkeypatch, ellipsoid_disk_b4):
     """A cold build and certificate calls ``det`` nowhere and ``eigvalsh``
-    only on the sweep's principal-curvature blocks, the polish's single
-    (n-1) x (n-1) model Hessian and the single companion matrix of each
-    Gauss-Legendre rule: no eigensolve of a Gram stack or of the curvature
-    operator along the radial axis.  The boundary form is built by matrix
+    only on principal-curvature blocks and on the single companion matrix of
+    each Gauss-Legendre rule: no eigensolve of a Gram stack or of the
+    curvature operator along the radial axis.  On a ball with a radial
+    exponent the curvature blocks are the single one at the margins' point;
+    on another domain they are the sweep's, plus the polish's single
+    (n-1) x (n-1) model Hessian.  The boundary form is built by matrix
     products, with no ``einsum`` inside it."""
     calls = []
 
@@ -671,18 +727,20 @@ def test_cold_certificate_runs_no_per_sample_lapack(name, monkeypatch):
     monkeypatch.setattr(np, "einsum", counted(np.einsum))
     monkeypatch.setattr(sub, "domain_boundary_form", counted(dm.boundary_form))
     sub._leggauss.cache_clear()
-    built = sc.build_scenario(name)
+    built = sc.build_scenario(ellipsoid_disk_b4 if name == ellipsoid_disk_b4.name else name)
     var.instability_certificate(built.immersion, built.metric, built.domain)
     n = built.scenario.n
+    radial = built.domain.phi.radial and built.metric.field.radial
     lapack = [(caller.co_name, shape) for routine, caller, shape in calls
               if routine in ("eigvalsh", "det")]
-    assert {caller for caller, _ in lapack} == {
-        "_curvatures_and_normals", "_pattern_search", "leggauss"}
+    assert {caller for caller, _ in lapack} == (
+        {"_curvatures_and_normals", "leggauss"} if radial
+        else {"_curvatures_and_normals", "_pattern_search", "leggauss"})
     for caller, shape in lapack:
         if caller == "_pattern_search":
             assert shape == (n - 1, n - 1)
         elif caller == "_curvatures_and_normals":
-            assert shape[1:] == (n - 1, n - 1)
+            assert shape == (1, n - 1, n - 1) if radial else shape[1:] == (n - 1, n - 1)
         else:
             assert len(shape) == 2
     assert [routine for routine, _, _ in calls].count("boundary_form") == 1

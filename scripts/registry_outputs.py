@@ -2,8 +2,9 @@
 """Write the registry's outputs to one deterministic JSON, for diffing two builds.
 
 The document holds, for every registry scenario, the instability
-certificate's report at seeds 0-2 (an error as its message), Q(X, X) on the
-projected canonical constants E_l^perp of every scenario with boundary
+certificate's report at seeds 0-2 (an error as its message), the convexity
+report at seeds 0-2 (p the scenario's p, else n - k, over 1024 rays), Q(X, X)
+on the projected canonical constants E_l^perp of every scenario with boundary
 samples, for every flow scenario the ``fbstab flow`` document (iterations,
 residual, defect, volume) and its residual history, and the report of
 ``fbstab verify --seed 42``.  Floats are written to the last bit, so two
@@ -11,8 +12,8 @@ checkouts agree on every output exactly when their files are identical: run
 the script in each and ``diff`` the two files.  Prints one line per
 certificate and flow; use --out to keep the JSON.  With --diff OTHER.json
 it also compares this checkout's outputs with another's: the identical and
-moved counts per section (a certificate, a Q value, a flow run or a verify
-check is one item), the largest relative and absolute moves of every float
+moved counts per section (a certificate, a convexity report, a Q value, a
+flow run or a verify check is one item), the largest relative and absolute moves of every float
 key and every change that is not a float moving.
 
 Examples:
@@ -27,6 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
+from fbstab import domain as dm
 from fbstab import flow as fl
 from fbstab import scenarios as sc
 from fbstab import variation as var
@@ -37,30 +39,39 @@ VERIFY_SEED = 42
 # the package's typed errors; an error is an output like any value
 ERRORS = (ConfigError, GeometryError)
 HISTORY = ("residual", "defect", "volume", "dt", "backtracks")
+CONVEXITY_RAYS = 1024
 
 
 def _error(exc: Exception) -> dict:
     return {"error": f"{type(exc).__name__}: {exc}"}
 
 
-def scenario_outputs(name: str) -> tuple[dict, dict | None]:
-    """``(certificates by seed, Q(E_l^perp) by l or None without boundary
-    samples)`` of one registry scenario."""
+def scenario_outputs(name: str) -> tuple[dict, dict, dict | None]:
+    """``(certificates by seed, convexity reports by seed, Q(E_l^perp) by l
+    or None without boundary samples)`` of one registry scenario."""
     try:
         built = sc.build_scenario(name)
     except ERRORS as exc:
-        return {str(seed): _error(exc) for seed in SEEDS}, None
+        return ({str(seed): _error(exc) for seed in SEEDS},
+                {str(seed): _error(exc) for seed in SEEDS}, None)
     imm, metric, domain = built.immersion, built.metric, built.domain
-    certificates = {}
+    scenario = built.scenario
+    certificates, convexity = {}, {}
     for seed in SEEDS:
-        config = var.CertificateConfig(seed=seed, p=built.scenario.p)
+        config = var.CertificateConfig(seed=seed, p=scenario.p)
         try:
             certificates[str(seed)] = var.instability_certificate(
                 imm, metric, domain, config).to_dict()
         except ERRORS as exc:
             certificates[str(seed)] = _error(exc)
+        try:
+            convexity[str(seed)] = dm.convexity_report(
+                domain, metric.field, scenario.p or scenario.n - scenario.k,
+                CONVEXITY_RAYS, seed).to_dict()
+        except ERRORS as exc:
+            convexity[str(seed)] = _error(exc)
     if not imm.n_boundary:
-        return certificates, None
+        return certificates, convexity, None
     values = {}
     for l, E in enumerate(np.eye(imm.n)):
         try:
@@ -68,7 +79,7 @@ def scenario_outputs(name: str) -> tuple[dict, dict | None]:
             values[str(l)] = var.second_variation(imm, metric, X, domain).value
         except ERRORS as exc:
             values[str(l)] = _error(exc)
-    return certificates, values
+    return certificates, convexity, values
 
 
 def flow_outputs(name: str) -> dict:
@@ -157,10 +168,11 @@ def main():
                         help="compare the outputs with another checkout's document")
     args = parser.parse_args()
 
-    doc = {"certificates": {}, "second_variation": {}, "flow": {}}
+    doc = {"certificates": {}, "convexity": {}, "second_variation": {}, "flow": {}}
     for name in args.scenario or sorted(sc.SCENARIOS):
-        certificates, values = scenario_outputs(name)
+        certificates, convexity, values = scenario_outputs(name)
         doc["certificates"][name] = certificates
+        doc["convexity"][name] = convexity
         if values is not None:
             doc["second_variation"][name] = values
         for seed, report in certificates.items():

@@ -14,25 +14,21 @@ A margin is a minimum over sampled boundary points, so it can only
 overestimate the true minimum: a sweep refined by a deterministic local
 polish is an upper bound, not a certified global minimum.  The exception is
 a radial domain with a radial exponent, whose margins are the same at every
-boundary point: ``radial_margins`` reads them exactly at one.  Both metrics
-share the sweep and run one polish search each, in lockstep; a search ends
-once a whole round of its trials is flat to the acceptance gain
+boundary point: ``convexity_report`` reads them exactly at one.  Both
+metrics share the sweep and run one polish search each, in lockstep; a
+search ends once a whole round of its trials is flat to the acceptance gain
 ``POLISH_GAIN``, and at the latest after ``POLISH_ROUNDS`` rounds.
 
-Sweep rays and the polish pattern are scrambled Sobol points mapped through
-the normal quantile.  Both are numpy ports, bit for bit scipy's:
-``Sobol`` is its scrambled Sobol engine and ``ndtri`` its Cephes normal
-quantile, so that no scipy module is loaded.  The Joe–Kuo direction numbers
-are read from the table file scipy ships, found without importing scipy.
+Sweep rays and the polish pattern are Gaussian points: the Box-Muller map
+(``gaussian``) of a seeded Kronecker sequence (``kronecker``), which also
+gives the interior points of a sampled curvature bound.  The same seed
+gives the same points, and no scipy module is loaded.
 """
 
 from __future__ import annotations
 
 import functools
-import importlib.util
-import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -46,40 +42,10 @@ GRAD_FLOOR = 1e-10
 # by more than this, relative to max(1, |margin|): a round-off gain on a
 # domain where every point ties would move the worst point arbitrarily
 POLISH_GAIN = 1e-12
-# pattern search: most rounds, Sobol offsets per round and their first scale
+# pattern search: most rounds, Gaussian offsets per round and their first scale
 POLISH_ROUNDS = 40
 POLISH_DIRS = 64
 POLISH_CAP = 0.25
-# bits per Sobol coordinate, the default of scipy's Sobol engine
-SOBOL_BITS = 30
-# Cephes ``ndtri`` (Moshier): numerator and monic denominator coefficients,
-# highest power first, of the centre branch (in (y - 1/2)^2, for
-# e^-2 < y < 1 - e^-2) and of the tail branches (in 1/r, r = sqrt(-2 log y),
-# one for r < 8 and one beyond)
-NDTRI_EXP_M2 = 0.13533528323661269189
-NDTRI_CENTRE = (
-    (-5.99633501014107895267E1, 9.80010754185999661536E1, -5.66762857469070293439E1,
-     1.39312609387279679503E1, -1.23916583867381258016E0),
-    (1.95448858338141759834E0, 4.67627912898881538453E0, 8.63602421390890590575E1,
-     -2.25462687854119370527E2, 2.00260212380060660359E2, -8.20372256168333339912E1,
-     1.59056225126211695515E1, -1.18331621121330003142E0),
-)
-NDTRI_NEAR = (
-    (4.05544892305962419923E0, 3.15251094599893866154E1, 5.71628192246421288162E1,
-     4.40805073893200834700E1, 1.46849561928858024014E1, 2.18663306850790267539E0,
-     -1.40256079171354495875E-1, -3.50424626827848203418E-2, -8.57456785154685413611E-4),
-    (1.57799883256466749731E1, 4.53907635128879210584E1, 4.13172038254672030440E1,
-     1.50425385692907503408E1, 2.50464946208309415979E0, -1.42182922854787788574E-1,
-     -3.80806407691578277194E-2, -9.33259480895457427372E-4),
-)
-NDTRI_FAR = (
-    (3.23774891776946035970E0, 6.91522889068984211695E0, 3.93881025292474443415E0,
-     1.33303460815807542389E0, 2.01485389549179081538E-1, 1.23716634817820021358E-2,
-     3.01581553508235416007E-4, 2.65806974686737550832E-6, 6.23974539184983293730E-9),
-    (6.02427039364742014255E0, 3.67983563856160859403E0, 1.37702099489081330271E0,
-     2.16236993594496635890E-1, 1.34204006088543189037E-2, 3.28014464682127739104E-4,
-     2.89247864745380683936E-6, 6.79019408009981274425E-9),
-)
 
 
 @dataclass(frozen=True)
@@ -94,13 +60,15 @@ class LevelSetDomain:
 
 @dataclass(frozen=True)
 class ConvexityReport:
-    """Sampled p-convexity margins of the boundary in both metrics.
+    """p-convexity margins of the boundary in both metrics.
 
-    ``margin`` entries are minima over sampled boundary points of the sum of
-    the p smallest shape-operator eigenvalues (inward-normal convention).
-    ``nu_u_range`` is the (min, max) of the exterior normal derivative of u.
-    ``polish_rounds`` counts the rounds each polish search ran (Euclidean,
-    rescaled), at most ``POLISH_ROUNDS``.
+    ``margin`` entries are minima over the ``n_samples`` boundary points of
+    the sum of the p smallest shape-operator eigenvalues (inward-normal
+    convention): exact on the ``radial-exact`` route, sampled upper bounds
+    on the ``sampled`` one.  ``nu_u_range`` is the (min, max) of the
+    exterior normal derivative of u.  ``polish_rounds`` counts the rounds
+    each polish search ran (Euclidean, rescaled), at most ``POLISH_ROUNDS``
+    and 0 on the ``radial-exact`` route.
     """
 
     p: int
@@ -111,6 +79,7 @@ class ConvexityReport:
     nu_u_range: tuple[float, float]
     n_samples: int
     polish_rounds: tuple[int, int]
+    route: str
 
     def to_dict(self) -> dict:
         return {
@@ -125,6 +94,7 @@ class ConvexityReport:
             "n_samples": self.n_samples,
             "polish_rounds_g": self.polish_rounds[0],
             "polish_rounds_gtilde": self.polish_rounds[1],
+            "route": self.route,
         }
 
 
@@ -235,111 +205,33 @@ def _ray_search(domain: LevelSetDomain, d: Array) -> Array:
     raise ProjectionError("ray search did not converge in 60 steps")
 
 
-@functools.cache
-def _sobol_numbers() -> tuple[Array, Array]:
-    """Joe–Kuo primitive polynomials and initial direction numbers, read
-    from the table scipy ships, which is found without importing scipy."""
-    scipy_dir = Path(importlib.util.find_spec("scipy").origin).parent
-    with np.load(scipy_dir / "stats" / "_sobol_direction_numbers.npz") as table:
-        return table["poly"], table["vinit"]
+def kronecker(d: int, count: int, seed: int, start: int = 0) -> Array:
+    """Points ``start .. start + count - 1`` of a seeded Kronecker sequence in
+    [0, 1)^d (Roberts' R_d): point i is the fractional part of s + i alpha,
+    alpha_j = g^-j for g the positive root of x^(d+1) = x + 1, and the shift
+    s drawn from ``np.random.default_rng(seed)``.  A point depends on its
+    index alone, so a draw from ``start`` is the tail of a longer one."""
+    g = 2.0
+    for _ in range(64):  # the fixed point g = (1 + g)^(1/(d+1)) contracts
+        g = (1.0 + g) ** (1.0 / (d + 1))
+    alpha = g ** -np.arange(1.0, d + 1)
+    i = np.arange(start, start + count, dtype=float)[:, None]
+    return (np.random.default_rng(seed).random(d) + i * alpha) % 1.0
 
 
-@functools.cache
-def _sobol_directions(d: int) -> Array:
-    """(d, SOBOL_BITS) direction words by the Bratley–Fox recurrence, word j
-    left-aligned to bit SOBOL_BITS - 1 - j."""
-    poly, vinit = _sobol_numbers()
-    v = np.ones((d, SOBOL_BITS), dtype=np.int64)
-    for i in range(1, d):
-        p = int(poly[i])
-        m = p.bit_length() - 1
-        row = [int(x) for x in vinit[i, :m]]
-        for j in range(m, SOBOL_BITS):
-            new = row[j - m]
-            for k in range(1, m + 1):
-                if (p >> (m - k)) & 1:
-                    new ^= row[j - k] << k
-            row.append(new)
-        v[i] = row
-    v <<= np.arange(SOBOL_BITS - 1, -1, -1)
-    v.flags.writeable = False
-    return v
-
-
-class Sobol:
-    """Scrambled Sobol points in [0, 1)^d, bit for bit those of scipy's
-    ``Sobol(d=d, scramble=True, seed=seed)`` engine: Matoušek's
-    linear matrix scramble and a digital shift, drawn from
-    ``np.random.default_rng(seed)`` in scipy's order.  Successive ``random``
-    calls continue one sequence, point i being point i - 1 XOR the scrambled
-    direction word of the lowest set bit of i."""
-
-    def __init__(self, d: int, seed: int):
-        rng = np.random.default_rng(seed)
-        place = np.arange(SOBOL_BITS - 1, -1, -1).astype(np.uint32)
-        shift = rng.integers(0, 2, size=(d, SOBOL_BITS), dtype=np.uint32) @ (1 << place[::-1])
-        lower = np.tril(rng.integers(0, 2, size=(d, SOBOL_BITS, SOBOL_BITS), dtype=np.uint32))
-        lower[:, range(SOBOL_BITS), range(SOBOL_BITS)] = 1
-        # bit b of a word sits at index SOBOL_BITS - 1 - b of its bit vector
-        bits = (_sobol_directions(d)[:, :, None] >> place).astype(np.uint32) & 1
-        scrambled = np.einsum("dpk,djk->djp", lower, bits) & 1
-        # row 0 steps from nothing to point 0, row c + 1 XORs bit c in
-        self._steps = np.vstack([shift, (scrambled @ (1 << place)).T])
-        self._count = 0
-        self._last = np.zeros(d, dtype=np.uint32)
-
-    def random(self, n: int) -> Array:
-        """The next n >= 1 points, (n, d)."""
-        i = np.arange(self._count, self._count + n)
-        # frexp(i & -i)[1] is one more than the lowest set bit of i, 0 for i = 0
-        words = np.take(self._steps, np.frexp(i & -i)[1], axis=0)
-        words[0] ^= self._last
-        np.bitwise_xor.accumulate(words, axis=0, out=words)
-        self._count += n
-        self._last = words[-1].copy()
-        return words * 2.0**-SOBOL_BITS
-
-
-def _rational(x: Array, coeffs) -> Array:
-    """Cephes' ``x * polevl(x, num) / p1evl(x, den)``, Horner in its order."""
-    num, den = coeffs
-    top, bottom = np.full_like(x, num[0]), x + den[0]
-    for c in num[1:]:
-        top = top * x + c
-    for c in den[1:]:
-        bottom = bottom * x + c
-    return x * top / bottom
-
-
-def ndtri(y) -> Array:
-    """The standard normal quantile, bit for bit ``scipy.special.ndtri``:
-    Cephes' three rational branches, with the tail's two logarithms taken
-    by ``math.log`` (the C library's, which scipy calls; numpy's vectorised
-    log differs in the last bit).  0 maps to -inf, 1 to +inf, and anything
-    outside [0, 1] or NaN to NaN, without a warning."""
-    y = np.asarray(y, dtype=float)
-    x = np.full(y.shape, np.nan)
-    x[y == 0.0] = -np.inf
-    x[y == 1.0] = np.inf
-    upper = y > 1.0 - NDTRI_EXP_M2
-    t = np.where(upper, 1.0 - y, y)
-    inside = (y > 0.0) & (y < 1.0)
-    centre = inside & (t > NDTRI_EXP_M2)
-    c = t[centre] - 0.5
-    # times Cephes' sqrt(2 pi)
-    x[centre] = (c + c * _rational(c * c, NDTRI_CENTRE)) * 2.50662827463100050242
-    tail = inside & ~centre
-    r = np.sqrt(-2.0 * np.array([math.log(v) for v in t[tail]]))
-    z = 1.0 / r
-    fit = np.where(r < 8.0, _rational(z, NDTRI_NEAR), _rational(z, NDTRI_FAR))
-    q = r - np.array([math.log(v) for v in r]) / r - fit
-    x[tail] = np.where(upper[tail], q, -q)
-    return x
+def gaussian(d: int, count: int, seed: int) -> Array:
+    """(count, d) standard normal points: the Box-Muller map of the
+    Kronecker points in 2 ceil(d/2) dimensions, one coordinate pair per
+    uniform pair."""
+    u = kronecker(2 * -(-d // 2), count, seed)
+    r = np.sqrt(-2.0 * np.log1p(-u[:, 0::2]))
+    angle = 2.0 * np.pi * u[:, 1::2]
+    return np.stack([r * np.cos(angle), r * np.sin(angle)], axis=-1).reshape(count, -1)[:, :d]
 
 
 def sample_boundary(domain: LevelSetDomain, count: int = 2048, seed: int = 0) -> Array:
     """Deterministic boundary sweep of ``max(count, 2n)`` points: axis and
-    Sobol rays from the origin (``_sweep_directions``), all searched at once
+    Gaussian rays from the origin (``_sweep_directions``), all searched at once
     by ``_ray_search`` and Newton-projected.  The domain must be star-shaped
     about an interior origin, as every catalog domain is."""
     d = _sweep_directions(domain.n, count, seed)
@@ -348,15 +240,10 @@ def sample_boundary(domain: LevelSetDomain, count: int = 2048, seed: int = 0) ->
 
 @functools.lru_cache(maxsize=32)
 def _sweep_directions(n: int, count: int, seed: int) -> Array:
-    """The sweep's unit rays: 2n signed axes, then scrambled Sobol points."""
+    """The sweep's unit rays: 2n signed axes, then Gaussian points."""
     dirs = np.stack([np.eye(n), -np.eye(n)], axis=1).reshape(2 * n, n)
     if count > len(dirs):
-        need = count - len(dirs)
-        uu = Sobol(n, seed).random(1 << int(np.ceil(np.log2(need))))[:need]
-        zz = ndtri(np.clip(uu, 1e-12, 1.0 - 1e-12))
-        norms = np.linalg.norm(zz, axis=1)
-        norms[norms == 0.0] = 1.0
-        dirs = np.concatenate([dirs, zz / norms[:, None]])
+        dirs = np.concatenate([dirs, gaussian(n, count - len(dirs), seed)])
     d = dirs / np.sqrt(np.vecdot(dirs, dirs))[:, None]
     d.flags.writeable = False
     return d
@@ -364,9 +251,9 @@ def _sweep_directions(n: int, count: int, seed: int) -> Array:
 
 @functools.cache
 def _polish_pattern(n: int) -> tuple[Array, Array]:
-    """The polish's Sobol pattern in n-1 chart coordinates and its quadratic
-    fit, built once per dimension and read-only."""
-    pattern = ndtri(Sobol(n - 1, 0).random(POLISH_DIRS))
+    """The polish's Gaussian pattern in n-1 chart coordinates and its
+    quadratic fit, built once per dimension and read-only."""
+    pattern = gaussian(n - 1, POLISH_DIRS, 0)
     squares = np.einsum("mi,mj->mij", pattern, pattern).reshape(POLISH_DIRS, -1)
     fit = np.linalg.pinv(np.column_stack([np.ones(POLISH_DIRS), pattern, squares]))
     pattern.flags.writeable = fit.flags.writeable = False
@@ -413,7 +300,7 @@ def _swept_margins(domain: LevelSetDomain, p: int, metrics, pts: Array,
     its curvatures ``kappas`` at the sweep ``pts``: the minimum of the sum of
     the p smallest, then a batched pattern search (Torczon 1997) in chart
     coordinates y on the tangent plane at the worst sweep direction.  Each
-    round a search tries a fixed Sobol pattern in a cap about y plus the
+    round a search tries a fixed Gaussian pattern in a cap about y plus the
     minimiser of a quadratic fitted to its last round, and moves only if its
     best trial beats the margin by ``POLISH_GAIN``; the cap halves unless a
     pattern trial was taken.  A search ends after ``POLISH_ROUNDS`` rounds, or
@@ -421,10 +308,7 @@ def _swept_margins(domain: LevelSetDomain, p: int, metrics, pts: Array,
     within ``POLISH_GAIN`` above its margin.  One search per metric, in
     lockstep: each round makes one projection and one eigensolve for the
     trials of the searches still live."""
-    n = domain.n
-    if not 1 <= p <= n - 1:
-        raise ConfigError(f"need 1 <= p <= n-1, got p={p}")
-    pattern, fit = _polish_pattern(n)
+    pattern, fit = _polish_pattern(domain.n)
     searches = [_pattern_search(p, pts, kappa, pattern, fit) for kappa in kappas]
     batches = [next(search) for search in searches]
     live = list(range(len(searches)))
@@ -443,36 +327,36 @@ def _swept_margins(domain: LevelSetDomain, p: int, metrics, pts: Array,
 def convexity_report(domain: LevelSetDomain, field: ScalarField, p: int,
                      count: int = 2048, seed: int = 0) -> ConvexityReport:
     """Margins in both the Euclidean and the rescaled metric, plus the
-    exterior normal derivative range of u, from one boundary sweep and one
-    eigensolve per point."""
-    pts = sample_boundary(domain, count, seed)
+    exterior normal derivative range of u, from one eigensolve per boundary
+    point.  On a radial domain (``domain.phi.radial``) with a radial exponent
+    (``field.radial``) every ray from the origin meets the boundary at one
+    radius and rotations about the origin fix phi and u, so both curvature
+    sums and eta(u) are the same at every boundary point: the report reads
+    them exactly at the one point on the ray +e_1, with no sweep and no
+    polish (route ``radial-exact``).  Otherwise it sweeps ``count`` rays and
+    polishes (route ``sampled``)."""
+    if not 1 <= p <= domain.n - 1:
+        raise ConfigError(f"need 1 <= p <= n-1, got p={p}")
+    radial = domain.phi.radial and field.radial
+    if radial:
+        d = np.eye(domain.n)[:1]
+        pts = project_to_boundary(domain, _ray_search(domain, d)[:, None] * d)
+    else:
+        pts = sample_boundary(domain, count, seed)
     kappa, nhat = _curvatures_and_normals(domain, pts)
     kappa_gt, eta_u = _rescaled(field, pts, nhat, kappa)
     kappas = [kappa, kappa_gt]
-    metrics = [None, ConformalMetric(field, domain.n)]
-    (margin_g, worst_g, rounds_g), (margin_gt, worst_gt, rounds_gt) = _swept_margins(
-        domain, p, metrics, pts, kappas)
+    if radial:
+        margins = [(float(np.sum(k[:, :p], axis=1)[0]), pts[0], 0) for k in kappas]
+    else:
+        margins = _swept_margins(domain, p, [None, ConformalMetric(field, domain.n)], pts,
+                                 kappas)
+    (margin_g, worst_g, rounds_g), (margin_gt, worst_gt, rounds_gt) = margins
     return ConvexityReport(p=p, margin_g=margin_g, margin_gtilde=margin_gt,
                            worst_point_g=worst_g, worst_point_gtilde=worst_gt,
                            nu_u_range=(float(np.min(-eta_u)), float(np.max(-eta_u))),
-                           n_samples=len(pts), polish_rounds=(rounds_g, rounds_gt))
-
-
-def radial_margins(domain: LevelSetDomain, field: ScalarField, p: int) -> tuple[float, float]:
-    """Exact p-convexity margins ``(margin_g, margin_gtilde)`` of a radial
-    domain (``domain.phi.radial``) for a radial exponent (``field.radial``).
-    Every ray from the origin meets the boundary at one radius and rotations
-    about the origin fix phi and u, so both curvature sums are the same at
-    every boundary point; they are read at the one point on the ray +e_1,
-    the sweep's first ray, by the sweep's kernels and so bit for bit its
-    sample 0."""
-    if not 1 <= p <= domain.n - 1:
-        raise ConfigError(f"need 1 <= p <= n-1, got p={p}")
-    d = np.eye(domain.n)[:1]
-    x = project_to_boundary(domain, _ray_search(domain, d)[:, None] * d)
-    kappa, nhat = _curvatures_and_normals(domain, x)
-    kappa_gt = _rescaled(field, x, nhat, kappa)[0]
-    return float(np.sum(kappa[:, :p], axis=1)[0]), float(np.sum(kappa_gt[:, :p], axis=1)[0])
+                           n_samples=len(pts), polish_rounds=(rounds_g, rounds_gt),
+                           route="radial-exact" if radial else "sampled")
 
 
 MARGIN_SLACK = 1e-9

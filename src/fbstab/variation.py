@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import conformal
-from .domain import LevelSetDomain, Sobol, convexity_report, radial_margins
+from .domain import LevelSetDomain, convexity_report, kronecker
 from .errors import ConfigError, DimensionError, PreconditionError, integer, number
 from .fields import ConformalMetric
 from .submanifold import NormalField, SampledImmersion, projected_field
@@ -366,7 +366,7 @@ class CertificateConfig:
     minimality_tol: float = 1e-6
     free_boundary_tol: float = 1e-6
     hypothesis_margin: float = 1e-9
-    curvature_points: int = 10_000       # Sobol points; non-radial exponents only
+    curvature_points: int = 10_000       # Kronecker points; non-radial exponents only
     convexity_samples: int = 1024        # sweep rays; non-radial domains or exponents only
     seed: int = 0
 
@@ -443,13 +443,12 @@ class StabilityReport:
 
 
 def _sample_domain_interior(domain: LevelSetDomain, count: int, seed: int) -> Array:
-    sob = Sobol(domain.n, seed)
     R = domain.bounding_radius
     pts = np.zeros((0, domain.n))
     attempts = 0
     draw = 1 << int(np.ceil(np.log2(max(count, 256) * 2)))
     while pts.shape[0] < count and attempts < 12:
-        raw = sob.random(draw) * (2 * R) - R
+        raw = kronecker(domain.n, draw, seed, start=attempts * draw) * (2 * R) - R
         inside = raw[domain.phi.value(raw) < 0.0]
         pts = np.vstack([pts, inside])
         attempts += 1
@@ -473,13 +472,13 @@ def instability_certificate(imm: SampledImmersion, metric: ConformalMetric,
     the closure's radii [0, ``domain.bounding_radius``] for a radial exponent
     (``ScalarField.radial``; every catalog domain is star-shaped about the
     origin), and otherwise a sampled bound at ``curvature_points`` interior
-    Sobol points.  It is computed first, as it needs no immersion data.  The
-    convexity margins are exact (``radial_margins``, at one boundary point)
-    when both the domain's level-set function and the exponent are radial,
-    and otherwise the sampled upper bounds of ``convexity_report`` over
+    Kronecker points.  It is computed first, as it needs no immersion data.
+    The convexity margins are those of ``convexity_report``: exact, at one
+    boundary point, when both the domain's level-set function and the
+    exponent are radial, and otherwise sampled upper bounds over
     ``convexity_samples`` rays.  Each failed hypothesis names its kind:
-    ``radial-1d`` or ``sampled`` curvature, ``radial-exact`` or ``sampled``
-    margin.
+    ``radial-1d`` or ``sampled`` curvature, the report's ``radial-exact`` or
+    ``sampled`` route for a margin.
     """
     cfg = config or CertificateConfig()
     k, n = imm.k, imm.n
@@ -519,17 +518,12 @@ def instability_certificate(imm: SampledImmersion, metric: ConformalMetric,
     if curv_min < -cfg.hypothesis_margin:
         failed.append(f"curvature: {curv_kind} min {curv_min:.3e} < 0")
 
-    if domain.phi.radial and u.radial:
-        conv_kind = "radial-exact"
-        margin_g, margin_gt = radial_margins(domain, u, p)
-    else:
-        conv_kind = "sampled"
-        convexity = convexity_report(domain, u, p, cfg.convexity_samples, cfg.seed)
-        margin_g, margin_gt = convexity.margin_g, convexity.margin_gtilde
+    convexity = convexity_report(domain, u, p, cfg.convexity_samples, cfg.seed)
+    margin_g, margin_gt = convexity.margin_g, convexity.margin_gtilde
     if margin_g < -cfg.hypothesis_margin:
-        failed.append(f"convexity (euclidean): {conv_kind} margin {margin_g:.3e} < 0")
+        failed.append(f"convexity (euclidean): {convexity.route} margin {margin_g:.3e} < 0")
     if margin_gt < -cfg.hypothesis_margin:
-        failed.append(f"convexity (rescaled): {conv_kind} margin {margin_gt:.3e} < 0")
+        failed.append(f"convexity (rescaled): {convexity.route} margin {margin_gt:.3e} < 0")
 
     strict = []
     if curv_min > cfg.hypothesis_margin:

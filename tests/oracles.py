@@ -13,8 +13,6 @@ These kinds live here:
   the tests hold the early-stopping polish, and the boundary sweep by 60
   bisection steps per ray, against whose roots they hold the safeguarded
   Newton sweep;
-* the sweep's unit rays and the polish pattern by scipy's Sobol engine and
-  ``ndtri``, which the package's numpy ports must reproduce bit for bit;
 * the flow's per-step routes before its grid operators were cached: chart
   derivatives by FFT and ``einsum``, the Laplace-Beltrami operator scattered
   by fancy indexing, the per-ring filter by ``rfft``, the Gram terms by
@@ -47,8 +45,6 @@ These kinds live here:
 """
 
 import numpy as np
-from scipy.special import ndtri
-from scipy.stats import qmc
 
 from types import SimpleNamespace
 
@@ -291,7 +287,7 @@ def convexity_margins_fixed_rounds(domain: dm.LevelSetDomain, field: ScalarField
     kappa, nhat = dm._curvatures_and_normals(domain, pts)
     metrics = [None, ConformalMetric(field, n)]
     kappas = [kappa, dm._rescaled(field, pts, nhat, kappa)[0]]
-    pattern = polish_pattern_scipy(n)
+    pattern = dm._polish_pattern(n)[0]
     squares = np.einsum("mi,mj->mij", pattern, pattern).reshape(dm.POLISH_DIRS, -1)
     fit = np.linalg.pinv(np.column_stack([np.ones(dm.POLISH_DIRS), pattern, squares]))
 
@@ -334,29 +330,11 @@ def convexity_margins_fixed_rounds(domain: dm.LevelSetDomain, field: ScalarField
     return batches
 
 
-def polish_pattern_scipy(n: int):
-    """``dm._polish_pattern(n)[0]`` by scipy's Sobol engine and ``ndtri``."""
-    return ndtri(qmc.Sobol(d=n - 1, scramble=True, seed=0).random(dm.POLISH_DIRS))
-
-
-def sweep_directions_scipy(n: int, count: int, seed: int):
-    """``dm._sweep_directions`` by scipy's Sobol engine and ``ndtri``."""
-    dirs = np.stack([np.eye(n), -np.eye(n)], axis=1).reshape(2 * n, n)
-    if count > len(dirs):
-        need = count - len(dirs)
-        uu = qmc.Sobol(d=n, scramble=True, seed=seed).random(1 << int(np.ceil(np.log2(need))))
-        zz = ndtri(np.clip(uu[:need], 1e-12, 1.0 - 1e-12))
-        norms = np.linalg.norm(zz, axis=1)
-        norms[norms == 0.0] = 1.0
-        dirs = np.concatenate([dirs, zz / norms[:, None]])
-    return dirs / np.sqrt(np.vecdot(dirs, dirs))[:, None]
-
-
 def bisection_sweep(domain: dm.LevelSetDomain, count: int, seed: int):
     """``(d, t)``: the unit rays of ``dm.sample_boundary`` and their roots by
     bisection, the sweep's doubling bracket and then 60 halvings of [0, hi]
     on every ray; projecting the midpoints ``t d`` gives a bisection sweep."""
-    d = sweep_directions_scipy(domain.n, count, seed)
+    d = dm._sweep_directions(domain.n, count, seed)
     hi = np.full(len(d), 1.001 * domain.bounding_radius)
     for _ in range(8):
         outside = domain.phi.value(hi[:, None] * d) > 0.0

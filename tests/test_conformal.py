@@ -226,7 +226,7 @@ def test_min_sectional_curvature_constant_curvature(rng):
 def test_certificate_curvature_min_is_the_exact_minimum():
     """The exponent is radial, so the certificate takes the minimum along a
     ray over [0, R].  It lies at the centre: s = 0, p' = 0.3, p'' = -0.3,
-    K = -4 p' e^{-2p} = -1.2 e^{-0.2}.  Sobol sampling gave -0.975113."""
+    K = -4 p' e^{-2p} = -1.2 e^{-0.2}.  10,000 interior points give -0.978051."""
     from fbstab import scenarios, variation
 
     built = scenarios.build_scenario("radial-custom-disk-b4")
@@ -240,7 +240,7 @@ def test_certificate_curvature_min_is_the_exact_minimum():
 def test_certificate_curvature_min_interior_minimum():
     """p(s) = -s + 1.5 s^2 on B^4: K(s) = e^{-2p} (4 - 24 s), least at
     r = sqrt(2/3) inside the interval, where p = 0, p' = 1, p'' = 3 and
-    K = -12.  Sobol sampling stops short of it."""
+    K = -12.  Interior sampling stops short of it."""
     from fbstab import domain, submanifold, variation
 
     dom = domain.make_domain("ball", 4, radius=1.0)
@@ -290,7 +290,7 @@ def test_curvature_normal_of_a_space_form(name, K):
 
 def test_radial_minimum_is_below_the_sampled_minimum():
     """On every registry scenario with a radial exponent, the 1-d minimum
-    over the closure's radii is no higher than the Sobol interior minimum."""
+    over the closure's radii is no higher than the sampled interior minimum."""
     from fbstab import scenarios, variation
 
     cases = 0

@@ -1,15 +1,15 @@
 """Level-set boundary geometry: projections, shape operators, convexity."""
 
+import contextlib
+import io
+import json
 import os
 import subprocess
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.special import ndtri
-from scipy.stats import qmc
 
 import oracles
 from fbstab import domain as dm
@@ -45,20 +45,12 @@ def fd_shape_form(domain, x, X, Y, field=None, h=1e-6):
 
 
 def per_ray_sweep(domain, count, seed):
-    """Reference sweep, one ray at a time: axis and Sobol directions, a
+    """Reference sweep, one ray at a time: the sweep's own unit rays, a
     doubling bracket, Newton on phi(t d) that bisects the sign bracket for a
     step leaving it and stops after taking a step of at most 1e-12 t, and a
     scalar Newton projection."""
-    n = domain.n
-    dirs = [s * e for e in np.eye(n) for s in (1.0, -1.0)]
-    if count > 2 * n:
-        need = count - 2 * n
-        uu = qmc.Sobol(d=n, scramble=True, seed=seed).random(1 << int(np.ceil(np.log2(need))))
-        zz = ndtri(np.clip(uu[:need], 1e-12, 1.0 - 1e-12))
-        dirs += list(zz / np.linalg.norm(zz, axis=1)[:, None])
     pts = []
-    for d in dirs:
-        d = d / np.linalg.norm(d)
+    for d in dm._sweep_directions(domain.n, count, seed):
         hi = 1.001 * domain.bounding_radius
         while float(domain.phi.value(hi * d)) <= 0.0:
             hi *= 2.0
@@ -310,12 +302,21 @@ def test_margins_sphere_and_ellipsoid():
     assert abs(report.worst_point_g[0]) < 0.3
 
 
+def unflagged_square(n):
+    """|x|^2 as a ``polynomial`` field: radial, but not flagged ``radial``, so
+    a convexity report on a ball sweeps and polishes, and every boundary
+    point ties in both metrics to round-off."""
+    return make_field("polynomial", terms=[[1.0, list(e)] for e in 2 * np.eye(n, dtype=int)])
+
+
 def test_polish_keeps_sweep_point_on_ties():
-    """On the ball every boundary point ties, so a polish that gains only
-    round-off must leave the worst point at a sweep point."""
+    """On the ball every boundary point ties in the Euclidean metric, so a
+    polish that gains only round-off must leave the worst point at a sweep
+    point.  The exponent is not flagged radial, so the report sweeps."""
     ball = dm.make_domain("ball", 4, radius=1.0)
-    report = dm.convexity_report(ball, make_field("zero"), 1, count=256, seed=42)
-    assert abs(report.margin_g - 1.0) < 1e-9
+    report = dm.convexity_report(ball, make_field("linear", a=[0.3, -0.2, 0.1, 0.05]), 1,
+                                 count=256, seed=42)
+    assert report.route == "sampled" and abs(report.margin_g - 1.0) < 1e-9
     pts = dm.sample_boundary(ball, 256, 42)
     assert np.any(np.all(pts == report.worst_point_g, axis=1))
 
@@ -361,20 +362,20 @@ def test_polish_calls_are_batched(monkeypatch):
 def test_polish_pattern_is_built_once_per_dimension(monkeypatch):
     """The polish pattern and its fit are cached per dimension and the sweep
     directions per (n, count, seed), all read-only: a second report
-    constructs no Sobol sequence and is bit for bit the first."""
+    draws no Gaussian points and is bit for bit the first."""
     ell = dm.make_domain("ellipsoid", 4, semi_axes=[2.0, 1.2, 1.0, 0.9])
     field = make_field("radial-custom", coeffs=[0.1, 0.3, -0.15])
     dm._polish_pattern.cache_clear()
     dm._sweep_directions.cache_clear()
     first = dm.convexity_report(ell, field, p=2, count=256, seed=0)
     dims = []
-    sobol = dm.Sobol
+    gaussian = dm.gaussian
 
-    def counted(d, seed):
+    def counted(d, count, seed):
         dims.append(d)
-        return sobol(d, seed)
+        return gaussian(d, count, seed)
 
-    monkeypatch.setattr(dm, "Sobol", counted)
+    monkeypatch.setattr(dm, "gaussian", counted)
     second = dm.convexity_report(ell, field, p=2, count=256, seed=0)
     assert dims == []
     assert second.to_dict() == first.to_dict()
@@ -388,62 +389,72 @@ def test_polish_pattern_is_built_once_per_dimension(monkeypatch):
 
 
 @pytest.mark.parametrize("d", range(1, 9))
-def test_sobol_is_scipys_scrambled_sobol(d):
-    """The generator's points are bit for bit those of scipy's scrambled
-    Sobol engine for the same dimension and seed, at every size of a first
-    draw and over consecutive draws from one engine."""
-    with warnings.catch_warnings():
-        # scipy warns that a first draw of 1000 points breaks the balance
-        warnings.simplefilter("ignore", UserWarning)
-        for seed in (0, 1, 5, 42):
-            for count in (1, 64, 1000, 32768):
-                ours = dm.Sobol(d, seed).random(count)
-                assert ours.shape == (count, d) and ours.flags.c_contiguous
-                assert np.array_equal(ours, qmc.Sobol(d=d, scramble=True, seed=seed).random(count))
-            ours, theirs = dm.Sobol(d, seed), qmc.Sobol(d=d, scramble=True, seed=seed)
-            for count in (32768, 32768, 100):
-                assert np.array_equal(ours.random(count), theirs.random(count))
+def test_kronecker_points_are_seeded_and_spread(d):
+    """The same seed gives the same points bit for bit and another seed
+    others; every point lies in [0, 1); a draw from ``start`` is the tail of
+    one longer draw; and each coordinate of 4096 points has star
+    discrepancy below 1e-2, under the 1.36 / sqrt(4096) = 0.021 that 95% of
+    independent uniform samples stay below."""
+    count = 4096
+    for seed in (0, 1, 5, 42):
+        points = dm.kronecker(d, count, seed)
+        assert points.shape == (count, d) and points.flags.c_contiguous
+        assert np.array_equal(points, dm.kronecker(d, count, seed))
+        assert not np.any(points == dm.kronecker(d, count, seed + 1))
+        assert np.all((points >= 0.0) & (points < 1.0))
+        for start in (1, 1000, 4000):
+            assert np.array_equal(dm.kronecker(d, count - start, seed, start=start),
+                                  points[start:])
+        ranks = np.arange(1, count + 1)[:, None]
+        x = np.sort(points, axis=0)
+        assert np.max(np.maximum(ranks / count - x, x - (ranks - 1) / count)) < 1e-2
 
 
-def test_ndtri_is_scipys_ndtri():
-    """The numpy normal quantile is bit for bit scipy's on uniform points,
-    on both deep tails, across the centre/tail switches at e^-2 and
-    1 - e^-2 and the tail's r = 8 switch at e^-32, and at the edges."""
-    rng = np.random.default_rng(20260)
-    switch = np.exp(-2.0)
-    y = np.concatenate([
-        rng.random(1_000_000),
-        10.0 ** rng.uniform(-300.0, -8.0, 100_000),
-        1.0 - 10.0 ** rng.uniform(-16.0, -8.0, 100_000),
-        switch + np.arange(-2000, 2000) * 2.0**-55,
-        (1.0 - switch) + np.arange(-2000, 2000) * 2.0**-53,
-        np.exp(-32.0) * (1.0 + np.linspace(-1e-3, 1e-3, 10_001)),
-        np.linspace(1e-12, 1.0 - 1e-12, 100_001),
-        [5e-324, np.nextafter(1.0, 0.0), 0.5],
-    ])
-    assert np.array_equal(dm.ndtri(y), ndtri(y))
-    edges = np.array([0.0, 1.0, -0.5, 1.5, np.nan])
-    assert np.array_equal(dm.ndtri(edges), [-np.inf, np.inf, np.nan, np.nan, np.nan],
-                          equal_nan=True)
-    assert np.array_equal(dm.ndtri(edges), ndtri(edges), equal_nan=True)
+@pytest.mark.parametrize("d", range(1, 9))
+def test_gaussian_points_have_zero_mean_and_unit_covariance(d):
+    """4096 Box-Muller points: the mean within 0.015 of 0 and the sample
+    covariance within 0.025 of I in every entry, where 4096 independent
+    normals spread each by about 1 / 64 = 0.016; the same seed gives the
+    same points."""
+    for seed in (0, 1, 42):
+        z = dm.gaussian(d, 4096, seed)
+        assert z.shape == (4096, d) and np.all(np.isfinite(z))
+        assert np.array_equal(z, dm.gaussian(d, 4096, seed))
+        assert np.max(np.abs(np.mean(z, axis=0))) < 0.015
+        assert np.max(np.abs(np.atleast_2d(np.cov(z.T)) - np.eye(d))) < 0.025
 
 
 @pytest.mark.parametrize("n", range(2, 7))
-def test_sweep_and_polish_directions_are_scipys(n):
-    """The sweep's rays at the registry sweep sizes and the polish pattern
-    equal those rebuilt by scipy's Sobol engine and ``ndtri``."""
-    for count in (64, 256, 512, 1024, 2048):
+def test_sweep_directions_are_unit_rows_after_the_signed_axes(n):
+    """At the registry sweep sizes the sweep's rays are read-only unit rows,
+    the first 2n of them the signed axes +-e_1, ..., +-e_n; a count below 2n
+    gives the axes alone.  The polish pattern is the seed-0 Gaussian points
+    in n - 1 dimensions."""
+    axes = np.stack([np.eye(n), -np.eye(n)], axis=1).reshape(2 * n, n)
+    for count in (1, 64, 256, 512, 1024, 2048):
         for seed in (0, 1, 42):
-            assert np.array_equal(dm._sweep_directions(n, count, seed),
-                                  oracles.sweep_directions_scipy(n, count, seed))
+            d = dm._sweep_directions(n, count, seed)
+            assert d.shape == (max(count, 2 * n), n) and not d.flags.writeable
+            assert np.array_equal(d[:2 * n], axes)
+            assert np.max(np.abs(np.linalg.norm(d, axis=1) - 1.0)) <= 1e-15
     if n >= 3:
-        assert np.array_equal(dm._polish_pattern(n)[0], oracles.polish_pattern_scipy(n))
+        assert np.array_equal(dm._polish_pattern(n)[0], dm.gaussian(n - 1, dm.POLISH_DIRS, 0))
+
+
+def _run_python(script):
+    """Run ``script`` in a fresh process with the package on its path."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 def test_cli_certificate_and_convexity_never_import_scipy():
     """A fresh process imports ``fbstab.cli``, certifies with a linear
-    exponent, which draws Sobol points inside the domain, and reports the
-    convexity of an ellipsoid, without loading any scipy module."""
+    exponent, which draws Kronecker points inside the domain, and reports
+    the convexity of an ellipsoid, without loading any scipy module."""
     script = """
 import sys
 import fbstab.cli
@@ -452,20 +463,43 @@ from fbstab.fields import ConformalMetric, make_field
 imm = submanifold.make_immersion("equatorial-disk", n=4, k=2, nr=8, ntheta=16)
 metric = ConformalMetric(make_field("linear", a=[0.1, 0.0, 0.2, 0.0]), 4)
 calls = []
-draw = domain.Sobol.random
-domain.Sobol.random = lambda self, count: calls.append(count) or draw(self, count)
+draw = variation.kronecker
+variation.kronecker = lambda *args, **kwargs: calls.append(args) or draw(*args, **kwargs)
 variation.instability_certificate(imm, metric, domain.make_domain("ball", 4))
 assert calls, "the certificate drew no interior points"
 ellipsoid = domain.make_domain("ellipsoid", 3, semi_axes=[2.0, 1.0, 1.0])
 domain.convexity_report(ellipsoid, make_field("radial-spherical"), 1, count=256, seed=3)
 print(sorted(name for name in sys.modules if name == "scipy" or name.startswith("scipy.")))
 """
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env,
-                          timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert _run_python(script).strip() == "[]"
+
+
+SAMPLED_HYPOTHESES = """
+import json
+from fbstab import domain, submanifold, variation
+from fbstab.fields import ConformalMetric, make_field
+ellipsoid = domain.make_domain("ellipsoid", 4, semi_axes=[2.0, 1.2, 1.0, 0.9])
+convexity = domain.convexity_report(ellipsoid, make_field("radial-spherical"), 2, 256, 1)
+imm = submanifold.make_immersion("equatorial-disk", n=4, k=2, nr=8, ntheta=16)
+metric = ConformalMetric(make_field("linear", a=[0.1, 0.0, 0.2, 0.0]), 4)
+config = variation.CertificateConfig(curvature_points=2000, convexity_samples=256)
+certificate = variation.instability_certificate(imm, metric, domain.make_domain("ball", 4), config)
+print(json.dumps([convexity.to_dict(), certificate.to_dict()]))
+"""
+
+
+def test_sampled_hypotheses_need_no_scipy_install():
+    """With scipy blocked, a fresh process samples a non-radial convexity
+    report (an ellipsoid's sweep and polish) and a certificate with a linear
+    exponent (interior points and a boundary sweep), and gets bit for bit
+    the values of this process."""
+    got = json.loads(_run_python('import sys\nsys.modules["scipy"] = None\n' + SAMPLED_HYPOTHESES))
+    namespace = {}
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        exec(SAMPLED_HYPOTHESES, namespace)
+    assert got == json.loads(out.getvalue())
+    assert got[0]["route"] == "sampled" and got[0]["n_samples"] == 256
+    assert got[1]["curvature_min"] < 0.0
 
 
 def poly_field(n):
@@ -475,14 +509,16 @@ def poly_field(n):
 
 
 @pytest.mark.parametrize("kind,n,params,field,p,count,seed", [
-    ("ball", 3, {"radius": 1.0}, ("zero", {}), 1, 128, 0),
-    ("ball", 4, {"radius": 1.0}, ("radial-spherical", {}), 2, 256, 0),
+    # exponents not flagged radial, so that a ball's report sweeps and polishes
+    ("ball", 3, {"radius": 1.0}, ("linear", {"a": [0.3, -0.2, 0.1]}), 1, 128, 0),
+    ("ball", 4, {"radius": 1.0},
+     ("polynomial", {"terms": [[1.0, list(e)] for e in 2 * np.eye(4, dtype=int)]}), 2, 256, 0),
     ("ellipsoid", 3, {"semi_axes": [2.0, 1.0, 1.0]}, ("linear", {"a": [0.3, -0.2, 0.1]}), 1, 256, 0),
     ("ellipsoid", 4, {"semi_axes": [2.0, 1.2, 1.0, 0.9]},
      ("radial-custom", {"coeffs": [0.1, 0.3, -0.15]}), 2, 256, 0),
     ("ellipsoid", 5, {"semi_axes": [1.5, 1.2, 1.0, 0.9, 0.8]}, "polynomial", 3, 256, 0),
     ("superellipsoid", 3, {"exponent": 2}, "polynomial", 1, 256, 1),
-    # the two probes whose rescaled searches move longest
+    # two probes whose rescaled searches stop early after long runs (24 and 28 rounds)
     ("superellipsoid", 4, {"exponent": 3}, ("radial-spherical", {}), 1, 256, 2),
     ("superellipsoid", 5, {"exponent": 2},
      ("linear", {"a": [0.3, -0.2, 0.1, 0.05, 0.2]}), 1, 256, 2),
@@ -503,11 +539,12 @@ def test_early_stop_matches_fixed_rounds(kind, n, params, field, p, count, seed)
 
 
 def test_flat_round_ends_search_at_once():
-    """On the unit ball every boundary point ties in both metrics, so the
-    first round is flat and ends both searches."""
+    """On the unit ball with u = |x|^2, not flagged radial, every boundary
+    point ties in both metrics, so the first round is flat and ends both
+    searches."""
     ball = dm.make_domain("ball", 4, radius=1.0)
-    report = dm.convexity_report(ball, make_field("radial-spherical"), p=2, count=256, seed=0)
-    assert report.polish_rounds == (1, 1)
+    report = dm.convexity_report(ball, unflagged_square(4), p=2, count=256, seed=0)
+    assert report.route == "sampled" and report.polish_rounds == (1, 1)
     doc = report.to_dict()
     assert (doc["polish_rounds_g"], doc["polish_rounds_gtilde"]) == (1, 1)
 
@@ -522,7 +559,7 @@ def test_early_stop_forgoes_only_round_off_moves():
     report = dm.convexity_report(ell, u, p=2, count=256, seed=0)
     (margin_g, worst_g), (margin_gt, _) = oracles.convexity_margins_fixed_rounds(ell, u, 2, 256, 0)
     assert report.margin_g == margin_g and np.array_equal(report.worst_point_g, worst_g)
-    assert report.polish_rounds == (20, 23)
+    assert report.polish_rounds == (20, 22)
     assert 0.0 < report.margin_gtilde - margin_gt < 1e-11
 
 
@@ -664,7 +701,10 @@ def test_convexity_report_and_gate():
     assert abs(report.margin_gtilde) < 1e-7
     lo, hi = report.nu_u_range
     assert abs(lo + 1.0) < 1e-12 and abs(hi + 1.0) < 1e-12
-    assert report.n_samples == 128
+    # a ball with a radial exponent is read at one point, with no polish
+    assert report.route == "radial-exact" and report.polish_rounds == (0, 0)
+    assert report.n_samples == 1 and np.array_equal(report.worst_point_g, np.eye(4)[0])
+    assert dm.convexity_report(ball, unflagged_square(4), p=2, count=128, seed=0).n_samples == 128
     assert dm.corollary_gate(dm.convexity_report(ball, sph, p=2, count=64, seed=0)) == "case-ii"
 
     quad = make_field("radial-custom", coeffs=[0.0, 1.0])  # |x|^2, increasing outward
@@ -672,7 +712,7 @@ def test_convexity_report_and_gate():
     zero = dm.convexity_report(ball, make_field("zero"), p=2, count=64, seed=0)
     assert dm.corollary_gate(zero) == "none"
     # below 2n the sweep still takes every axis point, and the report says so
-    assert dm.convexity_report(ball, sph, p=2, count=4, seed=0).n_samples == 8
+    assert dm.convexity_report(ball, unflagged_square(4), p=2, count=4, seed=0).n_samples == 8
 
 
 def test_gradient_tube_check():

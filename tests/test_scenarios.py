@@ -221,8 +221,10 @@ def test_one_boundary_sweep_per_certificate_and_convexity_verb(monkeypatch, tmp_
                                                                ellipsoid_disk_b4):
     """A certificate on a ball with a radial exponent reads its margins at one
     point and sweeps nothing; on another domain both margins come from one
-    sweep.  The convexity verb's margins, exterior slope range and gate come
-    from one sweep."""
+    sweep.  So does the convexity verb: on a ball with a radial exponent it
+    sweeps nothing and gives the certificate's margins bit for bit, and on
+    an ellipsoid its margins, exterior slope range and gate come from one
+    sweep."""
     from fbstab import domain as dm, variation as var
 
     sweeps = []
@@ -242,9 +244,16 @@ def test_one_boundary_sweep_per_certificate_and_convexity_verb(monkeypatch, tmp_
     assert len(sweeps) == 1
     sweeps.clear()
     assert cli.main(["convexity", "--scenario", "cap-disk-b4k2", "--out", str(tmp_path)]) == 0
-    assert len(sweeps) == 1
+    assert len(sweeps) == 0
     doc = json.loads((tmp_path / "convexity-cap-disk-b4k2.json").read_text())
-    assert doc["gate"] == "case-ii" and doc["n_samples"] == 1024
+    assert doc["gate"] == "case-ii" and doc["n_samples"] == 1
+    assert doc["route"] == "radial-exact" and doc["polish_rounds_gtilde"] == 0
+    assert (doc["margin_g"], doc["margin_gtilde"]) == (report.margin_g, report.margin_gtilde)
+    assert cli.main(["convexity", "--scenario", "ellipsoid-211", "--p", "1",
+                     "--out", str(tmp_path)]) == 0
+    assert len(sweeps) == 1
+    doc = json.loads((tmp_path / "convexity-ellipsoid-211.json").read_text())
+    assert doc["route"] == "sampled" and doc["n_samples"] == 1024
 
 
 def test_cli_dump(tmp_path):

@@ -59,6 +59,7 @@ def test_registry_outputs_diff(tmp_path):
     out = _run("registry_outputs.py", *scenarios, "--diff", str(path)).stdout
     assert "flow-bump-b3 flow: converged=True after 43 iterations" in out
     assert "certificates: 5 identical, 1 moved" in out
+    assert "convexity: 6 identical, 0 moved" in out
     assert "second_variation: 7 identical, 0 moved" in out
     assert "flow: 0 identical, 1 moved" in out
     assert "traced_total: largest relative move 1.00e-12 at certificates/cap-disk-b4k2/1" in out

@@ -629,17 +629,21 @@ def test_q_of_the_rescaled_constants_sums_to_the_traced_total(name):
 
 @pytest.mark.parametrize("name", CERTIFIED)
 def test_radial_margins_match_closed_forms_and_the_sweep(name):
-    """On a ball of radius R with a radial exponent the certificate's margins
-    are p/R and p e^{-u} (1/R - eta(u)) at R e_1, eta(u) read from the
-    field's gradient; they are the sweep's sums at its sample 0 bit for bit,
-    the sampled margins lie at or below them, and a rotated boundary point
-    gives the same sums."""
+    """On a ball of radius R with a radial exponent the convexity report, and
+    so the certificate, reads the margins p/R and p e^{-u} (1/R - eta(u)) at
+    R e_1, eta(u) read from the field's gradient, with no sweep and no
+    polish; they are the sweep's sums at its sample 0 bit for bit, the
+    swept and polished margins lie at or below them, and a rotated boundary
+    point gives the same sums."""
     built = sc.build_scenario(name)
     dom, field, n = built.domain, built.metric.field, built.scenario.n
     assert dom.phi.radial and field.radial  # every registry certificate is a radial disk
     cfg = var.CertificateConfig(p=built.scenario.p)
     p, R = cfg.p or n - built.scenario.k, built.scenario.domain_spec["radius"]
-    margin_g, margin_gt = dm.radial_margins(dom, field, p)
+    report = dm.convexity_report(dom, field, p, cfg.convexity_samples, cfg.seed)
+    assert report.route == "radial-exact" and report.n_samples == 1
+    assert report.polish_rounds == (0, 0)
+    margin_g, margin_gt = report.margin_g, report.margin_gtilde
     rep = var.instability_certificate(built.immersion, built.metric, dom, cfg)
     assert (rep.margin_g, rep.margin_gtilde) == (margin_g, margin_gt)
     x = R * np.eye(n)[0]
@@ -652,11 +656,14 @@ def test_radial_margins_match_closed_forms_and_the_sweep(name):
         kappa_gt = dm._rescaled(field, pts, nhat, kappa)[0]
         return np.sum(kappa[:, :p], axis=1), np.sum(kappa_gt[:, :p], axis=1)
 
-    sweep_g, sweep_gt = sums(dm.sample_boundary(dom, cfg.convexity_samples, cfg.seed))
+    pts = dm.sample_boundary(dom, cfg.convexity_samples, cfg.seed)
+    sweep_g, sweep_gt = sums(pts)
     assert (sweep_g[0], sweep_gt[0]) == (margin_g, margin_gt)
-    sampled = dm.convexity_report(dom, field, p, cfg.convexity_samples, cfg.seed)
-    assert sampled.margin_g <= margin_g + 1e-13
-    assert sampled.margin_gtilde <= margin_gt + 1e-13
+    kappa, nhat = dm._curvatures_and_normals(dom, pts)
+    (swept_g, _, _), (swept_gt, _, _) = dm._swept_margins(
+        dom, p, [None, built.metric], pts, [kappa, dm._rescaled(field, pts, nhat, kappa)[0]])
+    assert swept_g <= margin_g + 1e-13
+    assert swept_gt <= margin_gt + 1e-13
     q = np.linalg.qr(np.random.default_rng(33).normal(size=(n, n)))[0][:, 0]
     rotated_g, rotated_gt = sums(R * q[None])
     assert abs(rotated_g[0] - margin_g) <= 1e-14
@@ -757,15 +764,15 @@ def test_certificate_hyperbolic_inconclusive():
     assert rep.traced_total < 0  # sign alone does not certify
 
 
-class _SobolDrawn(Exception):
+class _InteriorDrawn(Exception):
     pass
 
 
 def test_radial_certificate_draws_no_sobol_points(monkeypatch, ball4):
     """Radial exponents take the curvature minimum along a ray; any other
-    exponent still samples the domain interior."""
+    exponent still samples the domain interior, at Kronecker points."""
     def refuse(*args):
-        raise _SobolDrawn
+        raise _InteriorDrawn
     monkeypatch.setattr(var, "_sample_domain_interior", refuse)
     for name in ("cap-disk-b4k2", "flat-disk-b5k3", "hyperbolic-disk-b4"):
         built = sc.build_scenario(name)
@@ -774,14 +781,14 @@ def test_radial_certificate_draws_no_sobol_points(monkeypatch, ball4):
     imm = sub.make_immersion("equatorial-disk", n=4, k=2, nr=8, ntheta=16)
     for field in (make_field("linear", a=[0.1, 0.0, 0.2, 0.0]),
                   make_field("polynomial", terms=[[0.2, [2, 0, 0, 0]]])):
-        with pytest.raises(_SobolDrawn):
+        with pytest.raises(_InteriorDrawn):
             var.instability_certificate(imm, ConformalMetric(field, 4), ball4)
 
 
 def test_radial_curvature_check_covers_the_closure():
     """The hypothesis is on the closure: radial-hyperbolic does not exist at
     |x| = 1, so on ball(1) the certificate raises the field's DomainError,
-    though the interior Sobol points alone give a finite minimum of -1."""
+    though the interior Kronecker points alone give a finite minimum of -1."""
     dom = dm.make_domain("ball", 4, radius=1.0)
     field = make_field("radial-hyperbolic")
     imm = sub.make_immersion("equatorial-disk", n=4, k=2, radius=0.5)

@@ -1,5 +1,6 @@
 """Exception types shared across the package, and lookups that raise one."""
 
+from math import isfinite
 from numbers import Integral, Real
 
 
@@ -57,12 +58,14 @@ def integer(params: dict, key: str, default: int, minimum: int = 0) -> int:
 
 def number(params: dict, key: str, default: float, minimum: float | None = None,
            strict: bool = False) -> float:
-    """``params[key]`` (``default`` if absent), a real number of at least
+    """``params[key]`` (``default`` if absent), a finite real number of at least
     ``minimum`` (above it if ``strict``) where one is given, or a
     ``ConfigError`` naming the key and the value."""
     value = params.get(key, default)
     if isinstance(value, bool) or not isinstance(value, Real):
         raise ConfigError(f"{key} must be a number, got {value!r}")
+    if not isfinite(value):
+        raise ConfigError(f"{key} must be a finite number, got {value!r}")
     if minimum is not None and not (value > minimum if strict else value >= minimum):
         raise ConfigError(f"{key} must be a number {'>' if strict else '>='} {minimum:g}, "
                           f"got {value!r}")

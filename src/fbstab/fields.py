@@ -169,10 +169,10 @@ def _radial_field(p, dp, d2p, name, open_unit_ball=False) -> ScalarField:
     def hess(x):
         s = np.sum(x * x, axis=-1)
         check(s)
-        n = x.shape[-1]
-        eye = np.eye(n)
-        outer = x[..., :, None] * x[..., None, :]
-        return 2.0 * dp(s)[..., None, None] * eye + 4.0 * d2p(s)[..., None, None] * outer
+        h = 4.0 * d2p(s)[..., None, None] * (x[..., :, None] * x[..., None, :])
+        i = np.arange(x.shape[-1])
+        h[..., i, i] += 2.0 * dp(s)[..., None]  # 2 p' I, added in place
+        return h
 
     return ScalarField.analytic(value, grad, hess, name=name, radial=True)
 

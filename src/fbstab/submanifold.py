@@ -11,13 +11,17 @@ curvature are computed for all samples at once by
 metric and a domain that the second variation reads
 (``SampledImmersion.ambient``); reductions (volumes, residual maxima) run in
 fixed sample order so results are deterministic.  The kernels contract by
-``einsum`` over contiguous sample-last stacks, made and undone by
-``_last``/``_first``.  One layout rule holds for what the geometry and its
-records keep: frame and form components are sample-last (..., m); vectors
-of R^n per sample (x, H, grad u, the bracket) stay (m, n), as the fields
-return them.  A ``NormalField`` is a normal field by its components against
-the normal frames, in the same layout; ``projected_field`` gives the
-projected constants E^perp.
+``einsum`` over contiguous sample-last stacks (sample index last).  One
+layout rule holds for what an immersion, its geometry and its records keep:
+the interior Jacobians J (n, k, m), the chart Hessians (k, k, n, m) and the
+frame and form components are sample-last (..., m); ``Js`` and ``Hs`` are
+read-only sample-first views of J and H.  The constructor takes such views;
+``_last`` copies a stack only where its transpose is not C-contiguous, so
+the catalog hands over its sample-last J and H for free.  Vectors of R^n per
+sample (x, H, grad u, the bracket) and the rim's arrays stay sample-first,
+as the fields return them.  A ``NormalField`` is a normal field by its
+components against the normal frames, in the same layout;
+``projected_field`` gives the projected constants E^perp.
 
 Every catalog immersion is a graph x = (y, psi(y)) over a polar,
 spherical-polar or identity chart y of R^k, sampled by one chain rule.
@@ -64,10 +68,17 @@ def _residual_report(name: str, residuals: Array, points: Array) -> ResidualRepo
     return ResidualReport(name, float(residuals[worst]), worst, points[worst], residuals)
 
 
+def _refuse(ok: Array, error: type, message: str) -> None:
+    """Raise ``error(message.format(i))`` for the first sample i not ``ok``."""
+    if not np.all(ok):
+        raise error(message.format(np.argmin(ok)))
+
+
 def _last(a: Array) -> Array:
-    """A C-contiguous copy of the stack ``a`` (m, ...) with its sample axis
-    last, (..., m): the layout the certificate kernels contract in."""
-    return a.transpose(*range(1, a.ndim), 0).copy()
+    """The stack ``a`` (m, ...) with its sample axis last, (..., m),
+    C-contiguous: a copy only where the transpose is not C-contiguous."""
+    t = a.transpose(*range(1, a.ndim), 0)
+    return t if t.flags.c_contiguous else t.copy()
 
 
 def _first(a: Array) -> Array:
@@ -75,26 +86,28 @@ def _first(a: Array) -> Array:
     return np.ascontiguousarray(a.transpose(-1, *range(a.ndim - 1)))
 
 
-def _batched_frames(Js: Array):
-    """Orthonormal tangent/normal frames for a stack of Jacobians: J = QR by k
-    Householder reflections I - beta v v^T (Golub-Van Loan 5.2; beta = 0 for
-    v = 0, as in LAPACK's dlarfg), each applied as a rank-1 update to the
-    rows it changes of a sample-last copy of J and of Q^T.  Tangent: Q's
+def _batched_frames(J: Array):
+    """Orthonormal tangent/normal frames for a sample-last stack of
+    Jacobians J (n, k, m): J = QR by k Householder reflections I - beta v v^T
+    (Golub-Van Loan 5.2; beta = 0 for v = 0, as in LAPACK's dlarfg), each
+    applied as a rank-1 update to the rows it changes of one working copy of
+    J and of Q^T; Q^T starts as the first reflection itself.  Tangent: Q's
     first k columns signed by diag R, the in-order Gram-Schmidt of J's
     columns; normal: Q's last n-k.  Returns C-contiguous sample-last
     ``(tangent (k, n, m), normal (n-k, n, m), chart_to_frame (k, k, m))``
     with ``v_i = sum_a chart_to_frame[a, i] * J[:, a]``."""
-    m, n, k = Js.shape
-    A = _last(Js)
-    Qt = np.zeros((n, n, m))
-    Qt[np.arange(n), np.arange(n)] = 1.0
+    n, k, m = J.shape
+    A = J.copy()
     for j in range(k):
         v = A[j:, j].copy()
         v[0] += np.copysign(np.sqrt(np.einsum("im,im->m", v, v)), v[0])
         vv = np.einsum("im,im->m", v, v)
         bv = v * np.divide(2.0, vv, out=np.zeros(m), where=vv > 0.0)
-        for B in (A[j:], Qt[j:]):
-            B -= bv[:, None] * np.einsum("im,iam->am", v, B)
+        A[j:] -= bv[:, None] * np.einsum("im,iam->am", v, A[j:])
+        if j:
+            Qt[j:] -= bv[:, None] * np.einsum("im,iam->am", v, Qt[j:])
+        else:
+            Qt = np.eye(n)[:, :, None] - bv[:, None] * v
     d = A[np.arange(k), np.arange(k)]
     s = np.where(d == 0.0, 1.0, np.sign(d))[:, None]
     return Qt[:k] * s, Qt[k:].copy(), _upper_inverse(A[:k] * s)
@@ -112,17 +125,15 @@ def _upper_inverse(R: Array) -> Array:
     return X
 
 
-def _gram(Js: Array) -> Array:
-    """The Gram J^T J of each sample, sample-last (k, k, m)."""
-    J = _last(Js)
+def _gram(J: Array) -> Array:
+    """The Gram J^T J (k, k, m) of each sample of a sample-last stack J."""
     return np.einsum("xam,xbm->abm", J, J)
 
 
-def _gram_spectrum(Js: Array, det: bool = False, gram: Array | None = None):
-    """Extreme eigenvalues ``(lmin, lmax)`` of each sample's Gram J^T J (or
-    the sample-last ``gram``), or with ``det`` its determinant; closed forms
-    for k = 2, and cofactors for the determinant at k = 3."""
-    G = _gram(Js) if gram is None else gram
+def _gram_spectrum(G: Array, det: bool = False):
+    """Extreme eigenvalues ``(lmin, lmax)`` of each Gram of a sample-last
+    stack G (k, k, m), or with ``det`` its determinant; closed forms for
+    k = 2, and cofactors for the determinant at k = 3."""
     if det and G.shape[0] == 3:
         return (G[0, 0] * (G[1, 1] * G[2, 2] - G[1, 2] * G[1, 2])
                 - G[0, 1] * (G[0, 1] * G[2, 2] - G[1, 2] * G[0, 2])
@@ -148,24 +159,26 @@ def _settled_by_invariants(G: Array) -> Array:
     of round-off alone, from nearly dependent columns, gives a small false
     bound."""
     diag = G[[0, 1, 2], [0, 1, 2]]
-    det = _gram_spectrum(None, det=True, gram=G)
+    det = _gram_spectrum(G, det=True)
     c2 = (diag[1] * diag[2] - G[1, 2] * G[1, 2] + diag[0] * diag[2] - G[0, 2] * G[0, 2]
           + diag[0] * diag[1] - G[0, 1] * G[0, 1])
     return ((det > HADAMARD_FLOOR * diag[0] * diag[1] * diag[2])
             & (np.sum(diag, axis=0) * c2 <= 0.25 * COND_LIMIT * det))
 
 
-def _check_conditioning(Js: Array, where: str) -> Array:
-    """Return the sample-last Gram J^T J; reject samples where it is singular
-    or cond = lmax / lmin exceeds ``COND_LIMIT``.  For k = 3 the samples
-    ``_settled_by_invariants`` pass, and eigenvalues decide the rest; these
-    carry round-off of about 1e-16 lmax, far below lmax / COND_LIMIT."""
-    G = _gram(Js)
+def _check_conditioning(J: Array, where: str) -> Array:
+    """Return the Gram J^T J of a sample-last stack J (n, k, m); reject
+    samples where it is not finite (its trace shows a NaN or inf of J), is
+    singular or has cond = lmax / lmin above ``COND_LIMIT``.  For k = 3 the
+    samples ``_settled_by_invariants`` pass, and eigenvalues decide the rest;
+    these carry round-off of about 1e-16 lmax, far below lmax / COND_LIMIT."""
+    G = _gram(J)
+    _refuse(np.isfinite(np.trace(G)), DegenerateSampleError, f"{where} sample {{}}: J not finite")
     rest = np.flatnonzero(~_settled_by_invariants(G)) if G.shape[0] == 3 else slice(None)
     index = np.arange(G.shape[-1])[rest]
     if not index.size:
         return G
-    lmin, lmax = _gram_spectrum(Js, gram=G[..., rest])
+    lmin, lmax = _gram_spectrum(G[..., rest])
     if np.any(lmin <= 0.0):
         bad = index[np.argmax(lmin <= 0.0)]
         raise DegenerateSampleError(f"{where} sample {bad} has rank-deficient Jacobian")
@@ -213,8 +226,8 @@ class SampledImmersion:
         self.k = int(k)
         self.n = int(n)
         self.xs = np.asarray(interior_x, float)
-        self.Js = np.asarray(interior_J, float)
-        self.Hs = np.asarray(interior_H, float)
+        self.J = _last(np.asarray(interior_J, float))
+        self.Hchart = _last(np.asarray(interior_H, float))
         self.ws = np.asarray(interior_w, float)
         if boundary_x is None:
             boundary_x = np.zeros((0, self.n))
@@ -228,9 +241,12 @@ class SampledImmersion:
         self._geometry = None
         self._ambient = {}
         self._validate()
-        for a in (self.xs, self.Js, self.Hs, self.ws, self.bxs, self.bJs, self.bws, self.bnus,
+        for a in (self.xs, self.J, self.Hchart, self.ws, self.bxs, self.bJs, self.bws, self.bnus,
                   self.jacobian_factor):
             a.flags.writeable = False
+
+    Js = property(lambda self: self.J.transpose(2, 0, 1), doc="J sample-first, (m, n, k)")
+    Hs = property(lambda self: self.Hchart.transpose(3, 0, 1, 2), doc="Hchart sample-first")
 
     def _validate(self):
         k, n = self.k, self.n
@@ -239,28 +255,33 @@ class SampledImmersion:
         m = self.xs.shape[0]
         if m == 0:
             raise ConfigError("immersion has no interior samples")
-        if self.xs.shape != (m, n) or self.Js.shape != (m, n, k):
+        if (self.xs.shape != (m, n) or self.J.shape != (n, k, m)
+                or self.Hchart.shape != (k, k, n, m) or self.ws.shape != (m,)):
             raise ConfigError("interior sample array shapes are inconsistent")
-        if self.Hs.shape != (m, k, k, n) or self.ws.shape != (m,):
-            raise ConfigError("interior sample array shapes are inconsistent")
-        if np.any(self.ws <= 0.0):
-            raise ConfigError("quadrature weights must be positive")
-        gram = _check_conditioning(self.Js, "interior")
+        mb = self.bxs.shape[0]
+        if mb and (self.bxs.shape != (mb, n) or self.bJs.shape != (mb, n, k)
+                   or self.bws.shape != (mb,) or self.bnus.shape != (mb, n)):
+            raise ConfigError("boundary sample array shapes are inconsistent")
+        for where, x, w in (("interior", self.xs, self.ws), ("boundary", self.bxs, self.bws)):
+            _refuse(np.isfinite(x).all(axis=1), ConfigError, f"{where} sample {{}}: x not finite")
+            _refuse((w > 0) & (w < np.inf), ConfigError, f"{where} sample {{}}: w not in (0, inf)")
+        gram = _check_conditioning(self.J, "interior")
         # sqrt(det J^T J) per interior sample, from the conditioning check's
         # Gram; builds no frames, so volumes never pay for ``geometry()``
-        self.jacobian_factor = np.sqrt(_gram_spectrum(self.Js, det=True, gram=gram))
-        a, b = np.triu_indices(k, 1)
-        sym = np.max(np.abs(self.Hs[:, a, b] - self.Hs[:, b, a]), initial=0.0)
-        if sym > 1e-9 * (1.0 + np.max(np.abs(self.Hs))):
+        self.jacobian_factor = np.sqrt(_gram_spectrum(gram, det=True))
+        H = self.Hchart
+        size = np.maximum(H.max(), -H.min())  # max |H|, NaN if H holds one
+        if not np.isfinite(size):
+            _refuse(np.all(np.isfinite(H), axis=(0, 1, 2)), ConfigError,
+                    "chart second derivatives of interior sample {} are not finite")
+        asym = max((np.max(np.abs(H[a, b] - H[b, a])) for a, b in zip(*np.triu_indices(k, 1))),
+                   default=0.0)
+        if asym > 1e-9 * (1.0 + size):
             raise ConfigError("chart second derivatives are not symmetric")
-        mb = self.bxs.shape[0]
         if mb:
-            if self.bJs.shape != (mb, n, k) or self.bnus.shape != (mb, n):
-                raise ConfigError("boundary sample array shapes are inconsistent")
-            _check_conditioning(self.bJs, "boundary")
-            norms = np.linalg.norm(self.bnus, axis=1)
-            if np.any(np.abs(norms - 1.0) > 1e-9):
-                raise InvalidSampleError("boundary conormals must be unit vectors")
+            _check_conditioning(_last(self.bJs), "boundary")
+            _refuse(np.abs(np.linalg.norm(self.bnus, axis=1) - 1.0) <= 1e-9, InvalidSampleError,
+                    "boundary sample {}: the conormal is not a unit vector")
             # conormal must lie in the tangent space of the immersion
             off = np.einsum("rxm,mx->rm", self._boundary_normal, self.bnus)
             if np.max(np.linalg.norm(off, axis=0)) > 1e-8:
@@ -278,13 +299,13 @@ class SampledImmersion:
     def _boundary_normal(self) -> Array:
         """The normal frame at the boundary samples (q, n, mb), built once for
         validation and ``geometry()``."""
-        return _batched_frames(self.bJs)[1]
+        return _batched_frames(_last(self.bJs))[1]
 
     def geometry(self) -> ImmersionGeometry:
         if self._geometry is None:
-            T, N, C = _batched_frames(self.Js)
+            T, N, C = _batched_frames(self.J)
             # hn[a, b, r] = <d_a d_b x, N_r> and alpha_r = C^T hn_r C
-            hn = np.einsum("abxm,rxm->abrm", _last(self.Hs), N)
+            hn = np.einsum("abxm,rxm->abrm", self.Hchart, N)
             alpha = np.einsum("aim,bjm,abrm->ijrm", C, C, hn)
             H = np.einsum("iirm,rxm->xm", alpha, N)
             self._geometry = ImmersionGeometry(
@@ -322,7 +343,8 @@ class NormalField:
         derivatives v_a(f) along the tangent frame (k, m) and its boundary
         values (mb,): D^perp(fX) = v(f) X + f D^perp X."""
         dperp = f * self.dperp
-        dperp += df[:, None] * self.normal[..., None, :, :]
+        for a, dfa in enumerate(df):
+            dperp[..., a, :, :] += dfa * self.normal
         return NormalField(f * self.normal, dperp, bf * self.boundary)
 
 
@@ -566,7 +588,7 @@ def bracket_norms(u: Array, bracket: Array) -> Array:
 def _check_on_boundary(domain, bxs: Array) -> None:
     """Raise ``InvalidSampleError`` for a boundary sample off the domain boundary."""
     phi_vals = np.abs(domain.phi.value(bxs))
-    if np.max(phi_vals) > 1e-7:
+    if not np.max(phi_vals) <= 1e-7:
         bad = int(np.argmax(phi_vals))
         raise InvalidSampleError(
             f"boundary sample {bad} is off the domain boundary: |phi| = {phi_vals[bad]:.3e}"
@@ -636,56 +658,61 @@ def _tensor_grid(rules):
 
 
 def _graph_over_chart(y, dy, d2y, graph):
-    """Samples ``(x, J, H)`` of the graph x = (y, psi(y)) over a chart y of R^k.
-
-    ``dy[:, i, a]`` is d_a y_i, (m, k, k), and ``d2y[:, a, b, i]`` is
-    d_a d_b y_i, (m, k, k, k).  ``graph(y)`` returns psi (m, q), D psi
-    (m, q, k) and D^2 psi (m, q, k, k).  The chain rule, on sample-last copies:
+    """Samples ``(x, J, H)`` of the graph x = (y, psi(y)) over a chart y of
+    R^k, x (m, n) and sample-last J (n, k, m) and H (k, k, n, m), from the
+    sample-last ``dy[i, a]`` = d_a y_i and ``d2y[a, b, i]`` = d_a d_b y_i.
+    ``graph(y)`` gives psi (m, q), D psi (m, q, k) and D^2 psi (m, q, k, k),
+    or None for both of a constant psi; the chain rule gives the height rows,
     d_a psi = D psi d_a y and d_a d_b psi = D^2 psi(d_a y, d_b y) + D psi d_a d_b y.
     """
     p, dp, d2p = graph(y)
-    dy, dp, d2y = _last(dy), _last(dp), _last(d2y)
-    curv = np.einsum("iam,qijm,jbm->abqm", dy, _last(d2p), dy)
-    H = np.concatenate([d2y, curv + np.einsum("abim,qim->abqm", d2y, dp)], axis=2)
-    J = np.concatenate([dy, np.einsum("qim,iam->qam", dp, dy)], axis=0)
-    return np.concatenate([y, p], axis=1), _first(J), _first(H)
+    (k, _, m), n = dy.shape, y.shape[1] + p.shape[1]
+    J, H = np.zeros((n, k, m)), np.zeros((k, k, n, m))
+    J[:k], H[:, :, :k] = dy, d2y
+    if dp is not None:
+        dp = _last(dp)
+        np.einsum("qim,iam->qam", dp, dy, out=J[k:])
+        np.einsum("abim,qim->abqm", d2y, dp, out=H[:, :, k:])
+        H[:, :, k:] += np.einsum("iam,qijm,jbm->abqm", dy, _last(d2p), dy)
+    return np.concatenate([y, p], axis=1), J, H
 
 
 def _circle(theta):
     """Unit directions (cos theta, sin theta) with their first and second
-    angle derivatives, in the layouts of ``_polar_chart``."""
-    om = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-    return om, np.stack([-om[:, 1], om[:, 0]], axis=1)[:, :, None], -om[:, None, None, :]
+    angle derivatives, sample-last in the layouts of ``_polar_chart``."""
+    om = np.stack([np.cos(theta), np.sin(theta)])
+    return om, np.stack([-om[1], om[0]])[:, None], -om[None, None]
 
 
 def _sphere(phi, theta):
     """Unit directions (sin phi (cos theta, sin theta), cos phi), phi the
     angle from the last axis, with their angle derivatives in (phi, theta)."""
     c, dc, d2c = _circle(theta)
-    sp, cp = np.sin(phi)[:, None], np.cos(phi)[:, None]
-    zero = np.zeros_like(cp)
-    om = np.concatenate([sp * c, cp], axis=1)
-    dom = np.stack([np.concatenate([cp * c, -sp], axis=1),
-                    np.concatenate([sp * dc[:, :, 0], zero], axis=1)], axis=2)
-    d2om = np.empty((len(phi), 2, 2, 3))
-    d2om[:, 0, 0] = -om
-    d2om[:, 0, 1] = d2om[:, 1, 0] = np.concatenate([cp * dc[:, :, 0], zero], axis=1)
-    d2om[:, 1, 1] = np.concatenate([sp * d2c[:, 0, 0], zero], axis=1)
+    sp, cp = np.sin(phi), np.cos(phi)
+    zero = np.zeros((1, len(phi)))
+    om = np.concatenate([sp * c, cp[None]])
+    dom = np.stack([np.concatenate([cp * c, -sp[None]]),
+                    np.concatenate([sp * dc[:, 0], zero])], axis=1)
+    d2om = np.empty((2, 2, 3, len(phi)))
+    d2om[0, 0] = -om
+    d2om[0, 1] = d2om[1, 0] = np.concatenate([cp * dc[:, 0], zero])
+    d2om[1, 1] = np.concatenate([sp * d2c[0, 0], zero])
     return om, dom, d2om
 
 
 def _polar_chart(radius, r, om, dom, d2om):
-    """The chart y = R r omega of the radius-R k-ball in coordinates (r,
-    angles), for ``_graph_over_chart``, from unit directions omega (m, k)
-    with ``dom[:, i, a]`` = d_a omega_i and ``d2om[:, a, b, i]`` = d_a d_b
-    omega_i: d_r y = R omega, d_r d_a y = R d_a omega and d_r^2 y = 0."""
-    k = om.shape[1]
-    Rr = radius * r[:, None]
-    dy = np.concatenate([radius * om[:, :, None], Rr[:, :, None] * dom], axis=2)
-    d2y = np.zeros((len(r), k, k, k))
-    d2y[:, 0, 1:] = d2y[:, 1:, 0] = radius * np.swapaxes(dom, 1, 2)
-    d2y[:, 1:, 1:] = Rr[:, None, None] * d2om
-    return Rr * om, dy, d2y
+    """The chart y = R r omega of the radius-R k-ball for
+    ``_graph_over_chart``, on the grid of radial nodes ``r`` (slowest) times
+    the angular nodes of the directions omega (k, a), ``dom[i, c]`` = d_c
+    omega_i and ``d2om[c, d, i]`` = d_c d_d omega_i, each broadcast over r:
+    d_r y = R omega, d_r d_c y = R d_c omega and d_r^2 y = 0."""
+    k, Rr = len(om), (radius * r)[:, None]
+    dy = np.empty((k, k, len(r), om.shape[1]))
+    dy[:, 0], dy[:, 1:] = radius * om[:, None], Rr * dom[:, :, None]
+    d2y = np.zeros((k,) + dy.shape)
+    d2y[0, 1:] = d2y[1:, 0] = radius * np.swapaxes(dom, 0, 1)[:, :, None]
+    d2y[1:, 1:] = Rr * d2om[:, :, :, None]
+    return (Rr[:, :, None] * om.T).reshape(-1, k), dy.reshape(k, k, -1), d2y.reshape(k, k, k, -1)
 
 
 def _ball_graph(k, radius, graph, nr, ntheta, nphi=0, with_boundary=True):
@@ -703,20 +730,20 @@ def _ball_graph(k, radius, graph, nr, ntheta, nphi=0, with_boundary=True):
         directions, angles = _circle, [theta]
     else:
         directions, angles = _sphere, [_gauss_interval(nphi, 0.0, np.pi), theta]
-    (rr, *aa), ws = _tensor_grid([_gauss01(nr), *angles])
-    xs, Js, Hs = _graph_over_chart(*_polar_chart(radius, rr, *directions(*aa)), graph)
-    n = xs.shape[1]
-    if not with_boundary:
-        return SampledImmersion(k, n, xs, Js, Hs, ws)
     rim, bw = _tensor_grid(angles)
-    bx, bJ, _ = _graph_over_chart(
-        *_polar_chart(radius, np.ones(len(bw)), *directions(*rim)), graph
-    )
+    om = directions(*rim)
+    xs, J, H = _graph_over_chart(*_polar_chart(radius, _gauss01(nr)[0], *om), graph)
+    n, ws = xs.shape[1], _tensor_grid([_gauss01(nr), *angles])[1]
+    interior = k, n, xs, J.transpose(2, 0, 1), H.transpose(3, 0, 1, 2), ws
+    if not with_boundary:
+        return SampledImmersion(*interior)
+    bx, bJ, _ = _graph_over_chart(*_polar_chart(radius, np.ones(1), *om), graph)
+    bJ = _first(bJ)
     if k == 2:
         bw = np.linalg.norm(bJ[:, :, 1], axis=1) * bw
     else:
         bw = bw * radius**2 * np.sin(rim[0])
-    return SampledImmersion(k, n, xs, Js, Hs, ws, bx, bJ, bw, polar_conormals(bJ))
+    return SampledImmersion(*interior, bx, bJ, bw, polar_conormals(bJ))
 
 
 def _codimension(n, k):
@@ -726,13 +753,12 @@ def _codimension(n, k):
 
 
 def _const_graph(n, k, heights):
-    """Constant graph map (heights, 0, ...) into the last n - k coordinates."""
+    """A constant graph (heights, 0, ...) in the last n - k coordinates: no derivatives."""
     q = _codimension(n, k)
     h = np.pad(np.asarray(heights, float), (0, q - len(heights)))
 
     def graph(y):
-        m = y.shape[0]
-        return np.broadcast_to(h, (m, q)), np.zeros((m, q, k)), np.zeros((m, q, k, k))
+        return np.broadcast_to(h, (len(y), q)), None, None
 
     return graph
 
@@ -759,10 +785,10 @@ def _cube_graph(k, n, per_output_terms, halfwidth, nodes_per_axis):
     ys, ws = _tensor_grid([_gauss_interval(nodes_per_axis, -halfwidth, halfwidth)] * k)
     ys = np.stack(ys, axis=1)
     m = ys.shape[0]
-    xs, Js, Hs = _graph_over_chart(
-        ys, np.broadcast_to(np.eye(k), (m, k, k)), np.zeros((m, k, k, k)), graph
+    xs, J, H = _graph_over_chart(
+        ys, np.repeat(np.eye(k)[:, :, None], m, axis=2), np.zeros((k, k, k, m)), graph
     )
-    return SampledImmersion(k, n, xs, Js, Hs, ws)
+    return SampledImmersion(k, n, xs, J.transpose(2, 0, 1), H.transpose(3, 0, 1, 2), ws)
 
 
 def random_graph_terms(k, n, degree, seed):

@@ -555,26 +555,30 @@ def use_flow_oracles(monkeypatch):
 
 def graph_over_chart_einsum(y, dy, d2y, graph):
     """``submanifold._graph_over_chart``: ``(x, J, H)`` by one sample-first
-    ``einsum`` for D^2 psi(d_a y, d_b y) and batched products for the rest."""
+    ``einsum`` for D^2 psi(d_a y, d_b y) and batched products for the rest,
+    from and to the kernel's sample-last chart derivatives, J and H."""
     p, dp, d2p = graph(y)
     m, k = y.shape
+    dy, d2y = _first(dy), _first(d2y)
     curv = np.einsum("mia,mqij,mjb->mabq", dy, d2p, dy, optimize="greedy")
     tangential = (d2y.reshape(m, k * k, k) @ np.swapaxes(dp, 1, 2)).reshape(m, k, k, -1)
     H = np.concatenate([d2y, curv + tangential], axis=3)
-    return np.concatenate([y, p], axis=1), np.concatenate([dy, dp @ dy], axis=1), H
+    return np.concatenate([y, p], axis=1), _last(np.concatenate([dy, dp @ dy], axis=1)), _last(H)
 
 
-def gram_matmul(Js):
-    """``submanifold._gram`` sample-first: J^T J by a batched matrix
-    product, (m, k, k)."""
-    return np.swapaxes(Js, 1, 2) @ Js
+def gram_matmul(J):
+    """``submanifold._gram``: J^T J by a batched matrix product over the
+    sample-first stack of the sample-last J, returned sample-last (k, k, m)."""
+    Js = _first(J)
+    return _last(np.swapaxes(Js, 1, 2) @ Js)
 
 
-def conditioning_eigvalsh(Js, where):
+def conditioning_eigvalsh(J, where):
     """``submanifold._check_conditioning`` by ``eigvalsh`` of every sample's
-    Gram (the package's ``_gram``): a rank-deficient sample first, then the
-    first whose cond = lmax / lmin exceeds ``COND_LIMIT``."""
-    lam = np.linalg.eigvalsh(_first(_gram(Js)))
+    Gram (the package's ``_gram`` of the sample-last J): a rank-deficient
+    sample first, then the first whose cond = lmax / lmin exceeds
+    ``COND_LIMIT``."""
+    lam = np.linalg.eigvalsh(_first(_gram(J)))
     lmin, lmax = lam[:, 0], lam[:, -1]
     if np.any(lmin <= 0.0):
         bad = int(np.argmax(lmin <= 0.0))
@@ -593,13 +597,13 @@ def geometry_first(imm):
     geo = imm.geometry()
     return SimpleNamespace(tangent=_first(geo.tangent), normal=_first(geo.normal),
                            alpha=_first(geo.alpha), b_normal=_first(geo.b_normal),
-                           chart_to_frame=_first(_batched_frames(imm.Js)[2]))
+                           chart_to_frame=_first(_batched_frames(imm.J)[2]))
 
 
 def geometry_einsum(imm):
     """``(alpha, H)`` of ``SampledImmersion.geometry()``, alpha sample-first,
     and its ``jacobian_factor``."""
-    N, C = (_first(a) for a in _batched_frames(imm.Js)[1:])
+    N, C = (_first(a) for a in _batched_frames(imm.J)[1:])
     hn = np.einsum("mrx,mabx->mabr", N, imm.Hs)
     alpha = np.einsum("mai,mbj,mabr->mijr", C, C, hn)
     H = np.einsum("miir,mrx->mx", alpha, N)

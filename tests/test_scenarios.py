@@ -463,6 +463,21 @@ def test_cli_catalog_errors_exit_2(verb, doc, message, tmp_path, capsys):
     assert f"configuration error: {message}" in capsys.readouterr().err
 
 
+def test_cli_rejects_non_finite_config_numbers(tmp_path, capsys):
+    """JSON's NaN and Infinity literals are configuration errors naming the
+    key, not an inconclusive verdict with a NaN total."""
+    for literal, immersion, message in [
+        ("NaN", '{"kind": "paraboloid-cap", "curvature": NaN}',
+         "curvature must be a finite number, got nan"),
+        ("Infinity", '{"kind": "equatorial-disk", "radius": Infinity}',
+         "radius must be a finite number, got inf"),
+    ]:
+        cfg = tmp_path / f"{literal}.json"
+        cfg.write_text(f'{{"scenario": {{"n": 4, "k": 2, "immersion": {immersion}}}}}')
+        assert cli.main(["stability", "--config", str(cfg)]) == 2
+        assert f"configuration error: {message}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [
     ["stability", "--scenario", "flat-disk-b4k2", "--format", "csv"],
     ["dump", "--scenario", "flat-disk-b4k2", "--tol", "1"],

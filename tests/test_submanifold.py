@@ -1,5 +1,7 @@
 """Sampled immersions: frames, fundamental forms, volumes, residual checks."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -81,7 +83,7 @@ def test_frames_match_lapack(n, data, seed):
     the normal space (its projector), and [T; N] is orthonormal."""
     k = data.draw(st.integers(1, n - 1))
     Js = _bounded_jacobians(np.random.default_rng(seed), 40, n, k)
-    T, N, C = (sub._first(a) for a in sub._batched_frames(Js))
+    T, N, C = (sub._first(a) for a in sub._batched_frames(sub._last(Js)))
     T0, N0, C0 = oracles.lapack_frames(Js)
     assert np.max(np.abs(T - T0)) <= 1e-13
     assert np.max(np.abs(C - C0)) <= 1e-13
@@ -225,17 +227,23 @@ def test_volume_k3():
 ], ids=["k2", "k3"])
 def test_validated_jacobian_factor_reuses_the_conditioning_gram(kind, params, monkeypatch):
     """A build takes its Jacobian factor from the Gram its conditioning
-    check formed, so J^T J is multiplied once."""
-    calls = []
-    spectrum = sub._gram_spectrum
+    check formed, so J^T J is multiplied once per Jacobian stack."""
+    grams, spectra = [], []
+    gram, spectrum = sub._gram, sub._gram_spectrum
 
-    def counted(Js, det=False, gram=None):
-        calls.append(gram is None)
-        return spectrum(Js, det, gram)
+    def counted_gram(J):
+        grams.append(gram(J))
+        return grams[-1]
 
-    monkeypatch.setattr(sub, "_gram_spectrum", counted)
+    def counted_spectrum(G, det=False):
+        spectra.append(G)
+        return spectrum(G, det)
+
+    monkeypatch.setattr(sub, "_gram", counted_gram)
+    monkeypatch.setattr(sub, "_gram_spectrum", counted_spectrum)
     imm = sub.make_immersion(kind, **params)
-    assert calls and not any(calls)
+    assert len(grams) == 1 + (imm.n_boundary > 0)
+    assert any(G is grams[0] for G in spectra)
     assert imm.jacobian_factor.shape == (imm.n_interior,)
 
 
@@ -340,6 +348,83 @@ def test_validation_rejects_bad_samples(flat_b4):
                              imm.bxs, imm.bJs, imm.bws, bad_nu)
 
 
+ARRAYS = ("xs", "Js", "Hs", "ws", "bxs", "bJs", "bws", "bnus")
+
+
+def _rebuilt(imm, **arrays):
+    """``imm`` rebuilt from its sample-first arrays, some replaced."""
+    return sub.SampledImmersion(imm.k, imm.n, *(arrays.get(a, getattr(imm, a)) for a in ARRAYS))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("array, error", [
+    ("xs", ConfigError), ("Js", DegenerateSampleError), ("Hs", ConfigError),
+    ("ws", ConfigError), ("bxs", ConfigError), ("bJs", DegenerateSampleError),
+    ("bws", ConfigError), ("bnus", InvalidSampleError)])
+def test_validation_refuses_non_finite_samples(array, error, bad, cap_b4):
+    """A NaN or inf in any sample array is refused with the typed error of
+    the check beside it, naming the sample: it no longer gives a NaN verdict
+    or, for an infinite weight, a certificate with a total of -inf."""
+    imm = cap_b4.immersion
+    values = np.array(getattr(imm, array))
+    values.reshape(len(values), -1)[5, -1] = bad
+    with pytest.raises(error, match="sample 5"):
+        _rebuilt(imm, **{array: values})
+
+
+def test_validation_refuses_a_non_positive_boundary_weight(cap_b4):
+    bws = np.array(cap_b4.immersion.bws)
+    bws[3] = -1.0
+    with pytest.raises(ConfigError, match="boundary sample 3"):
+        _rebuilt(cap_b4.immersion, bws=bws)
+
+
+def test_nan_level_set_value_is_off_the_boundary(ball4):
+    with pytest.raises(InvalidSampleError, match="off the domain boundary"):
+        sub._check_on_boundary(ball4, np.array([[1.0, 0.0, 0.0, 0.0], [np.nan, 0.0, 0.0, 0.0]]))
+
+
+@pytest.mark.parametrize("name", ["cap-disk-b4k2", "flat-disk-b5k3", "paraboloid-b3"])
+def test_catalog_immersions_hold_sample_last_stacks(name):
+    """A catalog immersion holds J (n, k, m) and its chart Hessians (k, k, n,
+    m) C-contiguous and read-only; ``Js`` and ``Hs`` are views of them.  An
+    immersion rebuilt from those views takes the same arrays without a copy
+    and is bit for bit the same, while a sample-first copy is transposed
+    once."""
+    imm = build_scenario(name).immersion
+    m, n, k = imm.n_interior, imm.n, imm.k
+    assert imm.J.shape == (n, k, m) and imm.Hchart.shape == (k, k, n, m)
+    for a, view in ((imm.J, imm.Js), (imm.Hchart, imm.Hs)):
+        assert a.flags.c_contiguous and not a.flags.writeable
+        assert np.shares_memory(a, view) and not view.flags.writeable
+        assert np.array_equal(view, np.moveaxis(a, -1, 0))
+    again = _rebuilt(imm)
+    assert again.J.ctypes.data == imm.J.ctypes.data
+    assert again.Hchart.ctypes.data == imm.Hchart.ctypes.data
+    copied = _rebuilt(imm, Js=np.array(imm.Js), Hs=np.array(imm.Hs))
+    assert copied.J.flags.c_contiguous and not np.shares_memory(copied.J, imm.J)
+    for other in (again, copied):
+        assert other.jacobian_factor.tobytes() == imm.jacobian_factor.tobytes()
+        for got, want in zip(vars(other.geometry()).values(), vars(imm.geometry()).values()):
+            assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("name, bound_mb", [("flat-disk-b5k3", 4.5), ("cap-disk-b4k2", 1.2)])
+def test_cold_build_traced_peak(name, bound_mb):
+    """A cold build holds J and H in the layout its kernels read and makes
+    one working copy of J, so the traced peak of ``build_scenario`` stays
+    under 4.5 and 1.2 MB; transposed copies of J and H on the build path
+    would push it to about 6.8 and 1.7 MB."""
+    build_scenario(name)
+    tracemalloc.start()
+    try:
+        build_scenario(name)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound_mb * 1e6
+
+
 def test_json_round_trip(cap_b4):
     imm = cap_b4.immersion
     text = sub.immersion_to_json(imm)
@@ -378,19 +463,22 @@ def test_catalog_rejects_k_at_least_n(spec):
 
 
 def _chart_samples(chart, n, k, terms):
-    """``t -> (x, J, H)`` for a polynomial graph over a catalog chart in
-    coordinates t: (r, theta) polar, (r, phi, theta) spherical-polar, or the
-    cube's identity chart."""
+    """``t -> (x, J, H)``, J and H sample-first, for a polynomial graph over
+    a catalog chart in coordinates t: (r, theta) polar or (r, phi, theta)
+    spherical-polar on the tensor grid of t's radii and t's angles, or the
+    cube's identity chart at t."""
     graph = sub._poly_graph(n, k, terms)
 
     def samples(t):
         if chart == "cube":
             m = len(t)
-            return sub._graph_over_chart(
-                t, np.broadcast_to(np.eye(k), (m, k, k)), np.zeros((m, k, k, k)), graph)
-        directions = sub._circle if chart == "polar" else sub._sphere
-        return sub._graph_over_chart(
-            *sub._polar_chart(1.3, t[:, 0], *directions(*t[:, 1:].T)), graph)
+            x, J, H = sub._graph_over_chart(
+                t, np.repeat(np.eye(k)[:, :, None], m, axis=2), np.zeros((k, k, k, m)), graph)
+        else:
+            directions = sub._circle if chart == "polar" else sub._sphere
+            x, J, H = sub._graph_over_chart(
+                *sub._polar_chart(1.3, t[:, 0], *directions(*t[:, 1:].T)), graph)
+        return x, sub._first(J), sub._first(H)
     return samples
 
 

@@ -22,7 +22,7 @@ search ends once a whole round of its trials is flat to the acceptance gain
 Sweep rays and the polish pattern are Gaussian points: the Box-Muller map
 (``gaussian``) of a seeded Kronecker sequence (``kronecker``), which also
 gives the interior points of a sampled curvature bound.  The same seed
-gives the same points, and no scipy module is loaded.
+gives the same points.
 """
 
 from __future__ import annotations

@@ -13,11 +13,12 @@ Evaluation is vectorized: points may be a single ``(n,)`` vector or any
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from numbers import Real
 from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, required
+from .errors import ConfigError, DomainError, PreconditionError, required
 
 Array = np.ndarray
 
@@ -27,7 +28,7 @@ DEFAULT_FD_STEP = 1e-5
 def _as_points(x) -> Array:
     x = np.asarray(x, dtype=float)
     if x.ndim == 0:
-        raise ValueError("a point must have at least one coordinate")
+        raise PreconditionError("a point must have at least one coordinate, got a 0-d array")
     return x
 
 
@@ -41,6 +42,7 @@ class ScalarField:
     by central differences at ``step``; analytic fields have ``step`` 0.
     ``radial`` declares u(x) = p(|x|^2), invariant under rotations about
     the origin; only the catalog's radial exponents and ``zero`` set it.
+    ``dim`` is the n of R^n for a field with per-coordinate data, else None.
     """
 
     value_fn: Callable[[Array], Array]
@@ -49,6 +51,7 @@ class ScalarField:
     step: float = 0.0
     name: str = dc_field(default="", compare=False)
     radial: bool = False
+    dim: int | None = None
 
     def value(self, x) -> Array:
         return np.asarray(self.value_fn(_as_points(x)), dtype=float)
@@ -64,17 +67,18 @@ class ScalarField:
         return 0.5 * (h + np.swapaxes(h, -1, -2))
 
     @staticmethod
-    def analytic(value_fn, grad_fn, hess_fn, name="", radial=False) -> "ScalarField":
+    def analytic(value_fn, grad_fn, hess_fn, name="", radial=False, dim=None) -> "ScalarField":
         """A field with closed-form derivatives.  ``hess_fn`` must return
         bitwise symmetric matrices (h[..., i, j] == h[..., j, i] exactly):
         ``hessian`` passes them through unsymmetrised."""
-        return ScalarField(value_fn, grad_fn, hess_fn, name=name, radial=radial)
+        return ScalarField(value_fn, grad_fn, hess_fn, name=name, radial=radial, dim=dim)
 
     @staticmethod
     def finite_difference(value_fn, step=DEFAULT_FD_STEP, name="") -> "ScalarField":
         """Wrap a plain scalar function, deriving grad/hess by central differences."""
-        if step <= 0:
-            raise ValueError("finite-difference step must be positive")
+        if isinstance(step, bool) or not (isinstance(step, Real) and 0 < step < np.inf):
+            raise PreconditionError(
+                f"finite-difference step must be a finite positive number, got {step!r}")
 
         def grad_fn(x):
             n = x.shape[-1]
@@ -135,6 +139,8 @@ def _zero_field() -> ScalarField:
 
 def _linear_field(a) -> ScalarField:
     a = np.asarray(a, dtype=float)
+    if a.ndim != 1:
+        raise ConfigError(f"field 'linear' needs a list of numbers a, got {a.tolist()!r}")
 
     def value(x):
         return x @ a
@@ -146,7 +152,7 @@ def _linear_field(a) -> ScalarField:
         n = x.shape[-1]
         return np.zeros(x.shape[:-1] + (n, n))
 
-    return ScalarField.analytic(value, grad, hess, name="linear")
+    return ScalarField.analytic(value, grad, hess, name="linear", dim=len(a))
 
 
 def _radial_field(p, dp, d2p, name, open_unit_ball=False) -> ScalarField:
@@ -250,7 +256,7 @@ def _polynomial_field(terms) -> ScalarField:
     return ScalarField.analytic(
         lambda x: value(x).reshape(x.shape[:-1]),
         lambda x: grad_sums(x).reshape(x.shape),
-        hess, name="polynomial",
+        hess, name="polynomial", dim=n,
     )
 
 

@@ -343,15 +343,6 @@ def flow_state(grid: PolarGrid, metric: ConformalMetric, domain: LevelSetDomain,
     return FlowState(grid, measure, dt, 0, vol, res, defect, ((res, defect, vol, 0.0, 0),))
 
 
-@cache
-def _gesv():
-    """LAPACK's ``dgesv``, imported at the first implicit solve, so that
-    importing the package loads no scipy module.  numpy's ``solve`` is
-    slower at the flow's sizes and differs from it at round-off."""
-    from scipy.linalg.lapack import dgesv
-    return dgesv
-
-
 def flow_step(state: FlowState, metric: ConformalMetric, domain: LevelSetDomain,
               config: FlowConfig | None = None) -> FlowState:
     """One linearly implicit step with boundary re-projection and volume
@@ -375,13 +366,14 @@ def flow_step(state: FlowState, metric: ConformalMetric, domain: LevelSetDomain,
     cap = float(1.0 / (cfg.boundary_rate * abs(grid.D[grid.nr, grid.nr])))
     dt = float(min(state.step, cap))
     for backtracks in range(cfg.max_backtracks + 1):
-        # S = I - dt E L_II in LAPACK's column order, which dgesv overwrites
-        S = np.multiply(EL_II, -dt, order="F")
+        # S = I - dt E L_II
+        S = -dt * EL_II
         S.flat[:: m + 1] += 1.0
-        *_, V, info = _gesv()(S, interior + dt * EL_rim, overwrite_a=1, overwrite_b=1)
-        if info > 0:
+        try:
+            V = np.linalg.solve(S, interior + dt * EL_rim)
+        except np.linalg.LinAlgError:
             raise StepFailureError(
-                f"singular implicit system at iteration {state.iteration}, dt = {dt:.6e}")
+                f"singular implicit system at iteration {state.iteration}, dt = {dt:.6e}") from None
         direction = np.concatenate([V, rim]).reshape(grid.positions.shape)
         trial = grid.positions + dt * _filter_direction(grid, direction)
         trial[grid.nr] = project_to_boundary(domain, trial[grid.nr], tol=1e-12)

@@ -86,6 +86,8 @@ class BuiltScenario:
 
 def _catalog(spec: dict, key: str, what: str) -> tuple[str, dict]:
     """The catalog name ``spec[key]`` and the other entries, its parameters."""
+    if not isinstance(spec, dict):
+        raise ConfigError(f"{what} must be a JSON object, got {spec!r}")
     return required(spec, key, what), {k: v for k, v in spec.items() if k != key}
 
 
@@ -99,7 +101,11 @@ def build_scenario(sc: Scenario | str, quadrature: dict | None = None) -> BuiltS
     kind, params = _catalog(sc.domain_spec, "kind", "domain")
     dom = domain_mod.make_domain(kind, sc.n, **params)
     name, params = _catalog(sc.field_spec, "name", "field")
-    metric = ConformalMetric(make_field(name, **params), sc.n)
+    field = make_field(name, **params)
+    if field.dim not in (None, sc.n):
+        raise ConfigError(f"scenario {sc.name}: field {name!r} {params} is on R^{field.dim}, "
+                          f"not R^{sc.n}")
+    metric = ConformalMetric(field, sc.n)
     kind, imm_spec = _catalog(sc.immersion_spec, "kind", "immersion")
     imm_spec.setdefault("n", sc.n)
     if kind in ("equatorial-disk", "graph", "random-graph"):

@@ -13,14 +13,15 @@ metric and a domain that the second variation reads
 fixed sample order so results are deterministic.  The kernels contract by
 ``einsum`` over contiguous sample-last stacks (sample index last).  One
 layout rule holds for what an immersion, its geometry and its records keep:
-the interior Jacobians J (n, k, m), the chart Hessians (k, k, n, m) and the
-frame and form components are sample-last (..., m); ``Js`` and ``Hs`` are
-read-only sample-first views of J and H.  The constructor takes such views;
-``_last`` copies a stack only where its transpose is not C-contiguous, so
-the catalog hands over its sample-last J and H for free.  Vectors of R^n per
-sample (x, H, grad u, the bracket) and the rim's arrays stay sample-first,
-as the fields return them.  A ``NormalField`` is a normal field by its
-components against the normal frames, in the same layout;
+the interior Jacobians J (n, k, m), the rim's Jacobians bJ (n, k, mb), the
+chart Hessians (k, k, n, m) and the frame and form components are
+sample-last (..., m); ``Js``, ``bJs`` and ``Hs`` are read-only sample-first
+views of J, bJ and H.  The constructor takes such views; ``_last`` copies a
+stack only where its transpose is not C-contiguous, so the catalog hands
+over its sample-last J, bJ and H for free.  Vectors of R^n per sample (x, H,
+grad u, the bracket) and the rim's positions, weights and conormals stay
+sample-first, as the fields return them.  A ``NormalField`` is a normal
+field by its components against the normal frames, in the same layout;
 ``projected_field`` gives the projected constants E^perp.
 
 Every catalog immersion is a graph x = (y, psi(y)) over a polar,
@@ -235,18 +236,19 @@ class SampledImmersion:
             boundary_w = np.zeros((0,))
             boundary_nu = np.zeros((0, self.n))
         self.bxs = np.asarray(boundary_x, float)
-        self.bJs = np.asarray(boundary_J, float)
+        self.bJ = _last(np.asarray(boundary_J, float))
         self.bws = np.asarray(boundary_w, float)
         self.bnus = np.asarray(boundary_nu, float)
         self._geometry = None
         self._ambient = {}
         self._validate()
-        for a in (self.xs, self.J, self.Hchart, self.ws, self.bxs, self.bJs, self.bws, self.bnus,
+        for a in (self.xs, self.J, self.Hchart, self.ws, self.bxs, self.bJ, self.bws, self.bnus,
                   self.jacobian_factor):
             a.flags.writeable = False
 
     Js = property(lambda self: self.J.transpose(2, 0, 1), doc="J sample-first, (m, n, k)")
     Hs = property(lambda self: self.Hchart.transpose(3, 0, 1, 2), doc="Hchart sample-first")
+    bJs = property(lambda self: self.bJ.transpose(2, 0, 1), doc="bJ sample-first, (mb, n, k)")
 
     def _validate(self):
         k, n = self.k, self.n
@@ -259,7 +261,7 @@ class SampledImmersion:
                 or self.Hchart.shape != (k, k, n, m) or self.ws.shape != (m,)):
             raise ConfigError("interior sample array shapes are inconsistent")
         mb = self.bxs.shape[0]
-        if mb and (self.bxs.shape != (mb, n) or self.bJs.shape != (mb, n, k)
+        if mb and (self.bxs.shape != (mb, n) or self.bJ.shape != (n, k, mb)
                    or self.bws.shape != (mb,) or self.bnus.shape != (mb, n)):
             raise ConfigError("boundary sample array shapes are inconsistent")
         for where, x, w in (("interior", self.xs, self.ws), ("boundary", self.bxs, self.bws)):
@@ -279,7 +281,7 @@ class SampledImmersion:
         if asym > 1e-9 * (1.0 + size):
             raise ConfigError("chart second derivatives are not symmetric")
         if mb:
-            _check_conditioning(_last(self.bJs), "boundary")
+            _check_conditioning(self.bJ, "boundary")
             _refuse(np.abs(np.linalg.norm(self.bnus, axis=1) - 1.0) <= 1e-9, InvalidSampleError,
                     "boundary sample {}: the conormal is not a unit vector")
             # conormal must lie in the tangent space of the immersion
@@ -299,7 +301,7 @@ class SampledImmersion:
     def _boundary_normal(self) -> Array:
         """The normal frame at the boundary samples (q, n, mb), built once for
         validation and ``geometry()``."""
-        return _batched_frames(_last(self.bJs))[1]
+        return _batched_frames(self.bJ)[1]
 
     def geometry(self) -> ImmersionGeometry:
         if self._geometry is None:
@@ -738,7 +740,7 @@ def _ball_graph(k, radius, graph, nr, ntheta, nphi=0, with_boundary=True):
     if not with_boundary:
         return SampledImmersion(*interior)
     bx, bJ, _ = _graph_over_chart(*_polar_chart(radius, np.ones(1), *om), graph)
-    bJ = _first(bJ)
+    bJ = bJ.transpose(2, 0, 1)
     if k == 2:
         bw = np.linalg.norm(bJ[:, :, 1], axis=1) * bw
     else:

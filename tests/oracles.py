@@ -533,20 +533,12 @@ def filter_direction_rfft(grid, direction):
     return np.fft.irfft(spec, n=grid.ntheta, axis=1)
 
 
-def gesv_numpy(a, b, **overwrite):
-    """``scipy.linalg.lapack.dgesv``'s ``(lu, piv, x, info)`` by
-    ``np.linalg.solve``; only ``x`` and ``info`` are filled in, and the
-    inputs are never overwritten."""
-    return None, None, np.linalg.solve(a, b), 0
-
-
 def use_flow_oracles(monkeypatch):
     """Make the flow step through the routes above."""
     monkeypatch.setattr(fl.PolarGrid, "chart_derivatives", chart_derivatives_fft)
     monkeypatch.setattr(fl, "_gram_terms", gram_terms_matmul)
     monkeypatch.setattr(fl, "laplace_beltrami", laplace_beltrami_scatter)
     monkeypatch.setattr(fl, "_filter_direction", filter_direction_rfft)
-    monkeypatch.setattr(fl, "_gesv", lambda: gesv_numpy)
 
 
 # ---------------------------------------------------------------------------

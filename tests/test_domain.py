@@ -476,7 +476,7 @@ print(sorted(name for name in sys.modules if name == "scipy" or name.startswith(
 
 SAMPLED_HYPOTHESES = """
 import json
-from fbstab import domain, submanifold, variation
+from fbstab import domain, flow, scenarios, submanifold, variation
 from fbstab.fields import ConformalMetric, make_field
 ellipsoid = domain.make_domain("ellipsoid", 4, semi_axes=[2.0, 1.2, 1.0, 0.9])
 convexity = domain.convexity_report(ellipsoid, make_field("radial-spherical"), 2, 256, 1)
@@ -484,22 +484,29 @@ imm = submanifold.make_immersion("equatorial-disk", n=4, k=2, nr=8, ntheta=16)
 metric = ConformalMetric(make_field("linear", a=[0.1, 0.0, 0.2, 0.0]), 4)
 config = variation.CertificateConfig(curvature_points=2000, convexity_samples=256)
 certificate = variation.instability_certificate(imm, metric, domain.make_domain("ball", 4), config)
-print(json.dumps([convexity.to_dict(), certificate.to_dict()]))
+built = scenarios.build_scenario("flow-sin-cap-b4")
+_, converged, state = flow.run_flow(scenarios.flow_grid_for(built.scenario), built.metric,
+                                    built.domain)
+print(json.dumps({"convexity": convexity.to_dict(), "certificate": certificate.to_dict(),
+                  "converged": converged, "iterations": state.iteration,
+                  "residual": state.residual, "history": state.residual_history}))
 """
 
 
 def test_sampled_hypotheses_need_no_scipy_install():
     """With scipy blocked, a fresh process samples a non-radial convexity
-    report (an ellipsoid's sweep and polish) and a certificate with a linear
-    exponent (interior points and a boundary sweep), and gets bit for bit
-    the values of this process."""
+    report (an ellipsoid's sweep and polish), certifies with a linear
+    exponent (interior points and a boundary sweep) and runs the
+    ``flow-sin-cap-b4`` flow to convergence, and gets bit for bit the values
+    of this process."""
     got = json.loads(_run_python('import sys\nsys.modules["scipy"] = None\n' + SAMPLED_HYPOTHESES))
     namespace = {}
     with contextlib.redirect_stdout(io.StringIO()) as out:
         exec(SAMPLED_HYPOTHESES, namespace)
     assert got == json.loads(out.getvalue())
-    assert got[0]["route"] == "sampled" and got[0]["n_samples"] == 256
-    assert got[1]["curvature_min"] < 0.0
+    assert got["convexity"]["route"] == "sampled" and got["convexity"]["n_samples"] == 256
+    assert got["certificate"]["curvature_min"] < 0.0
+    assert got["converged"] and got["iterations"] == len(got["history"]) - 1
 
 
 def poly_field(n):

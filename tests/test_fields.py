@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from fbstab.domain import make_domain
-from fbstab.errors import ConfigError, DomainError
+from fbstab.errors import ConfigError, DomainError, PreconditionError
 from fbstab.fields import FIELD_NAMES, ConformalMetric, ScalarField, make_field
 
 
@@ -64,6 +64,22 @@ def test_fd_hessian_symmetric():
     fd = ScalarField.finite_difference(lambda x: np.sin(x[..., 0] * x[..., 1]), step=1e-5)
     h = fd.hessian(np.array([0.3, 0.7]))
     assert np.max(np.abs(h - h.T)) <= 10 * fd.step
+
+
+@pytest.mark.parametrize("step", [float("nan"), float("inf"), 0.0, -1.0])
+def test_fd_refuses_a_step_that_is_not_finite_and_positive(step):
+    """A step that is not a finite positive number is refused by a typed
+    error naming it: a NaN step would give a field whose derivatives are all
+    NaN, and an infinite one NaN with a RuntimeWarning."""
+    with pytest.raises(PreconditionError, match=f"got {step!r}"):
+        ScalarField.finite_difference(lambda x: np.sum(x, axis=-1), step=step)
+
+
+def test_a_point_needs_a_coordinate():
+    field = make_field("radial-spherical")
+    for evaluate in (field.value, field.gradient, field.hessian):
+        with pytest.raises(PreconditionError, match="at least one coordinate"):
+            evaluate(np.float64(0.5))
 
 
 def test_fd_reproduces_analytic_on_polynomial(rng):

@@ -234,8 +234,8 @@ def test_cached_operator_kernels_match_their_oracles(name):
 @pytest.mark.parametrize("name", BENCHMARK_STARTS)
 def test_ten_steps_match_the_oracle_routes(name, monkeypatch):
     """Ten steps on the cached operators land within 1e-14 of ten steps by
-    FFTs, scattered operators, batched Gram products and np.linalg.solve,
-    with the same step sizes and backtracks."""
+    FFTs, scattered operators and batched Gram products, with the same step
+    sizes and backtracks."""
     grid, metric, dom = benchmark_start(name)
 
     def ten_steps():

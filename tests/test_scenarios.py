@@ -424,6 +424,16 @@ _POLYNOMIAL_B4 = {"n": 4, "k": 2, "field": {"name": "polynomial", "terms": [[0.1
      "scenario inline: expected 'verdict' must be an object with a string 'value'"),
     ("stability", {"scenario": {"n": 4, "k": 2, "expected": {"fb_defect": {"value": "small"}}}},
      "scenario inline: expected 'fb_defect' must be an object with a number 'value'"),
+    ("stability", {"scenario": {"n": 4, "k": 2, "domain": 5}}, "domain must be a JSON object, got 5"),
+    ("stability", {"scenario": {"n": 4, "k": 2, "field": None}},
+     "field must be a JSON object, got None"),
+    ("stability", {"scenario": {"n": 4, "k": 2, "field": {"name": "linear", "a": [0.1, 0.2]}}},
+     "scenario inline: field 'linear' {'a': [0.1, 0.2]} is on R^2, not R^4"),
+    ("stability", {"scenario": {"n": 4, "k": 2, "field": {"name": "linear", "a": 0.5}}},
+     "field 'linear' needs a list of numbers a, got 0.5"),
+    ("stability", {"scenario": {"n": 4, "k": 2,
+                                "field": {"name": "polynomial", "terms": [[0.5, [2, 0]]]}}},
+     "scenario inline: field 'polynomial' {'terms': [[0.5, [2, 0]]]} is on R^2, not R^4"),
 ], ids=["field-parameter", "domain-parameter", "immersion-parameter", "flow-odd-ntheta",
         "domain-kind", "immersion-kind", "field-name", "expected-not-object",
         "expected-no-value", "expected-tol", "curvature-points-zero", "seed-not-integer",
@@ -444,7 +454,8 @@ _POLYNOMIAL_B4 = {"n": 4, "k": 2, "field": {"name": "polynomial", "terms": [[0.1
         "flow-spec-unknown-key", "flow-spec-string", "convexity-block-samples-string",
         "convexity-block-samples-zero", "verify-suites-string", "verify-suites-number",
         "verify-suites-empty", "expected-unknown-key", "expected-verdict-number",
-        "expected-defect-string"])
+        "expected-defect-string", "domain-not-object", "field-null", "linear-field-dimension",
+        "linear-field-scalar", "polynomial-field-dimension"])
 def test_cli_catalog_errors_exit_2(verb, doc, message, tmp_path, capsys):
     """A catalog entry missing a parameter or its kind, a catalog parameter
     of the wrong type, a scenario that is neither a registry name nor an
@@ -455,8 +466,9 @@ def test_cli_catalog_errors_exit_2(verb, doc, message, tmp_path, capsys):
     ``seed`` in the certificate block, a flow spec that is not an object of
     its keys, a convexity sample count below 1, a flow grid the solver
     cannot use, ``suites`` that are not a non-empty list of names, or an ``expected``
-    key that nothing reads, is a configuration error naming the key or the
-    value."""
+    key that nothing reads, a catalog spec that is not an object, or a field
+    on another R^n than the scenario's, is a configuration error naming the
+    key or the value."""
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(doc))
     assert cli.main([verb, "--config", str(cfg)]) == 2

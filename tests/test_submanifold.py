@@ -386,23 +386,26 @@ def test_nan_level_set_value_is_off_the_boundary(ball4):
 
 @pytest.mark.parametrize("name", ["cap-disk-b4k2", "flat-disk-b5k3", "paraboloid-b3"])
 def test_catalog_immersions_hold_sample_last_stacks(name):
-    """A catalog immersion holds J (n, k, m) and its chart Hessians (k, k, n,
-    m) C-contiguous and read-only; ``Js`` and ``Hs`` are views of them.  An
-    immersion rebuilt from those views takes the same arrays without a copy
-    and is bit for bit the same, while a sample-first copy is transposed
-    once."""
+    """A catalog immersion holds J (n, k, m), its chart Hessians (k, k, n, m)
+    and its rim Jacobians bJ (n, k, mb) C-contiguous and read-only; ``Js``,
+    ``Hs`` and ``bJs`` are views of them.  An immersion rebuilt from those
+    views takes the same arrays without a copy and is bit for bit the same,
+    while a sample-first copy is transposed once."""
     imm = build_scenario(name).immersion
-    m, n, k = imm.n_interior, imm.n, imm.k
+    m, mb, n, k = imm.n_interior, imm.n_boundary, imm.n, imm.k
     assert imm.J.shape == (n, k, m) and imm.Hchart.shape == (k, k, n, m)
-    for a, view in ((imm.J, imm.Js), (imm.Hchart, imm.Hs)):
+    assert mb and imm.bJ.shape == (n, k, mb)
+    for a, view in ((imm.J, imm.Js), (imm.Hchart, imm.Hs), (imm.bJ, imm.bJs)):
         assert a.flags.c_contiguous and not a.flags.writeable
         assert np.shares_memory(a, view) and not view.flags.writeable
         assert np.array_equal(view, np.moveaxis(a, -1, 0))
     again = _rebuilt(imm)
-    assert again.J.ctypes.data == imm.J.ctypes.data
-    assert again.Hchart.ctypes.data == imm.Hchart.ctypes.data
-    copied = _rebuilt(imm, Js=np.array(imm.Js), Hs=np.array(imm.Hs))
-    assert copied.J.flags.c_contiguous and not np.shares_memory(copied.J, imm.J)
+    for held in ("J", "Hchart", "bJ"):
+        assert getattr(again, held).ctypes.data == getattr(imm, held).ctypes.data
+    copied = _rebuilt(imm, Js=np.array(imm.Js), Hs=np.array(imm.Hs), bJs=np.array(imm.bJs))
+    for held in ("J", "bJ"):
+        assert getattr(copied, held).flags.c_contiguous
+        assert not np.shares_memory(getattr(copied, held), getattr(imm, held))
     for other in (again, copied):
         assert other.jacobian_factor.tobytes() == imm.jacobian_factor.tobytes()
         for got, want in zip(vars(other.geometry()).values(), vars(imm.geometry()).values()):
